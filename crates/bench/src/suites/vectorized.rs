@@ -1,17 +1,17 @@
-//! **B17** — vectorized execution: batch-at-a-time pulls plus compiled
-//! expression bytecode against the row-at-a-time tree-walking path
-//! (`batch_size: 1`, `compile_exprs: false` — exactly the engine every
-//! prior PR benchmarked). The suite *asserts* the speedup, so a change
-//! that silently knocks a hot shape off the fused/batched path fails CI
-//! rather than shipping a regression.
+//! **B17** — vectorized execution: batch-at-a-time pulls and the fused
+//! scan spine against the row-at-a-time engine (`batch_size: 1` — the
+//! same operators and the same bytecode, pulling one-row batches with the
+//! fused spine off). The suite *asserts* the speedup, so a change that
+//! silently knocks a hot shape off the fused/batched path fails CI rather
+//! than shipping a regression.
 //!
 //! Workloads (scan/filter/aggregate at 10k–1M rows):
 //!
 //! * `scan_project` — full scan with an arithmetic projection: the
-//!   fused scan→project spine plus bytecode vs per-row `Box<dyn>` pulls
-//!   plus tree-walk.
+//!   fused scan→project spine vs per-row `Box<dyn>` pulls and a per-row
+//!   `Env`.
 //! * `filter_project` — WHERE + projection: predicate and projection
-//!   both run as bytecode over borrowed slices.
+//!   both run over borrowed slices.
 //! * `aggregate` — `COLL_SUM` over a projected subquery: the pipelined
 //!   accumulator fed by the fused spine.
 //!
@@ -29,7 +29,7 @@
 //!   tick) while still checking at least once;
 //! * the instrumented run actually took the batched path
 //!   (`batches_produced > 0`) and compiled its expressions
-//!   (`exprs_compiled > 0`).
+//!   (`exprs_compiled > 0`, `exprs_fallback == 0`).
 
 use std::time::Duration;
 
@@ -38,7 +38,10 @@ use sqlpp_testkit::bench::Harness;
 use sqlpp_value::{Tuple, Value};
 
 /// Minimum batched-over-row median speedup per shape at [`GATE_ROWS`].
-const MIN_SPEEDUP: f64 = 5.0;
+/// Measured 3.0–5.0× (EXPERIMENTS.md B17) now that the baseline shares
+/// the bytecode evaluator; a shape knocked off the fused/batched path
+/// collapses to ~1×, so 2× separates the two with room for host noise.
+const MIN_SPEEDUP: f64 = 2.0;
 
 /// The size the speedup gate is asserted at — the largest workload that
 /// stays cache-resident, so the ratio isolates engine overhead.
@@ -95,12 +98,10 @@ pub fn run(h: &mut Harness) {
         base.register("s.big", rows(n));
 
         // The vectorized engine is the default configuration; the row
-        // path is the same engine with batching and compilation
-        // switched off.
+        // engine is the same code pulling one-row batches.
         let vec_session = base.with_config(SessionConfig::default());
         let row_session = base.with_config(SessionConfig {
             batch_size: 1,
-            compile_exprs: false,
             ..SessionConfig::default()
         });
 
@@ -111,7 +112,7 @@ pub fn run(h: &mut Harness) {
             // The gate detects *regressions* — a shape knocked off the
             // fused/batched path collapses to ~1× and fails every
             // attempt. Host noise on a shared machine can shave an
-            // honest 6× down past the threshold in one sample, so a
+            // honest 3× down past the threshold in one sample, so a
             // below-threshold gated measurement is retried before it
             // fails the suite.
             let attempts = if n == GATE_ROWS { 3 } else { 1 };
@@ -153,6 +154,8 @@ pub fn run(h: &mut Harness) {
                 compiled > 0,
                 "{shape}: no expression compiled to bytecode (exprs_compiled = 0)"
             );
+            let fallback = counter(stats, "exprs_fallback");
+            assert_eq!(fallback, 0, "{shape}: an expression left the bytecode VM");
             if n == GATE_ROWS {
                 assert!(
                     speedup >= MIN_SPEEDUP,
@@ -164,10 +167,7 @@ pub fn run(h: &mut Harness) {
                 ("speedup_pct".to_string(), (speedup * 100.0) as u64),
                 ("batches_produced".to_string(), batches),
                 ("exprs_compiled".to_string(), compiled),
-                (
-                    "exprs_fallback".to_string(),
-                    counter(stats, "exprs_fallback"),
-                ),
+                ("exprs_fallback".to_string(), fallback),
                 ("n".to_string(), n as u64),
             ]);
         }

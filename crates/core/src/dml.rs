@@ -32,7 +32,7 @@
 //! `tests/serving.rs` and the B16 mixed workload (8 sessions, 1-in-8
 //! DML, exact-count assertion) pin this under real contention.
 
-use sqlpp_eval::{Env, EvalConfig, Evaluator, ExecStats};
+use sqlpp_eval::{Env, Evaluator, ExecStats};
 use sqlpp_plan::lower::lower_with_scope;
 use sqlpp_plan::{CoreExpr, CoreOp, PlanConfig, Scope};
 use sqlpp_schema::Validator;
@@ -164,7 +164,7 @@ impl Engine {
         let existing = self.catalog().get_str(&name)?;
         let (items, rebuild) = open_collection("DELETE", &name, (*existing).clone())?;
         let matcher = self.compile_row_predicate(&del.where_clause, &alias)?;
-        let evaluator = Evaluator::new(self.catalog(), self.dml_eval_config(collect));
+        let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
         let mut kept = Vec::with_capacity(items.len());
         let mut deleted = 0usize;
         for item in items {
@@ -201,7 +201,7 @@ impl Engine {
             let attrs = assignment_path(path, &alias)?;
             compiled.push((attrs, self.compile_row_expr(value, &alias)?));
         }
-        let evaluator = Evaluator::new(self.catalog(), self.dml_eval_config(collect));
+        let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
         let mut updated_items = Vec::with_capacity(items.len());
         let mut updated = 0usize;
         let schema = self.catalog().schema(&crate::Name::parse(&name));
@@ -233,23 +233,6 @@ impl Engine {
         }
         self.commit_collection(&name, rebuild(updated_items))?;
         Ok((updated, evaluator.stats_snapshot()))
-    }
-
-    fn dml_eval_config(&self, collect_stats: bool) -> EvalConfig {
-        EvalConfig {
-            typing: self.config().typing,
-            compat: self.config().compat,
-            pipeline_aggregates: self.config().pipeline_aggregates,
-            collect_stats,
-            // DML evaluation runs under the same governor as queries:
-            // budgets, deadlines, and injected faults abort the statement
-            // before its commit point, leaving the catalog untouched.
-            limits: self.config().limits.clone(),
-            fault: self.config().fault.clone(),
-            batch_size: self.config().batch_size,
-            compile_exprs: self.config().compile_exprs,
-            spill: self.config().spill.clone(),
-        }
     }
 
     /// Compiles a WHERE predicate with `alias` in scope; `None` matches
@@ -294,9 +277,9 @@ impl Engine {
 
 /// Three-valued match: only a TRUE predicate affects the row. Takes the
 /// statement's evaluator so its stats accumulate across all rows.
-fn row_matches(
-    evaluator: &Evaluator<'_>,
-    matcher: &Option<CoreExpr>,
+fn row_matches<'a>(
+    evaluator: &Evaluator<'a>,
+    matcher: &'a Option<CoreExpr>,
     alias: &str,
     item: &Value,
 ) -> Result<bool> {

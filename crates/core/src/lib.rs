@@ -92,13 +92,10 @@ pub struct SessionConfig {
     pub limits: Limits,
     /// Fault-injection hook (chaos testing). `None` in production.
     pub fault: Option<FaultInjector>,
-    /// Rows moved per pipeline pull (vectorized execution). `1` forces
-    /// the row-at-a-time path everywhere — useful as a differential
-    /// baseline against the batched engine.
+    /// Rows moved per pipeline pull (vectorized execution). `1` is the
+    /// row-at-a-time engine — the same operators pulling one-row batches
+    /// — kept as the differential baseline for the batched engine.
     pub batch_size: usize,
-    /// Compile expressions to flat bytecode at plan time. Off, every
-    /// expression goes through the tree-walking interpreter.
-    pub compile_exprs: bool,
     /// Out-of-core execution policy. `None` (the default) keeps memory-
     /// budget overruns as hard refusals; `Some` lets pipeline breakers
     /// spill to temp files (external merge-sort, Grace partitioning)
@@ -122,7 +119,6 @@ impl Default for SessionConfig {
             limits: Limits::default(),
             fault: None,
             batch_size: sqlpp_eval::DEFAULT_BATCH_SIZE,
-            compile_exprs: true,
             spill: None,
             durability: None,
         }
@@ -429,13 +425,7 @@ impl Engine {
         // (assigned by `Evaluator::run`), so the plan can move freely
         // between evaluation and annotation.
         let (core, lower_ns, optimize_ns) = self.lower_timed(ast)?;
-        let evaluator = Evaluator::new(
-            &self.catalog,
-            EvalConfig {
-                collect_stats: true,
-                ..self.eval_config()
-            },
-        );
+        let evaluator = Evaluator::new(&self.catalog, self.eval_config(true));
         let t = Instant::now();
         let value = evaluator.run(&core)?;
         let eval_ns = t.elapsed().as_nanos() as u64;
@@ -553,13 +543,7 @@ impl Engine {
         if self.config.optimize {
             core = optimize(core);
         }
-        let evaluator = Evaluator::new(
-            &self.catalog,
-            EvalConfig {
-                collect_stats,
-                ..self.eval_config()
-            },
-        );
+        let evaluator = Evaluator::new(&self.catalog, self.eval_config(collect_stats));
         let bag = evaluator.run(&core)?;
         let stats = evaluator.stats_snapshot();
         // A FROM-less SELECT VALUE produces a singleton bag; unwrap it.
@@ -580,16 +564,20 @@ impl Engine {
         }
     }
 
-    fn eval_config(&self) -> EvalConfig {
+    /// The evaluator configuration every entry point runs under —
+    /// queries, `EXPLAIN ANALYZE`, prepared execution, and DML alike, so
+    /// budgets, deadlines, and injected faults govern them all the same
+    /// way (a refused DML aborts before its commit point, leaving the
+    /// catalog untouched).
+    pub(crate) fn eval_config(&self, collect_stats: bool) -> EvalConfig {
         EvalConfig {
             typing: self.config.typing,
             compat: self.config.compat,
             pipeline_aggregates: self.config.pipeline_aggregates,
-            collect_stats: false,
+            collect_stats,
             limits: self.config.limits.clone(),
             fault: self.config.fault.clone(),
             batch_size: self.config.batch_size,
-            compile_exprs: self.config.compile_exprs,
             spill: self.config.spill.clone(),
         }
     }
@@ -598,7 +586,8 @@ impl Engine {
 /// Renders an `EXPLAIN ANALYZE` report: the operator tree with per-node
 /// `[streaming|materializing calls=… rows=… time=…]` annotations, then
 /// the phase/counter summary. Operators that buffered rows also show
-/// their high-water mark as `mat=…`.
+/// their high-water mark as `mat=…`; operators that streamed show how
+/// many batches they emitted as `batches=…`.
 fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
     // Stats are keyed by pre-order plan index; recover each rendered
     // node's index by walking the same pre-order.
@@ -627,25 +616,18 @@ fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
         } else {
             String::new()
         };
-        let pull = if s.batches > 0 {
-            format!(" batched batches={}", s.batches)
+        let batches = if s.batches > 0 {
+            format!(" batches={}", s.batches)
         } else {
-            " row-at-a-time".to_string()
-        };
-        let exprs = match s.expr_mode {
-            sqlpp_eval::stats::ExprMode::None => String::new(),
-            sqlpp_eval::stats::ExprMode::Bytecode => " expr=bytecode".to_string(),
-            sqlpp_eval::stats::ExprMode::TreeWalk => " expr=tree-walk".to_string(),
-            sqlpp_eval::stats::ExprMode::Mixed => " expr=mixed".to_string(),
+            String::new()
         };
         Some(format!(
-            " [{} calls={} rows={}{}{}{} time={}]",
+            " [{} calls={} rows={}{}{} time={}]",
             op.pipeline_class(),
             s.calls,
             s.rows_out,
             mat,
-            pull,
-            exprs,
+            batches,
             fmt_ns(s.ns)
         ))
     });
@@ -767,7 +749,8 @@ impl Prepared {
     /// Executes with positional parameters.
     pub fn execute_with_params(&self, engine: &Engine, params: Vec<Value>) -> Result<QueryResult> {
         let plan = self.current_plan(engine)?;
-        let evaluator = Evaluator::new(&engine.catalog, engine.eval_config()).with_params(params);
+        let evaluator =
+            Evaluator::new(&engine.catalog, engine.eval_config(false)).with_params(params);
         Ok(QueryResult::new(evaluator.run(&plan)?))
     }
 }

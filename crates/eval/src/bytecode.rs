@@ -1,96 +1,87 @@
-//! Flat postfix bytecode for scalar Core expressions.
+//! Flat postfix bytecode: the one evaluator of Core expressions.
 //!
-//! The tree-walking interpreter in `interp.rs` pays a recursive call and a
-//! full `match` per expression node, per row. This module flattens a
-//! [`CoreExpr`] tree into a `Vec<Instr>` once per plan (see
-//! `Evaluator::precompile`), so the per-row cost becomes a tight loop over
-//! a slice with an explicit value stack — no recursion, no re-dispatch on
-//! structure that never changes between rows.
+//! [`compile`] flattens a [`CoreExpr`] tree into a `Vec<Instr>` once — the
+//! first time `Evaluator::expr` sees the expression — so the per-row cost
+//! is a tight loop over a slice with an explicit value stack: no
+//! recursion, no re-dispatch on structure that never changes between
+//! rows. There is no second evaluator: every `CoreExpr` compiles, so
+//! `compile` is infallible and the VM in `interp.rs` (`exec_program`) is
+//! the only place expression semantics dispatch. The NULL/MISSING tables
+//! themselves live in the value-level helpers the VM calls
+//! (`binop_values`, `compare_values`, `like_values`, `in_values`).
 //!
 //! ## ISA shape
 //!
 //! Instructions are postfix: operands are evaluated left-to-right onto the
 //! stack and the operator pops them. Control flow (AND/OR short-circuit,
 //! CASE arms, the IN missing-needle rule) uses absolute-target jumps that
-//! the compiler back-patches. Two peepholes matter for the hot path:
+//! the compiler back-patches. A program borrows its plan (`'p`): names,
+//! constants and nested plans are references, never clones, and the
+//! borrow is what makes the evaluator's address-keyed program cache sound
+//! — a cached expression cannot be freed while its program is alive.
 //!
-//! * `Field { var, attr }` fuses `Path(Var(v), a)` so the common `t.x`
-//!   navigation borrows the bound tuple and clones only the leaf value,
-//!   instead of cloning the whole tuple out of the environment first.
-//! * `Between` re-emits its test expression rather than introducing a
-//!   stack-dup instruction, matching the tree-walker's double evaluation
-//!   exactly (same effect order, same error order).
+//! `Field { var, attr }` fuses `Path(Var(v), a)` so the common `t.x`
+//! navigation borrows the bound tuple and clones only the leaf value,
+//! instead of cloning the whole tuple out of the environment first.
 //!
-//! ## Fallback rules
+//! ## Call instructions
 //!
-//! `compile` returns [`Compiled::Fallback`] — and the evaluator keeps the
-//! tree-walker for that expression — when the tree contains anything
-//! non-scalar: subqueries, EXISTS, or composable aggregates (their inputs
-//! are whole plans, not value stacks). Oversized programs also fall back
-//! so pathological nesting (e.g. deeply nested BETWEEN) cannot explode
-//! code size. The VM itself lives in `interp.rs` (`run_program`) because
-//! it reuses the tree-walker's value-level helpers — by construction both
-//! paths produce identical values, errors, and stat side effects, which
-//! the differential properties in `tests/properties.rs` pin.
+//! Plan-valued expressions — scalar/bag subqueries, `EXISTS`,
+//! `IN (SELECT …)`, and `COLL_*` over a `SELECT VALUE` — compile to *call*
+//! instructions that hand the nested plan to the evaluator's stream
+//! machinery (`element_stream` / `run_in` / the fused scan spine) with the
+//! current environment as the outer scope. They sit behind the same jumps
+//! as any operand, so `FALSE AND EXISTS(…)` never runs the subquery, and
+//! they clear [`Program::root_safe`]: a nested plan needs a real
+//! environment, not the fused spine's borrowed row.
 
-use sqlpp_plan::CoreExpr;
+use sqlpp_plan::{AggFunc, Coercion, CoreExpr, CoreOp, CoreQuery};
 use sqlpp_syntax::ast::{BinOp, IsTest, UnOp};
 use sqlpp_value::Value;
 
 use crate::cast::CastTarget;
 
-/// Programs larger than this fall back to the tree-walker (`Between`
-/// re-emission can square code size when nested).
-const MAX_PROGRAM_LEN: usize = 4096;
-
-/// Result of compiling one expression tree.
-pub(crate) enum Compiled {
-    /// Fully covered: evaluate via the VM.
-    Program(Program),
-    /// Contains ops the compiler does not cover; keep tree-walking.
-    Fallback,
-}
-
-/// A compiled expression.
-pub(crate) struct Program {
+/// A compiled expression, borrowing the plan it was compiled from.
+pub(crate) struct Program<'p> {
     /// The flat instruction sequence; execution runs `0..len` with jumps.
-    pub(crate) instrs: Vec<Instr>,
-    /// True when every name lookup is a plain variable/parameter read, so
-    /// the fused scan spine may evaluate rows against a *borrowed* root
-    /// binding without materializing an `Env`. `Global`/`Dynamic` lookups
-    /// clear this: they inspect the full set of visible bindings.
+    pub(crate) instrs: Vec<Instr<'p>>,
+    /// True when every name lookup is a plain variable/parameter read and
+    /// no instruction runs a nested plan, so the fused scan spine may
+    /// evaluate rows against a *borrowed* root binding without
+    /// materializing an `Env`. `Global`/`Dynamic` lookups (they inspect
+    /// the full set of visible bindings) and call instructions clear it.
     pub(crate) root_safe: bool,
 }
 
 /// One VM instruction. Jump targets are absolute instruction indices.
-#[derive(Clone)]
-pub(crate) enum Instr {
+#[derive(Clone, Copy)]
+pub(crate) enum Instr<'p> {
     /// Push a literal.
-    Const(Value),
+    Const(&'p Value),
     /// Push a variable's value (error: unknown name).
-    Var(String),
+    Var(&'p str),
     /// Push the fused spine's borrowed root binding (emitted only by
     /// [`Program::specialize_for_root`], never by the compiler).
     RootVar,
     /// Fused `root.attr`: navigate the root binding directly — no name
     /// compare, no environment probe (specialization-only, like
     /// [`Instr::RootVar`]).
-    RootField(String),
+    RootField(&'p str),
     /// Push a positional parameter.
     Param(usize),
-    /// Resolve a catalog reference (tree-walker's `resolve_global`).
-    Global(Vec<String>),
+    /// Resolve a catalog reference (`resolve_global`).
+    Global(&'p [String]),
     /// Resolve a late-bound name (env → catalog → unique attribute).
-    Dynamic(String),
+    Dynamic(&'p String),
     /// Fused `var.attr`: navigate without cloning the base value.
     Field {
         /// The variable holding the base value.
-        var: String,
+        var: &'p str,
         /// The attribute to navigate to.
-        attr: String,
+        attr: &'p str,
     },
     /// Navigate `.attr` on the popped value.
-    Path(String),
+    Path(&'p str),
     /// `base[index]` on the two popped values.
     Index,
     /// Any binary operator except AND/OR (those need control flow).
@@ -99,8 +90,8 @@ pub(crate) enum Instr {
     /// non-short-circuit half).
     Logic(BinOp),
     /// Peek the left operand of AND/OR: jump to `end` (keeping it as the
-    /// result) when it alone decides the outcome — exactly the
-    /// tree-walker's `Bool(false)`/`Bool(true)` dominance rule.
+    /// result) when it alone decides the outcome — `FALSE AND …` /
+    /// `TRUE OR …` dominate even absent right operands.
     ShortCircuit {
         /// `BinOp::And` or `BinOp::Or`.
         op: BinOp,
@@ -112,7 +103,7 @@ pub(crate) enum Instr {
     /// `IS [NOT] NULL/MISSING/<type>` on the popped value.
     Is {
         /// The test.
-        test: IsTest,
+        test: &'p IsTest,
         /// `IS NOT`?
         negated: bool,
     },
@@ -123,16 +114,25 @@ pub(crate) enum Instr {
         /// NOT LIKE?
         negated: bool,
     },
-    /// Pops the two comparison results of BETWEEN and ANDs them.
-    BetweenFinish {
+    /// Pops `high, low, subject`: `low <= subject AND subject <= high`
+    /// under 3VL. The subject is evaluated exactly once.
+    Between {
         /// NOT BETWEEN?
         negated: bool,
     },
-    /// Peek: if the top of stack is MISSING jump to `0`-arg target,
-    /// leaving MISSING as the result (IN's missing-needle rule).
+    /// Peek: if the top of stack is MISSING jump to the target, leaving
+    /// MISSING as the result (IN's missing-needle rule).
     JumpIfMissing(usize),
     /// Pops `collection, needle` and runs the IN membership scan.
     InCollection {
+        /// NOT IN?
+        negated: bool,
+    },
+    /// Call: pops the needle and streams the subquery's rows against it,
+    /// stopping at the first TRUE.
+    InSubquery {
+        /// The SQL-coerced (`Coercion::Collection`) subquery.
+        plan: &'p CoreQuery,
         /// NOT IN?
         negated: bool,
     },
@@ -150,7 +150,7 @@ pub(crate) enum Instr {
     /// Call a scalar function on the top `argc` values.
     Call {
         /// Upper-case function name.
-        name: String,
+        name: &'p str,
         /// Argument count.
         argc: usize,
     },
@@ -159,33 +159,60 @@ pub(crate) enum Instr {
         /// Parsed target.
         target: CastTarget,
         /// Original type name (for the error message).
-        ty: String,
+        ty: &'p str,
     },
-    /// CAST to a target that failed to parse: evaluate-then-error, the
-    /// tree-walker's order (both typing modes hard-error).
-    BadCast(String),
+    /// CAST to a target that failed to parse: evaluate-then-error (both
+    /// typing modes hard-error).
+    BadCast(&'p str),
     /// Build a tuple from the top `2n` values (name/value pairs).
     TupleCtor(usize),
     /// Build an array from the top `n` values (MISSING dropped).
     ArrayCtor(usize),
     /// Build a bag from the top `n` values (MISSING dropped).
     BagCtor(usize),
+    /// Call: run a nested plan and push its (coerced) result.
+    Subquery {
+        /// The nested plan.
+        plan: &'p CoreQuery,
+        /// Adaptation to context (§V-A).
+        coercion: Coercion,
+    },
+    /// Call: push whether the nested plan yields at least one element.
+    Exists(&'p CoreQuery),
+    /// Aggregate the popped collection value.
+    CollAgg {
+        /// Which aggregate.
+        func: AggFunc,
+        /// Deduplicate elements first.
+        distinct: bool,
+    },
+    /// Call: `COLL_*` over a plain `SELECT VALUE expr FROM input`,
+    /// aggregated incrementally instead of materializing the bag — legal
+    /// because the materialization is only conceptual (§V-C).
+    CollAggPipelined {
+        /// Which aggregate.
+        func: AggFunc,
+        /// The subquery's binding-producing input.
+        input: &'p CoreOp,
+        /// The subquery's projection.
+        expr: &'p CoreExpr,
+    },
 }
 
-impl Program {
+impl<'p> Program<'p> {
     /// Rewrites every lookup that can only resolve to the fused spine's
     /// root binding (`Var`/`Field` on the scan variable — root-first
     /// shadowing means the root always wins) into a direct root read,
     /// eliminating the per-row name comparison from the hot loop. Only
     /// meaningful for `root_safe` programs run with a root binding.
-    pub(crate) fn specialize_for_root(&self, root: &str) -> Program {
+    pub(crate) fn specialize_for_root(&self, root: &str) -> Program<'p> {
         let instrs = self
             .instrs
             .iter()
-            .map(|i| match i {
+            .map(|i| match *i {
                 Instr::Var(name) if name == root => Instr::RootVar,
-                Instr::Field { var, attr } if var == root => Instr::RootField(attr.clone()),
-                other => other.clone(),
+                Instr::Field { var, attr } if var == root => Instr::RootField(attr),
+                other => other,
             })
             .collect();
         Program {
@@ -195,93 +222,102 @@ impl Program {
     }
 }
 
-/// Compiles `e`, returning `Fallback` when any part is uncovered.
-pub(crate) fn compile(e: &CoreExpr) -> Compiled {
+/// Compiles `e`. `pipeline_aggregates` selects the incremental `COLL_*`
+/// instruction over the materialize-then-aggregate pair.
+pub(crate) fn compile(e: &CoreExpr, pipeline_aggregates: bool) -> Program<'_> {
     let mut c = Compiler {
         instrs: Vec::new(),
         root_safe: true,
+        pipeline_aggregates,
     };
-    match c.emit(e) {
-        Ok(()) => Compiled::Program(Program {
-            instrs: c.instrs,
-            root_safe: c.root_safe,
-        }),
-        Err(NotCompilable) => Compiled::Fallback,
+    c.emit(e);
+    Program {
+        instrs: c.instrs,
+        root_safe: c.root_safe,
     }
 }
 
-/// Marker error: bail out of compilation, keep the tree-walker.
-struct NotCompilable;
-
-struct Compiler {
-    instrs: Vec<Instr>,
-    root_safe: bool,
+/// Whether a value-producing operator yields a *collection of elements*
+/// (`true` for everything except PIVOT — whose result is a single tuple —
+/// possibly under WITH). This is the condition for streaming its output
+/// element-wise instead of materializing it.
+pub(crate) fn produces_elements(op: &CoreOp) -> bool {
+    match op {
+        CoreOp::Pivot { .. } => false,
+        CoreOp::With { body, .. } => produces_elements(body),
+        _ => true,
+    }
 }
 
-impl Compiler {
-    fn push(&mut self, i: Instr) -> Result<(), NotCompilable> {
-        if self.instrs.len() >= MAX_PROGRAM_LEN {
-            return Err(NotCompilable);
-        }
+struct Compiler<'p> {
+    instrs: Vec<Instr<'p>>,
+    root_safe: bool,
+    pipeline_aggregates: bool,
+}
+
+impl<'p> Compiler<'p> {
+    /// Emits a call instruction: nested plans need a real environment.
+    fn call(&mut self, i: Instr<'p>) {
+        self.root_safe = false;
         self.instrs.push(i);
-        Ok(())
     }
 
     /// Reserves a slot for a jump instruction patched later.
-    fn hole(&mut self) -> Result<usize, NotCompilable> {
-        let at = self.instrs.len();
-        self.push(Instr::Jump(usize::MAX))?;
-        Ok(at)
+    fn hole(&mut self) -> usize {
+        self.instrs.push(Instr::Jump(usize::MAX));
+        self.instrs.len() - 1
     }
 
-    fn emit(&mut self, e: &CoreExpr) -> Result<(), NotCompilable> {
+    fn emit_all(&mut self, items: &'p [CoreExpr]) {
+        for e in items {
+            self.emit(e);
+        }
+    }
+
+    fn emit(&mut self, e: &'p CoreExpr) {
         match e {
-            CoreExpr::Const(v) => self.push(Instr::Const(v.clone())),
-            CoreExpr::Var(name) => self.push(Instr::Var(name.clone())),
-            CoreExpr::Param(i) => self.push(Instr::Param(*i)),
+            CoreExpr::Const(v) => self.instrs.push(Instr::Const(v)),
+            CoreExpr::Var(name) => self.instrs.push(Instr::Var(name)),
+            CoreExpr::Param(i) => self.instrs.push(Instr::Param(*i)),
             CoreExpr::Global(segments) => {
                 self.root_safe = false;
-                self.push(Instr::Global(segments.clone()))
+                self.instrs.push(Instr::Global(segments));
             }
             CoreExpr::Dynamic(name) => {
                 self.root_safe = false;
-                self.push(Instr::Dynamic(name.clone()))
+                self.instrs.push(Instr::Dynamic(name));
             }
             CoreExpr::Path(base, attr) => {
                 if let CoreExpr::Var(var) = &**base {
-                    self.push(Instr::Field {
-                        var: var.clone(),
-                        attr: attr.clone(),
-                    })
+                    self.instrs.push(Instr::Field { var, attr });
                 } else {
-                    self.emit(base)?;
-                    self.push(Instr::Path(attr.clone()))
+                    self.emit(base);
+                    self.instrs.push(Instr::Path(attr));
                 }
             }
             CoreExpr::Index(base, idx) => {
-                self.emit(base)?;
-                self.emit(idx)?;
-                self.push(Instr::Index)
+                self.emit(base);
+                self.emit(idx);
+                self.instrs.push(Instr::Index);
             }
             CoreExpr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
-                self.emit(l)?;
-                let sc = self.hole()?;
-                self.emit(r)?;
-                self.push(Instr::Logic(*op))?;
+                self.emit(l);
+                let sc = self.hole();
+                self.emit(r);
+                self.instrs.push(Instr::Logic(*op));
                 self.instrs[sc] = Instr::ShortCircuit {
                     op: *op,
                     end: self.instrs.len(),
                 };
-                Ok(())
             }
             CoreExpr::Bin(op, l, r) => {
-                self.emit(l)?;
-                self.emit(r)?;
-                self.push(Instr::Bin(*op))
+                self.emit(l);
+                self.emit(r);
+                self.instrs.push(Instr::Bin(*op));
             }
             CoreExpr::Un(op, x) => {
-                self.emit(x)?;
-                self.push(Instr::Un(*op))
+                self.emit(x);
+                self.instrs.push(Instr::Un(*op));
             }
             CoreExpr::Like {
                 expr,
@@ -289,15 +325,15 @@ impl Compiler {
                 escape,
                 negated,
             } => {
-                self.emit(expr)?;
-                self.emit(pattern)?;
+                self.emit(expr);
+                self.emit(pattern);
                 if let Some(esc) = escape {
-                    self.emit(esc)?;
+                    self.emit(esc);
                 }
-                self.push(Instr::Like {
+                self.instrs.push(Instr::Like {
                     has_escape: escape.is_some(),
                     negated: *negated,
-                })
+                });
             }
             CoreExpr::Between {
                 expr,
@@ -305,47 +341,52 @@ impl Compiler {
                 high,
                 negated,
             } => {
-                // The tree-walker evaluates `expr` twice (once per bound);
-                // re-emitting it preserves that order of effects exactly.
-                self.emit(expr)?;
-                self.emit(low)?;
-                self.push(Instr::Bin(BinOp::GtEq))?;
-                self.emit(expr)?;
-                self.emit(high)?;
-                self.push(Instr::Bin(BinOp::LtEq))?;
-                self.push(Instr::BetweenFinish { negated: *negated })
+                self.emit(expr);
+                self.emit(low);
+                self.emit(high);
+                self.instrs.push(Instr::Between { negated: *negated });
             }
             CoreExpr::In {
                 expr,
                 collection,
                 negated,
             } => {
-                self.emit(expr)?;
-                let j = self.hole()?;
-                self.emit(collection)?;
-                self.push(Instr::InCollection { negated: *negated })?;
+                self.emit(expr);
+                let j = self.hole();
+                match &**collection {
+                    CoreExpr::Subquery {
+                        plan,
+                        coercion: Coercion::Collection,
+                    } if produces_elements(&plan.op) => self.call(Instr::InSubquery {
+                        plan,
+                        negated: *negated,
+                    }),
+                    other => {
+                        self.emit(other);
+                        self.instrs.push(Instr::InCollection { negated: *negated });
+                    }
+                }
                 self.instrs[j] = Instr::JumpIfMissing(self.instrs.len());
-                Ok(())
             }
             CoreExpr::Is {
                 expr,
                 test,
                 negated,
             } => {
-                self.emit(expr)?;
-                self.push(Instr::Is {
-                    test: test.clone(),
+                self.emit(expr);
+                self.instrs.push(Instr::Is {
+                    test,
                     negated: *negated,
-                })
+                });
             }
             CoreExpr::Case { arms, else_expr } => {
                 let mut case_jumps = Vec::with_capacity(arms.len());
                 let mut arm_ends = Vec::with_capacity(arms.len());
                 for (when, then) in arms {
-                    self.emit(when)?;
-                    let cj = self.hole()?;
-                    self.emit(then)?;
-                    arm_ends.push(self.hole()?);
+                    self.emit(when);
+                    let cj = self.hole();
+                    self.emit(then);
+                    arm_ends.push(self.hole());
                     // `next` is known now; `end` is patched after ELSE.
                     self.instrs[cj] = Instr::CaseJump {
                         next: self.instrs.len(),
@@ -353,7 +394,7 @@ impl Compiler {
                     };
                     case_jumps.push(cj);
                 }
-                self.emit(else_expr)?;
+                self.emit(else_expr);
                 let end = self.instrs.len();
                 for cj in case_jumps {
                     if let Instr::CaseJump { end: e, .. } = &mut self.instrs[cj] {
@@ -363,48 +404,73 @@ impl Compiler {
                 for j in arm_ends {
                     self.instrs[j] = Instr::Jump(end);
                 }
-                Ok(())
             }
             CoreExpr::Call { name, args } => {
-                for a in args {
-                    self.emit(a)?;
-                }
-                self.push(Instr::Call {
-                    name: name.clone(),
+                self.emit_all(args);
+                self.instrs.push(Instr::Call {
+                    name,
                     argc: args.len(),
-                })
+                });
             }
-            CoreExpr::CollAgg { .. } | CoreExpr::Subquery { .. } | CoreExpr::Exists(_) => {
-                Err(NotCompilable)
+            CoreExpr::CollAgg {
+                func,
+                distinct,
+                input,
+            } => {
+                if let (
+                    true,
+                    false,
+                    CoreExpr::Subquery {
+                        plan,
+                        coercion: Coercion::Bag,
+                    },
+                ) = (self.pipeline_aggregates, *distinct, &**input)
+                {
+                    if let CoreOp::Project {
+                        input,
+                        expr,
+                        distinct: false,
+                    } = &plan.op
+                    {
+                        return self.call(Instr::CollAggPipelined {
+                            func: *func,
+                            input,
+                            expr,
+                        });
+                    }
+                }
+                self.emit(input);
+                self.instrs.push(Instr::CollAgg {
+                    func: *func,
+                    distinct: *distinct,
+                });
             }
+            CoreExpr::Subquery { plan, coercion } => self.call(Instr::Subquery {
+                plan,
+                coercion: *coercion,
+            }),
+            CoreExpr::Exists(q) => self.call(Instr::Exists(q)),
             CoreExpr::TupleCtor(pairs) => {
                 for (name, value) in pairs {
-                    self.emit(name)?;
-                    self.emit(value)?;
+                    self.emit(name);
+                    self.emit(value);
                 }
-                self.push(Instr::TupleCtor(pairs.len()))
+                self.instrs.push(Instr::TupleCtor(pairs.len()));
             }
             CoreExpr::ArrayCtor(items) => {
-                for v in items {
-                    self.emit(v)?;
-                }
-                self.push(Instr::ArrayCtor(items.len()))
+                self.emit_all(items);
+                self.instrs.push(Instr::ArrayCtor(items.len()));
             }
             CoreExpr::BagCtor(items) => {
-                for v in items {
-                    self.emit(v)?;
-                }
-                self.push(Instr::BagCtor(items.len()))
+                self.emit_all(items);
+                self.instrs.push(Instr::BagCtor(items.len()));
             }
             CoreExpr::Cast { expr, ty } => {
-                self.emit(expr)?;
-                match CastTarget::parse(ty) {
-                    Some(target) => self.push(Instr::Cast {
-                        target,
-                        ty: ty.clone(),
-                    }),
-                    None => self.push(Instr::BadCast(ty.clone())),
-                }
+                self.emit(expr);
+                self.instrs.push(match CastTarget::parse(ty) {
+                    Some(target) => Instr::Cast { target, ty },
+                    None => Instr::BadCast(ty),
+                });
             }
         }
     }
@@ -421,31 +487,87 @@ mod tests {
     #[test]
     fn field_peephole_fuses_var_navigation() {
         let e = CoreExpr::Path(Box::new(var("t")), "x".into());
-        let Compiled::Program(p) = compile(&e) else {
-            panic!("expected a program");
-        };
+        let p = compile(&e, true);
         assert_eq!(p.instrs.len(), 1);
-        assert!(matches!(&p.instrs[0], Instr::Field { var, attr } if var == "t" && attr == "x"));
+        assert!(matches!(
+            p.instrs[0],
+            Instr::Field {
+                var: "t",
+                attr: "x"
+            }
+        ));
         assert!(p.root_safe);
     }
 
     #[test]
-    fn subqueries_fall_back() {
-        let e = CoreExpr::CollAgg {
-            func: sqlpp_plan::AggFunc::Count,
-            distinct: false,
-            input: Box::new(var("g")),
+    fn plan_valued_expressions_compile_to_calls() {
+        let sub = |coercion| CoreExpr::Subquery {
+            plan: Box::new(CoreQuery {
+                op: CoreOp::Project {
+                    input: Box::new(CoreOp::Single),
+                    expr: var("g"),
+                    distinct: false,
+                },
+            }),
+            coercion,
         };
-        assert!(matches!(compile(&e), Compiled::Fallback));
+        let agg = CoreExpr::CollAgg {
+            func: AggFunc::Count,
+            distinct: false,
+            input: Box::new(sub(Coercion::Bag)),
+        };
+        let p = compile(&agg, true);
+        assert!(matches!(p.instrs[..], [Instr::CollAggPipelined { .. }]));
+        assert!(!p.root_safe, "calls need a real environment");
+        // With pipelining off the same expression materializes first.
+        let p = compile(&agg, false);
+        assert!(matches!(
+            p.instrs[..],
+            [Instr::Subquery { .. }, Instr::CollAgg { .. }]
+        ));
+        let member = CoreExpr::In {
+            expr: Box::new(var("x")),
+            collection: Box::new(sub(Coercion::Collection)),
+            negated: false,
+        };
+        let p = compile(&member, true);
+        assert!(matches!(
+            p.instrs[..],
+            [
+                Instr::Var("x"),
+                Instr::JumpIfMissing(3),
+                Instr::InSubquery { .. }
+            ]
+        ));
+    }
+
+    #[test]
+    fn between_emits_its_subject_once_and_nests_linearly() {
+        // 64-deep `((x BETWEEN 0 AND 1) BETWEEN 0 AND 1) …`: three
+        // instructions per level, not the former doubling.
+        let mut e = var("x");
+        for _ in 0..64 {
+            e = CoreExpr::Between {
+                expr: Box::new(e),
+                low: Box::new(CoreExpr::Const(Value::Int(0))),
+                high: Box::new(CoreExpr::Const(Value::Int(1))),
+                negated: false,
+            };
+        }
+        let p = compile(&e, true);
+        assert_eq!(p.instrs.len(), 1 + 64 * 3);
+        let subjects = p
+            .instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::Var("x")))
+            .count();
+        assert_eq!(subjects, 1);
     }
 
     #[test]
     fn globals_clear_root_safety() {
         let e = CoreExpr::Global(vec!["db".into(), "r".into()]);
-        let Compiled::Program(p) = compile(&e) else {
-            panic!("expected a program");
-        };
-        assert!(!p.root_safe);
+        assert!(!compile(&e, true).root_safe);
     }
 
     #[test]
@@ -455,9 +577,7 @@ mod tests {
             Box::new(CoreExpr::Const(Value::Bool(false))),
             Box::new(var("x")),
         );
-        let Compiled::Program(p) = compile(&e) else {
-            panic!("expected a program");
-        };
+        let p = compile(&e, true);
         // [Const(false), ShortCircuit{end:4}, Var(x), Logic(And)]
         assert_eq!(p.instrs.len(), 4);
         assert!(matches!(

@@ -24,8 +24,8 @@ use sqlpp_value::{Tuple, Value};
 
 use crate::agg;
 use crate::arith::{num_binop, num_neg, NumError, NumOp};
-use crate::bytecode::{self, Compiled, Instr};
-use crate::cast::{cast, CastTarget};
+use crate::bytecode::{self, produces_elements, Instr, Program};
+use crate::cast::cast;
 use crate::env::Env;
 use crate::error::{EvalError, TypingMode};
 use crate::functions;
@@ -37,8 +37,9 @@ use crate::spill::{
 };
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
-    boxed, empty, failed, from_vec, BindingStream, Governed, Instrumented, Limited, MatGauge,
-    Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS, DEFAULT_BATCH_SIZE,
+    boxed, empty, failed, from_vec, next_one, BindingStream, Concat, Governed, Instrumented,
+    Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
+    DEFAULT_BATCH_SIZE,
 };
 
 /// Evaluator configuration.
@@ -64,16 +65,12 @@ pub struct EvalConfig {
     pub limits: Limits,
     /// Fault-injection hook for chaos testing. `None` in production.
     pub fault: Option<FaultInjector>,
-    /// How many bindings each pipeline pull moves at once. `1` forces the
-    /// row-at-a-time path everywhere (useful as a differential baseline);
-    /// the default amortizes dynamic dispatch, governor ticks, and stat
+    /// How many bindings each pipeline pull moves at once. `1` is the
+    /// row-at-a-time engine — the same operators pulling one-row batches,
+    /// with the fused scan spine off (the differential baseline); the
+    /// default amortizes dynamic dispatch, governor ticks, and stat
     /// increments across [`DEFAULT_BATCH_SIZE`] rows.
     pub batch_size: usize,
-    /// Compile plan expressions to flat bytecode once per run (with
-    /// transparent fallback to the tree-walker for subqueries and other
-    /// uncovered shapes). Disabling keeps the pure tree-walker — the
-    /// differential baseline for the bytecode path.
-    pub compile_exprs: bool,
     /// Out-of-core execution policy. `None` (the default) keeps the PR 5
     /// contract: a memory-budget overrun is a hard
     /// [`EvalError::ResourceExhausted`] refusal. `Some` lets every
@@ -93,13 +90,14 @@ impl Default for EvalConfig {
             limits: Limits::default(),
             fault: None,
             batch_size: DEFAULT_BATCH_SIZE,
-            compile_exprs: true,
             spill: None,
         }
     }
 }
 
-/// The plan interpreter.
+/// The plan interpreter. `'a` is the lifetime of everything it reads:
+/// the catalog and every plan or expression handed to [`Evaluator::run`] /
+/// [`Evaluator::expr`], which must outlive the evaluator's use.
 pub struct Evaluator<'a> {
     catalog: &'a Catalog,
     config: EvalConfig,
@@ -109,18 +107,16 @@ pub struct Evaluator<'a> {
     /// it is gated on whether the corresponding limit is actually set.
     /// The deadline clock starts here, at construction.
     govern: ResourceGovernor,
-    /// Bytecode programs keyed by expression identity (`&CoreExpr` address
-    /// within the plan being run — stable because `run` borrows the plan
-    /// for its whole duration). Only successfully compiled expressions are
-    /// stored; everything else misses and tree-walks.
-    programs: RefCell<HashMap<usize, Rc<Compiled>>>,
-    /// Fast gate for the per-expression cache lookup: false until
-    /// `precompile` stores at least one program, so runs without bytecode
-    /// pay one `Cell` read instead of a hash probe per expression.
-    has_programs: Cell<bool>,
+    /// Bytecode programs keyed by expression identity (the `&'a CoreExpr`
+    /// address — the key cannot dangle or alias because each program
+    /// borrows its expression for `'a`). Filled on first evaluation, so
+    /// an expression compiles once per evaluator however many rows it
+    /// sees.
+    programs: RefCell<HashMap<usize, Rc<Program<'a>>>>,
     /// The VM's value stack, reused across expression evaluations (taken
-    /// and restored around each run so re-entrancy through `resolve_global`
-    /// gets a fresh stack rather than a poisoned borrow).
+    /// and restored around each run, so a call instruction that re-enters
+    /// the VM gets a fresh stack rather than a poisoned borrow — and an
+    /// error unwinding through a call leaves a usable stack behind).
     vm_stack: Cell<Vec<Value>>,
 }
 
@@ -136,7 +132,6 @@ impl<'a> Evaluator<'a> {
             stats,
             govern,
             programs: RefCell::new(HashMap::new()),
-            has_programs: Cell::new(false),
             vm_stack: Cell::new(Vec::new()),
         }
     }
@@ -155,41 +150,12 @@ impl<'a> Evaluator<'a> {
 
     /// Runs a query, producing its result value (a bag for SELECT
     /// queries, a tuple for top-level PIVOT).
-    pub fn run(&self, q: &CoreQuery) -> Result<Value, EvalError> {
+    pub fn run(&self, q: &'a CoreQuery) -> Result<Value, EvalError> {
         if let Some(st) = &self.stats {
             // Per-operator stats are keyed by pre-order plan index.
             st.register_plan(q);
         }
-        self.precompile(q);
         self.value_op(&q.op, &Env::new())
-    }
-
-    /// Compiles every scalar expression in the plan to bytecode, filling
-    /// the program cache. Skipped under fault injection: the chaos tests
-    /// pin tree-walker fault sites, and keeping the walker there means
-    /// fault counts stay identical whether or not bytecode exists.
-    fn precompile(&self, q: &CoreQuery) {
-        if !self.config.compile_exprs || self.govern.injects_faults() {
-            return;
-        }
-        let mut map = self.programs.borrow_mut();
-        map.clear();
-        q.for_each_expr(&mut |op, e| {
-            let compiled = bytecode::compile(e);
-            let is_program = matches!(compiled, Compiled::Program(_));
-            if let Some(st) = &self.stats {
-                if is_program {
-                    st.add_expr_compiled();
-                } else {
-                    st.add_expr_fallback();
-                }
-                st.record_op_expr_mode(st.key_for(op), is_program);
-            }
-            if is_program {
-                map.insert(e as *const CoreExpr as usize, Rc::new(compiled));
-            }
-        });
-        self.has_programs.set(!map.is_empty());
     }
 
     /// Snapshots the statistics collected so far (phase times zeroed —
@@ -233,7 +199,7 @@ impl<'a> Evaluator<'a> {
     /// evaluation (including each per-row subquery invocation) passes
     /// through here, so the depth guard and the [`FaultSite::OperatorEval`]
     /// hook live in exactly one place, with the exit paired on all paths.
-    fn value_op(&self, op: &CoreOp, env: &Env) -> Result<Value, EvalError> {
+    fn value_op(&self, op: &'a CoreOp, env: &Env) -> Result<Value, EvalError> {
         self.govern.enter_nested()?;
         let result = if self.govern.injects_faults() {
             self.govern
@@ -246,7 +212,7 @@ impl<'a> Evaluator<'a> {
         result
     }
 
-    fn value_op_timed(&self, op: &CoreOp, env: &Env) -> Result<Value, EvalError> {
+    fn value_op_timed(&self, op: &'a CoreOp, env: &Env) -> Result<Value, EvalError> {
         let Some(st) = &self.stats else {
             return self.value_op_inner(op, env);
         };
@@ -262,7 +228,7 @@ impl<'a> Evaluator<'a> {
         result
     }
 
-    fn value_op_inner(&self, op: &CoreOp, env: &Env) -> Result<Value, EvalError> {
+    fn value_op_inner(&self, op: &'a CoreOp, env: &Env) -> Result<Value, EvalError> {
         match op {
             CoreOp::Project {
                 input,
@@ -462,7 +428,7 @@ impl<'a> Evaluator<'a> {
     /// WITH bodies, set-op probe sides) yield elements as they are
     /// pulled; everything else falls back to [`Self::value_op`] and
     /// streams the materialized result.
-    fn element_stream<'s>(&'s self, op: &'s CoreOp, env: &Env) -> ValueStream<'s> {
+    fn element_stream<'s>(&'s self, op: &'a CoreOp, env: &Env) -> ValueStream<'s> {
         if let Some(stream) = self.try_value_stream(op, env) {
             return stream;
         }
@@ -476,7 +442,7 @@ impl<'a> Evaluator<'a> {
     /// A lazy element stream for operators that can produce one, or
     /// `None` when the operator must materialize (sort, pivot, grouping
     /// inputs, …) and [`Self::value_op`] should run instead.
-    fn try_value_stream<'s>(&'s self, op: &'s CoreOp, env: &Env) -> Option<ValueStream<'s>> {
+    fn try_value_stream<'s>(&'s self, op: &'a CoreOp, env: &Env) -> Option<ValueStream<'s>> {
         let inner = self.try_value_stream_inner(op, env)?;
         let inner = match &self.stats {
             None => inner,
@@ -488,19 +454,16 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    fn try_value_stream_inner<'s>(&'s self, op: &'s CoreOp, env: &Env) -> Option<ValueStream<'s>> {
+    fn try_value_stream_inner<'s>(&'s self, op: &'a CoreOp, env: &Env) -> Option<ValueStream<'s>> {
         match op {
             CoreOp::Project {
                 input,
                 expr,
                 distinct: false,
-            } => Some(Box::new(ProjectStream {
-                ev: self,
-                expr,
-                inner: self.binding_stream(input, env),
-                buf: Vec::new(),
-                done: false,
-            })),
+            } => Some(Box::new(MapRows::new(
+                self.binding_stream(input, env),
+                move |b| self.expr(expr, &b).map(Some),
+            ))),
             CoreOp::LimitOffset {
                 input,
                 limit,
@@ -543,16 +506,19 @@ impl<'a> Evaluator<'a> {
         &'s self,
         set_op: CoreSetOp,
         all: bool,
-        left: &'s CoreOp,
-        right: &'s CoreOp,
+        left: &'a CoreOp,
+        right: &'a CoreOp,
         whole: &CoreOp,
         env: &Env,
     ) -> ValueStream<'s> {
         match (set_op, all) {
-            (CoreSetOp::Union, true) => boxed(
-                self.element_stream(left, env)
-                    .chain(self.element_stream(right, env)),
-            ),
+            (CoreSetOp::Union, true) => {
+                let env = env.clone();
+                let mut sides = [left, right].into_iter();
+                Box::new(Concat::new(move || {
+                    sides.next().map(|side| self.element_stream(side, &env))
+                }))
+            }
             (CoreSetOp::Union, false) => {
                 let mut buf =
                     TrackedBuffer::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
@@ -584,30 +550,21 @@ impl<'a> Evaluator<'a> {
                 }
                 let mut pool = RightMultiset::new(rvals, self.stats.as_ref());
                 let keep_matched = set_op == CoreSetOp::Intersect;
-                let probe = self.element_stream(left, env).filter_map(move |v| {
+                let probe = Box::new(MapRows::new(self.element_stream(left, env), move |v| {
                     let _hold = &gauge; // build rows stay live while probing
-                    match v {
-                        Err(e) => Some(Err(e)),
-                        Ok(v) => {
-                            if pool.take(&v) == keep_matched {
-                                Some(Ok(v))
-                            } else {
-                                None
-                            }
-                        }
-                    }
-                });
+                    Ok((pool.take(&v) == keep_matched).then_some(v))
+                }));
                 if all {
-                    boxed(probe)
+                    probe
                 } else {
                     let mut out = Vec::new();
-                    for v in probe {
-                        match v {
-                            Ok(v) => out.push(v),
-                            Err(e) => return failed(e),
-                        }
+                    match drain_batched(probe, self.batch_size(), |v| {
+                        out.push(v);
+                        Ok(())
+                    }) {
+                        Ok(()) => from_vec(dedupe(out, self.stats.as_ref())),
+                        Err(e) => failed(e),
                     }
-                    from_vec(dedupe(out, self.stats.as_ref()))
                 }
             }
         }
@@ -617,7 +574,7 @@ impl<'a> Evaluator<'a> {
     /// Scans, filters, joins, LET, and Append stream row by row; Sort,
     /// Group, and Window are pipeline breakers that materialize through
     /// tracked buffers at construction and then stream the result.
-    fn binding_stream<'s>(&'s self, op: &'s CoreOp, env: &Env) -> BindingStream<'s> {
+    fn binding_stream<'s>(&'s self, op: &'a CoreOp, env: &Env) -> BindingStream<'s> {
         let inner = match &self.stats {
             None => self.binding_stream_inner(op, env),
             Some(st) => Box::new(Instrumented::new(
@@ -635,17 +592,15 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn binding_stream_inner<'s>(&'s self, op: &'s CoreOp, env: &Env) -> BindingStream<'s> {
+    fn binding_stream_inner<'s>(&'s self, op: &'a CoreOp, env: &Env) -> BindingStream<'s> {
         match op {
             CoreOp::Single => boxed(std::iter::once(Ok(env.clone()))),
             CoreOp::From { item } => self.from_stream(item, op, env),
-            CoreOp::Filter { input, pred } => Box::new(FilterStream {
-                ev: self,
-                pred,
-                inner: self.binding_stream(input, env),
-                buf: Vec::new(),
-                done: false,
-            }),
+            CoreOp::Filter { input, pred } => {
+                Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
+                    Ok(matches!(self.expr(pred, &b)?, Value::Bool(true)).then_some(b))
+                }))
+            }
             CoreOp::Group {
                 input,
                 keys,
@@ -658,11 +613,10 @@ impl<'a> Evaluator<'a> {
             },
             CoreOp::Append { inputs } => {
                 let env = env.clone();
-                boxed(
-                    inputs
-                        .iter()
-                        .flat_map(move |i| self.binding_stream(i, &env)),
-                )
+                let mut inputs = inputs.iter();
+                Box::new(Concat::new(move || {
+                    inputs.next().map(|i| self.binding_stream(i, &env))
+                }))
             }
             CoreOp::Sort { input, keys } => match self.sort_bindings(op, input, keys, env) {
                 Ok(rows) => from_vec(rows),
@@ -739,8 +693,8 @@ impl<'a> Evaluator<'a> {
     fn sort_bindings(
         &self,
         whole: &CoreOp,
-        input: &CoreOp,
-        keys: &[CoreSortKey],
+        input: &'a CoreOp,
+        keys: &'a [CoreSortKey],
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
         let gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
@@ -773,8 +727,8 @@ impl<'a> Evaluator<'a> {
         &'s self,
         whole: &CoreOp,
         keys: &[CoreSortKey],
-        limit: &CoreExpr,
-        offset: &Option<CoreExpr>,
+        limit: &'a CoreExpr,
+        offset: &'a Option<CoreExpr>,
         env: &Env,
         make_stream: impl FnOnce() -> Box<dyn Stream<T> + 's>,
         key_of: impl Fn(&T) -> Result<Vec<Value>, EvalError>,
@@ -824,11 +778,11 @@ impl<'a> Evaluator<'a> {
 
     fn limit_offset(
         &self,
-        limit: Option<&CoreExpr>,
-        offset: Option<&CoreExpr>,
+        limit: Option<&'a CoreExpr>,
+        offset: Option<&'a CoreExpr>,
         env: &Env,
     ) -> Result<(Option<usize>, usize), EvalError> {
-        let eval_count = |e: Option<&CoreExpr>| -> Result<Option<usize>, EvalError> {
+        let eval_count = |e: Option<&'a CoreExpr>| -> Result<Option<usize>, EvalError> {
             match e {
                 None => Ok(None),
                 Some(e) => match self.expr(e, env)? {
@@ -846,8 +800,8 @@ impl<'a> Evaluator<'a> {
     fn group(
         &self,
         whole: &CoreOp,
-        input: &CoreOp,
-        keys: &[(String, CoreExpr)],
+        input: &'a CoreOp,
+        keys: &'a [(String, CoreExpr)],
         group_var: &str,
         captured: &[String],
         emit_empty_group: bool,
@@ -1074,7 +1028,7 @@ impl<'a> Evaluator<'a> {
     /// row. SQL default frame semantics: whole partition without ORDER
     /// BY; RANGE UNBOUNDED PRECEDING..CURRENT ROW (peers included) with
     /// it.
-    fn window(&self, rows: Vec<Env>, def: &WindowDef) -> Result<Vec<Env>, EvalError> {
+    fn window(&self, rows: Vec<Env>, def: &'a WindowDef) -> Result<Vec<Env>, EvalError> {
         // Partition: insertion-ordered buckets of row indices.
         let mut index: HashMap<GroupKey, usize> = HashMap::new();
         let mut partitions: Vec<Vec<usize>> = Vec::new();
@@ -1221,7 +1175,7 @@ impl<'a> Evaluator<'a> {
     /// or — for `COUNT(*) OVER (…)` — a constant that counts every row.
     fn window_agg_input(
         &self,
-        def: &WindowDef,
+        def: &'a WindowDef,
         row: usize,
         rows: &[Env],
     ) -> Result<Value, EvalError> {
@@ -1241,8 +1195,8 @@ impl<'a> Evaluator<'a> {
     #[allow(clippy::wrong_self_convention)] // "from" is the SQL clause, not a conversion
     fn from_stream<'s>(
         &'s self,
-        item: &'s CoreFrom,
-        whole: &'s CoreOp,
+        item: &'a CoreFrom,
+        whole: &'a CoreOp,
         env: &Env,
     ) -> BindingStream<'s> {
         match item {
@@ -1260,14 +1214,16 @@ impl<'a> Evaluator<'a> {
                 Ok(v) => boxed(std::iter::once(Ok(env.bind(var.clone(), v)))),
                 Err(e) => failed(e),
             },
-            CoreFrom::Correlate { left, right } => Box::new(CorrelateStream {
-                ev: self,
-                right,
-                whole,
-                left: self.from_stream(left, whole, env),
-                cur: None,
-                done: false,
-            }),
+            // Left-correlated product (comma lists, UNNEST): the right item
+            // re-opens in each left row's environment. Left rows are pulled
+            // one at a time so a LIMIT above stops the left scan too.
+            CoreFrom::Correlate { left, right } => {
+                let mut left = self.from_stream(left, whole, env);
+                Box::new(Concat::new(move || match next_one(&mut left) {
+                    Ok(l) => l.map(|l| self.from_stream(right, whole, &l)),
+                    Err(e) => Some(failed(e)),
+                }))
+            }
             CoreFrom::Join {
                 kind,
                 left,
@@ -1366,10 +1322,10 @@ impl<'a> Evaluator<'a> {
     /// attributed to the enclosing FROM operator.
     fn hash_join_build<'s>(
         &'s self,
-        right: &'s CoreFrom,
-        whole: &'s CoreOp,
-        right_pred: Option<&CoreExpr>,
-        keys: &[(CoreExpr, CoreExpr)],
+        right: &'a CoreFrom,
+        whole: &'a CoreOp,
+        right_pred: Option<&'a CoreExpr>,
+        keys: &'a [(CoreExpr, CoreExpr)],
         env: &Env,
     ) -> Result<JoinBuild<'s>, EvalError> {
         let mut rows: Vec<(Env, Vec<Value>)> = Vec::new();
@@ -1431,13 +1387,13 @@ impl<'a> Evaluator<'a> {
     fn grace_hash_join(
         &self,
         kind: CoreJoinKind,
-        left: &CoreFrom,
-        right: &CoreFrom,
-        whole: &CoreOp,
-        keys: &[(CoreExpr, CoreExpr)],
-        left_pred: Option<&CoreExpr>,
-        right_pred: Option<&CoreExpr>,
-        residual: Option<&CoreExpr>,
+        left: &'a CoreFrom,
+        right: &'a CoreFrom,
+        whole: &'a CoreOp,
+        keys: &'a [(CoreExpr, CoreExpr)],
+        left_pred: Option<&'a CoreExpr>,
+        right_pred: Option<&'a CoreExpr>,
+        residual: Option<&'a CoreExpr>,
         names: &[Rc<str>],
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
@@ -1563,8 +1519,8 @@ impl<'a> Evaluator<'a> {
     /// (probe filter false, or any absent key — 3VL equality).
     fn left_join_key(
         &self,
-        keys: &[(CoreExpr, CoreExpr)],
-        left_pred: Option<&CoreExpr>,
+        keys: &'a [(CoreExpr, CoreExpr)],
+        left_pred: Option<&'a CoreExpr>,
         l: &Env,
     ) -> Result<Option<Vec<Value>>, EvalError> {
         if let Some(p) = left_pred {
@@ -1641,7 +1597,7 @@ impl<'a> Evaluator<'a> {
     /// the stored collection *shared* (`Arc` snapshot — elements clone
     /// lazily, one per pulled row); anything else evaluates to an owned
     /// value.
-    fn scan_source(&self, expr: &CoreExpr, env: &Env) -> Result<ScanSource, EvalError> {
+    fn scan_source(&self, expr: &'a CoreExpr, env: &Env) -> Result<ScanSource, EvalError> {
         if let CoreExpr::Global(segments) = expr {
             self.govern.fault_at(FaultSite::CatalogRead)?;
             if let Some((value, used)) = self.catalog.resolve_prefix(segments) {
@@ -1660,7 +1616,7 @@ impl<'a> Evaluator<'a> {
     /// consumer (LIMIT, EXISTS) stops the count with the pull.
     fn scan_stream<'s>(
         &'s self,
-        expr: &CoreExpr,
+        expr: &'a CoreExpr,
         as_var: &str,
         at_var: Option<&str>,
         env: &Env,
@@ -1746,7 +1702,7 @@ impl<'a> Evaluator<'a> {
     /// rule); MISSING unpivots to nothing.
     fn unpivot_stream<'s>(
         &'s self,
-        expr: &CoreExpr,
+        expr: &'a CoreExpr,
         value_var: &str,
         name_var: &str,
         env: &Env,
@@ -1796,8 +1752,8 @@ impl<'a> Evaluator<'a> {
     /// ineligible and the adapter pipeline should run instead.
     fn try_fused_project(
         &self,
-        input: &CoreOp,
-        proj: &CoreExpr,
+        input: &'a CoreOp,
+        proj: &'a CoreExpr,
         env: &Env,
     ) -> Option<Result<Value, EvalError>> {
         let mut out = Vec::new();
@@ -1809,30 +1765,27 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The fused scan spine: when `input` is a bare `Scan → Filter*`
-    /// chain (no AT variable) and every predicate plus the projection
-    /// compiled to root-safe bytecode, each source element is evaluated
-    /// *borrowed* — no per-row `Env` allocation, no per-row adapter
-    /// dispatch, the deadline ticked once per [`BATCH_TICK_ROWS`] rows.
-    /// Only active when stats are off (`EXPLAIN ANALYZE` wants real
-    /// per-operator adapters) and no faults are injected; results are
+    /// chain (no AT variable) and every predicate plus the projection is
+    /// root-safe bytecode, each source element is evaluated *borrowed* —
+    /// no per-row `Env` allocation, no per-row adapter dispatch, the
+    /// deadline ticked once per [`BATCH_TICK_ROWS`] rows. Only active when
+    /// batching is on, stats are off (`EXPLAIN ANALYZE` wants real
+    /// per-operator adapters) and no faults are injected (the
+    /// per-expression fault site lives in [`Self::expr`]); results are
     /// identical to the adapter pipeline because both bottom out in the
     /// same compiled programs and scan-source semantics.
     fn try_fused(
         &self,
-        input: &CoreOp,
-        proj: &CoreExpr,
+        input: &'a CoreOp,
+        proj: &'a CoreExpr,
         env: &Env,
         emit: impl FnMut(Value) -> Result<(), EvalError>,
     ) -> Option<Result<(), EvalError>> {
-        if self.config.batch_size <= 1
-            || self.stats.is_some()
-            || self.govern.injects_faults()
-            || !self.has_programs.get()
-        {
+        if self.config.batch_size <= 1 || self.stats.is_some() || self.govern.injects_faults() {
             return None;
         }
         // Peel WHERE filters down to a plain scan.
-        let mut preds: Vec<&CoreExpr> = Vec::new();
+        let mut preds: Vec<&'a CoreExpr> = Vec::new();
         let mut op = input;
         let (scan_expr, as_var) = loop {
             match op {
@@ -1853,34 +1806,25 @@ impl<'a> Evaluator<'a> {
         };
         // Peeled outermost-first; they must run scan-side-first.
         preds.reverse();
-        let pred_progs: Vec<Rc<Compiled>> = preds
-            .iter()
-            .map(|p| self.rooted_program(p))
-            .collect::<Option<_>>()?;
-        let proj_prog = self.rooted_program(proj)?;
-        Some(self.run_fused(scan_expr, as_var, &pred_progs, &proj_prog, env, emit))
-    }
-
-    /// Looks up an expression's cached program, requiring it to be safe
-    /// to run against a borrowed root binding.
-    fn rooted_program(&self, e: &CoreExpr) -> Option<Rc<Compiled>> {
-        let c = self
-            .programs
-            .borrow()
-            .get(&(e as *const CoreExpr as usize))
-            .cloned()?;
-        match &*c {
-            Compiled::Program(p) if p.root_safe => Some(c),
-            Compiled::Program(_) | Compiled::Fallback => None,
-        }
+        // Every program must be safe to run against a borrowed root
+        // binding. Specialize each for this run's root variable once:
+        // root references become direct RootVar/RootField instructions,
+        // so the hot loop never compares variable names.
+        let rooted = |e: &'a CoreExpr| {
+            let p = self.program(e);
+            p.root_safe.then(|| p.specialize_for_root(as_var))
+        };
+        let pred_specs: Vec<Program<'a>> = preds.into_iter().map(rooted).collect::<Option<_>>()?;
+        let proj_spec = rooted(proj)?;
+        Some(self.run_fused(scan_expr, as_var, &pred_specs, &proj_spec, env, emit))
     }
 
     fn run_fused(
         &self,
-        scan_expr: &CoreExpr,
+        scan_expr: &'a CoreExpr,
         as_var: &str,
-        preds: &[Rc<Compiled>],
-        proj: &Rc<Compiled>,
+        pred_specs: &[Program<'a>],
+        proj_spec: &Program<'a>,
         env: &Env,
         mut emit: impl FnMut(Value) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
@@ -1905,28 +1849,11 @@ impl<'a> Evaluator<'a> {
                 }
             },
         };
-        // Specialize every program for this run's root variable once:
-        // root references become direct RootVar/RootField instructions,
-        // so the hot loop never compares variable names.
-        let pred_specs: Vec<bytecode::Program> = preds
-            .iter()
-            .map(|p| {
-                let Compiled::Program(pp) = &**p else {
-                    unreachable!("rooted_program only returns programs");
-                };
-                pp.specialize_for_root(as_var)
-            })
-            .collect();
-        let Compiled::Program(proj_prog) = &**proj else {
-            unreachable!("rooted_program only returns programs");
-        };
-        let proj_spec = proj_prog.specialize_for_root(as_var);
         let watcher = self.govern.as_watcher();
-        // One value stack for the whole run. Compiled instructions never
-        // re-enter the VM (subqueries are Fallback), and even if `emit`
-        // does (a nested query inside an accumulator), `Cell::take`
-        // hands it a fresh stack — correctness never depends on this
-        // reuse, only speed does.
+        // One value stack for the whole run. Root-safe programs never
+        // re-enter the VM (call instructions clear `root_safe`), and even
+        // if `emit` does, `Cell::take` hands it a fresh stack —
+        // correctness never depends on this reuse, only speed does.
         let mut stack = self.vm_stack.take();
         stack.clear();
         let mut run = |stack: &mut Vec<Value>| -> Result<(), EvalError> {
@@ -1939,14 +1866,14 @@ impl<'a> Evaluator<'a> {
                         g.tick()?;
                     }
                 }
-                for p in &pred_specs {
+                for p in pred_specs {
                     self.exec_program(p, Some((as_var, item)), env, stack)?;
                     match stack.pop().expect("bytecode program left no result") {
                         Value::Bool(true) => {}
                         _ => continue 'rows,
                     }
                 }
-                self.exec_program(&proj_spec, Some((as_var, item)), env, stack)?;
+                self.exec_program(proj_spec, Some((as_var, item)), env, stack)?;
                 emit(stack.pop().expect("bytecode program left no result"))?;
             }
             Ok(())
@@ -1961,8 +1888,12 @@ impl<'a> Evaluator<'a> {
     // Expressions
     // =================================================================
 
-    /// Evaluates a Core expression in an environment.
-    pub fn expr(&self, e: &CoreExpr, env: &Env) -> Result<Value, EvalError> {
+    /// Evaluates a Core expression in an environment: the one public
+    /// entry point, for plan operators, DML row predicates and the
+    /// reference oracle alike. The expression compiles to bytecode the
+    /// first time it is seen and the program is reused for every later
+    /// row.
+    pub fn expr(&self, e: &'a CoreExpr, env: &Env) -> Result<Value, EvalError> {
         // Scalar evaluation is the finest-grained fault site: per-row
         // stream closures and DML row predicates run through here, so
         // chaos plans can fail mid-stream, not just at operator setup.
@@ -1970,308 +1901,57 @@ impl<'a> Evaluator<'a> {
         if self.govern.injects_faults() {
             self.govern.fault_at(FaultSite::OperatorEval)?;
         }
-        if self.has_programs.get() {
-            let prog = self
-                .programs
-                .borrow()
-                .get(&(e as *const CoreExpr as usize))
-                .cloned();
-            if let Some(prog) = prog {
-                let Compiled::Program(p) = &*prog else {
-                    unreachable!("only compiled programs are cached");
-                };
-                return self.run_program(p, None, env);
-            }
+        let prog = self.program(e);
+        self.run_program(&prog, None, env)
+    }
+
+    /// The expression's compiled program, compiling and caching it on
+    /// first sight.
+    fn program(&self, e: &'a CoreExpr) -> Rc<Program<'a>> {
+        let key = std::ptr::from_ref(e) as usize;
+        if let Some(p) = self.programs.borrow().get(&key) {
+            return Rc::clone(p);
         }
-        match e {
-            CoreExpr::Const(v) => Ok(v.clone()),
-            CoreExpr::Var(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownName(name.clone())),
-            CoreExpr::Param(i) => self
-                .params
-                .get(*i)
-                .cloned()
-                .ok_or(EvalError::MissingParam(*i)),
-            CoreExpr::Global(segments) => self.resolve_global(segments, env),
-            CoreExpr::Dynamic(name) => self.resolve_global(std::slice::from_ref(name), env),
-            CoreExpr::Path(base, attr) => {
-                let base = self.expr(base, env)?;
-                match &base {
-                    Value::Tuple(_) | Value::Null | Value::Missing => Ok(base.path(attr)),
-                    other => self.type_err(|| {
-                        format!(
-                            "cannot navigate attribute {attr:?} of a {}",
-                            other.kind().name()
-                        )
-                    }),
-                }
-            }
-            CoreExpr::Index(base, idx) => {
-                let base = self.expr(base, env)?;
-                let idx = self.expr(idx, env)?;
-                if base.is_missing() || idx.is_missing() {
-                    return Ok(Value::Missing);
-                }
-                if base.is_null() || idx.is_null() {
-                    return Ok(Value::Null);
-                }
-                match (&base, &idx) {
-                    (Value::Array(_), Value::Int(i)) => Ok(base.index(*i)),
-                    _ => self.type_err(|| {
-                        format!(
-                            "cannot index a {} with a {}",
-                            base.kind().name(),
-                            idx.kind().name()
-                        )
-                    }),
-                }
-            }
-            CoreExpr::Bin(op, l, r) => self.binop(*op, l, r, env),
-            CoreExpr::Un(op, inner) => {
-                let v = self.expr(inner, env)?;
-                if v.is_missing() {
-                    return Ok(Value::Missing);
-                }
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                match op {
-                    UnOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => self.type_err(|| {
-                            format!("NOT requires a boolean, found {}", other.kind().name())
-                        }),
-                    },
-                    UnOp::Neg => self.lift_num(num_neg(&v)),
-                    UnOp::Pos => {
-                        if v.is_number() {
-                            Ok(v)
-                        } else {
-                            self.type_err(|| {
-                                format!("unary + requires a number, found {}", v.kind().name())
-                            })
-                        }
-                    }
-                }
-            }
-            CoreExpr::Like {
-                expr,
-                pattern,
-                escape,
-                negated,
-            } => self.like(expr, pattern, escape.as_deref(), *negated, env),
-            CoreExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                // x BETWEEN a AND b ≡ a <= x AND x <= b under 3VL.
-                let ge = self.compare(BinOp::GtEq, expr, low, env)?;
-                let le = self.compare(BinOp::LtEq, expr, high, env)?;
-                let both = logical_and(&ge, &le);
-                Ok(if *negated { logical_not(&both) } else { both })
-            }
-            CoreExpr::In {
-                expr,
-                collection,
-                negated,
-            } => {
-                let v = self.in_predicate(expr, collection, env)?;
-                Ok(if *negated { logical_not(&v) } else { v })
-            }
-            CoreExpr::Is {
-                expr,
-                test,
-                negated,
-            } => {
-                let v = self.expr(expr, env)?;
-                let result = match test {
-                    // SQL compatibility: IS NULL is true for both absent
-                    // values (a schemaful client cannot tell them apart).
-                    IsTest::Null => v.is_absent(),
-                    IsTest::Missing => v.is_missing(),
-                    IsTest::Type(name) => type_test(&v, name),
-                };
-                Ok(Value::Bool(result != *negated))
-            }
-            CoreExpr::Case { arms, else_expr } => {
-                for (when, then) in arms {
-                    match self.expr(when, env)? {
-                        Value::Bool(true) => return self.expr(then, env),
-                        // §IV-B (Listing 9): in composability mode a
-                        // MISSING condition propagates — "CASE WHEN
-                        // MISSING … END … will in turn evaluate to
-                        // MISSING". SQL-compat mode keeps SQL's rule
-                        // (non-true falls through to the next arm/ELSE).
-                        Value::Missing if self.config.compat == CompatMode::Composable => {
-                            return Ok(Value::Missing);
-                        }
-                        _ => {}
-                    }
-                }
-                self.expr(else_expr, env)
-            }
-            CoreExpr::Call { name, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.expr(a, env)?);
-                }
-                match functions::call(name, &vals, self.config.compat == CompatMode::SqlCompat)? {
-                    Ok(v) => Ok(v),
-                    Err(msg) => self.type_err(|| msg),
-                }
-            }
-            CoreExpr::CollAgg {
-                func,
-                distinct,
-                input,
-            } => self.coll_agg(*func, *distinct, input, env),
-            CoreExpr::Subquery { plan, coercion } => match coercion {
-                Coercion::Scalar if produces_elements(&plan.op) => {
-                    // Streaming scalar coercion: at most two pulled
-                    // elements decide the 0 / 1 / many-rows cases.
-                    if let Some(st) = &self.stats {
-                        st.add_subquery_invocation();
-                    }
-                    let mut stream = self.element_stream(&plan.op, env);
-                    let first = match stream.next() {
-                        None => return Ok(Value::Null),
-                        Some(r) => r?,
-                    };
-                    match stream.next() {
-                        None => self.single_attr(&first),
-                        Some(Err(e)) => Err(e),
-                        Some(Ok(_)) => match self.config.typing {
-                            TypingMode::Permissive => Ok(Value::Missing),
-                            TypingMode::StrictError => Err(EvalError::Cardinality(
-                                "scalar subquery produced more than one row".to_string(),
-                            )),
-                        },
-                    }
-                }
-                _ => {
-                    let v = self.run_in(plan, env)?;
-                    self.coerce_subquery(v, *coercion)
-                }
-            },
-            CoreExpr::Exists(q) => {
-                if produces_elements(&q.op) {
-                    // Streaming: one pulled element decides EXISTS.
-                    if let Some(st) = &self.stats {
-                        st.add_subquery_invocation();
-                    }
-                    match self.element_stream(&q.op, env).next() {
-                        None => Ok(Value::Bool(false)),
-                        Some(Err(e)) => Err(e),
-                        Some(Ok(_)) => Ok(Value::Bool(true)),
-                    }
-                } else {
-                    let v = self.run_in(q, env)?;
-                    match v.as_elements() {
-                        Some(items) => Ok(Value::Bool(!items.is_empty())),
-                        None => Ok(Value::Bool(true)), // PIVOT result: a tuple exists
-                    }
-                }
-            }
-            CoreExpr::TupleCtor(pairs) => {
-                let mut t = Tuple::with_capacity(pairs.len());
-                for (name_expr, value_expr) in pairs {
-                    let name = self.expr(name_expr, env)?;
-                    let value = self.expr(value_expr, env)?;
-                    match name {
-                        Value::Str(s) => t.insert(s, value),
-                        // Absent names skip the pair in permissive mode.
-                        Value::Missing | Value::Null => match self.config.typing {
-                            TypingMode::Permissive => {}
-                            TypingMode::StrictError => {
-                                return Err(EvalError::Type(
-                                    "tuple attribute name is absent".to_string(),
-                                ));
-                            }
-                        },
-                        other => {
-                            self.type_err(|| {
-                                format!(
-                                    "tuple attribute name must be a string, found {}",
-                                    other.kind().name()
-                                )
-                            })?;
-                        }
-                    }
-                }
-                Ok(Value::Tuple(t))
-            }
-            CoreExpr::ArrayCtor(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let v = self.expr(item, env)?;
-                    if !v.is_missing() {
-                        out.push(v); // constructors omit MISSING
-                    }
-                }
-                Ok(Value::Array(out))
-            }
-            CoreExpr::BagCtor(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let v = self.expr(item, env)?;
-                    if !v.is_missing() {
-                        out.push(v);
-                    }
-                }
-                Ok(Value::Bag(out))
-            }
-            CoreExpr::Cast { expr, ty } => {
-                let v = self.expr(expr, env)?;
-                let target = CastTarget::parse(ty)
-                    .ok_or_else(|| EvalError::Type(format!("unknown CAST target type {ty}")))?;
-                match cast(&v, target) {
-                    Some(out) => Ok(out),
-                    None => self
-                        .type_err(|| format!("cannot cast {} value {v} to {ty}", v.kind().name())),
-                }
-            }
+        let p = Rc::new(bytecode::compile(e, self.config.pipeline_aggregates));
+        if let Some(st) = &self.stats {
+            st.add_expr_compiled();
         }
+        self.programs.borrow_mut().insert(key, Rc::clone(&p));
+        p
     }
 
     // =================================================================
     // Bytecode VM
     // =================================================================
 
-    /// Runs a compiled expression program. `root` optionally supplies one
-    /// borrowed binding that shadows `env` (the fused scan spine's row
-    /// variable — looked up first, exactly as a real `bind` would
-    /// shadow). Value semantics, error messages, and stat side effects
-    /// are identical to the tree-walker by construction: every operator
-    /// bottoms out in the same value-level helpers.
+    /// Runs a compiled expression program on the evaluator's reusable
+    /// value stack. The stack is taken for the duration and put back on
+    /// every exit — including an error raised inside a call instruction —
+    /// so the next evaluation on this evaluator starts clean.
     fn run_program(
         &self,
-        prog: &bytecode::Program,
+        prog: &Program<'a>,
         root: Option<(&str, &Value)>,
         env: &Env,
     ) -> Result<Value, EvalError> {
         let mut stack = self.vm_stack.take();
         stack.clear();
-        let result = self.exec_program(prog, root, env, &mut stack);
-        let out = match result {
-            Ok(()) => stack.pop().expect("bytecode program left no result"),
-            Err(e) => {
-                stack.clear();
-                self.vm_stack.set(stack);
-                return Err(e);
-            }
-        };
+        let result = self
+            .exec_program(prog, root, env, &mut stack)
+            .map(|()| stack.pop().expect("bytecode program left no result"));
         stack.clear();
         self.vm_stack.set(stack);
-        Ok(out)
+        result
     }
 
+    /// The expression dispatcher: the only place Core expression
+    /// semantics are decided. `root` optionally supplies one borrowed
+    /// binding that shadows `env` (the fused scan spine's row variable —
+    /// looked up first, exactly as a real `bind` would shadow). The
+    /// NULL/MISSING tables live in the value-level helpers the arms call.
     fn exec_program(
         &self,
-        prog: &bytecode::Program,
+        prog: &Program<'a>,
         root: Option<(&str, &Value)>,
         env: &Env,
         stack: &mut Vec<Value>,
@@ -2279,21 +1959,21 @@ impl<'a> Evaluator<'a> {
         let instrs = &prog.instrs;
         let mut pc = 0usize;
         while pc < instrs.len() {
-            match &instrs[pc] {
+            match instrs[pc] {
                 Instr::Const(v) => stack.push(v.clone()),
                 Instr::Var(name) => {
                     let v = match root {
-                        Some((rv, val)) if name == rv => Some(val.clone()),
-                        _ => env.get(name).cloned(),
+                        Some((rv, val)) if name == rv => Some(val),
+                        _ => env.get(name),
                     };
                     match v {
-                        Some(v) => stack.push(v),
-                        None => return Err(EvalError::UnknownName(name.clone())),
+                        Some(v) => stack.push(v.clone()),
+                        None => return Err(EvalError::UnknownName(name.to_string())),
                     }
                 }
-                Instr::Param(i) => match self.params.get(*i) {
+                Instr::Param(i) => match self.params.get(i) {
                     Some(v) => stack.push(v.clone()),
-                    None => return Err(EvalError::MissingParam(*i)),
+                    None => return Err(EvalError::MissingParam(i)),
                 },
                 Instr::Global(segments) => stack.push(self.resolve_global(segments, env)?),
                 Instr::Dynamic(name) => {
@@ -2305,18 +1985,9 @@ impl<'a> Evaluator<'a> {
                         _ => env.get(var),
                     };
                     let Some(base) = base else {
-                        return Err(EvalError::UnknownName(var.clone()));
+                        return Err(EvalError::UnknownName(var.to_string()));
                     };
-                    let v = match base {
-                        Value::Tuple(_) | Value::Null | Value::Missing => base.path(attr),
-                        other => self.type_err(|| {
-                            format!(
-                                "cannot navigate attribute {attr:?} of a {}",
-                                other.kind().name()
-                            )
-                        })?,
-                    };
-                    stack.push(v);
+                    self.navigate(base, attr, stack)?;
                 }
                 Instr::RootVar => {
                     let Some((_, val)) = root else {
@@ -2332,29 +2003,11 @@ impl<'a> Evaluator<'a> {
                             "root instruction outside the fused spine".into(),
                         ));
                     };
-                    let v = match base {
-                        Value::Tuple(_) | Value::Null | Value::Missing => base.path(attr),
-                        other => self.type_err(|| {
-                            format!(
-                                "cannot navigate attribute {attr:?} of a {}",
-                                other.kind().name()
-                            )
-                        })?,
-                    };
-                    stack.push(v);
+                    self.navigate(base, attr, stack)?;
                 }
                 Instr::Path(attr) => {
                     let base = stack.pop().expect("stack");
-                    let v = match &base {
-                        Value::Tuple(_) | Value::Null | Value::Missing => base.path(attr),
-                        other => self.type_err(|| {
-                            format!(
-                                "cannot navigate attribute {attr:?} of a {}",
-                                other.kind().name()
-                            )
-                        })?,
-                    };
-                    stack.push(v);
+                    self.navigate(&base, attr, stack)?;
                 }
                 Instr::Index => {
                     let idx = stack.pop().expect("stack");
@@ -2384,11 +2037,11 @@ impl<'a> Evaluator<'a> {
                     // pair) falls through to the general path, so
                     // promotion and error semantics are untouched.
                     let v = match (&lv, &rv) {
-                        (Value::Int(a), Value::Int(b)) => match int_fast_binop(*op, *a, *b) {
+                        (Value::Int(a), Value::Int(b)) => match int_fast_binop(op, *a, *b) {
                             Some(v) => v,
-                            None => self.binop_values(*op, &lv, &rv)?,
+                            None => self.binop_values(op, &lv, &rv)?,
                         },
-                        _ => self.binop_values(*op, &lv, &rv)?,
+                        _ => self.binop_values(op, &lv, &rv)?,
                     };
                     stack.push(v);
                 }
@@ -2399,7 +2052,7 @@ impl<'a> Evaluator<'a> {
                         _ => *lv == Value::Bool(true),
                     };
                     if dominates {
-                        pc = *end;
+                        pc = end;
                         continue;
                     }
                 }
@@ -2446,11 +2099,13 @@ impl<'a> Evaluator<'a> {
                 Instr::Is { test, negated } => {
                     let v = stack.pop().expect("stack");
                     let result = match test {
+                        // SQL compatibility: IS NULL is true for both absent
+                        // values (a schemaful client cannot tell them apart).
                         IsTest::Null => v.is_absent(),
                         IsTest::Missing => v.is_missing(),
                         IsTest::Type(name) => type_test(&v, name),
                     };
-                    stack.push(Value::Bool(result != *negated));
+                    stack.push(Value::Bool(result != negated));
                 }
                 Instr::Like {
                     has_escape,
@@ -2459,43 +2114,54 @@ impl<'a> Evaluator<'a> {
                     let esc = has_escape.then(|| stack.pop().expect("stack"));
                     let pat = stack.pop().expect("stack");
                     let text = stack.pop().expect("stack");
-                    stack.push(self.like_values(&text, &pat, esc.as_ref(), *negated)?);
+                    stack.push(self.like_values(&text, &pat, esc.as_ref(), negated)?);
                 }
-                Instr::BetweenFinish { negated } => {
-                    let le = stack.pop().expect("stack");
-                    let ge = stack.pop().expect("stack");
-                    let both = logical_and(&ge, &le);
-                    stack.push(if *negated { logical_not(&both) } else { both });
+                Instr::Between { negated } => {
+                    // x BETWEEN a AND b ≡ a <= x AND x <= b under 3VL.
+                    let high = stack.pop().expect("stack");
+                    let low = stack.pop().expect("stack");
+                    let x = stack.pop().expect("stack");
+                    let ge = self.compare_values(BinOp::GtEq, &x, &low)?;
+                    let le = self.compare_values(BinOp::LtEq, &x, &high)?;
+                    stack.push(negate_if(negated, logical_and(&ge, &le)));
                 }
                 Instr::JumpIfMissing(end) => {
                     if stack.last().expect("stack").is_missing() {
-                        pc = *end;
+                        pc = end;
                         continue;
                     }
                 }
                 Instr::InCollection { negated } => {
                     let hay = stack.pop().expect("stack");
                     let needle = stack.pop().expect("stack");
-                    let v = self.in_values(&needle, &hay)?;
-                    stack.push(if *negated { logical_not(&v) } else { v });
+                    stack.push(negate_if(negated, self.in_values(&needle, &hay)?));
+                }
+                Instr::InSubquery { plan, negated } => {
+                    let needle = stack.pop().expect("stack");
+                    stack.push(negate_if(negated, self.in_subquery(&needle, plan, env)?));
                 }
                 Instr::CaseJump { next, end } => {
                     let cond = stack.pop().expect("stack");
                     match cond {
                         Value::Bool(true) => {}
+                        // §IV-B (Listing 9): in composability mode a
+                        // MISSING condition propagates — "CASE WHEN
+                        // MISSING … END … will in turn evaluate to
+                        // MISSING". SQL-compat mode keeps SQL's rule
+                        // (non-true falls through to the next arm/ELSE).
                         Value::Missing if self.config.compat == CompatMode::Composable => {
                             stack.push(Value::Missing);
-                            pc = *end;
+                            pc = end;
                             continue;
                         }
                         _ => {
-                            pc = *next;
+                            pc = next;
                             continue;
                         }
                     }
                 }
                 Instr::Jump(target) => {
-                    pc = *target;
+                    pc = target;
                     continue;
                 }
                 Instr::Call { name, argc } => {
@@ -2512,7 +2178,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Instr::Cast { target, ty } => {
                     let v = stack.pop().expect("stack");
-                    let out = match cast(&v, *target) {
+                    let out = match cast(&v, target) {
                         Some(out) => out,
                         None => self.type_err(|| {
                             format!("cannot cast {} value {v} to {ty}", v.kind().name())
@@ -2525,11 +2191,12 @@ impl<'a> Evaluator<'a> {
                 }
                 Instr::TupleCtor(n) => {
                     let vals = stack.split_off(stack.len() - 2 * n);
-                    let mut t = Tuple::with_capacity(*n);
+                    let mut t = Tuple::with_capacity(n);
                     let mut it = vals.into_iter();
                     while let (Some(name), Some(value)) = (it.next(), it.next()) {
                         match name {
                             Value::Str(s) => t.insert(s, value),
+                            // Absent names skip the pair in permissive mode.
                             Value::Missing | Value::Null => match self.config.typing {
                                 TypingMode::Permissive => {}
                                 TypingMode::StrictError => {
@@ -2562,19 +2229,125 @@ impl<'a> Evaluator<'a> {
                         vals.into_iter().filter(|v| !v.is_missing()).collect(),
                     ));
                 }
+                Instr::Subquery { plan, coercion } => {
+                    stack.push(self.subquery(plan, coercion, env)?)
+                }
+                Instr::Exists(plan) => stack.push(self.exists(plan, env)?),
+                Instr::CollAgg { func, distinct } => {
+                    let v = stack.pop().expect("stack");
+                    stack.push(self.coll_agg(func, distinct, &v)?);
+                }
+                Instr::CollAggPipelined { func, input, expr } => {
+                    stack.push(self.coll_agg_pipelined(func, input, expr, env)?)
+                }
             }
             pc += 1;
         }
         Ok(())
     }
 
+    /// Pushes `base.attr` (§IV-B case 1: absent attributes and absent
+    /// bases yield MISSING/NULL; any other base is a type error). Pushes
+    /// in place rather than returning the value: on the fused spine's hot
+    /// loop the extra `Result<Value>` move measurably costs (B17).
+    fn navigate(&self, base: &Value, attr: &str, stack: &mut Vec<Value>) -> Result<(), EvalError> {
+        stack.push(match base {
+            Value::Tuple(_) | Value::Null | Value::Missing => base.path(attr),
+            other => self.type_err(|| {
+                format!(
+                    "cannot navigate attribute {attr:?} of a {}",
+                    other.kind().name()
+                )
+            })?,
+        });
+        Ok(())
+    }
+
     /// Runs a nested plan with the current environment as its outer scope
     /// (correlated subqueries).
-    fn run_in(&self, q: &CoreQuery, env: &Env) -> Result<Value, EvalError> {
+    fn run_in(&self, q: &'a CoreQuery, env: &Env) -> Result<Value, EvalError> {
         if let Some(st) = &self.stats {
             st.add_subquery_invocation();
         }
         self.value_op(&q.op, env)
+    }
+
+    /// A nested plan's elements as a stream, counted as one invocation —
+    /// the entry the one-row consumers below share.
+    fn subquery_stream<'s>(&'s self, q: &'a CoreQuery, env: &Env) -> ValueStream<'s> {
+        if let Some(st) = &self.stats {
+            st.add_subquery_invocation();
+        }
+        self.element_stream(&q.op, env)
+    }
+
+    /// A subquery in expression position, adapted per its [`Coercion`].
+    fn subquery(
+        &self,
+        plan: &'a CoreQuery,
+        coercion: Coercion,
+        env: &Env,
+    ) -> Result<Value, EvalError> {
+        if coercion != Coercion::Scalar || !produces_elements(&plan.op) {
+            let v = self.run_in(plan, env)?;
+            return self.coerce_subquery(v, coercion);
+        }
+        // Streaming scalar coercion: at most two pulled elements decide
+        // the 0 / 1 / many-rows cases.
+        let mut stream = self.subquery_stream(plan, env);
+        let Some(first) = next_one(&mut stream)? else {
+            return Ok(Value::Null);
+        };
+        match next_one(&mut stream)? {
+            None => self.single_attr(&first),
+            Some(_) => match self.config.typing {
+                TypingMode::Permissive => Ok(Value::Missing),
+                TypingMode::StrictError => Err(EvalError::Cardinality(
+                    "scalar subquery produced more than one row".to_string(),
+                )),
+            },
+        }
+    }
+
+    /// EXISTS: one pulled element decides.
+    fn exists(&self, q: &'a CoreQuery, env: &Env) -> Result<Value, EvalError> {
+        if produces_elements(&q.op) {
+            let first = next_one(&mut self.subquery_stream(q, env))?;
+            return Ok(Value::Bool(first.is_some()));
+        }
+        let v = self.run_in(q, env)?;
+        Ok(Value::Bool(match v.as_elements() {
+            Some(items) => !items.is_empty(),
+            None => true, // PIVOT result: a tuple exists
+        }))
+    }
+
+    /// IN over an element-producing SQL subquery (needle already known to
+    /// be non-MISSING): streams the rows one at a time and stops at the
+    /// first TRUE.
+    fn in_subquery(
+        &self,
+        needle: &Value,
+        plan: &'a CoreQuery,
+        env: &Env,
+    ) -> Result<Value, EvalError> {
+        if needle.is_null() {
+            return Ok(Value::Null);
+        }
+        let mut stream = self.subquery_stream(plan, env);
+        let mut saw_absent = false;
+        while let Some(row) = next_one(&mut stream)? {
+            match sql_eq(needle, &self.single_attr(&row)?) {
+                Value::Bool(true) => return Ok(Value::Bool(true)),
+                Value::Bool(false) => {}
+                _ => saw_absent = true,
+            }
+        }
+        Ok(if saw_absent {
+            Value::Null
+        } else {
+            Value::Bool(false)
+        })
     }
 
     /// Catalog resolution with longest-prefix matching and, on a miss, the
@@ -2643,32 +2416,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn binop(&self, op: BinOp, l: &CoreExpr, r: &CoreExpr, env: &Env) -> Result<Value, EvalError> {
-        // AND/OR have their own absent-value tables (SQL 3VL extended to
-        // MISSING; FALSE/TRUE dominate even absent operands).
-        if op == BinOp::And || op == BinOp::Or {
-            let lv = self.expr(l, env)?;
-            // Short-circuit on the dominating value.
-            if op == BinOp::And && lv == Value::Bool(false) {
-                return Ok(Value::Bool(false));
-            }
-            if op == BinOp::Or && lv == Value::Bool(true) {
-                return Ok(Value::Bool(true));
-            }
-            let rv = self.expr(r, env)?;
-            let (lb, rb) = (self.to_logical(&lv)?, self.to_logical(&rv)?);
-            return Ok(match op {
-                BinOp::And => and3(lb, rb),
-                _ => or3(lb, rb),
-            });
-        }
-        let lv = self.expr(l, env)?;
-        let rv = self.expr(r, env)?;
-        self.binop_values(op, &lv, &rv)
-    }
-
-    /// The value-level half of every non-AND/OR binary operator — shared
-    /// between the tree-walker and the bytecode VM.
+    /// Every binary operator except AND/OR (those short-circuit in the
+    /// VM: `ShortCircuit`/`Logic`).
     fn binop_values(&self, op: BinOp, lv: &Value, rv: &Value) -> Result<Value, EvalError> {
         match op {
             BinOp::Eq => Ok(sql_eq(lv, rv)),
@@ -2702,7 +2451,7 @@ impl<'a> Evaluator<'a> {
                     }),
                 }
             }
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+            BinOp::And | BinOp::Or => unreachable!("compiled to ShortCircuit/Logic"),
         }
     }
 
@@ -2714,18 +2463,6 @@ impl<'a> Evaluator<'a> {
             return Ok(Value::Null);
         }
         self.lift_num(num_binop(op, l, r))
-    }
-
-    fn compare(
-        &self,
-        op: BinOp,
-        l: &CoreExpr,
-        r: &CoreExpr,
-        env: &Env,
-    ) -> Result<Value, EvalError> {
-        let lv = self.expr(l, env)?;
-        let rv = self.expr(r, env)?;
-        self.compare_values(op, &lv, &rv)
     }
 
     fn compare_values(&self, op: BinOp, lv: &Value, rv: &Value) -> Result<Value, EvalError> {
@@ -2755,37 +2492,18 @@ impl<'a> Evaluator<'a> {
             Value::Bool(b) => Ok(Logical::Bool(*b)),
             Value::Missing => Ok(Logical::Missing),
             Value::Null => Ok(Logical::Null),
-            other => match self.type_err(|| {
-                format!(
-                    "logical operator requires a boolean, found {}",
-                    other.kind().name()
-                )
-            })? {
-                Value::Missing => Ok(Logical::Missing),
-                _ => Ok(Logical::Missing),
-            },
+            other => self
+                .type_err(|| {
+                    format!(
+                        "logical operator requires a boolean, found {}",
+                        other.kind().name()
+                    )
+                })
+                .map(|_| Logical::Missing),
         }
     }
 
-    fn like(
-        &self,
-        expr: &CoreExpr,
-        pattern: &CoreExpr,
-        escape: Option<&CoreExpr>,
-        negated: bool,
-        env: &Env,
-    ) -> Result<Value, EvalError> {
-        let text = self.expr(expr, env)?;
-        let pat = self.expr(pattern, env)?;
-        let esc = match escape {
-            Some(e) => Some(self.expr(e, env)?),
-            None => None,
-        };
-        self.like_values(&text, &pat, esc.as_ref(), negated)
-    }
-
-    /// The value-level half of LIKE — shared between the tree-walker and
-    /// the bytecode VM.
+    /// LIKE over evaluated operands.
     fn like_values(
         &self,
         text: &Value,
@@ -2836,53 +2554,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// SQL IN semantics under 3VL: TRUE if any element equals, else NULL
-    /// if any comparison was absent, else FALSE. An IN over a subquery
-    /// streams the subquery's rows and stops at the first TRUE.
-    fn in_predicate(
-        &self,
-        expr: &CoreExpr,
-        collection: &CoreExpr,
-        env: &Env,
-    ) -> Result<Value, EvalError> {
-        let needle = self.expr(expr, env)?;
-        if needle.is_missing() {
-            return Ok(Value::Missing);
-        }
-        if let CoreExpr::Subquery {
-            plan,
-            coercion: Coercion::Collection,
-        } = collection
-        {
-            if produces_elements(&plan.op) {
-                if needle.is_null() {
-                    return Ok(Value::Null);
-                }
-                if let Some(st) = &self.stats {
-                    st.add_subquery_invocation();
-                }
-                let mut saw_absent = false;
-                for row in self.element_stream(&plan.op, env) {
-                    let item = self.single_attr(&row?)?;
-                    match sql_eq(&needle, &item) {
-                        Value::Bool(true) => return Ok(Value::Bool(true)),
-                        Value::Bool(false) => {}
-                        _ => saw_absent = true,
-                    }
-                }
-                return Ok(if saw_absent {
-                    Value::Null
-                } else {
-                    Value::Bool(false)
-                });
-            }
-        }
-        let hay = self.expr(collection, env)?;
-        self.in_values(&needle, &hay)
-    }
-
-    /// The value-level membership half of IN (needle already known to be
-    /// non-MISSING) — shared between the tree-walker and the bytecode VM.
+    /// SQL IN membership under 3VL (needle already known to be
+    /// non-MISSING): TRUE if any element equals, else NULL if any
+    /// comparison was absent, else FALSE.
     fn in_values(&self, needle: &Value, hay: &Value) -> Result<Value, EvalError> {
         if hay.is_missing() {
             return Ok(Value::Missing);
@@ -2915,75 +2589,54 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    fn coll_agg(
+    /// `COLL_*` over a plain `SELECT VALUE expr FROM input`: aggregates
+    /// incrementally — through the fused scan spine when the shape allows
+    /// — instead of materializing the bag.
+    fn coll_agg_pipelined(
         &self,
         func: AggFunc,
-        distinct: bool,
-        input: &CoreExpr,
+        input: &'a CoreOp,
+        expr: &'a CoreExpr,
         env: &Env,
     ) -> Result<Value, EvalError> {
-        // Pipelined fast path: COLL_AGG over a plain SELECT VALUE subquery
-        // aggregates incrementally instead of materializing the bag —
-        // legal because the materialization is only conceptual (§V-C).
-        if self.config.pipeline_aggregates && !distinct {
-            if let CoreExpr::Subquery {
-                plan,
-                coercion: Coercion::Bag,
-            } = input
-            {
-                if let CoreOp::Project {
-                    input: sub_in,
-                    expr,
-                    distinct: false,
-                } = &plan.op
-                {
-                    let mut acc = agg::Accumulator::new(func);
-                    if let Some(r) = self.try_fused(sub_in, expr, env, |v| {
-                        acc.push(&v);
-                        Ok(())
-                    }) {
-                        r?;
-                    } else {
-                        drain_batched(self.binding_stream(sub_in, env), self.batch_size(), |b| {
-                            acc.push(&self.expr(expr, &b)?);
-                            Ok(())
-                        })?;
-                    }
-                    return match acc.finish() {
-                        Ok(v) => Ok(v),
-                        Err(e) => self.agg_err(e),
-                    };
-                }
-            }
+        let mut acc = agg::Accumulator::new(func);
+        if let Some(r) = self.try_fused(input, expr, env, |v| {
+            acc.push(&v);
+            Ok(())
+        }) {
+            r?;
+        } else {
+            drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
+                acc.push(&self.expr(expr, &b)?);
+                Ok(())
+            })?;
         }
-        let v = self.expr(input, env)?;
+        acc.finish().or_else(|e| self.agg_err(e))
+    }
+
+    /// `COLL_*` over an evaluated collection value.
+    fn coll_agg(&self, func: AggFunc, distinct: bool, v: &Value) -> Result<Value, EvalError> {
         if v.is_null() {
             return Ok(Value::Null);
         }
         if v.is_missing() {
             return Ok(Value::Missing);
         }
-        let items = match v.as_elements() {
-            Some(items) => items.to_vec(),
-            None => {
-                return self.type_err(|| {
-                    format!(
-                        "{} requires a collection, found {}",
-                        func.coll_name(),
-                        v.kind().name()
-                    )
-                });
-            }
+        let Some(items) = v.as_elements() else {
+            return self.type_err(|| {
+                format!(
+                    "{} requires a collection, found {}",
+                    func.coll_name(),
+                    v.kind().name()
+                )
+            });
         };
-        let items = if distinct {
-            agg::distinct_elements(&items)
+        let applied = if distinct {
+            agg::apply(func, &agg::distinct_elements(items))
         } else {
-            items
+            agg::apply(func, items)
         };
-        match agg::apply(func, &items) {
-            Ok(v) => Ok(v),
-            Err(e) => self.agg_err(e),
-        }
+        applied.or_else(|e| self.agg_err(e))
     }
 
     fn agg_err(&self, e: agg::AggError) -> Result<Value, EvalError> {
@@ -3122,6 +2775,15 @@ fn logical_not(v: &Value) -> Value {
     }
 }
 
+/// `NOT v` under 3VL when `negated` (absent values pass through), else `v`.
+fn negate_if(negated: bool, v: Value) -> Value {
+    if negated {
+        logical_not(&v)
+    } else {
+        v
+    }
+}
+
 fn type_test(v: &Value, name: &str) -> bool {
     match name {
         "ARRAY" | "LIST" => matches!(v, Value::Array(_)),
@@ -3189,18 +2851,6 @@ fn joint_hash(keys: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Whether a value-producing operator yields a *collection of elements*
-/// (`true` for everything except PIVOT — whose result is a single tuple —
-/// possibly under WITH). This is the condition for streaming its output
-/// element-wise through [`Evaluator::element_stream`].
-fn produces_elements(op: &CoreOp) -> bool {
-    match op {
-        CoreOp::Pivot { .. } => false,
-        CoreOp::With { body, .. } => produces_elements(body),
-        _ => true,
-    }
-}
-
 /// Where a scan's rows come from (see [`Evaluator::scan_source`]).
 enum ScanSource {
     /// A stored catalog collection, borrowed via its `Arc` snapshot.
@@ -3221,41 +2871,6 @@ struct SharedScan<'s, 'a> {
     env: Env,
 }
 
-impl<'s, 'a> Iterator for SharedScan<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (items, is_array) = match &*self.source {
-            Value::Bag(items) => (items, false),
-            Value::Array(items) => (items, true),
-            _ => unreachable!("SharedScan is only built over collections"),
-        };
-        let item = items.get(self.idx)?.clone();
-        let i = self.idx;
-        self.idx += 1;
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(1);
-        }
-        let mut e = self.env.bind(self.as_var.clone(), item);
-        if let Some(at) = &self.at_var {
-            if is_array {
-                e = e.bind(at.clone(), Value::Int(i as i64));
-            } else {
-                // Bags are unordered: AT has no meaningful value.
-                match self.ev.config.typing {
-                    TypingMode::Permissive => e = e.bind(at.clone(), Value::Missing),
-                    TypingMode::StrictError => {
-                        return Some(Err(EvalError::Type(
-                            "AT position variable over an unordered bag".to_string(),
-                        )));
-                    }
-                }
-            }
-        }
-        Some(Ok(e))
-    }
-}
-
 impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
         let (items, is_array) = match &*self.source {
@@ -3271,7 +2886,7 @@ impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
             && !is_array
             && matches!(self.ev.config.typing, TypingMode::StrictError)
         {
-            // The row path counts the pull before surfacing the AT error.
+            // The pull that meets the AT error still counts as scanned.
             if let Some(st) = &self.ev.stats {
                 st.add_rows_scanned(1);
             }
@@ -3301,16 +2916,16 @@ impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
     }
 }
 
-/// An owned scan source (a computed collection): the batch path binds a
-/// whole run of elements per pull and amortizes the scan counter.
+/// An owned scan source (a computed collection): binds a whole run of
+/// elements per pull and amortizes the scan counter.
 struct OwnedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
     items: std::vec::IntoIter<Value>,
     /// Position of the next element (AT values for arrays).
     next_idx: usize,
     is_array: bool,
-    /// Strict mode refuses AT over an unordered bag — checked per pulled
-    /// row, after the scan counter, like the row path always did.
+    /// Strict mode refuses AT over an unordered bag — on the first pulled
+    /// row, after the scan counter.
     strict_bag_at: bool,
     as_var: Rc<str>,
     at_var: Option<Rc<str>>,
@@ -3329,25 +2944,6 @@ impl<'s, 'a> OwnedScan<'s, 'a> {
             e = e.bind(at.clone(), pos);
         }
         e
-    }
-}
-
-impl<'s, 'a> Iterator for OwnedScan<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.items.next()?;
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(1);
-        }
-        if self.strict_bag_at {
-            return Some(Err(EvalError::Type(
-                "AT position variable over an unordered bag".to_string(),
-            )));
-        }
-        let i = self.next_idx;
-        self.next_idx += 1;
-        Some(Ok(self.bind_row(item, i)))
     }
 }
 
@@ -3382,245 +2978,9 @@ impl<'s, 'a> Stream<Env> for OwnedScan<'s, 'a> {
     }
 }
 
-/// `SELECT VALUE` as a stream: maps the projection over the input
-/// bindings. The batch path evaluates a whole pulled batch per call —
-/// the inner request passes `max` through, so a LIMIT above still bounds
-/// how much of the input is materialized.
-struct ProjectStream<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    expr: &'s CoreExpr,
-    inner: BindingStream<'s>,
-    buf: Vec<Env>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for ProjectStream<'s, 'a> {
-    type Item = Result<Value, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.inner.next() {
-            None => {
-                self.done = true;
-                None
-            }
-            Some(Err(e)) => {
-                self.done = true;
-                Some(Err(e))
-            }
-            Some(Ok(b)) => Some(self.ev.expr(self.expr, &b)),
-        }
-    }
-}
-
-impl<'s, 'a> Stream<Value> for ProjectStream<'s, 'a> {
-    fn next_batch(&mut self, out: &mut Vec<Value>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
-        self.buf.clear();
-        let r = self.inner.next_batch(&mut self.buf, max);
-        let got = self.buf.len();
-        let mut err = None;
-        for b in self.buf.drain(..) {
-            if err.is_some() {
-                break;
-            }
-            match self.ev.expr(self.expr, &b) {
-                Ok(v) => out.push(v),
-                Err(e) => err = Some(e),
-            }
-        }
-        if let Some(e) = err {
-            self.done = true;
-            return Err(e);
-        }
-        if let Err(e) = r {
-            self.done = true;
-            return Err(e);
-        }
-        if got == 0 {
-            self.done = true;
-        }
-        Ok(())
-    }
-}
-
-/// WHERE as a stream: keeps bindings whose predicate is exactly TRUE.
-/// The batch path filters a whole pulled batch per call, re-pulling
-/// until something passes or the input is exhausted (so callers see the
-/// protocol's "empty append means exhausted" invariant).
-struct FilterStream<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    pred: &'s CoreExpr,
-    inner: BindingStream<'s>,
-    buf: Vec<Env>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for FilterStream<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.inner.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(b)) => match self.ev.expr(self.pred, &b) {
-                    Ok(Value::Bool(true)) => return Some(Ok(b)),
-                    Ok(_) => {}
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                },
-            }
-        }
-    }
-}
-
-impl<'s, 'a> Stream<Env> for FilterStream<'s, 'a> {
-    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
-        let start = out.len();
-        while out.len() == start {
-            self.buf.clear();
-            let r = self.inner.next_batch(&mut self.buf, max);
-            let got = self.buf.len();
-            let mut err = None;
-            for b in self.buf.drain(..) {
-                if err.is_some() {
-                    break;
-                }
-                match self.ev.expr(self.pred, &b) {
-                    Ok(Value::Bool(true)) => out.push(b),
-                    Ok(_) => {}
-                    Err(e) => err = Some(e),
-                }
-            }
-            if let Some(e) = err {
-                self.done = true;
-                return Err(e);
-            }
-            if let Err(e) = r {
-                self.done = true;
-                return Err(e);
-            }
-            if got == 0 {
-                self.done = true;
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Left-correlated FROM product (comma lists, UNNEST): for each left
-/// binding, the right item streams in the extended environment. The
-/// batch path drains the current right stream batch-at-a-time; left rows
-/// still arrive one at a time (each re-opens the right side).
-struct CorrelateStream<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    right: &'s CoreFrom,
-    whole: &'s CoreOp,
-    left: BindingStream<'s>,
-    cur: Option<BindingStream<'s>>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for CorrelateStream<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(cur) = &mut self.cur {
-                match cur.next() {
-                    Some(Ok(b)) => return Some(Ok(b)),
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    None => self.cur = None,
-                }
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => {
-                    self.cur = Some(self.ev.from_stream(self.right, self.whole, &l));
-                }
-            }
-        }
-    }
-}
-
-impl<'s, 'a> Stream<Env> for CorrelateStream<'s, 'a> {
-    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
-        let start = out.len();
-        loop {
-            if out.len() - start >= max {
-                return Ok(());
-            }
-            if let Some(cur) = self.cur.as_mut() {
-                let before = out.len();
-                let want = max - (before - start);
-                let r = cur.next_batch(out, want);
-                let exhausted = out.len() == before;
-                if let Err(e) = r {
-                    self.done = true;
-                    return Err(e);
-                }
-                if exhausted {
-                    self.cur = None;
-                }
-                continue;
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Some(Ok(l)) => {
-                    self.cur = Some(self.ev.from_stream(self.right, self.whole, &l));
-                }
-            }
-        }
-    }
-}
-
-/// Fully drains a stream through the batch protocol, calling `f` per
-/// row — the batched replacement for a `for` loop over the stream. Rows
-/// that arrived before a mid-batch error are processed first, matching
-/// the row-at-a-time order of effects exactly.
+/// Fully drains a stream, calling `f` per row — the `for` loop over a
+/// stream. Rows that arrived before a mid-batch error are processed
+/// first, so the order of effects is pull order at every batch size.
 fn drain_batched<T>(
     mut stream: Box<dyn Stream<T> + '_>,
     batch_size: usize,
@@ -3675,36 +3035,69 @@ enum BuildLoad<'s> {
 }
 
 /// Which per-right-row test a [`NestedLoop`] applies.
-enum RowTest<'s> {
+enum RowTest<'a> {
     /// The plan's ON condition.
-    On(&'s CoreExpr),
+    On(&'a CoreExpr),
     /// A hash join running in nested-loop fallback: the original ON is
     /// exactly `left_pred ∧ right_pred ∧ keys ∧ residual`, re-checked per
     /// (left, right) pair.
     Split {
-        keys: &'s [(CoreExpr, CoreExpr)],
-        left_pred: Option<&'s CoreExpr>,
-        right_pred: Option<&'s CoreExpr>,
-        residual: Option<&'s CoreExpr>,
+        keys: &'a [(CoreExpr, CoreExpr)],
+        left_pred: Option<&'a CoreExpr>,
+        right_pred: Option<&'a CoreExpr>,
+        residual: Option<&'a CoreExpr>,
     },
+}
+
+impl<'a> RowTest<'a> {
+    fn passes(&self, ev: &Evaluator<'a>, r: &Env) -> Result<bool, EvalError> {
+        let holds = |p: &'a CoreExpr| Ok(matches!(ev.expr(p, r)?, Value::Bool(true)));
+        match *self {
+            RowTest::On(on) => holds(on),
+            RowTest::Split {
+                keys,
+                left_pred,
+                right_pred,
+                residual,
+            } => {
+                for p in [left_pred, right_pred].into_iter().flatten() {
+                    if !holds(p)? {
+                        return Ok(false);
+                    }
+                }
+                for (lk, rk) in keys {
+                    let a = ev.expr(lk, r)?;
+                    let b = ev.expr(rk, r)?;
+                    if !matches!(sql_eq(&a, &b), Value::Bool(true)) {
+                        return Ok(false);
+                    }
+                }
+                residual.map_or(Ok(true), holds)
+            }
+        }
+    }
 }
 
 /// Streaming nested-loop join: pulls left rows one at a time, re-opens
 /// the right stream per left row, and emits matches as they are found —
-/// a LIMIT above the join stops both scans mid-flight. LEFT joins pad
-/// the right-side variables with NULL when a left row's right stream
-/// drains without a match.
+/// a LIMIT above the join stops both scans mid-flight (each right pull
+/// asks for no more rows than the caller still wants, and a right row
+/// yields at most one output row). LEFT joins pad the right-side
+/// variables with NULL when a left row's right stream drains without a
+/// match.
 struct NestedLoop<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
     left: BindingStream<'s>,
-    right: &'s CoreFrom,
-    whole: &'s CoreOp,
+    right: &'a CoreFrom,
+    whole: &'a CoreOp,
     names: Vec<Rc<str>>,
-    test: RowTest<'s>,
+    test: RowTest<'a>,
     /// The left row currently probing: its env, its right stream, and
     /// whether it has matched yet.
     cur: Option<(Env, BindingStream<'s>, bool)>,
+    /// Right rows pulled for the current probe step (reused).
+    buf: Vec<Env>,
     scanned: bool,
     done: bool,
 }
@@ -3714,10 +3107,10 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
         ev: &'s Evaluator<'a>,
         kind: CoreJoinKind,
         left: BindingStream<'s>,
-        right: &'s CoreFrom,
-        whole: &'s CoreOp,
+        right: &'a CoreFrom,
+        whole: &'a CoreOp,
         names: Vec<Rc<str>>,
-        test: RowTest<'s>,
+        test: RowTest<'a>,
     ) -> Self {
         NestedLoop {
             ev,
@@ -3728,135 +3121,71 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
             names,
             test,
             cur: None,
+            buf: Vec::new(),
             scanned: false,
             done: false,
         }
     }
 
-    fn passes(&self, r: &Env) -> Result<bool, EvalError> {
-        match &self.test {
-            RowTest::On(on) => Ok(matches!(self.ev.expr(on, r)?, Value::Bool(true))),
-            RowTest::Split {
-                keys,
-                left_pred,
-                right_pred,
-                residual,
-            } => {
-                for p in [left_pred, right_pred].into_iter().flatten() {
-                    if !matches!(self.ev.expr(p, r)?, Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                for (lk, rk) in keys.iter() {
-                    let a = self.ev.expr(lk, r)?;
-                    let b = self.ev.expr(rk, r)?;
-                    if !matches!(sql_eq(&a, &b), Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                if let Some(p) = residual {
-                    if !matches!(self.ev.expr(p, r)?, Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+    fn fill(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        while !self.done && out.len() - start < max {
+            // A left row can spin through many right rows without
+            // emitting (no matches), so the join ticks the deadline itself
+            // — the per-pull wrapper outside never sees those iterations.
+            let watcher = self.ev.govern.as_watcher();
+            if let Some(g) = watcher {
+                g.tick()?;
             }
+            let Some((_, rights, matched)) = self.cur.as_mut() else {
+                match next_one(&mut self.left)? {
+                    None => self.done = true,
+                    Some(l) => {
+                        if std::mem::replace(&mut self.scanned, true) {
+                            if let Some(st) = &self.ev.stats {
+                                st.add_right_rescans(1);
+                            }
+                        }
+                        let rights = self.ev.from_stream(self.right, self.whole, &l);
+                        self.cur = Some((l, rights, false));
+                    }
+                }
+                continue;
+            };
+            let pulled = rights.next_batch(&mut self.buf, max - (out.len() - start));
+            if self.buf.is_empty() {
+                pulled?;
+                let (l, _, matched) = self.cur.take().expect("checked above");
+                if !matched && self.kind == CoreJoinKind::Left {
+                    out.push(pad_left(&l, &self.names));
+                }
+                continue;
+            }
+            if let Some(g) = watcher {
+                g.tick_rows(self.buf.len() as u64)?;
+            }
+            for r in self.buf.drain(..) {
+                if let Some(st) = &self.ev.stats {
+                    st.add_join_probes(1);
+                }
+                if self.test.passes(self.ev, &r)? {
+                    *matched = true;
+                    out.push(r);
+                }
+            }
+            pulled?;
         }
-    }
-
-    fn pad(&self, l: &Env) -> Env {
-        // SQL left join: unmatched rows pad the right-side variables
-        // with NULL.
-        let mut padded = l.clone();
-        for name in &self.names {
-            padded = padded.bind(name.clone(), Value::Null);
-        }
-        padded
+        Ok(())
     }
 }
 
-impl<'s, 'a> Iterator for NestedLoop<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            // The inner loop can spin through many right rows without
-            // emitting (no matches), so it ticks the deadline itself —
-            // the per-pull wrapper outside never sees those iterations.
-            if let Some(g) = self.ev.govern.as_watcher() {
-                if let Err(e) = g.tick() {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-            if self.cur.is_some() {
-                // Pull the next right row in a scope of its own, so the
-                // test below can borrow `self` again.
-                let step = {
-                    let (_, rights, _) = self.cur.as_mut().expect("checked above");
-                    rights.next()
-                };
-                match step {
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    Some(Ok(r)) => {
-                        if let Some(st) = &self.ev.stats {
-                            st.add_join_probes(1);
-                        }
-                        match self.passes(&r) {
-                            Err(e) => {
-                                self.done = true;
-                                return Some(Err(e));
-                            }
-                            Ok(true) => {
-                                self.cur.as_mut().expect("checked above").2 = true;
-                                return Some(Ok(r));
-                            }
-                            Ok(false) => continue,
-                        }
-                    }
-                    None => {
-                        let (lenv, _, matched) = self.cur.take().expect("checked above");
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            return Some(Ok(self.pad(&lenv)));
-                        }
-                        continue;
-                    }
-                }
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => {
-                    if self.scanned {
-                        if let Some(st) = &self.ev.stats {
-                            st.add_right_rescans(1);
-                        }
-                    }
-                    let rights = self.ev.from_stream(self.right, self.whole, &l);
-                    self.scanned = true;
-                    self.cur = Some((l, rights, false));
-                }
-            }
-        }
+impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
+    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
+        let r = self.fill(out, max);
+        self.done |= r.is_err();
+        r
     }
 }
-
-// The nested-loop join stays row-at-a-time even under batching: each
-// produced row can re-open the right side, so there is no run of work to
-// amortize — the default shim preserves its per-row tick semantics.
-impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {}
 
 /// Streaming hash-join probe: the build side is already materialized
 /// (tracked live by its gauge); left rows are pulled one at a time and
@@ -3864,9 +3193,9 @@ impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {}
 struct HashProbe<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
-    keys: &'s [(CoreExpr, CoreExpr)],
-    left_pred: Option<&'s CoreExpr>,
-    residual: Option<&'s CoreExpr>,
+    keys: &'a [(CoreExpr, CoreExpr)],
+    left_pred: Option<&'a CoreExpr>,
+    residual: Option<&'a CoreExpr>,
     names: Vec<Rc<str>>,
     build: JoinBuild<'s>,
     left: BindingStream<'s>,
@@ -3889,19 +3218,9 @@ impl<'s, 'a> HashProbe<'s, 'a> {
         if self.build.rows.is_empty() {
             return Ok(false);
         }
-        if let Some(p) = self.left_pred {
-            if !matches!(self.ev.expr(p, l)?, Value::Bool(true)) {
-                return Ok(false);
-            }
-        }
-        let mut kv = Vec::with_capacity(self.keys.len());
-        for (lk, _) in self.keys {
-            let v = self.ev.expr(lk, l)?;
-            if v.is_absent() {
-                return Ok(false);
-            }
-            kv.push(v);
-        }
+        let Some(kv) = self.ev.left_join_key(self.keys, self.left_pred, l)? else {
+            return Ok(false);
+        };
         let Some(bucket) = self.build.table.get(&joint_hash(&kv)) else {
             return Ok(false);
         };
@@ -3930,45 +3249,18 @@ impl<'s, 'a> HashProbe<'s, 'a> {
         }
         Ok(matched)
     }
-}
 
-impl<'s, 'a> Iterator for HashProbe<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.pop_front() {
-                return Some(Ok(e));
-            }
-            if self.done {
-                return None;
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => match self.probe(&l) {
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    Ok(matched) => {
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            let mut padded = l.clone();
-                            for name in &self.names {
-                                padded = padded.bind(name.clone(), Value::Null);
-                            }
-                            self.pending.push_back(padded);
-                        }
-                    }
-                },
-            }
+    /// Pulls one left row and queues what it produces: its matches, or
+    /// its NULL padding for an unmatched LEFT row.
+    fn step(&mut self) -> Result<(), EvalError> {
+        let Some(l) = next_one(&mut self.left)? else {
+            self.done = true;
+            return Ok(());
+        };
+        if !self.probe(&l)? && self.kind == CoreJoinKind::Left {
+            self.pending.push_back(pad_left(&l, &self.names));
         }
+        Ok(())
     }
 }
 
@@ -3976,50 +3268,23 @@ impl<'s, 'a> Stream<Env> for HashProbe<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
         let start = out.len();
         loop {
-            while out.len() - start < max {
-                let Some(e) = self.pending.pop_front() else {
-                    break;
-                };
-                out.push(e);
-            }
+            let room = max - (out.len() - start);
+            out.extend(self.pending.drain(..room.min(self.pending.len())));
             if out.len() - start >= max || self.done {
                 return Ok(());
             }
-            // The left side is still pulled one row at a time: a LIMIT
-            // above the join must be able to stop the left scan early.
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Some(Ok(l)) => match self.probe(&l) {
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    Ok(matched) => {
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            let mut padded = l.clone();
-                            for name in &self.names {
-                                padded = padded.bind(name.clone(), Value::Null);
-                            }
-                            self.pending.push_back(padded);
-                        }
-                    }
-                },
+            // The left side is pulled one row at a time: a LIMIT above
+            // the join must be able to stop the left scan early.
+            let step = self.step();
+            if step.is_err() {
+                self.done = true;
+                return step;
             }
         }
     }
 }
 
-/// Extends a left-row environment with the right side's variables from a
-/// matched build row — the same bindings, in the same order, that
-/// evaluating the right side under `l` would have produced.
-/// SQL left join: unmatched probe rows pad the right-side variables with
+/// SQL left join: unmatched left rows pad the right-side variables with
 /// NULL.
 fn pad_left(l: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
     let mut padded = l.clone();
@@ -4029,6 +3294,9 @@ fn pad_left(l: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
     padded
 }
 
+/// Extends a left-row environment with the right side's variables from a
+/// matched build row — the same bindings, in the same order, that
+/// evaluating the right side under `l` would have produced.
 fn combine_envs(l: &Env, r: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
     let mut out = l.clone();
     for name in right_vars {
@@ -4416,9 +3684,13 @@ mod tests {
 
     /// Runs `Limited` over an infallible source, collecting the output.
     fn limited(items: Vec<i32>, lim: Option<usize>, off: usize) -> Vec<i32> {
-        Limited::new(items.into_iter().map(Ok::<i32, EvalError>), off, lim)
-            .collect::<Result<Vec<i32>, EvalError>>()
-            .unwrap()
+        let mut out = Vec::new();
+        drain_batched(Box::new(Limited::new(from_vec(items), off, lim)), 2, |v| {
+            out.push(v);
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]
@@ -4508,6 +3780,103 @@ mod tests {
     }
 
     // =================================================================
+    // The expression VM
+    // =================================================================
+
+    #[test]
+    fn nested_between_evaluates_at_depth_64() {
+        // ((5 BETWEEN 1 AND 9) BETWEEN FALSE AND TRUE) BETWEEN FALSE … —
+        // every boolean lies between FALSE and TRUE.
+        let konst = |v: Value| Box::new(CoreExpr::Const(v));
+        let mut e = CoreExpr::Between {
+            expr: konst(Value::Int(5)),
+            low: konst(Value::Int(1)),
+            high: konst(Value::Int(9)),
+            negated: false,
+        };
+        for _ in 0..64 {
+            e = CoreExpr::Between {
+                expr: Box::new(e),
+                low: konst(Value::Bool(false)),
+                high: konst(Value::Bool(true)),
+                negated: false,
+            };
+        }
+        let catalog = Catalog::new();
+        let ev = Evaluator::new(&catalog, EvalConfig::default());
+        assert_eq!(ev.expr(&e, &Env::new()).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn expressions_compile_once_per_evaluator() {
+        let catalog = Catalog::new();
+        let ev = Evaluator::new(
+            &catalog,
+            EvalConfig {
+                collect_stats: true,
+                ..EvalConfig::default()
+            },
+        );
+        let e = CoreExpr::Bin(
+            BinOp::Add,
+            Box::new(CoreExpr::Var("x".into())),
+            Box::new(CoreExpr::Const(Value::Int(1))),
+        );
+        for i in 0..10 {
+            let env = Env::new().bind("x", Value::Int(i));
+            assert_eq!(ev.expr(&e, &env).unwrap(), Value::Int(i + 1));
+        }
+        assert_eq!(ev.stats_snapshot().unwrap().exprs_compiled, 1);
+    }
+
+    /// A fault that fires inside a call instruction unwinds through a live
+    /// outer VM frame; the evaluator's value stack must come back usable.
+    /// Sweeping the failing ordinal over every operator-site visit fails
+    /// each nesting level once, and the *same evaluator* then answers.
+    #[test]
+    fn fault_inside_a_call_instruction_restores_the_vm_stack() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let catalog = Catalog::new();
+        catalog.set("t", Value::Bag((0..4).map(Value::Int).collect()));
+        let ast = sqlpp_syntax::parse_query(
+            "SELECT VALUE x + COLL_COUNT(SELECT VALUE y FROM t AS y WHERE y < x) \
+             FROM t AS x WHERE EXISTS (SELECT VALUE z FROM t AS z WHERE z = x)",
+        )
+        .unwrap();
+        let plan = sqlpp_plan::lower_query(&ast, &sqlpp_plan::PlanConfig::default()).unwrap();
+        let want = Evaluator::new(&catalog, EvalConfig::default())
+            .run(&plan)
+            .unwrap();
+        let mut k = 1;
+        loop {
+            let visits = std::sync::Arc::new(AtomicU64::new(0));
+            let seen = std::sync::Arc::clone(&visits);
+            let ev = Evaluator::new(
+                &catalog,
+                EvalConfig {
+                    fault: Some(FaultInjector::new(move |site| {
+                        (site == FaultSite::OperatorEval
+                            && seen.fetch_add(1, Ordering::Relaxed) + 1 == k)
+                            .then(|| EvalError::Resource("injected".into()))
+                    })),
+                    ..EvalConfig::default()
+                },
+            );
+            match ev.run(&plan) {
+                // Past the last visit: the plan never fired.
+                Ok(got) => {
+                    assert_eq!(got, want);
+                    break;
+                }
+                Err(e) => assert_eq!(e, EvalError::Resource("injected".into()), "k {k}"),
+            }
+            assert_eq!(ev.run(&plan).unwrap(), want, "k {k}: evaluator reusable");
+            k += 1;
+        }
+        assert!(k > 30, "the sweep must reach the nested evaluations ({k})");
+    }
+
+    // =================================================================
     // Hash join
     // =================================================================
 
@@ -4562,13 +3931,6 @@ mod tests {
             row(Value::Int(1), 24),
         ];
         for typing in [TypingMode::Permissive, TypingMode::StrictError] {
-            let ev = Evaluator::new(
-                &catalog,
-                EvalConfig {
-                    typing,
-                    ..EvalConfig::default()
-                },
-            );
             for kind in [CoreJoinKind::Inner, CoreJoinKind::Left] {
                 let on = CoreExpr::Bin(BinOp::Eq, Box::new(key_of("x")), Box::new(key_of("y")));
                 let nested = project_pairs(CoreFrom::Join {
@@ -4588,6 +3950,13 @@ mod tests {
                     residual: None,
                     right_vars: vec!["y".into()],
                 });
+                let ev = Evaluator::new(
+                    &catalog,
+                    EvalConfig {
+                        typing,
+                        ..EvalConfig::default()
+                    },
+                );
                 let want = ev.value_op(&nested, &Env::new()).unwrap();
                 let got = ev.value_op(&hashed, &Env::new()).unwrap();
                 assert_eq!(got, want, "{kind:?} under {typing:?}");
@@ -4651,6 +4020,13 @@ mod tests {
             residual: None,
             right_vars: vec!["y".into()],
         });
+        let nested = project_pairs(CoreFrom::Join {
+            kind: CoreJoinKind::Inner,
+            left: scan_of(lrows, "x"),
+            right: scan_of(rrows, "y"),
+            on: CoreExpr::Bin(BinOp::Eq, Box::new(key_of("x")), Box::new(key_of("y"))),
+            right_vars: vec!["y".into()],
+        });
         let ev = Evaluator::new(
             &catalog,
             EvalConfig {
@@ -4659,25 +4035,7 @@ mod tests {
             },
         );
         let out = ev.value_op(&hashed, &Env::new()).unwrap();
-        assert_eq!(out, {
-            let Value::Bag(items) = ev
-                .value_op(
-                    &project_pairs(CoreFrom::Join {
-                        kind: CoreJoinKind::Inner,
-                        left: scan_of(lrows.clone(), "x"),
-                        right: scan_of(rrows.clone(), "y"),
-                        on: CoreExpr::Bin(BinOp::Eq, Box::new(key_of("x")), Box::new(key_of("y"))),
-                        right_vars: vec!["y".into()],
-                    }),
-                    &Env::new(),
-                )
-                .unwrap()
-                .clone()
-            else {
-                panic!()
-            };
-            Value::Bag(items)
-        });
+        assert_eq!(out, ev.value_op(&nested, &Env::new()).unwrap());
         let s = ev.stats_snapshot().unwrap();
         // The nested loop above contributed n·n probes and n-1 rescans;
         // the hash join contributed ≤ n probes, n build rows, 0 rescans.

@@ -23,20 +23,6 @@ use std::time::Duration;
 
 use sqlpp_plan::{CoreOp, CoreQuery};
 
-/// How an operator's expressions were evaluated, for `EXPLAIN ANALYZE`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExprMode {
-    /// The operator evaluated no expressions (or none were recorded).
-    #[default]
-    None,
-    /// Every expression ran as compiled bytecode.
-    Bytecode,
-    /// Every expression fell back to the tree-walking interpreter.
-    TreeWalk,
-    /// Some expressions compiled, some fell back.
-    Mixed,
-}
-
 /// Counters for one operator node (inclusive of its children).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
@@ -50,11 +36,9 @@ pub struct OpStats {
     /// High-water mark of rows this operator held materialized at once
     /// (zero for fully streaming operators).
     pub peak_rows: u64,
-    /// Batches the operator emitted through the batch pull protocol —
-    /// zero means every pull was row-at-a-time.
+    /// Non-empty batches the operator emitted through its stream (zero
+    /// for operators that only ever materialize a value).
     pub batches: u64,
-    /// Whether this operator's expressions ran as bytecode or tree-walk.
-    pub expr_mode: ExprMode,
     /// Whether this pipeline breaker spilled part of its working set to
     /// disk (always `false` for streaming operators and for breakers that
     /// stayed within budget).
@@ -130,13 +114,14 @@ pub struct ExecStats {
     /// included — at least 1 whenever a sort spilled, more when the
     /// run count exceeded the merge fan-in (zero without spilling).
     pub merge_passes: u64,
-    /// Non-empty batches emitted through the batch pull protocol across
-    /// all instrumented operators (zero for a fully row-at-a-time run).
+    /// Non-empty batches emitted across all instrumented operators (at
+    /// `batch_size: 1`, one per row).
     pub batches_produced: u64,
-    /// Expressions compiled to bytecode for this run.
+    /// Expressions compiled to bytecode by this run (each once, on first
+    /// evaluation).
     pub exprs_compiled: u64,
-    /// Expressions that fell back to the tree-walking interpreter
-    /// (uncovered forms: subqueries, EXISTS, collection aggregates).
+    /// Always zero: every expression compiles. Kept so existing report
+    /// consumers keep reading a value.
     pub exprs_fallback: u64,
     /// Per-operator counters, keyed by pre-order plan index (see
     /// [`sqlpp_plan::CoreQuery::preorder_ops`]).
@@ -275,7 +260,6 @@ pub struct StatsCollector {
     ops: RefCell<HashMap<u32, OpStats>>,
     batches_produced: Cell<u64>,
     exprs_compiled: Cell<u64>,
-    exprs_fallback: Cell<u64>,
 }
 
 impl StatsCollector {
@@ -320,24 +304,6 @@ impl StatsCollector {
         let mut ops = self.ops.borrow_mut();
         let e = ops.entry(key).or_default();
         e.batches += batches;
-    }
-
-    /// Records whether an operator's expression ran as bytecode
-    /// (`compiled`) or fell back to the tree-walker; repeated calls with
-    /// differing modes merge to [`ExprMode::Mixed`].
-    pub fn record_op_expr_mode(&self, key: u32, compiled: bool) {
-        let mode = if compiled {
-            ExprMode::Bytecode
-        } else {
-            ExprMode::TreeWalk
-        };
-        let mut ops = self.ops.borrow_mut();
-        let e = ops.entry(key).or_default();
-        e.expr_mode = match (e.expr_mode, mode) {
-            (ExprMode::None, m) => m,
-            (old, m) if old == m => old,
-            _ => ExprMode::Mixed,
-        };
     }
 
     /// Marks an operator as having spilled part of its working set to
@@ -433,11 +399,6 @@ impl StatsCollector {
         self.exprs_compiled.set(self.exprs_compiled.get() + 1);
     }
 
-    /// Counts an expression that fell back to the tree-walker.
-    pub fn add_expr_fallback(&self) {
-        self.exprs_fallback.set(self.exprs_fallback.get() + 1);
-    }
-
     /// Snapshots the counters into an [`ExecStats`] (phase times zeroed —
     /// the engine fills those).
     pub fn snapshot(&self) -> ExecStats {
@@ -459,7 +420,6 @@ impl StatsCollector {
             peak_live_bindings: self.peak_live_bindings.get(),
             batches_produced: self.batches_produced.get(),
             exprs_compiled: self.exprs_compiled.get(),
-            exprs_fallback: self.exprs_fallback.get(),
             ops: self.ops.borrow().clone(),
             // Governor counters are filled by the evaluator (the governor
             // owns them so budgets work with stats collection off).

@@ -1,35 +1,36 @@
-//! Pull-based streams: the lazy iterator layer under the interpreter.
+//! Pull-based streams: the lazy layer under the interpreter.
 //!
 //! The paper's Pseudocodes 1–2 define clause semantics as *iteration* over
 //! binding environments; this module gives the interpreter that shape at
-//! runtime. A [`BindingStream`] (or [`ValueStream`]) yields one row per
-//! `next()`, so `LIMIT`, `EXISTS`, `IN`, and scalar-subquery coercion stop
-//! pulling as soon as they have what they need — instead of truncating a
-//! fully materialized `Vec`.
+//! runtime, with exactly one pull protocol: [`Stream::next_batch`] appends
+//! up to `max` rows into a caller-owned buffer in one virtual call.
+//! Full-consumption operators (projection, sort fill, aggregation,
+//! DISTINCT) pull ~[`DEFAULT_BATCH_SIZE`] rows at a time and so amortize
+//! dynamic dispatch, governor ticks, and stat increments; a session with
+//! `batch_size: 1` is the row-at-a-time engine — through this same code,
+//! not a second path.
 //!
-//! On top of the row protocol sits a *batch* protocol: [`Stream::next_batch`]
-//! appends up to `max` rows into a caller-owned buffer in one virtual call,
-//! so full-consumption operators (projection, sort fill, aggregation,
-//! DISTINCT) amortize dynamic dispatch, governor ticks, and stat increments
-//! across ~[`DEFAULT_BATCH_SIZE`] rows instead of paying them per row. Every
-//! adapter gets a row-at-a-time shim for free (the trait's default method),
-//! so unported adapters keep working; hot adapters override it. Quota-aware
-//! consumers (`LIMIT k`) pass a small `max`, which keeps the scan-pull
-//! guarantees (B12) intact: a batched stream never pulls more than `max`
-//! rows per call from its input.
+//! **Bounded pulls.** A stream never pulls more than `max` rows per call
+//! from its input, so a quota-aware consumer (`LIMIT k`) that passes a
+//! small `max` stops the scan underneath it (B12). Consumers that decide
+//! on one row — `EXISTS`, the scalar-subquery 0/1/many probe, `IN`'s
+//! stop-at-first-TRUE, and the left side of a correlated FROM or a join,
+//! which must not read ahead of a LIMIT above it — pull through
+//! [`next_one`], which is `next_batch(_, 1)`.
+//!
+//! **Exhaustion.** A call that appends zero rows and returns `Ok` means
+//! the stream is exhausted; appending fewer than `max` rows does not.
+//!
+//! **Errors.** A stream that returns `Err` is *finished*: the buffer
+//! holds the valid rows produced before the error (in pull order), and
+//! consumers must not pull again — streams make no promise about what a
+//! further call returns.
 //!
 //! True pipeline breakers (ORDER BY, GROUP BY, window, DISTINCT, hash-join
 //! and set-op build sides) still buffer, but only ever through
 //! [`TrackedBuffer`]/[`MatGauge`], which feed the `peak_live_bindings`
-//! gauge and per-operator high-water counters in
-//! [`crate::ExecStats`] — the future spill point.
-//!
-//! Error convention: a stream that yields `Err` is *finished*; consumers
-//! must stop pulling after the first error, and streams make no promise
-//! about what further `next()` calls return. For `next_batch` the same
-//! convention holds batch-wise: on `Err` the buffer holds the valid rows
-//! produced *before* the error (in pull order), and the stream is finished.
-//! A call that appends zero rows and returns `Ok` means exhaustion.
+//! gauge and per-operator high-water counters in [`crate::ExecStats`] and
+//! are where spilling hooks in.
 
 use std::time::Instant;
 
@@ -48,17 +49,39 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// many rows so one huge batch cannot blow past a deadline unchecked.
 pub(crate) const BATCH_TICK_ROWS: usize = 64;
 
-/// A pull stream with both a row protocol (the `Iterator` supertrait) and
-/// a batch protocol. Implementors override `next_batch` when they can
-/// produce rows in bulk cheaper than `max` virtual `next()` calls.
-pub(crate) trait Stream<T>: Iterator<Item = Result<T, EvalError>> {
+/// A pull stream of `T` rows.
+pub(crate) trait Stream<T> {
     /// Appends up to `max` rows to `out`. Appending zero rows (with `Ok`)
     /// means the stream is exhausted; fewer than `max` rows does *not*.
     /// On `Err` the rows appended before the error are valid and the
     /// stream is finished.
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError>;
+}
+
+impl<T, S: Stream<T> + ?Sized> Stream<T> for Box<S> {
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
+        (**self).next_batch(out, max)
+    }
+}
+
+/// Pulls exactly one row — the one-row consumer's view of a stream.
+/// `None` means exhausted. An error wins over a row that arrived with it.
+pub(crate) fn next_one<T>(stream: &mut (impl Stream<T> + ?Sized)) -> Result<Option<T>, EvalError> {
+    let mut one = Vec::with_capacity(1);
+    stream.next_batch(&mut one, 1)?;
+    Ok(one.pop())
+}
+
+/// The single shim that lifts a plain iterator into a [`Stream`].
+pub(crate) struct Rows<I>(pub(crate) I);
+
+impl<I, T> Stream<T> for Rows<I>
+where
+    I: Iterator<Item = Result<T, EvalError>>,
+{
     fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
         for _ in 0..max {
-            match self.next() {
+            match self.0.next() {
                 None => break,
                 Some(Ok(v)) => out.push(v),
                 Some(Err(e)) => return Err(e),
@@ -68,35 +91,13 @@ pub(crate) trait Stream<T>: Iterator<Item = Result<T, EvalError>> {
     }
 }
 
-impl<T, S: Stream<T> + ?Sized> Stream<T> for Box<S> {
-    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
-        (**self).next_batch(out, max)
-    }
-}
-
-/// Adapts any plain iterator into a [`Stream`] via the row-at-a-time shim.
-pub(crate) struct Rows<I>(pub(crate) I);
-
-impl<I, T> Iterator for Rows<I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
-    }
-}
-
-impl<I, T> Stream<T> for Rows<I> where I: Iterator<Item = Result<T, EvalError>> {}
-
 /// A lazy stream of binding environments.
 pub(crate) type BindingStream<'s> = Box<dyn Stream<Env> + 's>;
 
 /// A lazy stream of output values (elements of a bag under construction).
 pub(crate) type ValueStream<'s> = Box<dyn Stream<Value> + 's>;
 
-/// Boxes a plain iterator as a stream (row-at-a-time batch shim).
+/// Boxes a plain iterator as a stream.
 pub(crate) fn boxed<'s, T: 's>(
     it: impl Iterator<Item = Result<T, EvalError>> + 's,
 ) -> Box<dyn Stream<T> + 's> {
@@ -119,14 +120,6 @@ pub(crate) struct VecStream<T> {
     items: std::vec::IntoIter<T>,
 }
 
-impl<T> Iterator for VecStream<T> {
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.items.next().map(Ok)
-    }
-}
-
 impl<T> Stream<T> for VecStream<T> {
     fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
         out.extend(self.items.by_ref().take(max));
@@ -141,11 +134,102 @@ pub(crate) fn from_vec<'s, T: 's>(items: Vec<T>) -> Box<dyn Stream<T> + 's> {
     })
 }
 
+/// Per-row transform-or-drop over an inner stream — the batch protocol's
+/// `filter_map`. Projection, WHERE, and set-op probes are this adapter
+/// with different closures. Each call maps one pulled batch, re-pulling
+/// until something survives or the input is exhausted (so callers see the
+/// "empty append means exhausted" invariant); `max` passes through, so a
+/// LIMIT above still bounds how much of the input is pulled.
+pub(crate) struct MapRows<'s, A, F> {
+    inner: Box<dyn Stream<A> + 's>,
+    f: F,
+    buf: Vec<A>,
+}
+
+impl<'s, A, F> MapRows<'s, A, F> {
+    pub(crate) fn new(inner: Box<dyn Stream<A> + 's>, f: F) -> Self {
+        MapRows {
+            inner,
+            f,
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<'s, A, B, F> Stream<B> for MapRows<'s, A, F>
+where
+    F: FnMut(A) -> Result<Option<B>, EvalError>,
+{
+    fn next_batch(&mut self, out: &mut Vec<B>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        while out.len() == start {
+            self.buf.clear();
+            // Rows pulled before an inner error are mapped first, in pull
+            // order, exactly as a row-at-a-time pipeline would see them.
+            let pulled = self.inner.next_batch(&mut self.buf, max);
+            if self.buf.is_empty() {
+                return pulled;
+            }
+            for a in self.buf.drain(..) {
+                if let Some(b) = (self.f)(a)? {
+                    out.push(b);
+                }
+            }
+            pulled?;
+        }
+        Ok(())
+    }
+}
+
+/// Concatenation of lazily opened parts — the batch protocol's
+/// `flat_map`: `open` yields the next part (or `None` when there are no
+/// more) only once the current one is exhausted. UNION ALL and Append
+/// open their operands in turn; a left-correlated FROM opens its right
+/// side once per left row. A batch fills across part boundaries, so many
+/// small parts (an UNNEST of short arrays) still move full batches.
+pub(crate) struct Concat<'s, T, F> {
+    cur: Option<Box<dyn Stream<T> + 's>>,
+    open: F,
+    done: bool,
+}
+
+impl<'s, T, F> Concat<'s, T, F> {
+    pub(crate) fn new(open: F) -> Self {
+        Concat {
+            cur: None,
+            open,
+            done: false,
+        }
+    }
+}
+
+impl<'s, T, F> Stream<T> for Concat<'s, T, F>
+where
+    F: FnMut() -> Option<Box<dyn Stream<T> + 's>>,
+{
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        while !self.done && out.len() - start < max {
+            let Some(cur) = self.cur.as_mut() else {
+                self.cur = (self.open)();
+                self.done = self.cur.is_none();
+                continue;
+            };
+            let before = out.len();
+            cur.next_batch(out, max - (before - start))?;
+            if out.len() == before {
+                self.cur = None;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// LIMIT/OFFSET as a stream adapter: skips `offset` rows, then yields at
 /// most `limit`, and — crucially — stops *pulling* from its input once the
-/// quota is met. Errors pass through without consuming quota. The batch
-/// path bounds every inner pull by `remaining skip + remaining quota`, so
-/// batching never over-pulls a limited scan.
+/// quota is met. Errors pass through without consuming quota. Every inner
+/// pull is bounded by `remaining skip + remaining quota`, so batching never
+/// over-pulls a limited scan.
 pub(crate) struct Limited<I> {
     inner: I,
     skip: usize,
@@ -158,37 +242,6 @@ impl<I> Limited<I> {
             inner,
             skip: offset,
             take: limit,
-        }
-    }
-}
-
-impl<I, T> Iterator for Limited<I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.take == Some(0) {
-                return None;
-            }
-            match self.inner.next()? {
-                Err(e) => {
-                    self.take = Some(0);
-                    return Some(Err(e));
-                }
-                Ok(item) => {
-                    if self.skip > 0 {
-                        self.skip -= 1;
-                        continue;
-                    }
-                    if let Some(t) = &mut self.take {
-                        *t -= 1;
-                    }
-                    return Some(Ok(item));
-                }
-            }
         }
     }
 }
@@ -263,23 +316,6 @@ impl<'s, I> Instrumented<'s, I> {
             ns: 0,
             count_bindings,
         }
-    }
-}
-
-impl<'s, I, T> Iterator for Instrumented<'s, I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let t = Instant::now();
-        let item = self.inner.next();
-        self.ns += t.elapsed().as_nanos() as u64;
-        if matches!(item, Some(Ok(_))) {
-            self.rows += 1;
-        }
-        item
     }
 }
 
@@ -458,18 +494,16 @@ impl<'s, T> TrackedBuffer<'s, T> {
     }
 }
 
-/// Deadline/cancellation enforcement as a stream adapter: every `next()`
+/// Deadline/cancellation enforcement as a stream adapter: every pull
 /// ticks the governor (a counter bump, with a real clock/token inspection
-/// only at the amortized interval) before pulling the inner stream. Only
-/// constructed when a deadline or token is attached, so ungoverned pulls
-/// carry no overhead. Fused: after the inner stream ends or errors, no
-/// further governor errors are manufactured.
-///
-/// A batched pull ticks once up front and then once per
-/// [`BATCH_TICK_ROWS`] rows the batch produced, so a full batch can never
-/// advance the pipeline by more than 64 rows between deadline/cancel
-/// observations — while the *real* clock/token inspection still amortizes
-/// to roughly once per 4096 rows.
+/// only at the amortized interval) before pulling the inner stream, and
+/// then once per [`BATCH_TICK_ROWS`] rows the batch produced, so a full
+/// batch can never advance the pipeline by more than 64 rows between
+/// deadline/cancel observations — while the *real* clock/token inspection
+/// still amortizes to roughly once per 4096 rows. Only constructed when a
+/// deadline or token is attached, so ungoverned pulls carry no overhead.
+/// Fused: after the inner stream ends or errors, no further governor
+/// errors are manufactured.
 pub(crate) struct Governed<'s, I> {
     inner: I,
     govern: &'s ResourceGovernor,
@@ -483,29 +517,6 @@ impl<'s, I> Governed<'s, I> {
             govern,
             done: false,
         }
-    }
-}
-
-impl<'s, I, T> Iterator for Governed<'s, I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Err(e) = self.govern.tick() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let item = self.inner.next();
-        match &item {
-            None | Some(Err(_)) => self.done = true,
-            Some(Ok(_)) => {}
-        }
-        item
     }
 }
 

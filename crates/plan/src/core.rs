@@ -789,224 +789,6 @@ fn collect_expr_plans<'p>(e: &'p CoreExpr, out: &mut Vec<&'p CoreOp>) {
     }
 }
 
-impl CoreQuery {
-    /// Visits every expression the executor will evaluate, paired with the
-    /// operator that owns it, recursing into nested subquery plans — the
-    /// hook the evaluator's bytecode precompiler walks so plan expressions
-    /// are compiled once per run instead of per row.
-    pub fn for_each_expr<'p>(&'p self, f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr)) {
-        visit_op_exprs(&self.op, f);
-    }
-}
-
-fn visit_op_exprs<'p>(op: &'p CoreOp, f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr)) {
-    let here = |e: &'p CoreExpr, f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr)| {
-        f(op, e);
-        visit_expr_subplans(e, f);
-    };
-    match op {
-        CoreOp::Single => {}
-        CoreOp::From { item } => visit_from_exprs(item, op, f),
-        CoreOp::Filter { input, pred } => {
-            here(pred, f);
-            visit_op_exprs(input, f);
-        }
-        CoreOp::Group { input, keys, .. } => {
-            for (_, k) in keys {
-                here(k, f);
-            }
-            visit_op_exprs(input, f);
-        }
-        CoreOp::Append { inputs } => {
-            for i in inputs {
-                visit_op_exprs(i, f);
-            }
-        }
-        CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {
-            for k in keys {
-                here(&k.expr, f);
-            }
-            visit_op_exprs(input, f);
-        }
-        CoreOp::LimitOffset {
-            input,
-            limit,
-            offset,
-        } => {
-            for e in [limit, offset].into_iter().flatten() {
-                here(e, f);
-            }
-            visit_op_exprs(input, f);
-        }
-        CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            ..
-        } => {
-            for k in keys {
-                here(&k.expr, f);
-            }
-            here(limit, f);
-            if let Some(e) = offset {
-                here(e, f);
-            }
-            visit_op_exprs(input, f);
-        }
-        CoreOp::Project { input, expr, .. } => {
-            here(expr, f);
-            visit_op_exprs(input, f);
-        }
-        CoreOp::Pivot { input, value, name } => {
-            here(value, f);
-            here(name, f);
-            visit_op_exprs(input, f);
-        }
-        CoreOp::SetOp { left, right, .. } => {
-            visit_op_exprs(left, f);
-            visit_op_exprs(right, f);
-        }
-        CoreOp::Window { input, defs } => {
-            for d in defs {
-                for e in d.args.iter().chain(d.partition.iter()) {
-                    here(e, f);
-                }
-                for k in &d.order {
-                    here(&k.expr, f);
-                }
-            }
-            visit_op_exprs(input, f);
-        }
-        CoreOp::With { bindings, body } => {
-            for (_, q) in bindings {
-                visit_op_exprs(&q.op, f);
-            }
-            visit_op_exprs(body, f);
-        }
-    }
-}
-
-fn visit_from_exprs<'p>(
-    item: &'p CoreFrom,
-    owner: &'p CoreOp,
-    f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr),
-) {
-    let here = |e: &'p CoreExpr, f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr)| {
-        f(owner, e);
-        visit_expr_subplans(e, f);
-    };
-    match item {
-        CoreFrom::Scan { expr, .. }
-        | CoreFrom::Unpivot { expr, .. }
-        | CoreFrom::Let { expr, .. } => here(expr, f),
-        CoreFrom::Correlate { left, right } => {
-            visit_from_exprs(left, owner, f);
-            visit_from_exprs(right, owner, f);
-        }
-        CoreFrom::Join {
-            left, right, on, ..
-        } => {
-            visit_from_exprs(left, owner, f);
-            visit_from_exprs(right, owner, f);
-            here(on, f);
-        }
-        CoreFrom::HashJoin {
-            left,
-            right,
-            keys,
-            left_pred,
-            right_pred,
-            residual,
-            ..
-        } => {
-            visit_from_exprs(left, owner, f);
-            visit_from_exprs(right, owner, f);
-            for (l, r) in keys {
-                here(l, f);
-                here(r, f);
-            }
-            for e in [left_pred, right_pred, residual].into_iter().flatten() {
-                here(e, f);
-            }
-        }
-    }
-}
-
-/// Recurses into the subquery plans nested inside `e` (without visiting
-/// `e`'s own scalar subexpressions — those are part of whatever program
-/// compiles `e` itself).
-fn visit_expr_subplans<'p>(e: &'p CoreExpr, f: &mut dyn FnMut(&'p CoreOp, &'p CoreExpr)) {
-    match e {
-        CoreExpr::Const(_)
-        | CoreExpr::Var(_)
-        | CoreExpr::Param(_)
-        | CoreExpr::Global(_)
-        | CoreExpr::Dynamic(_) => {}
-        CoreExpr::Path(base, _) | CoreExpr::Un(_, base) => visit_expr_subplans(base, f),
-        CoreExpr::Index(base, idx) => {
-            visit_expr_subplans(base, f);
-            visit_expr_subplans(idx, f);
-        }
-        CoreExpr::Bin(_, l, r) => {
-            visit_expr_subplans(l, f);
-            visit_expr_subplans(r, f);
-        }
-        CoreExpr::Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            visit_expr_subplans(expr, f);
-            visit_expr_subplans(pattern, f);
-            if let Some(esc) = escape {
-                visit_expr_subplans(esc, f);
-            }
-        }
-        CoreExpr::Between {
-            expr, low, high, ..
-        } => {
-            visit_expr_subplans(expr, f);
-            visit_expr_subplans(low, f);
-            visit_expr_subplans(high, f);
-        }
-        CoreExpr::In {
-            expr, collection, ..
-        } => {
-            visit_expr_subplans(expr, f);
-            visit_expr_subplans(collection, f);
-        }
-        CoreExpr::Is { expr, .. } | CoreExpr::Cast { expr, .. } => visit_expr_subplans(expr, f),
-        CoreExpr::Case { arms, else_expr } => {
-            for (w, t) in arms {
-                visit_expr_subplans(w, f);
-                visit_expr_subplans(t, f);
-            }
-            visit_expr_subplans(else_expr, f);
-        }
-        CoreExpr::Call { args, .. } => {
-            for a in args {
-                visit_expr_subplans(a, f);
-            }
-        }
-        CoreExpr::CollAgg { input, .. } => visit_expr_subplans(input, f),
-        CoreExpr::Subquery { plan, .. } => visit_op_exprs(&plan.op, f),
-        CoreExpr::Exists(q) => visit_op_exprs(&q.op, f),
-        CoreExpr::TupleCtor(pairs) => {
-            for (n, v) in pairs {
-                visit_expr_subplans(n, f);
-                visit_expr_subplans(v, f);
-            }
-        }
-        CoreExpr::ArrayCtor(items) | CoreExpr::BagCtor(items) => {
-            for v in items {
-                visit_expr_subplans(v, f);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // EXPLAIN rendering
 // ---------------------------------------------------------------------

@@ -147,7 +147,11 @@ fn chaos_dml_failed_statements_leave_catalog_byte_identical() {
     let mut fired = 0u32;
     for seed in 0..128u64 {
         let engine = fixture();
-        let plan = Arc::new(FaultPlan::seeded(seed, SITES, 12));
+        // The operator site is visited once per operator evaluation and
+        // once per *compiled expression* evaluation (not per expression
+        // node), so a five-row DML makes about ten visits: ordinals past
+        // 8 would mostly never fire.
+        let plan = Arc::new(FaultPlan::seeded(seed, SITES, 8));
         let session = chaos_session(&engine, &plan);
         let shape = DML_SHAPES[(seed as usize) % DML_SHAPES.len()];
         let before = catalog_snapshot(&engine);
@@ -173,6 +177,48 @@ fn chaos_dml_failed_statements_leave_catalog_byte_identical() {
         }
     }
     assert!(fired >= 32, "only {fired}/128 DML plans fired");
+}
+
+/// A fault that lands *inside* a call instruction: the correlated
+/// subquery below runs once per outer row from within the projection's
+/// bytecode program, so most operator-site visits happen while an outer
+/// VM frame is live. Sweeping the failing ordinal over every visit the
+/// statement makes fails each of them once — setup, outer rows, and every
+/// nested evaluation — and each must surface the injected error (never a
+/// panic or a poisoned evaluator) and leave the session answering.
+#[test]
+fn chaos_fault_inside_a_correlated_subquery_call_unwinds_cleanly() {
+    const OUTER_ONLY: &str = "SELECT VALUE e.sal FROM emp AS e";
+    const CORRELATED: &str = "SELECT VALUE {'name': e.name, 'peers': \
+         (SELECT VALUE p.name FROM emp AS p WHERE p.dept = e.dept AND p.id != e.id)} \
+         FROM emp AS e WHERE EXISTS (SELECT VALUE d FROM dept AS d WHERE d.dept = e.dept)";
+    let visits = |shape: &str| {
+        let plan = Arc::new(FaultPlan::fail_kth("operator", 0));
+        chaos_session(&fixture(), &plan).query(shape).unwrap();
+        plan.hits("operator")
+    };
+    let total = visits(CORRELATED);
+    assert!(
+        total > 4 * visits(OUTER_ONLY),
+        "the subqueries' own evaluations must dominate the {total} visits"
+    );
+    for k in 1..=total {
+        let engine = fixture();
+        let plan = Arc::new(FaultPlan::fail_kth("operator", k));
+        let session = chaos_session(&engine, &plan);
+        let outcome = catch_unwind(AssertUnwindSafe(|| session.query(CORRELATED)));
+        let err = outcome
+            .unwrap_or_else(|_| panic!("k {k}: panic crossed the API boundary"))
+            .expect_err("every ordinal up to the visit count must fire");
+        assert!(plan.fired(), "k {k}: spurious failure: {err}");
+        assert!(
+            err.to_string().contains("injected fault"),
+            "k {k}: wrong error surfaced: {err}"
+        );
+        assert_engine_usable(&session, k);
+        let again = session.query(CORRELATED).unwrap();
+        assert_eq!(again.len(), 5, "k {k}: retry after the fault lost rows");
+    }
 }
 
 /// Regression for the batched governor audit: a governed batched scan

@@ -13,8 +13,9 @@
 //! * a byte-budget sweep straddling partition-size boundaries keeps the
 //!   answer identical while peak tracked bytes stay within budget;
 //! * successful spills reclaim every temp file;
-//! * sort and top-k nodes execute their key expressions through the
-//!   compiled bytecode engine (`expr=bytecode` in EXPLAIN ANALYZE).
+//! * sort and top-k plans compile their key expressions (the EXPLAIN
+//!   ANALYZE summary reports `exprs_compiled`, and `exprs_fallback=0`),
+//!   and a spilling run tags the breaker that went out-of-core.
 
 use sqlpp::{Engine, ExecOutcome, Limits, SessionConfig, SpillConfig, TypingMode};
 
@@ -268,9 +269,9 @@ fn successful_spills_leave_no_temp_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// PR 8 satellite: sort and top-k keys go through the compiled
-/// expression bytecode, visible per node in EXPLAIN ANALYZE — and a
-/// spilling run tags the breaker that went out-of-core.
+/// Sort and top-k keys go through the one expression evaluator (the
+/// EXPLAIN ANALYZE summary counts them compiled, none fallen back) — and
+/// a spilling run tags the breaker that went out-of-core.
 #[test]
 fn sort_and_top_k_nodes_run_compiled_bytecode() {
     let engine = fixture(200);
@@ -284,11 +285,9 @@ fn sort_and_top_k_nodes_run_compiled_bytecode() {
         &engine,
         "SELECT VALUE b.id FROM big AS b ORDER BY b.k LIMIT 5",
     );
-    let topk_line = text
-        .lines()
-        .find(|l| l.contains("top-k"))
-        .unwrap_or_else(|| panic!("no top-k node in:\n{text}"));
-    assert!(topk_line.contains("expr=bytecode"), "{topk_line}");
+    assert!(text.contains("top-k"), "no top-k node in:\n{text}");
+    assert!(!text.contains("exprs_compiled=0 "), "{text}");
+    assert!(text.contains("exprs_fallback=0"), "{text}");
 
     let session = spill_session(&engine, 2_000);
     let text = analyze(&session, SORT_Q);
@@ -296,7 +295,7 @@ fn sort_and_top_k_nodes_run_compiled_bytecode() {
         .lines()
         .find(|l| l.contains("sort"))
         .unwrap_or_else(|| panic!("no sort node in:\n{text}"));
-    assert!(sort_line.contains("expr=bytecode"), "{sort_line}");
     assert!(sort_line.contains("spilled"), "{sort_line}");
+    assert!(text.contains("exprs_fallback=0"), "{text}");
     assert!(text.contains("spill:"), "no spill counter summary:\n{text}");
 }

@@ -2,8 +2,8 @@
 //! corpus, run in both modes, must pass completely. (The kit is also a
 //! library; this test locks the workspace build to a green kit.)
 
-use sqlpp::TypingMode;
-use sqlpp_compat_kit::{corpus, run_all, Check};
+use sqlpp::{CompatMode, TypingMode};
+use sqlpp_compat_kit::{corpus, fixture_engine, run_all, Check};
 
 #[test]
 fn every_listing_and_kit_case_passes_in_both_modes() {
@@ -47,4 +47,28 @@ fn error_cases_error_and_value_cases_parse() {
             );
         }
     }
+}
+
+/// There is one expression evaluator: every corpus query that runs
+/// compiles all of its expressions, none fall back. (Cases written as bare
+/// expressions rather than queries have no stats surface and are skipped;
+/// the floor keeps the check from going vacuous.)
+#[test]
+fn every_corpus_query_runs_without_expression_fallback() {
+    let mut checked = 0;
+    for mode in [CompatMode::SqlCompat, CompatMode::Composable] {
+        let engine = fixture_engine(mode, TypingMode::Permissive);
+        for case in corpus() {
+            for (name, text) in case.setup {
+                engine.load_pnotation(name, text).unwrap();
+            }
+            let Ok(run) = engine.query_with_stats(case.query) else {
+                continue;
+            };
+            let stats = run.stats().expect("stats collection was on");
+            assert_eq!(stats.exprs_fallback, 0, "case {} [{mode:?}]", case.id);
+            checked += 1;
+        }
+    }
+    assert!(checked >= 60, "only {checked} corpus queries were checked");
 }

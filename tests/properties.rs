@@ -245,11 +245,11 @@ sqlpp_prop! {
         }
     }
 
-    // The vectorized engine (batched pulls + bytecode expressions) must
-    // be indistinguishable from the row-at-a-time tree-walking path on
-    // join/group/sort shapes — the operators whose consume loops were
-    // ported to the batch protocol — in both typing modes.
-    fn batched_bytecode_agrees_with_row_path_on_joins_and_groups(
+    // The batched engine must be indistinguishable from the same engine
+    // pulling one-row batches (`batch_size: 1`, the row-at-a-time
+    // baseline) on join/group/sort shapes — the operators whose consume
+    // loops and probe sides cross batch boundaries — in both typing modes.
+    fn batched_agrees_with_row_at_a_time_on_joins_and_groups(
         left in join_rows(), right in join_rows(),
     ) {
         const QUERIES: &[&str] = &[
@@ -266,7 +266,6 @@ sqlpp_prop! {
             let row = join_prop_engine(&left, &right, typing, true).with_config(SessionConfig {
                 typing,
                 batch_size: 1,
-                compile_exprs: false,
                 ..SessionConfig::default()
             });
             for q in QUERIES {

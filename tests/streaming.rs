@@ -4,7 +4,7 @@
 //! (`peak_live_bindings`), and the lazy pipeline agrees with the
 //! materialized Pseudocode 1–2 reference in both typing modes.
 
-use sqlpp::{Engine, SessionConfig, TypingMode};
+use sqlpp::{CompatMode, Engine, SessionConfig, TypingMode};
 use sqlpp_eval::reference::{eval_sfw_config, ReferenceError};
 use sqlpp_eval::EvalConfig;
 use sqlpp_syntax::parse_query;
@@ -35,17 +35,20 @@ fn limit_zero_pulls_zero_rows() {
     assert_eq!(stats.peak_live_bindings, 0);
 }
 
-/// `LIMIT k` stops the scan after exactly k pulls, without buffering.
+/// `LIMIT k` stops the scan after exactly k pulls, without buffering —
+/// whatever the unit of pull.
 #[test]
 fn limit_k_scans_exactly_k_rows() {
-    let engine = engine_with("big", ints(1_000));
-    let run = engine
-        .query_with_stats("SELECT VALUE x FROM big AS x LIMIT 3")
-        .unwrap();
-    assert_eq!(run.len(), 3);
-    let stats = run.stats().expect("stats collection was on");
-    assert_eq!(stats.rows_scanned, 3, "LIMIT 3 over-pulled the scan");
-    assert_eq!(stats.peak_live_bindings, 0, "streaming LIMIT buffered rows");
+    for batch_size in [1, 2, 1024] {
+        let engine = sized_engine(ints(1_000), TypingMode::Permissive, batch_size);
+        let run = engine
+            .query_with_stats("SELECT VALUE x FROM t AS x LIMIT 3")
+            .unwrap();
+        assert_eq!(run.len(), 3);
+        let stats = run.stats().expect("stats collection was on");
+        assert_eq!(stats.rows_scanned, 3, "LIMIT 3 over-pulled the scan");
+        assert_eq!(stats.peak_live_bindings, 0, "streaming LIMIT buffered rows");
+    }
 }
 
 /// OFFSET past the end: an empty result after one full scan — the stream
@@ -61,19 +64,64 @@ fn offset_past_end_yields_empty_after_full_scan() {
     assert_eq!(stats.rows_scanned, 10, "offset skip must consume the scan");
 }
 
-/// EXISTS pulls exactly one row from its subquery, however big the input.
+/// EXISTS pulls exactly one row from its subquery, however big the input
+/// and whatever the unit of pull.
 #[test]
 fn exists_pulls_one_row() {
-    let engine = engine_with("big", ints(1_000));
+    for batch_size in [1, 2, 1024] {
+        let engine = sized_engine(ints(1_000), TypingMode::Permissive, batch_size);
+        let run = engine
+            .query_with_stats("SELECT VALUE EXISTS (SELECT VALUE x FROM t AS x) FROM [1] AS one")
+            .unwrap();
+        let stats = run.stats().expect("stats collection was on");
+        assert_eq!(
+            stats.rows_scanned, 2,
+            "the outer singleton plus one row of the subquery"
+        );
+        assert_eq!(stats.subquery_invocations, 1);
+    }
+}
+
+/// A dominated operand is never evaluated: `FALSE AND …` / `TRUE OR …`
+/// jump over the call instruction, so the subquery is never invoked —
+/// for a literal left operand and for one decided per row.
+#[test]
+fn short_circuit_skips_subquery_calls() {
+    let engine = engine_with("big", ints(50));
+    for q in [
+        "SELECT VALUE FALSE AND EXISTS (SELECT VALUE y FROM big AS y) FROM big AS x",
+        "SELECT VALUE TRUE OR (SELECT y FROM big AS y WHERE y = x) FROM big AS x",
+        "SELECT VALUE x < 0 AND EXISTS (SELECT VALUE y FROM big AS y) FROM big AS x",
+        "SELECT VALUE x >= 0 OR x IN (SELECT y FROM big AS y) FROM big AS x",
+        "SELECT VALUE CASE WHEN x >= 0 THEN 1 ELSE COLL_COUNT(SELECT VALUE y FROM big AS y) END \
+         FROM big AS x",
+    ] {
+        let run = engine.query_with_stats(q).unwrap();
+        assert_eq!(run.len(), 50, "{q}");
+        let stats = run.stats().expect("stats collection was on");
+        assert_eq!(stats.subquery_invocations, 0, "{q}");
+        assert_eq!(stats.rows_scanned, 50, "only the outer scan ran: {q}");
+    }
+}
+
+/// `x BETWEEN a AND b` evaluates `x` once: a correlated scalar subquery
+/// as the subject runs once per row, not twice.
+#[test]
+fn between_evaluates_its_subject_once() {
+    let engine = engine_with("t", ints(20));
     let run = engine
-        .query_with_stats("SELECT VALUE EXISTS (SELECT VALUE x FROM big AS x) FROM [1] AS one")
+        .query_with_stats(
+            "SELECT VALUE (SELECT y FROM t AS y WHERE y = x) BETWEEN 1 AND 5 FROM t AS x",
+        )
         .unwrap();
+    let hits = run
+        .rows()
+        .iter()
+        .filter(|v| ***v == Value::Bool(true))
+        .count();
+    assert_eq!(hits, 5);
     let stats = run.stats().expect("stats collection was on");
-    assert!(
-        stats.rows_scanned <= 2,
-        "EXISTS scanned {} rows of its subquery",
-        stats.rows_scanned
-    );
+    assert_eq!(stats.subquery_invocations, 20, "one invocation per row");
 }
 
 /// IN over a SQL-compat sugar subquery stops scanning at the first
@@ -176,23 +224,60 @@ fn queries() -> Vec<&'static str> {
     ]
 }
 
-/// A session over `t` with an explicit unit of pull. `batch_size: 1`
-/// with `compile_exprs: false` is the row-at-a-time tree-walking
-/// baseline the vectorized engine is measured against.
-fn sized_engine(data: Value, typing: TypingMode, batch_size: usize, compile_exprs: bool) -> Engine {
+/// Boolean expressions over the outer row `e` (and collection `t`) built
+/// from every plan-valued form — scalar subquery, `EXISTS`, `IN (SELECT
+/// …)` in both its streaming (SQL sugar) and materialized (`SELECT
+/// VALUE`) shapes, pipelined and `DISTINCT` `COLL_*` — nested under
+/// `AND`/`OR`/`NOT`/`CASE`, so call instructions sit behind every kind of
+/// jump. The poisoned string ids give strict mode real errors to agree
+/// on.
+fn arb_pred(depth: u32) -> Gen<String> {
+    let n = || gen::i64_range(0..8);
+    let mut alts = vec![
+        n().map(|n| format!("e.id > {n}")),
+        gen::just("e.projects IS MISSING".to_string()),
+        gen::just("EXISTS (SELECT VALUE p FROM e.projects AS p)".to_string()),
+        n().map(|n| format!("EXISTS (SELECT VALUE o FROM t AS o WHERE o.id = e.id + {n})")),
+        n().map(|n| format!("e.id IN (SELECT o.id FROM t AS o WHERE o.id < {n})")),
+        n().map(|n| format!("{n} NOT IN (SELECT VALUE o.id FROM t AS o)")),
+        // (No alternative starts with a parenthesis: `((SELECT …) = …)`
+        // reads as a parenthesized query.)
+        gen::just("e.id = (SELECT o.id FROM t AS o WHERE o.id = e.id)".to_string()),
+        n().map(|n| {
+            let hi = n + 3;
+            format!("0 + (SELECT o.id FROM t AS o WHERE o.id = e.id) BETWEEN {n} AND {hi}")
+        }),
+        n().map(|n| format!("COLL_COUNT(SELECT VALUE o.id FROM t AS o WHERE o.id <= e.id) > {n}")),
+        n().map(|n| format!("COLL_SUM(DISTINCT (SELECT VALUE o.id FROM t AS o)) > e.id + {n}")),
+    ];
+    if depth > 0 {
+        let sub = move || gen::lazy(move || arb_pred(depth - 1));
+        alts.extend([
+            gen::pair(sub(), sub()).map(|(a, b)| format!("({a} AND {b})")),
+            gen::pair(sub(), sub()).map(|(a, b)| format!("({a} OR {b})")),
+            sub().map(|a| format!("NOT ({a})")),
+            gen::triple(sub(), sub(), sub())
+                .map(|(c, a, b)| format!("CASE WHEN {c} THEN {a} ELSE {b} END")),
+        ]);
+    }
+    gen::one_of(alts)
+}
+
+/// A session over `t` with an explicit unit of pull. `batch_size: 1` is
+/// the row-at-a-time baseline the batched engine is measured against.
+fn sized_engine(data: Value, typing: TypingMode, batch_size: usize) -> Engine {
     let engine = engine_with("t", data);
     engine.with_config(SessionConfig {
         typing,
         batch_size,
-        compile_exprs,
         ..SessionConfig::default()
     })
 }
 
 /// LIMIT/OFFSET quotas that land mid-batch, exactly on a batch edge, one
 /// past it, and beyond the input — every off-by-one a batched `Limited`
-/// could get wrong. Checked at batch sizes bracketing the default
-/// (including batch size 1, the degenerate single-row batch).
+/// could get wrong. Checked at batch sizes bracketing the default against
+/// batch size 1 (the degenerate single-row batch).
 #[test]
 fn limit_offset_batch_boundaries_agree_with_row_path() {
     const QUERIES: &[&str] = &[
@@ -206,12 +291,12 @@ fn limit_offset_batch_boundaries_agree_with_row_path() {
     ];
     let data = ints(3_000);
     for q in QUERIES {
-        let baseline = sized_engine(data.clone(), TypingMode::Permissive, 1, false)
+        let baseline = sized_engine(data.clone(), TypingMode::Permissive, 1)
             .query(q)
             .unwrap_or_else(|e| panic!("row path failed on {q}: {e}"))
             .into_value();
-        for batch_size in [1usize, 2, 3, 1023, 1024, 1025] {
-            let got = sized_engine(data.clone(), TypingMode::Permissive, batch_size, true)
+        for batch_size in [2usize, 3, 1023, 1024, 1025] {
+            let got = sized_engine(data.clone(), TypingMode::Permissive, batch_size)
                 .query(q)
                 .unwrap_or_else(|e| panic!("batch={batch_size} failed on {q}: {e}"))
                 .into_value();
@@ -228,11 +313,11 @@ fn limit_offset_batch_boundaries_agree_with_row_path() {
 /// protocol (an empty append means "done", not an error or a hang).
 #[test]
 fn empty_batches_are_exhaustion_not_errors() {
-    let empty = sized_engine(ints(0), TypingMode::Permissive, 1024, true);
+    let empty = sized_engine(ints(0), TypingMode::Permissive, 1024);
     let r = empty.query("SELECT VALUE x + 1 FROM t AS x").unwrap();
     assert_eq!(r.len(), 0);
 
-    let filtered = sized_engine(ints(5_000), TypingMode::Permissive, 1024, true);
+    let filtered = sized_engine(ints(5_000), TypingMode::Permissive, 1024);
     let r = filtered
         .query("SELECT VALUE x FROM t AS x WHERE x < 0 LIMIT 10")
         .unwrap();
@@ -282,22 +367,96 @@ sqlpp_prop! {
         }
     }
 
-    // The vectorized gate: the batched+bytecode engine against both the
-    // row-at-a-time tree-walking path and the Pseudocode 1–2 reference,
-    // in both typing modes — at batch sizes 1 (degenerate), 2 (every
-    // boundary hit), and the 1024 default.
-    fn batched_bytecode_agrees_with_row_path_and_reference(data in arb_collection()) {
+    // The one-evaluator gate: generated expressions full of call
+    // instructions, as a projection and as a predicate, must give the same
+    // answer (or fail alike) at every batch size, in both typing modes and
+    // both compat modes — and, where the oracle lowers the same way (SQL
+    // compat), the Pseudocode 1–2 reference's answer.
+    fn plan_valued_expressions_agree_across_the_config_lattice(
+        data in arb_collection(), pred in arb_pred(2),
+    ) {
+        let queries = [
+            format!("SELECT VALUE {pred} FROM t AS e"),
+            format!("SELECT VALUE e.id FROM t AS e WHERE {pred}"),
+        ];
+        let catalog = sqlpp::Catalog::new();
+        catalog.set("t", data.clone());
+        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+            for compat in [CompatMode::SqlCompat, CompatMode::Composable] {
+                let run = |q: &str, batch_size: usize| {
+                    engine_with("t", data.clone())
+                        .with_config(SessionConfig {
+                            typing,
+                            compat,
+                            batch_size,
+                            ..SessionConfig::default()
+                        })
+                        .query_with_stats(q)
+                };
+                for q in &queries {
+                    let row = run(q, 1);
+                    if let Ok(r) = &row {
+                        prop_assert!(r.stats().unwrap().exprs_fallback == 0, "{q}");
+                    }
+                    let row = row.map(|r| r.into_value());
+                    for batch_size in [2usize, 1024] {
+                        let got = run(q, batch_size).map(|r| r.into_value());
+                        match (&row, &got) {
+                            (Ok(want), Ok(got)) => prop_assert!(
+                                sqlpp_value::cmp::deep_eq(got, want),
+                                "{typing:?} {compat:?} batch={batch_size} diverged on {q}\n  \
+                                 data {data}\n  row:     {want}\n  batched: {got}"
+                            ),
+                            (Err(_), Err(_)) => {}
+                            (want, got) => prop_assert!(
+                                false,
+                                "{typing:?} {compat:?} batch={batch_size} error behavior \
+                                 diverged on {q}\n  data {data}\n  row: {want:?}\n  batched: {got:?}"
+                            ),
+                        }
+                    }
+                    if compat != CompatMode::SqlCompat {
+                        continue;
+                    }
+                    let ast = parse_query(q).expect("query parses");
+                    let config = EvalConfig { typing, compat, ..EvalConfig::default() };
+                    match (eval_sfw_config(&ast, &catalog, config), &row) {
+                        (Ok(want), Ok(got)) => prop_assert!(
+                            sqlpp_value::cmp::deep_eq(got, &want),
+                            "{typing:?} diverged from reference on {q}\n  data {data}\n  \
+                             reference: {want}\n  engine:    {got}"
+                        ),
+                        (Err(ReferenceError::Eval(_)), Err(_)) => {}
+                        (Err(ReferenceError::Unsupported(what)), _) => prop_assert!(
+                            false, "oracle lost coverage of {q}: unsupported {what}"
+                        ),
+                        (want, got) => prop_assert!(
+                            false,
+                            "{typing:?} error behavior diverged from reference on {q}\n  \
+                             data {data}\n  reference: {want:?}\n  engine: {got:?}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    // The vectorized gate: the batched engine against both the
+    // row-at-a-time baseline (batch size 1) and the Pseudocode 1–2
+    // reference, in both typing modes — at batch sizes 2 (every boundary
+    // hit) and the 1024 default.
+    fn batched_agrees_with_row_path_and_reference(data in arb_collection()) {
         for typing in [TypingMode::Permissive, TypingMode::StrictError] {
             let catalog = sqlpp::Catalog::new();
             catalog.set("t", data.clone());
             let config = EvalConfig { typing, ..EvalConfig::default() };
-            let row_path = sized_engine(data.clone(), typing, 1, false);
+            let row_path = sized_engine(data.clone(), typing, 1);
             for q in queries() {
                 let ast = parse_query(q).expect("query parses");
                 let reference = eval_sfw_config(&ast, &catalog, config.clone());
                 let row = row_path.query(q).map(|r| r.into_value());
-                for batch_size in [1usize, 2, 1024] {
-                    let batched = sized_engine(data.clone(), typing, batch_size, true);
+                for batch_size in [2usize, 1024] {
+                    let batched = sized_engine(data.clone(), typing, batch_size);
                     let got = batched.query(q).map(|r| r.into_value());
                     match (&row, &got) {
                         (Ok(want), Ok(got)) => prop_assert!(
