@@ -9,8 +9,8 @@
 //!   the suite only hard-fails on a catastrophic regression (> 1.5×),
 //!   leaving the within-MAD comparison to the report so CI stays
 //!   deterministic on noisy machines.
-//! * `budget_failfast` — a 1 000-row budget against an ORDER BY over
-//!   50 000 rows. Asserted, not just measured: the query dies with the
+//! * `budget_failfast` — an 18 000-byte budget (~1 000 sort rows)
+//!   against an ORDER BY over 50 000 rows. Asserted, not just measured: the query dies with the
 //!   structured `ResourceExhausted`, the governor's peak gauge never
 //!   exceeds the budget (admission happens *before* storage), and the
 //!   refusal is far faster than sorting the input would be.
@@ -24,13 +24,15 @@
 use std::time::Duration;
 
 use sqlpp::{Engine, Limits, SessionConfig};
+use sqlpp_eval::govern::MEMORY_BUDGET;
 use sqlpp_eval::{EvalConfig, EvalError, Evaluator};
 use sqlpp_testkit::bench::Harness;
 use sqlpp_value::{Tuple, Value};
 
 use super::scaled;
 
-const BUDGET: u64 = 1_000;
+/// Bytes: 1 000 sort rows of one `Int` key plus one `Int` element.
+const BUDGET: u64 = 18_000;
 
 fn rows(n: usize) -> Value {
     let rows = (0..n as i64)
@@ -63,11 +65,12 @@ pub fn run(h: &mut Harness) {
     });
     let off_ns = h.results().last().unwrap().median_ns;
 
-    // --- on: generous limits (10× the data, a minute of deadline).
-    // Every admission and tick now runs through the governor.
+    // --- on: generous limits (~10× the data, a minute of deadline).
+    // Every admission is now sized and runs through the governor, as
+    // does every tick.
     let governed = engine.with_config(SessionConfig {
         limits: Limits::none()
-            .with_memory_rows(10 * n as u64)
+            .with_memory_bytes(2_000 * n as u64)
             .with_time(Duration::from_secs(60)),
         ..SessionConfig::default()
     });
@@ -91,7 +94,7 @@ pub fn run(h: &mut Harness) {
 
     // --- budget_failfast: a budget 50× under the input. The sort buffer
     // is refused at admission BUDGET, long before the scan finishes.
-    let limits = Limits::none().with_memory_rows(BUDGET);
+    let limits = Limits::none().with_memory_bytes(BUDGET);
     let sort_all = "SELECT VALUE g.v FROM g.data AS g ORDER BY g.v DESC";
     let prepared = engine.prepare(sort_all).unwrap();
     let run_budgeted = || {
@@ -112,7 +115,7 @@ pub fn run(h: &mut Harness) {
             limit,
             used,
         } => {
-            assert_eq!(resource, "memory budget (rows)");
+            assert_eq!(resource, MEMORY_BUDGET);
             assert_eq!(limit, BUDGET);
             assert!(
                 used > limit,
@@ -123,9 +126,9 @@ pub fn run(h: &mut Harness) {
     }
     let g = ev.governor();
     assert!(
-        g.peak_rows() <= BUDGET,
-        "peak live rows {} exceeded the {BUDGET}-row budget",
-        g.peak_rows()
+        g.peak_buffer_bytes() <= BUDGET,
+        "peak live bytes {} exceeded the {BUDGET}-byte budget",
+        g.peak_buffer_bytes()
     );
     assert_eq!(g.budget_denials(), 1, "exactly one refusal, then unwind");
     h.bench(format!("governor/budget_failfast/{BUDGET}_of_{n}"), || {
@@ -133,8 +136,8 @@ pub fn run(h: &mut Harness) {
     });
     let failfast_ns = h.results().last().unwrap().median_ns;
     h.attach_counters([
-        ("mem_budget".to_string(), BUDGET),
-        ("peak_budget_used".to_string(), g.peak_rows()),
+        ("mem_bytes_budget".to_string(), BUDGET),
+        ("peak_budget_bytes".to_string(), g.peak_buffer_bytes()),
         ("budget_denials".to_string(), g.budget_denials()),
     ]);
     // Failing fast must beat sorting the whole input.

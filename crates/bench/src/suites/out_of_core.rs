@@ -18,7 +18,7 @@
 //!   join at the same budget: multiset-identical answers, bounded peak.
 //! * `topk` vs `sort_limit_unfused` — the fused bounded heap against
 //!   the optimizer-off full sort + LIMIT: same rows, zero spill files,
-//!   `peak_budget_used ≤ 2(k + offset) + 16` rows, and no slower than
+//!   `peak_live_bindings ≤ 2(k + offset) + 16` rows, and no slower than
 //!   the plan it replaced.
 
 use sqlpp::{Engine, Limits, SessionConfig, SpillConfig};
@@ -168,9 +168,9 @@ pub fn run(h: &mut Harness) {
         "a bounded heap must not touch disk"
     );
     assert!(
-        tstats.peak_budget_used <= 2 * (k + off) + 16,
+        tstats.peak_live_bindings <= 2 * (k + off) + 16,
         "top-k held {} rows for k + offset = {}",
-        tstats.peak_budget_used,
+        tstats.peak_live_bindings,
         k + off
     );
     let unfused_session = engine.with_config(SessionConfig {
@@ -198,7 +198,7 @@ pub fn run(h: &mut Harness) {
         "the top-k rewrite ({topk_ns:.0}ns) lost to the full sort ({unfused_ns:.0}ns)"
     );
     h.attach_counters([
-        ("topk_peak_rows".to_string(), tstats.peak_budget_used),
+        ("topk_peak_rows".to_string(), tstats.peak_live_bindings),
         ("topk_spill_partitions".to_string(), tstats.spill_partitions),
         (
             "topk_speedup_pct".to_string(),

@@ -302,7 +302,7 @@ pub fn run(h: &mut Harness) {
         engine,
         ServerConfig {
             session: SessionConfig {
-                limits: Limits::none().with_memory_rows(16),
+                limits: Limits::none().with_memory_bytes(256),
                 ..SessionConfig::default()
             },
             ..ServerConfig::default()

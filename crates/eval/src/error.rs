@@ -34,10 +34,13 @@ pub enum EvalError {
     Cardinality(String),
     /// Resource guard tripped (e.g. recursion depth).
     Resource(String),
-    /// A governed resource budget (memory, nesting depth) was exceeded.
-    /// Structured so clients can tell *which* budget and by how much.
+    /// A governed resource budget (memory, spill space, nesting depth) was
+    /// exceeded. Structured so clients can tell *which* budget and by how
+    /// much.
     ResourceExhausted {
-        /// Which budget: `"memory budget (rows)"`, `"eval nesting depth"`.
+        /// Which budget: `"memory budget (bytes)"`
+        /// ([`crate::govern::MEMORY_BUDGET`]), `"spill budget (bytes)"`,
+        /// `"eval nesting depth"`.
         resource: &'static str,
         /// The configured limit.
         limit: u64,

@@ -8,12 +8,14 @@
 //! the choke points the streaming executor already funnels everything
 //! through —
 //!
-//! * **memory**: every pipeline-breaker row is admitted through
-//!   [`ResourceGovernor::admit`] before it is buffered (the same
-//!   `TrackedBuffer`/`MatGauge` choke point that feeds
+//! * **memory**: every pipeline-breaker row's estimated bytes are
+//!   admitted through [`ResourceGovernor::admit`] before the row is
+//!   buffered (the same `TrackedBuffer`/`MatGauge` choke point that feeds
 //!   `peak_live_bindings`), so a budget overrun surfaces as a structured
 //!   [`EvalError::ResourceExhausted`] *before* the row is held, and the
-//!   live count provably never exceeds the budget;
+//!   live total provably never exceeds the budget. Bytes are the only
+//!   denomination: in a nested data model one row may hold a
+//!   10 000-element bag, so a row count bounds nothing;
 //! * **time**: the `BindingStream` pull loop and the join inner loops call
 //!   [`ResourceGovernor::tick`], which is a counter bump on most calls and
 //!   only inspects the clock/token every [`TICK_INTERVAL`] ticks — the
@@ -47,6 +49,10 @@ use crate::stats::ExecStats;
 /// deterministically on the first pull.
 pub const TICK_INTERVAL: u64 = 64;
 
+/// The `resource` tag of a memory-budget refusal — the one error a
+/// spill-enabled breaker may absorb (see `spill::is_memory_refusal`).
+pub const MEMORY_BUDGET: &str = "memory budget (bytes)";
+
 /// Default cap on operator-evaluation nesting depth (subqueries inside
 /// subqueries, deeply nested plans). Far above anything a sane query
 /// produces, far below where the stack actually overflows.
@@ -57,10 +63,6 @@ pub const DEFAULT_EVAL_DEPTH: u32 = 128;
 /// costs one branch at each choke point and nothing else.
 #[derive(Debug, Clone, Default)]
 pub struct Limits {
-    /// Memory budget, measured in *live materialized rows* across all
-    /// pipeline-breaker buffers (the unit `peak_live_bindings` reports —
-    /// the number a spill policy would act on). `None` = unlimited.
-    pub memory_rows: Option<u64>,
     /// Wall-clock deadline for one query, measured from evaluator
     /// construction. `None` = no deadline.
     pub time: Option<Duration>,
@@ -71,11 +73,9 @@ pub struct Limits {
     /// [`DEFAULT_EVAL_DEPTH`] guardrail (it exists to prevent stack
     /// overflow, so it is never fully off).
     pub eval_depth: Option<u32>,
-    /// Memory budget measured in *estimated live bytes* across all
-    /// pipeline-breaker buffers. The row gauge above stays the admission
-    /// fast path; the byte gauge is consulted by spill-aware breakers,
-    /// whose serialized sizes are known (or cheaply estimated) at
-    /// admission time. `None` = unlimited.
+    /// Memory budget, measured in *estimated live bytes* across all
+    /// pipeline-breaker buffers — what a spill policy acts on. `None` =
+    /// unlimited.
     pub memory_bytes: Option<u64>,
     /// Cap on total bytes a query may write to spill files. `None` =
     /// unlimited (spilling is still off unless the session enables it).
@@ -91,18 +91,11 @@ impl Limits {
     /// True when nothing is limited and no token is attached (the
     /// governor's fast paths collapse to single branches).
     pub fn is_unlimited(&self) -> bool {
-        self.memory_rows.is_none()
-            && self.time.is_none()
+        self.time.is_none()
             && self.cancel.is_none()
             && self.eval_depth.is_none()
             && self.memory_bytes.is_none()
             && self.spill_bytes.is_none()
-    }
-
-    /// Sets the memory budget (live materialized rows).
-    pub fn with_memory_rows(mut self, rows: u64) -> Self {
-        self.memory_rows = Some(rows);
-        self
     }
 
     /// Sets the per-query wall-clock deadline.
@@ -164,7 +157,7 @@ impl CancelToken {
 /// failures would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A row being admitted into a pipeline-breaker buffer.
+    /// A row's bytes being admitted into a pipeline-breaker buffer.
     BufferAdmission,
     /// A catalog name being resolved to a value.
     CatalogRead,
@@ -262,7 +255,6 @@ impl fmt::Debug for FaultInjector {
 /// evaluator threads `&self` single-threadedly, like `StatsCollector`.
 #[derive(Debug)]
 pub struct ResourceGovernor {
-    mem_limit: Option<u64>,
     mem_bytes_limit: Option<u64>,
     spill_limit: Option<u64>,
     deadline: Option<Instant>,
@@ -270,10 +262,6 @@ pub struct ResourceGovernor {
     cancel: Option<CancelToken>,
     depth_limit: u32,
     fault: Option<FaultInjector>,
-    /// Rows currently admitted across all live buffers.
-    live: Cell<u64>,
-    /// High-water mark of `live`.
-    peak: Cell<u64>,
     /// Estimated bytes currently admitted across all live buffers.
     live_bytes: Cell<u64>,
     /// High-water mark of `live_bytes`.
@@ -298,7 +286,6 @@ impl ResourceGovernor {
     /// `now + limits.time`.
     pub fn new(limits: &Limits, fault: Option<FaultInjector>) -> Self {
         ResourceGovernor {
-            mem_limit: limits.memory_rows,
             mem_bytes_limit: limits.memory_bytes,
             spill_limit: limits.spill_bytes,
             deadline: limits.time.map(|d| Instant::now() + d),
@@ -306,8 +293,6 @@ impl ResourceGovernor {
             cancel: limits.cancel.clone(),
             depth_limit: limits.eval_depth.unwrap_or(DEFAULT_EVAL_DEPTH),
             fault,
-            live: Cell::new(0),
-            peak: Cell::new(0),
             live_bytes: Cell::new(0),
             peak_bytes: Cell::new(0),
             denials: Cell::new(0),
@@ -323,7 +308,7 @@ impl ResourceGovernor {
     /// True when buffer admissions must consult the governor (a memory
     /// budget is set, or a fault hook wants the admission site).
     pub fn tracks_memory(&self) -> bool {
-        self.mem_limit.is_some() || self.mem_bytes_limit.is_some() || self.fault.is_some()
+        self.mem_bytes_limit.is_some() || self.fault.is_some()
     }
 
     /// True when pull loops must tick the governor (a deadline or token
@@ -356,53 +341,18 @@ impl ResourceGovernor {
         }
     }
 
-    /// Admits `n` rows into the live-buffer account, or refuses with
-    /// [`EvalError::ResourceExhausted`] *without* counting them — so the
-    /// live total (and therefore `peak_live_bindings`) never exceeds the
-    /// budget. Also the [`FaultSite::BufferAdmission`] injection point.
+    /// Admits `n` estimated bytes into the live-buffer account, or refuses
+    /// with [`EvalError::ResourceExhausted`] *without* counting them — so
+    /// the live total (and therefore `peak_budget_bytes`) never exceeds
+    /// the budget. Also the [`FaultSite::BufferAdmission`] injection point.
     pub fn admit(&self, n: u64) -> Result<(), EvalError> {
-        if let Some(inj) = &self.fault {
-            if let Some(e) = inj.check(FaultSite::BufferAdmission) {
-                return Err(e);
-            }
-        }
-        let live = self.live.get() + n;
-        if let Some(limit) = self.mem_limit {
-            if live > limit {
-                self.denials.set(self.denials.get() + 1);
-                return Err(EvalError::ResourceExhausted {
-                    resource: "memory budget (rows)",
-                    limit,
-                    used: live,
-                });
-            }
-        }
-        self.live.set(live);
-        if live > self.peak.get() {
-            self.peak.set(live);
-        }
-        Ok(())
-    }
-
-    /// Releases `n` admitted rows (buffer dropped / handed off).
-    pub fn release(&self, n: u64) {
-        self.live.set(self.live.get().saturating_sub(n));
-    }
-
-    /// Admits `n` estimated bytes into the live-byte account, or refuses
-    /// with [`EvalError::ResourceExhausted`] *without* counting them —
-    /// the byte-denominated twin of [`ResourceGovernor::admit`]. Spill-
-    /// aware breakers call this alongside the row gauge, so budgets can
-    /// be expressed in either unit. No fault site here: admissions
-    /// already pass through [`FaultSite::BufferAdmission`] via the row
-    /// path.
-    pub fn admit_bytes(&self, n: u64) -> Result<(), EvalError> {
+        self.fault_at(FaultSite::BufferAdmission)?;
         let live = self.live_bytes.get() + n;
         if let Some(limit) = self.mem_bytes_limit {
             if live > limit {
                 self.denials.set(self.denials.get() + 1);
                 return Err(EvalError::ResourceExhausted {
-                    resource: "memory budget (bytes)",
+                    resource: MEMORY_BUDGET,
                     limit,
                     used: live,
                 });
@@ -415,8 +365,9 @@ impl ResourceGovernor {
         Ok(())
     }
 
-    /// Releases `n` admitted bytes.
-    pub fn release_bytes(&self, n: u64) {
+    /// Releases `n` admitted bytes (buffer dropped, handed off, or
+    /// spilled).
+    pub fn release(&self, n: u64) {
         self.live_bytes.set(self.live_bytes.get().saturating_sub(n));
     }
 
@@ -521,8 +472,8 @@ impl ResourceGovernor {
         self.depth.set(self.depth.get().saturating_sub(1));
     }
 
-    /// Fault-injection hook for non-admission sites (catalog reads,
-    /// operator evals). One `Option` branch when no injector is attached.
+    /// Fault-injection hook: one site visit. One `Option` branch when no
+    /// injector is attached.
     pub fn fault_at(&self, site: FaultSite) -> Result<(), EvalError> {
         if let Some(inj) = &self.fault {
             if let Some(e) = inj.check(site) {
@@ -530,16 +481,6 @@ impl ResourceGovernor {
             }
         }
         Ok(())
-    }
-
-    /// Rows currently admitted (test visibility).
-    pub fn live_rows(&self) -> u64 {
-        self.live.get()
-    }
-
-    /// High-water mark of admitted rows.
-    pub fn peak_rows(&self) -> u64 {
-        self.peak.get()
     }
 
     /// Admissions refused over budget.
@@ -582,8 +523,6 @@ impl ResourceGovernor {
     pub fn fill_stats(&self, stats: &mut ExecStats) {
         stats.budget_denials = self.denials.get();
         stats.cancel_checks = self.checks.get();
-        stats.peak_budget_used = self.peak.get();
-        stats.mem_budget = self.mem_limit;
         stats.time_budget_ms = self.time_limit.map(|d| d.as_millis() as u64);
         stats.mem_bytes_budget = self.mem_bytes_limit;
         stats.peak_budget_bytes = self.peak_bytes.get();
@@ -607,34 +546,7 @@ mod tests {
             g.tick().unwrap();
         }
         assert_eq!(g.budget_denials(), 0);
-        assert_eq!(g.peak_rows(), 10_000);
-    }
-
-    #[test]
-    fn budget_refuses_before_counting_so_peak_stays_bounded() {
-        let g = ResourceGovernor::new(&Limits::none().with_memory_rows(5), None);
-        assert!(g.tracks_memory());
-        g.admit(3).unwrap();
-        g.admit(2).unwrap();
-        let err = g.admit(1).unwrap_err();
-        match err {
-            EvalError::ResourceExhausted {
-                resource,
-                limit,
-                used,
-            } => {
-                assert_eq!(resource, "memory budget (rows)");
-                assert_eq!((limit, used), (5, 6));
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
-        assert_eq!(g.live_rows(), 5, "refused rows must not be counted");
-        assert_eq!(g.peak_rows(), 5);
-        assert_eq!(g.budget_denials(), 1);
-        // Releasing makes room again: the engine stays usable.
-        g.release(5);
-        g.admit(4).unwrap();
-        assert_eq!(g.live_rows(), 4);
+        assert_eq!(g.peak_buffer_bytes(), 10_000);
     }
 
     #[test]
@@ -718,27 +630,29 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_refuses_before_counting_like_the_row_budget() {
+    fn budget_refuses_before_counting_so_peak_stays_bounded() {
         let g = ResourceGovernor::new(&Limits::none().with_memory_bytes(100), None);
         assert!(g.tracks_memory());
-        g.admit_bytes(60).unwrap();
-        g.admit_bytes(40).unwrap();
-        let err = g.admit_bytes(1).unwrap_err();
+        g.admit(60).unwrap();
+        g.admit(40).unwrap();
+        let err = g.admit(1).unwrap_err();
         match err {
             EvalError::ResourceExhausted {
                 resource,
                 limit,
                 used,
             } => {
-                assert_eq!(resource, "memory budget (bytes)");
+                assert_eq!(resource, MEMORY_BUDGET);
                 assert_eq!((limit, used), (100, 101));
             }
             other => panic!("wrong error: {other:?}"),
         }
         assert_eq!(g.live_buffer_bytes(), 100, "refused bytes are not counted");
         assert_eq!(g.peak_buffer_bytes(), 100);
-        g.release_bytes(50);
-        g.admit_bytes(25).unwrap();
+        assert_eq!(g.budget_denials(), 1);
+        // Releasing makes room again: the engine stays usable.
+        g.release(50);
+        g.admit(25).unwrap();
         assert_eq!(g.live_buffer_bytes(), 75);
     }
 

@@ -32,13 +32,13 @@ use crate::functions;
 use crate::govern::{FaultInjector, FaultSite, Limits, ResourceGovernor};
 use crate::like::like_match;
 use crate::spill::{
-    approx_value_bytes, cmp_sort_keys, decode_keyed_record, encode_keyed_record, is_memory_refusal,
-    ExternalSorter, GracePartitioner, SpillCodec, SpillConfig, SpillCtx, SpillRun,
+    approx_value_bytes, cmp_sort_keys, keyed_build, keys_bytes, ExternalSorter, KeyedSink,
+    KeyedSource, KeyedTable, SpillCodec, SpillConfig, SpillCtx,
 };
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
-    boxed, empty, failed, from_vec, next_one, BindingStream, Concat, Governed, Instrumented,
-    Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
+    boxed, empty, failed, from_vec, next_one, BindingStream, Concat, Cursor, Governed,
+    Instrumented, Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
     DEFAULT_BATCH_SIZE,
 };
 
@@ -238,8 +238,7 @@ impl<'a> Evaluator<'a> {
                 if *distinct {
                     // DISTINCT is a pipeline breaker: the projected rows
                     // materialize through a tracked buffer, then dedupe.
-                    let mut buf =
-                        TrackedBuffer::new(self.stats.as_ref(), self.mem_guard(), Some(op));
+                    let mut buf = TrackedBuffer::new(self.gauge(op), approx_value_bytes);
                     drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
                         buf.push(self.expr(expr, &b)?)
                     })?;
@@ -297,14 +296,8 @@ impl<'a> Evaluator<'a> {
             }
             CoreOp::SortValues { input, keys } => {
                 let out_var: Rc<str> = "$out".into();
-                let gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(op));
-                let mut sorter = ExternalSorter::new(
-                    self.spill_ctx(),
-                    keys,
-                    ValueCodec,
-                    gauge,
-                    self.track_bytes(),
-                );
+                let mut sorter =
+                    ExternalSorter::new(self.spill_ctx(), keys, ValueCodec, self.gauge(op));
                 drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
                     // The output element is visible as `$out`; if it is a
                     // tuple its attributes resolve dynamically.
@@ -393,10 +386,12 @@ impl<'a> Evaluator<'a> {
     // Streams
     // =================================================================
 
-    /// The governor, iff buffer admissions must consult it (memory budget
-    /// or fault hook active) — the `Option` shape gauges gate on.
-    fn mem_guard(&self) -> Option<&ResourceGovernor> {
-        self.govern.as_memory_guard()
+    /// A fresh materialization gauge attributed to `op`. It reaches the
+    /// governor only when buffer admissions must consult it (memory budget
+    /// or fault hook active); otherwise an admission is one `Option` check
+    /// and rows are never sized.
+    fn gauge(&self, op: &CoreOp) -> MatGauge<'_> {
+        MatGauge::new(self.stats.as_ref(), self.govern.as_memory_guard(), Some(op))
     }
 
     /// The spill context, iff the session opted into out-of-core
@@ -406,13 +401,6 @@ impl<'a> Evaluator<'a> {
             config,
             govern: &self.govern,
         })
-    }
-
-    /// Whether breakers must account bytes (a byte-denominated budget is
-    /// set) in addition to the row gauge, which stays the admission fast
-    /// path.
-    fn track_bytes(&self) -> bool {
-        self.config.limits.memory_bytes.is_some()
     }
 
     /// Marks a breaker as having spilled in the per-operator stats (the
@@ -520,8 +508,7 @@ impl<'a> Evaluator<'a> {
                 }))
             }
             (CoreSetOp::Union, false) => {
-                let mut buf =
-                    TrackedBuffer::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
+                let mut buf = TrackedBuffer::new(self.gauge(whole), approx_value_bytes);
                 for side in [left, right] {
                     if let Err(e) =
                         drain_batched(self.element_stream(side, env), self.batch_size(), |v| {
@@ -537,11 +524,11 @@ impl<'a> Evaluator<'a> {
                 // Build the right multiset, then stream the left through
                 // it: INTERSECT keeps elements that consume a right
                 // occurrence, EXCEPT keeps the ones that don't.
-                let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
+                let mut gauge = self.gauge(whole);
                 let mut rvals = Vec::new();
                 if let Err(e) =
                     drain_batched(self.element_stream(right, env), self.batch_size(), |v| {
-                        gauge.add(1)?;
+                        gauge.add(1, gauge.size(|| approx_value_bytes(&v)))?;
                         rvals.push(v);
                         Ok(())
                     })
@@ -662,7 +649,7 @@ impl<'a> Evaluator<'a> {
             CoreOp::Window { input, defs } => {
                 // Window functions see whole partitions: materialize the
                 // input, then rewrite rows def by def.
-                let mut buf = TrackedBuffer::new(self.stats.as_ref(), self.mem_guard(), Some(op));
+                let mut buf = TrackedBuffer::new(self.gauge(op), env_bytes);
                 if let Err(e) =
                     drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
                         buf.push(b)
@@ -697,14 +684,11 @@ impl<'a> Evaluator<'a> {
         keys: &'a [CoreSortKey],
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
-        let mut sorter = ExternalSorter::new(
-            self.spill_ctx(),
-            keys,
-            EnvCodec { base: env.clone() },
-            gauge,
-            self.track_bytes(),
-        );
+        let codec = EnvCodec {
+            base: env.clone(),
+            names: None,
+        };
+        let mut sorter = ExternalSorter::new(self.spill_ctx(), keys, codec, self.gauge(whole));
         drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
             let mut ks = Vec::with_capacity(keys.len());
             for k in keys {
@@ -740,18 +724,13 @@ impl<'a> Evaluator<'a> {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let track_bytes = self.track_bytes();
-        let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
+        let mut gauge = self.gauge(whole);
         let mut heap: std::collections::BinaryHeap<HeapEntry<'_, T>> =
             std::collections::BinaryHeap::new();
         let mut seq = 0u64;
         drain_batched(make_stream(), self.batch_size(), |row| {
             let kv = key_of(&row)?;
-            let bytes = if track_bytes {
-                kv.iter().map(approx_value_bytes).sum::<u64>() + size_of(&row)
-            } else {
-                0
-            };
+            let bytes = gauge.size(|| keys_bytes(&kv) + size_of(&row));
             let entry = HeapEntry {
                 keys,
                 kv,
@@ -761,12 +740,12 @@ impl<'a> Evaluator<'a> {
             };
             seq += 1;
             if heap.len() < n {
-                gauge.add_sized(1, bytes)?;
+                gauge.add(1, bytes)?;
                 heap.push(entry);
             } else if entry < *heap.peek().expect("heap is at capacity") {
                 let evicted = heap.pop().expect("heap is at capacity");
                 gauge.remove(1, evicted.bytes);
-                gauge.add_sized(1, bytes)?;
+                gauge.add(1, bytes)?;
                 heap.push(entry);
             }
             Ok(())
@@ -807,24 +786,18 @@ impl<'a> Evaluator<'a> {
         emit_empty_group: bool,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        // Insertion-ordered grouping: HashMap for lookup, Vec for order.
         // Grouping is a pipeline breaker: every captured element is live
-        // until the groups are emitted, tracked by the gauge. Under budget
-        // pressure with spilling enabled, the accumulated elements scatter
-        // to Grace partitions instead (and the rest of the stream follows
-        // them straight to disk); each partition is then rebuilt in memory
-        // — recursively re-partitioned on skew — so peak tracked memory
-        // never exceeds the budget. The spilled path loses the in-memory
-        // path's insertion order, which GROUP BY (a bag producer) never
-        // promised.
-        let ctx = self.spill_ctx();
-        let track_bytes = self.track_bytes();
-        let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
-        let mut index: HashMap<GroupKey, usize> = HashMap::new();
-        let mut groups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new(); // (keys, elements)
-        let mut tracked = (0u64, 0u64); // rows, bytes held by the gauge
-        let mut spill: Option<GracePartitioner> = None;
-        drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
+        // until the groups are emitted, tracked by the build's gauge.
+        // Under budget pressure with spilling enabled the keyed build
+        // scatters to Grace partitions and regroups each one in memory,
+        // so peak tracked memory never exceeds the budget. The spilled
+        // path loses the in-memory path's insertion order, which GROUP BY
+        // (a bag producer) never promised.
+        let mut input = Cursor::new(self.binding_stream(input, env), self.batch_size());
+        let mut source = || {
+            let Some(b) = input.next()? else {
+                return Ok(None);
+            };
             let mut key_vals = Vec::with_capacity(keys.len());
             for (_, ke) in keys {
                 let mut v = self.expr(ke, &b)?;
@@ -844,60 +817,24 @@ impl<'a> Evaluator<'a> {
                     elem.insert(var.clone(), v.clone());
                 }
             }
-            let elem = Value::Tuple(elem);
-            if let Some(p) = &mut spill {
-                let c = ctx.as_ref().expect("spilling implies a ctx");
-                let rec = encode_keyed_record(&key_vals, elem);
-                return p.write(c, &key_vals, &rec);
-            }
-            let bytes = if track_bytes {
-                key_vals.iter().map(approx_value_bytes).sum::<u64>() + approx_value_bytes(&elem)
-            } else {
-                0
-            };
-            if let Err(e) = gauge.add_sized(1, bytes) {
-                let Some(c) = ctx.as_ref() else {
-                    return Err(e);
-                };
-                if !is_memory_refusal(&e) {
-                    return Err(e);
-                }
-                // Budget hit: scatter everything accumulated so far (and
-                // this row) to Grace partitions and release the budget.
-                self.mark_spilled(whole);
-                let mut p = GracePartitioner::new(c, 0)?;
-                for (kv, elems) in groups.drain(..) {
-                    for el in elems {
-                        let rec = encode_keyed_record(&kv, el);
-                        p.write(c, &kv, &rec)?;
-                    }
-                }
-                index.clear();
-                gauge.remove(tracked.0, tracked.1);
-                tracked = (0, 0);
-                let rec = encode_keyed_record(&key_vals, elem);
-                p.write(c, &key_vals, &rec)?;
-                spill = Some(p);
-                return Ok(());
-            }
-            tracked.0 += 1;
-            tracked.1 += bytes;
-            match index.entry(GroupKey(key_vals.clone())) {
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    groups[*o.get()].1.push(elem);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(groups.len());
-                    groups.push((key_vals, vec![elem]));
-                }
-            }
-            Ok(())
-        })?;
-        if let Some(p) = spill {
-            let c = ctx.as_ref().expect("spilling implies a ctx");
-            drop(gauge);
-            groups = self.regroup_partitions(whole, c, p.finish()?, track_bytes)?;
-            return self.emit_groups(groups, keys, group_var, env);
+            Ok(Some((key_vals, Value::Tuple(elem))))
+        };
+        let mut groups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        let built = keyed_build(
+            self.spill_ctx().as_ref(),
+            &|| self.gauge(whole),
+            &ValueCodec,
+            &mut source,
+            None,
+            0,
+            &mut |mut part: GroupTable, _held, _| {
+                groups.append(&mut part.groups);
+                Ok(())
+            },
+        )?;
+        match built {
+            Some((table, _held)) => groups = table.groups,
+            None => self.mark_spilled(whole),
         }
         // Ungrouped aggregation and the grand-total grouping set yield
         // exactly one group even over empty input (SQL).
@@ -917,18 +854,6 @@ impl<'a> Evaluator<'a> {
         if let Some(st) = &self.stats {
             st.add_groups_built(groups.len() as u64);
         }
-        self.emit_groups(groups, keys, group_var, env)
-    }
-
-    /// Binds each completed group's key aliases and `GROUP AS` variable —
-    /// the tail both the in-memory and the spilled grouping paths share.
-    fn emit_groups(
-        &self,
-        groups: Vec<(Vec<Value>, Vec<Value>)>,
-        keys: &[(String, CoreExpr)],
-        group_var: &str,
-        env: &Env,
-    ) -> Result<Vec<Env>, EvalError> {
         let mut out = Vec::with_capacity(groups.len());
         for (key_vals, elems) in groups {
             let mut genv = env.clone();
@@ -939,88 +864,6 @@ impl<'a> Evaluator<'a> {
             out.push(genv);
         }
         Ok(out)
-    }
-
-    /// Rebuilds spilled Grace partitions into completed groups, one
-    /// partition at a time under a fresh gauge. A partition that alone
-    /// exceeds the budget is re-partitioned with the next depth's seed
-    /// (splitting hash-skewed keys apart); past `max_recursion` the
-    /// refusal surfaces — identical-key skew cannot be split.
-    fn regroup_partitions(
-        &self,
-        whole: &CoreOp,
-        ctx: &SpillCtx<'_>,
-        runs: Vec<SpillRun>,
-        track_bytes: bool,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>, EvalError> {
-        let mut work: Vec<(SpillRun, u32)> = runs.into_iter().map(|r| (r, 1)).collect();
-        let mut groups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        while let Some((run, depth)) = work.pop() {
-            if run.records() == 0 {
-                continue;
-            }
-            let mut reader = run.open(ctx)?;
-            let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
-            let mut pidx: HashMap<GroupKey, usize> = HashMap::new();
-            let mut pgroups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-            let mut tracked = (0u64, 0u64);
-            let mut overflowed = false;
-            while let Some(rec) = reader.next(ctx)? {
-                let (kv, elem) = decode_keyed_record(rec)?;
-                let bytes = if track_bytes {
-                    kv.iter().map(approx_value_bytes).sum::<u64>() + approx_value_bytes(&elem)
-                } else {
-                    0
-                };
-                if let Err(e) = gauge.add_sized(1, bytes) {
-                    if !is_memory_refusal(&e) || depth > ctx.config.max_recursion {
-                        return Err(e);
-                    }
-                    // Skewed partition: re-scatter it (including this
-                    // record and the unread tail) under the next seed.
-                    let mut p = GracePartitioner::new(ctx, u64::from(depth))?;
-                    for (gkv, elems) in pgroups.drain(..) {
-                        for el in elems {
-                            let rec = encode_keyed_record(&gkv, el);
-                            p.write(ctx, &gkv, &rec)?;
-                        }
-                    }
-                    pidx.clear();
-                    let rec = encode_keyed_record(&kv, elem);
-                    p.write(ctx, &kv, &rec)?;
-                    while let Some(rec) = reader.next(ctx)? {
-                        let (kv2, elem2) = decode_keyed_record(rec)?;
-                        let rec2 = encode_keyed_record(&kv2, elem2);
-                        p.write(ctx, &kv2, &rec2)?;
-                    }
-                    gauge.remove(tracked.0, tracked.1);
-                    for r in p.finish()? {
-                        work.push((r, depth + 1));
-                    }
-                    overflowed = true;
-                    break;
-                }
-                tracked.0 += 1;
-                tracked.1 += bytes;
-                match pidx.entry(GroupKey(kv.clone())) {
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        pgroups[*o.get()].1.push(elem);
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(pgroups.len());
-                        pgroups.push((kv, vec![elem]));
-                    }
-                }
-            }
-            if overflowed {
-                continue;
-            }
-            if let Some(st) = &self.stats {
-                st.add_groups_built(pgroups.len() as u64);
-            }
-            groups.append(&mut pgroups);
-        }
-        Ok(groups)
     }
 
     /// Evaluates one window definition over the binding stream, returning
@@ -1250,19 +1093,20 @@ impl<'a> Evaluator<'a> {
                 right_vars,
             } => {
                 let names: Vec<Rc<str>> = right_vars.iter().map(|v| v.as_str().into()).collect();
-                match self.hash_join_build(right, whole, right_pred.as_ref(), keys, env) {
-                    Ok(build) => Box::new(HashProbe {
-                        ev: self,
-                        kind: *kind,
-                        keys: keys.as_slice(),
-                        left_pred: left_pred.as_ref(),
-                        residual: residual.as_ref(),
-                        names,
-                        build,
-                        left: self.from_stream(left, whole, env),
-                        pending: VecDeque::new(),
-                        done: false,
-                    }),
+                let joined = self.hash_join(
+                    *kind,
+                    left,
+                    right,
+                    whole,
+                    keys,
+                    left_pred.as_ref(),
+                    right_pred.as_ref(),
+                    residual.as_ref(),
+                    &names,
+                    env,
+                );
+                match joined {
+                    Ok(stream) => stream,
                     // The optimizer's uncorrelated analysis is static and
                     // conservative, but a runtime `Global` can still
                     // resolve through the environment (dynamic
@@ -1287,105 +1131,31 @@ impl<'a> Evaluator<'a> {
                             residual: residual.as_ref(),
                         },
                     )),
-                    // The build side exceeded the memory budget and the
-                    // session allows spilling: run the join Grace-style —
-                    // both sides scatter to key-hash partitions on disk,
-                    // each partition pair joins in memory.
-                    Err(e) if self.spill_ctx().is_some() && is_memory_refusal(&e) => {
-                        match self.grace_hash_join(
-                            *kind,
-                            left,
-                            right,
-                            whole,
-                            keys,
-                            left_pred.as_ref(),
-                            right_pred.as_ref(),
-                            residual.as_ref(),
-                            &names,
-                            env,
-                        ) {
-                            Ok(rows) => from_vec(rows),
-                            Err(e) => failed(e),
-                        }
-                    }
                     Err(e) => failed(e),
                 }
             }
         }
     }
 
-    /// Materializes a hash join's right side once and buckets the rows by
-    /// the structural hash of their key tuple. Rows failing the build
-    /// filter — or with any NULL/MISSING key, which can never compare
-    /// equal (3VL) — are left out of the table. The build is the join's
-    /// pipeline breaker: its rows are tracked live by a [`MatGauge`]
-    /// attributed to the enclosing FROM operator.
-    fn hash_join_build<'s>(
-        &'s self,
-        right: &'a CoreFrom,
-        whole: &'a CoreOp,
-        right_pred: Option<&'a CoreExpr>,
-        keys: &'a [(CoreExpr, CoreExpr)],
-        env: &Env,
-    ) -> Result<JoinBuild<'s>, EvalError> {
-        let mut rows: Vec<(Env, Vec<Value>)> = Vec::new();
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
-        let watcher = self.govern.as_watcher();
-        drain_batched(
-            self.from_stream(right, whole, env),
-            self.batch_size(),
-            |r| {
-                // The build happens at stream *construction* (before the
-                // first wrapped pull), so it ticks the deadline itself —
-                // still per row: build rows do real per-row work.
-                if let Some(g) = watcher {
-                    g.tick()?;
-                }
-                if let Some(p) = right_pred {
-                    if !matches!(self.expr(p, &r)?, Value::Bool(true)) {
-                        return Ok(());
-                    }
-                }
-                let mut kv = Vec::with_capacity(keys.len());
-                for (_, rk) in keys {
-                    let v = self.expr(rk, &r)?;
-                    if v.is_absent() {
-                        return Ok(());
-                    }
-                    kv.push(v);
-                }
-                let bytes = if self.track_bytes() {
-                    kv.iter().map(approx_value_bytes).sum::<u64>() + env_bytes(&r)
-                } else {
-                    0
-                };
-                gauge.add_sized(1, bytes)?;
-                table.entry(joint_hash(&kv)).or_default().push(rows.len());
-                rows.push((r, kv));
-                Ok(())
-            },
-        )?;
-        if let Some(st) = &self.stats {
-            st.add_join_build_rows(rows.len() as u64);
-        }
-        Ok(JoinBuild { rows, table, gauge })
-    }
-
-    /// Grace hash join: the out-of-core fallback when
-    /// [`Self::hash_join_build`] takes a memory-budget refusal. Both sides
-    /// re-stream once and scatter to seeded key-hash partitions on disk —
-    /// build rows as their right-variable bindings (all a probe match
-    /// reads back), probe rows as whole binding rows — then each partition
-    /// pair joins in memory under a fresh gauge, re-partitioning
-    /// recursively when a build partition alone exceeds the budget. Probe
-    /// rows that can never match (absent key, false probe filter) resolve
-    /// during the scatter: dropped, or padded for LEFT joins. Output
-    /// arrives partition by partition — a different order than the
-    /// streaming probe, which a join (a bag producer) never promised.
+    /// A hash join. The right side is the join's pipeline breaker: it is
+    /// evaluated once and built into a [`JoinTable`] through the keyed
+    /// build, its rows tracked live by a gauge attributed to the enclosing
+    /// FROM operator. Rows failing a side's filter — or with any
+    /// NULL/MISSING key, which can never compare equal (3VL) — never enter
+    /// the table (build side) or resolve without probing (probe side).
+    ///
+    /// A build that fits yields the streaming [`HashProbe`]. One that
+    /// exceeds the memory budget with spilling enabled runs Grace-style
+    /// instead: the built rows scatter to key-hash partitions — as their
+    /// right-variable bindings, all a probe match reads back — and the
+    /// *same* right stream continues straight to disk; the left side
+    /// scatters alongside as whole binding rows; then each partition pair
+    /// joins in memory. That output arrives partition by partition — a
+    /// different order than the streaming probe, which a join (a bag
+    /// producer) never promised.
     #[allow(clippy::too_many_arguments)]
-    fn grace_hash_join(
-        &self,
+    fn hash_join<'s>(
+        &'s self,
         kind: CoreJoinKind,
         left: &'a CoreFrom,
         right: &'a CoreFrom,
@@ -1396,201 +1166,116 @@ impl<'a> Evaluator<'a> {
         residual: Option<&'a CoreExpr>,
         names: &[Rc<str>],
         env: &Env,
-    ) -> Result<Vec<Env>, EvalError> {
-        let ctx = self.spill_ctx().expect("grace join requires a spill ctx");
-        self.mark_spilled(whole);
-        let track_bytes = self.track_bytes();
+    ) -> Result<BindingStream<'s>, EvalError> {
+        // Both sides are consumed at stream *construction* (before the
+        // first wrapped pull), so they tick the deadline themselves —
+        // still per row: build and scatter rows do real per-row work.
         let watcher = self.govern.as_watcher();
-        let mut bp = GracePartitioner::new(&ctx, 0)?;
-        drain_batched(
-            self.from_stream(right, whole, env),
-            self.batch_size(),
-            |r| {
-                if let Some(g) = watcher {
-                    g.tick()?;
+        let tick = || watcher.map_or(Ok(()), ResourceGovernor::tick);
+        let mut rights = Cursor::new(self.from_stream(right, whole, env), self.batch_size());
+        let mut build_rows = || {
+            while let Some(r) = rights.next()? {
+                tick()?;
+                if let Some(kv) = self.join_key(keys.iter().map(|(_, rk)| rk), right_pred, &r)? {
+                    return Ok(Some((kv, r)));
                 }
-                if let Some(p) = right_pred {
-                    if !matches!(self.expr(p, &r)?, Value::Bool(true)) {
-                        return Ok(());
-                    }
-                }
-                let mut kv = Vec::with_capacity(keys.len());
-                for (_, rk) in keys {
-                    let v = self.expr(rk, &r)?;
-                    if v.is_absent() {
-                        return Ok(());
-                    }
-                    kv.push(v);
-                }
-                let rec = encode_keyed_record(&kv, encode_env(&r, Some(names)));
-                bp.write(&ctx, &kv, &rec)
-            },
-        )?;
-        let mut out: Vec<Env> = Vec::new();
-        let mut lp = GracePartitioner::new(&ctx, 0)?;
-        drain_batched(self.from_stream(left, whole, env), self.batch_size(), |l| {
-            if let Some(g) = watcher {
-                g.tick()?;
             }
-            match self.left_join_key(keys, left_pred, &l)? {
-                Some(kv) => {
-                    let rec = encode_keyed_record(&kv, encode_env(&l, None));
-                    lp.write(&ctx, &kv, &rec)
+            Ok(None)
+        };
+        // The probe side as spillable records — opened only if the build
+        // overflows. Rows that can never match resolve here: dropped, or
+        // padded for LEFT joins.
+        let mut lefts = None;
+        let mut pads = Vec::new();
+        let mut probe_rows = || {
+            let lefts = lefts.get_or_insert_with(|| {
+                Cursor::new(self.from_stream(left, whole, env), self.batch_size())
+            });
+            while let Some(l) = lefts.next()? {
+                tick()?;
+                match self.join_key(keys.iter().map(|(lk, _)| lk), left_pred, &l)? {
+                    Some(kv) => return Ok(Some((kv, encode_env(&l, None)))),
+                    None if kind == CoreJoinKind::Left => pads.push(pad_left(&l, names)),
+                    None => {}
                 }
-                None => {
-                    if kind == CoreJoinKind::Left {
+            }
+            Ok(None)
+        };
+        let mut out = Vec::new();
+        let mut probe_partition =
+            |table: JoinTable, _held, probes: Option<&mut KeyedSource<'_, Value>>| {
+                let probes = probes.expect("a join partition has its probe run");
+                if let Some(st) = &self.stats {
+                    st.add_join_build_rows(table.rows.len() as u64);
+                }
+                while let Some((kv, payload)) = probes()? {
+                    let l = decode_env(payload, env)?;
+                    let matched =
+                        table.probe(self, &kv, &l, names, residual, &mut |row| out.push(row))?;
+                    if !matched && kind == CoreJoinKind::Left {
                         out.push(pad_left(&l, names));
                     }
-                    Ok(())
                 }
-            }
-        })?;
-        let mut work: Vec<(SpillRun, SpillRun, u32)> = bp
-            .finish()?
-            .into_iter()
-            .zip(lp.finish()?)
-            .map(|(b, l)| (b, l, 1))
-            .collect();
-        while let Some((brun, lrun, depth)) = work.pop() {
-            if lrun.records() == 0 {
-                // No probe rows: nothing to emit — LEFT pads also come
-                // from the left side. (The empty-build case still scans,
-                // padding every LEFT probe row.)
-                continue;
-            }
-            match self.load_build_partition(whole, &ctx, brun, track_bytes, depth)? {
-                BuildLoad::Overflow { build_runs } => {
-                    // The probe partition re-scatters under the same seed
-                    // so both sides stay pairwise aligned.
-                    let mut nlp = GracePartitioner::new(&ctx, u64::from(depth))?;
-                    let mut r = lrun.open(&ctx)?;
-                    while let Some(rec) = r.next(&ctx)? {
-                        let (kv, payload) = decode_keyed_record(rec)?;
-                        let rec = encode_keyed_record(&kv, payload);
-                        nlp.write(&ctx, &kv, &rec)?;
-                    }
-                    for (b, l) in build_runs.into_iter().zip(nlp.finish()?) {
-                        work.push((b, l, depth + 1));
-                    }
-                }
-                BuildLoad::Table { rows, table, gauge } => {
-                    if let Some(st) = &self.stats {
-                        st.add_join_build_rows(rows.len() as u64);
-                    }
-                    let mut r = lrun.open(&ctx)?;
-                    while let Some(rec) = r.next(&ctx)? {
-                        let (kv, payload) = decode_keyed_record(rec)?;
-                        let l = decode_env(payload, env)?;
-                        let mut matched = false;
-                        if let Some(bucket) = table.get(&joint_hash(&kv)) {
-                            for &i in bucket {
-                                if let Some(g) = watcher {
-                                    g.tick()?;
-                                }
-                                if let Some(st) = &self.stats {
-                                    st.add_join_probes(1);
-                                }
-                                let (renv, rkv) = &rows[i];
-                                if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
-                                    continue;
-                                }
-                                let combined = combine_envs(&l, renv, names);
-                                if let Some(p) = residual {
-                                    if !matches!(self.expr(p, &combined)?, Value::Bool(true)) {
-                                        continue;
-                                    }
-                                }
-                                matched = true;
-                                out.push(combined);
-                            }
-                        }
-                        if !matched && kind == CoreJoinKind::Left {
-                            out.push(pad_left(&l, names));
-                        }
-                    }
-                    drop(gauge);
-                }
-            }
+                Ok(())
+            };
+        let built = keyed_build(
+            self.spill_ctx().as_ref(),
+            &|| self.gauge(whole),
+            &EnvCodec {
+                base: Env::new(),
+                names: Some(names),
+            },
+            &mut build_rows,
+            Some(&mut probe_rows),
+            0,
+            &mut probe_partition,
+        )?;
+        let Some((table, held)) = built else {
+            self.mark_spilled(whole);
+            pads.append(&mut out);
+            return Ok(from_vec(pads));
+        };
+        if let Some(st) = &self.stats {
+            st.add_join_build_rows(table.rows.len() as u64);
         }
-        Ok(out)
+        Ok(Box::new(HashProbe {
+            ev: self,
+            kind,
+            keys,
+            left_pred,
+            residual,
+            names: names.to_vec(),
+            build: table,
+            _held: held,
+            left: self.from_stream(left, whole, env),
+            pending: VecDeque::new(),
+            done: false,
+        }))
     }
 
-    /// A probe row's key values, or `None` when the row can never match
-    /// (probe filter false, or any absent key — 3VL equality).
-    fn left_join_key(
+    /// One side's key values for a join row, or `None` when the row can
+    /// never match (the side's filter is false, or any key is absent —
+    /// 3VL equality).
+    fn join_key(
         &self,
-        keys: &'a [(CoreExpr, CoreExpr)],
-        left_pred: Option<&'a CoreExpr>,
-        l: &Env,
+        keys: impl Iterator<Item = &'a CoreExpr>,
+        pred: Option<&'a CoreExpr>,
+        row: &Env,
     ) -> Result<Option<Vec<Value>>, EvalError> {
-        if let Some(p) = left_pred {
-            if !matches!(self.expr(p, l)?, Value::Bool(true)) {
+        if let Some(p) = pred {
+            if !matches!(self.expr(p, row)?, Value::Bool(true)) {
                 return Ok(None);
             }
         }
-        let mut kv = Vec::with_capacity(keys.len());
-        for (lk, _) in keys {
-            let v = self.expr(lk, l)?;
+        let mut kv = Vec::with_capacity(keys.size_hint().0);
+        for k in keys {
+            let v = self.expr(k, row)?;
             if v.is_absent() {
                 return Ok(None);
             }
             kv.push(v);
         }
         Ok(Some(kv))
-    }
-
-    /// Loads one spilled build partition into a probe-ready hash table, or
-    /// — when it alone exceeds the budget — re-scatters it under the next
-    /// depth's seed and reports the new runs.
-    fn load_build_partition(
-        &self,
-        whole: &CoreOp,
-        ctx: &SpillCtx<'_>,
-        run: SpillRun,
-        track_bytes: bool,
-        depth: u32,
-    ) -> Result<BuildLoad<'_>, EvalError> {
-        let mut reader = run.open(ctx)?;
-        let mut gauge = MatGauge::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
-        let mut rows: Vec<(Env, Vec<Value>)> = Vec::new();
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut tracked = (0u64, 0u64);
-        while let Some(rec) = reader.next(ctx)? {
-            let (kv, payload) = decode_keyed_record(rec)?;
-            let bytes = if track_bytes {
-                kv.iter().map(approx_value_bytes).sum::<u64>() + approx_value_bytes(&payload)
-            } else {
-                0
-            };
-            if let Err(e) = gauge.add_sized(1, bytes) {
-                if !is_memory_refusal(&e) || depth > ctx.config.max_recursion {
-                    return Err(e);
-                }
-                let mut p = GracePartitioner::new(ctx, u64::from(depth))?;
-                for (renv, rkv) in rows.drain(..) {
-                    let rec = encode_keyed_record(&rkv, encode_env(&renv, None));
-                    p.write(ctx, &rkv, &rec)?;
-                }
-                table.clear();
-                gauge.remove(tracked.0, tracked.1);
-                let rec = encode_keyed_record(&kv, payload);
-                p.write(ctx, &kv, &rec)?;
-                while let Some(rec) = reader.next(ctx)? {
-                    let (kv2, payload2) = decode_keyed_record(rec)?;
-                    let rec2 = encode_keyed_record(&kv2, payload2);
-                    p.write(ctx, &kv2, &rec2)?;
-                }
-                return Ok(BuildLoad::Overflow {
-                    build_runs: p.finish()?,
-                });
-            }
-            tracked.0 += 1;
-            tracked.1 += bytes;
-            let renv = decode_env(payload, &Env::new())?;
-            table.entry(joint_hash(&kv)).or_default().push(rows.len());
-            rows.push((renv, kv));
-        }
-        Ok(BuildLoad::Table { rows, table, gauge })
     }
 
     /// How a scan obtains its source: a fully-resolved catalog name scans
@@ -2978,60 +2663,124 @@ impl<'s, 'a> Stream<Env> for OwnedScan<'s, 'a> {
     }
 }
 
-/// Fully drains a stream, calling `f` per row — the `for` loop over a
-/// stream. Rows that arrived before a mid-batch error are processed
-/// first, so the order of effects is pull order at every batch size.
+/// Fully drains a stream, calling `f` per row. Rows that arrived before a
+/// mid-batch error are processed first, so the order of effects is pull
+/// order at every batch size.
 fn drain_batched<T>(
-    mut stream: Box<dyn Stream<T> + '_>,
+    stream: Box<dyn Stream<T> + '_>,
     batch_size: usize,
     mut f: impl FnMut(T) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let mut batch: Vec<T> = Vec::new();
-    loop {
-        let r = stream.next_batch(&mut batch, batch_size);
-        let got = batch.len();
-        let mut err = None;
-        for v in batch.drain(..) {
-            if err.is_some() {
-                break;
+    let mut rows = Cursor::new(stream, batch_size);
+    while let Some(row) = rows.next()? {
+        f(row)?;
+    }
+    Ok(())
+}
+
+/// GROUP BY's keyed table: insertion-ordered groups — a map for lookup,
+/// a `Vec` of `(key values, elements)` for order.
+#[derive(Default)]
+struct GroupTable {
+    index: HashMap<GroupKey, usize>,
+    groups: Vec<(Vec<Value>, Vec<Value>)>,
+}
+
+impl KeyedTable for GroupTable {
+    type Row = Value;
+
+    fn insert(&mut self, kv: Vec<Value>, elem: Value) {
+        match self.index.entry(GroupKey(kv.clone())) {
+            std::collections::hash_map::Entry::Occupied(o) => {
+                self.groups[*o.get()].1.push(elem);
             }
-            if let Err(e) = f(v) {
-                err = Some(e);
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(self.groups.len());
+                self.groups.push((kv, vec![elem]));
             }
         }
-        if let Some(e) = err {
-            return Err(e);
+    }
+
+    fn drain(self, sink: &mut KeyedSink<'_, Value>) -> Result<(), EvalError> {
+        for (kv, elems) in self.groups {
+            for elem in elems {
+                sink(&kv, elem)?;
+            }
         }
-        r?;
-        if got == 0 {
-            return Ok(());
-        }
+        Ok(())
     }
 }
 
-/// A materialized hash-join right side: surviving rows with their key
-/// tuples, bucketed by [`joint_hash`]. Holds the [`MatGauge`] that keeps
-/// the build rows counted as live until the probe finishes.
-struct JoinBuild<'s> {
+/// A hash join's keyed table: the build side's surviving rows with their
+/// key tuples, bucketed by [`joint_hash`].
+#[derive(Default)]
+struct JoinTable {
     rows: Vec<(Env, Vec<Value>)>,
-    table: HashMap<u64, Vec<usize>>,
-    #[allow(dead_code)] // held for its Drop (live-row accounting)
-    gauge: MatGauge<'s>,
+    buckets: HashMap<u64, Vec<usize>>,
 }
 
-/// One spilled build partition after [`Evaluator::load_build_partition`]:
-/// either a probe-ready table, or the finer-grained runs it re-scattered
-/// into because it did not fit by itself.
-enum BuildLoad<'s> {
-    Table {
-        rows: Vec<(Env, Vec<Value>)>,
-        table: HashMap<u64, Vec<usize>>,
-        #[allow(dead_code)] // held for its Drop (live-row accounting)
-        gauge: MatGauge<'s>,
-    },
-    Overflow {
-        build_runs: Vec<SpillRun>,
-    },
+impl KeyedTable for JoinTable {
+    type Row = Env;
+
+    fn insert(&mut self, kv: Vec<Value>, row: Env) {
+        self.buckets
+            .entry(joint_hash(&kv))
+            .or_default()
+            .push(self.rows.len());
+        self.rows.push((row, kv));
+    }
+
+    fn drain(self, sink: &mut KeyedSink<'_, Env>) -> Result<(), EvalError> {
+        self.rows
+            .into_iter()
+            .try_for_each(|(row, kv)| sink(&kv, row))
+    }
+}
+
+impl JoinTable {
+    /// Probes the table with one left row's key — the engine's only
+    /// bucket-probe loop — emitting each match and reporting whether
+    /// there was one. Bucket candidates are confirmed key-by-key with
+    /// `deep_eq` (hash_value is deep_eq-consistent), which is exactly when
+    /// `l.x = r.y` evaluates to TRUE for non-absent keys; the residual is
+    /// then re-checked in the combined environment.
+    fn probe<'a>(
+        &self,
+        ev: &Evaluator<'a>,
+        kv: &[Value],
+        l: &Env,
+        names: &[Rc<str>],
+        residual: Option<&'a CoreExpr>,
+        emit: &mut dyn FnMut(Env),
+    ) -> Result<bool, EvalError> {
+        let Some(bucket) = self.buckets.get(&joint_hash(kv)) else {
+            return Ok(false);
+        };
+        let mut matched = false;
+        for &i in bucket {
+            // A skewed bucket can hold many candidates per left row;
+            // tick the deadline per candidate like the nested loop does.
+            if let Some(g) = ev.govern.as_watcher() {
+                g.tick()?;
+            }
+            if let Some(st) = &ev.stats {
+                st.add_join_probes(1);
+            }
+            let (renv, rkv) = &self.rows[i];
+            if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
+                continue;
+            }
+            let combined = combine_envs(l, renv, names);
+            if let Some(p) = residual {
+                if !matches!(ev.expr(p, &combined)?, Value::Bool(true)) {
+                    continue;
+                }
+            }
+            matched = true;
+            emit(combined);
+        }
+        Ok(matched)
+    }
 }
 
 /// Which per-right-row test a [`NestedLoop`] applies.
@@ -3197,7 +2946,9 @@ struct HashProbe<'s, 'a> {
     left_pred: Option<&'a CoreExpr>,
     residual: Option<&'a CoreExpr>,
     names: Vec<Rc<str>>,
-    build: JoinBuild<'s>,
+    build: JoinTable,
+    /// Keeps the build rows counted as live until the probe finishes.
+    _held: MatGauge<'s>,
     left: BindingStream<'s>,
     /// Rows produced by the current left row, drained before pulling the
     /// next one.
@@ -3207,10 +2958,6 @@ struct HashProbe<'s, 'a> {
 
 impl<'s, 'a> HashProbe<'s, 'a> {
     /// Probes the build table for one left row, queueing its matches.
-    /// Bucket candidates are confirmed key-by-key with `deep_eq`
-    /// (hash_value is deep_eq-consistent), which is exactly when
-    /// `l.x = r.y` evaluates to TRUE for non-absent keys; the residual is
-    /// then re-checked in the combined environment.
     fn probe(&mut self, l: &Env) -> Result<bool, EvalError> {
         // An empty build side matches nothing — and, like the nested
         // loop over an empty right side, evaluates no predicate or key
@@ -3218,36 +2965,15 @@ impl<'s, 'a> HashProbe<'s, 'a> {
         if self.build.rows.is_empty() {
             return Ok(false);
         }
-        let Some(kv) = self.ev.left_join_key(self.keys, self.left_pred, l)? else {
+        let left_keys = self.keys.iter().map(|(lk, _)| lk);
+        let Some(kv) = self.ev.join_key(left_keys, self.left_pred, l)? else {
             return Ok(false);
         };
-        let Some(bucket) = self.build.table.get(&joint_hash(&kv)) else {
-            return Ok(false);
-        };
-        let mut matched = false;
-        for &i in bucket {
-            // A skewed bucket can hold many candidates per left pull;
-            // tick the deadline per candidate like the nested loop does.
-            if let Some(g) = self.ev.govern.as_watcher() {
-                g.tick()?;
-            }
-            if let Some(st) = &self.ev.stats {
-                st.add_join_probes(1);
-            }
-            let (renv, rkv) = &self.build.rows[i];
-            if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
-                continue;
-            }
-            let combined = combine_envs(l, renv, &self.names);
-            if let Some(p) = self.residual {
-                if !matches!(self.ev.expr(p, &combined)?, Value::Bool(true)) {
-                    continue;
-                }
-            }
-            matched = true;
-            self.pending.push_back(combined);
-        }
-        Ok(matched)
+        let (names, pending) = (&self.names, &mut self.pending);
+        self.build
+            .probe(self.ev, &kv, l, names, self.residual, &mut |row| {
+                pending.push_back(row)
+            })
     }
 
     /// Pulls one left row and queues what it produces: its matches, or
@@ -3319,7 +3045,7 @@ fn sort_annotated<T>(rows: &mut [(Vec<Value>, T)], keys: &[CoreSortKey]) {
 }
 
 /// Estimated in-memory footprint of a binding row: every visible binding's
-/// name and value (the budget unit when a byte-denominated limit is set).
+/// name and value (the memory budget's unit).
 fn env_bytes(e: &Env) -> u64 {
     e.visible_bindings()
         .iter()
@@ -3382,17 +3108,19 @@ fn decode_env(v: Value, base: &Env) -> Result<Env, EvalError> {
     Ok(env)
 }
 
-/// Spill codec for binding rows (ORDER BY over bindings): an [`Env`]
-/// round-trips as its visible bindings, rebuilt over the sort's base
-/// environment.
-struct EnvCodec {
+/// Spill codec for binding rows (ORDER BY over bindings, hash-join build
+/// rows): an [`Env`] round-trips as its visible bindings — or only
+/// `names`, when the consumer reads nothing else back — rebuilt over
+/// `base`.
+struct EnvCodec<'n> {
     base: Env,
+    names: Option<&'n [Rc<str>]>,
 }
 
-impl SpillCodec for EnvCodec {
+impl SpillCodec for EnvCodec<'_> {
     type Row = Env;
-    fn encode(&self, row: &Env) -> Value {
-        encode_env(row, None)
+    fn encode(&self, row: Env) -> Value {
+        encode_env(&row, self.names)
     }
     fn decode(&self, v: Value) -> Result<Env, EvalError> {
         decode_env(v, &self.base)
@@ -3408,8 +3136,8 @@ struct ValueCodec;
 
 impl SpillCodec for ValueCodec {
     type Row = Value;
-    fn encode(&self, row: &Value) -> Value {
-        row.clone()
+    fn encode(&self, row: Value) -> Value {
+        row
     }
     fn decode(&self, v: Value) -> Result<Value, EvalError> {
         Ok(v)

@@ -5,8 +5,7 @@
 //! it a *plan B*. When a session enables spilling, every pipeline breaker
 //! that takes a memory-budget refusal at its [`MatGauge`] moves part of its
 //! working set to temp files — serialized with the `ion_lite` binary format
-//! from `sqlpp-formats`, whose encoded length also gives the byte-
-//! denominated budget its unit — and streams it back later:
+//! from `sqlpp-formats` — and streams it back later:
 //!
 //! * **ORDER BY** becomes an external merge-sort: the in-memory chunk is
 //!   stable-sorted and written out as a *sorted run* whenever admission is
@@ -14,17 +13,19 @@
 //!   capped, extra passes counted in `merge_passes`) with a run-index
 //!   tie-break that preserves exactly the stable-sort order the in-memory
 //!   path produces.
-//! * **GROUP BY / hash-join builds** partition Grace-style through
-//!   [`GracePartitioner`]: rows are routed to one of `partitions` files by
-//!   a *seeded* structural hash of their key, and each partition is later
-//!   rebuilt in memory — re-partitioned recursively (new seed per depth)
-//!   when a skewed partition alone exceeds the budget.
+//! * **GROUP BY / hash-join builds** run through the one [`keyed_build`]
+//!   routine: records accumulate in memory until admission is refused,
+//!   then scatter Grace-style through [`GracePartitioner`] — routed to one
+//!   of `partitions` files by a *seeded* structural hash of their key —
+//!   and each partition is rebuilt by the same routine one level deeper
+//!   (new seed per depth), so a skewed partition that alone exceeds the
+//!   budget re-partitions recursively.
 //!
 //! Temp files are delete-on-drop ([`SpillFile`]), so error paths —
 //! including injected faults at the three spill sites ([`FaultSite`]
 //! `SpillWrite`/`SpillRead`/`TempFileCreate`) — never leak files.
 //! Accounting invariant: rows admitted through a gauge are released
-//! ([`MatGauge::remove`]) the moment they are written out, so *peak
+//! ([`MatGauge::release_all`]) the moment they are written out, so *peak
 //! tracked memory stays at or below the budget* even on 10×-budget inputs
 //! (the B15 gate).
 
@@ -41,7 +42,7 @@ use sqlpp_value::hash::hash_value;
 use sqlpp_value::Value;
 
 use crate::error::EvalError;
-use crate::govern::{FaultSite, ResourceGovernor};
+use crate::govern::{FaultSite, ResourceGovernor, MEMORY_BUDGET};
 use crate::stream::MatGauge;
 
 /// Session-level spill policy: where temp files go and how aggressively
@@ -88,16 +89,13 @@ pub(crate) struct SpillCtx<'s> {
 /// nesting-depth errors all propagate unchanged, so chaos determinism and
 /// the governor's other contracts survive the spill path.
 pub(crate) fn is_memory_refusal(e: &EvalError) -> bool {
-    matches!(
-        e,
-        EvalError::ResourceExhausted { resource, .. } if resource.starts_with("memory budget")
-    )
+    matches!(e, EvalError::ResourceExhausted { resource, .. } if *resource == MEMORY_BUDGET)
 }
 
-/// Cheap recursive estimate of a value's in-memory footprint, used as the
-/// unit of the byte-denominated budget. Deliberately rough (tag + inline
-/// payload + recursion); the serialized `ion_lite` size at spill time is
-/// the precise twin.
+/// Cheap recursive estimate of a value's in-memory footprint, the unit of
+/// the memory budget. Deliberately rough (tag + inline payload +
+/// recursion); the serialized `ion_lite` size at spill time is the
+/// precise twin.
 pub(crate) fn approx_value_bytes(v: &Value) -> u64 {
     match v {
         Value::Missing | Value::Null | Value::Bool(_) => 1,
@@ -115,6 +113,11 @@ pub(crate) fn approx_value_bytes(v: &Value) -> u64 {
                 .sum::<u64>()
         }
     }
+}
+
+/// Estimated footprint of a record's extracted key values.
+pub(crate) fn keys_bytes(kv: &[Value]) -> u64 {
+    kv.iter().map(approx_value_bytes).sum()
 }
 
 /// The ORDER BY comparator over pre-extracted key vectors: per key, absent
@@ -302,14 +305,14 @@ impl SpillReader {
 
 // ---------------- external merge-sort ----------------
 
-/// How a sort/top-k payload row moves across the spill boundary. The
+/// How a breaker's payload row moves across the spill boundary. The
 /// encode/decode pair must round-trip through `ion_lite`'s documented
-/// value subset; `size` feeds the byte-denominated budget.
+/// value subset; `size` feeds the memory budget.
 pub(crate) trait SpillCodec {
     /// The in-memory row type (a binding `Env`, or an output element).
     type Row;
     /// Serializes a row to a spillable value.
-    fn encode(&self, row: &Self::Row) -> Value;
+    fn encode(&self, row: Self::Row) -> Value;
     /// Rebuilds a row from its spilled form.
     fn decode(&self, v: Value) -> Result<Self::Row, EvalError>;
     /// Estimated in-memory bytes of a row (budget unit).
@@ -318,12 +321,12 @@ pub(crate) trait SpillCodec {
 
 /// Frames a keyed record as `[keys-array, payload]` for one spill write —
 /// the shape sorted runs and Grace partitions share.
-pub(crate) fn encode_keyed_record(kv: &[Value], payload: Value) -> Value {
+fn encode_keyed_record(kv: &[Value], payload: Value) -> Value {
     Value::Array(vec![Value::Array(kv.to_vec()), payload])
 }
 
 /// Inverse of [`encode_keyed_record`].
-pub(crate) fn decode_keyed_record(v: Value) -> Result<(Vec<Value>, Value), EvalError> {
+fn decode_keyed_record(v: Value) -> Result<(Vec<Value>, Value), EvalError> {
     match v {
         Value::Array(mut parts) if parts.len() == 2 => {
             let payload = parts.pop().expect("len checked");
@@ -351,9 +354,7 @@ pub(crate) struct ExternalSorter<'s, 'k, C: SpillCodec> {
     keys: &'k [CoreSortKey],
     codec: C,
     gauge: MatGauge<'s>,
-    track_bytes: bool,
     chunk: Vec<(Vec<Value>, C::Row)>,
-    chunk_bytes: u64,
     runs: Vec<SpillRun>,
 }
 
@@ -363,16 +364,13 @@ impl<'s, 'k, C: SpillCodec> ExternalSorter<'s, 'k, C> {
         keys: &'k [CoreSortKey],
         codec: C,
         gauge: MatGauge<'s>,
-        track_bytes: bool,
     ) -> Self {
         ExternalSorter {
             ctx,
             keys,
             codec,
             gauge,
-            track_bytes,
             chunk: Vec::new(),
-            chunk_bytes: 0,
             runs: Vec::new(),
         }
     }
@@ -385,20 +383,15 @@ impl<'s, 'k, C: SpillCodec> ExternalSorter<'s, 'k, C> {
     /// Admits one row; on a memory-budget refusal with spilling enabled,
     /// spills the current chunk as a sorted run and retries once.
     pub(crate) fn push(&mut self, kv: Vec<Value>, row: C::Row) -> Result<(), EvalError> {
-        let bytes = if self.track_bytes {
-            kv.iter().map(approx_value_bytes).sum::<u64>() + self.codec.size(&row)
-        } else {
-            0
-        };
-        if let Err(e) = self.gauge.add_sized(1, bytes) {
+        let bytes = self.gauge.size(|| keys_bytes(&kv) + self.codec.size(&row));
+        if let Err(e) = self.gauge.add(1, bytes) {
             if self.ctx.is_none() || !is_memory_refusal(&e) || self.chunk.is_empty() {
                 return Err(e);
             }
             self.spill_chunk()?;
-            self.gauge.add_sized(1, bytes)?;
+            self.gauge.add(1, bytes)?;
         }
         self.chunk.push((kv, row));
-        self.chunk_bytes += bytes;
         Ok(())
     }
 
@@ -410,13 +403,11 @@ impl<'s, 'k, C: SpillCodec> ExternalSorter<'s, 'k, C> {
         self.chunk
             .sort_by(|(a, _), (b, _)| cmp_sort_keys(keys, a, b));
         let mut w = SpillWriter::create(ctx)?;
-        for (kv, row) in &self.chunk {
-            w.write(ctx, &encode_keyed_record(kv, self.codec.encode(row)))?;
+        for (kv, row) in self.chunk.drain(..) {
+            w.write(ctx, &encode_keyed_record(&kv, self.codec.encode(row)))?;
         }
         self.runs.push(w.finish()?);
-        self.gauge.remove(self.chunk.len() as u64, self.chunk_bytes);
-        self.chunk.clear();
-        self.chunk_bytes = 0;
+        self.gauge.release_all();
         Ok(())
     }
 
@@ -530,8 +521,7 @@ impl<'k> KWayMerge<'k> {
 // ---------------- Grace partitioning ----------------
 
 /// Scatters keyed records across `partitions` spill files by seeded
-/// structural key hash — the Grace building block GROUP BY and hash-join
-/// builds share. Each level of recursive re-partitioning uses a new seed,
+/// structural key hash — the Grace building block under [`keyed_build`]. Each level of recursive re-partitioning uses a new seed,
 /// so a partition that was one hash bucket at depth *d* spreads across
 /// all files at depth *d+1*.
 pub(crate) struct GracePartitioner {
@@ -554,15 +544,15 @@ impl GracePartitioner {
         (seeded_hash(key, self.seed) as usize) % self.writers.len()
     }
 
-    /// Writes one record into the partition its key routes to.
+    /// Writes one keyed record into the partition its key routes to.
     pub(crate) fn write(
         &mut self,
         ctx: &SpillCtx<'_>,
         key: &[Value],
-        record: &Value,
+        payload: Value,
     ) -> Result<(), EvalError> {
         let idx = self.route(key);
-        self.writers[idx].write(ctx, record)
+        self.writers[idx].write(ctx, &encode_keyed_record(key, payload))
     }
 
     /// Seals all partitions (empty ones included — a LEFT-join probe must
@@ -570,6 +560,138 @@ impl GracePartitioner {
     pub(crate) fn finish(self) -> Result<Vec<SpillRun>, EvalError> {
         self.writers.into_iter().map(SpillWriter::finish).collect()
     }
+}
+
+// ---------------- the one spillable keyed build ----------------
+
+/// A pull source of keyed records `(key values, row)`: the live input
+/// stream at depth 0, a spilled partition at depth ≥ 1. `None` = exhausted.
+pub(crate) type KeyedSource<'x, R> = dyn FnMut() -> Result<Option<(Vec<Value>, R)>, EvalError> + 'x;
+
+/// Receives the records a [`KeyedTable`] hands back.
+pub(crate) type KeyedSink<'x, R> = dyn FnMut(&[Value], R) -> Result<(), EvalError> + 'x;
+
+/// What a keyed breaker accumulates into while its input fits in memory —
+/// GROUP BY's insertion-ordered groups, a hash join's bucket table.
+pub(crate) trait KeyedTable: Default {
+    /// The in-memory row type held per record.
+    type Row;
+    /// Adds one admitted record.
+    fn insert(&mut self, kv: Vec<Value>, row: Self::Row);
+    /// Hands every held record back, for the scatter on overflow.
+    fn drain(self, sink: &mut KeyedSink<'_, Self::Row>) -> Result<(), EvalError>;
+}
+
+/// What a keyed breaker does with a spilled partition that fit: the built
+/// table, the gauge holding it live, and — for a join — the source of the
+/// probe records co-partitioned with it.
+pub(crate) type OnFit<'x, 's, T> =
+    dyn FnMut(T, MatGauge<'s>, Option<&mut KeyedSource<'_, Value>>) -> Result<(), EvalError> + 'x;
+
+/// Streams a spilled partition back as a [`KeyedSource`].
+fn run_source<'x, R>(
+    ctx: &'x SpillCtx<'_>,
+    reader: &'x mut SpillReader,
+    decode: impl Fn(Value) -> Result<R, EvalError> + 'x,
+) -> impl FnMut() -> Result<Option<(Vec<Value>, R)>, EvalError> + 'x {
+    move || {
+        let Some(rec) = reader.next(ctx)? else {
+            return Ok(None);
+        };
+        let (kv, payload) = decode_keyed_record(rec)?;
+        Ok(Some((kv, decode(payload)?)))
+    }
+}
+
+/// The budgeted keyed build behind GROUP BY and the hash-join build — the
+/// only accumulate → refuse → scatter → recurse loop in the engine.
+///
+/// Records pulled from `source` are admitted through one gauge and
+/// inserted into a `T`. If the source drains without a refusal the table
+/// (and the gauge holding it live) is returned to the caller. On a
+/// memory-budget refusal — with spilling enabled and `depth` within
+/// `max_recursion`; any other error, and the refusal itself otherwise,
+/// propagates — everything held *and the rest of the same source* is
+/// scattered to a [`GracePartitioner`] seeded by `depth`, the `probe`
+/// source (a join's other side) is scattered under the same seed so both
+/// sides stay pairwise aligned, and each build run is rebuilt by this
+/// same routine one level deeper. A run that fits is handed to `fit`
+/// together with its probe run; `Ok(None)` then tells the caller that
+/// every partition went through `fit`. Identical-key skew cannot be split
+/// by any seed, so past `max_recursion` the refusal surfaces.
+pub(crate) fn keyed_build<'s, T, C>(
+    spill: Option<&SpillCtx<'s>>,
+    new_gauge: &dyn Fn() -> MatGauge<'s>,
+    codec: &C,
+    source: &mut KeyedSource<'_, C::Row>,
+    probe: Option<&mut KeyedSource<'_, Value>>,
+    depth: u32,
+    fit: &mut OnFit<'_, 's, T>,
+) -> Result<Option<(T, MatGauge<'s>)>, EvalError>
+where
+    C: SpillCodec,
+    T: KeyedTable<Row = C::Row>,
+{
+    let mut gauge = new_gauge();
+    let mut table = T::default();
+    let (ctx, kv, row) = loop {
+        let Some((kv, row)) = source()? else {
+            return Ok(Some((table, gauge)));
+        };
+        let bytes = gauge.size(|| keys_bytes(&kv) + codec.size(&row));
+        match (gauge.add(1, bytes), spill) {
+            (Ok(()), _) => table.insert(kv, row),
+            (Err(e), Some(ctx)) if is_memory_refusal(&e) && depth <= ctx.config.max_recursion => {
+                break (ctx, kv, row);
+            }
+            (Err(e), _) => return Err(e),
+        }
+    };
+    let seed = u64::from(depth);
+    let mut builds = GracePartitioner::new(ctx, seed)?;
+    table.drain(&mut |kv, row| builds.write(ctx, kv, codec.encode(row)))?;
+    drop(gauge);
+    builds.write(ctx, &kv, codec.encode(row))?;
+    while let Some((kv, row)) = source()? {
+        builds.write(ctx, &kv, codec.encode(row))?;
+    }
+    let mut probes = match probe {
+        None => None,
+        Some(probe) => {
+            let mut p = GracePartitioner::new(ctx, seed)?;
+            while let Some((kv, payload)) = probe()? {
+                p.write(ctx, &kv, payload)?;
+            }
+            Some(p.finish()?.into_iter())
+        }
+    };
+    for build_run in builds.finish()? {
+        let probe_run = probes.as_mut().and_then(Iterator::next);
+        // A join partition with no probe rows emits nothing (LEFT pads
+        // come from the probe side too); an empty build partition still
+        // runs, padding every LEFT probe row.
+        if probe_run.as_ref().unwrap_or(&build_run).records() == 0 {
+            continue;
+        }
+        let mut build_reader = build_run.open(ctx)?;
+        let mut build_src = run_source(ctx, &mut build_reader, |v| codec.decode(v));
+        let mut probe_reader = probe_run.map(|run| run.open(ctx)).transpose()?;
+        let mut probe_src = probe_reader.as_mut().map(|r| run_source(ctx, r, Ok));
+        let mut probe_src = probe_src.as_mut().map(|f| f as &mut KeyedSource<'_, Value>);
+        let fitted = keyed_build(
+            spill,
+            new_gauge,
+            codec,
+            &mut build_src,
+            probe_src.as_deref_mut(),
+            depth + 1,
+            fit,
+        )?;
+        if let Some((table, gauge)) = fitted {
+            fit(table, gauge, probe_src)?;
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -584,8 +706,8 @@ mod tests {
     struct IdCodec;
     impl SpillCodec for IdCodec {
         type Row = Value;
-        fn encode(&self, row: &Value) -> Value {
-            row.clone()
+        fn encode(&self, row: Value) -> Value {
+            row
         }
         fn decode(&self, v: Value) -> Result<Value, EvalError> {
             Ok(v)
@@ -646,13 +768,13 @@ mod tests {
             sort_fanin: 2,
             ..SpillConfig::default()
         };
-        // 100 rows through a 7-row budget: many runs, multiple merge
-        // passes at fan-in 2.
-        let govern = ResourceGovernor::new(&Limits::none().with_memory_rows(7), None);
+        // 100 rows (36 estimated bytes each) through a 7-row budget: many
+        // runs, multiple merge passes at fan-in 2.
+        let govern = ResourceGovernor::new(&Limits::none().with_memory_bytes(7 * 36), None);
         let ctx = ctx_parts(&config, &govern);
         let keys = asc_key();
         let gauge = MatGauge::new(None, govern.as_memory_guard(), None);
-        let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge, false);
+        let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge);
         let mut expected: Vec<i64> = Vec::new();
         for i in 0..100i64 {
             let v = (i * 37) % 50; // duplicates exercise stability
@@ -696,16 +818,20 @@ mod tests {
             last = Some((*k, *seq));
         }
         assert!(govern.merge_passes() > 1, "fan-in 2 must need extra passes");
-        assert_eq!(govern.live_rows(), 0, "everything released");
-        assert!(govern.peak_rows() <= 7, "peak stayed within budget");
+        assert_eq!(govern.live_buffer_bytes(), 0, "everything released");
+        assert!(
+            govern.peak_buffer_bytes() <= 7 * 36,
+            "peak stayed within budget"
+        );
     }
 
     #[test]
     fn sorter_without_spill_ctx_propagates_the_refusal() {
         let keys = asc_key();
-        let govern = ResourceGovernor::new(&Limits::none().with_memory_rows(2), None);
+        // Two 18-byte rows fit, the third is refused.
+        let govern = ResourceGovernor::new(&Limits::none().with_memory_bytes(40), None);
         let gauge = MatGauge::new(None, govern.as_memory_guard(), None);
-        let mut sorter = ExternalSorter::new(None, &keys, IdCodec, gauge, false);
+        let mut sorter = ExternalSorter::new(None, &keys, IdCodec, gauge);
         sorter.push(vec![Value::Int(1)], Value::Int(1)).unwrap();
         sorter.push(vec![Value::Int(2)], Value::Int(2)).unwrap();
         let err = sorter.push(vec![Value::Int(3)], Value::Int(3)).unwrap_err();
@@ -719,11 +845,11 @@ mod tests {
             let inj = FaultInjector::new(move |s| {
                 (s.name() == site).then(|| EvalError::Resource(format!("injected fault at {site}")))
             });
-            let govern = ResourceGovernor::new(&Limits::none().with_memory_rows(3), Some(inj));
+            let govern = ResourceGovernor::new(&Limits::none().with_memory_bytes(60), Some(inj));
             let ctx = ctx_parts(&config, &govern);
             let keys = asc_key();
             let gauge = MatGauge::new(None, govern.as_memory_guard(), None);
-            let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge, false);
+            let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge);
             let mut failed = false;
             for i in 0..10i64 {
                 if let Err(e) = sorter.push(vec![Value::Int(i)], Value::Int(i)) {
@@ -758,7 +884,7 @@ mod tests {
         let mut p = GracePartitioner::new(&ctx, 0).unwrap();
         for i in 0..40i64 {
             let key = vec![Value::Int(i % 10)];
-            p.write(&ctx, &key, &Value::Int(i)).unwrap();
+            p.write(&ctx, &key, Value::Int(i)).unwrap();
         }
         // Same key always routes to the same partition.
         assert_eq!(p.route(&[Value::Int(3)]), p.route(&[Value::Int(3)]));

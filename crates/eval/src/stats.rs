@@ -92,19 +92,14 @@ pub struct ExecStats {
     /// Real deadline/cancellation inspections the governor performed
     /// (the amortized skips between them are not counted).
     pub cancel_checks: u64,
-    /// High-water mark of rows the governor had admitted at once — equals
-    /// `peak_live_bindings` when both are tracked, but is maintained
-    /// independently so budgets work with stats collection off.
-    pub peak_budget_used: u64,
-    /// The memory budget in effect (rows), if one was set — lets
-    /// `EXPLAIN ANALYZE` render `used/limit`.
-    pub mem_budget: Option<u64>,
     /// The wall-clock deadline in effect (milliseconds), if one was set.
     pub time_budget_ms: Option<u64>,
-    /// The byte-denominated memory budget in effect, if one was set.
+    /// The memory budget in effect (estimated bytes), if one was set —
+    /// lets `EXPLAIN ANALYZE` render `used/limit`.
     pub mem_bytes_budget: Option<u64>,
     /// High-water mark of estimated bytes the governor had admitted at
-    /// once (zero when no spill-aware breaker accounted bytes).
+    /// once. Maintained by the governor, so budgets work with stats
+    /// collection off; zero when no budget (or fault hook) was attached.
     pub peak_budget_bytes: u64,
     /// Spill files (Grace partitions + sorted runs) created by this run.
     pub spill_partitions: u64,
@@ -152,7 +147,7 @@ impl ExecStats {
             ("peak_live_bindings", self.peak_live_bindings),
             ("budget_denials", self.budget_denials),
             ("cancel_checks", self.cancel_checks),
-            ("peak_budget_used", self.peak_budget_used),
+            ("peak_budget_bytes", self.peak_budget_bytes),
             ("batches_produced", self.batches_produced),
             ("exprs_compiled", self.exprs_compiled),
             ("exprs_fallback", self.exprs_fallback),
@@ -178,33 +173,21 @@ impl ExecStats {
             out.push_str(&format!(" {name}={value}"));
         }
         out.push('\n');
-        if self.mem_budget.is_some()
-            || self.time_budget_ms.is_some()
-            || self.mem_bytes_budget.is_some()
-        {
-            out.push_str("budget:");
-            if let Some(limit) = self.mem_budget {
-                out.push_str(&format!(
-                    " mem {}/{} rows (denials {})",
-                    self.peak_budget_used, limit, self.budget_denials
-                ));
-            }
-            if let Some(limit) = self.mem_bytes_budget {
-                if self.mem_budget.is_some() {
-                    out.push_str(" |");
-                }
-                out.push_str(&format!(" mem {}/{} bytes", self.peak_budget_bytes, limit));
-            }
-            if let Some(ms) = self.time_budget_ms {
-                if self.mem_budget.is_some() || self.mem_bytes_budget.is_some() {
-                    out.push_str(" |");
-                }
-                out.push_str(&format!(
-                    " deadline {}ms (checks {})",
-                    ms, self.cancel_checks
-                ));
-            }
-            out.push('\n');
+        let budgets: Vec<String> = [
+            self.mem_bytes_budget.map(|limit| {
+                format!(
+                    "mem {}/{} bytes (denials {})",
+                    self.peak_budget_bytes, limit, self.budget_denials
+                )
+            }),
+            self.time_budget_ms
+                .map(|ms| format!("deadline {}ms (checks {})", ms, self.cancel_checks)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if !budgets.is_empty() {
+            out.push_str(&format!("budget: {}\n", budgets.join(" | ")));
         }
         if self.spill_partitions > 0 || self.spill_bytes_written > 0 || self.merge_passes > 0 {
             out.push_str(&format!(
@@ -466,12 +449,12 @@ mod tests {
     fn budget_line_renders_only_when_limits_are_set() {
         let mut s = StatsCollector::default().snapshot();
         assert!(!s.render_summary().contains("budget:"));
-        s.mem_budget = Some(1000);
-        s.peak_budget_used = 400;
+        s.mem_bytes_budget = Some(1000);
+        s.peak_budget_bytes = 400;
         s.budget_denials = 2;
         let text = s.render_summary();
         assert!(
-            text.contains("budget: mem 400/1000 rows (denials 2)"),
+            text.contains("budget: mem 400/1000 bytes (denials 2)"),
             "{text}"
         );
         s.time_budget_ms = Some(250);
@@ -492,10 +475,6 @@ mod tests {
             text.contains("spill: 4 partition(s), 2048 byte(s) written, 1 merge pass(es)"),
             "{text}"
         );
-        s.mem_bytes_budget = Some(4096);
-        s.peak_budget_bytes = 1024;
-        let text = s.render_summary();
-        assert!(text.contains("budget: mem 1024/4096 bytes"), "{text}");
     }
 
     #[test]

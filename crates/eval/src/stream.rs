@@ -5,7 +5,8 @@
 //! runtime, with exactly one pull protocol: [`Stream::next_batch`] appends
 //! up to `max` rows into a caller-owned buffer in one virtual call.
 //! Full-consumption operators (projection, sort fill, aggregation,
-//! DISTINCT) pull ~[`DEFAULT_BATCH_SIZE`] rows at a time and so amortize
+//! DISTINCT) iterate their input through a [`Cursor`], which pulls
+//! ~[`DEFAULT_BATCH_SIZE`] rows at a time underneath and so amortizes
 //! dynamic dispatch, governor ticks, and stat increments; a session with
 //! `batch_size: 1` is the row-at-a-time engine — through this same code,
 //! not a second path.
@@ -70,6 +71,49 @@ pub(crate) fn next_one<T>(stream: &mut (impl Stream<T> + ?Sized)) -> Result<Opti
     let mut one = Vec::with_capacity(1);
     stream.next_batch(&mut one, 1)?;
     Ok(one.pop())
+}
+
+/// A row-at-a-time cursor over batched pulls — the `for` loop over a
+/// stream, for consumers that must be able to stop between rows and
+/// resume later (a keyed build that overflows mid-stream). Rows that
+/// arrived before a mid-batch error are yielded first, so the order of
+/// effects is pull order at every batch size.
+pub(crate) struct Cursor<'s, T> {
+    stream: Box<dyn Stream<T> + 's>,
+    batch_size: usize,
+    /// The current batch, reversed so `pop` yields pull order.
+    batch: Vec<T>,
+    /// The pull's outcome, surfaced once the batch is consumed.
+    pulled: Result<(), EvalError>,
+    done: bool,
+}
+
+impl<'s, T> Cursor<'s, T> {
+    pub(crate) fn new(stream: Box<dyn Stream<T> + 's>, batch_size: usize) -> Self {
+        Cursor {
+            stream,
+            batch_size,
+            batch: Vec::new(),
+            pulled: Ok(()),
+            done: false,
+        }
+    }
+
+    /// The next row, or `None` once the stream is exhausted.
+    pub(crate) fn next(&mut self) -> Result<Option<T>, EvalError> {
+        loop {
+            if let Some(row) = self.batch.pop() {
+                return Ok(Some(row));
+            }
+            std::mem::replace(&mut self.pulled, Ok(()))?;
+            if self.done {
+                return Ok(None);
+            }
+            self.pulled = self.stream.next_batch(&mut self.batch, self.batch_size);
+            self.done = self.batch.is_empty() || self.pulled.is_err();
+            self.batch.reverse();
+        }
+    }
 }
 
 /// The single shim that lifts a plain iterator into a [`Stream`].
@@ -357,19 +401,18 @@ impl<'s, I> Drop for Instrumented<'s, I> {
 /// A materialization gauge: every row a pipeline breaker holds live is
 /// counted into the collector's `peak_live_bindings` high-water mark (and,
 /// when the breaker is a plan operator, into that operator's `peak_rows`),
-/// and — when a memory budget or fault hook is active — *admitted* through
-/// the [`ResourceGovernor`], which can refuse. Refused rows are never
-/// counted, so the live total provably stays at or below the budget.
-/// Dropping the gauge releases its rows from both accounts — exactly the
-/// lifecycle a spill file would have.
+/// and — when a memory budget or fault hook is active — its estimated
+/// bytes are *admitted* through the [`ResourceGovernor`], which can
+/// refuse. Refused rows are never counted, so the live total provably
+/// stays at or below the budget. Dropping the gauge releases what it holds
+/// from both accounts — exactly the lifecycle a spill file would have.
 pub(crate) struct MatGauge<'s> {
     stats: Option<&'s StatsCollector>,
     govern: Option<&'s ResourceGovernor>,
     key: Option<u32>,
-    count: u64,
-    /// Estimated bytes admitted through the governor's byte account
-    /// (only maintained when a governor is attached — the byte budget is
-    /// a governor feature, not a stats feature).
+    /// Rows counted into the collector (zero without one).
+    rows: u64,
+    /// Estimated bytes admitted through the governor (zero without one).
     bytes: u64,
 }
 
@@ -387,100 +430,89 @@ impl<'s> MatGauge<'s> {
             stats,
             govern,
             key,
-            count: 0,
+            rows: 0,
             bytes: 0,
         }
     }
 
-    /// Admits and counts `n` more rows as live in this buffer. On refusal
-    /// (budget exceeded or injected fault) nothing is counted and the
-    /// caller must not buffer the rows.
-    pub(crate) fn add(&mut self, n: u64) -> Result<(), EvalError> {
-        self.add_sized(n, 0)
+    /// The bytes to admit for a row: `estimate()` when admissions reach
+    /// the governor, else 0 without running it — so an unbudgeted query
+    /// never sizes a row.
+    pub(crate) fn size(&self, estimate: impl FnOnce() -> u64) -> u64 {
+        self.govern.map_or(0, |_| estimate())
     }
 
-    /// Like [`MatGauge::add`], also admitting `bytes` estimated bytes
-    /// through the governor's byte-denominated budget. Refusal on either
-    /// account leaves both accounts untouched.
-    pub(crate) fn add_sized(&mut self, n: u64, bytes: u64) -> Result<(), EvalError> {
+    /// The single admission call: counts `rows` more rows as live in this
+    /// buffer and admits their `bytes` (from [`MatGauge::size`]) through
+    /// the governor. On refusal (budget exceeded or injected fault)
+    /// nothing is counted and the caller must not buffer the rows.
+    pub(crate) fn add(&mut self, rows: u64, bytes: u64) -> Result<(), EvalError> {
         if let Some(g) = self.govern {
-            g.admit(n)?;
-            if bytes > 0 {
-                if let Err(e) = g.admit_bytes(bytes) {
-                    g.release(n);
-                    return Err(e);
-                }
-            }
-            self.count += n;
+            g.admit(bytes)?;
             self.bytes += bytes;
         }
         if let Some(st) = self.stats {
-            if self.govern.is_none() {
-                self.count += n;
-            }
-            st.buffer_grow(n);
+            self.rows += rows;
+            st.buffer_grow(rows);
             if let Some(k) = self.key {
-                st.record_peak_rows(k, self.count);
+                st.record_peak_rows(k, self.rows);
             }
         }
         Ok(())
     }
 
-    /// Releases `n` rows (and `bytes` estimated bytes) from the live
-    /// accounts *before* the gauge is dropped — the spill hook: a breaker
-    /// that writes part of its working set to disk stops holding those
-    /// rows in memory, so the budget sees them leave immediately. The
-    /// recorded peaks are unaffected.
-    pub(crate) fn remove(&mut self, n: u64, bytes: u64) {
-        let n = n.min(self.count);
-        let bytes = bytes.min(self.bytes);
+    /// Releases `rows` rows and `bytes` estimated bytes from the live
+    /// accounts *before* the gauge is dropped — a top-k heap evicting one
+    /// entry. The recorded peaks are unaffected.
+    pub(crate) fn remove(&mut self, rows: u64, bytes: u64) {
+        let (rows, bytes) = (rows.min(self.rows), bytes.min(self.bytes));
         if let Some(st) = self.stats {
-            st.buffer_shrink(n);
+            st.buffer_shrink(rows);
         }
         if let Some(g) = self.govern {
-            g.release(n);
-            g.release_bytes(bytes);
+            g.release(bytes);
         }
-        self.count -= n;
+        self.rows -= rows;
         self.bytes -= bytes;
+    }
+
+    /// Releases everything the gauge holds — the spill hook: a breaker
+    /// that writes its working set to disk stops holding those rows in
+    /// memory, so the budget sees them leave immediately.
+    pub(crate) fn release_all(&mut self) {
+        self.remove(self.rows, self.bytes);
     }
 }
 
 impl<'s> Drop for MatGauge<'s> {
     fn drop(&mut self) {
-        if let Some(st) = self.stats {
-            st.buffer_shrink(self.count);
-        }
-        if let Some(g) = self.govern {
-            g.release(self.count);
-            g.release_bytes(self.bytes);
-        }
+        self.release_all();
     }
 }
 
-/// The one buffer type pipeline breakers materialize through: a `Vec`
-/// whose occupancy is tracked (and budget-governed) by a [`MatGauge`].
+/// The one buffer type non-spilling pipeline breakers materialize
+/// through: a `Vec` whose occupancy is tracked (and budget-governed, each
+/// row sized by `size`) by a [`MatGauge`].
 pub(crate) struct TrackedBuffer<'s, T> {
     items: Vec<T>,
     gauge: MatGauge<'s>,
+    size: fn(&T) -> u64,
 }
 
 impl<'s, T> TrackedBuffer<'s, T> {
-    pub(crate) fn new(
-        stats: Option<&'s StatsCollector>,
-        govern: Option<&'s ResourceGovernor>,
-        op: Option<&CoreOp>,
-    ) -> Self {
+    pub(crate) fn new(gauge: MatGauge<'s>, size: fn(&T) -> u64) -> Self {
         TrackedBuffer {
             items: Vec::new(),
-            gauge: MatGauge::new(stats, govern, op),
+            gauge,
+            size,
         }
     }
 
     /// Admits the row through the gauge *before* storing it; a refused
     /// row is dropped and the buffer is unchanged.
     pub(crate) fn push(&mut self, item: T) -> Result<(), EvalError> {
-        self.gauge.add(1)?;
+        let bytes = self.gauge.size(|| (self.size)(&item));
+        self.gauge.add(1, bytes)?;
         self.items.push(item);
         Ok(())
     }
@@ -488,9 +520,7 @@ impl<'s, T> TrackedBuffer<'s, T> {
     /// Releases the rows from the live gauge (their peak is already
     /// recorded) and hands the vector to the caller.
     pub(crate) fn into_vec(self) -> Vec<T> {
-        let TrackedBuffer { items, gauge } = self;
-        drop(gauge);
-        items
+        self.items
     }
 }
 

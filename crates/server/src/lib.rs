@@ -16,7 +16,7 @@
 //!   it a small accept queue buffers bursts, and past *that* the server
 //!   sheds: the connection gets a structured `Overloaded` frame and is
 //!   closed, never a hang. Per-session [`SessionConfig`] limits
-//!   (memory-row budgets, deadlines) are the second admission tier — a
+//!   (memory budgets, deadlines) are the second admission tier — a
 //!   tripped budget also surfaces as `Overloaded`, and the engine
 //!   remains fully usable (the governor guarantees refuse-don't-corrupt).
 //! * **Plan caching.** A shared prepared-statement cache keyed by

@@ -15,10 +15,9 @@
 //! * `.mode compat|composable` / `.typing permissive|strict` — the dials;
 //! * `.stats on|off` — print the phase/counter summary after every
 //!   statement, DML included;
-//! * `.limit mem <n>` / `.limit bytes <n>` / `.limit time <ms>` /
-//!   `.limit spill <n>` / `.limit off` — per-query resource budgets
-//!   (materialized rows, tracked buffer bytes, wall-clock deadline,
-//!   spill-file bytes);
+//! * `.limit bytes <n>` / `.limit time <ms>` / `.limit spill <n>` /
+//!   `.limit off` — per-query resource budgets (tracked buffer bytes,
+//!   wall-clock deadline, spill-file bytes);
 //! * `.spill on|off` — let pipeline breakers overflow the memory budget
 //!   to temp files instead of refusing the query; with `.stats on`,
 //!   spilling queries report partitions/bytes/merge passes;
@@ -128,10 +127,6 @@ fn main() {
                     _ => println!("usage: .stats on|off"),
                 },
                 Some("limit") => match (words.next(), words.next().map(str::parse::<u64>)) {
-                    (Some("mem"), Some(Ok(rows))) => {
-                        config.limits = config.limits.clone().with_memory_rows(rows);
-                        println!("memory budget: {rows} rows");
-                    }
                     (Some("bytes"), Some(Ok(bytes))) => {
                         config.limits = config.limits.clone().with_memory_bytes(bytes);
                         println!("memory budget: {bytes} bytes of tracked buffers");
@@ -149,8 +144,8 @@ fn main() {
                         println!("limits cleared");
                     }
                     _ => println!(
-                        "usage: .limit mem <rows> | .limit bytes <n> | .limit time <ms> \
-                         | .limit spill <n> | .limit off"
+                        "usage: .limit bytes <n> | .limit time <ms> | .limit spill <n> \
+                         | .limit off"
                     ),
                 },
                 Some("spill") => match words.next() {

@@ -31,7 +31,7 @@ fn main() -> std::io::Result<()> {
             workers: 4,
             session: SessionConfig {
                 limits: Limits::none()
-                    .with_memory_rows(100_000)
+                    .with_memory_bytes(64 << 20)
                     .with_time(Duration::from_secs(5)),
                 ..SessionConfig::default()
             },
@@ -91,7 +91,7 @@ fn main() -> std::io::Result<()> {
         engine,
         ServerConfig {
             session: SessionConfig {
-                limits: Limits::none().with_memory_rows(2),
+                limits: Limits::none().with_memory_bytes(64),
                 ..SessionConfig::default()
             },
             ..ServerConfig::default()

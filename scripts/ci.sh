@@ -14,25 +14,33 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== bench smoke (--quick) =="
 out_dir="$(mktemp -d)"
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_all -- --quick
-report="$out_dir/BENCH_seed.json"
-test -s "$report" || { echo "missing bench report $report" >&2; exit 1; }
-grep -q '"median_ns"' "$report" || { echo "malformed bench report" >&2; exit 1; }
-echo "bench report OK: $report"
+
+# bench_gate <bin> <name> <key>...: runs one bench binary in --quick mode
+# (the suite's own asserts are the gate) and checks that its JSON report
+# exists and carries every <key>. Leaves the report path in $report.
+bench_gate() {
+  local bin="$1" name="$2" key
+  shift 2
+  SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin "$bin" -- --quick --name "$name"
+  report="$out_dir/BENCH_$name.json"
+  test -s "$report" || { echo "missing bench report $report" >&2; exit 1; }
+  for key in "$@"; do
+    grep -q "\"$key\"" "$report" || { echo "$key missing from $report" >&2; exit 1; }
+  done
+  echo "$name OK: $report"
+}
+
+echo "== bench smoke (--quick) =="
+bench_gate bench_all seed median_ns
 
 echo "== join_scale smoke + hash-join plan gate =="
 # The suite itself asserts that an uncorrelated equi-join plans a
 # `hash join` (and that a correlated one does not), that its probe count
 # stays linear, and that the right side is never rescanned — so running
-# it IS the regression gate. The grep below additionally checks the new
+# it IS the regression gate. The key check additionally verifies the new
 # join counters flow into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_join_scale -- --quick --name join_smoke
-join_report="$out_dir/BENCH_join_smoke.json"
-test -s "$join_report" || { echo "missing join bench report $join_report" >&2; exit 1; }
-grep -q '"join_probes"' "$join_report" || { echo "join counters missing from $join_report" >&2; exit 1; }
-echo "join_scale OK: $join_report"
+bench_gate bench_join_scale join_smoke join_probes
 
 echo "== limit_stream smoke + streaming early-exit gate =="
 # B12's own asserts ARE the regression gate: `LIMIT k` must pull O(k)
@@ -40,12 +48,7 @@ echo "== limit_stream smoke + streaming early-exit gate =="
 # side must early-exit under LIMIT, and only pipeline breakers may move
 # the `peak_live_bindings` gauge. The greps additionally check both
 # counters flow into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_limit_stream -- --quick --name limit_stream
-limit_report="$out_dir/BENCH_limit_stream.json"
-test -s "$limit_report" || { echo "missing limit bench report $limit_report" >&2; exit 1; }
-grep -q '"rows_scanned"' "$limit_report" || { echo "rows_scanned missing from $limit_report" >&2; exit 1; }
-grep -q '"peak_live_bindings"' "$limit_report" || { echo "peak_live_bindings missing from $limit_report" >&2; exit 1; }
-echo "limit_stream OK: $limit_report"
+bench_gate bench_limit_stream limit_stream rows_scanned peak_live_bindings
 
 echo "== governor smoke + fail-fast gate =="
 # B13's own asserts ARE the gate: a budgeted ORDER BY must die with the
@@ -54,12 +57,7 @@ echo "== governor smoke + fail-fast gate =="
 # cancel on the first pull, and a governed run must not be
 # catastrophically slower than the ungoverned one. The greps check the
 # governor counters flow into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_governor -- --quick --name governor
-governor_report="$out_dir/BENCH_governor.json"
-test -s "$governor_report" || { echo "missing governor bench report $governor_report" >&2; exit 1; }
-grep -q '"peak_budget_used"' "$governor_report" || { echo "peak_budget_used missing from $governor_report" >&2; exit 1; }
-grep -q '"budget_denials"' "$governor_report" || { echo "budget_denials missing from $governor_report" >&2; exit 1; }
-echo "governor OK: $governor_report"
+bench_gate bench_governor governor peak_budget_bytes budget_denials
 
 echo "== vectorized smoke + speedup gate (B17) =="
 # B17's own asserts ARE the gate: at the cache-resident gate size the
@@ -71,13 +69,7 @@ echo "== vectorized smoke + speedup gate (B17) =="
 # exprs_fallback = 0), and governed scans must amortize real deadline
 # checks to ≤ rows/512 while still checking at least once. The greps
 # check the vectorization counters flow into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_vectorized -- --quick --name vectorized
-vectorized_report="$out_dir/BENCH_vectorized.json"
-test -s "$vectorized_report" || { echo "missing vectorized bench report $vectorized_report" >&2; exit 1; }
-grep -q '"speedup_pct"' "$vectorized_report" || { echo "speedup_pct missing from $vectorized_report" >&2; exit 1; }
-grep -q '"batches_produced"' "$vectorized_report" || { echo "batches_produced missing from $vectorized_report" >&2; exit 1; }
-grep -q '"exprs_compiled"' "$vectorized_report" || { echo "exprs_compiled missing from $vectorized_report" >&2; exit 1; }
-echo "vectorized OK: $vectorized_report"
+bench_gate bench_vectorized vectorized speedup_pct batches_produced exprs_compiled
 
 echo "== out-of-core smoke + bounded-memory gate (B15) =="
 # B15's own asserts ARE the gate: at a byte budget a tenth of the
@@ -87,13 +79,7 @@ echo "== out-of-core smoke + bounded-memory gate (B15) =="
 # was actually used; the fused ORDER BY + LIMIT k heap must hold O(k)
 # rows with zero spill files and not lose to the unfused sort. The
 # greps check the spill counters flow into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_out_of_core -- --quick --name out_of_core
-ooc_report="$out_dir/BENCH_out_of_core.json"
-test -s "$ooc_report" || { echo "missing out-of-core bench report $ooc_report" >&2; exit 1; }
-grep -q '"spill_partitions"' "$ooc_report" || { echo "spill_partitions missing from $ooc_report" >&2; exit 1; }
-grep -q '"spill_bytes_written"' "$ooc_report" || { echo "spill_bytes_written missing from $ooc_report" >&2; exit 1; }
-grep -q '"topk_peak_rows"' "$ooc_report" || { echo "topk_peak_rows missing from $ooc_report" >&2; exit 1; }
-echo "out_of_core OK: $ooc_report"
+bench_gate bench_out_of_core out_of_core spill_partitions spill_bytes_written topk_peak_rows
 
 echo "== out-of-core differential gate =="
 # Spill-on vs spill-off twins: external sort ≡ in-memory sort ≡ a Rust
@@ -112,12 +98,7 @@ echo "== durability smoke (B18) =="
 # cold-start recovery) are reported, not gated — fsync latency belongs
 # to the storage stack. The greps check the durability counters flow
 # into the JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_durability -- --quick --name durability
-durability_report="$out_dir/BENCH_durability.json"
-test -s "$durability_report" || { echo "missing durability bench report $durability_report" >&2; exit 1; }
-grep -q '"wal_bytes_per_commit_always"' "$durability_report" || { echo "wal counters missing from $durability_report" >&2; exit 1; }
-grep -q '"fsyncs_always"' "$durability_report" || { echo "fsync counters missing from $durability_report" >&2; exit 1; }
-echo "durability OK: $durability_report"
+bench_gate bench_durability durability wal_bytes_per_commit_always fsyncs_always
 
 echo "== crash-recovery gate =="
 # Deterministic crash-point sweep: the engine is killed at every
@@ -138,17 +119,13 @@ echo "== serving smoke (B16) =="
 # both admission and budget refusals must arrive as structured
 # Overloaded frames. The greps check the serving counters flow into the
 # JSON report.
-SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_serving -- --quick --name serving
-serving_report="$out_dir/BENCH_serving.json"
-test -s "$serving_report" || { echo "missing serving bench report $serving_report" >&2; exit 1; }
-grep -q '"cache_hits"' "$serving_report" || { echo "cache_hits missing from $serving_report" >&2; exit 1; }
-grep -q '"qps"' "$serving_report" || { echo "qps missing from $serving_report" >&2; exit 1; }
-cache_hits="$(sed -E 's/.*"cache_hits": ([0-9]+).*/\1/;t;d' "$serving_report" | head -n 1)"
+bench_gate bench_serving serving cache_hits qps
+cache_hits="$(sed -E 's/.*"cache_hits": ([0-9]+).*/\1/;t;d' "$report" | head -n 1)"
 if [ -z "$cache_hits" ] || [ "$cache_hits" -eq 0 ]; then
   echo "serving gate: plan cache never hit (cache_hits=$cache_hits)" >&2
   exit 1
 fi
-echo "serving OK: $serving_report (cache_hits=$cache_hits)"
+echo "serving cache_hits=$cache_hits"
 
 echo "== serving chaos gate (threaded) =="
 # Real TCP clients hammering one engine from many threads: concurrent

@@ -274,10 +274,10 @@ fn failed_insert_is_atomic_under_strict_error() {
 fn failed_insert_is_atomic_under_budget_denial() {
     let engine = engine();
     let before = stored(&engine, "emp");
-    // An ORDER BY pipeline breaker over 3 rows with a 1-row budget: the
+    // An ORDER BY pipeline breaker over 3 rows with a 32-byte budget: the
     // source query is refused mid-materialization, before any append.
     let session = engine.with_config(sqlpp::SessionConfig {
-        limits: sqlpp::Limits::none().with_memory_rows(1),
+        limits: sqlpp::Limits::none().with_memory_bytes(32),
         ..sqlpp::SessionConfig::default()
     });
     let err = session

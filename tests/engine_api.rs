@@ -328,16 +328,17 @@ mod governance {
     #[test]
     fn budget_denial_is_structured_and_engine_survives() {
         let engine = fixture();
-        let session = limited(&engine, Limits::none().with_memory_rows(10));
-        // ORDER BY is a pipeline breaker: 100 rows against a 10-row
-        // budget must be refused with the structured error, fast.
+        let session = limited(&engine, Limits::none().with_memory_bytes(800));
+        // ORDER BY is a pipeline breaker: 100 rows (78 estimated bytes
+        // each) against an 800-byte budget must be refused with the
+        // structured error, fast.
         let err = session
             .query("SELECT VALUE n.id FROM nums AS n ORDER BY n.id DESC")
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("resource exhausted"), "{msg}");
         assert!(msg.contains("memory budget"), "{msg}");
-        assert!(msg.contains("limit 10"), "{msg}");
+        assert!(msg.contains("limit 800"), "{msg}");
         // The same session still runs streaming queries (no breaker
         // materializes more than the budget)...
         let r = session
@@ -351,21 +352,81 @@ mod governance {
         assert_eq!(r.rows()[0].as_int().unwrap(), 4);
     }
 
+    /// The breakers that never spill — DISTINCT, de-duplicating UNION, the
+    /// INTERSECT/EXCEPT build side, window partitions — size every row
+    /// they buffer, so a byte budget refuses them (even with spilling
+    /// enabled: they have no out-of-core plan) instead of letting them
+    /// grow without limit.
+    #[test]
+    fn non_spilling_breakers_are_metered_and_refuse() {
+        use sqlpp_eval::{EvalConfig, EvalError, Evaluator};
+        const BUDGET: u64 = 200;
+        let engine = fixture();
+        let config = SessionConfig {
+            limits: Limits::none().with_memory_bytes(BUDGET),
+            spill: Some(sqlpp::SpillConfig::default()),
+            ..SessionConfig::default()
+        };
+        let session = engine.with_config(config.clone());
+        let next = engine
+            .prepare("SELECT VALUE n.id FROM nums AS n WHERE n.id < 3")
+            .unwrap();
+        for q in [
+            "SELECT DISTINCT VALUE n.id FROM nums AS n",
+            "SELECT VALUE n.id FROM nums AS n UNION SELECT VALUE n.grp FROM nums AS n",
+            "SELECT VALUE n.id FROM nums AS n INTERSECT SELECT VALUE n.id FROM nums AS n",
+            "SELECT VALUE n.grp FROM nums AS n EXCEPT ALL SELECT VALUE n.id FROM nums AS n",
+            "SELECT n.id AS id, ROW_NUMBER() OVER (PARTITION BY n.grp ORDER BY n.id) AS rn \
+             FROM nums AS n",
+        ] {
+            let msg = session.query(q).unwrap_err().to_string();
+            assert!(msg.contains("memory budget"), "{q}: {msg}");
+            assert_eq!(
+                session
+                    .query("SELECT VALUE 1 FROM nums AS n")
+                    .unwrap()
+                    .len(),
+                100
+            );
+
+            let plan = engine.prepare(q).unwrap();
+            let ev = Evaluator::new(
+                engine.catalog(),
+                EvalConfig {
+                    limits: config.limits.clone(),
+                    spill: config.spill.clone(),
+                    ..EvalConfig::default()
+                },
+            );
+            let err = ev.run(plan.plan()).unwrap_err();
+            assert!(
+                matches!(err, EvalError::ResourceExhausted { limit: BUDGET, .. }),
+                "{q}: {err:?}"
+            );
+            let g = ev.governor();
+            assert!(g.peak_buffer_bytes() <= BUDGET, "{q}");
+            assert!(g.peak_buffer_bytes() > BUDGET / 2, "{q}: barely metered");
+            assert_eq!((g.budget_denials(), g.spill_partitions()), (1, 0), "{q}");
+            assert_eq!(ev.run(next.plan()).unwrap().to_string(), "{{0, 1, 2}}");
+        }
+    }
+
     #[test]
     fn governor_counters_reset_between_queries() {
         let engine = fixture();
-        let session = limited(&engine, Limits::none().with_memory_rows(50));
+        let session = limited(&engine, Limits::none().with_memory_bytes(4000));
         let q = "SELECT VALUE n.id FROM nums AS n WHERE n.id < 20 ORDER BY n.id";
         let first = session.query_with_stats(q).unwrap();
         let second = session.query_with_stats(q).unwrap();
         let (a, b) = (first.stats().unwrap(), second.stats().unwrap());
-        assert_eq!(a.peak_budget_used, 20, "{a:?}");
+        assert_eq!(a.peak_live_bindings, 20, "{a:?}");
+        assert_eq!(a.peak_budget_bytes, 20 * 78, "{a:?}");
         assert_eq!(
-            a.peak_budget_used, b.peak_budget_used,
+            a.peak_budget_bytes, b.peak_budget_bytes,
             "governor state leaked across queries"
         );
         assert_eq!(b.budget_denials, 0);
-        assert_eq!(a.mem_budget, Some(50));
+        assert_eq!(a.mem_bytes_budget, Some(4000));
     }
 
     #[test]
@@ -470,14 +531,14 @@ mod governance {
         let session = limited(
             &engine,
             Limits::none()
-                .with_memory_rows(1000)
+                .with_memory_bytes(100_000)
                 .with_time(Duration::from_secs(30)),
         );
         let report = session
             .explain_analyze("SELECT VALUE n.id FROM nums AS n ORDER BY n.id")
             .unwrap();
         assert!(report.contains("budget: mem"), "{report}");
-        assert!(report.contains("/1000 rows"), "{report}");
+        assert!(report.contains("/100000 bytes (denials 0)"), "{report}");
         assert!(report.contains("deadline 30000ms"), "{report}");
         // Without limits the line is absent.
         let plain = engine

@@ -10,19 +10,28 @@
 //! * `ORDER BY … LIMIT` fused to a bounded heap ≡ the unfused plan,
 //!   including OFFSET, `LIMIT 0`, and limits larger than the input —
 //!   and the heap never materializes more than O(k) rows, never spills;
-//! * a byte-budget sweep straddling partition-size boundaries keeps the
-//!   answer identical while peak tracked bytes stay within budget;
+//! * a byte-budget sweep straddling partition-size boundaries — over
+//!   `GROUP AS`, absent (NULL/MISSING) group and join keys, and LEFT-join
+//!   padding, as the row engine and batched — keeps the answer identical
+//!   while peak tracked bytes stay within budget;
+//! * a spilled join evaluates each side exactly once;
+//! * one hot key bigger than the budget is refused after `max_recursion`
+//!   re-partitioning levels, for GROUP BY and the join build alike;
 //! * successful spills reclaim every temp file;
 //! * sort and top-k plans compile their key expressions (the EXPLAIN
 //!   ANALYZE summary reports `exprs_compiled`, and `exprs_fallback=0`),
 //!   and a spilling run tags the breaker that went out-of-core.
 
 use sqlpp::{Engine, ExecOutcome, Limits, SessionConfig, SpillConfig, TypingMode};
+use sqlpp_eval::govern::MEMORY_BUDGET;
+use sqlpp_eval::{EvalConfig, EvalError, Evaluator};
 
 /// A deterministic scrambled fixture: `n` rows with non-monotonic sort
 /// keys (`k`, n/4 distinct values, four duplicates each — join and
 /// group-by fodder), and a string payload to give each row some byte
-/// weight.
+/// weight. Beside it, `sparse`: 64 rows whose key `k` is MISSING on every
+/// 16th row and NULL on every 16th-plus-8th (absent keys never join and
+/// group together), four rows for each of the other fourteen keys.
 fn fixture(n: usize) -> Engine {
     let engine = Engine::new();
     let rows: Vec<String> = (0..n)
@@ -36,6 +45,16 @@ fn fixture(n: usize) -> Engine {
         .collect();
     engine
         .load_pnotation("big", &format!("{{{{ {} }}}}", rows.join(", ")))
+        .unwrap();
+    let sparse: Vec<String> = (0..64)
+        .map(|i| match i % 16 {
+            0 => format!("{{'id': {i}}}"),
+            8 => format!("{{'id': {i}, 'k': null}}"),
+            k => format!("{{'id': {i}, 'k': {k}}}"),
+        })
+        .collect();
+    engine
+        .load_pnotation("sparse", &format!("{{{{ {} }}}}", sparse.join(", ")))
         .unwrap();
     engine
 }
@@ -158,40 +177,72 @@ fn top_k_never_materializes_its_input() {
     let stats = run.stats().unwrap();
     assert_eq!(stats.spill_partitions, 0, "a bounded heap must not spill");
     assert!(
-        stats.peak_budget_used <= 2 * (k + off) + 16,
+        stats.peak_live_bindings <= 2 * (k + off) + 16,
         "top-k held {} rows for k+offset = {}",
-        stats.peak_budget_used,
+        stats.peak_live_bindings,
         k + off
     );
 }
 
 #[test]
 fn spilled_group_by_and_join_match_in_memory_as_multisets() {
-    let engine = fixture(400);
+    let n = 400;
+    let engine = fixture(n);
+    // The joins carry the `rows_scanned` they must report: a spilled join
+    // scatters the rows it already built and keeps pulling the *same*
+    // right stream, so each side is still scanned exactly once.
     let shapes = [
         // Grace GROUP BY with aggregates over duplicate-heavy keys.
-        "SELECT b.k AS k, COUNT(*) AS n, SUM(b.id) AS total FROM big AS b GROUP BY b.k",
+        (
+            "SELECT b.k AS k, COUNT(*) AS n, SUM(b.id) AS total FROM big AS b GROUP BY b.k",
+            None,
+        ),
         // GROUP AS: whole groups round-trip through the spill codec.
-        "SELECT kk AS kk, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
-         FROM big AS b GROUP BY b.k AS kk GROUP AS grp",
+        (
+            "SELECT kk AS kk, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
+             FROM big AS b GROUP BY b.k AS kk GROUP AS grp",
+            None,
+        ),
         // Grace hash join with a residual predicate.
-        "SELECT a.id AS l, b.id AS r FROM big AS a JOIN big AS b \
-         ON a.k = b.k AND a.id < b.id",
+        (
+            "SELECT a.id AS l, b.id AS r FROM big AS a JOIN big AS b \
+             ON a.k = b.k AND a.id < b.id",
+            Some(2 * n as u64),
+        ),
         // LEFT join: unmatched probe rows pad with NULL through the
         // spilled path too (the smallest id of each key group matches
         // nothing).
-        "SELECT a.id AS l, b.id AS r FROM big AS a LEFT JOIN big AS b \
-         ON a.k = b.k AND b.id < a.id",
+        (
+            "SELECT a.id AS l, b.id AS r FROM big AS a LEFT JOIN big AS b \
+             ON a.k = b.k AND b.id < a.id",
+            Some(2 * n as u64),
+        ),
     ];
-    for q in shapes {
+    for (q, scans) in shapes {
         let baseline = engine.query(q).unwrap().canonical().to_string();
-        let run = spill_session(&engine, 3_000).query_with_stats(q).unwrap();
-        let spill_partitions = run.stats().unwrap().spill_partitions;
-        assert!(
-            spill_partitions > 0,
-            "3 KB budget did not force a spill: {q}"
-        );
-        assert_eq!(run.canonical().to_string(), baseline, "diverged: {q}");
+        for batch_size in [1, 1024] {
+            let session = engine.with_config(SessionConfig {
+                batch_size,
+                ..spill_session(&engine, 3_000).config().clone()
+            });
+            let run = session.query_with_stats(q).unwrap();
+            let stats = run.stats().unwrap();
+            assert!(
+                stats.spill_partitions > 0,
+                "3 KB budget did not force a spill: {q}"
+            );
+            if let Some(scans) = scans {
+                assert_eq!(
+                    stats.rows_scanned, scans,
+                    "batch_size {batch_size}: a side was re-evaluated: {q}"
+                );
+            }
+            assert_eq!(
+                run.canonical().to_string(),
+                baseline,
+                "batch_size {batch_size}: diverged: {q}"
+            );
+        }
     }
 }
 
@@ -202,8 +253,20 @@ fn spilled_group_by_and_join_match_in_memory_as_multisets() {
 fn budget_sweep_straddles_partition_boundaries() {
     let engine = fixture(256);
     let sort_expected = engine.query(SORT_Q).unwrap().into_value().to_string();
-    let group_q = "SELECT b.k AS k, COUNT(*) AS n FROM big AS b GROUP BY b.k";
-    let group_expected = engine.query(group_q).unwrap().canonical().to_string();
+    // Bag-valued shapes, compared as multisets against the unlimited run.
+    let bag_shapes = [
+        "SELECT b.k AS k, COUNT(*) AS n FROM big AS b GROUP BY b.k",
+        "SELECT kk AS kk, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
+         FROM big AS b GROUP BY b.k AS kk GROUP AS grp",
+        // Absent group keys: MISSING and NULL share the NULL group.
+        "SELECT s.k AS k, COUNT(*) AS n FROM sparse AS s GROUP BY s.k",
+        // Absent join keys never match: those probe rows pad, those
+        // build rows never enter a partition.
+        "SELECT a.id AS l, b.id AS r FROM sparse AS a LEFT JOIN sparse AS b ON a.k = b.k",
+        "SELECT a.id AS l, b.id AS r FROM big AS a LEFT JOIN big AS b \
+         ON a.k = b.k AND b.id < a.id",
+    ];
+    let bag_expected = bag_shapes.map(|q| engine.query(q).unwrap().canonical().to_string());
     for budget in [600u64, 1_100, 2_300, 4_700, 9_500, 19_000] {
         let session = spill_session(&engine, budget);
         let sorted = session.query_with_stats(SORT_Q).unwrap();
@@ -218,26 +281,87 @@ fn budget_sweep_straddles_partition_boundaries() {
             sort_expected,
             "budget {budget}: sort diverged"
         );
-        let grouped = session.query(group_q).unwrap();
-        assert_eq!(
-            grouped.canonical().to_string(),
-            group_expected,
-            "budget {budget}: group-by diverged"
-        );
+        for batch_size in [1, 1024] {
+            let session = engine.with_config(SessionConfig {
+                batch_size,
+                ..session.config().clone()
+            });
+            for (q, expected) in bag_shapes.iter().zip(&bag_expected) {
+                let run = session.query_with_stats(q).unwrap();
+                let peak = run.stats().unwrap().peak_budget_bytes;
+                assert!(peak <= budget, "budget {budget}: peak {peak} overshot: {q}");
+                assert_eq!(
+                    &run.canonical().to_string(),
+                    expected,
+                    "budget {budget}, batch_size {batch_size}: diverged: {q}"
+                );
+            }
+        }
     }
 }
 
-/// Grace recursion splits skew across *distinct* keys; a single group
+/// Grace recursion splits skew across *distinct* keys; a single key
 /// bigger than the whole budget is irreducible — hashing the same key
 /// again never separates its rows. That must surface as the honest
-/// budget refusal, not a hang or a silent overshoot.
+/// budget refusal, not a hang or a silent overshoot: after exactly
+/// `max_recursion` re-partitioning levels, for GROUP BY and the join build
+/// alike, with every temp file reclaimed and the evaluator reusable.
 #[test]
-fn a_single_group_larger_than_the_budget_is_an_honest_refusal() {
+fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
     let engine = fixture(400);
     let err = spill_session(&engine, 1_000)
         .query("SELECT b.tag AS tag, COUNT(*) AS n FROM big AS b GROUP BY b.tag")
         .expect_err("seven ~57-row groups cannot fit a 1 KB budget");
     assert!(err.to_string().contains("memory budget"), "{err}");
+
+    let dir = std::env::temp_dir().join(format!("sqlpp-ooc-skew-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spill = SpillConfig {
+        dir: Some(dir.clone()),
+        ..SpillConfig::default()
+    };
+    let levels = u64::from(spill.max_recursion) + 1;
+    let next = engine
+        .prepare("SELECT VALUE b.id FROM big AS b WHERE b.id < 3")
+        .unwrap();
+    // `b.id - b.id` is 0 on every row: one hot key holding all 400. Each
+    // level scatters it into `partitions` files (the join: build and
+    // probe side each) and finds it whole again in one of them.
+    for (q, files_per_level) in [
+        (
+            "SELECT z AS z, COUNT(*) AS n FROM big AS b GROUP BY b.id - b.id AS z",
+            spill.partitions as u64,
+        ),
+        (
+            "SELECT a.id AS l, b.id AS r FROM big AS a JOIN big AS b \
+             ON a.id - a.id = b.id - b.id",
+            2 * spill.partitions as u64,
+        ),
+    ] {
+        let skewed = engine.prepare(q).unwrap();
+        let ev = Evaluator::new(
+            engine.catalog(),
+            EvalConfig {
+                limits: Limits::none().with_memory_bytes(1_000),
+                spill: Some(spill.clone()),
+                ..EvalConfig::default()
+            },
+        );
+        let err = ev.run(skewed.plan()).unwrap_err();
+        assert!(
+            matches!(err, EvalError::ResourceExhausted { resource, .. } if resource == MEMORY_BUDGET),
+            "wrong error: {err:?}: {q}"
+        );
+        let g = ev.governor();
+        assert_eq!(g.spill_partitions(), files_per_level * levels, "{q}");
+        assert!(g.peak_buffer_bytes() <= 1_000, "{q}");
+        assert_eq!(g.live_buffer_bytes(), 0, "refusal left bytes admitted: {q}");
+        let leaked = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leaked, 0, "{leaked} temp files leaked after {q}");
+        let again = ev.run(next.plan()).unwrap();
+        assert_eq!(again.to_string(), "{{0, 1, 2}}", "{q}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

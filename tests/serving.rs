@@ -160,7 +160,7 @@ fn budget_trips_shed_the_request_but_not_the_session() {
         fixture(),
         ServerConfig {
             session: SessionConfig {
-                limits: Limits::none().with_memory_rows(2),
+                limits: Limits::none().with_memory_bytes(64),
                 ..SessionConfig::default()
             },
             ..ServerConfig::default()
@@ -300,13 +300,13 @@ fn errors_carry_code_and_diagnostics() {
 }
 
 /// The threaded chaos storm. One engine, two servers over its catalog
-/// (one unlimited, one with a 2-row budget), and three kinds of client
+/// (one unlimited, one with a 64-byte memory budget), and three kinds of client
 /// hammering them concurrently:
 ///
 /// * readers running joins/aggregates (some through the plan cache),
 /// * writers — failing DML against a schema-guarded table and three
 ///   threads of succeeding DML racing on one open collection,
-/// * budget clients whose sorts always trip the 2-row budget.
+/// * budget clients whose sorts always trip the 64-byte budget.
 ///
 /// Afterwards: the guarded table is byte-identical (every bad insert
 /// refused atomically, under full concurrency), the open table holds
@@ -333,7 +333,7 @@ fn threaded_chaos_storm_preserves_catalog_integrity() {
         engine.clone(),
         ServerConfig {
             session: SessionConfig {
-                limits: Limits::none().with_memory_rows(2),
+                limits: Limits::none().with_memory_bytes(64),
                 ..SessionConfig::default()
             },
             ..ServerConfig::default()
@@ -394,7 +394,7 @@ fn threaded_chaos_storm_preserves_catalog_integrity() {
             }
         }));
     }
-    // Budget clients: every sort trips the 2-row budget — shed, never an
+    // Budget clients: every sort trips the 64-byte budget — shed, never an
     // error, and the session keeps being served.
     for _ in 0..2 {
         handles.push(std::thread::spawn(move || {
