@@ -33,17 +33,17 @@
 //! DML, exact-count assertion) pin this under real contention.
 
 use sqlpp_eval::{Env, Evaluator, ExecStats};
-use sqlpp_plan::lower::lower_with_scope;
-use sqlpp_plan::{CoreExpr, CoreOp, PlanConfig, Scope};
-use sqlpp_schema::Validator;
-use sqlpp_syntax::ast::{
-    Delete, Expr, Insert, InsertSource, PathStep, Query, QueryBlock, SelectClause, SetExpr,
-    SetQuantifier, Update,
-};
+use sqlpp_plan::{lower_expr, CoreExpr, PlanConfig, Scope};
+use sqlpp_schema::SqlppType;
+use sqlpp_syntax::ast::{Delete, Expr, Insert, InsertSource, PathStep, Update};
 use sqlpp_value::{Tuple, Value};
 
 use crate::error::{Error, Result};
-use crate::Engine;
+use crate::{Engine, ExecOutcome};
+
+/// What a DML statement hands the dispatcher: its outcome plus, when
+/// collected, the stats of its embedded query/predicate evaluation.
+type Executed = (ExecOutcome, Option<ExecStats>);
 
 /// A collection's elements plus the constructor restoring its kind.
 type ElementsAndKind = (Vec<Value>, fn(Vec<Value>) -> Value);
@@ -58,6 +58,14 @@ fn open_collection(stmt: &str, name: &str, v: Value) -> Result<ElementsAndKind> 
             other.kind().name()
         ))),
     }
+}
+
+/// The range variable a DELETE/UPDATE binds each element under: the
+/// explicit alias, else the last segment of the target name.
+fn row_alias(alias: &Option<String>, target: &[String]) -> String {
+    alias
+        .clone()
+        .unwrap_or_else(|| target.last().expect("non-empty name").clone())
 }
 
 impl Engine {
@@ -78,200 +86,153 @@ impl Engine {
         Ok(())
     }
 
-    pub(crate) fn exec_insert(
+    /// The skeleton every DML statement runs: take the catalog's
+    /// `dml_guard`, read the target's `Arc` snapshot, open it as a
+    /// collection, let `rewrite` compute the complete replacement
+    /// elements off to the side, and publish them through
+    /// [`Engine::commit_collection`]. The guard is held from the snapshot
+    /// read through the commit — the replacement is derived from that
+    /// snapshot, so a concurrent writer must wait. `rewrite` also
+    /// receives the target's attached element schema (looked up once per
+    /// statement) and returns whatever the statement reports alongside
+    /// the new elements; any error out of it leaves the catalog untouched.
+    fn rewrite_collection<T>(
         &self,
-        ins: &Insert,
-        collect: bool,
-    ) -> Result<(usize, Option<ExecStats>)> {
+        stmt: &str,
+        name: &str,
+        create_if_unbound: bool,
+        rewrite: impl FnOnce(Vec<Value>, Option<&SqlppType>) -> Result<(Vec<Value>, T)>,
+    ) -> Result<T> {
+        let _writers = self.catalog().dml_guard();
+        let (items, rebuild): ElementsAndKind = match self.catalog().get_str(name) {
+            Ok(existing) => open_collection(stmt, name, (*existing).clone())?,
+            Err(_) if create_if_unbound => (Vec::new(), Value::Bag),
+            Err(e) => return Err(e.into()),
+        };
+        let schema = self.catalog().schema(&crate::Name::parse(name));
+        let (items, report) = rewrite(items, schema.as_deref())?;
+        self.commit_collection(name, rebuild(items))?;
+        Ok(report)
+    }
+
+    pub(crate) fn exec_insert(&self, ins: &Insert, collect: bool) -> Result<Executed> {
         let name = ins.target.join(".");
-        let mut stats: Option<ExecStats> = None;
-        let new_elements: Vec<Value> = match &ins.source {
+        // The source evaluates lock-free on its own snapshot, before the
+        // writer guard is taken: as the FROM-less `SELECT VALUE e` plan
+        // for `VALUE e`, as its own plan for a query.
+        let (new_elements, stats) = match &ins.source {
             InsertSource::Value(expr) => {
-                let (v, st) = self.eval_expr_with(&sqlpp_syntax::print_expr(expr), collect)?;
-                stats = st;
-                vec![v]
+                let (v, stats) = self.eval_value_expr(expr.clone(), collect)?;
+                (vec![v], stats)
             }
             InsertSource::Query(q) => {
-                let src = sqlpp_syntax::print_query(q);
-                let result = if collect {
-                    let (_core, value, st) = self.run_with_stats(&src)?;
-                    stats = Some(st);
-                    value
-                } else {
-                    self.query(&src)?.into_value()
-                };
-                match result {
+                let (_, result, stats) = self.plan_and_run(q, 0, collect)?;
+                let items = match result {
                     Value::Bag(items) | Value::Array(items) => items,
                     single => vec![single],
-                }
+                };
+                (items, stats)
             }
         };
-        // Schema enforcement on write (all-or-nothing).
-        if let Some(schema) = self.catalog().schema(&crate::Name::parse(&name)) {
-            let validator = Validator::new((*schema).clone());
-            for (i, v) in new_elements.iter().enumerate() {
-                if !validator.is_valid_element(v) {
+        // Inserting into an unbound name creates a bag.
+        let count = self.rewrite_collection("INSERT", &name, true, |mut items, schema| {
+            // Schema enforcement on write (all-or-nothing).
+            if let Some(schema) = schema {
+                if let Some((i, v)) =
+                    (new_elements.iter().enumerate()).find(|(_, v)| !schema.admits(v))
+                {
                     return Err(Error::Schema(format!(
                         "INSERT INTO {name}: element {i} ({}) does not conform \
-                         to the attached schema {}",
+                         to the attached schema {schema}",
                         v.kind().name(),
-                        schema
                     )));
                 }
             }
-        }
-        let count = new_elements.len();
-        // Serialize the read-modify-write against concurrent writers; the
-        // source evaluation above ran lock-free on its own snapshot.
-        let _writers = self.catalog().dml_guard();
-        let updated = match self.catalog().get_str(&name) {
-            Ok(existing) => match (*existing).clone() {
-                Value::Bag(mut items) => {
-                    items.extend(new_elements);
-                    Value::Bag(items)
-                }
-                Value::Array(mut items) => {
-                    items.extend(new_elements);
-                    Value::Array(items)
-                }
-                other => {
-                    return Err(Error::Usage(format!(
-                        "INSERT target {name} is a {}, not a collection",
-                        other.kind().name()
-                    )));
-                }
-            },
-            // Inserting into an unbound name creates a bag.
-            Err(_) => Value::Bag(new_elements),
-        };
-        self.commit_collection(&name, updated)?;
-        Ok((count, stats))
+            let count = new_elements.len();
+            items.extend(new_elements);
+            Ok((items, count))
+        })?;
+        Ok((ExecOutcome::Inserted { count }, stats))
     }
 
-    pub(crate) fn exec_delete(
-        &self,
-        del: &Delete,
-        collect: bool,
-    ) -> Result<(usize, Option<ExecStats>)> {
+    pub(crate) fn exec_delete(&self, del: &Delete, collect: bool) -> Result<Executed> {
         let name = del.target.join(".");
-        let alias = del
-            .alias
-            .clone()
-            .unwrap_or_else(|| del.target.last().expect("non-empty name").clone());
-        // Held through commit: the kept-rows computation depends on the
-        // snapshot read here, so a concurrent writer must wait.
-        let _writers = self.catalog().dml_guard();
-        let existing = self.catalog().get_str(&name)?;
-        let (items, rebuild) = open_collection("DELETE", &name, (*existing).clone())?;
-        let matcher = self.compile_row_predicate(&del.where_clause, &alias)?;
-        let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
-        let mut kept = Vec::with_capacity(items.len());
-        let mut deleted = 0usize;
-        for item in items {
-            if row_matches(&evaluator, &matcher, &alias, &item)? {
-                deleted += 1;
-            } else {
-                kept.push(item);
+        let alias = row_alias(&del.alias, &del.target);
+        self.rewrite_collection("DELETE", &name, false, |items, _| {
+            let matcher = (del.where_clause.as_ref())
+                .map(self.row_expr_lowerer(&alias))
+                .transpose()?;
+            let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
+            let mut kept = Vec::with_capacity(items.len());
+            let mut deleted = 0usize;
+            for item in items {
+                if row_matches(&evaluator, &matcher, &alias, &item)? {
+                    deleted += 1;
+                } else {
+                    kept.push(item);
+                }
             }
-        }
-        self.commit_collection(&name, rebuild(kept))?;
-        Ok((deleted, evaluator.stats_snapshot()))
+            let outcome = ExecOutcome::Deleted { count: deleted };
+            Ok((kept, (outcome, evaluator.stats_snapshot())))
+        })
     }
 
-    pub(crate) fn exec_update(
-        &self,
-        up: &Update,
-        collect: bool,
-    ) -> Result<(usize, Option<ExecStats>)> {
+    pub(crate) fn exec_update(&self, up: &Update, collect: bool) -> Result<Executed> {
         let name = up.target.join(".");
-        let alias = up
-            .alias
-            .clone()
-            .unwrap_or_else(|| up.target.last().expect("non-empty name").clone());
-        // Held through commit, as in DELETE: the rebuilt collection is
-        // derived from the snapshot read here.
-        let _writers = self.catalog().dml_guard();
-        let existing = self.catalog().get_str(&name)?;
-        let (items, rebuild) = open_collection("UPDATE", &name, (*existing).clone())?;
-        let matcher = self.compile_row_predicate(&up.where_clause, &alias)?;
-        // Each assignment: an attribute path (rooted at the element) and a
-        // compiled RHS evaluated against the OLD element, SQL-style.
-        let mut compiled: Vec<(Vec<String>, CoreExpr)> = Vec::new();
-        for (path, value) in &up.assignments {
-            let attrs = assignment_path(path, &alias)?;
-            compiled.push((attrs, self.compile_row_expr(value, &alias)?));
-        }
-        let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
-        let mut updated_items = Vec::with_capacity(items.len());
-        let mut updated = 0usize;
-        let schema = self.catalog().schema(&crate::Name::parse(&name));
-        for item in items {
-            if !row_matches(&evaluator, &matcher, &alias, &item)? {
-                updated_items.push(item);
-                continue;
+        let alias = row_alias(&up.alias, &up.target);
+        self.rewrite_collection("UPDATE", &name, false, |items, schema| {
+            let mut lower = self.row_expr_lowerer(&alias);
+            let matcher = up.where_clause.as_ref().map(&mut lower).transpose()?;
+            // Each assignment: an attribute path (rooted at the element) and a
+            // compiled RHS evaluated against the OLD element, SQL-style.
+            let mut compiled: Vec<(Vec<String>, CoreExpr)> = Vec::new();
+            for (path, value) in &up.assignments {
+                compiled.push((assignment_path(path, &alias)?, lower(value)?));
             }
-            let env = Env::new().bind(alias.clone(), item.clone());
-            // Evaluate every RHS against the old element first.
-            let mut new_values = Vec::with_capacity(compiled.len());
-            for (_, rhs) in &compiled {
-                new_values.push(evaluator.expr(rhs, &env)?);
-            }
-            let mut element = item;
-            for ((attrs, _), value) in compiled.iter().zip(new_values) {
-                element = set_path(element, attrs, value)?;
-            }
-            if let Some(schema) = &schema {
-                if !Validator::new((**schema).clone()).is_valid_element(&element) {
+            let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
+            let mut updated_items = Vec::with_capacity(items.len());
+            let mut updated = 0usize;
+            for item in items {
+                if !row_matches(&evaluator, &matcher, &alias, &item)? {
+                    updated_items.push(item);
+                    continue;
+                }
+                let env = Env::new().bind(alias.clone(), item.clone());
+                // Evaluate every RHS against the old element first.
+                let mut new_values = Vec::with_capacity(compiled.len());
+                for (_, rhs) in &compiled {
+                    new_values.push(evaluator.expr(rhs, &env)?);
+                }
+                let mut element = item;
+                for ((attrs, _), value) in compiled.iter().zip(new_values) {
+                    element = set_path(element, attrs, value)?;
+                }
+                if let Some(schema) = schema.filter(|s| !s.admits(&element)) {
                     return Err(Error::Schema(format!(
                         "UPDATE {name}: updated element does not conform to \
                          the attached schema {schema}"
                     )));
                 }
+                updated += 1;
+                updated_items.push(element);
             }
-            updated += 1;
-            updated_items.push(element);
-        }
-        self.commit_collection(&name, rebuild(updated_items))?;
-        Ok((updated, evaluator.stats_snapshot()))
+            let outcome = ExecOutcome::Updated { count: updated };
+            Ok((updated_items, (outcome, evaluator.stats_snapshot())))
+        })
     }
 
-    /// Compiles a WHERE predicate with `alias` in scope; `None` matches
-    /// everything.
-    fn compile_row_predicate(&self, pred: &Option<Expr>, alias: &str) -> Result<Option<CoreExpr>> {
-        match pred {
-            None => Ok(None),
-            Some(p) => Ok(Some(self.compile_row_expr(p, alias)?)),
-        }
-    }
-
-    /// Lowers one expression with `alias` (and the catalog schemas) in
-    /// scope, reusing the planner end to end.
-    fn compile_row_expr(&self, expr: &Expr, alias: &str) -> Result<CoreExpr> {
-        let mut scope = Scope::new();
-        scope.push();
-        scope.add(alias.to_string());
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr: expr.clone(),
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
+    /// A lowering function for one statement's row expressions (WHERE
+    /// predicate, SET right-hand sides): `alias` and the catalog schemas
+    /// in scope, through the planner's own expression lowering.
+    fn row_expr_lowerer(&self, alias: &str) -> impl FnMut(&Expr) -> Result<CoreExpr> {
         let config = PlanConfig {
             compat: self.config().compat,
             schemas: self.catalog().schema_snapshot(),
         };
-        let core = lower_with_scope(&q, &config, &mut scope).map_err(Error::Plan)?;
-        match core.op {
-            CoreOp::Project { expr, .. } => Ok(expr),
-            other => Err(Error::Usage(format!(
-                "unexpected lowering for DML expression: {other:?}"
-            ))),
-        }
+        let mut scope = Scope::new();
+        scope.push();
+        scope.add(alias.to_string());
+        move |expr| Ok(lower_expr(expr, &config, &mut scope)?)
     }
 }
 
@@ -349,15 +310,4 @@ fn set_path(element: Value, attrs: &[String], value: Value) -> Result<Value> {
     let updated = set_path(inner, rest, value)?;
     t.upsert(first.clone(), updated);
     Ok(Value::Tuple(t))
-}
-
-/// Needed by exec_* above; re-exported from the schema validator.
-trait ValidatorExt {
-    fn is_valid_element(&self, v: &Value) -> bool;
-}
-
-impl ValidatorExt for Validator {
-    fn is_valid_element(&self, v: &Value) -> bool {
-        self.element_type().admits(v)
-    }
 }

@@ -55,7 +55,7 @@ use sqlpp_eval::{EvalConfig, Evaluator};
 use sqlpp_formats::csv::CsvOptions;
 use sqlpp_plan::{lower_query, optimize, CoreOp, CoreQuery, PlanConfig};
 use sqlpp_schema::{SqlppType, Validator};
-use sqlpp_syntax::ast::Statement;
+use sqlpp_syntax::ast::{Expr, Query, Statement};
 use sqlpp_value::Value;
 
 pub use analyze::{diagnostics_for, render_error_report};
@@ -243,43 +243,18 @@ impl Engine {
     }
 
     // ---------------- statements and queries ----------------
+    //
+    // One front door. Text enters through thin wrappers that parse once;
+    // past the parser every layer is handed the AST. `plan` is the only
+    // lowering site, `run` the only place a plan is evaluated, and
+    // `execute_stmt` the only statement dispatcher.
 
     /// Executes a statement: queries return rows, `CREATE TABLE`
     /// registers an empty (schema-attached) collection, and
     /// INSERT/DELETE/UPDATE mutate named collections (re-validating
     /// against any attached schema).
     pub fn execute(&self, src: &str) -> Result<ExecOutcome> {
-        let parse_start = Instant::now();
-        let parsed = sqlpp_syntax::parse_statement(src)?;
-        let parse_ns = parse_start.elapsed().as_nanos() as u64;
-        match parsed {
-            Statement::Query(_) => Ok(ExecOutcome::Rows(self.query(src)?)),
-            Statement::Explain { analyze, query } => {
-                let text = if analyze {
-                    let (core, _value, stats) = self.run_ast_with_stats(&query, parse_ns)?;
-                    render_analysis(&core, &stats)
-                } else {
-                    let (core, _, _) = self.lower_timed(&query)?;
-                    core.explain()
-                };
-                Ok(ExecOutcome::Explained { text })
-            }
-            Statement::CreateTable(ct) => {
-                let ty = sqlpp_schema::hive::table_row_type(&ct);
-                let name = ct.name.join(".");
-                self.put_logged(name.as_str(), Value::empty_bag(), Some(&ty))?;
-                Ok(ExecOutcome::Created { name, row_type: ty })
-            }
-            Statement::Insert(ins) => Ok(ExecOutcome::Inserted {
-                count: self.exec_insert(&ins, false)?.0,
-            }),
-            Statement::Delete(del) => Ok(ExecOutcome::Deleted {
-                count: self.exec_delete(&del, false)?.0,
-            }),
-            Statement::Update(up) => Ok(ExecOutcome::Updated {
-                count: self.exec_update(&up, false)?.0,
-            }),
-        }
+        Ok(self.execute_text(src, false)?.0)
     }
 
     /// Like [`Engine::execute`], with statistics collection on: queries
@@ -288,42 +263,68 @@ impl Engine {
     /// embedded query/predicate evaluation). Statements with no
     /// evaluation of their own (`CREATE TABLE`, `EXPLAIN`) return `None`.
     pub fn execute_with_stats(&self, src: &str) -> Result<(ExecOutcome, Option<ExecStats>)> {
-        let parse_start = Instant::now();
-        let parsed = sqlpp_syntax::parse_statement(src)?;
-        let parse_ns = parse_start.elapsed().as_nanos() as u64;
-        let finish = |mut stats: Option<ExecStats>, eval_ns: u64| {
-            if let Some(st) = &mut stats {
-                st.parse_ns = parse_ns;
-                st.eval_ns = eval_ns;
-            }
-            stats
-        };
-        match parsed {
+        self.execute_text(src, true)
+    }
+
+    /// The text entry to the statement dispatcher: the one statement
+    /// parse, timed for [`ExecStats::parse_ns`].
+    fn execute_text(&self, src: &str, collect: bool) -> Result<(ExecOutcome, Option<ExecStats>)> {
+        let t = Instant::now();
+        let stmt = sqlpp_syntax::parse_statement(src)?;
+        self.execute_stmt(&stmt, t.elapsed().as_nanos() as u64, collect)
+    }
+
+    /// Executes an already-parsed statement — the entry for callers that
+    /// parsed the text themselves (the server's cache-miss path), so no
+    /// statement is ever parsed twice. Stats, when collected, report a
+    /// zero parse phase: the parse was the caller's.
+    pub fn execute_parsed(
+        &self,
+        stmt: &Statement,
+        collect_stats: bool,
+    ) -> Result<(ExecOutcome, Option<ExecStats>)> {
+        self.execute_stmt(stmt, 0, collect_stats)
+    }
+
+    /// The statement dispatcher.
+    fn execute_stmt(
+        &self,
+        stmt: &Statement,
+        parse_ns: u64,
+        collect: bool,
+    ) -> Result<(ExecOutcome, Option<ExecStats>)> {
+        let t = Instant::now();
+        let (outcome, stats) = match stmt {
             Statement::Query(q) => {
-                let (_core, value, stats) = self.run_ast_with_stats(&q, parse_ns)?;
-                Ok((ExecOutcome::Rows(QueryResult::new(value)), Some(stats)))
+                let (_, value, stats) = self.plan_and_run(q, parse_ns, collect)?;
+                return Ok((ExecOutcome::Rows(QueryResult::new(value)), stats));
             }
-            Statement::Insert(ins) => {
-                let t = Instant::now();
-                let (count, stats) = self.exec_insert(&ins, true)?;
-                let eval_ns = t.elapsed().as_nanos() as u64;
-                Ok((ExecOutcome::Inserted { count }, finish(stats, eval_ns)))
+            Statement::Explain { analyze, query } => {
+                let text = if *analyze {
+                    let (core, _, stats) = self.plan_and_run(query, parse_ns, true)?;
+                    render_analysis(&core, &stats.expect("collect_stats is on"))
+                } else {
+                    self.plan(query)?.core.explain()
+                };
+                return Ok((ExecOutcome::Explained { text }, None));
             }
-            Statement::Delete(del) => {
-                let t = Instant::now();
-                let (count, stats) = self.exec_delete(&del, true)?;
-                let eval_ns = t.elapsed().as_nanos() as u64;
-                Ok((ExecOutcome::Deleted { count }, finish(stats, eval_ns)))
+            Statement::CreateTable(ct) => {
+                let row_type = sqlpp_schema::hive::table_row_type(ct);
+                let name = ct.name.join(".");
+                self.put_logged(name.as_str(), Value::empty_bag(), Some(&row_type))?;
+                return Ok((ExecOutcome::Created { name, row_type }, None));
             }
-            Statement::Update(up) => {
-                let t = Instant::now();
-                let (count, stats) = self.exec_update(&up, true)?;
-                let eval_ns = t.elapsed().as_nanos() as u64;
-                Ok((ExecOutcome::Updated { count }, finish(stats, eval_ns)))
-            }
-            // No evaluation of their own: run the plain path.
-            Statement::CreateTable(_) | Statement::Explain { .. } => Ok((self.execute(src)?, None)),
-        }
+            Statement::Insert(ins) => self.exec_insert(ins, collect)?,
+            Statement::Delete(del) => self.exec_delete(del, collect)?,
+            Statement::Update(up) => self.exec_update(up, collect)?,
+        };
+        // DML: the statement's whole wall time is its eval phase.
+        let stats = stats.map(|mut st| {
+            st.parse_ns = parse_ns;
+            st.eval_ns = t.elapsed().as_nanos() as u64;
+            st
+        });
+        Ok((outcome, stats))
     }
 
     /// Parses, plans, and runs a query.
@@ -333,8 +334,7 @@ impl Engine {
 
     /// Like [`Engine::query`], with positional `?` parameters.
     pub fn query_with_params(&self, src: &str, params: Vec<Value>) -> Result<QueryResult> {
-        let prepared = self.prepare(src)?;
-        prepared.execute_with_params(self, params)
+        self.prepare(src)?.execute_with_params(self, params)
     }
 
     /// Parses and lowers a query once for repeated execution.
@@ -347,43 +347,68 @@ impl Engine {
     /// `Prepared` never executes against a schema snapshot older than the
     /// data it reads.
     pub fn prepare(&self, src: &str) -> Result<Prepared> {
-        let ast = sqlpp_syntax::parse_query(src)?;
-        let (epoch, schemas) = self.catalog.schema_state();
-        let config = PlanConfig {
-            compat: self.config.compat,
-            schemas,
-        };
-        let mut core = lower_query(&ast, &config)?;
-        if self.config.optimize {
-            core = optimize(core);
-        }
+        self.prepare_parsed(sqlpp_syntax::parse_query(src)?)
+    }
+
+    /// [`Engine::prepare`] for an already-parsed query (the server's
+    /// cache-miss path hands over the AST its one parse produced).
+    pub fn prepare_parsed(&self, ast: Query) -> Result<Prepared> {
+        let planned = self.plan(&ast)?;
         Ok(Prepared {
             ast,
             compat: self.config.compat,
             optimize: self.config.optimize,
-            epoch,
-            core: Arc::new(core),
+            epoch: planned.epoch,
+            core: Arc::new(planned.core),
             refreshed: Arc::new(RwLock::new(None)),
         })
     }
 
-    /// Lowers (and optionally optimizes) a parsed query, timing each
-    /// phase for [`ExecStats`].
-    fn lower_timed(&self, ast: &sqlpp_syntax::ast::Query) -> Result<(CoreQuery, u64, u64)> {
-        let config = PlanConfig {
-            compat: self.config.compat,
-            schemas: self.catalog.schema_snapshot(),
-        };
+    /// Plans a query under this session's configuration.
+    fn plan(&self, ast: &Query) -> Result<Planned> {
+        plan(&self.catalog, self.config.compat, self.config.optimize, ast)
+    }
+
+    /// Evaluates a plan — the one place an [`Evaluator`] runs a query,
+    /// whoever planned it (statements, prepared execution, DML sources).
+    /// With `collect` on, the returned stats carry the operator counters
+    /// and the eval phase time; the plain path carries no collector.
+    fn run(
+        &self,
+        core: &CoreQuery,
+        params: Vec<Value>,
+        collect: bool,
+    ) -> Result<(Value, Option<ExecStats>)> {
+        let evaluator =
+            Evaluator::new(&self.catalog, self.eval_config(collect)).with_params(params);
+        // Per-operator stats are keyed by the plan's pre-order index
+        // (assigned by `Evaluator::run`), so the plan can move freely
+        // between evaluation and annotation.
         let t = Instant::now();
-        let mut core = lower_query(ast, &config)?;
-        let lower_ns = t.elapsed().as_nanos() as u64;
-        let mut optimize_ns = 0;
-        if self.config.optimize {
-            let t = Instant::now();
-            core = optimize(core);
-            optimize_ns = t.elapsed().as_nanos() as u64;
+        let value = evaluator.run(core)?;
+        let stats = evaluator.stats_snapshot().map(|mut st| {
+            st.eval_ns = t.elapsed().as_nanos() as u64;
+            st
+        });
+        Ok((value, stats))
+    }
+
+    /// Plans a parsed query and runs it, folding the phase times into
+    /// the collected stats. Hands the plan back for `EXPLAIN ANALYZE`.
+    pub(crate) fn plan_and_run(
+        &self,
+        ast: &Query,
+        parse_ns: u64,
+        collect: bool,
+    ) -> Result<(CoreQuery, Value, Option<ExecStats>)> {
+        let planned = self.plan(ast)?;
+        let (value, mut stats) = self.run(&planned.core, Vec::new(), collect)?;
+        if let Some(st) = &mut stats {
+            st.parse_ns = parse_ns;
+            st.lower_ns = planned.lower_ns;
+            st.optimize_ns = planned.optimize_ns;
         }
-        Ok((core, lower_ns, optimize_ns))
+        Ok((planned.core, value, stats))
     }
 
     /// The lowered (Core) plan as text — SQL's EXPLAIN, and the mechanism
@@ -397,7 +422,7 @@ impl Engine {
     /// counters). The ordinary [`Engine::query`] path carries no
     /// collector and pays nothing.
     pub fn query_with_stats(&self, src: &str) -> Result<QueryResult> {
-        let (_core, value, stats) = self.run_with_stats(src)?;
+        let (_, value, stats) = self.analyze(src)?;
         Ok(QueryResult::with_stats(value, stats))
     }
 
@@ -405,36 +430,16 @@ impl Engine {
     /// on and renders the Core operator tree with each operator's
     /// calls/rows/time, followed by the phase-times and counters summary.
     pub fn explain_analyze(&self, src: &str) -> Result<String> {
-        let (core, _value, stats) = self.run_with_stats(src)?;
+        let (core, _, stats) = self.analyze(src)?;
         Ok(render_analysis(&core, &stats))
     }
 
-    fn run_with_stats(&self, src: &str) -> Result<(CoreQuery, Value, ExecStats)> {
+    /// The text entry to a stats-collecting query run (timed parse).
+    fn analyze(&self, src: &str) -> Result<(CoreQuery, Value, ExecStats)> {
         let t = Instant::now();
         let ast = sqlpp_syntax::parse_query(src)?;
-        let parse_ns = t.elapsed().as_nanos() as u64;
-        self.run_ast_with_stats(&ast, parse_ns)
-    }
-
-    fn run_ast_with_stats(
-        &self,
-        ast: &sqlpp_syntax::ast::Query,
-        parse_ns: u64,
-    ) -> Result<(CoreQuery, Value, ExecStats)> {
-        // Per-operator stats are keyed by the plan's pre-order index
-        // (assigned by `Evaluator::run`), so the plan can move freely
-        // between evaluation and annotation.
-        let (core, lower_ns, optimize_ns) = self.lower_timed(ast)?;
-        let evaluator = Evaluator::new(&self.catalog, self.eval_config(true));
-        let t = Instant::now();
-        let value = evaluator.run(&core)?;
-        let eval_ns = t.elapsed().as_nanos() as u64;
-        let mut stats = evaluator.stats_snapshot().expect("collect_stats is on");
-        stats.parse_ns = parse_ns;
-        stats.lower_ns = lower_ns;
-        stats.optimize_ns = optimize_ns;
-        stats.eval_ns = eval_ns;
-        Ok((core, value, stats))
+        let (core, value, stats) = self.plan_and_run(&ast, t.elapsed().as_nanos() as u64, true)?;
+        Ok((core, value, stats.expect("collect_stats is on")))
     }
 
     /// Statically analyzes a statement without evaluating it, returning
@@ -454,11 +459,12 @@ impl Engine {
         if !rec.diags.is_empty() {
             // Bare expressions are legal engine input (`run_str` accepts
             // them); only report the statement-shaped errors if the
-            // expression reading fails too.
+            // expression reading fails too. A clean expression is
+            // analyzed as the `SELECT VALUE` query `eval_expr` runs.
             let expr = sqlpp_syntax::parse_expr_recovering(src);
             if expr.diags.is_empty() {
                 if let Some(e) = expr.ast {
-                    return self.check_expr_ast(src, e);
+                    return self.check_query_ast(src, &Query::select_value(e));
                 }
             }
             return rec.diags;
@@ -473,9 +479,9 @@ impl Engine {
     }
 
     /// Lowers and typechecks a parsed query for [`Engine::check`].
-    fn check_query_ast(&self, src: &str, ast: &sqlpp_syntax::ast::Query) -> Vec<Diagnostic> {
-        match self.lower_timed(ast) {
-            Ok((core, _, _)) => sqlpp_plan::typecheck(&core, &self.catalog.schema_snapshot())
+    fn check_query_ast(&self, src: &str, ast: &Query) -> Vec<Diagnostic> {
+        match self.plan(ast) {
+            Ok(planned) => sqlpp_plan::typecheck(&planned.core, &self.catalog.schema_snapshot())
                 .into_iter()
                 .map(|w| {
                     let span = w
@@ -490,62 +496,24 @@ impl Engine {
         }
     }
 
-    /// [`Engine::check`] for a bare expression: wraps it in the same
-    /// `SELECT VALUE` shell [`Engine::eval_expr`] uses and analyzes that.
-    fn check_expr_ast(&self, src: &str, expr: sqlpp_syntax::ast::Expr) -> Vec<Diagnostic> {
-        use sqlpp_syntax::ast::{Query, QueryBlock, SelectClause, SetExpr, SetQuantifier};
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr,
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
-        self.check_query_ast(src, &q)
-    }
-
     /// Evaluates a standalone SQL++ *expression* (full composability:
     /// "subqueries can appear anywhere", and so can bare constructors like
     /// Listing 16's `{{ {'avgsal': COLL_AVG(SELECT VALUE …)} }}`).
     pub fn eval_expr(&self, src: &str) -> Result<Value> {
-        Ok(self.eval_expr_with(src, false)?.0)
+        Ok(self
+            .eval_value_expr(sqlpp_syntax::parse_expr(src)?, false)?
+            .0)
     }
 
-    /// [`Engine::eval_expr`] with optional statistics collection (used by
-    /// DML under [`Engine::execute_with_stats`]).
-    pub(crate) fn eval_expr_with(
+    /// Evaluates a parsed expression as the plan of the FROM-less
+    /// `SELECT VALUE expr` ([`Engine::eval_expr`], and `INSERT … VALUE`
+    /// with optional statistics collection).
+    pub(crate) fn eval_value_expr(
         &self,
-        src: &str,
-        collect_stats: bool,
+        expr: Expr,
+        collect: bool,
     ) -> Result<(Value, Option<ExecStats>)> {
-        use sqlpp_syntax::ast::{Query, QueryBlock, SelectClause, SetExpr, SetQuantifier};
-        let expr = sqlpp_syntax::parse_expr(src)?;
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr,
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
-        let config = PlanConfig {
-            compat: self.config.compat,
-            schemas: self.catalog.schema_snapshot(),
-        };
-        let mut core = lower_query(&q, &config)?;
-        if self.config.optimize {
-            core = optimize(core);
-        }
-        let evaluator = Evaluator::new(&self.catalog, self.eval_config(collect_stats));
-        let bag = evaluator.run(&core)?;
-        let stats = evaluator.stats_snapshot();
+        let (_, bag, stats) = self.plan_and_run(&Query::select_value(expr), 0, collect)?;
         // A FROM-less SELECT VALUE produces a singleton bag; unwrap it.
         let value = match bag {
             Value::Bag(mut items) if items.len() == 1 => items.pop().expect("len checked"),
@@ -581,6 +549,44 @@ impl Engine {
             spill: self.config.spill.clone(),
         }
     }
+}
+
+/// A lowered (and, when the session asks, optimized) query.
+struct Planned {
+    core: CoreQuery,
+    /// The catalog schema epoch `core` was lowered against.
+    epoch: u64,
+    lower_ns: u64,
+    optimize_ns: u64,
+}
+
+/// The one planning site: a consistent (schema epoch, schema snapshot)
+/// pair → `lower_query` → optional `optimize`, each phase timed. Only
+/// ever runs where a plan is built — a prepared or cached execution
+/// reuses its plan and never comes here.
+fn plan(
+    catalog: &Catalog,
+    compat: CompatMode,
+    optimize_plan: bool,
+    ast: &Query,
+) -> Result<Planned> {
+    let (epoch, schemas) = catalog.schema_state();
+    let config = PlanConfig { compat, schemas };
+    let t = Instant::now();
+    let mut core = lower_query(ast, &config)?;
+    let lower_ns = t.elapsed().as_nanos() as u64;
+    let mut optimize_ns = 0;
+    if optimize_plan {
+        let t = Instant::now();
+        core = optimize(core);
+        optimize_ns = t.elapsed().as_nanos() as u64;
+    }
+    Ok(Planned {
+        core,
+        epoch,
+        lower_ns,
+        optimize_ns,
+    })
 }
 
 /// Renders an `EXPLAIN ANALYZE` report: the operator tree with per-node
@@ -682,7 +688,7 @@ pub enum ExecOutcome {
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The parsed query, retained for re-lowering after schema changes.
-    ast: sqlpp_syntax::ast::Query,
+    ast: Query,
     /// Prepare-time planner inputs, reused verbatim on re-lowering.
     compat: CompatMode,
     optimize: bool,
@@ -723,21 +729,13 @@ impl Prepared {
                 }
             }
         }
-        // Stale: re-lower against a consistent (epoch, snapshot) pair
+        // Stale: re-plan against a consistent (epoch, snapshot) pair
         // with the prepare-time planner configuration.
-        let (epoch, schemas) = engine.catalog.schema_state();
-        let config = PlanConfig {
-            compat: self.compat,
-            schemas,
-        };
-        let mut core = lower_query(&self.ast, &config)?;
-        if self.optimize {
-            core = optimize(core);
-        }
-        let plan = Arc::new(core);
+        let planned = plan(&engine.catalog, self.compat, self.optimize, &self.ast)?;
+        let fresh = Arc::new(planned.core);
         *self.refreshed.write().unwrap_or_else(|e| e.into_inner()) =
-            Some((epoch, Arc::clone(&plan)));
-        Ok(plan)
+            Some((planned.epoch, Arc::clone(&fresh)));
+        Ok(fresh)
     }
 
     /// Executes against an engine, re-lowering first if the catalog's
@@ -748,10 +746,8 @@ impl Prepared {
 
     /// Executes with positional parameters.
     pub fn execute_with_params(&self, engine: &Engine, params: Vec<Value>) -> Result<QueryResult> {
-        let plan = self.current_plan(engine)?;
-        let evaluator =
-            Evaluator::new(&engine.catalog, engine.eval_config(false)).with_params(params);
-        Ok(QueryResult::new(evaluator.run(&plan)?))
+        let core = self.current_plan(engine)?;
+        Ok(QueryResult::new(engine.run(&core, params, false)?.0))
     }
 }
 

@@ -14,7 +14,8 @@
 
 use sqlpp_catalog::Catalog;
 use sqlpp_plan::PlanConfig;
-use sqlpp_syntax::ast::{FromItem, Query, SelectClause, SetExpr};
+use sqlpp_syntax::ast::SelectClause::{Pivot, Select, SelectValue};
+use sqlpp_syntax::ast::{FromItem, Query, SetExpr};
 use sqlpp_value::Value;
 
 use crate::env::Env;
@@ -90,16 +91,13 @@ pub fn eval_sfw_config(
             _ => return Err(ReferenceError::Unsupported("joins / UNPIVOT")),
         }
     }
-    match &block.select {
-        SelectClause::Select { .. } | SelectClause::SelectValue { .. } => {}
-        SelectClause::Pivot { .. } => {
-            return Err(ReferenceError::Unsupported("PIVOT"));
-        }
+    if matches!(block.select, Pivot { .. }) {
+        return Err(ReferenceError::Unsupported("PIVOT"));
     }
 
-    // Reuse the engine's expression machinery by lowering tiny one-clause
-    // queries. A FROM item expression is lowered in the scope of the
-    // variables to its left (left-correlation).
+    // Reuse the engine's expression machinery by lowering each surface
+    // expression on its own. A FROM item expression is lowered in the
+    // scope of the variables to its left (left-correlation).
     let helper = Helper { catalog, config };
     let mut out = Vec::new();
     helper.loop_from(block, &items, 0, &Env::new(), &mut out)?;
@@ -132,10 +130,10 @@ impl Helper<'_> {
                 }
             }
             let value = match &block.select {
-                SelectClause::SelectValue { expr, .. } => self
+                SelectValue { expr, .. } => self
                     .eval_expr(expr, items, depth, env)
                     .map_err(ReferenceError::Eval)?,
-                SelectClause::Select {
+                Select {
                     items: sel_items, ..
                 } => {
                     let mut t = sqlpp_value::Tuple::new();
@@ -154,7 +152,7 @@ impl Helper<'_> {
                     }
                     Value::Tuple(t)
                 }
-                SelectClause::Pivot { .. } => unreachable!("checked"),
+                Pivot { .. } => unreachable!("checked"),
             };
             out.push(value);
             return Ok(());
@@ -177,7 +175,8 @@ impl Helper<'_> {
     }
 
     /// Evaluates one surface expression in the current environment by
-    /// lowering it with the in-scope variables visible.
+    /// lowering it in a scope where the first `depth` FROM variables are
+    /// declared (left-correlation).
     fn eval_expr(
         &self,
         expr: &sqlpp_syntax::ast::Expr,
@@ -185,39 +184,13 @@ impl Helper<'_> {
         depth: usize,
         env: &Env,
     ) -> Result<Value, EvalError> {
-        use sqlpp_syntax::ast::{QueryBlock, SelectClause as SC, SetQuantifier};
-        // Build `SELECT VALUE <expr>` with no FROM, lowered in a scope
-        // where the first `depth` variables are declared, then evaluate
-        // its projection expression directly.
         let mut scope = sqlpp_plan::Scope::new();
         scope.push();
         for (_, var) in &items[..depth] {
             scope.add(var.clone());
         }
-        let mut block = QueryBlock::with_select(SC::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr: expr.clone(),
-        });
-        block.placement = sqlpp_syntax::ast::SelectPlacement::Leading;
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
-        // lower_query starts its own scope; we need ours — use the
-        // lower-level entry through a wrapping trick: declare the
-        // variables via LET-less FROM is intrusive, so instead lower the
-        // whole expression with variables bound in the environment and
-        // rely on Global's dynamic fallback… — no: cleanest is to lower
-        // with a custom scope through `lower_with_scope`.
-        let core = sqlpp_plan::lower::lower_with_scope(&q, &PlanConfig::default(), &mut scope)
+        let core = sqlpp_plan::lower_expr(expr, &PlanConfig::default(), &mut scope)
             .map_err(|e| EvalError::Type(e.to_string()))?;
-        let ev = Evaluator::new(self.catalog, self.config.clone());
-        match core.op {
-            sqlpp_plan::CoreOp::Project { expr, .. } => ev.expr(&expr, env),
-            other => Err(EvalError::Type(format!("unexpected lowering {other:?}"))),
-        }
+        Evaluator::new(self.catalog, self.config.clone()).expr(&core, env)
     }
 }

@@ -30,7 +30,7 @@ pub use crate::core::{
     WindowDef, WindowFunc,
 };
 pub use error::PlanError;
-pub use lower::{lower_query, CompatMode, PlanConfig};
+pub use lower::{lower_expr, lower_query, CompatMode, PlanConfig};
 pub use optimize::optimize;
 pub use scope::Scope;
 pub use typecheck::{check as typecheck, TypeWarning};

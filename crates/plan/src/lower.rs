@@ -55,17 +55,16 @@ pub struct PlanConfig {
 pub fn lower_query(q: &Query, config: &PlanConfig) -> Result<CoreQuery, PlanError> {
     let mut scope = Scope::new();
     scope.push();
-    lower_with_scope(q, config, &mut scope)
+    Planner { config }.query(q, &mut scope)
 }
 
-/// Lowers with a caller-provided scope that may already declare variables
-/// (used by embedding evaluators, e.g. the Pseudocode reference oracle).
-pub fn lower_with_scope(
-    q: &Query,
-    config: &PlanConfig,
-    scope: &mut Scope,
-) -> Result<CoreQuery, PlanError> {
-    Planner { config }.query(q, scope)
+/// Lowers one expression in a caller-provided scope that may already
+/// declare variables: the row alias of a DML predicate or assignment,
+/// the FROM variables of the Pseudocode reference oracle. Outside a
+/// query block there is no grouping context, so SQL aggregates and
+/// window functions are rejected as misplaced.
+pub fn lower_expr(e: &Expr, config: &PlanConfig, scope: &mut Scope) -> Result<CoreExpr, PlanError> {
+    Planner { config }.expr(e, scope, Ctx::Scalar)
 }
 
 /// Expression contexts that drive subquery coercion (§V-A).
@@ -1696,11 +1695,6 @@ fn make_group_scan_query(group_var: &str, body: Expr) -> Query {
         limit: None,
         offset: None,
     }
-}
-
-/// Used by tests and the REPL: lower with default config.
-pub fn lower_default(q: &Query) -> Result<CoreQuery, PlanError> {
-    lower_query(q, &PlanConfig::default())
 }
 
 #[cfg(test)]

@@ -85,8 +85,8 @@ impl PlanCache {
     /// the lexer's token text only when identical; we keep the source
     /// spelling, so normalization is conservative (never merges queries
     /// that could plan differently). Unlexable input is returned
-    /// trimmed; it will miss the cache and fail in prepare with a full
-    /// diagnostic.
+    /// trimmed; it will miss the cache and fail in the parser with a
+    /// full diagnostic.
     pub fn normalize(src: &str) -> String {
         match sqlpp_syntax::lex(src) {
             Ok(tokens) => {
@@ -132,19 +132,25 @@ impl PlanCache {
         found
     }
 
-    /// Prepares `text` on `engine` and caches it under the epoch the
-    /// plan was actually lowered against (its own stamp — not the epoch
-    /// observed at lookup time — so key and plan can never disagree).
-    /// Stale-epoch entries are purged on the way in.
+    /// Prepares `text` on `engine` and caches it: the text entry to
+    /// [`PlanCache::insert`] for callers that hold no AST.
     pub fn prepare_and_insert(
         &self,
         engine: &Engine,
         text: &str,
         compat: CompatMode,
     ) -> sqlpp::Result<Arc<Prepared>> {
-        let prepared = Arc::new(engine.prepare(text)?);
+        Ok(self.insert(text, compat, engine.prepare(text)?))
+    }
+
+    /// Caches a prepared plan under the epoch it was actually lowered
+    /// against (its own stamp — not the epoch observed at lookup time —
+    /// so key and plan can never disagree). Stale-epoch entries are
+    /// purged on the way in.
+    pub fn insert(&self, text: &str, compat: CompatMode, prepared: Prepared) -> Arc<Prepared> {
+        let prepared = Arc::new(prepared);
         if self.capacity == 0 {
-            return Ok(prepared);
+            return prepared;
         }
         let epoch = prepared.schema_epoch();
         let key = Key {
@@ -180,7 +186,7 @@ impl PlanCache {
                 tick: self.tick(),
             },
         );
-        Ok(prepared)
+        prepared
     }
 
     /// Point-in-time counters.

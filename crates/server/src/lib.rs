@@ -53,10 +53,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use sqlpp::{Engine, Error, EvalError, ExecOutcome, SessionConfig};
+use sqlpp::{Engine, Error, EvalError, ExecOutcome, Prepared, SessionConfig};
 use sqlpp_formats::wire::{
     decode_request, encode_response, read_frame, write_frame, Request, Response, WireDiagnostic,
 };
+use sqlpp_syntax::ast::Statement;
 use sqlpp_value::{Tuple, Value};
 
 pub use cache::{CacheStats, PlanCache};
@@ -419,46 +420,43 @@ fn serve_connection(engine: &Engine, cache: &PlanCache, counters: &Counters, str
 }
 
 /// Statement dispatch: cached-plan fast path for queries, the engine's
-/// statement executor for everything else.
+/// statement executor for everything else. A request's text is lexed
+/// once for the cache key and — only on a miss — parsed once; from there
+/// the engine is handed the AST, never the string.
 fn handle_request(engine: &Engine, cache: &PlanCache, req: &Request) -> Response {
     let compat = engine.config().compat;
     let text = PlanCache::normalize(&req.query);
-
-    // Fast path: a cache hit skips parse, lowering, and optimization
-    // entirely — the dominant win under repeated query shapes.
-    if let Some(prepared) = cache.get(&text, compat, engine.catalog().schema_epoch()) {
-        return match prepared.execute_with_params(engine, req.params.clone()) {
-            Ok(rows) => Response::Rows(rows.into_value()),
-            Err(e) => error_response(&req.query, &e),
-        };
-    }
-
-    // Miss: find out what this is. Queries get prepared + cached;
-    // other statements run through the general executor.
-    match sqlpp_syntax::parse_statement(&req.query) {
-        Ok(sqlpp_syntax::ast::Statement::Query(_)) => {
-            match cache.prepare_and_insert(engine, &text, compat) {
-                Ok(prepared) => match prepared.execute_with_params(engine, req.params.clone()) {
-                    Ok(rows) => Response::Rows(rows.into_value()),
-                    Err(e) => error_response(&req.query, &e),
-                },
-                Err(e) => error_response(&req.query, &e),
-            }
-        }
-        Ok(_) => {
-            if !req.params.is_empty() {
+    let run = |prepared: Arc<Prepared>| {
+        prepared
+            .execute_with_params(engine, req.params.clone())
+            .map(|rows| rows.into_value())
+    };
+    let result = match cache.get(&text, compat, engine.catalog().schema_epoch()) {
+        // Fast path: a cache hit skips parse, lowering, and optimization
+        // entirely — the dominant win under repeated query shapes.
+        Some(prepared) => run(prepared),
+        // Miss: find out what this is. Queries get prepared + cached;
+        // other statements run through the general executor.
+        None => match sqlpp_syntax::parse_statement(&req.query) {
+            Ok(Statement::Query(q)) => engine
+                .prepare_parsed(q)
+                .and_then(|prepared| run(cache.insert(&text, compat, prepared))),
+            Ok(_) if !req.params.is_empty() => {
                 return Response::Error {
                     code: "usage".to_string(),
                     message: "positional parameters are only supported on queries".to_string(),
                     diagnostics: Vec::new(),
                 };
             }
-            match engine.execute(&req.query) {
-                Ok(outcome) => Response::Rows(outcome_value(outcome)),
-                Err(e) => error_response(&req.query, &e),
-            }
-        }
-        Err(e) => error_response(&req.query, &Error::Syntax(e)),
+            Ok(stmt) => engine
+                .execute_parsed(&stmt, false)
+                .map(|(outcome, _)| outcome_value(outcome)),
+            Err(e) => Err(Error::Syntax(e)),
+        },
+    };
+    match result {
+        Ok(value) => Response::Rows(value),
+        Err(e) => error_response(&req.query, &e),
     }
 }
 

@@ -123,6 +123,26 @@ pub struct Query {
     pub offset: Option<Expr>,
 }
 
+impl Query {
+    /// The FROM-less `SELECT VALUE expr` query: how a bare expression
+    /// (`Engine::eval_expr`, `INSERT … VALUE e`) enters the query
+    /// pipeline. It evaluates to the singleton bag `{{ expr }}`.
+    pub fn select_value(expr: Expr) -> Self {
+        Query {
+            ctes: Vec::new(),
+            body: SetExpr::Block(Box::new(QueryBlock::with_select(
+                SelectClause::SelectValue {
+                    quantifier: SetQuantifier::All,
+                    expr,
+                },
+            ))),
+            order_by: Vec::new(),
+            limit: None,
+            offset: None,
+        }
+    }
+}
+
 /// One common table expression.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cte {

@@ -48,7 +48,9 @@
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-use sqlpp::{CompatMode, Engine, Limits, SessionConfig, SpillConfig, TypingMode};
+use sqlpp::{
+    CompatMode, Engine, Error, ExecOutcome, Limits, SessionConfig, SpillConfig, TypingMode,
+};
 
 fn main() {
     let mut config = SessionConfig::default();
@@ -236,34 +238,11 @@ fn main() {
             }
             continue;
         }
-        // Statements first (INSERT/DELETE/UPDATE/CREATE/queries), then
-        // bare expressions. With `.stats on`, every statement — DML
-        // included — also prints its phase/counter summary.
-        let outcome = if stats_on {
-            engine.execute_with_stats(line).map(|(outcome, stats)| {
-                if let Some(stats) = &stats {
-                    print!("{}", stats.render_summary());
-                }
-                outcome
-            })
-        } else {
-            engine.execute(line)
-        };
-        match outcome {
-            Ok(sqlpp::ExecOutcome::Rows(r)) => println!("{}", r.to_pretty()),
-            Ok(sqlpp::ExecOutcome::Created { name, row_type }) => {
-                println!("created {name}: {row_type}");
-            }
-            Ok(sqlpp::ExecOutcome::Inserted { count }) => println!("inserted {count}"),
-            Ok(sqlpp::ExecOutcome::Deleted { count }) => println!("deleted {count}"),
-            Ok(sqlpp::ExecOutcome::Updated { count }) => println!("updated {count}"),
-            Ok(sqlpp::ExecOutcome::Explained { text }) => print!("{text}"),
-            Err(_) => match engine.run_str(line) {
-                Ok(v) => println!("{}", sqlpp::value::to_pretty(&v)),
-                // Caret-underlined multi-error report where the error
-                // has source attribution; plain one-liner otherwise.
-                Err(e) => print!("{}", sqlpp::render_error_report(line, &e)),
-            },
+        match evaluate(&engine, line, stats_on) {
+            Ok(text) => print!("{text}"),
+            // Caret-underlined multi-error report where the error has
+            // source attribution; plain one-liner otherwise.
+            Err(e) => print!("{}", sqlpp::render_error_report(line, &e)),
         }
     }
     // Graceful exit on a durable engine: checkpoint so the next start
@@ -275,6 +254,40 @@ fn main() {
             Err(e) => eprintln!("checkpoint failed: {e}"),
         }
     }
+}
+
+/// Evaluates one input line to the text the shell prints for it: a
+/// statement first (with `stats_on`, led by its phase/counter summary —
+/// DML included), and a bare expression only when the line is *not a
+/// statement at all*, i.e. failed to parse. A statement that parsed and
+/// then failed — a schema violation, an unknown DML target, a strict-mode
+/// type error — reports its own error and is never re-run as something
+/// else.
+pub fn evaluate(engine: &Engine, line: &str, stats_on: bool) -> sqlpp::Result<String> {
+    let executed = if stats_on {
+        engine.execute_with_stats(line)
+    } else {
+        engine.execute(line).map(|outcome| (outcome, None))
+    };
+    let (outcome, stats) = match executed {
+        Err(Error::Syntax(first)) => {
+            return engine
+                .eval_expr(line)
+                .map(|v| format!("{}\n", sqlpp::value::to_pretty(&v)))
+                .map_err(|_| Error::Syntax(first));
+        }
+        other => other?,
+    };
+    let summary = stats.map(|st| st.render_summary()).unwrap_or_default();
+    Ok(summary
+        + &match outcome {
+            ExecOutcome::Rows(r) => format!("{}\n", r.to_pretty()),
+            ExecOutcome::Created { name, row_type } => format!("created {name}: {row_type}\n"),
+            ExecOutcome::Inserted { count } => format!("inserted {count}\n"),
+            ExecOutcome::Deleted { count } => format!("deleted {count}\n"),
+            ExecOutcome::Updated { count } => format!("updated {count}\n"),
+            ExecOutcome::Explained { text } => text,
+        })
 }
 
 fn load(engine: &Engine, name: &str, path: &str) -> Result<String, Box<dyn std::error::Error>> {

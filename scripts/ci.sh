@@ -180,4 +180,26 @@ echo "compat OK: $summary"
 echo "== explain analyze smoke =="
 cargo run --release -q --example explain_analyze
 
+echo "== benchmark smoke (public-API + correctness gate) =="
+# benchmark/ is a package of its own, outside the workspace: nothing
+# above builds it, so a public-API break that would fail the PR gate is
+# invisible without this stage. --smoke runs all four workloads briefly
+# (offline; writes only to the git-ignored benchmark/out), one paragraph
+# of output each, ending in the workload's machine-readable result line.
+bash benchmark/run.sh --smoke | awk -v RS= -F'\n' '
+  { seen++; if ($NF !~ /"correct": true/) { print "benchmark smoke: " $1 > "/dev/stderr"; bad = 1 } }
+  END { if (seen != 4) print "benchmark smoke: " seen + 0 " of 4 workloads reported" > "/dev/stderr"
+        exit !(seen == 4 && !bad) }'
+echo "benchmark smoke OK: 4 workloads correct"
+
+echo "== one front door gate (no print -> re-parse between layers) =="
+# Layers hand each other ASTs. The pretty-printer is for people and for
+# round-trip tests; engine and server code must never call it to build
+# text for another layer to parse again.
+if grep -rnE 'print_expr|print_query' crates/core/src crates/server/src; then
+  echo "print_expr/print_query used in crates/core/src or crates/server/src" >&2
+  exit 1
+fi
+echo "front door OK"
+
 echo "== ci green =="

@@ -56,6 +56,67 @@ fn insert_query_appends_many() {
     assert_eq!(count(&engine, "arch"), 2);
 }
 
+/// INSERT hands its source AST straight to the planner. The sources
+/// here are the ones a print → re-parse hop between the two would be
+/// most likely to bend: float spellings, decimals, quote/backslash
+/// strings, delimited identifiers, nested subqueries, MISSING.
+#[test]
+fn insert_sources_evaluate_like_the_bare_expression_or_query() {
+    // Debug form: bit-exact (`-0.0` vs `0.0`) and NaN-comparable.
+    let stored = |engine: &Engine| format!("{:?}", *engine.catalog().get_str("sink").unwrap());
+    for src in [
+        "1e300",
+        "2.5E-3",
+        "-0.0",
+        "`nan`",
+        "`-inf`",
+        "0.0 / 0.0",
+        "1.10",
+        "12345678901234567890.123456789",
+        "'it''s'",
+        r"'back\\slash'",
+        r"'a\\'",
+        r#"(SELECT VALUE e."name" FROM emp AS e WHERE e."id" = 1)"#,
+        "{'ids': (SELECT VALUE e.id FROM emp AS e WHERE e.sal >= 70), \
+          'n': COLL_COUNT(SELECT VALUE e FROM emp AS e)}",
+        "MISSING",
+        "[MISSING, 1, NULL]",
+        "{'a': MISSING, 'b': {{ }}}",
+    ] {
+        let engine = engine();
+        let expected = engine.eval_expr(src).unwrap();
+        let outcome = engine
+            .execute(&format!("INSERT INTO sink VALUE {src}"))
+            .unwrap();
+        assert!(
+            matches!(outcome, ExecOutcome::Inserted { count: 1 }),
+            "{src}"
+        );
+        let want = format!("{:?}", Value::Bag(vec![expected]));
+        assert_eq!(stored(&engine), want, "{src}");
+    }
+    for query in [
+        "SELECT VALUE e.sal * 1e-3 FROM emp AS e",
+        r#"SELECT e."name" AS "n", -0.0 AS z, `nan` AS q FROM emp AS e"#,
+        "SELECT VALUE {'n': e.name || '''s', 'peers': (SELECT VALUE p.id FROM emp AS p \
+          WHERE p.id != e.id)} FROM emp AS e ORDER BY e.id",
+        "SELECT VALUE 1.10 FROM emp AS e LIMIT 2",
+    ] {
+        let engine = engine();
+        let expected = engine.query(query).unwrap().into_value();
+        let rows = expected.as_elements().unwrap().to_vec();
+        let outcome = engine
+            .execute(&format!("INSERT INTO sink {query}"))
+            .unwrap();
+        assert!(
+            matches!(outcome, ExecOutcome::Inserted { count } if count == rows.len()),
+            "{query}"
+        );
+        let want = format!("{:?}", Value::Bag(rows));
+        assert_eq!(stored(&engine), want, "{query}");
+    }
+}
+
 #[test]
 fn delete_respects_three_valued_logic() {
     let engine = engine();

@@ -274,6 +274,98 @@ fn run_str_handles_both_queries_and_expressions() {
     assert!(engine.run_str("SELECT $$$$").is_err());
 }
 
+/// `execute` and `execute_with_stats` are one dispatcher: for one
+/// statement of every kind they produce the same outcome (and leave the
+/// same catalog behind), and DML stats still carry an eval phase.
+#[test]
+fn execute_and_execute_with_stats_agree_for_every_statement_kind() {
+    let fixture = || {
+        let engine = Engine::new();
+        engine
+            .load_pnotation("t", "{{ {'id': 1, 'v': 10}, {'id': 2, 'v': 20} }}")
+            .unwrap();
+        engine
+    };
+    let (plain, collecting) = (fixture(), fixture());
+    for (stmt, has_stats) in [
+        ("SELECT VALUE x.v FROM t AS x WHERE x.id = 2", true),
+        ("CREATE TABLE made (id INT, label STRING)", false),
+        ("INSERT INTO t VALUE {'id': 3, 'v': 30}", true),
+        (
+            "INSERT INTO t SELECT VALUE {'id': x.id + 10, 'v': x.v} FROM t AS x",
+            true,
+        ),
+        ("UPDATE t AS x SET x.v = x.v + 1 WHERE x.id >= 2", true),
+        ("DELETE FROM t AS x WHERE x.id = 1", true),
+        ("EXPLAIN SELECT VALUE x FROM t AS x", false),
+    ] {
+        let a = plain.execute(stmt).unwrap();
+        let (b, stats) = collecting.execute_with_stats(stmt).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{stmt}");
+        assert_eq!(stats.is_some(), has_stats, "{stmt}");
+        if let Some(st) = stats {
+            assert!(st.eval_ns > 0 && st.parse_ns > 0, "{stmt}: {st:?}");
+        }
+        assert_eq!(
+            plain.catalog().get_str("t").unwrap().to_string(),
+            collecting.catalog().get_str("t").unwrap().to_string(),
+            "{stmt}"
+        );
+    }
+    // EXPLAIN ANALYZE embeds wall times in its text: same kind, same
+    // operator tree, no stats of its own.
+    let stmt = "EXPLAIN ANALYZE SELECT VALUE x FROM t AS x";
+    let tree = |outcome: ExecOutcome| match outcome {
+        ExecOutcome::Explained { text } => text
+            .lines()
+            .filter_map(|l| l.split(" [").next().filter(|_| l.contains(" [")))
+            .collect::<Vec<_>>()
+            .join("\n"),
+        other => panic!("{other:?}"),
+    };
+    let (b, stats) = collecting.execute_with_stats(stmt).unwrap();
+    assert!(stats.is_none());
+    assert_eq!(tree(plain.execute(stmt).unwrap()), tree(b));
+}
+
+/// The REPL's statement-or-expression decision (`examples/repl.rs`,
+/// compiled into this suite): the bare-expression fallback is for input
+/// that is *not a statement* — a statement that parsed and then failed
+/// reports its own error instead of a misleading `E_EXPECTED`.
+#[path = "../examples/repl.rs"]
+#[allow(dead_code)]
+mod repl;
+
+#[test]
+fn repl_reports_a_failed_statements_own_error() {
+    let engine = Engine::new();
+    assert_eq!(repl::evaluate(&engine, "1 + 2 * 3", false).unwrap(), "7\n");
+    repl::evaluate(&engine, "CREATE TABLE t (a INT)", false).unwrap();
+    let strict = engine.with_config(SessionConfig {
+        typing: TypingMode::StrictError,
+        ..SessionConfig::default()
+    });
+    let schema = repl::evaluate(&engine, "INSERT INTO t VALUE {'a': 'x'}", false).unwrap_err();
+    assert!(matches!(schema, Error::Schema(_)), "{schema}");
+    let catalog =
+        repl::evaluate(&engine, "DELETE FROM nosuch AS n WHERE n.a = 1", true).unwrap_err();
+    assert!(matches!(catalog, Error::Catalog(_)), "{catalog}");
+    repl::evaluate(&engine, "INSERT INTO t VALUE {'a': 1}", false).unwrap();
+    let eval = repl::evaluate(&strict, "SELECT VALUE x.a + 'a' FROM t AS x", false).unwrap_err();
+    assert!(matches!(eval, Error::Eval(_)), "{eval}");
+    for (line, err) in [
+        ("INSERT INTO t VALUE {'a': 'x'}", &schema),
+        ("DELETE FROM nosuch AS n WHERE n.a = 1", &catalog),
+        ("SELECT VALUE x.a + 'a' FROM t AS x", &eval),
+    ] {
+        let report = sqlpp::render_error_report(line, err);
+        assert!(!report.contains("E_EXPECTED"), "{report}");
+    }
+    // Input that is neither keeps the statement's syntax error.
+    let garbage = repl::evaluate(&engine, "SELECT FROM WHERE", false).unwrap_err();
+    assert!(matches!(garbage, Error::Syntax(_)), "{garbage}");
+}
+
 #[test]
 fn values_rows_are_queryable() {
     let engine = Engine::new();

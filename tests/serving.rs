@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use sqlpp::{Engine, Limits, SessionConfig, SpillConfig};
+use sqlpp::{Engine, ExecOutcome, Limits, SessionConfig, SpillConfig};
 use sqlpp_server::{wire::Response, Client, Server, ServerConfig};
 use sqlpp_value::Value;
 
@@ -90,6 +90,101 @@ fn dml_through_the_server_is_visible_to_the_shared_catalog() {
     // …and to the next request on the wire.
     let v = rows(client.query("SELECT VALUE COUNT(*) FROM emp AS e").unwrap());
     assert_eq!(v.to_string(), "{{4}}");
+    server.shutdown();
+}
+
+/// Every statement kind over the wire answers exactly like the same
+/// call on a twin in-process engine — one pipeline behind both doors.
+/// The query runs twice (cache miss, then hit) and must answer
+/// byte-identically; EXPLAIN and params-on-DML cross the wire too.
+#[test]
+fn every_statement_kind_answers_like_the_in_process_engine() {
+    let twin = fixture();
+    let served = fixture();
+    let server = Server::start(served.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // The in-process answer in wire shape: rows, or the summary tuple.
+    let local = |text: &str| -> Result<String, sqlpp::Error> {
+        Ok(match twin.execute(text)? {
+            ExecOutcome::Rows(r) => r.into_value().to_string(),
+            ExecOutcome::Inserted { count } => format!("{{'inserted': {count}}}"),
+            ExecOutcome::Updated { count } => format!("{{'updated': {count}}}"),
+            ExecOutcome::Deleted { count } => format!("{{'deleted': {count}}}"),
+            ExecOutcome::Created { name, .. } => format!("{{'created': '{name}'}}"),
+            ExecOutcome::Explained { text } => text,
+        })
+    };
+    // An operator tree without its per-run `[… time=…]` annotations.
+    let tree = |plan: &str| -> String {
+        let ops = plan.lines().take_while(|l| !l.starts_with("phases:"));
+        ops.map(|l| l.split(" [").next().unwrap_or(l))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+
+    let q = "SELECT VALUE e.name FROM emp AS e WHERE e.sal > 50 ORDER BY e.name";
+    let miss = client.query(q).unwrap();
+    let hit = client.query(q).unwrap();
+    assert_eq!(
+        sqlpp_server::wire::encode_response(&miss),
+        sqlpp_server::wire::encode_response(&hit)
+    );
+    assert!(server.cache_stats().hits >= 1, "second request should hit");
+    assert_eq!(rows(hit).to_string(), local(q).unwrap());
+
+    for stmt in [
+        "INSERT INTO emp VALUE {'id': 4, 'name': 'Di', 'sal': 55.5, 'dept': 'it''s'}",
+        "INSERT INTO emp SELECT VALUE {'id': e.id + 10, 'name': e.name} FROM emp AS e",
+        "UPDATE emp AS e SET e.sal = e.sal + 1 WHERE e.dept = 'eng'",
+        "DELETE FROM emp AS e WHERE e.id = 3",
+        "CREATE TABLE made (id INT, label STRING)",
+        q,
+    ] {
+        let over_wire = rows(client.query(stmt).unwrap());
+        assert_eq!(over_wire.to_string(), local(stmt).unwrap(), "{stmt}");
+    }
+    let explain = format!("EXPLAIN {q}");
+    let plan = rows(client.query(&explain).unwrap()).path("plan");
+    assert_eq!(plan, Value::Str(local(&explain).unwrap()));
+    let analyze = format!("EXPLAIN ANALYZE {q}");
+    match rows(client.query(&analyze).unwrap()).path("plan") {
+        Value::Str(text) => {
+            assert!(text.contains("phases: parse"), "{text}");
+            assert_eq!(tree(&text), tree(&local(&analyze).unwrap()));
+        }
+        other => panic!("expected a plan, got {other}"),
+    }
+
+    // Errors carry the engine's own message under its class code.
+    for (stmt, class) in [
+        ("SELECT VALUE FROM WHERE", "syntax"),
+        ("DELETE FROM nosuch AS n WHERE n.id = 1", "catalog"),
+        ("INSERT INTO made VALUE {'id': 'x'}", "schema"),
+    ] {
+        match client.query(stmt).unwrap() {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, class, "{stmt}");
+                assert_eq!(message, local(stmt).unwrap_err().to_string(), "{stmt}");
+            }
+            other => panic!("{stmt}: expected an error, got {other:?}"),
+        }
+    }
+    // Parameters have no meaning on DML (the in-process API has no such
+    // call): refused as a usage error before anything runs.
+    let dml = "DELETE FROM emp AS e WHERE e.id = ?";
+    match client.query_with_params(dml, vec![Value::Int(1)]).unwrap() {
+        Response::Error { code, message, .. } => {
+            assert_eq!(code, "usage");
+            assert_eq!(
+                message,
+                "positional parameters are only supported on queries"
+            );
+        }
+        other => panic!("expected a usage error, got {other:?}"),
+    }
+    // Both catalogs went through the same statements: same final state.
+    let state = |e: &Engine| e.catalog().get_str("emp").unwrap().to_string();
+    assert_eq!(state(&served), state(&twin));
     server.shutdown();
 }
 
