@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `group_as_vs_subquery` | §V-B: GROUP AS "is more efficient … than nested SELECT VALUE queries" |
 //! | `unnest_vs_flat_join` | §III: unnesting composes like joins (no hash table needed) |
-//! | `agg_pipeline` | §V-C: conceptual materialization may be pipelined |
 //! | `missing_propagation` | §IV: permissive mode keeps healthy data flowing |
 //! | `compat_mode_overhead` | §I: the compatibility flag toggles rewritings |
 //! | `pivot_unpivot` | §VI: names ⇄ data at scale |

@@ -1,4 +1,4 @@
-//! The eighteen benchmark suites, one module per performance claim (see the
+//! The seventeen benchmark suites, one module per performance claim (see the
 //! crate docs for the claim ↔ suite map). Each suite registers its
 //! measurements on a shared [`Harness`]; thin `[[bin]]` wrappers run one
 //! suite each, and `bench_all` runs every suite into one report.
@@ -10,7 +10,6 @@
 
 use sqlpp_testkit::bench::Harness;
 
-pub mod agg_pipeline;
 pub mod compat_mode_overhead;
 pub mod durability;
 pub mod e2e_paper_queries;
@@ -37,7 +36,6 @@ pub fn all() -> Vec<(&'static str, fn(&mut Harness))> {
             group_as_vs_subquery::run as fn(&mut Harness),
         ),
         ("unnest_vs_flat_join", unnest_vs_flat_join::run),
-        ("agg_pipeline", agg_pipeline::run),
         ("missing_propagation", missing_propagation::run),
         ("compat_mode_overhead", compat_mode_overhead::run),
         ("pivot_unpivot", pivot_unpivot::run),

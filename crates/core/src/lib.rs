@@ -83,8 +83,6 @@ pub struct SessionConfig {
     pub typing: TypingMode,
     /// Run the plan optimizer.
     pub optimize: bool,
-    /// Use the pipelined-aggregation fast path (§V-C).
-    pub pipeline_aggregates: bool,
     /// Per-query resource limits (memory budget, deadline, cancellation,
     /// nesting depth) applied to every query and DML evaluation this
     /// session runs. Unlimited by default; enforcement is zero-cost when
@@ -115,7 +113,6 @@ impl Default for SessionConfig {
             compat: CompatMode::SqlCompat,
             typing: TypingMode::Permissive,
             optimize: true,
-            pipeline_aggregates: true,
             limits: Limits::default(),
             fault: None,
             batch_size: sqlpp_eval::DEFAULT_BATCH_SIZE,
@@ -541,7 +538,6 @@ impl Engine {
         EvalConfig {
             typing: self.config.typing,
             compat: self.config.compat,
-            pipeline_aggregates: self.config.pipeline_aggregates,
             collect_stats,
             limits: self.config.limits.clone(),
             fault: self.config.fault.clone(),

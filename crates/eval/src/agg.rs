@@ -138,9 +138,10 @@ fn sum(present: &[&Value], func: AggFunc) -> Result<Value, AggError> {
     Ok(acc)
 }
 
-/// An incremental accumulator used by the pipelined aggregation fast path
-/// (the engine optimization §V-C licenses: "a SQL++ engine is free to
-/// optimize, e.g., by using pipelineable aggregation operations").
+/// An incremental accumulator: how `COLL_*` consumes a streamed subquery
+/// without building its bag (the engine optimization §V-C licenses: "a
+/// SQL++ engine is free to optimize, e.g., by using pipelineable
+/// aggregation operations"), and how windowed aggregates run.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,

@@ -27,9 +27,9 @@
 //! ## Call instructions
 //!
 //! Plan-valued expressions — scalar/bag subqueries, `EXISTS`,
-//! `IN (SELECT …)`, and `COLL_*` over a `SELECT VALUE` — compile to *call*
-//! instructions that hand the nested plan to the evaluator's stream
-//! machinery (`element_stream` / `run_in` / the fused scan spine) with the
+//! `IN (SELECT …)`, and `COLL_*` over any element-producing bag subquery
+//! — compile to *call* instructions that hand the nested plan to the
+//! evaluator's stream machinery (`subquery_stream` / `run_in`) with the
 //! current environment as the outer scope. They sit behind the same jumps
 //! as any operand, so `FALSE AND EXISTS(…)` never runs the subquery, and
 //! they clear [`Program::root_safe`]: a nested plan needs a real
@@ -186,16 +186,15 @@ pub(crate) enum Instr<'p> {
         /// Deduplicate elements first.
         distinct: bool,
     },
-    /// Call: `COLL_*` over a plain `SELECT VALUE expr FROM input`,
-    /// aggregated incrementally instead of materializing the bag — legal
-    /// because the materialization is only conceptual (§V-C).
-    CollAggPipelined {
+    /// Call: non-DISTINCT `COLL_*` over an element-producing bag
+    /// subquery, aggregated as the subquery's element stream is pulled —
+    /// the bag is never built, which is legal because its
+    /// materialization is only conceptual (§V-C).
+    CollAggStream {
         /// Which aggregate.
         func: AggFunc,
-        /// The subquery's binding-producing input.
-        input: &'p CoreOp,
-        /// The subquery's projection.
-        expr: &'p CoreExpr,
+        /// The subquery.
+        plan: &'p CoreQuery,
     },
 }
 
@@ -222,13 +221,11 @@ impl<'p> Program<'p> {
     }
 }
 
-/// Compiles `e`. `pipeline_aggregates` selects the incremental `COLL_*`
-/// instruction over the materialize-then-aggregate pair.
-pub(crate) fn compile(e: &CoreExpr, pipeline_aggregates: bool) -> Program<'_> {
+/// Compiles `e`.
+pub(crate) fn compile(e: &CoreExpr) -> Program<'_> {
     let mut c = Compiler {
         instrs: Vec::new(),
         root_safe: true,
-        pipeline_aggregates,
     };
     c.emit(e);
     Program {
@@ -252,7 +249,6 @@ pub(crate) fn produces_elements(op: &CoreOp) -> bool {
 struct Compiler<'p> {
     instrs: Vec<Instr<'p>>,
     root_safe: bool,
-    pipeline_aggregates: bool,
 }
 
 impl<'p> Compiler<'p> {
@@ -416,35 +412,21 @@ impl<'p> Compiler<'p> {
                 func,
                 distinct,
                 input,
-            } => {
-                if let (
-                    true,
-                    false,
-                    CoreExpr::Subquery {
-                        plan,
-                        coercion: Coercion::Bag,
-                    },
-                ) = (self.pipeline_aggregates, *distinct, &**input)
-                {
-                    if let CoreOp::Project {
-                        input,
-                        expr,
-                        distinct: false,
-                    } = &plan.op
-                    {
-                        return self.call(Instr::CollAggPipelined {
-                            func: *func,
-                            input,
-                            expr,
-                        });
-                    }
+            } => match &**input {
+                CoreExpr::Subquery {
+                    plan,
+                    coercion: Coercion::Bag,
+                } if !distinct && produces_elements(&plan.op) => {
+                    self.call(Instr::CollAggStream { func: *func, plan })
                 }
-                self.emit(input);
-                self.instrs.push(Instr::CollAgg {
-                    func: *func,
-                    distinct: *distinct,
-                });
-            }
+                _ => {
+                    self.emit(input);
+                    self.instrs.push(Instr::CollAgg {
+                        func: *func,
+                        distinct: *distinct,
+                    });
+                }
+            },
             CoreExpr::Subquery { plan, coercion } => self.call(Instr::Subquery {
                 plan,
                 coercion: *coercion,
@@ -487,7 +469,7 @@ mod tests {
     #[test]
     fn field_peephole_fuses_var_navigation() {
         let e = CoreExpr::Path(Box::new(var("t")), "x".into());
-        let p = compile(&e, true);
+        let p = compile(&e);
         assert_eq!(p.instrs.len(), 1);
         assert!(matches!(
             p.instrs[0],
@@ -516,13 +498,17 @@ mod tests {
             distinct: false,
             input: Box::new(sub(Coercion::Bag)),
         };
-        let p = compile(&agg, true);
-        assert!(matches!(p.instrs[..], [Instr::CollAggPipelined { .. }]));
+        let p = compile(&agg);
+        assert!(matches!(p.instrs[..], [Instr::CollAggStream { .. }]));
         assert!(!p.root_safe, "calls need a real environment");
-        // With pipelining off the same expression materializes first.
-        let p = compile(&agg, false);
+        // DISTINCT needs the whole bag: it materializes first.
+        let distinct = CoreExpr::CollAgg {
+            func: AggFunc::Count,
+            distinct: true,
+            input: Box::new(sub(Coercion::Bag)),
+        };
         assert!(matches!(
-            p.instrs[..],
+            compile(&distinct).instrs[..],
             [Instr::Subquery { .. }, Instr::CollAgg { .. }]
         ));
         let member = CoreExpr::In {
@@ -530,7 +516,7 @@ mod tests {
             collection: Box::new(sub(Coercion::Collection)),
             negated: false,
         };
-        let p = compile(&member, true);
+        let p = compile(&member);
         assert!(matches!(
             p.instrs[..],
             [
@@ -554,7 +540,7 @@ mod tests {
                 negated: false,
             };
         }
-        let p = compile(&e, true);
+        let p = compile(&e);
         assert_eq!(p.instrs.len(), 1 + 64 * 3);
         let subjects = p
             .instrs
@@ -567,7 +553,7 @@ mod tests {
     #[test]
     fn globals_clear_root_safety() {
         let e = CoreExpr::Global(vec!["db".into(), "r".into()]);
-        assert!(!compile(&e, true).root_safe);
+        assert!(!compile(&e).root_safe);
     }
 
     #[test]
@@ -577,7 +563,7 @@ mod tests {
             Box::new(CoreExpr::Const(Value::Bool(false))),
             Box::new(var("x")),
         );
-        let p = compile(&e, true);
+        let p = compile(&e);
         // [Const(false), ShortCircuit{end:4}, Var(x), Logic(And)]
         assert_eq!(p.instrs.len(), 4);
         assert!(matches!(

@@ -11,6 +11,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use sqlpp_catalog::Catalog;
 use sqlpp_plan::{
@@ -37,7 +38,7 @@ use crate::spill::{
 };
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
-    boxed, empty, failed, from_vec, next_one, BindingStream, Concat, Cursor, Governed,
+    boxed, collect, empty, failed, from_vec, next_one, BindingStream, Concat, Cursor, Governed,
     Instrumented, Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
     DEFAULT_BATCH_SIZE,
 };
@@ -50,11 +51,6 @@ pub struct EvalConfig {
     /// SQL-compatibility mode: enables the COALESCE/MISSING exception and
     /// MISSING→NULL canonicalization of grouping keys (§IV-B).
     pub compat: CompatMode,
-    /// Use the incremental-aggregation fast path for `COLL_*` over
-    /// subqueries (§V-C licenses this; the `agg_pipeline_vs_materialize`
-    /// benchmark measures it). Disabling forces conceptual
-    /// materialization.
-    pub pipeline_aggregates: bool,
     /// Collect [`ExecStats`] while evaluating (`EXPLAIN ANALYZE`). Off by
     /// default; when off the evaluator carries no collector and every
     /// instrumentation point is a single `Option` discriminant check.
@@ -85,7 +81,6 @@ impl Default for EvalConfig {
         EvalConfig {
             typing: TypingMode::Permissive,
             compat: CompatMode::SqlCompat,
-            pipeline_aggregates: true,
             collect_stats: false,
             limits: Limits::default(),
             fault: None,
@@ -216,7 +211,7 @@ impl<'a> Evaluator<'a> {
         let Some(st) = &self.stats else {
             return self.value_op_inner(op, env);
         };
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let result = self.value_op_inner(op, env);
         let elapsed = start.elapsed();
         let rows = match &result {
@@ -228,32 +223,31 @@ impl<'a> Evaluator<'a> {
         result
     }
 
+    /// Every operator with a streaming shape is built once, as its element
+    /// stream, and collected here; only the operators that must
+    /// materialize (DISTINCT, PIVOT, sorts) have arms of their own.
     fn value_op_inner(&self, op: &'a CoreOp, env: &Env) -> Result<Value, EvalError> {
+        if let Some(stream) = self.try_value_stream_inner(op, env) {
+            let mut items = collect(stream, self.batch_size())?;
+            // A WITH whose body is a PIVOT streams its one tuple.
+            return Ok(match produces_elements(op) {
+                true => Value::Bag(items),
+                false => items.pop().expect("a PIVOT yields one tuple"),
+            });
+        }
         match op {
             CoreOp::Project {
                 input,
                 expr,
-                distinct,
+                distinct: true,
             } => {
-                if *distinct {
-                    // DISTINCT is a pipeline breaker: the projected rows
-                    // materialize through a tracked buffer, then dedupe.
-                    let mut buf = TrackedBuffer::new(self.gauge(op), approx_value_bytes);
-                    drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                        buf.push(self.expr(expr, &b)?)
-                    })?;
-                    Ok(Value::Bag(dedupe(buf.into_vec(), self.stats.as_ref())))
-                } else {
-                    if let Some(result) = self.try_fused_project(input, expr, env) {
-                        return result;
-                    }
-                    let mut out = Vec::new();
-                    drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                        out.push(self.expr(expr, &b)?);
-                        Ok(())
-                    })?;
-                    Ok(Value::Bag(out))
-                }
+                // DISTINCT is a pipeline breaker: the projected rows
+                // materialize through a tracked buffer, then dedupe.
+                let mut buf = TrackedBuffer::new(self.gauge(op), approx_value_bytes);
+                drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
+                    buf.push(self.expr(expr, &b)?)
+                })?;
+                Ok(Value::Bag(dedupe(buf.into_vec(), self.stats.as_ref())))
             }
             CoreOp::Pivot { input, value, name } => {
                 let mut t = Tuple::new();
@@ -276,23 +270,6 @@ impl<'a> Evaluator<'a> {
                     Ok(())
                 })?;
                 Ok(Value::Tuple(t))
-            }
-            CoreOp::SetOp {
-                op: set_op,
-                all,
-                left,
-                right,
-            } => {
-                let mut out = Vec::new();
-                drain_batched(
-                    self.set_op_stream(*set_op, *all, left, right, op, env),
-                    self.batch_size(),
-                    |v| {
-                        out.push(v);
-                        Ok(())
-                    },
-                )?;
-                Ok(Value::Bag(out))
             }
             CoreOp::SortValues { input, keys } => {
                 let out_var: Rc<str> = "$out".into();
@@ -339,35 +316,6 @@ impl<'a> Evaluator<'a> {
                     approx_value_bytes,
                 )?;
                 Ok(Value::Bag(rows))
-            }
-            CoreOp::LimitOffset {
-                input,
-                limit,
-                offset,
-            } => {
-                // Bounds first: LIMIT 0 never constructs (or pulls) the
-                // input at all.
-                let (lim, off) = self.limit_offset(limit.as_ref(), offset.as_ref(), env)?;
-                let mut out = Vec::new();
-                if lim != Some(0) {
-                    drain_batched(
-                        Box::new(Limited::new(self.element_stream(input, env), off, lim)),
-                        self.batch_size(),
-                        |v| {
-                            out.push(v);
-                            Ok(())
-                        },
-                    )?;
-                }
-                Ok(Value::Bag(out))
-            }
-            CoreOp::With { bindings, body } => {
-                let mut env = env.clone();
-                for (name, q) in bindings {
-                    let v = self.value_op(&q.op, &env)?;
-                    env = env.bind(name.clone(), v);
-                }
-                self.value_op(body, &env)
             }
             // A binding-producing operator in value position only happens
             // for degenerate plans; expose the bindings as tuples.
@@ -431,10 +379,13 @@ impl<'a> Evaluator<'a> {
     /// `None` when the operator must materialize (sort, pivot, grouping
     /// inputs, …) and [`Self::value_op`] should run instead.
     fn try_value_stream<'s>(&'s self, op: &'a CoreOp, env: &Env) -> Option<ValueStream<'s>> {
-        let inner = self.try_value_stream_inner(op, env)?;
         let inner = match &self.stats {
-            None => inner,
-            Some(st) => Box::new(Instrumented::new(inner, st, op, false)) as ValueStream<'s>,
+            None => self.try_value_stream_inner(op, env)?,
+            Some(st) => {
+                let built = Instant::now();
+                let inner = self.try_value_stream_inner(op, env)?;
+                Box::new(Instrumented::new(inner, st, op, false, built)) as ValueStream<'s>
+            }
         };
         Some(match self.govern.as_watcher() {
             None => inner,
@@ -448,10 +399,11 @@ impl<'a> Evaluator<'a> {
                 input,
                 expr,
                 distinct: false,
-            } => Some(Box::new(MapRows::new(
-                self.binding_stream(input, env),
-                move |b| self.expr(expr, &b).map(Some),
-            ))),
+            } => Some(self.fused_scan(input, expr, env).unwrap_or_else(|| {
+                Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
+                    self.expr(expr, &b).map(Some)
+                }))
+            })),
             CoreOp::LimitOffset {
                 input,
                 limit,
@@ -544,12 +496,8 @@ impl<'a> Evaluator<'a> {
                 if all {
                     probe
                 } else {
-                    let mut out = Vec::new();
-                    match drain_batched(probe, self.batch_size(), |v| {
-                        out.push(v);
-                        Ok(())
-                    }) {
-                        Ok(()) => from_vec(dedupe(out, self.stats.as_ref())),
+                    match collect(probe, self.batch_size()) {
+                        Ok(out) => from_vec(dedupe(out, self.stats.as_ref())),
                         Err(e) => failed(e),
                     }
                 }
@@ -560,16 +508,17 @@ impl<'a> Evaluator<'a> {
     /// The bindings of a binding-producing operator as a lazy stream.
     /// Scans, filters, joins, LET, and Append stream row by row; Sort,
     /// Group, and Window are pipeline breakers that materialize through
-    /// tracked buffers at construction and then stream the result.
+    /// tracked buffers at construction and then stream the result — so
+    /// an operator's time starts when its stream starts being built.
     fn binding_stream<'s>(&'s self, op: &'a CoreOp, env: &Env) -> BindingStream<'s> {
         let inner = match &self.stats {
             None => self.binding_stream_inner(op, env),
-            Some(st) => Box::new(Instrumented::new(
-                self.binding_stream_inner(op, env),
-                st,
-                op,
-                matches!(op, CoreOp::From { .. }),
-            )) as BindingStream<'s>,
+            Some(st) => {
+                let built = Instant::now();
+                let inner = self.binding_stream_inner(op, env);
+                let is_from = matches!(op, CoreOp::From { .. });
+                Box::new(Instrumented::new(inner, st, op, is_from, built)) as BindingStream<'s>
+            }
         };
         // Deadline/cancellation: tick per pull, only when a deadline or
         // token is attached — the ungoverned path takes the `None` arm.
@@ -1432,40 +1381,22 @@ impl<'a> Evaluator<'a> {
         self.config.batch_size.max(1)
     }
 
-    /// The fused fast path for a materializing `SELECT VALUE`: see
-    /// [`Self::try_fused`]. Returns `None` when the shape or config is
-    /// ineligible and the adapter pipeline should run instead.
-    fn try_fused_project(
-        &self,
+    /// The fused scan spine — the projection's stream when `input` is a
+    /// bare `Scan → Filter*` chain (no AT variable) and every predicate
+    /// plus the projection is root-safe bytecode: a [`FusedScan`] that
+    /// evaluates each source element *borrowed* — no per-row `Env`
+    /// allocation, no per-row adapter dispatch. Only active when batching
+    /// is on, stats are off (`EXPLAIN ANALYZE` wants real per-operator
+    /// adapters) and no faults are injected (the per-expression fault site
+    /// lives in [`Self::expr`]); results are identical to the adapter
+    /// pipeline because both bottom out in the same compiled programs and
+    /// scan-source semantics. `None` means ineligible.
+    fn fused_scan<'s>(
+        &'s self,
         input: &'a CoreOp,
         proj: &'a CoreExpr,
         env: &Env,
-    ) -> Option<Result<Value, EvalError>> {
-        let mut out = Vec::new();
-        let r = self.try_fused(input, proj, env, |v| {
-            out.push(v);
-            Ok(())
-        })?;
-        Some(r.map(|()| Value::Bag(out)))
-    }
-
-    /// The fused scan spine: when `input` is a bare `Scan → Filter*`
-    /// chain (no AT variable) and every predicate plus the projection is
-    /// root-safe bytecode, each source element is evaluated *borrowed* —
-    /// no per-row `Env` allocation, no per-row adapter dispatch, the
-    /// deadline ticked once per [`BATCH_TICK_ROWS`] rows. Only active when
-    /// batching is on, stats are off (`EXPLAIN ANALYZE` wants real
-    /// per-operator adapters) and no faults are injected (the
-    /// per-expression fault site lives in [`Self::expr`]); results are
-    /// identical to the adapter pipeline because both bottom out in the
-    /// same compiled programs and scan-source semantics.
-    fn try_fused(
-        &self,
-        input: &'a CoreOp,
-        proj: &'a CoreExpr,
-        env: &Env,
-        emit: impl FnMut(Value) -> Result<(), EvalError>,
-    ) -> Option<Result<(), EvalError>> {
+    ) -> Option<ValueStream<'s>> {
         if self.config.batch_size <= 1 || self.stats.is_some() || self.govern.injects_faults() {
             return None;
         }
@@ -1499,74 +1430,35 @@ impl<'a> Evaluator<'a> {
             let p = self.program(e);
             p.root_safe.then(|| p.specialize_for_root(as_var))
         };
-        let pred_specs: Vec<Program<'a>> = preds.into_iter().map(rooted).collect::<Option<_>>()?;
-        let proj_spec = rooted(proj)?;
-        Some(self.run_fused(scan_expr, as_var, &pred_specs, &proj_spec, env, emit))
-    }
-
-    fn run_fused(
-        &self,
-        scan_expr: &'a CoreExpr,
-        as_var: &str,
-        pred_specs: &[Program<'a>],
-        proj_spec: &Program<'a>,
-        env: &Env,
-        mut emit: impl FnMut(Value) -> Result<(), EvalError>,
-    ) -> Result<(), EvalError> {
-        let source = self.scan_source(scan_expr, env)?;
-        let source_val: &Value = match &source {
-            ScanSource::Shared(arc) => arc,
-            ScanSource::Owned(v) => v,
+        let preds: Vec<Program<'a>> = preds.into_iter().map(rooted).collect::<Option<_>>()?;
+        let proj = rooted(proj)?;
+        let source = match self.scan_source(scan_expr, env) {
+            Ok(source) => source,
+            Err(e) => return Some(failed(e)),
         };
         // Mirrors `scan_value_stream`: collections iterate, MISSING
         // vanishes, anything else is a permissive singleton or a strict
         // error.
-        let items: &[Value] = match source_val {
-            Value::Bag(items) | Value::Array(items) => items.as_slice(),
-            Value::Missing => return Ok(()),
-            other => match self.config.typing {
-                TypingMode::Permissive => std::slice::from_ref(other),
-                TypingMode::StrictError => {
-                    return Err(EvalError::Type(format!(
-                        "FROM source must be a collection, found {}",
-                        other.kind().name()
-                    )));
-                }
-            },
-        };
-        let watcher = self.govern.as_watcher();
-        // One value stack for the whole run. Root-safe programs never
-        // re-enter the VM (call instructions clear `root_safe`), and even
-        // if `emit` does, `Cell::take` hands it a fresh stack —
-        // correctness never depends on this reuse, only speed does.
-        let mut stack = self.vm_stack.take();
-        stack.clear();
-        let mut run = |stack: &mut Vec<Value>| -> Result<(), EvalError> {
-            'rows: for (i, item) in items.iter().enumerate() {
-                if let Some(g) = watcher {
-                    // At least once per batch-worth of rows, starting
-                    // immediately: a huge source cannot outrun the
-                    // deadline.
-                    if i % BATCH_TICK_ROWS == 0 {
-                        g.tick()?;
-                    }
-                }
-                for p in pred_specs {
-                    self.exec_program(p, Some((as_var, item)), env, stack)?;
-                    match stack.pop().expect("bytecode program left no result") {
-                        Value::Bool(true) => {}
-                        _ => continue 'rows,
-                    }
-                }
-                self.exec_program(proj_spec, Some((as_var, item)), env, stack)?;
-                emit(stack.pop().expect("bytecode program left no result"))?;
+        match source.value() {
+            Value::Bag(_) | Value::Array(_) => {}
+            Value::Missing => return Some(empty()),
+            other if self.config.typing == TypingMode::StrictError => {
+                return Some(failed(EvalError::Type(format!(
+                    "FROM source must be a collection, found {}",
+                    other.kind().name()
+                ))));
             }
-            Ok(())
-        };
-        let result = run(&mut stack);
-        stack.clear();
-        self.vm_stack.set(stack);
-        result
+            _ => {}
+        }
+        Some(Box::new(FusedScan {
+            ev: self,
+            source,
+            idx: 0,
+            as_var,
+            preds,
+            proj,
+            env: env.clone(),
+        }))
     }
 
     // =================================================================
@@ -1597,7 +1489,7 @@ impl<'a> Evaluator<'a> {
         if let Some(p) = self.programs.borrow().get(&key) {
             return Rc::clone(p);
         }
-        let p = Rc::new(bytecode::compile(e, self.config.pipeline_aggregates));
+        let p = Rc::new(bytecode::compile(e));
         if let Some(st) = &self.stats {
             st.add_expr_compiled();
         }
@@ -1917,13 +1809,23 @@ impl<'a> Evaluator<'a> {
                 Instr::Subquery { plan, coercion } => {
                     stack.push(self.subquery(plan, coercion, env)?)
                 }
-                Instr::Exists(plan) => stack.push(self.exists(plan, env)?),
+                // One pulled element decides (a PIVOT's is its tuple).
+                Instr::Exists(plan) => {
+                    let first = next_one(&mut self.subquery_stream(plan, env))?;
+                    stack.push(Value::Bool(first.is_some()));
+                }
                 Instr::CollAgg { func, distinct } => {
                     let v = stack.pop().expect("stack");
                     stack.push(self.coll_agg(func, distinct, &v)?);
                 }
-                Instr::CollAggPipelined { func, input, expr } => {
-                    stack.push(self.coll_agg_pipelined(func, input, expr, env)?)
+                Instr::CollAggStream { func, plan } => {
+                    let mut acc = agg::Accumulator::new(func);
+                    let elements = self.subquery_stream(plan, env);
+                    drain_batched(elements, self.batch_size(), |v| {
+                        acc.push(&v);
+                        Ok(())
+                    })?;
+                    stack.push(acc.finish().or_else(|e| self.agg_err(e))?);
                 }
             }
             pc += 1;
@@ -1958,7 +1860,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// A nested plan's elements as a stream, counted as one invocation —
-    /// the entry the one-row consumers below share.
+    /// the entry `EXISTS`, `IN`, the scalar probe and `COLL_*` share.
     fn subquery_stream<'s>(&'s self, q: &'a CoreQuery, env: &Env) -> ValueStream<'s> {
         if let Some(st) = &self.stats {
             st.add_subquery_invocation();
@@ -1992,19 +1894,6 @@ impl<'a> Evaluator<'a> {
                 )),
             },
         }
-    }
-
-    /// EXISTS: one pulled element decides.
-    fn exists(&self, q: &'a CoreQuery, env: &Env) -> Result<Value, EvalError> {
-        if produces_elements(&q.op) {
-            let first = next_one(&mut self.subquery_stream(q, env))?;
-            return Ok(Value::Bool(first.is_some()));
-        }
-        let v = self.run_in(q, env)?;
-        Ok(Value::Bool(match v.as_elements() {
-            Some(items) => !items.is_empty(),
-            None => true, // PIVOT result: a tuple exists
-        }))
     }
 
     /// IN over an element-producing SQL subquery (needle already known to
@@ -2274,31 +2163,6 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// `COLL_*` over a plain `SELECT VALUE expr FROM input`: aggregates
-    /// incrementally — through the fused scan spine when the shape allows
-    /// — instead of materializing the bag.
-    fn coll_agg_pipelined(
-        &self,
-        func: AggFunc,
-        input: &'a CoreOp,
-        expr: &'a CoreExpr,
-        env: &Env,
-    ) -> Result<Value, EvalError> {
-        let mut acc = agg::Accumulator::new(func);
-        if let Some(r) = self.try_fused(input, expr, env, |v| {
-            acc.push(&v);
-            Ok(())
-        }) {
-            r?;
-        } else {
-            drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                acc.push(&self.expr(expr, &b)?);
-                Ok(())
-            })?;
-        }
-        acc.finish().or_else(|e| self.agg_err(e))
-    }
-
     /// `COLL_*` over an evaluated collection value.
     fn coll_agg(&self, func: AggFunc, distinct: bool, v: &Value) -> Result<Value, EvalError> {
         if v.is_null() {
@@ -2344,23 +2208,9 @@ impl<'a> Evaluator<'a> {
     /// the planner's choice of [`Coercion`].
     fn coerce_subquery(&self, v: Value, coercion: Coercion) -> Result<Value, EvalError> {
         match coercion {
-            Coercion::Bag => Ok(v),
-            Coercion::Scalar => {
-                let items = match v.as_elements() {
-                    Some(items) => items,
-                    None => return Ok(v), // PIVOT subquery: already a value
-                };
-                match items.len() {
-                    0 => Ok(Value::Null),
-                    1 => self.single_attr(&items[0]),
-                    n => match self.config.typing {
-                        TypingMode::Permissive => Ok(Value::Missing),
-                        TypingMode::StrictError => Err(EvalError::Cardinality(format!(
-                            "scalar subquery produced {n} rows"
-                        ))),
-                    },
-                }
-            }
+            // A scalar subquery only gets here as a PIVOT — already a
+            // value; element-producing ones take `subquery`'s probe.
+            Coercion::Bag | Coercion::Scalar => Ok(v),
             Coercion::Collection => {
                 let items = match v.into_elements() {
                     Some(items) => items,
@@ -2542,6 +2392,88 @@ enum ScanSource {
     Shared(Arc<Value>),
     /// A computed value owned by this scan.
     Owned(Value),
+}
+
+impl ScanSource {
+    fn value(&self) -> &Value {
+        match self {
+            ScanSource::Shared(arc) => arc,
+            ScanSource::Owned(v) => v,
+        }
+    }
+}
+
+/// The fused scan spine as a stream (built only by
+/// [`Evaluator::fused_scan`]): each pull resumes at `idx` over the
+/// borrowed source elements, runs the root-specialized predicates and
+/// projection on each, and stops once `max` rows are out — so a LIMIT,
+/// EXISTS or IN above it stops the scan exactly like the adapter
+/// pipeline does.
+struct FusedScan<'s, 'a> {
+    ev: &'s Evaluator<'a>,
+    source: ScanSource,
+    /// The next source element to scan.
+    idx: usize,
+    as_var: &'a str,
+    preds: Vec<Program<'a>>,
+    proj: Program<'a>,
+    env: Env,
+}
+
+impl FusedScan<'_, '_> {
+    fn fill(
+        &mut self,
+        out: &mut Vec<Value>,
+        max: usize,
+        stack: &mut Vec<Value>,
+    ) -> Result<(), EvalError> {
+        // A non-collection source is a (permissive) singleton.
+        let items = match self.source.value() {
+            Value::Bag(items) | Value::Array(items) => items.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        let watcher = self.ev.govern.as_watcher();
+        let start = out.len();
+        'rows: while out.len() - start < max {
+            let Some(item) = items.get(self.idx) else {
+                break;
+            };
+            // At least once per batch-worth of *scanned* rows, starting
+            // immediately: a huge source — or a filter that rejects most
+            // of it — cannot outrun the deadline.
+            if let Some(g) = watcher {
+                if self.idx % BATCH_TICK_ROWS == 0 {
+                    g.tick()?;
+                }
+            }
+            self.idx += 1;
+            let root = Some((self.as_var, item));
+            for p in &self.preds {
+                self.ev.exec_program(p, root, &self.env, stack)?;
+                if !matches!(stack.pop(), Some(Value::Bool(true))) {
+                    continue 'rows;
+                }
+            }
+            self.ev.exec_program(&self.proj, root, &self.env, stack)?;
+            out.push(stack.pop().expect("bytecode program left no result"));
+        }
+        Ok(())
+    }
+}
+
+impl Stream<Value> for FusedScan<'_, '_> {
+    fn next_batch(&mut self, out: &mut Vec<Value>, max: usize) -> Result<(), EvalError> {
+        // One value stack per pull. Root-safe programs never re-enter the
+        // VM (call instructions clear `root_safe`), and a consumer that
+        // runs the VM between pulls takes its own from the `Cell` —
+        // correctness never depends on this reuse, only speed does.
+        let mut stack = self.ev.vm_stack.take();
+        stack.clear();
+        let result = self.fill(out, max, &mut stack);
+        stack.clear();
+        self.ev.vm_stack.set(stack);
+        result
+    }
 }
 
 /// A lazy scan over a shared catalog collection: elements are cloned one
@@ -3412,13 +3344,7 @@ mod tests {
 
     /// Runs `Limited` over an infallible source, collecting the output.
     fn limited(items: Vec<i32>, lim: Option<usize>, off: usize) -> Vec<i32> {
-        let mut out = Vec::new();
-        drain_batched(Box::new(Limited::new(from_vec(items), off, lim)), 2, |v| {
-            out.push(v);
-            Ok(())
-        })
-        .unwrap();
-        out
+        collect(Box::new(Limited::new(from_vec(items), off, lim)), 2).unwrap()
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * two typing modes (§IV): permissive (type error → MISSING, "healthy"
 //!   data keeps flowing) and stop-on-error;
 //! * `GROUP BY … GROUP AS` materializes first-class groups (§V-B);
-//! * `COLL_*` aggregates are ordinary collection functions (§V-C), with a
-//!   pipelined fast path the paper explicitly licenses;
+//! * `COLL_*` aggregates are ordinary collection functions (§V-C); over a
+//!   subquery they consume its element stream and never build the bag —
+//!   the pipelining the paper explicitly licenses;
 //! * PIVOT/UNPIVOT turn attribute names into data and back (§VI).
 //!
 //! The [`mod@reference`] module is a transparent transcription of the paper's

@@ -4,8 +4,8 @@
 //! binding environments; this module gives the interpreter that shape at
 //! runtime, with exactly one pull protocol: [`Stream::next_batch`] appends
 //! up to `max` rows into a caller-owned buffer in one virtual call.
-//! Full-consumption operators (projection, sort fill, aggregation,
-//! DISTINCT) iterate their input through a [`Cursor`], which pulls
+//! Full-consumption operators (sort fill, aggregation, DISTINCT) iterate
+//! their input through a [`Cursor`], which pulls
 //! ~[`DEFAULT_BATCH_SIZE`] rows at a time underneath and so amortizes
 //! dynamic dispatch, governor ticks, and stat increments; a session with
 //! `batch_size: 1` is the row-at-a-time engine — through this same code,
@@ -71,6 +71,23 @@ pub(crate) fn next_one<T>(stream: &mut (impl Stream<T> + ?Sized)) -> Result<Opti
     let mut one = Vec::with_capacity(1);
     stream.next_batch(&mut one, 1)?;
     Ok(one.pop())
+}
+
+/// Pulls a stream to exhaustion, `batch_size` rows per call, appending
+/// straight into the returned vector — full consumption with no per-row
+/// step in between.
+pub(crate) fn collect<T>(
+    mut stream: Box<dyn Stream<T> + '_>,
+    batch_size: usize,
+) -> Result<Vec<T>, EvalError> {
+    let mut out = Vec::new();
+    loop {
+        let before = out.len();
+        stream.next_batch(&mut out, batch_size)?;
+        if out.len() == before {
+            return Ok(out);
+        }
+    }
 }
 
 /// A row-at-a-time cursor over batched pulls — the `for` loop over a
@@ -328,7 +345,8 @@ where
 }
 
 /// Per-operator instrumentation for a stream: counts rows and batches out
-/// and wall time spent inside this operator's pulls (inclusive of
+/// and wall time spent building the stream (`built` — where a breaker
+/// does its work) plus inside this operator's pulls (inclusive of
 /// children, as the tree renderer expects), recording one "call" when
 /// dropped. Only constructed when stats collection is on, so the ordinary
 /// path carries no timer at all. A batched pull pays one timer sample per
@@ -350,6 +368,7 @@ impl<'s, I> Instrumented<'s, I> {
         stats: &'s StatsCollector,
         op: &CoreOp,
         count_bindings: bool,
+        built: Instant,
     ) -> Self {
         Instrumented {
             inner,
@@ -357,7 +376,7 @@ impl<'s, I> Instrumented<'s, I> {
             key: stats.key_for(op),
             rows: 0,
             batches: 0,
-            ns: 0,
+            ns: built.elapsed().as_nanos() as u64,
             count_bindings,
         }
     }

@@ -3,9 +3,10 @@
 //! The paper licenses engines to optimize behind the conceptual semantics
 //! ("under the hood a SQL++ engine is free to optimize", §V-C). These
 //! passes are deliberately conservative: they never change results, only
-//! shapes. The benchmark `agg_pipeline_vs_materialize` measures the win
-//! from the evaluator's pipelined aggregation; the passes here handle the
-//! classical trivia.
+//! shapes. The biggest such license — `COLL_*` never materializing its
+//! input bag — needs no rewrite: the evaluator always aggregates a
+//! subquery's element stream. The passes here handle the classical
+//! trivia.
 
 use std::collections::HashSet;
 

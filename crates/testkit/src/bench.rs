@@ -8,7 +8,7 @@
 //!
 //! ```ignore
 //! let mut h = Harness::new("seed", BenchConfig::from_args());
-//! h.bench("agg_pipeline/pipelined/1000", || plan.execute(&engine).unwrap());
+//! h.bench("vectorized/scan_project/batched/10000", || plan.execute(&engine).unwrap());
 //! h.finish().unwrap();
 //! ```
 
@@ -76,7 +76,7 @@ impl BenchConfig {
 /// iteration).
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Benchmark identifier, e.g. `"agg_pipeline/pipelined/1000"`.
+    /// Benchmark identifier, e.g. `"vectorized/scan_project/batched/10000"`.
     pub id: String,
     /// Median per-iteration time.
     pub median_ns: f64,
@@ -199,11 +199,13 @@ impl Harness {
     }
 
     /// Writes `BENCH_<name>.json` into the current directory (or
-    /// `$SQLPP_BENCH_DIR`) and returns its path.
+    /// `$SQLPP_BENCH_DIR`, created if missing — a long sweep must not
+    /// die at its last step) and returns its path.
     pub fn finish(self) -> std::io::Result<std::path::PathBuf> {
         let dir = std::env::var_os("SQLPP_BENCH_DIR")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(|| std::path::PathBuf::from("."));
+        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         println!(

@@ -1,6 +1,7 @@
 //! EXPLAIN ANALYZE smoke: run a GROUP AS + UNNEST paper query with
 //! statistics collection and verify the rendered plan carries non-zero
-//! row and timing counters. `scripts/ci.sh` runs this on every build.
+//! row and timing counters — with the breaker's time covering its
+//! child's. `scripts/ci.sh` runs this on every build.
 //!
 //! ```text
 //! cargo run --example explain_analyze
@@ -50,6 +51,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(text.contains("group by"), "no group operator:\n{text}");
     assert!(text.contains("phases: parse"), "no phase summary:\n{text}");
+
+    // Times are inclusive, and a breaker's build is its own work: the
+    // GROUP BY node's time must cover its FROM child's.
+    let time_ns = |node: &str| -> f64 {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(node))
+            .unwrap_or_else(|| panic!("no {node} node:\n{text}"));
+        let time = line.rsplit("time=").next().unwrap().trim_end_matches(']');
+        let (num, unit) = time.split_at(time.find(char::is_alphabetic).unwrap());
+        let scale = match unit {
+            "ns" => 1.0,
+            "us" => 1e3,
+            "ms" => 1e6,
+            _ => 1e9,
+        };
+        num.parse::<f64>().unwrap() * scale
+    };
+    let (group, from) = (time_ns("group by"), time_ns("from"));
+    assert!(
+        group >= from,
+        "group by shows {group}ns, less than its from child's {from}ns:\n{text}"
+    );
 
     let result = engine.query_with_stats(query)?;
     let stats = result.stats().expect("stats collection was on");

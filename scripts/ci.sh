@@ -178,6 +178,8 @@ fi
 echo "compat OK: $summary"
 
 echo "== explain analyze smoke =="
+# The example asserts its annotations — and that the GROUP BY breaker's
+# time covers its child's (a breaker's build is its own work).
 cargo run --release -q --example explain_analyze
 
 echo "== benchmark smoke (public-API + correctness gate) =="
@@ -201,5 +203,15 @@ if grep -rnE 'print_expr|print_query' crates/core/src crates/server/src; then
   exit 1
 fi
 echo "front door OK"
+
+echo "== one way to yield a collection gate =="
+# Value operators are streams, the fused spine is one stream built in one
+# place, and COLL_* always streams its subquery: the knob and the second
+# paths it selected must not come back.
+if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined' crates tests examples; then
+  echo "a deleted materializing path is referenced again" >&2
+  exit 1
+fi
+echo "one collection path OK"
 
 echo "== ci green =="

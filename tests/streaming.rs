@@ -6,7 +6,8 @@
 
 use sqlpp::{CompatMode, Engine, SessionConfig, TypingMode};
 use sqlpp_eval::reference::{eval_sfw_config, ReferenceError};
-use sqlpp_eval::EvalConfig;
+use sqlpp_eval::{EvalConfig, Evaluator};
+use sqlpp_plan::{CoreOp, CoreQuery};
 use sqlpp_syntax::parse_query;
 use sqlpp_testkit::prop::values::small_scalar;
 use sqlpp_testkit::{gen, prop_assert, sqlpp_prop, Gen};
@@ -122,6 +123,79 @@ fn between_evaluates_its_subject_once() {
     assert_eq!(hits, 5);
     let stats = run.stats().expect("stats collection was on");
     assert_eq!(stats.subquery_invocations, 20, "one invocation per row");
+}
+
+/// `COLL_*` streams its subquery through the entry `EXISTS`/`IN`/the
+/// scalar probe share, so a correlated aggregate counts one invocation
+/// per outer row like they do.
+#[test]
+fn coll_agg_counts_one_invocation_per_row() {
+    let engine = engine_with("t", ints(20));
+    let run = engine
+        .query_with_stats(
+            "SELECT VALUE COLL_COUNT(SELECT VALUE y FROM t AS y WHERE y = x) FROM t AS x",
+        )
+        .unwrap();
+    assert_eq!(run.len(), 20);
+    assert!(
+        run.rows().iter().all(|v| **v == Value::Int(1)),
+        "{}",
+        run.value()
+    );
+    let stats = run.stats().expect("stats collection was on");
+    assert_eq!(stats.subquery_invocations, 20, "one invocation per row");
+}
+
+/// `{'a': 1, 'b': 2}` as PIVOT input rows.
+fn pivot_input() -> Engine {
+    let engine = Engine::new();
+    engine
+        .load_pnotation("kv", "{{ {'k': 'a', 'v': 1}, {'k': 'b', 'v': 2} }}")
+        .unwrap();
+    engine
+}
+
+/// A PIVOT subquery's one element is its tuple — which exists even when
+/// the PIVOT ran over nothing.
+#[test]
+fn exists_over_a_pivot_subquery_is_true() {
+    let engine = pivot_input();
+    for src in ["kv", "[]"] {
+        let q = format!("SELECT VALUE EXISTS (PIVOT r.v AT r.k FROM {src} AS r) FROM [1] AS one");
+        let run = engine.query_with_stats(&q).unwrap();
+        assert!(run.matches(&Value::Bag(vec![Value::Bool(true)])), "{q}");
+        assert_eq!(run.stats().unwrap().subquery_invocations, 1, "{q}");
+        let plain = engine.query(&q).unwrap();
+        assert!(plain.matches(&Value::Bag(vec![Value::Bool(true)])), "{q}");
+    }
+}
+
+/// A WITH whose body is a PIVOT yields the tuple, not a one-element bag —
+/// at top level and as a subquery.
+#[test]
+fn with_over_pivot_yields_a_tuple() {
+    let engine = pivot_input();
+    let mut want = Tuple::new();
+    want.insert("a", Value::Int(1));
+    want.insert("b", Value::Int(2));
+    let want = Value::Tuple(want);
+    let with_pivot = "WITH s AS (SELECT VALUE r FROM kv AS r) PIVOT x.v AT x.k FROM s AS x";
+    for batch_size in [1, 1024] {
+        let session = engine.with_config(SessionConfig {
+            batch_size,
+            ..SessionConfig::default()
+        });
+        let top = session.query(with_pivot).unwrap();
+        assert_eq!(top.value(), &want, "top-level, batch={batch_size}");
+        let nested = session
+            .query(&format!("SELECT VALUE ({with_pivot}) FROM [1] AS one"))
+            .unwrap();
+        assert!(
+            nested.matches(&Value::Bag(vec![want.clone()])),
+            "subquery, batch={batch_size}: {}",
+            nested.value()
+        );
+    }
 }
 
 /// IN over a SQL-compat sugar subquery stops scanning at the first
@@ -322,6 +396,214 @@ fn empty_batches_are_exhaustion_not_errors() {
         .query("SELECT VALUE x FROM t AS x WHERE x < 0 LIMIT 10")
         .unwrap();
     assert_eq!(r.len(), 0);
+}
+
+/// `{v: i}` for i in 0..1000, except row 500, whose `v` is a string that
+/// breaks `x.v >= 0` and `x.v + 1` in strict mode.
+fn poisoned() -> Value {
+    let rows = (0..1_000)
+        .map(|i| {
+            let mut t = Tuple::new();
+            match i {
+                500 => t.insert("v", Value::Str("boom".into())),
+                _ => t.insert("v", Value::Int(i)),
+            }
+            Value::Tuple(t)
+        })
+        .collect();
+    Value::Bag(rows)
+}
+
+/// Every strict session the poison tests run: batch sizes 1 (no fused
+/// spine) / 2 / 1024 × optimizer on/off.
+fn strict_lattice(data: Value) -> Vec<(String, Engine)> {
+    let engine = engine_with("t", data);
+    let mut out = Vec::new();
+    for batch_size in [1, 2, 1024] {
+        for optimize in [true, false] {
+            let config = SessionConfig {
+                typing: TypingMode::StrictError,
+                batch_size,
+                optimize,
+                ..SessionConfig::default()
+            };
+            let label = format!("batch={batch_size} optimize={optimize}");
+            out.push((label, engine.with_config(config)));
+        }
+    }
+    out
+}
+
+/// Bounded consumers stop the (fused) scan before the poison row, so
+/// strict mode succeeds behind each of them; the unbounded twin reaches
+/// the row and raises one and the same error in every configuration.
+#[test]
+fn bounded_consumers_stop_the_fused_scan_before_the_poison_row() {
+    let filtered = "SELECT VALUE x.v + 1 FROM t AS x WHERE x.v >= 0";
+    let bounded = [
+        format!("{filtered} LIMIT 3"),
+        format!("SELECT VALUE EXISTS ({filtered}) FROM [1] AS one"),
+        "SELECT VALUE 1 IN (SELECT x.v + 0 AS v FROM t AS x WHERE x.v >= 0) FROM [1] AS one"
+            .to_string(),
+        "SELECT VALUE (SELECT x.v + 1 AS v FROM t AS x WHERE x.v >= 0 LIMIT 1) FROM [1] AS one"
+            .to_string(),
+        format!("{filtered} UNION ALL SELECT VALUE y.v FROM t AS y LIMIT 3"),
+    ];
+    let mut unbounded_errors = Vec::new();
+    for (label, session) in strict_lattice(poisoned()) {
+        for q in &bounded {
+            let got = session
+                .query(q)
+                .unwrap_or_else(|e| panic!("{label}: {q} reached the poison row: {e}"));
+            assert!(!got.is_empty(), "{label}: {q}");
+        }
+        let err = session
+            .query(filtered)
+            .expect_err("strict mode must reach row 500");
+        unbounded_errors.push((label, err.to_string()));
+    }
+    let (_, first) = &unbounded_errors[0];
+    for (label, err) in &unbounded_errors {
+        assert_eq!(err, first, "{label}: a different strict error");
+    }
+}
+
+/// The deleted materialize-then-aggregate form survives as an oracle:
+/// `COLL_*` over a subquery (streamed) must equal the same aggregate over
+/// the subquery's bag bound by LET (materialized), answer or error, on
+/// empty, all-NULL, MISSING-mixed and heterogeneous inputs.
+#[test]
+fn streamed_coll_aggregates_match_a_materialized_bag() {
+    let doc = |v: Option<Value>| {
+        let mut t = Tuple::new();
+        t.insert("id", Value::Int(0));
+        if let Some(v) = v {
+            t.insert("v", v);
+        }
+        Value::Tuple(t)
+    };
+    let inputs = [
+        ("empty", vec![]),
+        (
+            "all-null",
+            vec![doc(Some(Value::Null)), doc(Some(Value::Null))],
+        ),
+        (
+            "missing-mixed",
+            vec![
+                doc(Some(Value::Int(3))),
+                doc(None),
+                doc(Some(Value::Null)),
+                doc(Some(Value::Float(4.5))),
+            ],
+        ),
+        (
+            "heterogeneous",
+            vec![
+                doc(Some(Value::Int(1))),
+                doc(Some(Value::Str("a".into()))),
+                doc(Some(Value::Bool(true))),
+                doc(Some(Value::Array(vec![Value::Int(1)]))),
+            ],
+        ),
+    ];
+    let subqueries = [
+        "SELECT VALUE x.v FROM t AS x",
+        "SELECT VALUE x.v FROM t AS x WHERE x.id = 0",
+        "SELECT VALUE x.v FROM t AS x LIMIT 3",
+    ];
+    for (name, rows) in inputs {
+        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+            for batch_size in [1, 1024] {
+                let engine = sized_engine(Value::Bag(rows.clone()), typing, batch_size);
+                for func in ["COUNT", "SUM", "AVG", "MIN", "MAX"] {
+                    for sub in subqueries {
+                        let streamed = format!("SELECT VALUE COLL_{func}({sub})");
+                        let materialized =
+                            format!("FROM [1] AS one LET b = ({sub}) SELECT VALUE COLL_{func}(b)");
+                        let got = engine.query(&streamed).map(|r| r.into_value());
+                        let want = engine.query(&materialized).map(|r| r.into_value());
+                        let ctx = format!("{name} {typing:?} batch={batch_size}: {streamed}");
+                        match (&got, &want) {
+                            (Ok(got), Ok(want)) => {
+                                assert!(
+                                    sqlpp_value::cmp::deep_eq(got, want),
+                                    "{ctx}: {got} vs {want}"
+                                )
+                            }
+                            (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                            _ => panic!("{ctx}: streamed {got:?} vs materialized {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Breakers (sort, group, window, DISTINCT, top-k, the hash-join build)
+/// do their work while their stream is built, and `EXPLAIN ANALYZE` times
+/// are inclusive: every operator's time must cover each direct child's.
+#[test]
+fn operator_time_covers_its_children() {
+    let rows = |n: i64, key: i64| {
+        let rows = (0..n)
+            .map(|i| {
+                let mut t = Tuple::new();
+                t.insert("k", Value::Int(i % key));
+                t.insert("s", Value::Str(format!("s{}", (i * 7_919) % n)));
+                t.insert("v", Value::Int(i));
+                Value::Tuple(t)
+            })
+            .collect();
+        Value::Bag(rows)
+    };
+    let engine = Engine::new();
+    engine.register("t", rows(4_000, 50));
+    engine.register("u", rows(50, 50));
+    for q in [
+        "SELECT x.k AS k FROM t AS x ORDER BY x.s",
+        "SELECT x.k AS k, COUNT(*) AS n FROM t AS x GROUP BY x.k",
+        "SELECT x.v AS v, ROW_NUMBER() OVER (PARTITION BY x.k ORDER BY x.s) AS r FROM t AS x",
+        "SELECT DISTINCT VALUE x.k FROM t AS x",
+        "SELECT x.k AS k FROM t AS x ORDER BY x.s LIMIT 5",
+        "SELECT x.v AS v, y.v AS w FROM t AS x JOIN u AS y ON x.k = y.k",
+    ] {
+        let prepared = engine.prepare(q).unwrap();
+        let plan = prepared.plan();
+        let config = EvalConfig {
+            collect_stats: true,
+            ..EvalConfig::default()
+        };
+        let ev = Evaluator::new(engine.catalog(), config);
+        ev.run(plan).unwrap();
+        let stats = ev.stats_snapshot().expect("collect_stats was on");
+        // Pre-order indices: a node's children start right after it, each
+        // spanning its own subtree.
+        let ops = plan.preorder_ops();
+        let span = |op: &CoreOp| CoreQuery { op: op.clone() }.preorder_ops().len();
+        let mut compared = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let Some(parent) = stats.op_at(i as u32) else {
+                continue;
+            };
+            let mut c = i + 1;
+            while c < i + span(op) {
+                if let Some(child) = stats.op_at(c as u32) {
+                    assert!(
+                        parent.ns >= child.ns,
+                        "{q}\n{}: node {i} took {}ns < child {c}'s {}ns",
+                        plan.explain(),
+                        parent.ns,
+                        child.ns
+                    );
+                    compared += 1;
+                }
+                c += span(ops[c]);
+            }
+        }
+        assert!(compared > 0, "{q}: no parent/child pair ran");
+    }
 }
 
 sqlpp_prop! {
