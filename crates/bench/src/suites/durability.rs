@@ -2,13 +2,15 @@
 //! measured on the real engine / store, none asserted as tight perf
 //! multiples (fsync latency is the storage stack's, not ours):
 //!
-//! * `commit_*` — the per-commit overhead of write-ahead logging at each
-//!   [`SyncMode`] against the in-memory baseline, on a deliberately
-//!   *small* (128-row) collection. The WAL logs full values (physical
-//!   logging matching the snapshot-and-replace DML model), so append
-//!   cost scales with collection size — the suite pins the collection
-//!   and reports `wal_bytes_per_commit` so the caveat is a number, not
-//!   a footnote.
+//! * `commit_*/{rows}` — the per-commit overhead of write-ahead logging
+//!   at each [`SyncMode`] against the in-memory baseline, for a
+//!   one-row UPDATE of a 128-row and of a 10 000-row collection. A DML
+//!   statement logs its delta (one `patch` record holding the rewritten
+//!   row), not the collection, so the suite checkpoints after loading —
+//!   every timed commit is then a patch — and asserts that
+//!   `wal_bytes_per_commit` at 10 000 rows is at most twice the value
+//!   at 128: the record's size is the statement's, not the
+//!   collection's.
 //! * `checkpoint/{n}` — writing a full catalog snapshot (temp file +
 //!   fsync + atomic rename + log truncation) at 10k and 100k rows.
 //! * `recover_snapshot/{n}` / `recover_wal/{n}` — cold-start recovery
@@ -54,40 +56,50 @@ fn durable_engine(dir: &PathBuf, sync: SyncMode) -> Engine {
 
 /// Runs the suite.
 pub fn run(h: &mut Harness) {
-    // --- per-commit overhead: one UPDATE of one row in a 128-row
-    // collection, so every iteration commits the same-sized value and
-    // the WAL append is the only thing that varies across modes.
-    const COMMIT_ROWS: usize = 128;
+    // --- per-commit overhead: one UPDATE of one row, at two
+    // collection sizes, so the WAL append is the only thing that varies
+    // across modes and the record size can be compared across sizes.
+    const COMMIT_ROWS: [usize; 2] = [128, 10_000];
     let update = "UPDATE bench.d AS e SET e.v = e.v + 1 WHERE e.id = 0";
 
-    let baseline = Engine::new();
-    baseline.register("bench.d", rows(COMMIT_ROWS));
-    h.bench("durability/commit_in_memory", || {
-        baseline.execute(update).unwrap()
-    });
-
-    for sync in [SyncMode::Never, SyncMode::OnCheckpoint, SyncMode::Always] {
-        let dir = work_dir(&format!("commit-{}", sync.name()));
-        let engine = durable_engine(&dir, sync);
-        engine.register("bench.d", rows(COMMIT_ROWS));
-        h.bench(format!("durability/commit_wal_{}", sync.name()), || {
-            engine.execute(update).unwrap()
+    for n in COMMIT_ROWS {
+        let baseline = Engine::new();
+        baseline.register("bench.d", rows(n));
+        h.bench(format!("durability/commit_in_memory/{n}"), || {
+            baseline.execute(update).unwrap()
         });
-        let st = engine.wal_status().expect("durable engine has a WAL");
-        h.attach_counters([
-            (format!("appends_{}", sync.name()), st.appends),
-            (format!("fsyncs_{}", sync.name()), st.syncs),
-            (
-                format!("wal_bytes_per_commit_{}", sync.name()),
-                if st.appends == 0 {
-                    0
-                } else {
-                    st.wal_bytes / st.appends
-                },
-            ),
-        ]);
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for sync in [SyncMode::Never, SyncMode::OnCheckpoint, SyncMode::Always] {
+        let [small, large] = COMMIT_ROWS.map(|n| {
+            let dir = work_dir(&format!("commit-{}-{n}", sync.name()));
+            let engine = durable_engine(&dir, sync);
+            // `register` is unlogged; the checkpoint anchors it, so every
+            // timed commit logs a patch.
+            engine.register("bench.d", rows(n));
+            engine.checkpoint().expect("checkpoint");
+            h.bench(format!("durability/commit_wal_{}/{n}", sync.name()), || {
+                engine.execute(update).unwrap()
+            });
+            let st = engine.wal_status().expect("durable engine has a WAL");
+            let per_commit = st.wal_bytes / st.appends.max(1);
+            h.attach_counters([
+                (format!("appends_{}_{n}", sync.name()), st.appends),
+                (format!("fsyncs_{}_{n}", sync.name()), st.syncs),
+                (
+                    format!("wal_bytes_per_commit_{}_{n}", sync.name()),
+                    per_commit,
+                ),
+            ]);
+            drop(engine);
+            let _ = std::fs::remove_dir_all(&dir);
+            per_commit
+        });
+        assert!(
+            large <= 2 * small,
+            "{sync}: a one-row UPDATE logs {large} B at {} rows but {small} B at {} rows",
+            COMMIT_ROWS[1],
+            COMMIT_ROWS[0],
+        );
     }
 
     // --- checkpoint write and cold-start recovery at 10k / 100k rows.

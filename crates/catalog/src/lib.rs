@@ -5,8 +5,10 @@
 //! "could reflect the database/table hierarchy of a MySQL database or the
 //! schema/table hierarchy of a Postgres database". This crate provides a
 //! concurrent in-memory catalog mapping such names to values, with
-//! snapshot isolation for readers (values are handed out as `Arc`s and
-//! replaced wholesale on write).
+//! snapshot isolation for readers: values are handed out as `Arc`s, a
+//! load replaces a binding wholesale, and a DML statement's [`Delta`]
+//! patches it — in place when no reader holds the value, else into a
+//! copy that is then published.
 
 #![warn(missing_docs)]
 
@@ -16,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sqlpp_schema::SqlppType;
-use sqlpp_value::Value;
+use sqlpp_value::{Delta, Value};
 
 /// Acquires a read lock, recovering from poisoning: a panicked writer
 /// can only have been mid-`insert`/`remove` on the `BTreeMap`, whose
@@ -135,6 +137,37 @@ impl Catalog {
         write(&self.inner).insert(name.into(), Arc::new(value));
     }
 
+    /// Patches `name`'s collection with `delta` (an unbound name only
+    /// takes an insert, which binds a new bag). When no reader holds
+    /// the stored `Arc`, the patch happens in place under the map's
+    /// write lock, costing the size of the delta; otherwise the value
+    /// is copied *outside* the lock, patched, and published, leaving
+    /// readers on their snapshot. Callers hold [`Catalog::dml_guard`],
+    /// which is what keeps the copied base current until it publishes.
+    /// A delta that does not fit leaves the binding untouched.
+    pub fn apply(&self, name: impl Into<QualifiedName>, delta: Delta) -> Result<(), String> {
+        let name = name.into();
+        let base = {
+            let mut map = write(&self.inner);
+            match map.get_mut(&name) {
+                None => {
+                    let created = delta.create()?;
+                    map.insert(name, Arc::new(created));
+                    return Ok(());
+                }
+                Some(slot) => match Arc::get_mut(slot) {
+                    Some(value) => return delta.apply_to(value),
+                    None => Arc::clone(slot),
+                },
+            }
+        };
+        let mut copy = Value::clone(&base);
+        drop(base);
+        delta.apply_to(&mut copy)?;
+        self.set(name, copy);
+        Ok(())
+    }
+
     /// Looks up a binding.
     pub fn get(&self, name: &QualifiedName) -> Result<Arc<Value>, CatalogError> {
         read(&self.inner)
@@ -231,14 +264,17 @@ impl Catalog {
         (epoch, snapshot)
     }
 
-    /// Serializes DML statements. A read-modify-write over a binding
-    /// (INSERT/DELETE/UPDATE reads an `Arc` snapshot, computes the full
-    /// replacement value, and `set`s it wholesale) must hold this guard
-    /// from its target read through its commit — otherwise two
-    /// concurrent writers clone the same snapshot and the second commit
-    /// silently discards the first's rows (a lost update). Readers
-    /// never take this lock: snapshot isolation via [`Catalog::get`] is
+    /// Serializes DML statements and every other publish. A
+    /// read-modify-write over a binding (INSERT/DELETE/UPDATE reads an
+    /// `Arc` snapshot, computes a delta against it, and [`apply`]s it)
+    /// must hold this guard from its target read through its commit —
+    /// otherwise a concurrent publish moves the base under the delta's
+    /// positions, or two writers patch the same snapshot and the second
+    /// discards the first's rows (a lost update). Readers never take
+    /// this lock: snapshot isolation via [`Catalog::get`] is
     /// unaffected, so queries keep running while a writer holds it.
+    ///
+    /// [`apply`]: Catalog::apply
     pub fn dml_guard(&self) -> MutexGuard<'_, ()> {
         self.dml.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -383,6 +419,30 @@ mod tests {
         cat.set("t", Value::Int(2));
         assert_eq!(*cat.get_str("t").unwrap(), Value::Int(2));
         assert_eq!(cat.len(), 1);
+    }
+
+    #[test]
+    fn apply_patches_in_place_or_into_a_copy() {
+        let cat = Catalog::new();
+        cat.apply("t", Delta::Insert(vec![Value::Int(1), Value::Int(2)]))
+            .unwrap();
+        let before = Arc::as_ptr(&cat.get_str("t").unwrap());
+        // Unshared: patched in place, the same allocation stays bound.
+        cat.apply("t", Delta::Insert(vec![Value::Int(3)])).unwrap();
+        assert_eq!(Arc::as_ptr(&cat.get_str("t").unwrap()), before);
+        assert_eq!(*cat.get_str("t").unwrap(), bag![1i64, 2i64, 3i64]);
+        // Shared: the reader keeps its snapshot, the catalog moves on.
+        let reader = cat.get_str("t").unwrap();
+        cat.apply("t", Delta::Delete(vec![0])).unwrap();
+        assert_eq!(*reader, bag![1i64, 2i64, 3i64]);
+        assert_eq!(*cat.get_str("t").unwrap(), bag![2i64, 3i64]);
+        // Misfits and non-collections are errors that change nothing.
+        assert!(cat.apply("t", Delta::Delete(vec![5])).is_err());
+        assert!(cat.apply("gone", Delta::Delete(vec![])).is_err());
+        cat.set("n", Value::Int(1));
+        assert!(cat.apply("n", Delta::Insert(vec![])).is_err());
+        assert_eq!(*cat.get_str("t").unwrap(), bag![2i64, 3i64]);
+        assert!(!cat.contains(&QualifiedName::parse("gone")));
     }
 
     #[test]

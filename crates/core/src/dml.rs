@@ -10,20 +10,24 @@
 //! every mutation — the optional-schema tenet extended to writes.
 //!
 //! **Atomicity.** Every statement is snapshot-or-rollback: it reads an
-//! `Arc` snapshot of the target, computes the complete replacement value
-//! off to the side (evaluating predicates, sources, and assignments —
-//! each a possible failure point under strict typing, resource budgets,
-//! or injected faults), and only then publishes it through the single
-//! [`Engine::commit_collection`] call. Any error on the way out leaves
-//! the catalog byte-identical to the snapshot — there is no partially
-//! mutated state to roll back because the stored value is never mutated
-//! in place. The chaos suite (`tests/chaos.rs`) snapshot-compares the
-//! catalog around every failed DML to pin this.
+//! `Arc` snapshot of the target, computes a [`Delta`] against the
+//! snapshot's elements (evaluating predicates, sources, and assignments
+//! — each a possible failure point under strict typing, resource
+//! budgets, or injected faults — and copying only the rows it inserts
+//! or rewrites), and only then commits the delta through the single
+//! [`Engine::commit_collection`] call: one WAL record, then one patch
+//! of the stored collection. Any error before the commit leaves the
+//! catalog byte-identical to the snapshot — nothing was mutated yet —
+//! and the commit validates the delta against the snapshot before it
+//! logs, so the patch cannot fail once the record is in the log. The
+//! chaos suite (`tests/chaos.rs`) snapshot-compares the catalog around
+//! every failed DML to pin this.
 //!
-//! **Concurrency.** Snapshot-and-replace alone is not enough once
-//! several sessions write at once: two INSERTs that clone the same
-//! snapshot would each commit a replacement missing the other's rows
-//! (a lost update). Every statement therefore holds the catalog's
+//! **Concurrency.** A delta is positional: it is only meaningful on
+//! the snapshot it was computed from. Two INSERTs off the same snapshot
+//! would be harmless, but a DELETE's positions on a base another writer
+//! (or a `register`) has since replaced would hit the wrong rows. Every
+//! statement therefore holds the catalog's
 //! [`dml_guard`](sqlpp_catalog::Catalog::dml_guard) from its target
 //! read through its commit, serializing writers per catalog. Readers
 //! never take that lock — queries keep their lock-free `Arc` snapshots
@@ -36,7 +40,8 @@ use sqlpp_eval::{Env, Evaluator, ExecStats};
 use sqlpp_plan::{lower_expr, CoreExpr, PlanConfig, Scope};
 use sqlpp_schema::SqlppType;
 use sqlpp_syntax::ast::{Delete, Expr, Insert, InsertSource, PathStep, Update};
-use sqlpp_value::{Tuple, Value};
+use sqlpp_value::{Delta, Tuple, Value};
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::{Engine, ExecOutcome};
@@ -44,21 +49,6 @@ use crate::{Engine, ExecOutcome};
 /// What a DML statement hands the dispatcher: its outcome plus, when
 /// collected, the stats of its embedded query/predicate evaluation.
 type Executed = (ExecOutcome, Option<ExecStats>);
-
-/// A collection's elements plus the constructor restoring its kind.
-type ElementsAndKind = (Vec<Value>, fn(Vec<Value>) -> Value);
-
-/// Splits a mutable-collection target into elements + rebuilder.
-fn open_collection(stmt: &str, name: &str, v: Value) -> Result<ElementsAndKind> {
-    match v {
-        Value::Bag(items) => Ok((items, Value::Bag)),
-        Value::Array(items) => Ok((items, Value::Array)),
-        other => Err(Error::Usage(format!(
-            "{stmt} target {name} is a {}, not a collection",
-            other.kind().name()
-        ))),
-    }
-}
 
 /// The range variable a DELETE/UPDATE binds each element under: the
 /// explicit alias, else the last segment of the target name.
@@ -69,49 +59,88 @@ fn row_alias(alias: &Option<String>, target: &[String]) -> String {
 }
 
 impl Engine {
-    /// The single commit point for all DML: replaces `name`'s binding
-    /// with a fully computed value. On a durable engine the replacement
-    /// is appended to the write-ahead log *before* the catalog publishes
-    /// it — the only failure this call can produce. A failed append
-    /// leaves the catalog byte-identical to the snapshot the statement
-    /// read (the in-memory publish never happens), so statement
-    /// atomicity holds on both sides of a crash. The caller already
-    /// holds the catalog's `dml_guard` here, which is what lets
-    /// [`Engine::checkpoint`] capture images that match the log exactly.
-    fn commit_collection(&self, name: &str, value: Value) -> Result<()> {
+    /// The single commit point for all DML: commits `delta`, computed
+    /// against `base` (the snapshot the statement read; `None` for an
+    /// unbound name). The delta is checked against the snapshot first,
+    /// then — on a durable engine — logged as one `patch` record, then
+    /// patched into the catalog ([`Catalog::apply`]: in place when no
+    /// reader shares the value). The append is the only failure this
+    /// call can produce, and a failed append leaves the catalog
+    /// byte-identical to the snapshot, so statement atomicity holds on
+    /// both sides of a crash. The caller already holds the catalog's
+    /// `dml_guard`, which is what lets [`Engine::checkpoint`] capture
+    /// images that match the log exactly.
+    ///
+    /// A name `register` bound without logging is the one exception:
+    /// replay cannot rebuild its base, so its next statement logs the
+    /// whole post-image as a `commit` record, which anchors the name.
+    ///
+    /// [`Catalog::apply`]: sqlpp_catalog::Catalog::apply
+    fn commit_collection(&self, name: &str, base: Option<Arc<Value>>, delta: Delta) -> Result<()> {
+        let len = base
+            .as_deref()
+            .and_then(Value::as_elements)
+            .map_or(0, <[Value]>::len);
+        let misfit = |e: String| Error::Usage(format!("{name}: {e}"));
+        delta.check(len).map_err(misfit)?;
         if let Some(wal) = self.wal() {
-            wal.append_commit(name, &value)?;
+            if !wal.is_anchored(name) {
+                let post = match base {
+                    Some(base) => {
+                        let mut post = Value::clone(&base);
+                        delta.apply_to(&mut post).map_err(misfit)?;
+                        post
+                    }
+                    None => delta.create().map_err(misfit)?,
+                };
+                wal.append_commit(name, &post)?;
+                self.catalog().set(name, post);
+                return Ok(());
+            }
+            wal.append_patch(name, &delta)?;
         }
-        self.catalog().set(name, value);
-        Ok(())
+        // Release the snapshot first, or the catalog finds the value
+        // shared and patches a copy.
+        drop(base);
+        self.catalog().apply(name, delta).map_err(misfit)
     }
 
     /// The skeleton every DML statement runs: take the catalog's
-    /// `dml_guard`, read the target's `Arc` snapshot, open it as a
-    /// collection, let `rewrite` compute the complete replacement
-    /// elements off to the side, and publish them through
-    /// [`Engine::commit_collection`]. The guard is held from the snapshot
-    /// read through the commit — the replacement is derived from that
-    /// snapshot, so a concurrent writer must wait. `rewrite` also
-    /// receives the target's attached element schema (looked up once per
-    /// statement) and returns whatever the statement reports alongside
-    /// the new elements; any error out of it leaves the catalog untouched.
+    /// `dml_guard`, read the target's `Arc` snapshot, let `rewrite`
+    /// compute a delta against the snapshot's elements, and commit it
+    /// through [`Engine::commit_collection`]. The guard is held from
+    /// the snapshot read through the commit — the delta's positions
+    /// index that snapshot, so a concurrent writer must wait. `rewrite`
+    /// also receives the target's attached element schema (looked up
+    /// once per statement) and returns whatever the statement reports
+    /// alongside the delta; any error out of it leaves the catalog
+    /// untouched.
     fn rewrite_collection<T>(
         &self,
         stmt: &str,
         name: &str,
         create_if_unbound: bool,
-        rewrite: impl FnOnce(Vec<Value>, Option<&SqlppType>) -> Result<(Vec<Value>, T)>,
+        rewrite: impl FnOnce(&[Value], Option<&SqlppType>) -> Result<(Delta, T)>,
     ) -> Result<T> {
         let _writers = self.catalog().dml_guard();
-        let (items, rebuild): ElementsAndKind = match self.catalog().get_str(name) {
-            Ok(existing) => open_collection(stmt, name, (*existing).clone())?,
-            Err(_) if create_if_unbound => (Vec::new(), Value::Bag),
+        let base = match self.catalog().get_str(name) {
+            Ok(existing) => Some(existing),
+            Err(_) if create_if_unbound => None,
             Err(e) => return Err(e.into()),
         };
+        let items = match base.as_deref() {
+            None => &[][..],
+            Some(Value::Bag(items) | Value::Array(items)) => items.as_slice(),
+            Some(other) => {
+                return Err(Error::Usage(format!(
+                    "{stmt} target {name} is a {}, not a collection",
+                    other.kind().name()
+                )))
+            }
+        };
         let schema = self.catalog().schema(&crate::Name::parse(name));
-        let (items, report) = rewrite(items, schema.as_deref())?;
-        self.commit_collection(name, rebuild(items))?;
+        let (delta, report) = rewrite(items, schema.as_deref())?;
+        self.commit_collection(name, base, delta)?;
         Ok(report)
     }
 
@@ -135,7 +164,7 @@ impl Engine {
             }
         };
         // Inserting into an unbound name creates a bag.
-        let count = self.rewrite_collection("INSERT", &name, true, |mut items, schema| {
+        let count = self.rewrite_collection("INSERT", &name, true, |_, schema| {
             // Schema enforcement on write (all-or-nothing).
             if let Some(schema) = schema {
                 if let Some((i, v)) =
@@ -149,8 +178,7 @@ impl Engine {
                 }
             }
             let count = new_elements.len();
-            items.extend(new_elements);
-            Ok((items, count))
+            Ok((Delta::Insert(new_elements), count))
         })?;
         Ok((ExecOutcome::Inserted { count }, stats))
     }
@@ -163,17 +191,16 @@ impl Engine {
                 .map(self.row_expr_lowerer(&alias))
                 .transpose()?;
             let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
-            let mut kept = Vec::with_capacity(items.len());
-            let mut deleted = 0usize;
-            for item in items {
-                if row_matches(&evaluator, &matcher, &alias, &item)? {
-                    deleted += 1;
-                } else {
-                    kept.push(item);
+            let mut doomed = Vec::new();
+            for (at, item) in items.iter().enumerate() {
+                if row_matches(&evaluator, &matcher, &alias, item)? {
+                    doomed.push(at);
                 }
             }
-            let outcome = ExecOutcome::Deleted { count: deleted };
-            Ok((kept, (outcome, evaluator.stats_snapshot())))
+            let outcome = ExecOutcome::Deleted {
+                count: doomed.len(),
+            };
+            Ok((Delta::Delete(doomed), (outcome, evaluator.stats_snapshot())))
         })
     }
 
@@ -190,11 +217,9 @@ impl Engine {
                 compiled.push((assignment_path(path, &alias)?, lower(value)?));
             }
             let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
-            let mut updated_items = Vec::with_capacity(items.len());
-            let mut updated = 0usize;
-            for item in items {
-                if !row_matches(&evaluator, &matcher, &alias, &item)? {
-                    updated_items.push(item);
+            let mut updated = Vec::new();
+            for (at, item) in items.iter().enumerate() {
+                if !row_matches(&evaluator, &matcher, &alias, item)? {
                     continue;
                 }
                 let env = Env::new().bind(alias.clone(), item.clone());
@@ -203,7 +228,7 @@ impl Engine {
                 for (_, rhs) in &compiled {
                     new_values.push(evaluator.expr(rhs, &env)?);
                 }
-                let mut element = item;
+                let mut element = item.clone();
                 for ((attrs, _), value) in compiled.iter().zip(new_values) {
                     element = set_path(element, attrs, value)?;
                 }
@@ -213,11 +238,15 @@ impl Engine {
                          the attached schema {schema}"
                     )));
                 }
-                updated += 1;
-                updated_items.push(element);
+                updated.push((at, element));
             }
-            let outcome = ExecOutcome::Updated { count: updated };
-            Ok((updated_items, (outcome, evaluator.stats_snapshot())))
+            let outcome = ExecOutcome::Updated {
+                count: updated.len(),
+            };
+            Ok((
+                Delta::Update(updated),
+                (outcome, evaluator.stats_snapshot()),
+            ))
         })
     }
 

@@ -175,10 +175,19 @@ impl Engine {
     /// Deliberately *not* written to the write-ahead log (it is the one
     /// infallible loading path, kept infallible): on a durable engine
     /// the binding lives in memory until the next [`Engine::checkpoint`]
-    /// folds it into a snapshot. Use [`Engine::load_pnotation`] (or any
-    /// fallible loader) for crash-safe registration.
+    /// folds it into a snapshot, or until the next DML statement on the
+    /// name, which logs its whole post-image because the log cannot
+    /// rebuild this base (the name is marked unanchored in the shared
+    /// store). Use [`Engine::load_pnotation`] (or any fallible loader)
+    /// for crash-safe registration. Takes the DML guard like every
+    /// other publish, so no statement's delta lands on a base it never
+    /// read.
     pub fn register(&self, name: &str, value: Value) {
+        let _writers = self.catalog.dml_guard();
         self.catalog.set(name, value);
+        if let Some(wal) = &self.wal {
+            wal.mark_unanchored(name);
+        }
     }
 
     /// Loads a collection from the paper's object notation.

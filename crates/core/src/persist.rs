@@ -10,15 +10,17 @@
 //! [`Engine::checkpoint`] takes the guard, so the image it captures
 //! reflects exactly the records appended so far (never a record whose
 //! publish is still in flight), and the WAL truncation that follows can
-//! never discard a record the snapshot missed.
+//! never discard a record the snapshot missed. The one unlogged publish,
+//! [`Engine::register`], marks its name unanchored in the store; a
+//! checkpoint anchors every name again.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sqlpp_durability::{
-    read_snapshot, write_snapshot, CatalogImage, DurabilityConfig, DurableStore, Recovered,
-    Snapshot, WalStatus,
+    read_snapshot, write_image, CatalogImage, DurabilityConfig, DurableStore, ImageView, Recovered,
+    WalStatus,
 };
 use sqlpp_schema::SqlppType;
 use sqlpp_value::Value;
@@ -43,7 +45,7 @@ impl Engine {
         };
         let (store, recovered) = DurableStore::open(durability)?;
         let catalog = Catalog::default();
-        install(&catalog, &recovered.image);
+        install(&catalog, recovered.image);
         Ok(Engine {
             catalog,
             config,
@@ -70,7 +72,7 @@ impl Engine {
         };
         let (store, recovered) = DurableStore::open(durability)?;
         let catalog = Catalog::default();
-        install(&catalog, &recovered.image);
+        install(&catalog, recovered.image.clone());
         Ok((
             Engine {
                 catalog,
@@ -108,8 +110,7 @@ impl Engine {
         // guard means no statement is between its WAL append and its
         // catalog publish, so the image matches the log exactly.
         let _writers = self.catalog.dml_guard();
-        let image = self.capture_image();
-        Ok(Some(wal.checkpoint(&image)?))
+        Ok(Some(self.with_image(|image| wal.checkpoint_view(image))?))
     }
 
     /// Exports the catalog as a one-shot snapshot file (the REPL's
@@ -118,11 +119,7 @@ impl Engine {
     pub fn save_snapshot(&self, path: &Path) -> Result<()> {
         let _writers = self.catalog.dml_guard();
         let lsn = self.wal.as_ref().map_or(0, |w| w.status().last_lsn);
-        let snap = Snapshot {
-            lsn,
-            image: self.capture_image(),
-        };
-        write_snapshot(path, &snap, true)?;
+        self.with_image(|image| write_image(path, lsn, image, true))?;
         Ok(())
     }
 
@@ -176,32 +173,33 @@ impl Engine {
         Ok(())
     }
 
-    /// Captures the full catalog as an image. Callers that need the
-    /// image consistent with the WAL hold the DML guard across the
-    /// capture (see [`Engine::checkpoint`]).
-    pub(crate) fn capture_image(&self) -> CatalogImage {
-        let mut values = Vec::new();
-        for name in self.catalog.names() {
-            if let Ok(v) = self.catalog.get(&name) {
-                values.push((name.to_string(), (*v).clone()));
-            }
-        }
+    /// Runs `write` over the full catalog as a borrowed image: every
+    /// value is an `Arc` snapshot, so the image costs a refcount per
+    /// binding, not a copy. Callers that need the image consistent with
+    /// the WAL hold the DML guard across the call (see
+    /// [`Engine::checkpoint`]).
+    fn with_image<T>(&self, write: impl FnOnce(&ImageView<'_>) -> T) -> T {
+        let held: Vec<(String, Arc<Value>)> = (self.catalog.names().into_iter())
+            .filter_map(|name| Some((name.to_string(), self.catalog.get(&name).ok()?)))
+            .collect();
         let (schema_epoch, schemas) = self.catalog.schema_state();
-        CatalogImage {
-            values,
-            schemas,
+        write(&ImageView {
+            values: (held.iter())
+                .map(|(name, value)| (name.as_str(), &**value))
+                .collect(),
+            schemas: &schemas,
             schema_epoch,
-        }
+        })
     }
 }
 
 /// Installs a recovered image into a fresh catalog.
-fn install(catalog: &Catalog, image: &CatalogImage) {
-    for (name, value) in &image.values {
-        catalog.set(name.as_str(), value.clone());
+fn install(catalog: &Catalog, image: CatalogImage) {
+    for (name, value) in image.values {
+        catalog.set(name.as_str(), value);
     }
-    for (name, ty) in &image.schemas {
-        catalog.set_schema(name.as_str(), ty.clone());
+    for (name, ty) in image.schemas {
+        catalog.set_schema(name.as_str(), ty);
     }
     // `set_schema` bumped the epoch per attachment; raise it the rest of
     // the way so pre-crash epochs can never collide with current ones.

@@ -5,7 +5,9 @@
 //!
 //! * an **append-only write-ahead log** (`wal.log`) of checksummed,
 //!   ion_lite-framed records, one per committed catalog mutation, each
-//!   stamped with a monotonic log sequence number (LSN);
+//!   stamped with a monotonic log sequence number (LSN) — a DML
+//!   statement logs its [`Delta`] (a `patch` record the size of the
+//!   change), loads and DDL log full values;
 //! * **checkpoint snapshots** (`snap-<lsn>.snap`) of the full catalog —
 //!   values, schema attachments, schema epoch — written to a temp file,
 //!   fsynced, and atomically renamed, after which the WAL is truncated;
@@ -35,6 +37,7 @@ pub mod record;
 pub mod snapshot;
 pub mod wal;
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -43,12 +46,14 @@ use std::sync::Mutex;
 
 pub use crc32::crc32;
 pub use record::{WalOp, WalRecord};
-pub use snapshot::{read_snapshot, write_snapshot, CatalogImage, Snapshot};
+pub use snapshot::{read_snapshot, write_image, CatalogImage, ImageView, Snapshot};
 pub use wal::wal_record_ends;
 
 use sqlpp_eval::{FaultInjector, FaultSite};
 use sqlpp_schema::SqlppType;
-use sqlpp_value::Value;
+use sqlpp_value::{Delta, Value};
+
+use record::Body;
 
 /// The WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -248,6 +253,9 @@ struct WalInner {
     syncs: u64,
     checkpoints: u64,
     poisoned: bool,
+    /// Names whose in-memory value the log cannot rebuild (see
+    /// [`DurableStore::mark_unanchored`]).
+    unanchored: HashSet<String>,
 }
 
 /// An open durability directory: the WAL writer plus checkpoint and
@@ -333,9 +341,13 @@ impl DurableStore {
             let data =
                 std::fs::read(&wal_path).map_err(|e| DurabilityError::io("read", &wal_path, &e))?;
             let scan = wal::scan(&data, &wal_path, min_lsn)?;
-            for (record, _) in &scan.records {
-                apply(&mut image, &record.op);
+            for (record, start, _) in scan.records {
                 last_lsn = record.lsn;
+                apply(&mut image, record.op).map_err(|message| DurabilityError::Corrupt {
+                    path: wal_path.clone(),
+                    offset: start,
+                    message,
+                })?;
                 replayed += 1;
             }
             valid_len = scan.valid_len;
@@ -355,7 +367,7 @@ impl DurableStore {
         }
 
         let recovered = Recovered {
-            image: image.clone(),
+            image,
             snapshot_lsn: snap_lsn,
             replayed,
             last_lsn,
@@ -376,6 +388,7 @@ impl DurableStore {
                 syncs: 0,
                 checkpoints: 0,
                 poisoned: false,
+                unanchored: HashSet::new(),
             }),
         };
         Ok((store, recovered))
@@ -391,15 +404,10 @@ impl DurableStore {
         self.sync
     }
 
-    /// Appends a full-value commit record; returns its LSN.
+    /// Appends a full-value commit record; returns its LSN. Anchors
+    /// `name` (see [`DurableStore::mark_unanchored`]).
     pub fn append_commit(&self, name: &str, value: &Value) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::Commit {
-                name: name.to_string(),
-                value: value.clone(),
-            },
-        })
+        self.append_physical(name, "commit", &[Body::Value(value)])
     }
 
     /// Appends a commit that also attaches a schema (one record — a
@@ -410,38 +418,65 @@ impl DurableStore {
         value: &Value,
         schema: &SqlppType,
     ) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::CommitWithSchema {
-                name: name.to_string(),
-                value: value.clone(),
-                schema: schema.clone(),
-            },
-        })
+        let body = [Body::Value(value), Body::Schema(schema)];
+        self.append_physical(name, "commit-schema", &body)
     }
 
     /// Appends a schema attachment; returns its LSN.
     pub fn append_schema(&self, name: &str, schema: &SqlppType) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::SetSchema {
-                name: name.to_string(),
-                schema: schema.clone(),
-            },
-        })
+        self.append_op(|lsn| record::encode_parts(lsn, "schema", name, &[Body::Schema(schema)]))
     }
 
     /// Appends an unbind record; returns its LSN.
     pub fn append_remove(&self, name: &str) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::Remove {
-                name: name.to_string(),
-            },
-        })
+        self.append_physical(name, "remove", &[])
     }
 
-    fn append_op(&self, build: impl FnOnce(u64) -> WalRecord) -> Result<u64, DurabilityError> {
+    /// Appends one DML statement's delta as a `patch` record; returns
+    /// its LSN. The record is the size of the change, whatever the size
+    /// of the collection. Replay applies it to the value the earlier
+    /// records built, so the caller must only patch an anchored name
+    /// ([`DurableStore::is_anchored`]). A failed append leaves the name
+    /// unanchored: its record may have reached the log (a failed fsync)
+    /// without the catalog applying it.
+    pub fn append_patch(&self, name: &str, delta: &Delta) -> Result<u64, DurabilityError> {
+        let appended =
+            self.append_op(|lsn| record::encode_parts(lsn, "patch", name, &[Body::Delta(delta)]));
+        if appended.is_err() {
+            self.mark_unanchored(name);
+        }
+        appended
+    }
+
+    /// Records that `name` was bound without a log record (the engine's
+    /// unlogged `register`), so replay cannot rebuild its current value
+    /// and a patch against it would land on a stale base. The next
+    /// full-value record of the name, or the next checkpoint, anchors
+    /// it again. The mark lives here, in the one store every session
+    /// over the log shares.
+    pub fn mark_unanchored(&self, name: &str) {
+        self.lock().unanchored.insert(name.to_string());
+    }
+
+    /// Whether replay rebuilds `name`'s current value, i.e. whether a
+    /// `patch` of it may be logged.
+    pub fn is_anchored(&self, name: &str) -> bool {
+        !self.lock().unanchored.contains(name)
+    }
+
+    /// Appends a record that sets `name` outright, which re-anchors it.
+    fn append_physical(
+        &self,
+        name: &str,
+        op: &str,
+        body: &[Body<'_>],
+    ) -> Result<u64, DurabilityError> {
+        let lsn = self.append_op(|lsn| record::encode_parts(lsn, op, name, body))?;
+        self.lock().unanchored.remove(name);
+        Ok(lsn)
+    }
+
+    fn append_op(&self, payload: impl FnOnce(u64) -> Vec<u8>) -> Result<u64, DurabilityError> {
         let mut w = self.lock();
         if w.poisoned {
             return Err(DurabilityError::Poisoned);
@@ -451,7 +486,7 @@ impl DurableStore {
         // log is unchanged and the statement must not publish.
         self.fault(FaultSite::WalAppend)?;
         let lsn = w.next_lsn;
-        let frame = wal::frame(&record::encode_record(&build(lsn)));
+        let frame = wal::frame(&payload(lsn));
         let wal_path = self.dir.join(WAL_FILE);
         if let Err(e) = w.file.write_all(&frame) {
             // Part of the frame may have landed — exactly a torn tail.
@@ -501,6 +536,13 @@ impl DurableStore {
     /// LSN appended so far — the engine does this by holding its
     /// catalog `dml_guard` across the capture and this call.
     pub fn checkpoint(&self, image: &CatalogImage) -> Result<u64, DurabilityError> {
+        self.checkpoint_view(&image.view())
+    }
+
+    /// [`DurableStore::checkpoint`] from a borrowed image: the values
+    /// are encoded where they live. A successful checkpoint anchors
+    /// every name — the snapshot holds what the log could not rebuild.
+    pub fn checkpoint_view(&self, image: &ImageView<'_>) -> Result<u64, DurabilityError> {
         let mut w = self.lock();
         if w.poisoned {
             return Err(DurabilityError::Poisoned);
@@ -508,13 +550,9 @@ impl DurableStore {
         let lsn = w.next_lsn - 1;
         let final_path = self.dir.join(format!("snap-{lsn:020}.snap"));
         let tmp_path = self.dir.join(format!("snap-{lsn:020}.snap.tmp"));
-        let snap = Snapshot {
-            lsn,
-            image: image.clone(),
-        };
         let written = self
             .fault(FaultSite::SnapshotWrite)
-            .and_then(|()| write_snapshot(&tmp_path, &snap, self.sync != SyncMode::Never));
+            .and_then(|()| write_image(&tmp_path, lsn, image, self.sync != SyncMode::Never));
         if let Err(e) = written {
             let _ = std::fs::remove_file(&tmp_path);
             return Err(e);
@@ -545,6 +583,7 @@ impl DurableStore {
         w.records_since_checkpoint = 0;
         w.snapshot_lsn = Some(lsn);
         w.checkpoints += 1;
+        w.unanchored.clear();
         // Prune superseded snapshots (best-effort; recovery prefers the
         // newest valid one regardless).
         for (old_lsn, path) in snapshot_files(&self.dir)? {
@@ -591,34 +630,43 @@ fn fault_check(fault: Option<&FaultInjector>, site: FaultSite) -> Result<(), Dur
     Ok(())
 }
 
-/// Applies one replayed record to a catalog image.
-fn apply(image: &mut CatalogImage, op: &WalOp) {
+/// Applies one replayed record to a catalog image. Only a patch can
+/// fail — one that does not fit the value the earlier records built.
+fn apply(image: &mut CatalogImage, op: WalOp) -> Result<(), String> {
     match op {
         WalOp::Commit { name, value } => {
-            set_entry(&mut image.values, name, value.clone());
+            set_entry(&mut image.values, &name, value);
         }
         WalOp::CommitWithSchema {
             name,
             value,
             schema,
         } => {
-            set_entry(&mut image.values, name, value.clone());
-            set_entry(&mut image.schemas, name, schema.clone());
+            set_entry(&mut image.values, &name, value);
+            set_entry(&mut image.schemas, &name, schema);
             image.schema_epoch += 1;
         }
         WalOp::SetSchema { name, schema } => {
-            set_entry(&mut image.schemas, name, schema.clone());
+            set_entry(&mut image.schemas, &name, schema);
             image.schema_epoch += 1;
         }
         WalOp::Remove { name } => {
-            image.values.retain(|(n, _)| n != name);
-            let had_schema = image.schemas.iter().any(|(n, _)| n == name);
-            image.schemas.retain(|(n, _)| n != name);
+            image.values.retain(|(n, _)| *n != name);
+            let had_schema = image.schemas.iter().any(|(n, _)| *n == name);
+            image.schemas.retain(|(n, _)| *n != name);
             if had_schema {
                 image.schema_epoch += 1;
             }
         }
+        WalOp::Patch { name, delta } => {
+            match image.values.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, value)) => delta.apply_to(value),
+                None => delta.create().map(|value| image.values.push((name, value))),
+            }
+            .map_err(|e| format!("patch does not fit its base: {e}"))?;
+        }
     }
+    Ok(())
 }
 
 fn set_entry<T>(entries: &mut Vec<(String, T)>, name: &str, value: T) {
@@ -777,6 +825,172 @@ mod tests {
             Err(DurabilityError::Corrupt { offset, .. }) => assert_eq!(offset, 0),
             other => panic!("expected corruption, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `ops` as a raw log (LSNs 1..), opens it, and returns the
+    /// outcome plus the byte offset of the last record's frame.
+    fn replay_crafted(tag: &str, ops: Vec<WalOp>) -> (Result<Recovered, DurabilityError>, u64) {
+        let dir = tmp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = Vec::new();
+        let mut last = 0;
+        for (i, op) in ops.into_iter().enumerate() {
+            last = log.len() as u64;
+            let record = WalRecord {
+                lsn: i as u64 + 1,
+                op,
+            };
+            log.extend(wal::frame(&record::encode_record(&record)));
+        }
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        let opened = std::panic::catch_unwind(|| DurableStore::open(DurabilityConfig::new(&dir)))
+            .expect("replay must not panic");
+        let _ = std::fs::remove_dir_all(&dir);
+        (opened.map(|(_, recovered)| recovered), last)
+    }
+
+    fn commit(name: &str, value: Value) -> WalOp {
+        WalOp::Commit {
+            name: name.into(),
+            value,
+        }
+    }
+
+    fn patch(name: &str, delta: Delta) -> WalOp {
+        WalOp::Patch {
+            name: name.into(),
+            delta,
+        }
+    }
+
+    #[test]
+    fn patches_replay_through_the_one_apply() {
+        let ops = vec![
+            commit("t", bag![0i64, 1i64, 2i64, 3i64]),
+            patch("t", Delta::Delete(vec![0, 2])),
+            patch("t", Delta::Update(vec![(1, Value::Int(9))])),
+            patch("t", Delta::Insert(vec![Value::Int(4)])),
+            patch("u", Delta::Insert(vec![Value::Null])),
+        ];
+        let (recovered, _) = replay_crafted("patch-ok", ops);
+        let recovered = recovered.unwrap();
+        assert_eq!(recovered.replayed, 5);
+        assert_eq!(
+            recovered.image.values,
+            vec![
+                ("t".to_string(), bag![1i64, 9i64, 4i64]),
+                ("u".to_string(), bag![Value::Null]),
+            ]
+        );
+    }
+
+    #[test]
+    fn malformed_patches_are_corruption_at_their_record() {
+        let base = || commit("t", bag![0i64, 1i64, 2i64]);
+        let row = || Value::Int(7);
+        let cases: Vec<(&str, Vec<WalOp>)> = vec![
+            (
+                "delete-past-end",
+                vec![base(), patch("t", Delta::Delete(vec![3]))],
+            ),
+            (
+                "update-past-end",
+                vec![base(), patch("t", Delta::Update(vec![(5, row())]))],
+            ),
+            (
+                "delete-descending",
+                vec![base(), patch("t", Delta::Delete(vec![2, 1]))],
+            ),
+            (
+                "delete-duplicate",
+                vec![base(), patch("t", Delta::Delete(vec![1, 1]))],
+            ),
+            (
+                "update-duplicate",
+                vec![
+                    base(),
+                    patch("t", Delta::Update(vec![(0, row()), (0, row())])),
+                ],
+            ),
+            (
+                "delete-unbound",
+                vec![base(), patch("x", Delta::Delete(vec![0]))],
+            ),
+            (
+                "update-unbound",
+                vec![base(), patch("x", Delta::Update(vec![(0, row())]))],
+            ),
+            (
+                "scalar-target",
+                vec![
+                    commit("t", Value::Int(1)),
+                    patch("t", Delta::Insert(vec![])),
+                ],
+            ),
+        ];
+        for (tag, ops) in cases {
+            match replay_crafted(tag, ops) {
+                (Err(DurabilityError::Corrupt { offset, .. }), last) => {
+                    assert_eq!(offset, last, "{tag}: corruption pinned to the patch");
+                }
+                (other, _) => panic!("{tag}: expected corruption, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn undecodable_patches_are_corruption_at_their_record() {
+        let payload = |field: &str, v: Value| {
+            let mut t = sqlpp_value::Tuple::new();
+            t.insert("lsn", Value::Int(2));
+            t.insert("op", Value::Str("patch".into()));
+            t.insert("name", Value::Str("t".into()));
+            t.insert(field, v);
+            sqlpp_formats::ion_lite::to_ion_lite(&Value::Tuple(t))
+        };
+        let first = wal::frame(&record::encode_record(&WalRecord {
+            lsn: 1,
+            op: commit("t", bag![0i64]),
+        }));
+        for (tag, bad) in [
+            (
+                "negative",
+                payload("delete", Value::Array(vec![Value::Int(-1)])),
+            ),
+            ("unknown-kind", payload("upsert", Value::Array(vec![]))),
+        ] {
+            let dir = tmp_dir(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut log = first.clone();
+            log.extend(wal::frame(&bad));
+            std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+            let opened =
+                std::panic::catch_unwind(|| DurableStore::open(DurabilityConfig::new(&dir)))
+                    .expect("replay must not panic");
+            match opened {
+                Err(DurabilityError::Corrupt { offset, .. }) => {
+                    assert_eq!(offset, first.len() as u64, "{tag}")
+                }
+                other => panic!("{tag}: expected corruption, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn register_marks_anchor_again_on_commit_or_checkpoint() {
+        let dir = tmp_dir("anchor");
+        let (store, _) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+        assert!(store.is_anchored("t"));
+        store.mark_unanchored("t");
+        store.mark_unanchored("u");
+        assert!(!store.is_anchored("t"));
+        store.append_commit("t", &bag![1i64]).unwrap();
+        assert!(store.is_anchored("t"));
+        assert!(!store.is_anchored("u"));
+        store.checkpoint(&CatalogImage::default()).unwrap();
+        assert!(store.is_anchored("u"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

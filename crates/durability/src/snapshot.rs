@@ -22,6 +22,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
+use sqlpp_formats::ion_lite;
 use sqlpp_schema::SqlppType;
 use sqlpp_value::{Tuple, Value};
 
@@ -52,45 +53,62 @@ pub struct Snapshot {
     pub image: CatalogImage,
 }
 
-/// Encodes a snapshot into its single-frame file contents.
-pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut t = Tuple::with_capacity(6);
-    t.insert("format", Value::Str("sqlpp-snapshot".into()));
-    t.insert("version", Value::Int(1));
-    t.insert("lsn", Value::Int(snap.lsn as i64));
-    t.insert("epoch", Value::Int(snap.image.schema_epoch as i64));
-    t.insert(
-        "values",
-        Value::Array(
-            snap.image
-                .values
-                .iter()
-                .map(|(name, value)| {
-                    let mut e = Tuple::with_capacity(2);
-                    e.insert("name", Value::Str(name.clone()));
-                    e.insert("value", value.clone());
-                    Value::Tuple(e)
-                })
+/// A catalog image borrowed from its owner — what a checkpoint
+/// encodes, so writing a snapshot never copies a value.
+#[derive(Debug, Clone)]
+pub struct ImageView<'a> {
+    /// `(dotted name, value)` bindings, in name order.
+    pub values: Vec<(&'a str, &'a Value)>,
+    /// `(dotted name, element type)` schema attachments, in name order.
+    pub schemas: &'a [(String, SqlppType)],
+    /// The schema epoch at capture time.
+    pub schema_epoch: u64,
+}
+
+impl CatalogImage {
+    /// Borrows the image for encoding.
+    pub fn view(&self) -> ImageView<'_> {
+        ImageView {
+            values: (self.values.iter())
+                .map(|(name, value)| (name.as_str(), value))
                 .collect(),
-        ),
-    );
-    t.insert(
-        "schemas",
-        Value::Array(
-            snap.image
-                .schemas
-                .iter()
-                .map(|(name, ty)| {
-                    let mut e = Tuple::with_capacity(2);
-                    e.insert("name", Value::Str(name.clone()));
-                    e.insert("ty", type_to_value(ty));
-                    Value::Tuple(e)
-                })
-                .collect(),
-        ),
-    );
-    let payload = sqlpp_formats::ion_lite::to_ion_lite(&Value::Tuple(t));
-    crate::wal::frame(&payload)
+            schemas: &self.schemas,
+            schema_epoch: self.schema_epoch,
+        }
+    }
+}
+
+/// Encodes an image stamped with `lsn` into single-frame file
+/// contents, writing each value straight from its owner.
+pub fn encode_image(lsn: u64, image: &ImageView<'_>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(256);
+    let entry = |buf: &mut Vec<u8>, name: &str, key: &str, value: &Value| {
+        ion_lite::put_tuple_header(buf, 2);
+        ion_lite::put_field_name(buf, "name");
+        ion_lite::encode_into(&Value::Str(name.to_string()), buf);
+        ion_lite::put_field_name(buf, key);
+        ion_lite::encode_into(value, buf);
+    };
+    ion_lite::put_tuple_header(&mut buf, 6);
+    ion_lite::put_field_name(&mut buf, "format");
+    ion_lite::encode_into(&Value::Str("sqlpp-snapshot".into()), &mut buf);
+    ion_lite::put_field_name(&mut buf, "version");
+    ion_lite::encode_into(&Value::Int(1), &mut buf);
+    ion_lite::put_field_name(&mut buf, "lsn");
+    ion_lite::encode_into(&Value::Int(lsn as i64), &mut buf);
+    ion_lite::put_field_name(&mut buf, "epoch");
+    ion_lite::encode_into(&Value::Int(image.schema_epoch as i64), &mut buf);
+    ion_lite::put_field_name(&mut buf, "values");
+    ion_lite::put_array_header(&mut buf, image.values.len());
+    for (name, value) in &image.values {
+        entry(&mut buf, name, "value", value);
+    }
+    ion_lite::put_field_name(&mut buf, "schemas");
+    ion_lite::put_array_header(&mut buf, image.schemas.len());
+    for (name, ty) in image.schemas {
+        entry(&mut buf, name, "ty", &type_to_value(ty));
+    }
+    crate::wal::frame(&buf)
 }
 
 /// Decodes snapshot file contents. Any defect — bad frame, bad
@@ -113,11 +131,11 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Snapshot, String> {
     if crc32(payload) != crc {
         return Err("snapshot checksum mismatch".to_string());
     }
-    let value = sqlpp_formats::ion_lite::from_ion_lite(payload)
+    let value = ion_lite::from_ion_lite(payload)
         .map_err(|e| format!("undecodable snapshot payload: {e}"))?;
-    let t = value
-        .as_tuple()
-        .ok_or_else(|| "snapshot payload is not a tuple".to_string())?;
+    let Value::Tuple(mut t) = value else {
+        return Err("snapshot payload is not a tuple".to_string());
+    };
     match t.get("format") {
         Some(Value::Str(s)) if s == "sqlpp-snapshot" => {}
         _ => return Err("missing sqlpp-snapshot format marker".to_string()),
@@ -127,16 +145,18 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Snapshot, String> {
         Some(Value::Int(v)) => return Err(format!("unsupported snapshot version {v}")),
         _ => return Err("missing snapshot version".to_string()),
     }
-    let lsn = get_u64(t, "lsn")?;
-    let schema_epoch = get_u64(t, "epoch")?;
+    let lsn = get_u64(&t, "lsn")?;
+    let schema_epoch = get_u64(&t, "epoch")?;
     let mut values = Vec::new();
-    match t.get("values") {
+    match t.remove("values") {
         Some(Value::Array(items)) => {
             for item in items {
-                let e = item
-                    .as_tuple()
-                    .ok_or_else(|| "snapshot value entry is not a tuple".to_string())?;
-                values.push((get_str(e, "name")?, get_val(e, "value")?));
+                let Value::Tuple(mut e) = item else {
+                    return Err("snapshot value entry is not a tuple".to_string());
+                };
+                let value = (e.remove("value"))
+                    .ok_or_else(|| "snapshot field \"value\" missing".to_string())?;
+                values.push((get_str(&e, "name")?, value));
             }
         }
         _ => return Err("snapshot missing 'values'".to_string()),
@@ -183,12 +203,17 @@ fn get_val(t: &Tuple, name: &str) -> Result<Value, String> {
         .ok_or_else(|| format!("snapshot field {name:?} missing"))
 }
 
-/// Writes a snapshot to `path` directly (no tmp/rename dance — the
-/// checkpoint path layers that on top; the REPL's `.save` uses this
-/// for one-shot exports). `sync` forces the bytes to disk before
-/// returning.
-pub fn write_snapshot(path: &Path, snap: &Snapshot, sync: bool) -> Result<(), DurabilityError> {
-    let bytes = encode_snapshot(snap);
+/// Writes an image stamped with `lsn` to `path` as a snapshot file
+/// directly (no tmp/rename dance — the checkpoint path layers that on
+/// top; the REPL's `.save` uses this for one-shot exports). `sync`
+/// forces the bytes to disk before returning.
+pub fn write_image(
+    path: &Path,
+    lsn: u64,
+    image: &ImageView<'_>,
+    sync: bool,
+) -> Result<(), DurabilityError> {
+    let bytes = encode_image(lsn, image);
     let mut f = File::create(path).map_err(|e| DurabilityError::io("create", path, &e))?;
     f.write_all(&bytes)
         .map_err(|e| DurabilityError::io("write", path, &e))?;
@@ -231,12 +256,38 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let snap = sample();
-        assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
+        let bytes = encode_image(snap.lsn, &snap.image.view());
+        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn image_encodes_like_the_whole_snapshot_tuple() {
+        let snap = sample();
+        let entry = |name: &str, key: &str, v: Value| {
+            let mut e = Tuple::with_capacity(2);
+            e.insert("name", Value::Str(name.into()));
+            e.insert(key, v);
+            Value::Tuple(e)
+        };
+        let mut t = Tuple::with_capacity(6);
+        t.insert("format", Value::Str("sqlpp-snapshot".into()));
+        t.insert("version", Value::Int(1));
+        t.insert("lsn", Value::Int(17));
+        t.insert("epoch", Value::Int(3));
+        let values = snap.image.values.iter();
+        let values = values.map(|(n, v)| entry(n, "value", v.clone()));
+        t.insert("values", Value::Array(values.collect()));
+        let schemas = snap.image.schemas.iter();
+        let schemas = schemas.map(|(n, ty)| entry(n, "ty", type_to_value(ty)));
+        t.insert("schemas", Value::Array(schemas.collect()));
+        let whole = crate::wal::frame(&ion_lite::to_ion_lite(&Value::Tuple(t)));
+        assert_eq!(encode_image(snap.lsn, &snap.image.view()), whole);
     }
 
     #[test]
     fn truncation_and_flips_are_rejected() {
-        let bytes = encode_snapshot(&sample());
+        let snap = sample();
+        let bytes = encode_image(snap.lsn, &snap.image.view());
         for cut in 0..bytes.len() {
             assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut {cut}");
         }

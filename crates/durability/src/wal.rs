@@ -36,8 +36,8 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 #[derive(Debug)]
 pub(crate) struct WalScan {
     /// Every checksum-valid, decoded record in log order, with the byte
-    /// offset just past its frame.
-    pub records: Vec<(WalRecord, u64)>,
+    /// offsets of its frame's start and of just past its end.
+    pub records: Vec<(WalRecord, u64, u64)>,
     /// Length of the valid prefix; anything past it is a torn tail.
     pub valid_len: u64,
     /// Why the scan stopped early, if it did (torn-tail description).
@@ -109,7 +109,7 @@ pub(crate) fn scan(data: &[u8], path: &Path, min_lsn: u64) -> Result<WalScan, Du
         }
         prev_lsn = record.lsn;
         if record.lsn > min_lsn {
-            records.push((record, end as u64));
+            records.push((record, offset as u64, end as u64));
         }
         offset = end;
     }
@@ -127,7 +127,7 @@ pub(crate) fn scan(data: &[u8], path: &Path, min_lsn: u64) -> Result<WalScan, Du
 pub fn wal_record_ends(path: &Path) -> Result<Vec<u64>, DurabilityError> {
     let data = std::fs::read(path).map_err(|e| DurabilityError::io("read", path, &e))?;
     let scan = scan(&data, path, 0)?;
-    Ok(scan.records.iter().map(|(_, end)| *end).collect())
+    Ok(scan.records.iter().map(|(_, _, end)| *end).collect())
 }
 
 #[cfg(test)]
@@ -170,7 +170,7 @@ mod tests {
             data.extend(rec(lsn));
         }
         let scan = scan(&data, &p(), 2).unwrap();
-        let lsns: Vec<u64> = scan.records.iter().map(|(r, _)| r.lsn).collect();
+        let lsns: Vec<u64> = scan.records.iter().map(|(r, _, _)| r.lsn).collect();
         assert_eq!(lsns, [3, 4]);
         assert_eq!(scan.valid_len, data.len() as u64);
     }

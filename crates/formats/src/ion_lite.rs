@@ -49,6 +49,32 @@ pub fn to_ion_lite(v: &Value) -> Vec<u8> {
     buf
 }
 
+/// Appends one value's encoding to `buf` — the bytes [`to_ion_lite`]
+/// returns, for callers assembling a larger value from borrowed parts.
+pub fn encode_into(v: &Value, buf: &mut Vec<u8>) {
+    encode(v, buf);
+}
+
+/// Appends the header of an array of `len` elements; the elements
+/// follow, each as one encoded value.
+pub fn put_array_header(buf: &mut Vec<u8>, len: usize) {
+    buf.push(TAG_ARRAY);
+    put_varint(buf, len as u128);
+}
+
+/// Appends the header of a tuple of `fields` attributes; each follows
+/// as [`put_field_name`] then one encoded value.
+pub fn put_tuple_header(buf: &mut Vec<u8>, fields: usize) {
+    buf.push(TAG_TUPLE);
+    put_varint(buf, fields as u128);
+}
+
+/// Appends one tuple attribute's name.
+pub fn put_field_name(buf: &mut Vec<u8>, name: &str) {
+    put_varint(buf, name.len() as u128);
+    buf.extend_from_slice(name.as_bytes());
+}
+
 /// Decodes one ion-lite value; the whole buffer must be consumed.
 pub fn from_ion_lite(mut data: &[u8]) -> Result<Value, FormatError> {
     let v = decode(&mut data, 0)?;
@@ -364,5 +390,21 @@ mod tests {
         // structure. Sanity-check the claim used in the format benches.
         assert_eq!(to_ion_lite(&Value::Int(5)).len(), 2);
         assert_eq!(to_ion_lite(&Value::Null).len(), 1);
+    }
+
+    #[test]
+    fn assembled_parts_encode_like_the_whole_value() {
+        let row = Value::Tuple(tuple! { "id" => 7i64, "tags" => bag!["a", "b"] });
+        let whole =
+            Value::Tuple(tuple! { "name" => "t", "rows" => array![row.clone(), Value::Null] });
+        let mut buf = Vec::new();
+        put_tuple_header(&mut buf, 2);
+        put_field_name(&mut buf, "name");
+        encode_into(&Value::Str("t".into()), &mut buf);
+        put_field_name(&mut buf, "rows");
+        put_array_header(&mut buf, 2);
+        encode_into(&row, &mut buf);
+        encode_into(&Value::Null, &mut buf);
+        assert_eq!(buf, to_ion_lite(&whole));
     }
 }

@@ -36,6 +36,7 @@
 
 pub mod cmp;
 pub mod decimal;
+pub mod delta;
 mod display;
 pub mod hash;
 mod macros;
@@ -43,6 +44,7 @@ mod tuple;
 mod value;
 
 pub use decimal::{Decimal, DecimalError};
+pub use delta::Delta;
 pub use display::to_pretty;
 pub use hash::GroupKey;
 pub use tuple::Tuple;

@@ -91,14 +91,17 @@ cargo test -q --release --test out_of_core
 echo "out-of-core differential OK"
 
 echo "== durability smoke (B18) =="
-# B18's own asserts ARE the correctness side of the gate: snapshot
-# recovery must replay zero records, WAL replay must reproduce every
-# row of every shard, and checkpoints must leave a parseable snapshot.
+# B18's own asserts ARE the correctness side of the gate: a one-row
+# UPDATE must log at most twice the bytes at 10 000 rows as at 128 (a
+# DML statement logs its delta, not the collection), snapshot recovery
+# must replay zero records, WAL replay must reproduce every row of
+# every shard, and checkpoints must leave a parseable snapshot.
 # Timings (per-commit WAL overhead at each sync mode, checkpoint write,
 # cold-start recovery) are reported, not gated — fsync latency belongs
 # to the storage stack. The greps check the durability counters flow
 # into the JSON report.
-bench_gate bench_durability durability wal_bytes_per_commit_always fsyncs_always
+bench_gate bench_durability durability wal_bytes_per_commit_always_128 \
+  wal_bytes_per_commit_always_10000 fsyncs_always_10000
 
 echo "== crash-recovery gate =="
 # Deterministic crash-point sweep: the engine is killed at every

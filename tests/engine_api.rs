@@ -232,6 +232,134 @@ fn concurrent_dml_loses_no_updates() {
     assert_eq!(n.canonical().to_string(), format!("{{{{{expect}}}}}"));
 }
 
+/// Checks that `rows` is what some serial order of a register/INSERT
+/// storm leaves: the whole value of the *last* register of one
+/// registering thread, then, for each inserting thread, a suffix of its
+/// inserts in its own order (the ones serialized after that register).
+fn assert_serializable(rows: &[Value], registers: usize, per_register: i64, inserts: i64) {
+    let field = |row: &Value, name: &str| match row.as_tuple().and_then(|t| t.get(name)) {
+        Some(Value::Int(i)) => Some(*i),
+        _ => None,
+    };
+    let base = field(&rows[0], "r").expect("a registered value comes first");
+    assert!(
+        (0..registers as i64).any(|t| base == t * 100 + 9),
+        "the surviving base {base} is not the last register of a thread"
+    );
+    for (j, row) in rows[..per_register as usize].iter().enumerate() {
+        assert_eq!(field(row, "r"), Some(base), "register row {j}");
+        assert_eq!(field(row, "j"), Some(j as i64));
+    }
+    let mut next: std::collections::HashMap<i64, i64> = Default::default();
+    for row in &rows[per_register as usize..] {
+        let (t, i) = (field(row, "t").unwrap(), field(row, "i").unwrap());
+        if let Some(&want) = next.get(&t) {
+            assert_eq!(i, want, "thread {t}: inserts out of order or lost");
+        }
+        next.insert(t, i + 1);
+    }
+    assert!(
+        next.values().all(|&end| end == inserts),
+        "every thread's surviving inserts run to its last one: {next:?}"
+    );
+}
+
+/// `register` publishes under the DML guard: a storm of registers and
+/// single-row INSERTs on one name ends in a state some serial order of
+/// the acknowledged statements produces, in memory and durably — and a
+/// durable engine recovers exactly that state (the DML after a
+/// register logs a full image, so replay never patches a stale base).
+#[test]
+fn register_and_insert_storm_is_serializable() {
+    const REGISTERERS: usize = 2;
+    const PER_REGISTER: i64 = 3;
+    const INSERTERS: i64 = 3;
+    const INSERTS: i64 = 40;
+    let dir = std::env::temp_dir().join(format!("sqlpp-storm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for durable in [false, true] {
+        let engine = if durable {
+            Engine::open_durable(&dir).unwrap()
+        } else {
+            Engine::new()
+        };
+        std::thread::scope(|s| {
+            for t in 0..REGISTERERS as i64 {
+                let session = engine.clone();
+                s.spawn(move || {
+                    for k in 0..10 {
+                        let rows = (0..PER_REGISTER).map(|j| {
+                            Value::Tuple(sqlpp_value::tuple! { "r" => t * 100 + k, "j" => j })
+                        });
+                        session.register("log", Value::Bag(rows.collect()));
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            for t in 0..INSERTERS {
+                let session = engine.clone();
+                s.spawn(move || {
+                    for i in 0..INSERTS {
+                        session
+                            .execute(&format!("INSERT INTO log VALUE {{'t': {t}, 'i': {i}}}"))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        // One more acknowledged insert, serialized after everything.
+        engine
+            .execute(&format!(
+                "INSERT INTO log VALUE {{'t': {INSERTERS}, 'i': 0}}"
+            ))
+            .unwrap();
+        let live = engine.catalog().get_str("log").unwrap();
+        let rows = live.as_elements().unwrap();
+        let (last, rest) = rows.split_last().unwrap();
+        assert_eq!(last.to_string(), format!("{{'t': {INSERTERS}, 'i': 0}}"));
+        assert_serializable(rest, REGISTERERS, PER_REGISTER, INSERTS);
+        if durable {
+            drop(engine);
+            let recovered = Engine::open_durable(&dir).expect("no corruption after the storm");
+            let back = recovered.catalog().get_str("log").unwrap();
+            assert_eq!(back.to_string(), live.to_string());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A statement patches the stored collection in place when no reader
+/// holds it (the statement releases its own snapshot before it
+/// commits), and into a copy — leaving the reader's snapshot alone —
+/// when one does.
+#[test]
+fn dml_patches_in_place_unless_a_reader_holds_the_value() {
+    let dir = std::env::temp_dir().join(format!("sqlpp-in-place-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for engine in [Engine::new(), Engine::open_durable(&dir).unwrap()] {
+        engine.execute("INSERT INTO t VALUE {'a': 1}").unwrap();
+        let stored = || std::sync::Arc::as_ptr(&engine.catalog().get_str("t").unwrap());
+        let before = stored();
+        for stmt in [
+            "INSERT INTO t VALUE {'a': 2}",
+            "UPDATE t AS x SET x.a = x.a * 10 WHERE x.a = 2",
+            "DELETE FROM t AS x WHERE x.a = 1",
+        ] {
+            engine.execute(stmt).unwrap();
+            assert_eq!(stored(), before, "{stmt} copied an unshared collection");
+        }
+        let reader = engine.catalog().get_str("t").unwrap();
+        engine.execute("INSERT INTO t VALUE {'a': 3}").unwrap();
+        assert_eq!(reader.to_string(), "{{{'a': 20}}}");
+        assert_ne!(stored(), before);
+        assert_eq!(
+            engine.catalog().get_str("t").unwrap().to_string(),
+            "{{{'a': 20}, {'a': 3}}}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn relational_view_for_jdbc_style_clients() {
     let engine = Engine::new();
