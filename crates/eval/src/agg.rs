@@ -11,9 +11,10 @@
 
 use sqlpp_plan::AggFunc;
 use sqlpp_value::cmp::{deep_eq, total_cmp};
-use sqlpp_value::{Decimal, Value};
+use sqlpp_value::{Decimal, Value, ValueKind};
 
 use crate::arith::{num_binop, NumOp};
+use crate::error::EvalError;
 
 /// An aggregation failure (wrong element type and similar).
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +28,8 @@ pub enum AggError {
     },
     /// Arithmetic failure while accumulating.
     Arithmetic(String),
+    /// Computing an element raised an error (see [`Accumulator::raise`]).
+    Raised(EvalError),
 }
 
 /// Removes structural duplicates (for `DISTINCT` aggregates), preserving
@@ -138,10 +141,18 @@ fn sum(present: &[&Value], func: AggFunc) -> Result<Value, AggError> {
     Ok(acc)
 }
 
-/// An incremental accumulator: how `COLL_*` consumes a streamed subquery
-/// without building its bag (the engine optimization §V-C licenses: "a
-/// SQL++ engine is free to optimize, e.g., by using pipelineable
-/// aggregation operations"), and how windowed aggregates run.
+/// An incremental accumulator — the engine's one aggregate state: how
+/// `COLL_*` consumes a streamed subquery without building its bag (the
+/// engine optimization §V-C licenses: "a SQL++ engine is free to
+/// optimize, e.g., by using pipelineable aggregation operations"), how
+/// windowed aggregates run, and what a folded GROUP BY keeps per
+/// aggregate per group.
+///
+/// States merge ([`Accumulator::merge`]): merging a one-element state
+/// into a state is exactly pushing that element, so a group folds from
+/// per-row singleton states — and resumes from a partial state that
+/// spilled to disk ([`Accumulator::to_value`]) — with the same result as
+/// one in-order pass.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
@@ -200,21 +211,7 @@ impl Accumulator {
                     Err(e) => self.failed = Some(AggError::Arithmetic(format!("{e:?}"))),
                 }
             }
-            AggFunc::Min | AggFunc::Max => {
-                let take = match &self.best {
-                    None => true,
-                    Some(b) => {
-                        let o = total_cmp(v, b);
-                        match self.func {
-                            AggFunc::Min => o == std::cmp::Ordering::Less,
-                            _ => o == std::cmp::Ordering::Greater,
-                        }
-                    }
-                };
-                if take {
-                    self.best = Some(v.clone());
-                }
-            }
+            AggFunc::Min | AggFunc::Max => self.push_best(v),
             AggFunc::Every | AggFunc::Some => match v {
                 Value::Bool(b) => {
                     let acc = self.bool_acc.unwrap_or(self.func == AggFunc::Every);
@@ -231,6 +228,163 @@ impl Accumulator {
                 }
             },
         }
+    }
+
+    /// Records that computing an element raised `e`. The first such
+    /// error wins over any element failure, as it does when the elements
+    /// come from a subquery, where the raise aborts the pull: the
+    /// aggregate then finishes with `e`.
+    pub fn raise(&mut self, e: EvalError) {
+        if !matches!(self.failed, Some(AggError::Raised(_))) {
+            self.failed = Some(AggError::Raised(e));
+        }
+    }
+
+    /// Folds in `other`, a state of the same aggregate over elements that
+    /// come after this one's, with the NULL/MISSING/type rules of
+    /// [`Accumulator::push`]. For a one-element `other` this is exactly
+    /// `push`; for a longer one it differs only where an integer sum
+    /// overflows part-way in one association but not the other.
+    pub fn merge(&mut self, other: Accumulator) {
+        debug_assert_eq!(self.func, other.func, "merging different aggregates");
+        match (&self.failed, other.failed) {
+            (Some(AggError::Raised(_)), _) => return,
+            (_, Some(raised @ AggError::Raised(_))) => {
+                self.failed = Some(raised);
+                return;
+            }
+            (Some(_), _) => return,
+            (None, Some(failed)) => {
+                self.failed = Some(failed);
+                return;
+            }
+            (None, None) => {}
+        }
+        if other.count == 0 {
+            return;
+        }
+        self.count += other.count;
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                let summed = match (&self.sum, &other.sum) {
+                    (Value::Int(a), Value::Int(b)) => a
+                        .checked_add(*b)
+                        .map(Value::Int)
+                        .ok_or(crate::arith::NumError::Overflow),
+                    (a, b) => num_binop(NumOp::Add, a, b),
+                };
+                match summed {
+                    Ok(s) => self.sum = s,
+                    Err(e) => self.failed = Some(AggError::Arithmetic(format!("{e:?}"))),
+                }
+            }
+            AggFunc::Min | AggFunc::Max => {
+                if let Some(best) = &other.best {
+                    self.push_best(best);
+                }
+            }
+            AggFunc::Every | AggFunc::Some => {
+                if let Some(b) = other.bool_acc {
+                    let acc = self.bool_acc.unwrap_or(self.func == AggFunc::Every);
+                    self.bool_acc = Some(match self.func {
+                        AggFunc::Every => acc && b,
+                        _ => acc || b,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The values the state holds — the running sum and the MIN/MAX best
+    /// — which is all that makes one state bigger than another.
+    pub(crate) fn held_values(&self) -> impl Iterator<Item = &Value> {
+        std::iter::once(&self.sum).chain(self.best.as_ref())
+    }
+
+    /// MIN/MAX: keeps `v` if it beats the current best (ties keep the
+    /// earlier element).
+    fn push_best(&mut self, v: &Value) {
+        let take = match &self.best {
+            None => true,
+            Some(b) => {
+                let o = total_cmp(v, b);
+                match self.func {
+                    AggFunc::Min => o == std::cmp::Ordering::Less,
+                    _ => o == std::cmp::Ordering::Greater,
+                }
+            }
+        };
+        if take {
+            self.best = Some(v.clone());
+        }
+    }
+
+    /// The state as a value, for spilling: `[count, sum, best, bool,
+    /// failure]`, with MISSING/NULL for absent parts.
+    pub fn to_value(&self) -> Value {
+        let failed = match &self.failed {
+            None => Value::Null,
+            Some(AggError::BadElement { kind, .. }) => Value::Array(vec![
+                Value::Str("element".into()),
+                Value::Str((*kind).into()),
+            ]),
+            Some(AggError::Arithmetic(m)) => {
+                Value::Array(vec![Value::Str("arithmetic".into()), Value::Str(m.clone())])
+            }
+            Some(AggError::Raised(e)) => {
+                Value::Array(vec![Value::Str("raised".into()), e.to_value()])
+            }
+        };
+        Value::Array(vec![
+            Value::Int(self.count),
+            self.sum.clone(),
+            self.best.clone().unwrap_or(Value::Missing),
+            self.bool_acc.map_or(Value::Null, Value::Bool),
+            failed,
+        ])
+    }
+
+    /// Inverse of [`Accumulator::to_value`] for a state of `func`; `None`
+    /// when `v` is not such a state.
+    pub fn from_value(func: AggFunc, v: Value) -> Option<Accumulator> {
+        let Value::Array(parts) = v else {
+            return None;
+        };
+        let [count, sum, best, bool_acc, failed] = <[Value; 5]>::try_from(parts).ok()?;
+        let failed = match failed {
+            Value::Null => None,
+            Value::Array(f) => match <[Value; 2]>::try_from(f).ok()? {
+                [Value::Str(tag), Value::Str(kind)] if tag == "element" => {
+                    Some(AggError::BadElement {
+                        func,
+                        kind: kind_name(&kind)?,
+                    })
+                }
+                [Value::Str(tag), Value::Str(m)] if tag == "arithmetic" => {
+                    Some(AggError::Arithmetic(m))
+                }
+                [Value::Str(tag), e] if tag == "raised" => {
+                    Some(AggError::Raised(EvalError::from_value(&e)?))
+                }
+                _ => return None,
+            },
+            _ => return None,
+        };
+        Some(Accumulator {
+            func,
+            count: match count {
+                Value::Int(n) => n,
+                _ => return None,
+            },
+            sum,
+            best: (!best.is_missing()).then_some(best),
+            bool_acc: match bool_acc {
+                Value::Bool(b) => Some(b),
+                _ => None,
+            },
+            failed,
+        })
     }
 
     /// Produces the aggregate value.
@@ -254,6 +408,17 @@ impl Accumulator {
             AggFunc::Every | AggFunc::Some => Ok(Value::Bool(self.bool_acc.expect("count > 0"))),
         }
     }
+}
+
+/// The `&'static` type name a spilled element failure names.
+fn kind_name(name: &str) -> Option<&'static str> {
+    use ValueKind::*;
+    [
+        Missing, Null, Bool, Int, Float, Decimal, Str, Bytes, Array, Tuple, Bag,
+    ]
+    .into_iter()
+    .map(ValueKind::name)
+    .find(|k| *k == name)
 }
 
 #[cfg(test)]
@@ -378,5 +543,127 @@ mod tests {
             }
             assert_eq!(acc.finish(), apply(func, &items), "{func:?}");
         }
+    }
+
+    fn mixed() -> Vec<Value> {
+        vec![
+            Value::Int(3),
+            Value::Null,
+            Value::Decimal("0.5".parse().unwrap()),
+            Value::Missing,
+            Value::Int(-1),
+            Value::Float(2.25),
+            Value::Int(i64::MAX),
+            Value::Str("s".into()),
+            Value::Bool(true),
+            Value::Bool(false),
+        ]
+    }
+
+    const FUNCS: [AggFunc; 7] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Every,
+        AggFunc::Some,
+    ];
+
+    /// Folding one-element states into a running state — how a group is
+    /// built, and resumed from a spilled partial — equals one in-order
+    /// pass, integer overflow included.
+    #[test]
+    fn folding_singletons_equals_one_pass() {
+        let max = Value::Int(i64::MAX);
+        let orders = [
+            vec![Value::Int(1), max.clone(), Value::Int(-1)],
+            vec![max.clone(), Value::Int(-1), Value::Int(1)],
+            mixed(),
+        ];
+        for items in &orders {
+            for func in FUNCS {
+                let mut pass = Accumulator::new(func);
+                let mut folded = Accumulator::new(func);
+                for v in items {
+                    pass.push(v);
+                    let mut single = Accumulator::new(func);
+                    single.push(v);
+                    folded.merge(single);
+                }
+                assert_eq!(folded.finish(), pass.finish(), "{func:?} over {items:?}");
+            }
+        }
+    }
+
+    /// Merging the states of any split of a sequence equals pushing it
+    /// in order (no running integer sum overflows in `mixed` before a
+    /// float widens it).
+    #[test]
+    fn merge_of_any_split_equals_one_pass() {
+        let items = mixed();
+        for func in FUNCS {
+            for lo in 0..=items.len() {
+                for hi in lo..=items.len() {
+                    let mut whole = Accumulator::new(func);
+                    for v in &items[lo..hi] {
+                        whole.push(v);
+                    }
+                    for cut in lo..=hi {
+                        let mut left = Accumulator::new(func);
+                        items[lo..cut].iter().for_each(|v| left.push(v));
+                        let mut right = Accumulator::new(func);
+                        items[cut..hi].iter().for_each(|v| right.push(v));
+                        left.merge(right);
+                        assert_eq!(
+                            left.finish(),
+                            whole.clone().finish(),
+                            "{func:?} over {lo}..{cut}..{hi}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_raised_error_beats_element_failures_in_either_order() {
+        let raised = || EvalError::Type("boom".into());
+        let mut bad = Accumulator::new(AggFunc::Sum);
+        bad.push(&Value::Str("s".into()));
+        let mut poisoned = Accumulator::new(AggFunc::Sum);
+        poisoned.raise(raised());
+        let mut first = bad.clone();
+        first.merge(poisoned.clone());
+        poisoned.merge(bad);
+        for acc in [first, poisoned] {
+            assert_eq!(acc.finish(), Err(AggError::Raised(raised())));
+        }
+        // The earliest raise wins.
+        let mut acc = Accumulator::new(AggFunc::Count);
+        acc.raise(EvalError::Arithmetic("first".into()));
+        acc.raise(raised());
+        assert_eq!(
+            acc.finish(),
+            Err(AggError::Raised(EvalError::Arithmetic("first".into())))
+        );
+    }
+
+    #[test]
+    fn states_round_trip_through_values() {
+        let items = mixed();
+        for func in FUNCS {
+            for n in 0..=items.len() {
+                let mut acc = Accumulator::new(func);
+                items[..n].iter().for_each(|v| acc.push(v));
+                let back = Accumulator::from_value(func, acc.to_value()).expect("decodes");
+                assert_eq!(back.finish(), acc.finish(), "{func:?} after {n}");
+            }
+            let mut acc = Accumulator::new(func);
+            acc.raise(EvalError::MissingParam(3));
+            let back = Accumulator::from_value(func, acc.to_value()).expect("decodes");
+            assert_eq!(back.finish(), acc.finish());
+        }
+        assert!(Accumulator::from_value(AggFunc::Sum, Value::Int(1)).is_none());
     }
 }

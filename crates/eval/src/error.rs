@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use sqlpp_value::Value;
+
 /// "SQL++ allows processing to continue even when dynamic type errors
 /// happen […] To support applications that want to catch type errors
 /// early and stop processing when they happen, SQL++ also offers a
@@ -53,6 +55,56 @@ pub enum EvalError {
         /// Human-readable cause (`"deadline of 50ms exceeded"`, …).
         reason: String,
     },
+}
+
+impl EvalError {
+    /// Whether the error is about the data or the query — a type,
+    /// arithmetic or name error — rather than about running it (a
+    /// resource limit, cancellation, an injected fault). Only the former
+    /// may wait in an aggregate's state until the aggregate is read.
+    pub fn is_data_error(&self) -> bool {
+        !matches!(
+            self,
+            EvalError::Resource(_)
+                | EvalError::ResourceExhausted { .. }
+                | EvalError::Cancelled { .. }
+        )
+    }
+
+    /// A data error ([`EvalError::is_data_error`]) as a value — how a
+    /// waiting error spills to disk or rides in a binding.
+    pub(crate) fn to_value(&self) -> Value {
+        let (tag, payload) = match self {
+            EvalError::Type(m) => ("type", Value::Str(m.clone())),
+            EvalError::UnknownName(m) => ("name", Value::Str(m.clone())),
+            EvalError::MissingParam(i) => ("param", Value::Int(*i as i64)),
+            EvalError::UnknownFunction(m) => ("function", Value::Str(m.clone())),
+            EvalError::Arithmetic(m) => ("arithmetic", Value::Str(m.clone())),
+            EvalError::Cardinality(m) => ("cardinality", Value::Str(m.clone())),
+            other => ("resource", Value::Str(other.to_string())),
+        };
+        Value::Array(vec![Value::Str(tag.into()), payload])
+    }
+
+    /// Inverse of [`EvalError::to_value`]; `None` for any other value.
+    pub(crate) fn from_value(v: &Value) -> Option<EvalError> {
+        let Value::Array(parts) = v else {
+            return None;
+        };
+        let [Value::Str(tag), payload] = parts.as_slice() else {
+            return None;
+        };
+        Some(match (tag.as_str(), payload) {
+            ("type", Value::Str(m)) => EvalError::Type(m.clone()),
+            ("name", Value::Str(m)) => EvalError::UnknownName(m.clone()),
+            ("param", Value::Int(i)) => EvalError::MissingParam(usize::try_from(*i).ok()?),
+            ("function", Value::Str(m)) => EvalError::UnknownFunction(m.clone()),
+            ("arithmetic", Value::Str(m)) => EvalError::Arithmetic(m.clone()),
+            ("cardinality", Value::Str(m)) => EvalError::Cardinality(m.clone()),
+            ("resource", Value::Str(m)) => EvalError::Resource(m.clone()),
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for EvalError {

@@ -16,7 +16,7 @@ use std::time::Instant;
 use sqlpp_catalog::Catalog;
 use sqlpp_plan::{
     AggFunc, Coercion, CompatMode, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, CoreSetOp,
-    CoreSortKey, WindowDef, WindowFunc,
+    CoreSortKey, GroupFold, WindowDef, WindowFunc,
 };
 use sqlpp_syntax::ast::{BinOp, IsTest, UnOp};
 use sqlpp_value::cmp::{deep_eq, sql_compare, sql_eq};
@@ -399,7 +399,7 @@ impl<'a> Evaluator<'a> {
                 input,
                 expr,
                 distinct: false,
-            } => Some(self.fused_scan(input, expr, env).unwrap_or_else(|| {
+            } => Some(self.fused_scan(input, &[expr], 1, env).unwrap_or_else(|| {
                 Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
                     self.expr(expr, &b).map(Some)
                 }))
@@ -540,10 +540,9 @@ impl<'a> Evaluator<'a> {
             CoreOp::Group {
                 input,
                 keys,
-                group_var,
-                captured,
+                folds,
                 emit_empty_group,
-            } => match self.group(op, input, keys, group_var, captured, *emit_empty_group, env) {
+            } => match self.group(op, input, keys, folds, *emit_empty_group, env) {
                 Ok(rows) => from_vec(rows),
                 Err(e) => failed(e),
             },
@@ -724,67 +723,85 @@ impl<'a> Evaluator<'a> {
         Ok((eval_count(limit)?, eval_count(offset)?.unwrap_or(0)))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// GROUP BY: partitions the input by key values and folds each
+    /// group's rows into one state per fold — a member bag for GROUP AS,
+    /// an [`agg::Accumulator`] per folded aggregate — then emits one
+    /// binding per group with the key aliases and each fold's value.
+    ///
+    /// Grouping is a pipeline breaker: the groups are live until they
+    /// are emitted, tracked by the build's gauge, which charges a group
+    /// when it is created and a member bag or aggregate state as it
+    /// grows, never a row that folds without growing anything (see
+    /// [`GroupTable`]'s `insert`). Under budget pressure with spilling enabled the keyed
+    /// build scatters the held partial states and the rest of the input
+    /// to Grace partitions and regroups each one, merging the states, so
+    /// peak tracked memory never exceeds the budget. The spilled path
+    /// loses the in-memory path's insertion order, which GROUP BY (a bag
+    /// producer) never promised.
     fn group(
         &self,
         whole: &CoreOp,
         input: &'a CoreOp,
         keys: &'a [(String, CoreExpr)],
-        group_var: &str,
-        captured: &[String],
+        folds: &'a [(String, GroupFold)],
         emit_empty_group: bool,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        // Grouping is a pipeline breaker: every captured element is live
-        // until the groups are emitted, tracked by the build's gauge.
-        // Under budget pressure with spilling enabled the keyed build
-        // scatters to Grace partitions and regroups each one in memory,
-        // so peak tracked memory never exceeds the budget. The spilled
-        // path loses the in-memory path's insertion order, which GROUP BY
-        // (a bag producer) never promised.
-        let mut input = Cursor::new(self.binding_stream(input, env), self.batch_size());
-        let mut source = || {
-            let Some(b) = input.next()? else {
-                return Ok(None);
-            };
-            let mut key_vals = Vec::with_capacity(keys.len());
-            for (_, ke) in keys {
-                let mut v = self.expr(ke, &b)?;
-                // Grouping treats the two absent values alike (PartiQL's
-                // `eqg`); the surfaced key is NULL. This also realizes the
-                // §IV-B compatibility guarantee for GROUP BY queries.
-                if v.is_missing() {
-                    v = Value::Null;
-                }
-                key_vals.push(v);
+        let mut groups = match self.fused_group_input(input, keys, folds, env) {
+            Some(values) => {
+                let width = keys.len() + folds.len();
+                let mut values = Cursor::new(values, self.batch_size());
+                let mut source = || {
+                    let mut key_vals = Vec::with_capacity(keys.len());
+                    let mut states = Vec::with_capacity(folds.len());
+                    for i in 0..width {
+                        let Some(v) = values.next()? else {
+                            return Ok(None);
+                        };
+                        match i.checked_sub(keys.len()) {
+                            // Key errors are never parked.
+                            None => key_vals.push(v?),
+                            Some(f) => states.push(FoldState::of(&folds[f].1, v)),
+                        }
+                    }
+                    Ok(Some((group_key(key_vals), states)))
+                };
+                self.build_groups(whole, folds, &mut source)?
             }
-            // The group element: a tuple of the captured bindings
-            // (Listing 14's {e: …, p: …} shape).
-            let mut elem = Tuple::with_capacity(captured.len());
-            for var in captured {
-                if let Some(v) = b.get(var) {
-                    elem.insert(var.clone(), v.clone());
-                }
+            None => {
+                let mut rows = Cursor::new(self.binding_stream(input, env), self.batch_size());
+                let mut source = || {
+                    let Some(b) = rows.next()? else {
+                        return Ok(None);
+                    };
+                    let mut key_vals = Vec::with_capacity(keys.len());
+                    for (_, ke) in keys {
+                        key_vals.push(self.expr(ke, &b)?);
+                    }
+                    let mut states = Vec::with_capacity(folds.len());
+                    for (_, fold) in folds {
+                        states.push(match fold {
+                            GroupFold::Members { captured } => {
+                                // Listing 14's {e: …, p: …} element shape.
+                                let mut elem = Tuple::with_capacity(captured.len());
+                                for var in captured {
+                                    if let Some(v) = b.get(var) {
+                                        elem.insert(var.clone(), v.clone());
+                                    }
+                                }
+                                FoldState::Members(vec![Value::Tuple(elem)])
+                            }
+                            GroupFold::Agg { body, .. } => match self.expr(body, &b) {
+                                Err(e) if !e.is_data_error() => return Err(e),
+                                v => FoldState::of(fold, v),
+                            },
+                        });
+                    }
+                    Ok(Some((group_key(key_vals), states)))
+                };
+                self.build_groups(whole, folds, &mut source)?
             }
-            Ok(Some((key_vals, Value::Tuple(elem))))
         };
-        let mut groups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        let built = keyed_build(
-            self.spill_ctx().as_ref(),
-            &|| self.gauge(whole),
-            &ValueCodec,
-            &mut source,
-            None,
-            0,
-            &mut |mut part: GroupTable, _held, _| {
-                groups.append(&mut part.groups);
-                Ok(())
-            },
-        )?;
-        match built {
-            Some((table, _held)) => groups = table.groups,
-            None => self.mark_spilled(whole),
-        }
         // Ungrouped aggregation and the grand-total grouping set yield
         // exactly one group even over empty input (SQL).
         if emit_empty_group && groups.is_empty() {
@@ -798,21 +815,62 @@ impl<'a> Evaluator<'a> {
                     _ => Value::Null,
                 });
             }
-            groups.push((key_vals, Vec::new()));
+            let states = folds.iter().map(|(_, f)| FoldState::empty(f)).collect();
+            groups.push((key_vals, states));
         }
         if let Some(st) = &self.stats {
             st.add_groups_built(groups.len() as u64);
         }
         let mut out = Vec::with_capacity(groups.len());
-        for (key_vals, elems) in groups {
+        for (key_vals, states) in groups {
             let mut genv = env.clone();
             for ((alias, _), v) in keys.iter().zip(key_vals) {
                 genv = genv.bind(alias.clone(), v);
             }
-            genv = genv.bind(group_var.to_string(), Value::Bag(elems));
+            for ((var, _), state) in folds.iter().zip(states) {
+                let value = match state {
+                    FoldState::Members(elems) => Ok(Value::Bag(elems)),
+                    FoldState::Agg(acc) => acc.finish().or_else(|e| self.agg_err(e)),
+                };
+                genv = match value {
+                    Ok(v) => genv.bind(var.clone(), v),
+                    // Raised only if the plan reads the aggregate — when
+                    // the paper-literal plan would have computed it.
+                    Err(e) => genv.bind(parked_error_var(var), e.to_value()),
+                };
+            }
             out.push(genv);
         }
         Ok(out)
+    }
+
+    /// The one grouping keyed build: drains the `(key values, singleton
+    /// fold states)` records `source` makes into a [`GroupTable`],
+    /// spilling per [`keyed_build`], and hands back every group.
+    fn build_groups(
+        &self,
+        whole: &CoreOp,
+        folds: &'a [(String, GroupFold)],
+        source: &mut KeyedSource<'_, Vec<FoldState>>,
+    ) -> Result<Vec<GroupRow>, EvalError> {
+        let mut groups: Vec<GroupRow> = Vec::new();
+        let built = keyed_build(
+            self.spill_ctx().as_ref(),
+            &|| self.gauge(whole),
+            &GroupCodec { folds },
+            source,
+            None,
+            0,
+            &mut |mut part: GroupTable, _held, _| {
+                groups.append(&mut part.groups);
+                Ok(())
+            },
+        )?;
+        match built {
+            Some((table, _held)) => groups = table.groups,
+            None => self.mark_spilled(whole),
+        }
+        Ok(groups)
     }
 
     /// Evaluates one window definition over the binding stream, returning
@@ -1381,22 +1439,27 @@ impl<'a> Evaluator<'a> {
         self.config.batch_size.max(1)
     }
 
-    /// The fused scan spine — the projection's stream when `input` is a
-    /// bare `Scan → Filter*` chain (no AT variable) and every predicate
-    /// plus the projection is root-safe bytecode: a [`FusedScan`] that
-    /// evaluates each source element *borrowed* — no per-row `Env`
-    /// allocation, no per-row adapter dispatch. Only active when batching
+    /// The fused scan spine — when `input` is a bare `Scan → Filter*`
+    /// chain (no AT variable) and every predicate plus every output
+    /// expression is root-safe bytecode, a [`FusedScan`] that evaluates
+    /// each source element *borrowed* — no per-row `Env` allocation, no
+    /// per-row adapter dispatch — and yields the `outs` values of each
+    /// row that passes, in order: one for a projection, the keys and
+    /// aggregate bodies for a folded GROUP BY. A data error in an output
+    /// from index `park_from` on is handed on as that output's item
+    /// (see [`FusedOut`]) instead of failing the scan. Only active when batching
     /// is on, stats are off (`EXPLAIN ANALYZE` wants real per-operator
     /// adapters) and no faults are injected (the per-expression fault site
     /// lives in [`Self::expr`]); results are identical to the adapter
     /// pipeline because both bottom out in the same compiled programs and
     /// scan-source semantics. `None` means ineligible.
-    fn fused_scan<'s>(
+    fn fused_scan<'s, T: FusedOut + 's>(
         &'s self,
         input: &'a CoreOp,
-        proj: &'a CoreExpr,
+        outs: &[&'a CoreExpr],
+        park_from: usize,
         env: &Env,
-    ) -> Option<ValueStream<'s>> {
+    ) -> Option<Box<dyn Stream<T> + 's>> {
         if self.config.batch_size <= 1 || self.stats.is_some() || self.govern.injects_faults() {
             return None;
         }
@@ -1431,7 +1494,7 @@ impl<'a> Evaluator<'a> {
             p.root_safe.then(|| p.specialize_for_root(as_var))
         };
         let preds: Vec<Program<'a>> = preds.into_iter().map(rooted).collect::<Option<_>>()?;
-        let proj = rooted(proj)?;
+        let outs: Vec<Program<'a>> = outs.iter().copied().map(rooted).collect::<Option<_>>()?;
         let source = match self.scan_source(scan_expr, env) {
             Ok(source) => source,
             Err(e) => return Some(failed(e)),
@@ -1456,9 +1519,36 @@ impl<'a> Evaluator<'a> {
             idx: 0,
             as_var,
             preds,
-            proj,
+            outs,
+            park_from,
             env: env.clone(),
         }))
+    }
+
+    /// A folded GROUP BY's input on the fused scan spine: the key values
+    /// then the aggregate bodies of each row, flattened (see
+    /// [`Self::fused_scan`]). A body's data error is its item, to wait
+    /// in the aggregate's state as it does on the binding stream; a key's
+    /// fails the scan. `None` when a fold is a member bag, which needs
+    /// the row's bindings, or when the spine is ineligible.
+    fn fused_group_input<'s>(
+        &'s self,
+        input: &'a CoreOp,
+        keys: &'a [(String, CoreExpr)],
+        folds: &'a [(String, GroupFold)],
+        env: &Env,
+    ) -> Option<Box<dyn Stream<Result<Value, EvalError>> + 's>> {
+        let mut outs: Vec<&'a CoreExpr> = keys.iter().map(|(_, e)| e).collect();
+        for (_, fold) in folds {
+            match fold {
+                GroupFold::Agg { body, .. } => outs.push(body),
+                GroupFold::Members { .. } => return None,
+            }
+        }
+        if outs.is_empty() {
+            return None;
+        }
+        self.fused_scan(input, &outs, keys.len(), env)
     }
 
     // =================================================================
@@ -1545,7 +1635,7 @@ impl<'a> Evaluator<'a> {
                     };
                     match v {
                         Some(v) => stack.push(v.clone()),
-                        None => return Err(EvalError::UnknownName(name.to_string())),
+                        None => return Err(self.unbound(name, env)),
                     }
                 }
                 Instr::Param(i) => match self.params.get(i) {
@@ -1562,7 +1652,7 @@ impl<'a> Evaluator<'a> {
                         _ => env.get(var),
                     };
                     let Some(base) = base else {
-                        return Err(EvalError::UnknownName(var.to_string()));
+                        return Err(self.unbound(var, env));
                     };
                     self.navigate(base, attr, stack)?;
                 }
@@ -1831,6 +1921,17 @@ impl<'a> Evaluator<'a> {
             pc += 1;
         }
         Ok(())
+    }
+
+    /// The error for reading `name` where `env` binds nothing to it —
+    /// unless `name` is a fold variable whose aggregate failed in this
+    /// group: [`Self::group`] parks that error beside it, and reading the
+    /// variable raises it, exactly when the paper-literal plan would have
+    /// computed (and failed) the aggregate.
+    fn unbound(&self, name: &str, env: &Env) -> EvalError {
+        env.get(&parked_error_var(name))
+            .and_then(EvalError::from_value)
+            .unwrap_or_else(|| EvalError::UnknownName(name.to_string()))
     }
 
     /// Pushes `base.attr` (§IV-B case 1: absent attributes and absent
@@ -2201,6 +2302,7 @@ impl<'a> Evaluator<'a> {
                 TypingMode::Permissive => Ok(Value::Missing),
                 TypingMode::StrictError => Err(EvalError::Arithmetic(m)),
             },
+            agg::AggError::Raised(e) => Err(e),
         }
     }
 
@@ -2406,9 +2508,9 @@ impl ScanSource {
 /// The fused scan spine as a stream (built only by
 /// [`Evaluator::fused_scan`]): each pull resumes at `idx` over the
 /// borrowed source elements, runs the root-specialized predicates and
-/// projection on each, and stops once `max` rows are out — so a LIMIT,
-/// EXISTS or IN above it stops the scan exactly like the adapter
-/// pipeline does.
+/// output programs on each, and stops once `max` rows are out — so a
+/// LIMIT, EXISTS or IN above it stops the scan exactly like the adapter
+/// pipeline does. A row that passes yields one item per output program.
 struct FusedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
     source: ScanSource,
@@ -2416,14 +2518,39 @@ struct FusedScan<'s, 'a> {
     idx: usize,
     as_var: &'a str,
     preds: Vec<Program<'a>>,
-    proj: Program<'a>,
+    outs: Vec<Program<'a>>,
+    /// The first output whose data errors are parked, not raised.
+    park_from: usize,
     env: Env,
 }
 
+/// An item of a [`FusedScan`]: what one output program's result becomes.
+trait FusedOut: Sized {
+    /// `r` as an item; `parks` asks to keep a data error as the item
+    /// rather than fail the scan, which only an item that can hold an
+    /// error does.
+    fn lift(r: Result<Value, EvalError>, parks: bool) -> Result<Self, EvalError>;
+}
+
+impl FusedOut for Value {
+    fn lift(r: Result<Value, EvalError>, _parks: bool) -> Result<Self, EvalError> {
+        r
+    }
+}
+
+impl FusedOut for Result<Value, EvalError> {
+    fn lift(r: Result<Value, EvalError>, parks: bool) -> Result<Self, EvalError> {
+        match r {
+            Err(e) if parks && e.is_data_error() => Ok(Err(e)),
+            r => r.map(Ok),
+        }
+    }
+}
+
 impl FusedScan<'_, '_> {
-    fn fill(
+    fn fill<T: FusedOut>(
         &mut self,
-        out: &mut Vec<Value>,
+        out: &mut Vec<T>,
         max: usize,
         stack: &mut Vec<Value>,
     ) -> Result<(), EvalError> {
@@ -2433,8 +2560,8 @@ impl FusedScan<'_, '_> {
             single => std::slice::from_ref(single),
         };
         let watcher = self.ev.govern.as_watcher();
-        let start = out.len();
-        'rows: while out.len() - start < max {
+        let mut rows = 0;
+        'rows: while rows < max {
             let Some(item) = items.get(self.idx) else {
                 break;
             };
@@ -2454,15 +2581,34 @@ impl FusedScan<'_, '_> {
                     continue 'rows;
                 }
             }
-            self.ev.exec_program(&self.proj, root, &self.env, stack)?;
-            out.push(stack.pop().expect("bytecode program left no result"));
+            let row_start = out.len();
+            for (i, p) in self.outs.iter().enumerate() {
+                let base = stack.len();
+                let r = match self.ev.exec_program(p, root, &self.env, stack) {
+                    Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
+                    Err(e) => {
+                        // A parked error must not leave the failed
+                        // program's operands behind for the next one.
+                        stack.truncate(base);
+                        Err(e)
+                    }
+                };
+                match T::lift(r, i >= self.park_from) {
+                    Ok(item) => out.push(item),
+                    Err(e) => {
+                        out.truncate(row_start);
+                        return Err(e);
+                    }
+                }
+            }
+            rows += 1;
         }
         Ok(())
     }
 }
 
-impl Stream<Value> for FusedScan<'_, '_> {
-    fn next_batch(&mut self, out: &mut Vec<Value>, max: usize) -> Result<(), EvalError> {
+impl<T: FusedOut> Stream<T> for FusedScan<'_, '_> {
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
         // One value stack per pull. Root-safe programs never re-enter the
         // VM (call instructions clear `root_safe`), and a consumer that
         // runs the VM between pulls takes its own from the `Cell` —
@@ -2610,36 +2756,198 @@ fn drain_batched<T>(
     Ok(())
 }
 
-/// GROUP BY's keyed table: insertion-ordered groups — a map for lookup,
-/// a `Vec` of `(key values, elements)` for order.
-#[derive(Default)]
-struct GroupTable {
-    index: HashMap<GroupKey, usize>,
-    groups: Vec<(Vec<Value>, Vec<Value>)>,
+/// One group: its key values and one state per fold.
+type GroupRow = (Vec<Value>, Vec<FoldState>);
+
+/// A group's running state for one [`GroupFold`]. An input row makes a
+/// singleton state per fold; [`GroupTable`] merges it into its group.
+enum FoldState {
+    /// The GROUP AS member bag, in input order.
+    Members(Vec<Value>),
+    /// A folded aggregate.
+    Agg(agg::Accumulator),
 }
 
-impl KeyedTable for GroupTable {
-    type Row = Value;
+/// Estimated bytes of one aggregate state's fixed part; the values it
+/// holds are sized on top.
+const ACCUMULATOR_BYTES: u64 = 32;
 
-    fn insert(&mut self, kv: Vec<Value>, elem: Value) {
-        match self.index.entry(GroupKey(kv.clone())) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                self.groups[*o.get()].1.push(elem);
+impl FoldState {
+    /// The state of a group with no rows.
+    fn empty(fold: &GroupFold) -> FoldState {
+        match fold {
+            GroupFold::Members { .. } => FoldState::Members(Vec::new()),
+            GroupFold::Agg { func, .. } => FoldState::Agg(agg::Accumulator::new(*func)),
+        }
+    }
+
+    /// The singleton state of an aggregate fold whose body evaluated to
+    /// `v` on one row; a data error waits in the state (see
+    /// [`agg::Accumulator::raise`]).
+    fn of(fold: &GroupFold, v: Result<Value, EvalError>) -> FoldState {
+        let mut state = FoldState::empty(fold);
+        if let FoldState::Agg(acc) = &mut state {
+            match v {
+                Ok(v) => acc.push(&v),
+                Err(e) => acc.raise(e),
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(self.groups.len());
-                self.groups.push((kv, vec![elem]));
+        }
+        state
+    }
+
+    /// The live rows the state holds (members; an aggregate holds none).
+    fn rows(&self) -> u64 {
+        match self {
+            FoldState::Members(elems) => elems.len() as u64,
+            FoldState::Agg(_) => 0,
+        }
+    }
+
+    /// Estimated bytes the state holds.
+    fn bytes(&self) -> u64 {
+        match self {
+            FoldState::Members(elems) => elems.iter().map(approx_value_bytes).sum(),
+            FoldState::Agg(acc) => {
+                ACCUMULATOR_BYTES + acc.held_values().map(approx_value_bytes).sum::<u64>()
             }
         }
     }
 
-    fn drain(self, sink: &mut KeyedSink<'_, Value>) -> Result<(), EvalError> {
-        for (kv, elems) in self.groups {
-            for elem in elems {
-                sink(&kv, elem)?;
+    /// Folds in `later`, the same fold's state over later rows.
+    fn merge(&mut self, later: FoldState) {
+        match (self, later) {
+            (FoldState::Members(elems), FoldState::Members(mut more)) => elems.append(&mut more),
+            (FoldState::Agg(acc), FoldState::Agg(more)) => acc.merge(more),
+            _ => unreachable!("states of one fold"),
+        }
+    }
+}
+
+/// A grouping key: the key values, MISSING surfacing as NULL — grouping
+/// treats the two absent values alike (PartiQL's `eqg`), which also
+/// realizes the §IV-B compatibility guarantee for GROUP BY queries.
+fn group_key(mut key_vals: Vec<Value>) -> Vec<Value> {
+    for v in &mut key_vals {
+        if v.is_missing() {
+            *v = Value::Null;
+        }
+    }
+    key_vals
+}
+
+/// Where a group binding parks the error of a fold variable whose
+/// aggregate failed (see [`Evaluator::unbound`]). No query can name it.
+fn parked_error_var(var: &str) -> String {
+    format!("{var}#error")
+}
+
+/// GROUP BY's keyed table: insertion-ordered groups — a map for lookup,
+/// a `Vec` of `(key values, fold states)` for order.
+#[derive(Default)]
+struct GroupTable {
+    index: HashMap<GroupKey, usize>,
+    groups: Vec<GroupRow>,
+}
+
+impl KeyedTable for GroupTable {
+    type Row = Vec<FoldState>;
+
+    fn insert(
+        &mut self,
+        kv: Vec<Value>,
+        states: Vec<FoldState>,
+        gauge: &MatGauge<'_>,
+    ) -> (u64, u64) {
+        match self.index.entry(GroupKey(kv)) {
+            std::collections::hash_map::Entry::Occupied(o) => {
+                let held = &mut self.groups[*o.get()].1;
+                let rows = states.iter().map(FoldState::rows).sum();
+                // Members grow by what they append; an aggregate state by
+                // what it holds after the merge beyond what it held before
+                // (a MIN/MAX keeping a bigger value). A state that shrinks
+                // is not refunded until the table is released, so the
+                // charge stays an upper bound.
+                let agg_bytes = |held: &[FoldState]| {
+                    held.iter()
+                        .filter(|s| matches!(s, FoldState::Agg(_)))
+                        .map(FoldState::bytes)
+                        .sum::<u64>()
+                };
+                let appended = gauge.size(|| {
+                    states
+                        .iter()
+                        .filter(|s| matches!(s, FoldState::Members(_)))
+                        .map(FoldState::bytes)
+                        .sum()
+                });
+                let before = gauge.size(|| agg_bytes(held));
+                for (held, state) in held.iter_mut().zip(states) {
+                    held.merge(state);
+                }
+                let grown = gauge.size(|| agg_bytes(held)).saturating_sub(before);
+                (rows, appended + grown)
+            }
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let kv = v.key().0.clone();
+                v.insert(self.groups.len());
+                let rows = states.iter().map(FoldState::rows).sum::<u64>().max(1);
+                let bytes = gauge
+                    .size(|| keys_bytes(&kv) + states.iter().map(FoldState::bytes).sum::<u64>());
+                self.groups.push((kv, states));
+                (rows, bytes)
             }
         }
+    }
+
+    fn drain(self, sink: &mut KeyedSink<'_, Vec<FoldState>>) -> Result<(), EvalError> {
+        for (kv, states) in self.groups {
+            sink(&kv, states)?;
+        }
         Ok(())
+    }
+}
+
+/// Spill codec for a group's fold states: an array with one value per
+/// fold — the member bag, or [`agg::Accumulator::to_value`].
+struct GroupCodec<'p> {
+    folds: &'p [(String, GroupFold)],
+}
+
+impl SpillCodec for GroupCodec<'_> {
+    type Row = Vec<FoldState>;
+    fn encode(&self, states: Vec<FoldState>) -> Value {
+        Value::Array(
+            states
+                .into_iter()
+                .map(|state| match state {
+                    FoldState::Members(elems) => Value::Bag(elems),
+                    FoldState::Agg(acc) => acc.to_value(),
+                })
+                .collect(),
+        )
+    }
+    fn decode(&self, v: Value) -> Result<Vec<FoldState>, EvalError> {
+        let corrupt = || EvalError::Resource("spill read failed: malformed group state".into());
+        let Value::Array(values) = v else {
+            return Err(corrupt());
+        };
+        if values.len() != self.folds.len() {
+            return Err(corrupt());
+        }
+        self.folds
+            .iter()
+            .zip(values)
+            .map(|((_, fold), v)| match (fold, v) {
+                (GroupFold::Members { .. }, Value::Bag(elems)) => Ok(FoldState::Members(elems)),
+                (GroupFold::Agg { func, .. }, v) => agg::Accumulator::from_value(*func, v)
+                    .map(FoldState::Agg)
+                    .ok_or_else(corrupt),
+                _ => Err(corrupt()),
+            })
+            .collect()
+    }
+    fn size(&self, states: &Vec<FoldState>) -> u64 {
+        states.iter().map(FoldState::bytes).sum()
     }
 }
 
@@ -2654,12 +2962,14 @@ struct JoinTable {
 impl KeyedTable for JoinTable {
     type Row = Env;
 
-    fn insert(&mut self, kv: Vec<Value>, row: Env) {
+    fn insert(&mut self, kv: Vec<Value>, row: Env, gauge: &MatGauge<'_>) -> (u64, u64) {
+        let bytes = gauge.size(|| keys_bytes(&kv) + env_bytes(&row));
         self.buckets
             .entry(joint_hash(&kv))
             .or_default()
             .push(self.rows.len());
         self.rows.push((row, kv));
+        (1, bytes)
     }
 
     fn drain(self, sink: &mut KeyedSink<'_, Env>) -> Result<(), EvalError> {

@@ -576,8 +576,11 @@ pub(crate) type KeyedSink<'x, R> = dyn FnMut(&[Value], R) -> Result<(), EvalErro
 pub(crate) trait KeyedTable: Default {
     /// The in-memory row type held per record.
     type Row;
-    /// Adds one admitted record.
-    fn insert(&mut self, kv: Vec<Value>, row: Self::Row);
+    /// Adds one record and reports what it newly holds live — `(rows,
+    /// bytes)`, the bytes sized through `gauge` (so an unmetered build
+    /// never sizes a row). `(0, 0)` means the record only folded into
+    /// state already held, and is not admitted at all.
+    fn insert(&mut self, kv: Vec<Value>, row: Self::Row, gauge: &MatGauge<'_>) -> (u64, u64);
     /// Hands every held record back, for the scatter on overflow.
     fn drain(self, sink: &mut KeyedSink<'_, Self::Row>) -> Result<(), EvalError>;
 }
@@ -606,12 +609,13 @@ fn run_source<'x, R>(
 /// The budgeted keyed build behind GROUP BY and the hash-join build — the
 /// only accumulate → refuse → scatter → recurse loop in the engine.
 ///
-/// Records pulled from `source` are admitted through one gauge and
-/// inserted into a `T`. If the source drains without a refusal the table
-/// (and the gauge holding it live) is returned to the caller. On a
-/// memory-budget refusal — with spilling enabled and `depth` within
-/// `max_recursion`; any other error, and the refusal itself otherwise,
-/// propagates — everything held *and the rest of the same source* is
+/// Records pulled from `source` are inserted into a `T`, and whatever
+/// each one newly holds is admitted through one gauge. If the source
+/// drains without a refusal the table (and the gauge holding it live) is
+/// returned to the caller. On a memory-budget refusal — with spilling
+/// enabled and `depth` within `max_recursion`; any other error, and the
+/// refusal itself otherwise, propagates — everything held (the refused
+/// record included) *and the rest of the same source* is
 /// scattered to a [`GracePartitioner`] seeded by `depth`, the `probe`
 /// source (a join's other side) is scattered under the same seed so both
 /// sides stay pairwise aligned, and each build run is rebuilt by this
@@ -634,15 +638,18 @@ where
 {
     let mut gauge = new_gauge();
     let mut table = T::default();
-    let (ctx, kv, row) = loop {
+    let ctx = loop {
         let Some((kv, row)) = source()? else {
             return Ok(Some((table, gauge)));
         };
-        let bytes = gauge.size(|| keys_bytes(&kv) + codec.size(&row));
-        match (gauge.add(1, bytes), spill) {
-            (Ok(()), _) => table.insert(kv, row),
+        let (rows, bytes) = table.insert(kv, row, &gauge);
+        if rows == 0 && bytes == 0 {
+            continue;
+        }
+        match (gauge.add(rows, bytes), spill) {
+            (Ok(()), _) => {}
             (Err(e), Some(ctx)) if is_memory_refusal(&e) && depth <= ctx.config.max_recursion => {
-                break (ctx, kv, row);
+                break ctx;
             }
             (Err(e), _) => return Err(e),
         }
@@ -651,7 +658,6 @@ where
     let mut builds = GracePartitioner::new(ctx, seed)?;
     table.drain(&mut |kv, row| builds.write(ctx, kv, codec.encode(row)))?;
     drop(gauge);
-    builds.write(ctx, &kv, codec.encode(row))?;
     while let Some((kv, row)) = source()? {
         builds.write(ctx, &kv, codec.encode(row))?;
     }

@@ -42,18 +42,17 @@ pub enum CoreOp {
     },
     /// GROUP BY … GROUP AS (§V-B): partitions the binding stream by key
     /// values and emits one binding per group with the key aliases plus
-    /// `group_var` holding the bag of captured binding-tuples.
+    /// one variable per fold. Lowering emits exactly one fold, the GROUP
+    /// AS bag ([`GroupFold::Members`]); the optimizer may replace it with
+    /// one [`GroupFold::Agg`] per SQL aggregate the block computes.
     Group {
         /// Upstream operator.
         input: Box<CoreOp>,
         /// `(alias, key expression)` pairs.
         keys: Vec<(String, CoreExpr)>,
-        /// The GROUP AS variable (synthesized when the query didn't name
-        /// one but aggregates need it).
-        group_var: String,
-        /// Which in-scope variables are captured into each group element
-        /// tuple (Listing 14's `{e: …, p: …}` shape).
-        captured: Vec<String>,
+        /// `(variable, fold)` pairs: what each group carries besides its
+        /// keys, each bound to its variable in the group's binding.
+        folds: Vec<(String, GroupFold)>,
         /// Emit one group even over empty input — SQL's behavior for
         /// ungrouped aggregation and for the grand-total grouping set.
         emit_empty_group: bool,
@@ -156,6 +155,40 @@ pub enum CoreOp {
         /// The main query.
         body: Box<CoreOp>,
     },
+}
+
+/// What a [`CoreOp::Group`] folds each group's input rows into.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GroupFold {
+    /// The GROUP AS bag: one tuple of the `captured` in-scope variables
+    /// per input row (Listing 14's `{e: …, p: …}` shape). The variable is
+    /// the GROUP AS name (synthesized when the query didn't name one but
+    /// aggregates need it).
+    Members {
+        /// Which in-scope variables are captured into each element tuple.
+        captured: Vec<String>,
+    },
+    /// A non-DISTINCT aggregate of `body`, evaluated per input row in the
+    /// row's own environment and folded into the group's running state —
+    /// the optimizer's rewrite of `COLL_<func>(SELECT VALUE body′ FROM g
+    /// AS $gi)` (and of `COLL_COUNT(g)`, whose body is a constant that is
+    /// never absent), so the member bag is never built.
+    Agg {
+        /// Which aggregate.
+        func: AggFunc,
+        /// The per-row argument.
+        body: CoreExpr,
+    },
+}
+
+impl GroupFold {
+    /// The `COUNT(*)` fold: a count of a constant that is never absent.
+    pub fn count_star() -> GroupFold {
+        GroupFold::Agg {
+            func: AggFunc::Count,
+            body: CoreExpr::bool(true),
+        }
+    }
 }
 
 /// Set operations.
@@ -336,15 +369,7 @@ impl WindowFunc {
             WindowFunc::DenseRank => "DENSE_RANK",
             WindowFunc::Lag => "LAG",
             WindowFunc::Lead => "LEAD",
-            WindowFunc::Agg(f) => match f {
-                AggFunc::Count => "COUNT",
-                AggFunc::Sum => "SUM",
-                AggFunc::Avg => "AVG",
-                AggFunc::Min => "MIN",
-                AggFunc::Max => "MAX",
-                AggFunc::Every => "EVERY",
-                AggFunc::Some => "SOME",
-            },
+            WindowFunc::Agg(f) => f.sql_name(),
         }
     }
 }
@@ -371,6 +396,19 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
+    /// The SQL spelling.
+    pub fn sql_name(self) -> &'static str {
+        match self {
+            AggFunc::Count => "COUNT",
+            AggFunc::Sum => "SUM",
+            AggFunc::Avg => "AVG",
+            AggFunc::Min => "MIN",
+            AggFunc::Max => "MAX",
+            AggFunc::Every => "EVERY",
+            AggFunc::Some => "SOME",
+        }
+    }
+
     /// The composable (COLL_) spelling.
     pub fn coll_name(self) -> &'static str {
         match self {
@@ -604,9 +642,16 @@ fn collect_ops<'p>(op: &'p CoreOp, out: &mut Vec<&'p CoreOp>) {
             collect_expr_plans(pred, out);
             collect_ops(input, out);
         }
-        CoreOp::Group { input, keys, .. } => {
+        CoreOp::Group {
+            input, keys, folds, ..
+        } => {
             for (_, k) in keys {
                 collect_expr_plans(k, out);
+            }
+            for (_, fold) in folds {
+                if let GroupFold::Agg { body, .. } = fold {
+                    collect_expr_plans(body, out);
+                }
             }
             collect_ops(input, out);
         }
@@ -843,11 +888,7 @@ fn explain_op(
             }
         }
         CoreOp::Group {
-            input,
-            keys,
-            group_var,
-            captured,
-            ..
+            input, keys, folds, ..
         } => {
             out.push_str("group by ");
             for (i, (alias, expr)) in keys.iter().enumerate() {
@@ -859,10 +900,25 @@ fn explain_op(
             if keys.is_empty() {
                 out.push_str("<all>");
             }
-            out.push_str(&format!(
-                " group as {group_var} capturing [{}]\n",
-                captured.join(", ")
-            ));
+            let mut aggs = Vec::new();
+            for (var, fold) in folds {
+                match fold {
+                    GroupFold::Members { captured } => out.push_str(&format!(
+                        " group as {var} capturing [{}]",
+                        captured.join(", ")
+                    )),
+                    GroupFold::Agg { func, body } => aggs.push(match (func, body) {
+                        (AggFunc::Count, CoreExpr::Const(v)) if !v.is_absent() => {
+                            format!("{var} = COUNT(*)")
+                        }
+                        _ => format!("{var} = {}({body})", func.sql_name()),
+                    }),
+                }
+            }
+            if !aggs.is_empty() || folds.is_empty() {
+                out.push_str(&format!(" folding [{}]", aggs.join(", ")));
+            }
+            out.push('\n');
             explain_op(input, indent + 1, out, annotate);
         }
         CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {

@@ -24,7 +24,7 @@ use sqlpp_value::Value;
 
 use crate::core::{
     AggFunc, Coercion, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, CoreSetOp, CoreSortKey,
-    WindowDef, WindowFunc,
+    GroupFold, WindowDef, WindowFunc,
 };
 use crate::error::PlanError;
 use crate::scope::{Disambiguation, Scope};
@@ -540,8 +540,12 @@ impl Planner<'_> {
             CoreOp::Group {
                 input: Box::new(input.clone()),
                 keys,
-                group_var: group_var.clone(),
-                captured: captured.clone(),
+                folds: vec![(
+                    group_var.clone(),
+                    GroupFold::Members {
+                        captured: captured.clone(),
+                    },
+                )],
                 // SQL emits the grand-total row even over empty input.
                 emit_empty_group: n == 0 || include.iter().all(|b| !b),
             }

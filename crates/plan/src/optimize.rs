@@ -3,22 +3,34 @@
 //! The paper licenses engines to optimize behind the conceptual semantics
 //! ("under the hood a SQL++ engine is free to optimize", §V-C). These
 //! passes are deliberately conservative: they never change results, only
-//! shapes. The biggest such license — `COLL_*` never materializing its
-//! input bag — needs no rewrite: the evaluator always aggregates a
-//! subquery's element stream. The passes here handle the classical
-//! trivia.
+//! shapes. The biggest such license — "pipelineable aggregation
+//! operations" — is the eager-aggregation pass: SQL aggregates fold into
+//! their GROUP BY as one running state per aggregate per group, instead
+//! of materializing every group's member bag and re-scanning it per
+//! aggregate ([`GroupFold`]). The other passes handle the classical
+//! trivia: constant folding, ORDER BY + LIMIT fusion, hash equi-joins.
 
 use std::collections::HashSet;
 
 use sqlpp_syntax::ast::BinOp;
 use sqlpp_value::Value;
 
-use crate::core::{CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery};
+use crate::core::{
+    AggFunc, Coercion, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, GroupFold,
+};
 
-/// Applies all passes until a fixpoint (bounded). Fixpoint detection is
-/// structural (`PartialEq` on the plan tree), not textual.
+/// Applies all passes: the rewriting passes until a fixpoint (bounded),
+/// then aggregate folding once over the whole tree, so its fold
+/// variables are numbered uniquely per plan.
 pub fn optimize(q: CoreQuery) -> CoreQuery {
-    let mut op = q.op;
+    let mut op = simplify(q.op);
+    fold_aggregates(&mut op, &mut 0);
+    CoreQuery { op }
+}
+
+/// The rewriting passes until a fixpoint (bounded). Fixpoint detection
+/// is structural (`PartialEq` on the plan tree), not textual.
+fn simplify(mut op: CoreOp) -> CoreOp {
     for _ in 0..4 {
         let before = op.clone();
         op = extract_joins_op(fold_op(op));
@@ -26,7 +38,7 @@ pub fn optimize(q: CoreQuery) -> CoreQuery {
             break;
         }
     }
-    CoreQuery { op }
+    op
 }
 
 fn fold_op(op: CoreOp) -> CoreOp {
@@ -65,14 +77,12 @@ fn fold_op(op: CoreOp) -> CoreOp {
         CoreOp::Group {
             input,
             keys,
-            group_var,
-            captured,
+            folds,
             emit_empty_group,
         } => CoreOp::Group {
             input: Box::new(fold_op(*input)),
             keys: keys.into_iter().map(|(a, e)| (a, fold_expr(e))).collect(),
-            group_var,
-            captured,
+            folds: map_fold_bodies(folds, fold_expr),
             emit_empty_group,
         },
         CoreOp::Append { inputs } => CoreOp::Append {
@@ -134,12 +144,32 @@ fn fold_op(op: CoreOp) -> CoreOp {
         CoreOp::With { bindings, body } => CoreOp::With {
             bindings: bindings
                 .into_iter()
-                .map(|(n, q)| (n, optimize(q)))
+                .map(|(n, q)| (n, CoreQuery { op: simplify(q.op) }))
                 .collect(),
             body: Box::new(fold_op(*body)),
         },
         other @ (CoreOp::Single | CoreOp::From { .. }) => other,
     }
+}
+
+/// Applies `f` to every [`GroupFold::Agg`] body.
+fn map_fold_bodies(
+    folds: Vec<(String, GroupFold)>,
+    f: impl Fn(CoreExpr) -> CoreExpr,
+) -> Vec<(String, GroupFold)> {
+    folds
+        .into_iter()
+        .map(|(var, fold)| {
+            let fold = match fold {
+                GroupFold::Agg { func, body } => GroupFold::Agg {
+                    func,
+                    body: f(body),
+                },
+                members => members,
+            };
+            (var, fold)
+        })
+        .collect()
 }
 
 /// ORDER BY + LIMIT fusion. A LIMIT directly over a sort only ever
@@ -367,211 +397,37 @@ fn extract_joins_op(op: CoreOp) -> CoreOp {
             debug_assert!(leftover.is_empty());
             CoreOp::From { item }
         }
-        CoreOp::Single => CoreOp::Single,
-        CoreOp::Project {
-            input,
-            expr,
-            distinct,
-        } => CoreOp::Project {
-            input: Box::new(extract_joins_op(*input)),
-            expr: extract_joins_expr(expr),
-            distinct,
-        },
-        CoreOp::Group {
-            input,
-            keys,
-            group_var,
-            captured,
-            emit_empty_group,
-        } => CoreOp::Group {
-            input: Box::new(extract_joins_op(*input)),
-            keys: keys
-                .into_iter()
-                .map(|(a, e)| (a, extract_joins_expr(e)))
-                .collect(),
-            group_var,
-            captured,
-            emit_empty_group,
-        },
-        CoreOp::Append { inputs } => CoreOp::Append {
-            inputs: inputs.into_iter().map(extract_joins_op).collect(),
-        },
-        CoreOp::Sort { input, keys } => CoreOp::Sort {
-            input: Box::new(extract_joins_op(*input)),
-            keys: keys.into_iter().map(extract_joins_sort_key).collect(),
-        },
-        CoreOp::SortValues { input, keys } => CoreOp::SortValues {
-            input: Box::new(extract_joins_op(*input)),
-            keys: keys.into_iter().map(extract_joins_sort_key).collect(),
-        },
-        CoreOp::LimitOffset {
-            input,
-            limit,
-            offset,
-        } => CoreOp::LimitOffset {
-            input: Box::new(extract_joins_op(*input)),
-            limit: limit.map(extract_joins_expr),
-            offset: offset.map(extract_joins_expr),
-        },
-        CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            on_values,
-        } => CoreOp::TopK {
-            input: Box::new(extract_joins_op(*input)),
-            keys: keys.into_iter().map(extract_joins_sort_key).collect(),
-            limit: extract_joins_expr(limit),
-            offset: offset.map(extract_joins_expr),
-            on_values,
-        },
-        CoreOp::Pivot { input, value, name } => CoreOp::Pivot {
-            input: Box::new(extract_joins_op(*input)),
-            value: extract_joins_expr(value),
-            name: extract_joins_expr(name),
-        },
-        CoreOp::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => CoreOp::SetOp {
-            op,
-            all,
-            left: Box::new(extract_joins_op(*left)),
-            right: Box::new(extract_joins_op(*right)),
-        },
-        CoreOp::Window { input, defs } => CoreOp::Window {
-            input: Box::new(extract_joins_op(*input)),
-            defs: defs
-                .into_iter()
-                .map(|mut d| {
-                    d.args = d.args.into_iter().map(extract_joins_expr).collect();
-                    d.partition = d.partition.into_iter().map(extract_joins_expr).collect();
-                    d.order = d.order.into_iter().map(extract_joins_sort_key).collect();
-                    d
-                })
-                .collect(),
-        },
+        // WITH bindings were optimized on their own (`simplify`).
         CoreOp::With { bindings, body } => CoreOp::With {
             bindings,
             body: Box::new(extract_joins_op(*body)),
         },
+        mut other => {
+            for (e, _) in op_exprs_mut(&mut other) {
+                extract_joins_in(e);
+            }
+            for child in op_children_mut(&mut other) {
+                *child = extract_joins_op(std::mem::replace(child, CoreOp::Single));
+            }
+            other
+        }
     }
 }
 
-fn extract_joins_sort_key(mut k: crate::core::CoreSortKey) -> crate::core::CoreSortKey {
-    k.expr = extract_joins_expr(k.expr);
-    k
+/// Recurses the join-extraction pass into nested plans (subqueries,
+/// EXISTS) so equi-joins inside them are hashed too.
+fn extract_joins_expr(mut e: CoreExpr) -> CoreExpr {
+    extract_joins_in(&mut e);
+    e
 }
 
-/// Recurses the join-extraction pass into nested plans (subqueries,
-/// EXISTS) so equi-joins inside them are hashed too; all other expression
-/// forms are mapped structurally.
-fn extract_joins_expr(e: CoreExpr) -> CoreExpr {
-    match e {
-        CoreExpr::Subquery { plan, coercion } => CoreExpr::Subquery {
-            plan: Box::new(CoreQuery {
-                op: extract_joins_op(plan.op),
-            }),
-            coercion,
-        },
-        CoreExpr::Exists(q) => CoreExpr::Exists(Box::new(CoreQuery {
-            op: extract_joins_op(q.op),
-        })),
-        CoreExpr::Path(base, attr) => CoreExpr::Path(Box::new(extract_joins_expr(*base)), attr),
-        CoreExpr::Index(base, idx) => CoreExpr::Index(
-            Box::new(extract_joins_expr(*base)),
-            Box::new(extract_joins_expr(*idx)),
-        ),
-        CoreExpr::Bin(op, l, r) => CoreExpr::Bin(
-            op,
-            Box::new(extract_joins_expr(*l)),
-            Box::new(extract_joins_expr(*r)),
-        ),
-        CoreExpr::Un(op, inner) => CoreExpr::Un(op, Box::new(extract_joins_expr(*inner))),
-        CoreExpr::Like {
-            expr,
-            pattern,
-            escape,
-            negated,
-        } => CoreExpr::Like {
-            expr: Box::new(extract_joins_expr(*expr)),
-            pattern: Box::new(extract_joins_expr(*pattern)),
-            escape: escape.map(|e| Box::new(extract_joins_expr(*e))),
-            negated,
-        },
-        CoreExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => CoreExpr::Between {
-            expr: Box::new(extract_joins_expr(*expr)),
-            low: Box::new(extract_joins_expr(*low)),
-            high: Box::new(extract_joins_expr(*high)),
-            negated,
-        },
-        CoreExpr::In {
-            expr,
-            collection,
-            negated,
-        } => CoreExpr::In {
-            expr: Box::new(extract_joins_expr(*expr)),
-            collection: Box::new(extract_joins_expr(*collection)),
-            negated,
-        },
-        CoreExpr::Is {
-            expr,
-            test,
-            negated,
-        } => CoreExpr::Is {
-            expr: Box::new(extract_joins_expr(*expr)),
-            test,
-            negated,
-        },
-        CoreExpr::Case { arms, else_expr } => CoreExpr::Case {
-            arms: arms
-                .into_iter()
-                .map(|(w, t)| (extract_joins_expr(w), extract_joins_expr(t)))
-                .collect(),
-            else_expr: Box::new(extract_joins_expr(*else_expr)),
-        },
-        CoreExpr::Call { name, args } => CoreExpr::Call {
-            name,
-            args: args.into_iter().map(extract_joins_expr).collect(),
-        },
-        CoreExpr::CollAgg {
-            func,
-            distinct,
-            input,
-        } => CoreExpr::CollAgg {
-            func,
-            distinct,
-            input: Box::new(extract_joins_expr(*input)),
-        },
-        CoreExpr::TupleCtor(pairs) => CoreExpr::TupleCtor(
-            pairs
-                .into_iter()
-                .map(|(n, v)| (extract_joins_expr(n), extract_joins_expr(v)))
-                .collect(),
-        ),
-        CoreExpr::ArrayCtor(items) => {
-            CoreExpr::ArrayCtor(items.into_iter().map(extract_joins_expr).collect())
-        }
-        CoreExpr::BagCtor(items) => {
-            CoreExpr::BagCtor(items.into_iter().map(extract_joins_expr).collect())
-        }
-        CoreExpr::Cast { expr, ty } => CoreExpr::Cast {
-            expr: Box::new(extract_joins_expr(*expr)),
-            ty,
-        },
-        leaf @ (CoreExpr::Const(_)
-        | CoreExpr::Var(_)
-        | CoreExpr::Param(_)
-        | CoreExpr::Global(_)
-        | CoreExpr::Dynamic(_)) => leaf,
+fn extract_joins_in(e: &mut CoreExpr) {
+    let (exprs, plans) = expr_children_mut(e);
+    for e in exprs {
+        extract_joins_in(e);
+    }
+    for op in plans {
+        *op = extract_joins_op(std::mem::replace(op, CoreOp::Single));
     }
 }
 
@@ -971,8 +827,15 @@ fn op_refs(op: &CoreOp, out: &mut HashSet<String>) -> bool {
         CoreOp::Single => true,
         CoreOp::From { item } => from_refs(item, out),
         CoreOp::Filter { input, pred } => op_refs(input, out) && expr_refs(pred, out),
-        CoreOp::Group { input, keys, .. } => {
-            op_refs(input, out) && keys.iter().all(|(_, e)| expr_refs(e, out))
+        CoreOp::Group {
+            input, keys, folds, ..
+        } => {
+            op_refs(input, out)
+                && keys.iter().all(|(_, e)| expr_refs(e, out))
+                && folds.iter().all(|(_, f)| match f {
+                    GroupFold::Agg { body, .. } => expr_refs(body, out),
+                    GroupFold::Members { .. } => true,
+                })
         }
         CoreOp::Append { inputs } => inputs.iter().all(|i| op_refs(i, out)),
         CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {
@@ -1016,6 +879,506 @@ fn op_refs(op: &CoreOp, out: &mut HashSet<String>) -> bool {
             bindings.iter().all(|(_, q)| op_refs(&q.op, out)) && op_refs(body, out)
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Eager aggregation
+// ---------------------------------------------------------------------
+//
+// Lowering defines SQL aggregates over the group bag (§V-C): `COUNT(*)`
+// ⇒ `COLL_COUNT(g)`, `AGG(x)` ⇒ `COLL_AGG(SELECT VALUE x′ FROM g AS $gi)`.
+// Run literally, every group materializes a tuple per member and each
+// aggregate re-scans it as a subquery. When every use of `g` in its block
+// is one of those two forms, this pass folds the aggregates into the
+// Group itself: it drops the `Members` fold, adds one `Agg` fold per
+// distinct aggregate, and rewrites each use to that fold's variable.
+//
+// Soundness: a non-DISTINCT `COLL_*` over a member stream is a left fold
+// of `agg::Accumulator` in member order, and member order is input order
+// — so folding each row as it arrives computes the same value. The body
+// moves from the group's environment (`$gi` bound to a member tuple) to
+// the row's: `$gi.v` becomes `v`, which is why the body may name `$gi`
+// only as `$gi.<captured variable>` and may name no variable the row's
+// environment would shadow or the group's alone binds. Bodies that
+// resolve names at runtime (`Dynamic`, and `Global`, which falls back to
+// the one visible tuple holding the name — a different tuple in the row's
+// environment than in the group's) or run subqueries stay where they
+// are, as does any block with another use of `g` — an explicit GROUP AS
+// that is read, DISTINCT aggregates — and GROUPING SETS (an Append of
+// Groups), whose blocks this pass does not inspect.
+
+/// Folds every foldable block in `op`, numbering fold variables from
+/// `next` (`$agg0`, `$agg1`, …, unique across the plan).
+fn fold_aggregates(op: &mut CoreOp, next: &mut usize) {
+    let Some(depth) = group_depth(op) else {
+        for (e, _) in op_exprs_mut(op) {
+            fold_aggregates_in(e, next);
+        }
+        for child in op_children_mut(op) {
+            fold_aggregates(child, next);
+        }
+        return;
+    };
+    fold_block(op, depth, next);
+    // The block's operators are done; only their nested plans and the
+    // group's input remain.
+    let mut cur = op;
+    for _ in 0..depth {
+        for (e, _) in op_exprs_mut(cur) {
+            fold_aggregates_in(e, next);
+        }
+        cur = unary_input_mut(cur).expect("depth counts block operators");
+    }
+    // The group: its keys and bodies, then its input.
+    fold_aggregates(cur, next);
+}
+
+fn fold_aggregates_in(e: &mut CoreExpr, next: &mut usize) {
+    let (exprs, plans) = expr_children_mut(e);
+    for e in exprs {
+        fold_aggregates_in(e, next);
+    }
+    for op in plans {
+        fold_aggregates(op, next);
+    }
+}
+
+/// When `op` is a block's projection (`Project`/`Pivot`) over a chain of
+/// post-group operators ending in a `Group`, the chain's length.
+fn group_depth(op: &CoreOp) -> Option<usize> {
+    if !matches!(op, CoreOp::Project { .. } | CoreOp::Pivot { .. }) {
+        return None;
+    }
+    let mut depth = 0;
+    let mut cur = op;
+    loop {
+        cur = match cur {
+            CoreOp::Group { .. } => return Some(depth),
+            CoreOp::Project { input, .. }
+            | CoreOp::Pivot { input, .. }
+            | CoreOp::Filter { input, .. }
+            | CoreOp::Sort { input, .. }
+            | CoreOp::TopK {
+                input,
+                on_values: false,
+                ..
+            }
+            | CoreOp::LimitOffset { input, .. }
+            | CoreOp::Window { input, .. } => input,
+            _ => return None,
+        };
+        depth += 1;
+    }
+}
+
+/// What a block's uses of its group variable may be rewritten against.
+struct FoldScope {
+    /// The group variable.
+    group_var: String,
+    /// The variables captured into each member tuple.
+    captured: Vec<String>,
+    /// Names a moved body must not mention: the group's own variables
+    /// (keys and `group_var`) and every variable of its input rows.
+    forbidden: HashSet<String>,
+    /// The folds found so far, with their variables.
+    folds: Vec<(String, GroupFold)>,
+}
+
+/// Tries to fold the block whose projection is `top` and whose group
+/// sits `depth` operators down; leaves it untouched when any use of the
+/// group variable is not a foldable aggregate.
+fn fold_block(top: &mut CoreOp, depth: usize, next: &mut usize) {
+    let mut group = &*top;
+    for _ in 0..depth {
+        group = unary_input(group).expect("depth counts block operators");
+    }
+    let CoreOp::Group {
+        input, keys, folds, ..
+    } = group
+    else {
+        unreachable!("group_depth ends at a Group")
+    };
+    let [(group_var, GroupFold::Members { captured })] = folds.as_slice() else {
+        return;
+    };
+    let row_vars = stream_vars(input);
+    if !captured.iter().all(|v| row_vars.contains(v)) {
+        return;
+    }
+    let mut scope = FoldScope {
+        group_var: group_var.clone(),
+        captured: captured.clone(),
+        forbidden: row_vars
+            .into_iter()
+            .chain(keys.iter().map(|(alias, _)| alias.clone()))
+            .chain([group_var.clone()])
+            .collect(),
+        folds: Vec::new(),
+    };
+    let first = *next;
+    let mut trial = top.clone();
+    let mut cur = &mut trial;
+    for _ in 0..depth {
+        for (e, over_input) in op_exprs_mut(cur) {
+            if over_input && !rewrite_uses(e, &mut scope, next) {
+                *next = first;
+                return;
+            }
+        }
+        cur = unary_input_mut(cur).expect("depth counts block operators");
+    }
+    let CoreOp::Group { folds, .. } = cur else {
+        unreachable!("group_depth ends at a Group")
+    };
+    *folds = scope.folds;
+    *top = trial;
+}
+
+/// Rewrites the uses of the group variable in `e` to fold variables;
+/// `false` when some use is not foldable.
+fn rewrite_uses(e: &mut CoreExpr, scope: &mut FoldScope, next: &mut usize) -> bool {
+    let fold = match e {
+        CoreExpr::CollAgg {
+            func: AggFunc::Count,
+            distinct: false,
+            input,
+        } if matches!(&**input, CoreExpr::Var(v) if *v == scope.group_var) => {
+            Some(GroupFold::count_star())
+        }
+        CoreExpr::CollAgg {
+            func,
+            distinct: false,
+            input,
+        } => member_scan_body(input, scope).map(|body| GroupFold::Agg { func: *func, body }),
+        _ => None,
+    };
+    if let Some(fold) = fold {
+        let var = match scope.folds.iter().find(|(_, f)| *f == fold) {
+            Some((var, _)) => var.clone(),
+            None => {
+                let var = format!("$agg{next}");
+                *next += 1;
+                scope.folds.push((var.clone(), fold));
+                var
+            }
+        };
+        *e = CoreExpr::Var(var);
+        return true;
+    }
+    match e {
+        CoreExpr::Var(v) if *v == scope.group_var => false,
+        // Runtime name resolution consults the whole environment, which
+        // folding changes.
+        CoreExpr::Dynamic(_) => false,
+        CoreExpr::Subquery { plan, .. } => rewrite_uses_in_plan(&mut plan.op, scope, next),
+        CoreExpr::Exists(q) => rewrite_uses_in_plan(&mut q.op, scope, next),
+        _ => {
+            let (exprs, _) = expr_children_mut(e);
+            exprs.into_iter().all(|e| rewrite_uses(e, scope, next))
+        }
+    }
+}
+
+/// [`rewrite_uses`] inside a nested plan, leaving alone expressions where
+/// the plan rebinds the group variable (an inner GROUP BY's own group).
+fn rewrite_uses_in_plan(op: &mut CoreOp, scope: &mut FoldScope, next: &mut usize) -> bool {
+    if let CoreOp::From { item } = op {
+        if introduced_vars(item).contains(&scope.group_var) {
+            // Where inside the FROM tree the name is rebound is not worth
+            // tracking: refuse if it is mentioned there at all.
+            let mut refs = HashSet::new();
+            return from_refs(item, &mut refs) && !refs.contains(&scope.group_var);
+        }
+    }
+    let shadowed = unary_input(op).is_some_and(|i| stream_vars(i).contains(&scope.group_var));
+    for (e, over_input) in op_exprs_mut(op) {
+        if (!over_input || !shadowed) && !rewrite_uses(e, scope, next) {
+            return false;
+        }
+    }
+    op_children_mut(op)
+        .into_iter()
+        .all(|child| rewrite_uses_in_plan(child, scope, next))
+}
+
+/// The body of `SELECT VALUE body FROM g AS $gi` (the lowering of a SQL
+/// aggregate's argument), rebased onto the input row's environment — or
+/// `None` when `input` is not that shape or the body cannot move.
+fn member_scan_body(input: &CoreExpr, scope: &FoldScope) -> Option<CoreExpr> {
+    let CoreExpr::Subquery {
+        plan,
+        coercion: Coercion::Bag,
+    } = input
+    else {
+        return None;
+    };
+    let CoreOp::Project {
+        input: from,
+        expr: body,
+        distinct: false,
+    } = &plan.op
+    else {
+        return None;
+    };
+    let CoreOp::From {
+        item:
+            CoreFrom::Scan {
+                expr: CoreExpr::Var(source),
+                as_var: item,
+                at_var: None,
+            },
+    } = &**from
+    else {
+        return None;
+    };
+    if *source != scope.group_var {
+        return None;
+    }
+    let mut body = body.clone();
+    rebase_member_refs(&mut body, item, scope).then_some(body)
+}
+
+/// Rewrites `item.v` (a captured variable of the member tuple `item`) to
+/// `v`; `false` when the body reads `item` any other way, mentions a
+/// name it cannot carry into the row's environment, or holds a nested
+/// plan or runtime name resolution.
+fn rebase_member_refs(e: &mut CoreExpr, item: &str, scope: &FoldScope) -> bool {
+    if let CoreExpr::Path(base, attr) = e {
+        if matches!(&**base, CoreExpr::Var(v) if v == item) {
+            if !scope.captured.contains(attr) {
+                return false;
+            }
+            *e = CoreExpr::Var(attr.clone());
+            return true;
+        }
+    }
+    match e {
+        CoreExpr::Var(v) => v != item && !scope.forbidden.contains(v),
+        CoreExpr::Global(_)
+        | CoreExpr::Dynamic(_)
+        | CoreExpr::Subquery { .. }
+        | CoreExpr::Exists(_) => false,
+        _ => {
+            let (exprs, _) = expr_children_mut(e);
+            exprs
+                .into_iter()
+                .all(|e| rebase_member_refs(e, item, scope))
+        }
+    }
+}
+
+/// The variables a binding-producing operator adds to its enclosing
+/// scope (empty for value-producing operators).
+fn stream_vars(op: &CoreOp) -> Vec<String> {
+    match op {
+        CoreOp::From { item } => introduced_vars(item),
+        CoreOp::Filter { input, .. }
+        | CoreOp::Sort { input, .. }
+        | CoreOp::TopK { input, .. }
+        | CoreOp::LimitOffset { input, .. } => stream_vars(input),
+        CoreOp::Window { input, defs } => {
+            let mut vars = stream_vars(input);
+            vars.extend(defs.iter().map(|d| d.var.clone()));
+            vars
+        }
+        CoreOp::Group { keys, folds, .. } => keys
+            .iter()
+            .map(|(alias, _)| alias.clone())
+            .chain(folds.iter().map(|(var, _)| var.clone()))
+            .collect(),
+        CoreOp::Append { inputs } => inputs.iter().flat_map(stream_vars).collect(),
+        CoreOp::With { body, .. } => stream_vars(body),
+        CoreOp::Single
+        | CoreOp::Project { .. }
+        | CoreOp::Pivot { .. }
+        | CoreOp::SortValues { .. }
+        | CoreOp::SetOp { .. } => Vec::new(),
+    }
+}
+
+/// The single input of a unary operator.
+fn unary_input(op: &CoreOp) -> Option<&CoreOp> {
+    match op {
+        CoreOp::Filter { input, .. }
+        | CoreOp::Group { input, .. }
+        | CoreOp::Sort { input, .. }
+        | CoreOp::SortValues { input, .. }
+        | CoreOp::LimitOffset { input, .. }
+        | CoreOp::TopK { input, .. }
+        | CoreOp::Project { input, .. }
+        | CoreOp::Pivot { input, .. }
+        | CoreOp::Window { input, .. } => Some(input),
+        _ => None,
+    }
+}
+
+fn unary_input_mut(op: &mut CoreOp) -> Option<&mut CoreOp> {
+    match op {
+        CoreOp::Filter { input, .. }
+        | CoreOp::Group { input, .. }
+        | CoreOp::Sort { input, .. }
+        | CoreOp::SortValues { input, .. }
+        | CoreOp::LimitOffset { input, .. }
+        | CoreOp::TopK { input, .. }
+        | CoreOp::Project { input, .. }
+        | CoreOp::Pivot { input, .. }
+        | CoreOp::Window { input, .. } => Some(input),
+        _ => None,
+    }
+}
+
+/// Every operator child of `op` (nested plans inside its expressions
+/// are reached through [`expr_children_mut`]).
+fn op_children_mut(op: &mut CoreOp) -> Vec<&mut CoreOp> {
+    match op {
+        CoreOp::Append { inputs } => inputs.iter_mut().collect(),
+        CoreOp::SetOp { left, right, .. } => vec![left, right],
+        CoreOp::With { bindings, body } => bindings
+            .iter_mut()
+            .map(|(_, q)| &mut q.op)
+            .chain([&mut **body])
+            .collect(),
+        other => unary_input_mut(other).into_iter().collect(),
+    }
+}
+
+/// Every expression `op` itself holds, each tagged with whether it is
+/// evaluated over the operator's input bindings (rather than in the
+/// enclosing scope, as FROM sources, LIMIT/OFFSET operands and
+/// value-level sort keys are).
+fn op_exprs_mut(op: &mut CoreOp) -> Vec<(&mut CoreExpr, bool)> {
+    let mut out: Vec<(&mut CoreExpr, bool)> = Vec::new();
+    match op {
+        CoreOp::Single | CoreOp::Append { .. } | CoreOp::SetOp { .. } | CoreOp::With { .. } => {}
+        CoreOp::From { item } => {
+            let mut exprs = Vec::new();
+            from_exprs_mut(item, &mut exprs);
+            out.extend(exprs.into_iter().map(|e| (e, false)));
+        }
+        CoreOp::Filter { pred, .. } => out.push((pred, true)),
+        CoreOp::Group { keys, folds, .. } => {
+            out.extend(keys.iter_mut().map(|(_, e)| (e, true)));
+            for (_, fold) in folds {
+                if let GroupFold::Agg { body, .. } = fold {
+                    out.push((body, true));
+                }
+            }
+        }
+        CoreOp::Sort { keys, .. } => out.extend(keys.iter_mut().map(|k| (&mut k.expr, true))),
+        CoreOp::SortValues { keys, .. } => {
+            out.extend(keys.iter_mut().map(|k| (&mut k.expr, false)))
+        }
+        CoreOp::LimitOffset { limit, offset, .. } => out.extend(
+            limit
+                .iter_mut()
+                .chain(offset.iter_mut())
+                .map(|e| (e, false)),
+        ),
+        CoreOp::TopK {
+            keys,
+            limit,
+            offset,
+            on_values,
+            ..
+        } => {
+            let over_input = !*on_values;
+            out.extend(keys.iter_mut().map(|k| (&mut k.expr, over_input)));
+            out.push((limit, false));
+            out.extend(offset.iter_mut().map(|e| (e, false)));
+        }
+        CoreOp::Project { expr, .. } => out.push((expr, true)),
+        CoreOp::Pivot { value, name, .. } => {
+            out.push((value, true));
+            out.push((name, true));
+        }
+        CoreOp::Window { defs, .. } => {
+            for d in defs {
+                out.extend(d.args.iter_mut().map(|e| (e, true)));
+                out.extend(d.partition.iter_mut().map(|e| (e, true)));
+                out.extend(d.order.iter_mut().map(|k| (&mut k.expr, true)));
+            }
+        }
+    }
+    out
+}
+
+fn from_exprs_mut<'o>(item: &'o mut CoreFrom, out: &mut Vec<&'o mut CoreExpr>) {
+    match item {
+        CoreFrom::Scan { expr, .. }
+        | CoreFrom::Unpivot { expr, .. }
+        | CoreFrom::Let { expr, .. } => out.push(expr),
+        CoreFrom::Correlate { left, right } => {
+            from_exprs_mut(left, out);
+            from_exprs_mut(right, out);
+        }
+        CoreFrom::Join {
+            left, right, on, ..
+        } => {
+            from_exprs_mut(left, out);
+            from_exprs_mut(right, out);
+            out.push(on);
+        }
+        CoreFrom::HashJoin {
+            left,
+            right,
+            keys,
+            left_pred,
+            right_pred,
+            residual,
+            ..
+        } => {
+            from_exprs_mut(left, out);
+            from_exprs_mut(right, out);
+            for (l, r) in keys {
+                out.push(l);
+                out.push(r);
+            }
+            out.extend(
+                [left_pred, right_pred, residual]
+                    .into_iter()
+                    .filter_map(Option::as_mut),
+            );
+        }
+    }
+}
+
+/// The direct sub-expressions of `e`, and the roots of the plans nested
+/// in it.
+fn expr_children_mut(e: &mut CoreExpr) -> (Vec<&mut CoreExpr>, Vec<&mut CoreOp>) {
+    use CoreExpr::*;
+    let exprs: Vec<&mut CoreExpr> = match e {
+        Const(_) | Var(_) | Param(_) | Global(_) | Dynamic(_) => Vec::new(),
+        Subquery { plan, .. } => return (Vec::new(), vec![&mut plan.op]),
+        Exists(q) => return (Vec::new(), vec![&mut q.op]),
+        Path(base, _) | Un(_, base) => vec![base],
+        Is { expr, .. } | Cast { expr, .. } => vec![expr],
+        CollAgg { input, .. } => vec![input],
+        Index(a, b) | Bin(_, a, b) => vec![a, b],
+        Like {
+            expr,
+            pattern,
+            escape,
+            ..
+        } => {
+            let mut v: Vec<&mut CoreExpr> = vec![expr, pattern];
+            v.extend(escape.iter_mut().map(|e| &mut **e));
+            v
+        }
+        Between {
+            expr, low, high, ..
+        } => vec![expr, low, high],
+        In {
+            expr, collection, ..
+        } => vec![expr, collection],
+        Case { arms, else_expr } => arms
+            .iter_mut()
+            .flat_map(|(w, t)| [w, t])
+            .chain([&mut **else_expr])
+            .collect(),
+        Call { args, .. } | ArrayCtor(args) | BagCtor(args) => args.iter_mut().collect(),
+        TupleCtor(pairs) => pairs.iter_mut().flat_map(|(n, v)| [n, v]).collect(),
+    };
+    (exprs, Vec::new())
 }
 
 #[cfg(test)]
@@ -1220,5 +1583,66 @@ mod tests {
     fn swapped_key_sides_normalize() {
         let text = opt("SELECT VALUE x FROM l AS x JOIN r AS y ON y.k = x.k");
         assert!(text.contains("hash join on x.k = y.k"), "{text}");
+    }
+
+    #[test]
+    fn sql_aggregates_fold_into_the_group() {
+        let text = opt(
+            "SELECT e.d AS d, COUNT(*) AS n, SUM(e.x) AS s, AVG(e.x + 1) AS a \
+             FROM t AS e GROUP BY e.d HAVING COUNT(*) > 1 ORDER BY SUM(e.x)",
+        );
+        assert!(
+            text.contains(
+                "group by e.d AS d folding [$agg0 = COUNT(*), $agg1 = SUM(e.x), \
+                 $agg2 = AVG((e.x + 1))]"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("filter ($agg0 > 1)"), "{text}");
+        assert!(text.contains("sort $agg1"), "{text}");
+        assert!(
+            !text.contains("COLL_") && !text.contains("$group"),
+            "{text}"
+        );
+        // Ungrouped aggregation folds too; a grouping with no aggregate
+        // keeps no member bag.
+        let text = opt("SELECT MIN(e.x) AS m FROM t AS e WHERE e.x > 0");
+        assert!(
+            text.contains("group by <all> folding [$agg0 = MIN(e.x)]"),
+            "{text}"
+        );
+        let text = opt("SELECT e.d AS d FROM t AS e GROUP BY e.d");
+        assert!(text.contains("group by e.d AS d folding []"), "{text}");
+    }
+
+    #[test]
+    fn other_uses_of_the_group_keep_it_materializing() {
+        for q in [
+            // The GROUP AS bag is read.
+            "SELECT d AS d, COUNT(*) AS n, (SELECT VALUE v.e.x FROM g AS v) AS xs \
+             FROM t AS e GROUP BY e.d AS d GROUP AS g",
+            // DISTINCT aggregates dedupe the bag.
+            "SELECT e.d AS d, COUNT(DISTINCT e.x) AS n FROM t AS e GROUP BY e.d",
+            // The body names a key alias, bound only in the group.
+            "SELECT k AS k, SUM(k) AS s FROM t AS e GROUP BY e.d AS k",
+            // GROUPING SETS: an Append of Groups.
+            "SELECT e.d AS d, COUNT(*) AS n FROM t AS e GROUP BY ROLLUP(e.d)",
+        ] {
+            let text = opt(q);
+            assert!(text.contains("capturing [e]"), "{q}\n{text}");
+            assert!(!text.contains("folding"), "{q}\n{text}");
+        }
+    }
+
+    #[test]
+    fn nested_blocks_fold_with_their_own_variables() {
+        // The inner block's COUNT(*) is its own group's, not the outer's,
+        // and the two folds never share a name.
+        let text = opt("SELECT e.d AS d, COUNT(*) AS n, \
+             (SELECT COUNT(*) AS c FROM u AS x WHERE x.d = e.d) AS m \
+             FROM t AS e GROUP BY e.d, e");
+        assert!(!text.contains("COLL_"), "{text}");
+        assert!(text.contains("$agg0 = COUNT(*)"), "{text}");
+        assert!(text.contains("$agg1 = COUNT(*)"), "{text}");
     }
 }

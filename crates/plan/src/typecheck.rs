@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use sqlpp_schema::{SqlppType, TupleType};
 use sqlpp_syntax::ast::BinOp;
 
-use crate::core::{CoreExpr, CoreFrom, CoreOp, CoreQuery};
+use crate::core::{CoreExpr, CoreFrom, CoreOp, CoreQuery, GroupFold};
 
 /// One advisory finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,10 +88,7 @@ impl Checker<'_> {
                 env
             }
             CoreOp::Group {
-                input,
-                keys,
-                group_var,
-                ..
+                input, keys, folds, ..
             } => {
                 let inner = self.op(input, env);
                 let mut out = env.clone();
@@ -99,7 +96,17 @@ impl Checker<'_> {
                     let ty = self.expr(key, &inner);
                     out = out.bind(alias, ty);
                 }
-                out.bind(group_var, SqlppType::Bag(Box::new(SqlppType::Any)))
+                for (var, fold) in folds {
+                    let ty = match fold {
+                        GroupFold::Members { .. } => SqlppType::Bag(Box::new(SqlppType::Any)),
+                        GroupFold::Agg { body, .. } => {
+                            self.expr(body, &inner);
+                            SqlppType::Any
+                        }
+                    };
+                    out = out.bind(var, ty);
+                }
+                out
             }
             CoreOp::Append { inputs } => {
                 let mut out = env.clone();

@@ -1,7 +1,8 @@
-//! EXPLAIN ANALYZE smoke: run a GROUP AS + UNNEST paper query with
-//! statistics collection and verify the rendered plan carries non-zero
-//! row and timing counters — with the breaker's time covering its
-//! child's. `scripts/ci.sh` runs this on every build.
+//! EXPLAIN ANALYZE smoke: run a GROUP AS + UNNEST paper query and a
+//! folded SQL-aggregate query with statistics collection and verify the
+//! rendered plans carry non-zero row and timing counters — with each
+//! GROUP BY breaker's time covering its child's. `scripts/ci.sh` runs
+//! this on every build.
 //!
 //! ```text
 //! cargo run --example explain_analyze
@@ -25,11 +26,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // A GROUP AS query over an UNNESTed (left-correlated) FROM: per
-    // project, collect who works on it — Listing 14 territory.
-    let query = "SELECT p.name AS proj, COUNT(*) AS headcount \
+    // project, collect who works on it — Listing 14 territory. Reading
+    // the group bag keeps the group materializing.
+    let query = "SELECT p.name AS proj, COUNT(*) AS headcount, \
+                 (SELECT VALUE v.e.name FROM g AS v) AS who \
                  FROM hr.emp_nest_tuples AS e, e.projects AS p \
                  GROUP BY p.name GROUP AS g";
+    let text = analyze(&engine, query)?;
+    assert!(
+        text.contains("group as g capturing [e, p]"),
+        "no materializing group:\n{text}"
+    );
 
+    // SQL aggregates alone fold into the group: one running state per
+    // aggregate per group, no member bag.
+    let text = analyze(
+        &engine,
+        "SELECT e.title AS title, COUNT(*) AS n, SUM(e.id) AS ids \
+         FROM hr.emp_nest_tuples AS e GROUP BY e.title",
+    )?;
+    assert!(
+        text.contains("group by e.title AS title folding [$agg0 = COUNT(*), $agg1 = SUM(e.id)]"),
+        "no folded group:\n{text}"
+    );
+
+    let result = engine.query_with_stats(query)?;
+    let stats = result.stats().expect("stats collection was on");
+    assert!(stats.rows_scanned > 0, "rows_scanned = 0");
+    assert!(stats.bindings_produced > 0, "bindings_produced = 0");
+    assert!(stats.groups_built > 0, "groups_built = 0");
+    assert!(stats.eval_ns > 0, "eval_ns = 0");
+    println!(
+        "ok: scanned {} rows, produced {} bindings, built {} groups",
+        stats.rows_scanned, stats.bindings_produced, stats.groups_built
+    );
+    Ok(())
+}
+
+/// Runs `EXPLAIN ANALYZE` on `query`, prints the annotated plan, and
+/// checks what every analysis must show.
+fn analyze(engine: &Engine, query: &str) -> Result<String, Box<dyn std::error::Error>> {
     // The statement form, as a client would type it.
     let sqlpp::ExecOutcome::Explained { text } =
         engine.execute(&format!("EXPLAIN ANALYZE {query}"))?
@@ -74,16 +110,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         group >= from,
         "group by shows {group}ns, less than its from child's {from}ns:\n{text}"
     );
-
-    let result = engine.query_with_stats(query)?;
-    let stats = result.stats().expect("stats collection was on");
-    assert!(stats.rows_scanned > 0, "rows_scanned = 0");
-    assert!(stats.bindings_produced > 0, "bindings_produced = 0");
-    assert!(stats.groups_built > 0, "groups_built = 0");
-    assert!(stats.eval_ns > 0, "eval_ns = 0");
-    println!(
-        "ok: scanned {} rows, produced {} bindings, built {} groups",
-        stats.rows_scanned, stats.bindings_produced, stats.groups_built
-    );
-    Ok(())
+    Ok(text)
 }

@@ -276,10 +276,12 @@ const SPILL_SITES: &[&str] = &["spill-write", "spill-read", "temp-file"];
 
 /// Shapes whose pipeline breakers all overflow a ~1 KB byte budget:
 /// external sort, Grace GROUP BY, Grace hash join — plus a top-k that
-/// stays in memory (its seeds exercise the boring no-fire pass).
+/// stays in memory (its seeds exercise the boring no-fire pass). The
+/// GROUP BY folds `COUNT(*)` into one small state per group, so it groups
+/// by the 64 distinct ids to overflow.
 const SPILL_SHAPES: &[&str] = &[
     "SELECT VALUE b.id FROM big AS b ORDER BY b.k, b.id",
-    "SELECT b.k AS k, COUNT(*) AS n FROM big AS b GROUP BY b.k",
+    "SELECT b.id AS k, COUNT(*) AS n FROM big AS b GROUP BY b.id",
     "SELECT a.id AS l, b.id AS r FROM big AS a JOIN big AS b ON a.k = b.k",
     "SELECT VALUE b.id FROM big AS b ORDER BY b.k, b.id LIMIT 5",
 ];
@@ -303,6 +305,19 @@ fn spill_fixture() -> Engine {
 /// answering — including spilling again — after a mid-spill failure.
 #[test]
 fn chaos_spill_sites_fail_cleanly_and_leak_no_temp_files() {
+    // Without faults, every breaker but the top-k does spill.
+    let unfaulted = spill_fixture().with_config(SessionConfig {
+        limits: sqlpp::Limits::none().with_memory_bytes(1_000),
+        spill: Some(sqlpp::SpillConfig::default()),
+        ..SessionConfig::default()
+    });
+    for shape in &SPILL_SHAPES[..3] {
+        let run = unfaulted.query_with_stats(shape).unwrap();
+        assert!(
+            run.stats().unwrap().spill_partitions > 0,
+            "did not spill: {shape}"
+        );
+    }
     let mut fired = 0u32;
     for seed in 0..96u64 {
         let dir =

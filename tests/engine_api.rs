@@ -3,7 +3,7 @@
 //! relational views, error reporting, and session sharing.
 
 use sqlpp::{Engine, Error, ExecOutcome, SessionConfig, TypingMode};
-use sqlpp_value::Value;
+use sqlpp_value::{Tuple, Value};
 
 #[test]
 fn loading_all_formats_through_the_engine() {
@@ -130,13 +130,52 @@ fn create_table_registers_an_empty_typed_collection() {
 
 #[test]
 fn explain_shows_the_lowered_pipeline() {
-    let engine = Engine::new();
-    let plan = engine
-        .explain("SELECT AVG(e.x) AS a FROM t AS e GROUP BY e.g")
-        .unwrap();
+    let q = "SELECT AVG(e.x) AS a FROM t AS e GROUP BY e.g";
+    // The paper-literal plan: §V-C's COLL_AVG over the group bag.
+    let literal = Engine::new().with_config(SessionConfig {
+        optimize: false,
+        ..SessionConfig::default()
+    });
+    let plan = literal.explain(q).unwrap();
     assert!(plan.contains("COLL_AVG"), "{plan}");
     assert!(plan.contains("group by"), "{plan}");
     assert!(plan.contains("select value"), "{plan}");
+    // Optimized, the aggregate folds into the group.
+    let plan = Engine::new().explain(q).unwrap();
+    assert!(
+        plan.contains("group by e.g AS g folding [$agg0 = AVG(e.x)]"),
+        "{plan}"
+    );
+    assert!(plan.contains("select value {'a': $agg0}"), "{plan}");
+}
+
+#[test]
+fn explain_renders_folded_and_materializing_groups() {
+    let engine = Engine::new();
+    let plan = engine
+        .explain(
+            "SELECT e.deptno AS deptno, COUNT(*) AS n, SUM(e.sal) AS total \
+             FROM hr.emp AS e GROUP BY e.deptno HAVING COUNT(*) > 1",
+        )
+        .unwrap();
+    // One fold per distinct aggregate: HAVING's COUNT(*) reuses $agg0.
+    assert!(
+        plan.contains("group by e.deptno AS deptno folding [$agg0 = COUNT(*), $agg1 = SUM(e.sal)]"),
+        "{plan}"
+    );
+    assert!(plan.contains("filter ($agg0 > 1)"), "{plan}");
+    assert!(!plan.contains("COLL_"), "{plan}");
+    // A GROUP AS bag the query reads, and a DISTINCT aggregate, keep the
+    // materializing group exactly as lowering wrote it.
+    for q in [
+        "SELECT d AS d, (SELECT VALUE x.e.sal FROM g AS x) AS sals \
+         FROM hr.emp AS e GROUP BY e.deptno AS d GROUP AS g",
+        "SELECT e.deptno AS d, COUNT(DISTINCT e.sal) AS n FROM hr.emp AS e GROUP BY e.deptno",
+    ] {
+        let plan = engine.explain(q).unwrap();
+        assert!(plan.contains("capturing [e]"), "{plan}");
+        assert!(!plan.contains("folding"), "{plan}");
+    }
 }
 
 #[test]
@@ -766,4 +805,53 @@ mod governance {
             .unwrap();
         assert!(!plain.contains("budget:"), "{plain}");
     }
+}
+
+/// `groups_built` counts groups whatever the plan; a folded scalar
+/// aggregate scans each input row once and runs no per-group subquery,
+/// where the paper-literal plan re-scans its one group per aggregate.
+#[test]
+fn folding_keeps_group_counts_and_drops_the_rescans() {
+    let engine = Engine::new();
+    engine.register(
+        "c",
+        Value::Bag(
+            (0..2_000)
+                .map(|i| {
+                    let mut t = Tuple::new();
+                    t.insert("k", Value::Int(i % 16));
+                    t.insert("v", Value::Int(i));
+                    Value::Tuple(t)
+                })
+                .collect(),
+        ),
+    );
+    let stats = |optimize: bool, q: &str| {
+        let session = engine.with_config(SessionConfig {
+            optimize,
+            ..SessionConfig::default()
+        });
+        session
+            .query_with_stats(q)
+            .unwrap()
+            .stats()
+            .unwrap()
+            .clone()
+    };
+    let grouped = "SELECT t.k AS k, COUNT(*) AS n, SUM(t.v) AS s FROM c AS t GROUP BY t.k";
+    for optimize in [true, false] {
+        assert_eq!(
+            stats(optimize, grouped).groups_built,
+            16,
+            "optimize {optimize}"
+        );
+    }
+    let scalar = "SELECT COUNT(*) AS n, SUM(t.v) AS s, MIN(t.v) AS lo, MAX(t.v) AS hi \
+                  FROM c AS t WHERE t.v >= 1000";
+    let folded = stats(true, scalar);
+    assert_eq!(folded.rows_scanned, 2_000);
+    assert_eq!(folded.subquery_invocations, 0);
+    let literal = stats(false, scalar);
+    assert_eq!(literal.rows_scanned, 2_000 + 3 * 1_000);
+    assert_eq!(literal.subquery_invocations, 3);
 }

@@ -18,6 +18,10 @@
 //! * one hot key bigger than the budget is refused after `max_recursion`
 //!   re-partitioning levels, for GROUP BY and the join build alike;
 //! * successful spills reclaim every temp file;
+//! * a folded GROUP BY (SQL aggregates only) holds one state per group:
+//!   its peak tracked bytes stay flat from 1 000 to 100 000 input rows,
+//!   while its GROUP AS twin's grow; a folded MAX is charged for the
+//!   value it keeps, so over large values it still spills under budget;
 //! * sort and top-k plans compile their key expressions (the EXPLAIN
 //!   ANALYZE summary reports `exprs_compiled`, and `exprs_fallback=0`),
 //!   and a spilling run tags the breaker that went out-of-core.
@@ -25,6 +29,7 @@
 use sqlpp::{Engine, ExecOutcome, Limits, SessionConfig, SpillConfig, TypingMode};
 use sqlpp_eval::govern::MEMORY_BUDGET;
 use sqlpp_eval::{EvalConfig, EvalError, Evaluator};
+use sqlpp_value::{Tuple, Value};
 
 /// A deterministic scrambled fixture: `n` rows with non-monotonic sort
 /// keys (`k`, n/4 distinct values, four duplicates each — join and
@@ -305,14 +310,35 @@ fn budget_sweep_straddles_partition_boundaries() {
 /// again never separates its rows. That must surface as the honest
 /// budget refusal, not a hang or a silent overshoot: after exactly
 /// `max_recursion` re-partitioning levels, for GROUP BY and the join build
-/// alike, with every temp file reclaimed and the evaluator reusable.
+/// alike, with every temp file reclaimed and the evaluator reusable. The
+/// GROUP BY shapes read their GROUP AS bag, so every group materializes;
+/// the same keys under `COUNT(*)` fold to one small state per group and
+/// answer within the same budget.
 #[test]
 fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
     let engine = fixture(400);
     let err = spill_session(&engine, 1_000)
-        .query("SELECT b.tag AS tag, COUNT(*) AS n FROM big AS b GROUP BY b.tag")
+        .query(
+            "SELECT b.tag AS tag, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
+             FROM big AS b GROUP BY b.tag GROUP AS grp",
+        )
         .expect_err("seven ~57-row groups cannot fit a 1 KB budget");
     assert!(err.to_string().contains("memory budget"), "{err}");
+    for q in [
+        "SELECT b.tag AS tag, COUNT(*) AS n FROM big AS b GROUP BY b.tag",
+        "SELECT z AS z, COUNT(*) AS n FROM big AS b GROUP BY b.id - b.id AS z",
+    ] {
+        let folded = spill_session(&engine, 1_000)
+            .query_with_stats(q)
+            .unwrap_or_else(|e| panic!("folded {q} refused: {e}"));
+        let peak = folded.stats().unwrap().peak_budget_bytes;
+        assert!(peak <= 1_000, "peak {peak} overshot: {q}");
+        assert_eq!(
+            folded.canonical().to_string(),
+            engine.query(q).unwrap().canonical().to_string(),
+            "{q}"
+        );
+    }
 
     let dir = std::env::temp_dir().join(format!("sqlpp-ooc-skew-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -329,7 +355,8 @@ fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
     // probe side each) and finds it whole again in one of them.
     for (q, files_per_level) in [
         (
-            "SELECT z AS z, COUNT(*) AS n FROM big AS b GROUP BY b.id - b.id AS z",
+            "SELECT z AS z, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
+             FROM big AS b GROUP BY b.id - b.id AS z GROUP AS grp",
             spill.partitions as u64,
         ),
         (
@@ -422,4 +449,118 @@ fn sort_and_top_k_nodes_run_compiled_bytecode() {
     assert!(sort_line.contains("spilled"), "{sort_line}");
     assert!(text.contains("exprs_fallback=0"), "{text}");
     assert!(text.contains("spill:"), "no spill counter summary:\n{text}");
+}
+
+/// 16 groups under a memory budget: folded `COUNT(*)`/`SUM` holds one
+/// state per group, so its peak tracked bytes are the same at every
+/// input size; the GROUP AS twin holds every row, so its peak grows.
+#[test]
+fn folded_peak_memory_is_independent_of_input_size() {
+    let peak = |n: i64, q: &str| {
+        let engine = Engine::new();
+        engine.register(
+            "c",
+            Value::Bag(
+                (0..n)
+                    .map(|i| {
+                        let mut t = Tuple::new();
+                        t.insert("k", Value::Int(i % 16));
+                        t.insert("v", Value::Int(i));
+                        Value::Tuple(t)
+                    })
+                    .collect(),
+            ),
+        );
+        let session = engine.with_config(SessionConfig {
+            limits: Limits::none().with_memory_bytes(1 << 30),
+            ..SessionConfig::default()
+        });
+        let run = session.query_with_stats(q).unwrap();
+        let stats = run.stats().unwrap().clone();
+        assert_eq!(run.len(), 16, "{q}");
+        assert_eq!(stats.groups_built, 16, "{q}");
+        stats.peak_budget_bytes
+    };
+    let folded = "SELECT t.k AS k, COUNT(*) AS n, SUM(t.v) AS s FROM c AS t GROUP BY t.k";
+    let twin = "SELECT k AS k, COUNT(*) AS n, SUM(t.v) AS s, \
+                (SELECT VALUE x.t.v FROM g AS x) AS vs FROM c AS t GROUP BY t.k AS k GROUP AS g";
+    let sizes = [1_000, 10_000, 100_000];
+    let folded_peaks = sizes.map(|n| peak(n, folded));
+    assert!(folded_peaks[0] > 0);
+    assert_eq!(folded_peaks[0], folded_peaks[1]);
+    assert_eq!(folded_peaks[1], folded_peaks[2]);
+    let twin_peaks = sizes.map(|n| peak(n, twin));
+    assert!(
+        twin_peaks[0] < twin_peaks[1] && twin_peaks[1] < twin_peaks[2],
+        "the GROUP AS twin must grow: {twin_peaks:?}"
+    );
+    assert!(folded_peaks[2] < twin_peaks[0]);
+}
+
+/// A folded `MAX` keeps a copy of its best value, and that copy is
+/// charged when it grows: 64 groups whose maxima grow to 320-byte strings
+/// are metered at no less than those strings, spill under an 8 KB budget
+/// (the groups' first, short values alone would fit it), stay within it,
+/// and answer like the unlimited run and the paper-literal plan. Without
+/// spilling the same budget refuses.
+#[test]
+fn a_folded_max_over_large_values_is_charged_and_spills() {
+    const GROUPS: i64 = 64;
+    const LONGEST: usize = 320;
+    let engine = Engine::new();
+    engine.register(
+        "c",
+        Value::Bag(
+            (0..GROUPS * 8)
+                .map(|i| {
+                    let mut t = Tuple::new();
+                    t.insert("k", Value::Int(i % GROUPS));
+                    // Each later row of a group is a longer run of `x`,
+                    // so every row replaces its group's maximum.
+                    let len = (i / GROUPS + 1) as usize * LONGEST / 8;
+                    t.insert("p", Value::Str("x".repeat(len)));
+                    Value::Tuple(t)
+                })
+                .collect(),
+        ),
+    );
+    let q = "SELECT t.k AS k, MAX(t.p) AS m FROM c AS t GROUP BY t.k";
+    let want = engine.query(q).unwrap().canonical().to_string();
+    let metered = engine
+        .with_config(SessionConfig {
+            limits: Limits::none().with_memory_bytes(1 << 30),
+            ..SessionConfig::default()
+        })
+        .query_with_stats(q)
+        .unwrap();
+    let peak = metered.stats().unwrap().peak_budget_bytes;
+    assert!(
+        peak >= GROUPS as u64 * LONGEST as u64,
+        "peak {peak} undercounts the kept maxima"
+    );
+    for optimize in [true, false] {
+        let session = engine.with_config(SessionConfig {
+            optimize,
+            ..spill_session(&engine, 8_000).config().clone()
+        });
+        let run = session.query_with_stats(q).unwrap();
+        let stats = run.stats().unwrap();
+        assert!(
+            stats.spill_partitions > 0,
+            "optimize {optimize}: must spill"
+        );
+        assert!(
+            stats.peak_budget_bytes <= 8_000,
+            "optimize {optimize}: peak overshot"
+        );
+        assert_eq!(run.canonical().to_string(), want, "optimize {optimize}");
+    }
+    let refused = engine
+        .with_config(SessionConfig {
+            limits: Limits::none().with_memory_bytes(8_000),
+            ..SessionConfig::default()
+        })
+        .query(q)
+        .expect_err("64 kept 320-byte maxima cannot fit 8 KB unspilled");
+    assert!(refused.to_string().contains("memory budget"), "{refused}");
 }
