@@ -1067,8 +1067,12 @@ impl<'a> Evaluator<'a> {
             // Left-correlated product (comma lists, UNNEST): the right item
             // re-opens in each left row's environment. Left rows are pulled
             // one at a time so a LIMIT above stops the left scan too.
-            CoreFrom::Correlate { left, right } => {
-                let mut left = self.from_stream(left, whole, env);
+            CoreFrom::Correlate {
+                left,
+                right,
+                left_pred,
+            } => {
+                let mut left = self.correlate_left(left, left_pred.as_ref(), whole, env);
                 Box::new(Concat::new(move || match next_one(&mut left) {
                     Ok(l) => l.map(|l| self.from_stream(right, whole, &l)),
                     Err(e) => Some(failed(e)),
@@ -1100,9 +1104,22 @@ impl<'a> Evaluator<'a> {
                 right_vars,
             } => {
                 let names: Vec<Rc<str>> = right_vars.iter().map(|v| v.as_str().into()).collect();
+                // Like the nested loop, which never opens its right side
+                // without a left row: with no probe row at all, build
+                // nothing — a right-side error must not surface where the
+                // plan it was derived from answers `{{}}`.
+                let mut left_rows = self.from_stream(left, whole, env);
+                let first = match next_one(&mut left_rows) {
+                    Ok(Some(first)) => first,
+                    Ok(None) => return empty(),
+                    Err(e) => return failed(e),
+                };
+                let mut parts = [from_vec(vec![first]), left_rows].into_iter();
+                let mut left_rows: Option<BindingStream<'s>> =
+                    Some(Box::new(Concat::new(move || parts.next())));
                 let joined = self.hash_join(
                     *kind,
-                    left,
+                    &mut left_rows,
                     right,
                     whole,
                     keys,
@@ -1112,22 +1129,24 @@ impl<'a> Evaluator<'a> {
                     &names,
                     env,
                 );
-                match joined {
-                    Ok(stream) => stream,
+                match (joined, left_rows) {
+                    (Ok(stream), _) => stream,
                     // The optimizer's uncorrelated analysis is static and
                     // conservative, but a runtime `Global` can still
                     // resolve through the environment (dynamic
                     // disambiguation). If the right side fails to *resolve*
                     // in the outer environment, reconstruct the exact
-                    // per-left-row nested loop the plan was derived from.
-                    // Only that resolution failure is recoverable: any
-                    // other build error (a governed budget refusal, a
-                    // deadline, an injected fault, a strict-mode error)
-                    // must surface, not trigger a silent retry.
-                    Err(EvalError::UnknownName(_)) => Box::new(NestedLoop::new(
+                    // per-left-row nested loop the plan was derived from,
+                    // over the left rows the build left unread. Only that
+                    // resolution failure is recoverable: an error once the
+                    // probe side is read, and any other build error (a
+                    // governed budget refusal, a deadline, an injected
+                    // fault, a strict-mode error) must surface, not
+                    // trigger a silent retry.
+                    (Err(EvalError::UnknownName(_)), Some(left_rows)) => Box::new(NestedLoop::new(
                         self,
                         *kind,
-                        self.from_stream(left, whole, env),
+                        left_rows,
                         right,
                         whole,
                         names,
@@ -1138,10 +1157,35 @@ impl<'a> Evaluator<'a> {
                             residual: residual.as_ref(),
                         },
                     )),
-                    Err(e) => failed(e),
+                    (Err(e), _) => failed(e),
                 }
             }
         }
+    }
+
+    /// A correlate's left rows. Under permissive typing its left filter
+    /// (see [`CoreFrom::Correlate`]) drops each row it evaluates to FALSE
+    /// before that row's right side opens — off the fused spine when the
+    /// left is a bare scan, so a dropped row costs one predicate on a
+    /// borrowed element. Strict typing opens every row's right side:
+    /// navigating a non-tuple or scanning a non-collection raises there,
+    /// and a row the filter rejects must not skip that error.
+    fn correlate_left<'s>(
+        &'s self,
+        left: &'a CoreFrom,
+        left_pred: Option<&'a CoreExpr>,
+        whole: &'a CoreOp,
+        env: &Env,
+    ) -> BindingStream<'s> {
+        let Some(pred) = left_pred.filter(|_| self.config.typing == TypingMode::Permissive) else {
+            return self.from_stream(left, whole, env);
+        };
+        if let Some(rows) = self.fused_left(left, pred, env) {
+            return rows;
+        }
+        Box::new(MapRows::new(self.from_stream(left, whole, env), move |l| {
+            Ok(left_verdict(self.expr(pred, &l))?.then_some(l))
+        }))
     }
 
     /// A hash join. The right side is the join's pipeline breaker: it is
@@ -1160,11 +1204,14 @@ impl<'a> Evaluator<'a> {
     /// joins in memory. That output arrives partition by partition — a
     /// different order than the streaming probe, which a join (a bag
     /// producer) never promised.
+    ///
+    /// `left_rows` is the probe side, holding at least one row. It stays
+    /// in place, unread, until the build has drained the right side.
     #[allow(clippy::too_many_arguments)]
     fn hash_join<'s>(
         &'s self,
         kind: CoreJoinKind,
-        left: &'a CoreFrom,
+        left_rows: &mut Option<BindingStream<'s>>,
         right: &'a CoreFrom,
         whole: &'a CoreOp,
         keys: &'a [(CoreExpr, CoreExpr)],
@@ -1189,14 +1236,17 @@ impl<'a> Evaluator<'a> {
             }
             Ok(None)
         };
-        // The probe side as spillable records — opened only if the build
+        // The probe side as spillable records — read only if the build
         // overflows. Rows that can never match resolve here: dropped, or
         // padded for LEFT joins.
         let mut lefts = None;
         let mut pads = Vec::new();
         let mut probe_rows = || {
             let lefts = lefts.get_or_insert_with(|| {
-                Cursor::new(self.from_stream(left, whole, env), self.batch_size())
+                Cursor::new(
+                    left_rows.take().expect("the probe side is read once"),
+                    self.batch_size(),
+                )
             });
             while let Some(l) = lefts.next()? {
                 tick()?;
@@ -1254,7 +1304,9 @@ impl<'a> Evaluator<'a> {
             names: names.to_vec(),
             build: table,
             _held: held,
-            left: self.from_stream(left, whole, env),
+            left: left_rows
+                .take()
+                .expect("an in-memory build leaves the probe side unread"),
             pending: VecDeque::new(),
             done: false,
         }))
@@ -1447,12 +1499,8 @@ impl<'a> Evaluator<'a> {
     /// row that passes, in order: one for a projection, the keys and
     /// aggregate bodies for a folded GROUP BY. A data error in an output
     /// from index `park_from` on is handed on as that output's item
-    /// (see [`FusedOut`]) instead of failing the scan. Only active when batching
-    /// is on, stats are off (`EXPLAIN ANALYZE` wants real per-operator
-    /// adapters) and no faults are injected (the per-expression fault site
-    /// lives in [`Self::expr`]); results are identical to the adapter
-    /// pipeline because both bottom out in the same compiled programs and
-    /// scan-source semantics. `None` means ineligible.
+    /// (see [`FusedOut`]) instead of failing the scan. `None` means
+    /// ineligible (see [`Self::spine_on`]).
     fn fused_scan<'s, T: FusedOut + 's>(
         &'s self,
         input: &'a CoreOp,
@@ -1460,69 +1508,118 @@ impl<'a> Evaluator<'a> {
         park_from: usize,
         env: &Env,
     ) -> Option<Box<dyn Stream<T> + 's>> {
-        if self.config.batch_size <= 1 || self.stats.is_some() || self.govern.injects_faults() {
+        if !self.spine_on() {
             return None;
         }
         // Peel WHERE filters down to a plain scan.
         let mut preds: Vec<&'a CoreExpr> = Vec::new();
         let mut op = input;
-        let (scan_expr, as_var) = loop {
+        let item = loop {
             match op {
                 CoreOp::Filter { input, pred } => {
                     preds.push(pred);
                     op = input;
                 }
-                CoreOp::From {
-                    item:
-                        CoreFrom::Scan {
-                            expr,
-                            as_var,
-                            at_var: None,
-                        },
-                } => break (expr, as_var.as_str()),
+                CoreOp::From { item } => break item,
                 _ => return None,
             }
         };
+        let (scan_expr, as_var) = spine_scan(item)?;
         // Peeled outermost-first; they must run scan-side-first.
         preds.reverse();
-        // Every program must be safe to run against a borrowed root
-        // binding. Specialize each for this run's root variable once:
-        // root references become direct RootVar/RootField instructions,
-        // so the hot loop never compares variable names.
-        let rooted = |e: &'a CoreExpr| {
-            let p = self.program(e);
-            p.root_safe.then(|| p.specialize_for_root(as_var))
-        };
-        let preds: Vec<Program<'a>> = preds.into_iter().map(rooted).collect::<Option<_>>()?;
-        let outs: Vec<Program<'a>> = outs.iter().copied().map(rooted).collect::<Option<_>>()?;
+        let preds = self.rooted(&preds, as_var)?;
+        let outs = self.rooted(outs, as_var)?;
+        Some(self.open_spine(scan_expr, as_var, preds, false, outs, park_from, env))
+    }
+
+    /// A correlate's left rows, bare scan and left filter, on the fused
+    /// spine: each element the filter does not reject comes off the spine
+    /// whole and is bound, so a rejected one is never cloned. `None` when
+    /// ineligible.
+    fn fused_left<'s>(
+        &'s self,
+        left: &'a CoreFrom,
+        left_pred: &'a CoreExpr,
+        env: &Env,
+    ) -> Option<BindingStream<'s>> {
+        if !self.spine_on() {
+            return None;
+        }
+        let (scan_expr, as_var) = spine_scan(left)?;
+        let preds = self.rooted(&[left_pred], as_var)?;
+        let root = vec![Program::root()];
+        let rows = self.open_spine(scan_expr, as_var, preds, true, root, 0, env);
+        let (var, env): (Rc<str>, Env) = (as_var.into(), env.clone());
+        Some(Box::new(MapRows::new(rows, move |v| {
+            Ok(Some(env.bind(var.clone(), v)))
+        })))
+    }
+
+    /// Whether the fused spine may run: batching is on, stats are off
+    /// (`EXPLAIN ANALYZE` wants real per-operator adapters) and no faults
+    /// are injected (the per-expression fault site lives in
+    /// [`Self::expr`]). Results are identical to the adapter pipeline
+    /// because both bottom out in the same compiled programs and
+    /// scan-source semantics.
+    fn spine_on(&self) -> bool {
+        self.config.batch_size > 1 && self.stats.is_none() && !self.govern.injects_faults()
+    }
+
+    /// Each expression's program specialized for the spine's root
+    /// variable — root references become direct RootVar/RootField
+    /// instructions, so the hot loop never compares variable names — or
+    /// `None` unless every one is safe to run against a borrowed root.
+    fn rooted(&self, exprs: &[&'a CoreExpr], as_var: &str) -> Option<Vec<Program<'a>>> {
+        exprs
+            .iter()
+            .map(|e| {
+                let p = self.program(e);
+                p.root_safe.then(|| p.specialize_for_root(as_var))
+            })
+            .collect()
+    }
+
+    /// Opens the spine over `scan_expr` (see [`FusedScan`]).
+    #[allow(clippy::too_many_arguments)]
+    fn open_spine<'s, T: FusedOut + 's>(
+        &'s self,
+        scan_expr: &'a CoreExpr,
+        as_var: &'a str,
+        preds: Vec<Program<'a>>,
+        left_filter: bool,
+        outs: Vec<Program<'a>>,
+        park_from: usize,
+        env: &Env,
+    ) -> Box<dyn Stream<T> + 's> {
         let source = match self.scan_source(scan_expr, env) {
             Ok(source) => source,
-            Err(e) => return Some(failed(e)),
+            Err(e) => return failed(e),
         };
         // Mirrors `scan_value_stream`: collections iterate, MISSING
         // vanishes, anything else is a permissive singleton or a strict
         // error.
         match source.value() {
             Value::Bag(_) | Value::Array(_) => {}
-            Value::Missing => return Some(empty()),
+            Value::Missing => return empty(),
             other if self.config.typing == TypingMode::StrictError => {
-                return Some(failed(EvalError::Type(format!(
+                return failed(EvalError::Type(format!(
                     "FROM source must be a collection, found {}",
                     other.kind().name()
-                ))));
+                )));
             }
             _ => {}
         }
-        Some(Box::new(FusedScan {
+        Box::new(FusedScan {
             ev: self,
             source,
             idx: 0,
             as_var,
             preds,
+            left_filter,
             outs,
             park_from,
             env: env.clone(),
-        }))
+        })
     }
 
     /// A folded GROUP BY's input on the fused scan spine: the key values
@@ -2488,6 +2585,18 @@ fn joint_hash(keys: &[Value]) -> u64 {
     h.finish()
 }
 
+/// The scan a fused spine reads: a bare FROM `Scan` with no AT variable.
+fn spine_scan(item: &CoreFrom) -> Option<(&CoreExpr, &str)> {
+    match item {
+        CoreFrom::Scan {
+            expr,
+            as_var,
+            at_var: None,
+        } => Some((expr, as_var)),
+        _ => None,
+    }
+}
+
 /// Where a scan's rows come from (see [`Evaluator::scan_source`]).
 enum ScanSource {
     /// A stored catalog collection, borrowed via its `Arc` snapshot.
@@ -2518,10 +2627,27 @@ struct FusedScan<'s, 'a> {
     idx: usize,
     as_var: &'a str,
     preds: Vec<Program<'a>>,
+    /// The predicates are a correlate's left filter, judged by
+    /// [`left_verdict`]. Otherwise a row passes only when every predicate
+    /// is TRUE, and a predicate's error fails the scan.
+    left_filter: bool,
     outs: Vec<Program<'a>>,
     /// The first output whose data errors are parked, not raised.
     park_from: usize,
     env: Env,
+}
+
+/// A correlate's left-filter verdict on one left row
+/// ([`CoreFrom::Correlate`]'s `left_pred`): whether the row passes. Only
+/// FALSE rejects it. A data error is parked — the row passes, and the
+/// WHERE above, which still holds the conjunct, raises it at the row's
+/// first right binding or never; any other error fails the scan.
+fn left_verdict(r: Result<Value, EvalError>) -> Result<bool, EvalError> {
+    match r {
+        Ok(Value::Bool(false)) => Ok(false),
+        Err(e) if !e.is_data_error() => Err(e),
+        _ => Ok(true),
+    }
 }
 
 /// An item of a [`FusedScan`]: what one output program's result becomes.
@@ -2576,8 +2702,21 @@ impl FusedScan<'_, '_> {
             self.idx += 1;
             let root = Some((self.as_var, item));
             for p in &self.preds {
-                self.ev.exec_program(p, root, &self.env, stack)?;
-                if !matches!(stack.pop(), Some(Value::Bool(true))) {
+                let r = match self.ev.exec_program(p, root, &self.env, stack) {
+                    Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
+                    Err(e) => {
+                        // Programs run on an empty stack, so the failed
+                        // one's operands go with a clear.
+                        stack.clear();
+                        Err(e)
+                    }
+                };
+                let passes = if self.left_filter {
+                    left_verdict(r)?
+                } else {
+                    matches!(r?, Value::Bool(true))
+                };
+                if !passes {
                     continue 'rows;
                 }
             }

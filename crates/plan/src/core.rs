@@ -250,6 +250,17 @@ pub enum CoreFrom {
         left: Box<CoreFrom>,
         /// Right input (may reference left's variables).
         right: Box<CoreFrom>,
+        /// A left filter annotated by the optimizer (never produced by
+        /// lowering): a copy of the leading left-only conjuncts of the
+        /// WHERE that still runs above, like [`CoreFrom::HashJoin`]'s
+        /// `left_pred` checked per left row before the right side opens.
+        /// Because the WHERE keeps every conjunct, the left filter only
+        /// drops a left row it evaluates to FALSE — every extension of
+        /// that row then fails the WHERE's AND chain before any later
+        /// conjunct runs. An unknown verdict or a data error lets the row
+        /// through to the exact check above. Only permissive typing runs
+        /// it: strict typing opens every left row's right side.
+        left_pred: Option<CoreExpr>,
     },
     /// Explicit join with an ON condition, executed as a nested loop: the
     /// right side is re-evaluated (and the ON probed) once per left row.
@@ -578,6 +589,14 @@ impl CoreExpr {
     pub fn bool(v: bool) -> CoreExpr {
         CoreExpr::Const(Value::Bool(v))
     }
+
+    /// Whether a nested plan (`Subquery` or `EXISTS`) appears anywhere in
+    /// this expression.
+    pub fn holds_plan(&self) -> bool {
+        let mut plans = Vec::new();
+        collect_expr_plans(self, &mut plans);
+        !plans.is_empty()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -626,7 +645,7 @@ impl CoreOp {
 fn from_materializes(item: &CoreFrom) -> bool {
     match item {
         CoreFrom::HashJoin { .. } => true,
-        CoreFrom::Correlate { left, right } | CoreFrom::Join { left, right, .. } => {
+        CoreFrom::Correlate { left, right, .. } | CoreFrom::Join { left, right, .. } => {
             from_materializes(left) || from_materializes(right)
         }
         CoreFrom::Scan { .. } | CoreFrom::Unpivot { .. } | CoreFrom::Let { .. } => false,
@@ -730,9 +749,16 @@ fn collect_from_plans<'p>(item: &'p CoreFrom, out: &mut Vec<&'p CoreOp>) {
         CoreFrom::Scan { expr, .. }
         | CoreFrom::Unpivot { expr, .. }
         | CoreFrom::Let { expr, .. } => collect_expr_plans(expr, out),
-        CoreFrom::Correlate { left, right } => {
+        CoreFrom::Correlate {
+            left,
+            right,
+            left_pred,
+        } => {
             collect_from_plans(left, out);
             collect_from_plans(right, out);
+            if let Some(p) = left_pred {
+                collect_expr_plans(p, out);
+            }
         }
         CoreFrom::Join {
             left, right, on, ..
@@ -1070,8 +1096,16 @@ fn explain_from(item: &CoreFrom, indent: usize, out: &mut String) {
         CoreFrom::Let { expr, var } => {
             out.push_str(&format!("let {var} = {expr}\n"));
         }
-        CoreFrom::Correlate { left, right } => {
-            out.push_str("correlate\n");
+        CoreFrom::Correlate {
+            left,
+            right,
+            left_pred,
+        } => {
+            out.push_str("correlate");
+            if let Some(p) = left_pred {
+                out.push_str(&format!(" left-filter {p}"));
+            }
+            out.push('\n');
             explain_from(left, indent + 1, out);
             explain_from(right, indent + 1, out);
         }

@@ -194,6 +194,7 @@ impl Planner<'_> {
                     Some(left) => CoreFrom::Correlate {
                         left: Box::new(left),
                         right: Box::new(lowered),
+                        left_pred: None,
                     },
                 });
             }
@@ -210,6 +211,7 @@ impl Planner<'_> {
                     Some(left) => CoreFrom::Correlate {
                         left: Box::new(left),
                         right: Box::new(binding),
+                        left_pred: None,
                     },
                 });
             }
@@ -1744,7 +1746,7 @@ mod tests {
         match q.op {
             CoreOp::Project { input, .. } => match *input {
                 CoreOp::From {
-                    item: CoreFrom::Correlate { left, right },
+                    item: CoreFrom::Correlate { left, right, .. },
                 } => {
                     assert!(matches!(*left, CoreFrom::Scan { ref as_var, .. } if as_var == "e"));
                     match *right {

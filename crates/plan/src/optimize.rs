@@ -8,7 +8,8 @@
 //! their GROUP BY as one running state per aggregate per group, instead
 //! of materializing every group's member bag and re-scanning it per
 //! aggregate ([`GroupFold`]). The other passes handle the classical
-//! trivia: constant folding, ORDER BY + LIMIT fusion, hash equi-joins.
+//! trivia: constant folding, ORDER BY + LIMIT fusion, hash equi-joins,
+//! and selection pushdown below UNNEST (a correlate's left filter).
 
 use std::collections::HashSet;
 
@@ -363,9 +364,25 @@ fn fold_expr(e: CoreExpr) -> CoreExpr {
 //    (their runtime resolution may consult the environment), so they stay
 //    where the original plan evaluated them.
 //
-// Evaluation *order* of conjuncts is not preserved — which strict-mode
-// type error surfaces first from a multi-conjunct ON/WHERE is
-// unspecified, as is how often side-local conjuncts run.
+// Evaluation *order* of the conjuncts a hash join consumes is not
+// preserved — which strict-mode type error surfaces first from a
+// multi-conjunct ON/WHERE is unspecified, as is how often side-local
+// conjuncts run. What no join consumes stays a WHERE in its original
+// order, which the left filters below UNNEST ([`push_left_filters`])
+// rely on.
+//
+// One rule holds for data errors without exception: the optimizer never
+// raises one that `optimize: false` would not raise. A pass may only skip
+// work the literal plan provably skips, or whose errors it provably could
+// not raise. So a hash join over an empty left side builds nothing, as
+// the nested loop never opens its right side without a left row, and a
+// left filter rejects a row only when the literal AND chain
+// short-circuits on it. A left filter does add work: it evaluates its run
+// once per left row, including rows whose right side is empty, where the
+// literal plan evaluates nothing. Its data errors are parked, and the run
+// holds no nested plan, so it allocates nothing the memory or spill
+// budget counts; its extra evaluations only shift injected-fault
+// ordinals.
 
 fn extract_joins_op(op: CoreOp) -> CoreOp {
     match op {
@@ -376,7 +393,12 @@ fn extract_joins_op(op: CoreOp) -> CoreOp {
                 CoreOp::From { item } => {
                     let mut conjuncts = Vec::new();
                     split_conjuncts(pred, &mut conjuncts);
-                    let (item, leftover) = extract_from(item, conjuncts);
+                    let (mut item, leftover) =
+                        extract_from(item, conjuncts.into_iter().enumerate().collect());
+                    // What no join consumed stays a WHERE, in its original
+                    // order.
+                    let leftover = in_order(leftover);
+                    push_left_filters(&mut item, &leftover);
                     let from = CoreOp::From { item };
                     match and_all(leftover) {
                         None => from,
@@ -431,14 +453,25 @@ fn extract_joins_in(e: &mut CoreExpr) {
     }
 }
 
+/// A WHERE conjunct tagged with its position in the original AND chain,
+/// so what no join consumes can be put back in order.
+type Conjunct = (usize, CoreExpr);
+
+/// Sorts conjuncts back into their AND-chain order and drops the tags.
+fn in_order(mut conjuncts: Vec<Conjunct>) -> Vec<CoreExpr> {
+    conjuncts.sort_by_key(|(pos, _)| *pos);
+    conjuncts.into_iter().map(|(_, c)| c).collect()
+}
+
 /// Rewrites a FROM tree given filter conjuncts available for pushdown;
 /// returns the rewritten tree and the conjuncts it could not consume.
 /// Invariant: every conjunct handed to this function references only
 /// variables bound by `item` or by enclosing (outer) scopes — never by
-/// FROM items to `item`'s right.
-fn extract_from(item: CoreFrom, conjuncts: Vec<CoreExpr>) -> (CoreFrom, Vec<CoreExpr>) {
+/// FROM items to `item`'s right. Correlates come back without a left
+/// filter; [`push_left_filters`] adds them once the WHERE is final.
+fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conjunct>) {
     match item {
-        CoreFrom::Correlate { left, right } => {
+        CoreFrom::Correlate { left, right, .. } => {
             let left_set = introduced_set(&left);
             let right_list = introduced_vars(&right);
             let right_set: HashSet<String> = right_list.iter().cloned().collect();
@@ -452,22 +485,22 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<CoreExpr>) -> (CoreFrom, Vec<Core
             let mut residual = Vec::new();
             let mut leftover = Vec::new();
             let rewritable = uncorrelated(&right, &left_set);
-            for c in conjuncts {
+            for (pos, c) in conjuncts {
                 let mut refs = HashSet::new();
                 if !expr_refs(&c, &mut refs) {
-                    leftover.push(c);
+                    leftover.push((pos, c));
                     continue;
                 }
                 match side_of(&refs, &left_set, &right_set) {
-                    Side::Left => left_conj.push(c),
-                    Side::Right if rewritable => right_conj.push(c),
-                    Side::Right => leftover.push(c),
-                    Side::Neither => leftover.push(c),
+                    Side::Left => left_conj.push((pos, c)),
+                    Side::Right if rewritable => right_conj.push((pos, c)),
+                    Side::Right => leftover.push((pos, c)),
+                    Side::Neither => leftover.push((pos, c)),
                     Side::Both if rewritable => match as_equi_key(c, &left_set, &right_set) {
                         Ok(pair) => keys.push(pair),
-                        Err(c) => residual.push(c),
+                        Err(c) => residual.push((pos, c)),
                     },
-                    Side::Both => leftover.push(c),
+                    Side::Both => leftover.push((pos, c)),
                 }
             }
 
@@ -483,6 +516,7 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<CoreExpr>) -> (CoreFrom, Vec<Core
                     CoreFrom::Correlate {
                         left: Box::new(left),
                         right: Box::new(right),
+                        left_pred: None,
                     },
                     leftover,
                 )
@@ -493,9 +527,9 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<CoreExpr>) -> (CoreFrom, Vec<Core
                         left: Box::new(left),
                         right: Box::new(right),
                         keys,
-                        left_pred: and_all(back),
-                        right_pred: and_all(right_conj),
-                        residual: and_all(residual),
+                        left_pred: and_all(in_order(back)),
+                        right_pred: and_all(in_order(right_conj)),
+                        residual: and_all(in_order(residual)),
                         right_vars: right_list,
                     },
                     leftover,
@@ -616,6 +650,87 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<CoreExpr>) -> (CoreFrom, Vec<Core
     }
 }
 
+/// Selection pushdown below UNNEST. `chain` is the WHERE that runs over
+/// every row `item` produces, as its AND chain in evaluation order. Each
+/// correlate whose right side [opens cleanly](opens_cleanly) gets, as its
+/// `left_pred`, a copy of the longest leading run of `chain` whose
+/// conjuncts hold no nested plan and name only its left (and outer)
+/// variables — when that run is longer than
+/// the one a correlate below it already applies. The WHERE keeps every
+/// conjunct; the copy only rejects a left row it evaluates to FALSE,
+/// which makes the chain FALSE for every extension of that row before any
+/// later conjunct runs, so neither an answer nor an error changes. When
+/// the run is the whole WHERE, the copy is `CASE WHEN run THEN TRUE ELSE
+/// FALSE END`, so it rejects an unknown verdict too.
+/// Returns how many leading conjuncts of `chain` already filter `item`'s
+/// rows.
+fn push_left_filters(item: &mut CoreFrom, chain: &[CoreExpr]) -> usize {
+    let CoreFrom::Correlate {
+        left,
+        right,
+        left_pred,
+    } = item
+    else {
+        return 0;
+    };
+    let left_set = introduced_set(left);
+    // A right side that could raise must still open for every left row.
+    if !opens_cleanly(right, &left_set) {
+        return 0;
+    }
+    let below = push_left_filters(left, chain);
+    let right_set = introduced_set(right);
+    // The run ends at a nested plan: a `Global` inside it gets past
+    // `expr_refs` as a FROM source and resolves against the visible
+    // tuples, which differ between the left row's environment and the
+    // WHERE's; and a subquery can allocate against the memory or spill
+    // budget where the literal plan never runs it.
+    let lead = chain
+        .iter()
+        .take_while(|c| {
+            let mut refs = HashSet::new();
+            !c.holds_plan()
+                && expr_refs(c, &mut refs)
+                && matches!(side_of(&refs, &left_set, &right_set), Side::Left)
+        })
+        .count();
+    if lead <= below {
+        return below;
+    }
+    let run = and_all(chain[..lead].to_vec()).expect("a run of one or more");
+    // A run that is the whole WHERE leaves nothing after it to raise, so
+    // an unknown verdict rejects every extension too: count it as FALSE.
+    *left_pred = Some(if lead == chain.len() {
+        CoreExpr::Case {
+            arms: vec![(run, CoreExpr::bool(true))],
+            else_expr: Box::new(CoreExpr::bool(false)),
+        }
+    } else {
+        run
+    });
+    lead
+}
+
+/// True when `right` is a Scan or Unpivot of a navigation path rooted at
+/// a variable of `left` (`e.projects`, `d`, `e.xs[0]`). Under permissive
+/// typing such a side opens without raising — navigating or scanning an
+/// absent or wrongly-typed value yields MISSING, nothing, or a singleton —
+/// so a left row the left filter rejects skips no error.
+fn opens_cleanly(right: &CoreFrom, left: &HashSet<String>) -> bool {
+    let (CoreFrom::Scan { expr, .. } | CoreFrom::Unpivot { expr, .. }) = right else {
+        return false;
+    };
+    let mut e = expr;
+    loop {
+        match e {
+            CoreExpr::Var(v) => return left.contains(v),
+            CoreExpr::Path(base, _) => e = base,
+            CoreExpr::Index(base, idx) if matches!(**idx, CoreExpr::Const(_)) => e = base,
+            _ => return false,
+        }
+    }
+}
+
 enum Side {
     Left,
     Right,
@@ -706,7 +821,7 @@ fn collect_introduced(item: &CoreFrom, out: &mut Vec<String>) {
             out.push(name_var.clone());
         }
         CoreFrom::Let { var, .. } => out.push(var.clone()),
-        CoreFrom::Correlate { left, right }
+        CoreFrom::Correlate { left, right, .. }
         | CoreFrom::Join { left, right, .. }
         | CoreFrom::HashJoin { left, right, .. } => {
             collect_introduced(left, out);
@@ -730,7 +845,15 @@ fn from_refs(item: &CoreFrom, out: &mut HashSet<String>) -> bool {
         CoreFrom::Scan { expr, .. }
         | CoreFrom::Unpivot { expr, .. }
         | CoreFrom::Let { expr, .. } => source_expr_refs(expr, out),
-        CoreFrom::Correlate { left, right } => from_refs(left, out) && from_refs(right, out),
+        CoreFrom::Correlate {
+            left,
+            right,
+            left_pred,
+        } => {
+            from_refs(left, out)
+                && from_refs(right, out)
+                && left_pred.as_ref().is_none_or(|p| expr_refs(p, out))
+        }
         CoreFrom::Join {
             left, right, on, ..
         } => from_refs(left, out) && from_refs(right, out) && expr_refs(on, out),
@@ -1307,9 +1430,14 @@ fn from_exprs_mut<'o>(item: &'o mut CoreFrom, out: &mut Vec<&'o mut CoreExpr>) {
         CoreFrom::Scan { expr, .. }
         | CoreFrom::Unpivot { expr, .. }
         | CoreFrom::Let { expr, .. } => out.push(expr),
-        CoreFrom::Correlate { left, right } => {
+        CoreFrom::Correlate {
+            left,
+            right,
+            left_pred,
+        } => {
             from_exprs_mut(left, out);
             from_exprs_mut(right, out);
+            out.extend(left_pred.as_mut());
         }
         CoreFrom::Join {
             left, right, on, ..
@@ -1644,5 +1772,69 @@ mod tests {
         assert!(!text.contains("COLL_"), "{text}");
         assert!(text.contains("$agg0 = COUNT(*)"), "{text}");
         assert!(text.contains("$agg1 = COUNT(*)"), "{text}");
+    }
+
+    #[test]
+    fn leading_left_conjuncts_filter_the_correlate_left() {
+        let text = opt("SELECT VALUE p FROM t AS e, e.xs AS p \
+             WHERE e.d >= 1 AND e.d < 5 AND p.n = 'a' AND e.k = 2");
+        // The leading run is copied; `e.k = 2` follows a right-only
+        // conjunct and stays in the WHERE alone.
+        assert!(
+            text.contains("correlate left-filter ((e.d >= 1) AND (e.d < 5))\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("filter ((((e.d >= 1) AND (e.d < 5)) AND (p.n = 'a')) AND (e.k = 2))"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn a_leading_right_conjunct_leaves_nothing_to_push() {
+        // `p.n = 'a'` runs first, and may raise (strict navigation of a
+        // non-tuple `p`) where `e.k = 2` is FALSE: nothing is copied.
+        let text = opt("SELECT VALUE p FROM t AS e, e.xs AS p WHERE p.n = 'a' AND e.k = 2");
+        assert!(
+            text.contains("filter ((p.n = 'a') AND (e.k = 2))"),
+            "{text}"
+        );
+        assert!(!text.contains("left-filter"), "{text}");
+    }
+
+    #[test]
+    fn each_conjunct_lands_at_the_lowest_correlate_that_binds_it() {
+        let text = opt("SELECT VALUE q FROM t AS e, e.xs AS p, p.ys AS q \
+             WHERE e.k = 1 AND p.j = 2 AND q.z = 3");
+        assert!(
+            text.contains("correlate left-filter ((e.k = 1) AND (p.j = 2))\n"),
+            "{text}"
+        );
+        assert!(text.contains("correlate left-filter (e.k = 1)\n"), "{text}");
+        // An UNPIVOT right side opens as cleanly as an UNNEST.
+        // A run that is the whole WHERE also rejects unknown verdicts.
+        let text = opt("SELECT VALUE v FROM t AS e, UNPIVOT e.o AS v AT n WHERE e.k = 1");
+        assert!(
+            text.contains("correlate left-filter CASE WHEN (e.k = 1) THEN true ELSE false END\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn nothing_is_pushed_past_a_right_side_that_could_raise() {
+        for q in [
+            // A catalog scan (a name that may not resolve).
+            "SELECT VALUE p FROM t AS e, e.xs AS p, u AS d WHERE e.k = 1",
+            // A subquery source.
+            "SELECT VALUE p FROM t AS e, (SELECT VALUE y FROM u AS y WHERE y.a = ?) AS p \
+             WHERE e.k = 1",
+            // A computed index.
+            "SELECT VALUE p FROM t AS e, e.xs[e.i] AS p WHERE e.k = 1",
+            // Outer-only conjuncts stay where they are.
+            "SELECT VALUE (SELECT VALUE p FROM t AS e, e.xs AS p WHERE o.f = 1) FROM s AS o",
+        ] {
+            let text = opt(q);
+            assert!(!text.contains("left-filter"), "{q}\n{text}");
+        }
     }
 }

@@ -242,8 +242,15 @@ impl Checker<'_> {
                 let ty = self.expr(expr, env);
                 env.bind(var, ty)
             }
-            CoreFrom::Correlate { left, right } => {
+            CoreFrom::Correlate {
+                left,
+                right,
+                left_pred,
+            } => {
                 let env = self.from_item(left, env);
+                if let Some(p) = left_pred {
+                    self.expr(p, &env);
+                }
                 self.from_item(right, &env)
             }
             CoreFrom::Join {

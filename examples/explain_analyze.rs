@@ -1,7 +1,8 @@
-//! EXPLAIN ANALYZE smoke: run a GROUP AS + UNNEST paper query and a
-//! folded SQL-aggregate query with statistics collection and verify the
-//! rendered plans carry non-zero row and timing counters — with each
-//! GROUP BY breaker's time covering its child's. `scripts/ci.sh` runs
+//! EXPLAIN ANALYZE smoke: run a GROUP AS + UNNEST paper query, a folded
+//! SQL-aggregate query and an UNNEST whose WHERE filters its left side
+//! first, with statistics collection, and verify the rendered plans carry
+//! non-zero row and timing counters — with each GROUP BY breaker's time
+//! covering its child's. `scripts/ci.sh` runs
 //! this on every build.
 //!
 //! ```text
@@ -48,6 +49,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(
         text.contains("group by e.title AS title folding [$agg0 = COUNT(*), $agg1 = SUM(e.id)]"),
         "no folded group:\n{text}"
+    );
+
+    // A leading conjunct over the left side filters the employees before
+    // their projects are unnested.
+    let text = analyze(
+        &engine,
+        "SELECT p.name AS proj, COUNT(*) AS n \
+         FROM hr.emp_nest_tuples AS e, e.projects AS p \
+         WHERE e.title = 'Engineer' GROUP BY p.name",
+    )?;
+    assert!(
+        text.contains("correlate left-filter CASE WHEN (e.title = 'Engineer') THEN true"),
+        "no left filter on the correlate:\n{text}"
     );
 
     let result = engine.query_with_stats(query)?;

@@ -197,6 +197,15 @@ bash benchmark/run.sh --smoke | awk -v RS= -F'\n' '
         exit !(seen == 4 && !bad) }'
 echo "benchmark smoke OK: 4 workloads correct"
 
+echo "== benchmark unit tests (generator model vs engine) =="
+# The benchmark's own tests check its generator's model of every shape's
+# answer against the engine, so a shape whose plan changes is caught here
+# rather than by a refused benchmark run. Like run.sh, build products go
+# to the repo's target/ unless CARGO_TARGET_DIR says otherwise.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+  cargo test --offline --release -q --manifest-path benchmark/Cargo.toml
+echo "benchmark unit tests OK"
+
 echo "== one front door gate (no print -> re-parse between layers) =="
 # Layers hand each other ASTs. The pretty-printer is for people and for
 # round-trip tests; engine and server code must never call it to build

@@ -221,6 +221,71 @@ fn chaos_fault_inside_a_correlated_subquery_call_unwinds_cleanly() {
     }
 }
 
+/// An UNNEST whose WHERE leads with a conjunct over the left side: the
+/// correlate filters each employee before its skills are unnested. Fault
+/// injection turns the fused spine off, so the filter runs on the binding
+/// stream; the employee without a `dept` passes it (an unknown verdict is
+/// no rejection) and is unnested, for the WHERE to drop. Sweeping the
+/// failing ordinal over every visit fails the left filter, the UNNEST and
+/// the WHERE each in turn: the injected error is a resource error, which
+/// the filter raises rather than parks, and it must surface every time.
+#[test]
+fn chaos_fault_in_a_pushed_left_filter_unwinds_cleanly() {
+    const UNNEST: &str = "SELECT e.name AS name, s AS skill FROM emp AS e, e.skills AS s \
+         WHERE e.dept = 'eng' AND s <> 'cobol'";
+    let fixture = || {
+        let engine = Engine::new();
+        engine
+            .load_pnotation(
+                "emp",
+                "{{ {'name': 'Ann', 'dept': 'eng', 'skills': ['rust', 'sql']},
+                    {'name': 'Bo',  'dept': 'eng', 'skills': ['cobol']},
+                    {'name': 'Cy',  'dept': 'ops', 'skills': ['bash', 'perl']},
+                    {'name': 'Di',                 'skills': ['go']},
+                    {'name': 'Ed',  'dept': 'eng', 'skills': []} }}",
+            )
+            .unwrap();
+        engine
+    };
+    assert!(fixture()
+        .explain(UNNEST)
+        .unwrap()
+        .contains("correlate left-filter (e.dept = 'eng')"));
+    let visits = |optimize: bool| {
+        let plan = Arc::new(FaultPlan::fail_kth("operator", 0));
+        let session = chaos_session(&fixture(), &plan);
+        let session = session.with_config(SessionConfig {
+            optimize,
+            ..session.config().clone()
+        });
+        assert_eq!(session.query(UNNEST).unwrap().len(), 2);
+        plan.hits("operator")
+    };
+    // Operator visits: one for the plan, two projections, then per row.
+    // The literal plan opens all five employees' skills and runs the
+    // WHERE on all six skills: 1 + 2 + 5 + 6 = 14. The pushdown runs the
+    // left filter on five employees, opens the skills of the four it
+    // does not reject (Ann, Bo, Di, Ed) and runs the WHERE on their four
+    // skills: 1 + 2 + 5 + 4 + 4 = 16 — so every ordinal past the plan's
+    // own visit lands on a different evaluation than without it.
+    let total = visits(true);
+    assert_eq!((total, visits(false)), (16, 14));
+    for k in 1..=total {
+        let plan = Arc::new(FaultPlan::fail_kth("operator", k));
+        let session = chaos_session(&fixture(), &plan);
+        let outcome = catch_unwind(AssertUnwindSafe(|| session.query(UNNEST)));
+        let err = outcome
+            .unwrap_or_else(|_| panic!("k {k}: panic crossed the API boundary"))
+            .expect_err("every ordinal up to the visit count must fire");
+        assert!(
+            err.to_string().contains("injected fault"),
+            "k {k}: wrong error surfaced: {err}"
+        );
+        let again = session.query(UNNEST).unwrap();
+        assert_eq!(again.len(), 2, "k {k}: retry after the fault lost rows");
+    }
+}
+
 /// Regression for the batched governor audit: a governed batched scan
 /// must observe the deadline/token at least once (a huge batch cannot
 /// slip past unchecked — `Governed` ticks per batch and per 64 rows of

@@ -855,3 +855,144 @@ fn folding_keeps_group_counts_and_drops_the_rescans() {
     assert_eq!(literal.rows_scanned, 2_000 + 3 * 1_000);
     assert_eq!(literal.subquery_invocations, 3);
 }
+
+/// A hash join over an empty left side builds nothing: the nested loop it
+/// was derived from never opens its right side without a left row, so a
+/// right-side error (strict `b.z > 'str'`) must not surface either — in
+/// the comma, `JOIN … ON` and `LEFT JOIN … ON` forms, both typing modes.
+#[test]
+fn a_hash_join_over_an_empty_left_side_builds_nothing() {
+    let engine = Engine::new();
+    engine
+        .load_pnotation("t", "{{ {'y': 1, 'z': 1}, {'y': 2, 'z': 2} }}")
+        .unwrap();
+    for q in [
+        "SELECT a.x AS x, b.y AS y FROM [] AS a, t AS b WHERE a.x = b.y AND b.z > 'str'",
+        "SELECT a.x AS x, b.y AS y FROM [] AS a JOIN t AS b ON a.x = b.y AND b.z > 'str'",
+        "SELECT a.x AS x, b.y AS y FROM [] AS a LEFT JOIN t AS b ON a.x = b.y AND b.z > 'str'",
+    ] {
+        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+            for optimize in [true, false] {
+                let session = engine.with_config(SessionConfig {
+                    typing,
+                    optimize,
+                    ..SessionConfig::default()
+                });
+                let arm = format!("{typing:?}, optimize {optimize}: {q}");
+                assert_eq!(
+                    session.explain(q).unwrap().contains("hash join"),
+                    optimize,
+                    "{arm}"
+                );
+                let r = session.query(q).unwrap_or_else(|e| panic!("{arm}: {e}"));
+                assert_eq!(r.canonical(), Value::Bag(Vec::new()), "{arm}");
+                let stats = session.query_with_stats(q).unwrap();
+                assert_eq!(
+                    stats.stats().unwrap().rows_scanned,
+                    0,
+                    "{arm}: the build side was scanned"
+                );
+            }
+        }
+    }
+}
+
+/// A hash join whose right side cannot resolve in the outer environment
+/// (`tags` is an attribute of each left row, not a catalog name) falls
+/// back to the nested loop it was derived from, over the left rows the
+/// build left unread: the left side opens once, and the scan counter
+/// matches the literal plan's.
+#[test]
+fn a_hash_join_fallback_opens_its_left_side_once() {
+    let engine = Engine::new();
+    engine
+        .load_pnotation("u", "{{ {'k': 1, 'tags': [1, 2]}, {'k': 2, 'tags': [3]} }}")
+        .unwrap();
+    let q = "SELECT VALUE b FROM u AS x, tags AS b WHERE x.k = b";
+    let run = |optimize| {
+        let session = engine.with_config(SessionConfig {
+            optimize,
+            ..SessionConfig::default()
+        });
+        assert_eq!(session.explain(q).unwrap().contains("hash join"), optimize);
+        session.query_with_stats(q).unwrap()
+    };
+    let (hashed, literal) = (run(true), run(false));
+    assert_eq!(hashed.canonical().to_string(), "{{1}}");
+    assert_eq!(hashed.canonical(), literal.canonical());
+    // Two left rows and their three tags.
+    assert_eq!(literal.stats().unwrap().rows_scanned, 2 + 3);
+    assert_eq!(hashed.stats().unwrap().rows_scanned, 2 + 3);
+}
+
+/// Ten employees `{deptno: i % 4, projects}` with `i % 3` projects each.
+fn unnest_fixture() -> Engine {
+    let engine = Engine::new();
+    engine.register(
+        "emp",
+        Value::Bag(
+            (0..10)
+                .map(|i| {
+                    let mut t = Tuple::new();
+                    t.insert("id", Value::Int(i));
+                    t.insert("deptno", Value::Int(i % 4));
+                    t.insert(
+                        "projects",
+                        Value::Array((0..i % 3).map(|j| Value::Int(10 * i + j)).collect()),
+                    );
+                    Value::Tuple(t)
+                })
+                .collect(),
+        ),
+    );
+    engine
+}
+
+/// The pushed conjunct filters the left before the UNNEST opens: with
+/// stats on (the binding-stream path) the scan counts every employee but
+/// only the passing rows' projects; the literal plan unnests them all.
+#[test]
+fn pushdown_below_unnest_scans_only_the_passing_rows_projects() {
+    let engine = unnest_fixture();
+    let q = "SELECT VALUE p FROM emp AS e, e.projects AS p WHERE e.deptno = 1";
+    let run = |optimize| {
+        engine
+            .with_config(SessionConfig {
+                optimize,
+                ..SessionConfig::default()
+            })
+            .query_with_stats(q)
+            .unwrap()
+    };
+    let (pushed, literal) = (run(true), run(false));
+    assert_eq!(pushed.canonical(), literal.canonical());
+    // deptno 1: ids 1, 5, 9 with 1, 2, 0 projects. All ten hold 9.
+    assert_eq!(pushed.canonical().to_string(), "{{10, 50, 51}}");
+    assert_eq!(pushed.stats().unwrap().rows_scanned, 10 + 3);
+    assert_eq!(literal.stats().unwrap().rows_scanned, 10 + 9);
+}
+
+/// The optimized plan carries the correlate's left filter; the
+/// paper-literal plan is unchanged, byte for byte.
+#[test]
+fn explain_shows_the_left_filter_and_the_literal_plan_is_unchanged() {
+    let engine = unnest_fixture();
+    let q = "SELECT p AS p FROM emp AS e, e.projects AS p WHERE e.deptno = 1 AND p > 10";
+    let optimized = engine.explain(q).unwrap();
+    assert!(
+        optimized.contains("correlate left-filter (e.deptno = 1)\n"),
+        "{optimized}"
+    );
+    let literal = engine
+        .with_config(SessionConfig {
+            optimize: false,
+            ..SessionConfig::default()
+        })
+        .explain(q)
+        .unwrap();
+    assert_eq!(
+        literal,
+        "select value {'p': p}\n  filter ((e.deptno = 1) AND (p > 10))\n    from\n      \
+         correlate\n        scan @emp as e\n        scan e.projects as p\n"
+    );
+}
