@@ -297,25 +297,19 @@ impl<'a> Evaluator<'a> {
                 offset,
                 on_values: true,
             } => {
+                let Some(mut top) = self.topk(op, keys, limit, offset, env)? else {
+                    return Ok(Value::Bag(Vec::new()));
+                };
                 let out_var: Rc<str> = "$out".into();
-                let rows = self.topk_rows(
-                    op,
-                    keys,
-                    limit,
-                    offset,
-                    env,
-                    || self.element_stream(input, env),
-                    |v: &Value| {
-                        let row_env = env.bind(out_var.clone(), v.clone());
-                        let mut ks = Vec::with_capacity(keys.len());
-                        for k in keys {
-                            ks.push(self.expr(&k.expr, &row_env)?);
-                        }
-                        Ok(ks)
-                    },
-                    approx_value_bytes,
-                )?;
-                Ok(Value::Bag(rows))
+                let mut kv = Vec::with_capacity(keys.len());
+                drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
+                    let row_env = env.bind(out_var.clone(), v.clone());
+                    for k in keys {
+                        kv.push(self.expr(&k.expr, &row_env)?);
+                    }
+                    top.offer(&mut kv, v, approx_value_bytes)
+                })?;
+                Ok(Value::Bag(top.into_rows()))
             }
             // A binding-producing operator in value position only happens
             // for degenerate plans; expose the bindings as tuples.
@@ -564,22 +558,7 @@ impl<'a> Evaluator<'a> {
                 offset,
                 on_values: false,
             } => {
-                let rows = self.topk_rows(
-                    op,
-                    keys,
-                    limit,
-                    offset,
-                    env,
-                    || self.binding_stream(input, env),
-                    |b: &Env| {
-                        let mut ks = Vec::with_capacity(keys.len());
-                        for k in keys {
-                            ks.push(self.expr(&k.expr, b)?);
-                        }
-                        Ok(ks)
-                    },
-                    env_bytes,
-                );
+                let rows = self.topk_bindings(op, input, keys, limit, offset, env);
                 match rows {
                     Ok(rows) => from_vec(rows),
                     Err(e) => failed(e),
@@ -650,57 +629,71 @@ impl<'a> Evaluator<'a> {
         sorter.finish()
     }
 
-    /// Bounded-heap TopK over any row type: keeps the `limit + offset`
-    /// least rows (per the shared sort comparator, ties by arrival order —
-    /// the stable-sort outcome), so peak tracked memory is O(k) and the
-    /// input is never materialized. `make_stream` is only called when the
-    /// bound is nonzero: LIMIT 0 pulls nothing, like [`CoreOp::LimitOffset`].
-    fn topk_rows<'s, T>(
-        &'s self,
+    /// A bounded top-k heap for `ORDER BY keys LIMIT limit OFFSET offset`
+    /// (see [`TopK`]), or `None` for LIMIT 0 — the caller then pulls
+    /// nothing, like [`CoreOp::LimitOffset`]: not one key is evaluated.
+    fn topk<'k, T>(
+        &self,
         whole: &CoreOp,
-        keys: &[CoreSortKey],
+        keys: &'k [CoreSortKey],
         limit: &'a CoreExpr,
         offset: &'a Option<CoreExpr>,
         env: &Env,
-        make_stream: impl FnOnce() -> Box<dyn Stream<T> + 's>,
-        key_of: impl Fn(&T) -> Result<Vec<Value>, EvalError>,
-        size_of: impl Fn(&T) -> u64,
-    ) -> Result<Vec<T>, EvalError> {
+    ) -> Result<Option<TopK<'k, '_, T>>, EvalError> {
         let (lim, off) = self.limit_offset(Some(limit), offset.as_ref(), env)?;
         let lim = lim.expect("top-k always carries a LIMIT");
         let n = lim.saturating_add(off);
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let mut gauge = self.gauge(whole);
-        let mut heap: std::collections::BinaryHeap<HeapEntry<'_, T>> =
-            std::collections::BinaryHeap::new();
-        let mut seq = 0u64;
-        drain_batched(make_stream(), self.batch_size(), |row| {
-            let kv = key_of(&row)?;
-            let bytes = gauge.size(|| keys_bytes(&kv) + size_of(&row));
-            let entry = HeapEntry {
-                keys,
-                kv,
-                seq,
-                bytes,
-                row,
+        Ok((n > 0).then(|| TopK {
+            keys,
+            n,
+            off,
+            gauge: self.gauge(whole),
+            heap: std::collections::BinaryHeap::new(),
+            seq: 0,
+        }))
+    }
+
+    /// TopK in binding form. A `Filter* → Scan` input runs on the fused
+    /// spine: the keys are evaluated on each borrowed element, the heap
+    /// holds its position, and only the survivors are cloned and bound.
+    /// Each row is charged what its binding would weigh, so a memory
+    /// budget admits and refuses exactly where the binding stream does.
+    fn topk_bindings(
+        &self,
+        whole: &CoreOp,
+        input: &'a CoreOp,
+        keys: &'a [CoreSortKey],
+        limit: &'a CoreExpr,
+        offset: &'a Option<CoreExpr>,
+        env: &Env,
+    ) -> Result<Vec<Env>, EvalError> {
+        let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
+        let Some(parts) = self.spine_input(input, &key_exprs) else {
+            let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
+                return Ok(Vec::new());
             };
-            seq += 1;
-            if heap.len() < n {
-                gauge.add(1, bytes)?;
-                heap.push(entry);
-            } else if entry < *heap.peek().expect("heap is at capacity") {
-                let evicted = heap.pop().expect("heap is at capacity");
-                gauge.remove(1, evicted.bytes);
-                gauge.add(1, bytes)?;
-                heap.push(entry);
-            }
-            Ok(())
-        })?;
-        let entries = heap.into_sorted_vec();
-        drop(gauge);
-        Ok(entries.into_iter().skip(off).map(|e| e.row).collect())
+            let mut kv = Vec::with_capacity(keys.len());
+            drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
+                for k in &key_exprs {
+                    kv.push(self.expr(k, &b)?);
+                }
+                top.offer(&mut kv, b, env_bytes)
+            })?;
+            return Ok(top.into_rows());
+        };
+        let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
+            return Ok(Vec::new());
+        };
+        let mut spine = self.spine(parts, env)?;
+        let mut kv = Vec::with_capacity(keys.len());
+        while let Some(pos) = spine.next_at(&mut kv)? {
+            top.offer(&mut kv, pos, |&pos| spine.bound_bytes(pos))?;
+        }
+        Ok(top
+            .into_rows()
+            .into_iter()
+            .map(|pos| spine.bind(pos))
+            .collect())
     }
 
     fn limit_offset(
@@ -1107,16 +1100,31 @@ impl<'a> Evaluator<'a> {
                 // Like the nested loop, which never opens its right side
                 // without a left row: with no probe row at all, build
                 // nothing — a right-side error must not surface where the
-                // plan it was derived from answers `{{}}`.
-                let mut left_rows = self.from_stream(left, whole, env);
-                let first = match next_one(&mut left_rows) {
-                    Ok(Some(first)) => first,
-                    Ok(None) => return empty(),
-                    Err(e) => return failed(e),
+                // plan it was derived from answers `{{}}`. On the spine
+                // that is a look at the source; no left predicate or key
+                // runs before the build.
+                let probe: ProbeSide = match self.spine_probe(*kind, left, keys, left_pred.as_ref())
+                {
+                    Some(parts) => match self.spine(parts, env) {
+                        Ok(spine) if spine.source.items().is_empty() => return empty(),
+                        Ok(spine) => ProbeSide::Spine(FusedScan {
+                            join_keys: true,
+                            ..spine
+                        }),
+                        Err(e) => return failed(e),
+                    },
+                    None => {
+                        let mut left_rows = self.from_stream(left, whole, env);
+                        let first = match next_one(&mut left_rows) {
+                            Ok(Some(first)) => first,
+                            Ok(None) => return empty(),
+                            Err(e) => return failed(e),
+                        };
+                        let mut parts = [from_vec(vec![first]), left_rows].into_iter();
+                        ProbeSide::Rows(Box::new(Concat::new(move || parts.next())))
+                    }
                 };
-                let mut parts = [from_vec(vec![first]), left_rows].into_iter();
-                let mut left_rows: Option<BindingStream<'s>> =
-                    Some(Box::new(Concat::new(move || parts.next())));
+                let mut left_rows = Some(probe);
                 let joined = self.hash_join(
                     *kind,
                     &mut left_rows,
@@ -1146,7 +1154,7 @@ impl<'a> Evaluator<'a> {
                     (Err(EvalError::UnknownName(_)), Some(left_rows)) => Box::new(NestedLoop::new(
                         self,
                         *kind,
-                        left_rows,
+                        left_rows.into_bindings(self),
                         right,
                         whole,
                         names,
@@ -1211,7 +1219,7 @@ impl<'a> Evaluator<'a> {
     fn hash_join<'s>(
         &'s self,
         kind: CoreJoinKind,
-        left_rows: &mut Option<BindingStream<'s>>,
+        left_rows: &mut Option<ProbeSide<'s, 'a>>,
         right: &'a CoreFrom,
         whole: &'a CoreOp,
         keys: &'a [(CoreExpr, CoreExpr)],
@@ -1243,12 +1251,21 @@ impl<'a> Evaluator<'a> {
         let mut pads = Vec::new();
         let mut probe_rows = || {
             let lefts = lefts.get_or_insert_with(|| {
-                Cursor::new(
-                    left_rows.take().expect("the probe side is read once"),
-                    self.batch_size(),
-                )
+                match left_rows.take().expect("the probe side is read once") {
+                    ProbeSide::Rows(rows) => ProbeSide::Rows(Cursor::new(rows, self.batch_size())),
+                    ProbeSide::Spine(spine) => ProbeSide::Spine(spine),
+                }
             });
-            while let Some(l) = lefts.next()? {
+            let rows = match lefts {
+                ProbeSide::Spine(spine) => {
+                    let mut kv = Vec::with_capacity(keys.len());
+                    return Ok(spine
+                        .next_at(&mut kv)?
+                        .map(|pos| (kv, encode_env(&spine.bind(pos), None))));
+                }
+                ProbeSide::Rows(rows) => rows,
+            };
+            while let Some(l) = rows.next()? {
                 tick()?;
                 match self.join_key(keys.iter().map(|(lk, _)| lk), left_pred, &l)? {
                     Some(kv) => return Ok(Some((kv, encode_env(&l, None)))),
@@ -1268,7 +1285,9 @@ impl<'a> Evaluator<'a> {
                 while let Some((kv, payload)) = probes()? {
                     let l = decode_env(payload, env)?;
                     let matched =
-                        table.probe(self, &kv, &l, names, residual, &mut |row| out.push(row))?;
+                        table.probe(self, &kv, &|| l.clone(), names, residual, &mut |row| {
+                            out.push(row)
+                        })?;
                     if !matched && kind == CoreJoinKind::Left {
                         out.push(pad_left(&l, names));
                     }
@@ -1365,14 +1384,24 @@ impl<'a> Evaluator<'a> {
         at_var: Option<&str>,
         env: &Env,
     ) -> BindingStream<'s> {
-        let source = match self.scan_source(expr, env) {
-            Ok(s) => s,
-            Err(e) => return failed(e),
-        };
-        // Intern the binding names once; each per-row bind is then a
-        // refcount bump instead of a String allocation.
-        let as_var: Rc<str> = as_var.into();
-        let at_var: Option<Rc<str>> = at_var.map(Into::into);
+        match self.scan_source(expr, env) {
+            // Intern the binding names once; each per-row bind is then a
+            // refcount bump instead of a String allocation.
+            Ok(source) => {
+                self.source_stream(source, as_var.into(), at_var.map(Into::into), env.clone())
+            }
+            Err(e) => failed(e),
+        }
+    }
+
+    /// The bindings of an opened scan source.
+    fn source_stream<'s>(
+        &'s self,
+        source: ScanSource,
+        as_var: Rc<str>,
+        at_var: Option<Rc<str>>,
+        env: Env,
+    ) -> BindingStream<'s> {
         match source {
             ScanSource::Shared(arc) if matches!(&*arc, Value::Bag(_) | Value::Array(_)) => {
                 Box::new(SharedScan {
@@ -1381,13 +1410,11 @@ impl<'a> Evaluator<'a> {
                     idx: 0,
                     as_var,
                     at_var,
-                    env: env.clone(),
+                    env,
                 })
             }
-            ScanSource::Shared(arc) => {
-                self.scan_value_stream((*arc).clone(), as_var, at_var, env.clone())
-            }
-            ScanSource::Owned(v) => self.scan_value_stream(v, as_var, at_var, env.clone()),
+            ScanSource::Shared(arc) => self.scan_value_stream((*arc).clone(), as_var, at_var, env),
+            ScanSource::Owned(v) => self.scan_value_stream(v, as_var, at_var, env),
         }
     }
 
@@ -1508,6 +1535,16 @@ impl<'a> Evaluator<'a> {
         park_from: usize,
         env: &Env,
     ) -> Option<Box<dyn Stream<T> + 's>> {
+        let parts = self.spine_input(input, outs)?;
+        Some(match self.spine(parts, env) {
+            Ok(spine) => Box::new(FusedScan { park_from, ..spine }),
+            Err(e) => failed(e),
+        })
+    }
+
+    /// The spine's parts for a `Filter* → Scan` input with `outs` as its
+    /// outputs, or `None` when ineligible.
+    fn spine_input(&self, input: &'a CoreOp, outs: &[&'a CoreExpr]) -> Option<SpineParts<'a>> {
         if !self.spine_on() {
             return None;
         }
@@ -1524,12 +1561,26 @@ impl<'a> Evaluator<'a> {
                 _ => return None,
             }
         };
-        let (scan_expr, as_var) = spine_scan(item)?;
         // Peeled outermost-first; they must run scan-side-first.
         preds.reverse();
-        let preds = self.rooted(&preds, as_var)?;
-        let outs = self.rooted(outs, as_var)?;
-        Some(self.open_spine(scan_expr, as_var, preds, false, outs, park_from, env))
+        self.spine_parts(item, &preds, outs)
+    }
+
+    /// The spine's parts over the bare scan `item`, or `None` when
+    /// ineligible.
+    fn spine_parts(
+        &self,
+        item: &'a CoreFrom,
+        preds: &[&'a CoreExpr],
+        outs: &[&'a CoreExpr],
+    ) -> Option<SpineParts<'a>> {
+        let (scan, as_var) = spine_scan(item)?;
+        Some(SpineParts {
+            scan,
+            as_var,
+            preds: self.rooted(preds, as_var)?,
+            outs: self.rooted(outs, as_var)?,
+        })
     }
 
     /// A correlate's left rows, bare scan and left filter, on the fused
@@ -1545,14 +1596,39 @@ impl<'a> Evaluator<'a> {
         if !self.spine_on() {
             return None;
         }
-        let (scan_expr, as_var) = spine_scan(left)?;
-        let preds = self.rooted(&[left_pred], as_var)?;
-        let root = vec![Program::root()];
-        let rows = self.open_spine(scan_expr, as_var, preds, true, root, 0, env);
-        let (var, env): (Rc<str>, Env) = (as_var.into(), env.clone());
+        let mut parts = self.spine_parts(left, &[left_pred], &[])?;
+        parts.outs.push(Program::root());
+        let var: Rc<str> = parts.as_var.into();
+        let rows: Box<dyn Stream<Value>> = match self.spine(parts, env) {
+            Ok(spine) => Box::new(FusedScan {
+                left_filter: true,
+                ..spine
+            }),
+            Err(e) => failed(e),
+        };
+        let env = env.clone();
         Some(Box::new(MapRows::new(rows, move |v| {
             Ok(Some(env.bind(var.clone(), v)))
         })))
+    }
+
+    /// An inner hash join's bare-scan left side on the fused spine: each
+    /// row that passes the probe filter yields its left keys, and a row
+    /// with an absent key is rejected on the spine (see
+    /// [`FusedScan::join_keys`]). `None` when ineligible: a LEFT join
+    /// pads every rejected row, so it needs each row's binding anyway.
+    fn spine_probe(
+        &self,
+        kind: CoreJoinKind,
+        left: &'a CoreFrom,
+        keys: &'a [(CoreExpr, CoreExpr)],
+        left_pred: Option<&'a CoreExpr>,
+    ) -> Option<SpineParts<'a>> {
+        if kind != CoreJoinKind::Inner || !self.spine_on() {
+            return None;
+        }
+        let left_keys: Vec<&'a CoreExpr> = keys.iter().map(|(lk, _)| lk).collect();
+        self.spine_parts(left, left_pred.as_slice(), &left_keys)
     }
 
     /// Whether the fused spine may run: batching is on, stats are off
@@ -1579,45 +1655,39 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Opens the spine over `scan_expr` (see [`FusedScan`]).
-    #[allow(clippy::too_many_arguments)]
-    fn open_spine<'s, T: FusedOut + 's>(
+    /// Opens the spine (see [`FusedScan`]): every predicate must be TRUE,
+    /// and every output's error fails the scan. Callers adjust the policy
+    /// fields. A MISSING source scans as empty.
+    fn spine<'s>(
         &'s self,
-        scan_expr: &'a CoreExpr,
-        as_var: &'a str,
-        preds: Vec<Program<'a>>,
-        left_filter: bool,
-        outs: Vec<Program<'a>>,
-        park_from: usize,
+        parts: SpineParts<'a>,
         env: &Env,
-    ) -> Box<dyn Stream<T> + 's> {
-        let source = match self.scan_source(scan_expr, env) {
-            Ok(source) => source,
-            Err(e) => return failed(e),
-        };
+    ) -> Result<FusedScan<'s, 'a>, EvalError> {
+        let mut source = self.scan_source(parts.scan, env)?;
         // Mirrors `scan_value_stream`: collections iterate, MISSING
         // vanishes, anything else is a permissive singleton or a strict
         // error.
         match source.value() {
             Value::Bag(_) | Value::Array(_) => {}
-            Value::Missing => return empty(),
+            Value::Missing => source = ScanSource::Owned(Value::Bag(Vec::new())),
             other if self.config.typing == TypingMode::StrictError => {
-                return failed(EvalError::Type(format!(
+                return Err(EvalError::Type(format!(
                     "FROM source must be a collection, found {}",
                     other.kind().name()
                 )));
             }
             _ => {}
         }
-        Box::new(FusedScan {
+        Ok(FusedScan {
             ev: self,
             source,
             idx: 0,
-            as_var,
-            preds,
-            left_filter,
-            outs,
-            park_from,
+            as_var: parts.as_var,
+            preds: parts.preds,
+            left_filter: false,
+            outs: parts.outs,
+            park_from: usize::MAX,
+            join_keys: false,
             env: env.clone(),
         })
     }
@@ -2612,14 +2682,37 @@ impl ScanSource {
             ScanSource::Owned(v) => v,
         }
     }
+
+    /// The elements a scan of it reads. A non-collection source is a
+    /// (permissive) singleton.
+    fn items(&self) -> &[Value] {
+        match self.value() {
+            Value::Bag(items) | Value::Array(items) => items,
+            single => std::slice::from_ref(single),
+        }
+    }
 }
 
-/// The fused scan spine as a stream (built only by
-/// [`Evaluator::fused_scan`]): each pull resumes at `idx` over the
-/// borrowed source elements, runs the root-specialized predicates and
-/// output programs on each, and stops once `max` rows are out — so a
-/// LIMIT, EXISTS or IN above it stops the scan exactly like the adapter
-/// pipeline does. A row that passes yields one item per output program.
+/// What a [`FusedScan`] runs: its scan, its row variable, and its
+/// root-specialized predicates and outputs.
+struct SpineParts<'a> {
+    scan: &'a CoreExpr,
+    as_var: &'a str,
+    preds: Vec<Program<'a>>,
+    outs: Vec<Program<'a>>,
+}
+
+/// The fused scan spine (opened only by [`Evaluator::spine`]): each pull
+/// resumes at `idx` over the borrowed source elements, runs the
+/// root-specialized predicates and output programs on each, and stops
+/// once `max` rows are out — so a LIMIT, EXISTS or IN above it stops the
+/// scan exactly like the adapter pipeline does. A row that passes yields
+/// one item per output program.
+///
+/// As a stream it hands on only those items. [`FusedScan::next_at`]
+/// hands on a row's position in the source as well, so a consumer can
+/// decide on the borrowed element whether it needs the row before it
+/// clones and binds it ([`FusedScan::bind`]): late materialization.
 struct FusedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
     source: ScanSource,
@@ -2634,6 +2727,10 @@ struct FusedScan<'s, 'a> {
     outs: Vec<Program<'a>>,
     /// The first output whose data errors are parked, not raised.
     park_from: usize,
+    /// The outputs are a hash join's left keys: an absent one rejects
+    /// the row — NULL and MISSING never compare equal — and the keys
+    /// after it are not evaluated, exactly as [`Evaluator::join_key`].
+    join_keys: bool,
     env: Env,
 }
 
@@ -2674,17 +2771,55 @@ impl FusedOut for Result<Value, EvalError> {
 }
 
 impl FusedScan<'_, '_> {
+    /// The row at source position `pos`, cloned and bound — the one
+    /// place a positional consumer pays for a row.
+    fn bind(&self, pos: usize) -> Env {
+        self.env.bind(self.as_var, self.source.items()[pos].clone())
+    }
+
+    /// [`env_bytes`] of [`Self::bind`]`(pos)`, without binding it.
+    fn bound_bytes(&self, pos: usize) -> u64 {
+        let shadowed: u64 = self
+            .env
+            .visible_bindings()
+            .iter()
+            .filter(|(n, _)| *n == self.as_var)
+            .map(|(n, v)| binding_bytes(n, v))
+            .sum();
+        env_bytes(&self.env) - shadowed + binding_bytes(self.as_var, &self.source.items()[pos])
+    }
+
+    /// Pulls the next row that passes: its outputs are appended to `out`
+    /// and its source position is returned. `None` once the scan is
+    /// exhausted. One row per call, so a consumer that stops early — a
+    /// LIMIT above a join probe — never reads ahead.
+    fn next_at<T: FusedOut>(&mut self, out: &mut Vec<T>) -> Result<Option<usize>, EvalError> {
+        let rows = self.pull(out, 1)?;
+        Ok((rows > 0).then(|| self.idx - 1))
+    }
+
+    /// Fills `out` with up to `max` rows on the evaluator's value stack.
+    /// Root-safe programs never re-enter the VM (call instructions clear
+    /// `root_safe`), and a consumer that runs the VM between pulls takes
+    /// its own from the `Cell` — correctness never depends on this reuse,
+    /// only speed does.
+    fn pull<T: FusedOut>(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, EvalError> {
+        let mut stack = self.ev.vm_stack.take();
+        stack.clear();
+        let result = self.fill(out, max, &mut stack);
+        stack.clear();
+        self.ev.vm_stack.set(stack);
+        result
+    }
+
+    /// The scan loop: the number of rows that passed.
     fn fill<T: FusedOut>(
         &mut self,
         out: &mut Vec<T>,
         max: usize,
         stack: &mut Vec<Value>,
-    ) -> Result<(), EvalError> {
-        // A non-collection source is a (permissive) singleton.
-        let items = match self.source.value() {
-            Value::Bag(items) | Value::Array(items) => items.as_slice(),
-            single => std::slice::from_ref(single),
-        };
+    ) -> Result<usize, EvalError> {
+        let items = self.source.items();
         let watcher = self.ev.govern.as_watcher();
         let mut rows = 0;
         'rows: while rows < max {
@@ -2732,6 +2867,10 @@ impl FusedScan<'_, '_> {
                         Err(e)
                     }
                 };
+                if self.join_keys && matches!(&r, Ok(v) if v.is_absent()) {
+                    out.truncate(row_start);
+                    continue 'rows;
+                }
                 match T::lift(r, i >= self.park_from) {
                     Ok(item) => out.push(item),
                     Err(e) => {
@@ -2742,22 +2881,13 @@ impl FusedScan<'_, '_> {
             }
             rows += 1;
         }
-        Ok(())
+        Ok(rows)
     }
 }
 
 impl<T: FusedOut> Stream<T> for FusedScan<'_, '_> {
     fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
-        // One value stack per pull. Root-safe programs never re-enter the
-        // VM (call instructions clear `root_safe`), and a consumer that
-        // runs the VM between pulls takes its own from the `Cell` —
-        // correctness never depends on this reuse, only speed does.
-        let mut stack = self.ev.vm_stack.take();
-        stack.clear();
-        let result = self.fill(out, max, &mut stack);
-        stack.clear();
-        self.ev.vm_stack.set(stack);
-        result
+        self.pull(out, max).map(drop)
     }
 }
 
@@ -3124,12 +3254,13 @@ impl JoinTable {
     /// there was one. Bucket candidates are confirmed key-by-key with
     /// `deep_eq` (hash_value is deep_eq-consistent), which is exactly when
     /// `l.x = r.y` evaluates to TRUE for non-absent keys; the residual is
-    /// then re-checked in the combined environment.
+    /// then re-checked in the combined environment. The left row's binding
+    /// is made by `left`, once, at its first key match.
     fn probe<'a>(
         &self,
         ev: &Evaluator<'a>,
         kv: &[Value],
-        l: &Env,
+        left: &dyn Fn() -> Env,
         names: &[Rc<str>],
         residual: Option<&'a CoreExpr>,
         emit: &mut dyn FnMut(Env),
@@ -3138,6 +3269,7 @@ impl JoinTable {
             return Ok(false);
         };
         let mut matched = false;
+        let mut l = None;
         for &i in bucket {
             // A skewed bucket can hold many candidates per left row;
             // tick the deadline per candidate like the nested loop does.
@@ -3151,7 +3283,7 @@ impl JoinTable {
             if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
                 continue;
             }
-            let combined = combine_envs(l, renv, names);
+            let combined = combine_envs(l.get_or_insert_with(left), renv, names);
             if let Some(p) = residual {
                 if !matches!(ev.expr(p, &combined)?, Value::Bool(true)) {
                     continue;
@@ -3317,6 +3449,29 @@ impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
     }
 }
 
+/// A hash join's probe side.
+enum ProbeSide<'s, 'a, R = BindingStream<'s>> {
+    /// The left rows as bindings.
+    Rows(R),
+    /// An inner join's bare-scan left side on the fused spine (see
+    /// [`Evaluator::spine_probe`]): the left keys of each row that can
+    /// match, with its position, so a row is cloned and bound only once
+    /// a build row's keys equal its own.
+    Spine(FusedScan<'s, 'a>),
+}
+
+impl<'s> ProbeSide<'s, '_> {
+    /// The left rows as bindings, none of them read yet.
+    fn into_bindings(self, ev: &'s Evaluator<'_>) -> BindingStream<'s> {
+        match self {
+            ProbeSide::Rows(rows) => rows,
+            ProbeSide::Spine(spine) => {
+                ev.source_stream(spine.source, spine.as_var.into(), None, spine.env)
+            }
+        }
+    }
+}
+
 /// Streaming hash-join probe: the build side is already materialized
 /// (tracked live by its gauge); left rows are pulled one at a time and
 /// probed, so a LIMIT above the join stops the left scan early.
@@ -3330,7 +3485,7 @@ struct HashProbe<'s, 'a> {
     build: JoinTable,
     /// Keeps the build rows counted as live until the probe finishes.
     _held: MatGauge<'s>,
-    left: BindingStream<'s>,
+    left: ProbeSide<'s, 'a>,
     /// Rows produced by the current left row, drained before pulling the
     /// next one.
     pending: VecDeque<Env>,
@@ -3338,34 +3493,56 @@ struct HashProbe<'s, 'a> {
 }
 
 impl<'s, 'a> HashProbe<'s, 'a> {
-    /// Probes the build table for one left row, queueing its matches.
-    fn probe(&mut self, l: &Env) -> Result<bool, EvalError> {
-        // An empty build side matches nothing — and, like the nested
-        // loop over an empty right side, evaluates no predicate or key
-        // at all.
-        if self.build.rows.is_empty() {
-            return Ok(false);
-        }
-        let left_keys = self.keys.iter().map(|(lk, _)| lk);
-        let Some(kv) = self.ev.join_key(left_keys, self.left_pred, l)? else {
-            return Ok(false);
-        };
-        let (names, pending) = (&self.names, &mut self.pending);
-        self.build
-            .probe(self.ev, &kv, l, names, self.residual, &mut |row| {
-                pending.push_back(row)
-            })
-    }
-
     /// Pulls one left row and queues what it produces: its matches, or
-    /// its NULL padding for an unmatched LEFT row.
+    /// its NULL padding for an unmatched LEFT row. An empty build side
+    /// matches nothing — and, like the nested loop over an empty right
+    /// side, evaluates no left predicate or key at all.
     fn step(&mut self) -> Result<(), EvalError> {
-        let Some(l) = next_one(&mut self.left)? else {
-            self.done = true;
-            return Ok(());
-        };
-        if !self.probe(&l)? && self.kind == CoreJoinKind::Left {
-            self.pending.push_back(pad_left(&l, &self.names));
+        let (build, names, pending) = (&self.build, &self.names, &mut self.pending);
+        let mut emit = |row| pending.push_back(row);
+        match &mut self.left {
+            ProbeSide::Spine(spine) => {
+                let mut kv = Vec::with_capacity(self.keys.len());
+                let pos = if build.rows.is_empty() {
+                    None
+                } else {
+                    spine.next_at(&mut kv)?
+                };
+                let Some(pos) = pos else {
+                    self.done = true;
+                    return Ok(());
+                };
+                let spine = &*spine;
+                build.probe(
+                    self.ev,
+                    &kv,
+                    &|| spine.bind(pos),
+                    names,
+                    self.residual,
+                    &mut emit,
+                )?;
+            }
+            ProbeSide::Rows(rows) => {
+                let Some(l) = next_one(rows)? else {
+                    self.done = true;
+                    return Ok(());
+                };
+                let left_keys = self.keys.iter().map(|(lk, _)| lk);
+                let kv = if build.rows.is_empty() {
+                    None
+                } else {
+                    self.ev.join_key(left_keys, self.left_pred, &l)?
+                };
+                let matched = match kv {
+                    Some(kv) => {
+                        build.probe(self.ev, &kv, &|| l.clone(), names, self.residual, &mut emit)?
+                    }
+                    None => false,
+                };
+                if !matched && self.kind == CoreJoinKind::Left {
+                    pending.push_back(pad_left(&l, names));
+                }
+            }
         }
         Ok(())
     }
@@ -3430,9 +3607,14 @@ fn sort_annotated<T>(rows: &mut [(Vec<Value>, T)], keys: &[CoreSortKey]) {
 fn env_bytes(e: &Env) -> u64 {
     e.visible_bindings()
         .iter()
-        .map(|(n, v)| 9 + n.len() as u64 + approx_value_bytes(v))
+        .map(|(n, v)| binding_bytes(n, v))
         .sum::<u64>()
         + 9
+}
+
+/// One binding's share of [`env_bytes`].
+fn binding_bytes(name: &str, v: &Value) -> u64 {
+    9 + name.len() as u64 + approx_value_bytes(v)
 }
 
 /// Serializes an environment for a spill file: the visible bindings
@@ -3525,6 +3707,67 @@ impl SpillCodec for ValueCodec {
     }
     fn size(&self, row: &Value) -> u64 {
         approx_value_bytes(row)
+    }
+}
+
+/// A bounded top-k heap over any row type: keeps the `n = limit + offset`
+/// least rows offered (per the shared sort comparator, ties by arrival
+/// order — the stable-sort outcome), so peak tracked memory is O(k) and
+/// the input is never materialized. Built by [`Evaluator::topk`].
+struct TopK<'k, 'g, T> {
+    keys: &'k [CoreSortKey],
+    n: usize,
+    off: usize,
+    gauge: MatGauge<'g>,
+    heap: std::collections::BinaryHeap<HeapEntry<'k, T>>,
+    /// The arrival number of the next row offered.
+    seq: u64,
+}
+
+impl<T> TopK<'_, '_, T> {
+    /// Offers one row with its key values, taken from `kv` (left empty)
+    /// if the row enters the heap. It is charged its keys plus
+    /// `size_of(&row)` bytes for as long as it stays there.
+    fn offer(
+        &mut self,
+        kv: &mut Vec<Value>,
+        row: T,
+        size_of: impl FnOnce(&T) -> u64,
+    ) -> Result<(), EvalError> {
+        let seq = self.seq;
+        self.seq += 1;
+        let full = self.heap.len() == self.n;
+        if full {
+            // A later arrival with equal keys sorts after every resident,
+            // so only strictly lesser keys displace the greatest.
+            let greatest = self.heap.peek().expect("heap is at capacity");
+            if cmp_sort_keys(self.keys, kv, &greatest.kv) != std::cmp::Ordering::Less {
+                kv.clear();
+                return Ok(());
+            }
+        }
+        let kv = std::mem::take(kv);
+        let bytes = self.gauge.size(|| keys_bytes(&kv) + size_of(&row));
+        if full {
+            let evicted = self.heap.pop().expect("heap is at capacity");
+            self.gauge.remove(1, evicted.bytes);
+        }
+        self.gauge.add(1, bytes)?;
+        self.heap.push(HeapEntry {
+            keys: self.keys,
+            kv,
+            seq,
+            bytes,
+            row,
+        });
+        Ok(())
+    }
+
+    /// The survivors in sort order, past the offset.
+    fn into_rows(self) -> Vec<T> {
+        let entries = self.heap.into_sorted_vec();
+        drop(self.gauge);
+        entries.into_iter().skip(self.off).map(|e| e.row).collect()
     }
 }
 

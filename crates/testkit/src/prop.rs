@@ -52,10 +52,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        let cases = std::env::var("SQLPP_PROP_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
+        let cases = cases(64);
         let seed = std::env::var("SQLPP_PROP_SEED")
             .ok()
             .and_then(|v| parse_seed(&v))
@@ -66,6 +63,17 @@ impl Default for Config {
             max_shrink_iters: 4096,
         }
     }
+}
+
+/// `default_count` cases, unless `SQLPP_PROP_CASES` says otherwise. An
+/// explicit `cases = …` in a property's config block beats the
+/// environment, so a property whose sweep CI scales writes
+/// `cases = prop::cases(n)`.
+pub fn cases(default_count: u32) -> u32 {
+    std::env::var("SQLPP_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default_count)
 }
 
 fn parse_seed(s: &str) -> Option<u64> {

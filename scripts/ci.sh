@@ -149,6 +149,18 @@ SQLPP_PROP_PERSIST_DIR=tests/regression-seeds SQLPP_PROP_CASES=500 \
   cargo test -q --release --test fuzz_frontend
 echo "frontend fuzz OK"
 
+echo "== spine differential gate (seeded) =="
+# The fused spine's consumers against the binding stream and the
+# paper-literal plan: pushdown below UNNEST (a correlate's left filter)
+# and late materialization (top-k, the inner hash join's probe side),
+# under optimize on/off x batch 1/2/1024 x both typing modes — equal
+# answers or the identical error. 20000 cases per property take about
+# 20 s on two cores. A divergence is persisted as a regression seed under
+# tests/regression-seeds/, replayed first on every run.
+SQLPP_PROP_PERSIST_DIR=tests/regression-seeds SQLPP_PROP_CASES=20000 \
+  cargo test -q --release --test pushdown --test spine_consumers
+echo "spine differential OK"
+
 echo "== diagnostics golden gate =="
 # Caret-underlined multi-error reports are pinned byte-for-byte under
 # tests/golden/diagnostics/; regenerate intentionally with

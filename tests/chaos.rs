@@ -335,6 +335,78 @@ fn governed_batched_scan_checks_at_least_once_and_amortizes() {
     );
 }
 
+/// The fused spine's late-materializing consumers — a top-k in binding
+/// form and an inner hash join's probe side — tick the governor once per
+/// 64 scanned rows, so a deadline or a cancelled token stops them
+/// mid-scan with the governor's error instead of letting them finish.
+/// Every row passes a costly filter (a `LIKE` over a 1 000-character
+/// string) and the last row's key raises in strict mode, so a scan that
+/// ran to its end would answer with that type error instead.
+#[test]
+fn governed_spine_consumers_stop_mid_scan() {
+    const ROWS: i64 = 12_000;
+    let row = |id: i64| {
+        let mut t = sqlpp::Tuple::new();
+        t.insert("id", Value::Int(id));
+        let k = if id == ROWS - 1 {
+            Value::Str("x".into())
+        } else {
+            Value::Int(id)
+        };
+        t.insert("k", k);
+        t.insert("s", Value::Str("a".repeat(1_000)));
+        Value::Tuple(t)
+    };
+    use sqlpp::value::Value;
+    let engine = Engine::new();
+    engine.register("big", Value::Bag((0..ROWS).map(row).collect()));
+    engine.register("trap", Value::Bag(vec![row(ROWS - 1)]));
+    let small = "{{ {'k': 0} }}";
+    engine.load_pnotation("small", small).unwrap();
+    let shapes = [
+        "SELECT VALUE e.id FROM big AS e WHERE NOT (e.s LIKE '%aaaaaaaab') \
+         ORDER BY e.k + 1 LIMIT 3",
+        "SELECT VALUE e.id FROM big AS e, small AS d \
+         WHERE NOT (e.s LIKE '%aaaaaaaab') AND e.k + 1 = d.k",
+    ];
+    let strict = |limits| {
+        engine.with_config(SessionConfig {
+            typing: sqlpp::TypingMode::StrictError,
+            limits,
+            ..SessionConfig::default()
+        })
+    };
+    for q in shapes {
+        // The trap: the last row's key raises once the scan reaches it.
+        let trapped = strict(sqlpp::Limits::none())
+            .query(&q.replace("big", "trap"))
+            .expect_err("the last row's key raises");
+        assert!(trapped.to_string().contains("type error"), "{trapped}");
+
+        let err = strict(sqlpp::Limits::none().with_time(std::time::Duration::from_millis(5)))
+            .query(q)
+            .expect_err("the deadline stops the scan");
+        assert!(err.to_string().contains("deadline"), "{q}: {err}");
+
+        let token = sqlpp::CancelToken::new();
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                token.cancel();
+            })
+        };
+        let err = strict(sqlpp::Limits::none().with_cancel(token))
+            .query(q)
+            .expect_err("the token stops the scan");
+        canceller.join().unwrap();
+        assert!(
+            err.to_string().contains("cancellation requested"),
+            "{q}: {err}"
+        );
+    }
+}
+
 /// The engine-side out-of-core site names (ISSUE 9). Stable API:
 /// `govern::tests::fault_site_names_are_stable` pins them.
 const SPILL_SITES: &[&str] = &["spill-write", "spill-read", "temp-file"];

@@ -25,24 +25,13 @@ use sqlpp_syntax::{
     parse_expr, parse_expr_recovering, parse_query, parse_query_recovering, parse_statement,
     parse_statement_recovering, Diagnostic,
 };
-use sqlpp_testkit::{gen, sqlpp_prop};
+use sqlpp_testkit::{gen, prop, sqlpp_prop};
 
 fn corpus_queries() -> Vec<String> {
     sqlpp_compat_kit::corpus()
         .iter()
         .map(|c| c.query.to_string())
         .collect()
-}
-
-/// An explicit `cases = …` in the config block beats the environment,
-/// so read `SQLPP_PROP_CASES` ourselves — the CI fuzz gate scales the
-/// sweep through it (500/property smoke, 2500/property for the full
-/// 10k-input acceptance run).
-fn cases(default_count: u32) -> u32 {
-    std::env::var("SQLPP_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_count)
 }
 
 /// Mirrors `Diagnostics`' overlap rule: half-open ranges, with empty
@@ -119,8 +108,10 @@ fn assert_front_end_contract(src: &str) {
     }
 }
 
+// The CI fuzz gate scales the sweep through `SQLPP_PROP_CASES` (500 per
+// property for the smoke, 2500 for the full 10k-input acceptance run).
 sqlpp_prop! {
-    #![config(cases = cases(512))]
+    #![config(cases = prop::cases(512))]
 
     // Family 1: raw bytes, lossily decoded — control characters,
     // replacement chars, truncated multi-byte sequences.

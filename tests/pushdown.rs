@@ -18,7 +18,7 @@
 //! `tests/engine_api.rs` pins the pushdown's scan counter and its EXPLAIN.
 
 use sqlpp::{Engine, SessionConfig, TypingMode};
-use sqlpp_testkit::prop::{Gen, Source};
+use sqlpp_testkit::prop::{self, Gen, Source};
 use sqlpp_testkit::{prop_assert, prop_assert_eq, sqlpp_prop};
 use sqlpp_value::{Tuple, Value};
 
@@ -241,8 +241,10 @@ fn session(u: &Value, typing: TypingMode, optimize: bool, batch_size: usize) -> 
     })
 }
 
+// The CI spine differential gate scales the sweep through
+// `SQLPP_PROP_CASES`.
 sqlpp_prop! {
-    #![config(cases = 600)]
+    #![config(cases = prop::cases(600))]
 
     fn pushdown_matches_the_paper_literal_plan(data in rows(), q in queries()) {
         for typing in [TypingMode::Permissive, TypingMode::StrictError] {
