@@ -199,15 +199,6 @@ pub(crate) enum Instr<'p> {
 }
 
 impl<'p> Program<'p> {
-    /// The program that yields the fused spine's root binding itself —
-    /// how a correlate's left row comes off the spine.
-    pub(crate) fn root() -> Program<'p> {
-        Program {
-            instrs: vec![Instr::RootVar],
-            root_safe: true,
-        }
-    }
-
     /// Rewrites every lookup that can only resolve to the fused spine's
     /// root binding (`Var`/`Field` on the scan variable — root-first
     /// shadowing means the root always wins) into a direct root read,

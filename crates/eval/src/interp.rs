@@ -1047,7 +1047,10 @@ impl<'a> Evaluator<'a> {
                 expr,
                 as_var,
                 at_var,
-            } => self.scan_stream(expr, as_var, at_var.as_deref(), env),
+            } => match self.open_scan(expr, as_var, at_var.as_deref(), env) {
+                Ok(scan) => Box::new(scan),
+                Err(e) => failed(e),
+            },
             CoreFrom::Unpivot {
                 expr,
                 value_var,
@@ -1154,7 +1157,7 @@ impl<'a> Evaluator<'a> {
                     (Err(EvalError::UnknownName(_)), Some(left_rows)) => Box::new(NestedLoop::new(
                         self,
                         *kind,
-                        left_rows.into_bindings(self),
+                        left_rows.into_bindings(),
                         right,
                         whole,
                         names,
@@ -1356,116 +1359,61 @@ impl<'a> Evaluator<'a> {
         Ok(Some(kv))
     }
 
-    /// How a scan obtains its source: a fully-resolved catalog name scans
-    /// the stored collection *shared* (`Arc` snapshot — elements clone
-    /// lazily, one per pulled row); anything else evaluates to an owned
-    /// value.
-    fn scan_source(&self, expr: &'a CoreExpr, env: &Env) -> Result<ScanSource, EvalError> {
-        if let CoreExpr::Global(segments) = expr {
-            self.govern.fault_at(FaultSite::CatalogRead)?;
-            if let Some((value, used)) = self.catalog.resolve_prefix(segments) {
-                if used == segments.len() {
-                    return Ok(ScanSource::Shared(value));
-                }
-            }
-        }
-        Ok(ScanSource::Owned(self.expr(expr, env)?))
-    }
-
-    /// Iterating a FROM source (§III): collections iterate, MISSING
-    /// vanishes, and any other value is — permissively — a singleton
-    /// ("aliases may bind to any value, not just tuples").
-    /// `rows_scanned` counts *pulled* elements, so a short-circuited
-    /// consumer (LIMIT, EXISTS) stops the count with the pull.
-    fn scan_stream<'s>(
+    /// Opens a FROM scan — the one place the §III source policy lives.
+    /// A fully-resolved catalog name scans the stored collection
+    /// *shared* (its `Arc` snapshot: a row is cloned only when it is
+    /// bound); anything else evaluates to a value the scan owns, whose
+    /// rows its binding form moves out. Collections iterate and MISSING
+    /// scans as empty. Any other value is a singleton under permissive
+    /// typing ("aliases may bind to any value, not just tuples") and an
+    /// error under strict typing — as is an AT variable over a bag, at
+    /// the first pull, once it has counted that row.
+    fn open_scan<'s>(
         &'s self,
         expr: &'a CoreExpr,
         as_var: &str,
         at_var: Option<&str>,
         env: &Env,
-    ) -> BindingStream<'s> {
-        match self.scan_source(expr, env) {
-            // Intern the binding names once; each per-row bind is then a
-            // refcount bump instead of a String allocation.
-            Ok(source) => {
-                self.source_stream(source, as_var.into(), at_var.map(Into::into), env.clone())
+    ) -> Result<FusedScan<'s, 'a>, EvalError> {
+        let stored = match expr {
+            CoreExpr::Global(segments) => {
+                self.govern.fault_at(FaultSite::CatalogRead)?;
+                self.catalog
+                    .resolve_prefix(segments)
+                    .filter(|(_, used)| *used == segments.len())
             }
-            Err(e) => failed(e),
-        }
-    }
-
-    /// The bindings of an opened scan source.
-    fn source_stream<'s>(
-        &'s self,
-        source: ScanSource,
-        as_var: Rc<str>,
-        at_var: Option<Rc<str>>,
-        env: Env,
-    ) -> BindingStream<'s> {
-        match source {
-            ScanSource::Shared(arc) if matches!(&*arc, Value::Bag(_) | Value::Array(_)) => {
-                Box::new(SharedScan {
-                    ev: self,
-                    source: arc,
-                    idx: 0,
-                    as_var,
-                    at_var,
-                    env,
-                })
-            }
-            ScanSource::Shared(arc) => self.scan_value_stream((*arc).clone(), as_var, at_var, env),
-            ScanSource::Owned(v) => self.scan_value_stream(v, as_var, at_var, env),
-        }
-    }
-
-    /// Streams an owned scan source (a computed collection, or a scalar).
-    fn scan_value_stream<'s>(
-        &'s self,
-        source: Value,
-        as_var: Rc<str>,
-        at_var: Option<Rc<str>>,
-        env: Env,
-    ) -> BindingStream<'s> {
-        match source {
-            Value::Bag(items) => Box::new(OwnedScan {
-                ev: self,
-                items: items.into_iter(),
-                next_idx: 0,
-                is_array: false,
-                strict_bag_at: at_var.is_some()
-                    && matches!(self.config.typing, TypingMode::StrictError),
-                as_var,
-                at_var,
-                env,
-            }),
-            Value::Array(items) => Box::new(OwnedScan {
-                ev: self,
-                items: items.into_iter(),
-                next_idx: 0,
-                is_array: true,
-                strict_bag_at: false,
-                as_var,
-                at_var,
-                env,
-            }),
-            Value::Missing => empty(),
-            other => match self.config.typing {
-                TypingMode::Permissive => boxed(std::iter::once_with(move || {
-                    if let Some(st) = &self.stats {
-                        st.add_rows_scanned(1);
-                    }
-                    let mut e = env.bind(as_var, other);
-                    if let Some(at) = at_var {
-                        e = e.bind(at, Value::Missing);
-                    }
-                    Ok(e)
-                })),
-                TypingMode::StrictError => failed(EvalError::Type(format!(
+            _ => None,
+        };
+        let mut source = match stored {
+            Some((value, _)) => ScanSource::Shared(value),
+            None => ScanSource::Owned(self.expr(expr, env)?),
+        };
+        let strict = self.config.typing == TypingMode::StrictError;
+        match source.value() {
+            Value::Bag(_) | Value::Array(_) => {}
+            Value::Missing => source = ScanSource::Owned(Value::Bag(Vec::new())),
+            other if strict => {
+                return Err(EvalError::Type(format!(
                     "FROM source must be a collection, found {}",
                     other.kind().name()
-                ))),
-            },
+                )));
+            }
+            _ => {}
         }
+        Ok(FusedScan {
+            ev: self,
+            bag_at_error: strict && at_var.is_some() && matches!(source.value(), Value::Bag(_)),
+            source,
+            idx: 0,
+            as_var: as_var.into(),
+            at_var: at_var.map(Into::into),
+            preds: Vec::new(),
+            left_filter: false,
+            outs: Vec::new(),
+            park_from: usize::MAX,
+            join_keys: false,
+            env: env.clone(),
+        })
     }
 
     /// UNPIVOT (§VI-A): a tuple's attribute/value pairs become data. A
@@ -1584,9 +1532,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// A correlate's left rows, bare scan and left filter, on the fused
-    /// spine: each element the filter does not reject comes off the spine
-    /// whole and is bound, so a rejected one is never cloned. `None` when
-    /// ineligible.
+    /// spine: each element the filter does not reject is bound, so a
+    /// rejected one is never cloned. `None` when ineligible.
     fn fused_left<'s>(
         &'s self,
         left: &'a CoreFrom,
@@ -1596,20 +1543,14 @@ impl<'a> Evaluator<'a> {
         if !self.spine_on() {
             return None;
         }
-        let mut parts = self.spine_parts(left, &[left_pred], &[])?;
-        parts.outs.push(Program::root());
-        let var: Rc<str> = parts.as_var.into();
-        let rows: Box<dyn Stream<Value>> = match self.spine(parts, env) {
+        let parts = self.spine_parts(left, &[left_pred], &[])?;
+        Some(match self.spine(parts, env) {
             Ok(spine) => Box::new(FusedScan {
                 left_filter: true,
                 ..spine
             }),
             Err(e) => failed(e),
-        };
-        let env = env.clone();
-        Some(Box::new(MapRows::new(rows, move |v| {
-            Ok(Some(env.bind(var.clone(), v)))
-        })))
+        })
     }
 
     /// An inner hash join's bare-scan left side on the fused spine: each
@@ -1655,40 +1596,18 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Opens the spine (see [`FusedScan`]): every predicate must be TRUE,
-    /// and every output's error fails the scan. Callers adjust the policy
-    /// fields. A MISSING source scans as empty.
+    /// Opens the spine over `parts` (see [`FusedScan`]): every predicate
+    /// must be TRUE, and every output's error fails the scan. Callers
+    /// adjust the policy fields.
     fn spine<'s>(
         &'s self,
         parts: SpineParts<'a>,
         env: &Env,
     ) -> Result<FusedScan<'s, 'a>, EvalError> {
-        let mut source = self.scan_source(parts.scan, env)?;
-        // Mirrors `scan_value_stream`: collections iterate, MISSING
-        // vanishes, anything else is a permissive singleton or a strict
-        // error.
-        match source.value() {
-            Value::Bag(_) | Value::Array(_) => {}
-            Value::Missing => source = ScanSource::Owned(Value::Bag(Vec::new())),
-            other if self.config.typing == TypingMode::StrictError => {
-                return Err(EvalError::Type(format!(
-                    "FROM source must be a collection, found {}",
-                    other.kind().name()
-                )));
-            }
-            _ => {}
-        }
         Ok(FusedScan {
-            ev: self,
-            source,
-            idx: 0,
-            as_var: parts.as_var,
             preds: parts.preds,
-            left_filter: false,
             outs: parts.outs,
-            park_from: usize::MAX,
-            join_keys: false,
-            env: env.clone(),
+            ..self.open_scan(parts.scan, parts.as_var, None, env)?
         })
     }
 
@@ -1736,7 +1655,7 @@ impl<'a> Evaluator<'a> {
             self.govern.fault_at(FaultSite::OperatorEval)?;
         }
         let prog = self.program(e);
-        self.run_program(&prog, None, env)
+        self.run_program(&prog, env)
     }
 
     /// The expression's compiled program, compiling and caching it on
@@ -1762,16 +1681,11 @@ impl<'a> Evaluator<'a> {
     /// value stack. The stack is taken for the duration and put back on
     /// every exit — including an error raised inside a call instruction —
     /// so the next evaluation on this evaluator starts clean.
-    fn run_program(
-        &self,
-        prog: &Program<'a>,
-        root: Option<(&str, &Value)>,
-        env: &Env,
-    ) -> Result<Value, EvalError> {
+    fn run_program(&self, prog: &Program<'a>, env: &Env) -> Result<Value, EvalError> {
         let mut stack = self.vm_stack.take();
         stack.clear();
         let result = self
-            .exec_program(prog, root, env, &mut stack)
+            .exec_program(prog, None, env, &mut stack)
             .map(|()| stack.pop().expect("bytecode program left no result"));
         stack.clear();
         self.vm_stack.set(stack);
@@ -1779,14 +1693,16 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The expression dispatcher: the only place Core expression
-    /// semantics are decided. `root` optionally supplies one borrowed
-    /// binding that shadows `env` (the fused scan spine's row variable —
-    /// looked up first, exactly as a real `bind` would shadow). The
-    /// NULL/MISSING tables live in the value-level helpers the arms call.
+    /// semantics are decided. `root` is the fused scan spine's borrowed
+    /// row, read by the `RootVar`/`RootField` instructions that
+    /// [`Program::specialize_for_root`] put in place of every lookup of
+    /// the row variable, so no other lookup ever compares against its
+    /// name. The NULL/MISSING tables live in the value-level helpers the
+    /// arms call.
     fn exec_program(
         &self,
         prog: &Program<'a>,
-        root: Option<(&str, &Value)>,
+        root: Option<&Value>,
         env: &Env,
         stack: &mut Vec<Value>,
     ) -> Result<(), EvalError> {
@@ -1795,16 +1711,10 @@ impl<'a> Evaluator<'a> {
         while pc < instrs.len() {
             match instrs[pc] {
                 Instr::Const(v) => stack.push(v.clone()),
-                Instr::Var(name) => {
-                    let v = match root {
-                        Some((rv, val)) if name == rv => Some(val),
-                        _ => env.get(name),
-                    };
-                    match v {
-                        Some(v) => stack.push(v.clone()),
-                        None => return Err(self.unbound(name, env)),
-                    }
-                }
+                Instr::Var(name) => match env.get(name) {
+                    Some(v) => stack.push(v.clone()),
+                    None => return Err(self.unbound(name, env)),
+                },
                 Instr::Param(i) => match self.params.get(i) {
                     Some(v) => stack.push(v.clone()),
                     None => return Err(EvalError::MissingParam(i)),
@@ -1814,17 +1724,13 @@ impl<'a> Evaluator<'a> {
                     stack.push(self.resolve_global(std::slice::from_ref(name), env)?)
                 }
                 Instr::Field { var, attr } => {
-                    let base = match root {
-                        Some((rv, val)) if var == rv => Some(val),
-                        _ => env.get(var),
-                    };
-                    let Some(base) = base else {
+                    let Some(base) = env.get(var) else {
                         return Err(self.unbound(var, env));
                     };
                     self.navigate(base, attr, stack)?;
                 }
                 Instr::RootVar => {
-                    let Some((_, val)) = root else {
+                    let Some(val) = root else {
                         return Err(EvalError::Type(
                             "root instruction outside the fused spine".into(),
                         ));
@@ -1832,7 +1738,7 @@ impl<'a> Evaluator<'a> {
                     stack.push(val.clone());
                 }
                 Instr::RootField(attr) => {
-                    let Some((_, base)) = root else {
+                    let Some(base) = root else {
                         return Err(EvalError::Type(
                             "root instruction outside the fused spine".into(),
                         ));
@@ -2667,7 +2573,7 @@ fn spine_scan(item: &CoreFrom) -> Option<(&CoreExpr, &str)> {
     }
 }
 
-/// Where a scan's rows come from (see [`Evaluator::scan_source`]).
+/// Where a scan's rows come from (see [`Evaluator::open_scan`]).
 enum ScanSource {
     /// A stored catalog collection, borrowed via its `Arc` snapshot.
     Shared(Arc<Value>),
@@ -2691,6 +2597,19 @@ impl ScanSource {
             single => std::slice::from_ref(single),
         }
     }
+
+    /// The element at `pos`, cloned from a shared source and moved out
+    /// of an owned one — the binding form, its one reader, binds each
+    /// position once.
+    fn take(&mut self, pos: usize) -> Value {
+        match self {
+            ScanSource::Shared(_) => self.items()[pos].clone(),
+            ScanSource::Owned(Value::Bag(items) | Value::Array(items)) => {
+                std::mem::take(&mut items[pos])
+            }
+            ScanSource::Owned(single) => std::mem::take(single),
+        }
+    }
 }
 
 /// What a [`FusedScan`] runs: its scan, its row variable, and its
@@ -2702,23 +2621,32 @@ struct SpineParts<'a> {
     outs: Vec<Program<'a>>,
 }
 
-/// The fused scan spine (opened only by [`Evaluator::spine`]): each pull
-/// resumes at `idx` over the borrowed source elements, runs the
+/// The one FROM scan (opened only by [`Evaluator::open_scan`]): each
+/// pull resumes at `idx` over the borrowed source elements, runs the
 /// root-specialized predicates and output programs on each, and stops
 /// once `max` rows are out — so a LIMIT, EXISTS or IN above it stops the
 /// scan exactly like the adapter pipeline does. A row that passes yields
 /// one item per output program.
 ///
-/// As a stream it hands on only those items. [`FusedScan::next_at`]
-/// hands on a row's position in the source as well, so a consumer can
-/// decide on the borrowed element whether it needs the row before it
-/// clones and binds it ([`FusedScan::bind`]): late materialization.
+/// As a `Stream<T>` of items it hands on only those items — the fused
+/// spine. [`FusedScan::next_at`] hands on a row's position in the source
+/// as well, so a consumer can decide on the borrowed element whether it
+/// needs the row before it clones and binds it ([`FusedScan::bind`]):
+/// late materialization. As a `Stream<Env>` it binds every row that
+/// passes — the binding stream's scan, where an owned source's elements
+/// are moved into their bindings, not cloned.
 struct FusedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
     source: ScanSource,
     /// The next source element to scan.
     idx: usize,
-    as_var: &'a str,
+    as_var: Rc<str>,
+    /// Bound to each row's position — an array index, else MISSING — by
+    /// the binding form. The spine's consumers never have one.
+    at_var: Option<Rc<str>>,
+    /// Strict typing with an AT variable over a bag: the first pull of a
+    /// row raises.
+    bag_at_error: bool,
     preds: Vec<Program<'a>>,
     /// The predicates are a correlate's left filter, judged by
     /// [`left_verdict`]. Otherwise a row passes only when every predicate
@@ -2774,7 +2702,8 @@ impl FusedScan<'_, '_> {
     /// The row at source position `pos`, cloned and bound — the one
     /// place a positional consumer pays for a row.
     fn bind(&self, pos: usize) -> Env {
-        self.env.bind(self.as_var, self.source.items()[pos].clone())
+        self.env
+            .bind(self.as_var.clone(), self.source.items()[pos].clone())
     }
 
     /// [`env_bytes`] of [`Self::bind`]`(pos)`, without binding it.
@@ -2783,10 +2712,10 @@ impl FusedScan<'_, '_> {
             .env
             .visible_bindings()
             .iter()
-            .filter(|(n, _)| *n == self.as_var)
+            .filter(|(n, _)| *n == &*self.as_var)
             .map(|(n, v)| binding_bytes(n, v))
             .sum();
-        env_bytes(&self.env) - shadowed + binding_bytes(self.as_var, &self.source.items()[pos])
+        env_bytes(&self.env) - shadowed + binding_bytes(&self.as_var, &self.source.items()[pos])
     }
 
     /// Pulls the next row that passes: its outputs are appended to `out`
@@ -2798,17 +2727,21 @@ impl FusedScan<'_, '_> {
         Ok((rows > 0).then(|| self.idx - 1))
     }
 
-    /// Fills `out` with up to `max` rows on the evaluator's value stack.
-    /// Root-safe programs never re-enter the VM (call instructions clear
-    /// `root_safe`), and a consumer that runs the VM between pulls takes
-    /// its own from the `Cell` — correctness never depends on this reuse,
-    /// only speed does.
+    /// Fills `out` with up to `max` rows on the evaluator's value stack
+    /// and counts the scanned rows. Root-safe programs never re-enter the
+    /// VM (call instructions clear `root_safe`), and a consumer that runs
+    /// the VM between pulls takes its own from the `Cell` — correctness
+    /// never depends on this reuse, only speed does.
     fn pull<T: FusedOut>(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, EvalError> {
+        let start = self.idx;
         let mut stack = self.ev.vm_stack.take();
         stack.clear();
         let result = self.fill(out, max, &mut stack);
         stack.clear();
         self.ev.vm_stack.set(stack);
+        if let Some(st) = &self.ev.stats {
+            st.add_rows_scanned((self.idx - start) as u64);
+        }
         result
     }
 
@@ -2835,7 +2768,7 @@ impl FusedScan<'_, '_> {
                 }
             }
             self.idx += 1;
-            let root = Some((self.as_var, item));
+            let root = Some(item);
             for p in &self.preds {
                 let r = match self.ev.exec_program(p, root, &self.env, stack) {
                     Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
@@ -2883,6 +2816,18 @@ impl FusedScan<'_, '_> {
         }
         Ok(rows)
     }
+
+    /// The binding form's row at `pos`, which it binds once: the element
+    /// (see [`ScanSource::take`]) and, with an AT variable, its position.
+    fn bind_row(&mut self, pos: usize) -> Env {
+        let ordered = matches!(self.source.value(), Value::Array(_));
+        let row = self.env.bind(self.as_var.clone(), self.source.take(pos));
+        match &self.at_var {
+            Some(at) if ordered => row.bind(at.clone(), Value::Int(pos as i64)),
+            Some(at) => row.bind(at.clone(), Value::Missing),
+            None => row,
+        }
+    }
 }
 
 impl<T: FusedOut> Stream<T> for FusedScan<'_, '_> {
@@ -2891,120 +2836,23 @@ impl<T: FusedOut> Stream<T> for FusedScan<'_, '_> {
     }
 }
 
-/// A lazy scan over a shared catalog collection: elements are cloned one
-/// at a time as they are pulled, so `LIMIT k` over an N-row stored
-/// collection clones (and counts) k rows, not N.
-struct SharedScan<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    source: Arc<Value>,
-    idx: usize,
-    as_var: Rc<str>,
-    at_var: Option<Rc<str>>,
-    env: Env,
-}
-
-impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
+impl Stream<Env> for FusedScan<'_, '_> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        let (items, is_array) = match &*self.source {
-            Value::Bag(items) => (items, false),
-            Value::Array(items) => (items, true),
-            _ => unreachable!("SharedScan is only built over collections"),
-        };
-        let end = (self.idx.saturating_add(max)).min(items.len());
-        if self.idx >= end {
-            return Ok(());
-        }
-        if self.at_var.is_some()
-            && !is_array
-            && matches!(self.ev.config.typing, TypingMode::StrictError)
-        {
-            // The pull that meets the AT error still counts as scanned.
+        let len = self.source.items().len();
+        if self.bag_at_error && max > 0 && self.idx < len {
+            self.idx = len;
             if let Some(st) = &self.ev.stats {
                 st.add_rows_scanned(1);
             }
-            self.idx = items.len();
             return Err(EvalError::Type(
                 "AT position variable over an unordered bag".to_string(),
             ));
         }
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned((end - self.idx) as u64);
-        }
-        out.reserve(end - self.idx);
-        for (i, item) in items.iter().enumerate().take(end).skip(self.idx) {
-            let mut e = self.env.bind(self.as_var.clone(), item.clone());
-            if let Some(at) = &self.at_var {
-                let pos = if is_array {
-                    Value::Int(i as i64)
-                } else {
-                    Value::Missing
-                };
-                e = e.bind(at.clone(), pos);
-            }
-            out.push(e);
-        }
-        self.idx = end;
-        Ok(())
-    }
-}
-
-/// An owned scan source (a computed collection): binds a whole run of
-/// elements per pull and amortizes the scan counter.
-struct OwnedScan<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    items: std::vec::IntoIter<Value>,
-    /// Position of the next element (AT values for arrays).
-    next_idx: usize,
-    is_array: bool,
-    /// Strict mode refuses AT over an unordered bag — on the first pulled
-    /// row, after the scan counter.
-    strict_bag_at: bool,
-    as_var: Rc<str>,
-    at_var: Option<Rc<str>>,
-    env: Env,
-}
-
-impl<'s, 'a> OwnedScan<'s, 'a> {
-    fn bind_row(&self, item: Value, i: usize) -> Env {
-        let mut e = self.env.bind(self.as_var.clone(), item);
-        if let Some(at) = &self.at_var {
-            let pos = if self.is_array {
-                Value::Int(i as i64)
-            } else {
-                Value::Missing
+        for _ in 0..max {
+            let Some(pos) = self.next_at::<Value>(&mut Vec::new())? else {
+                break;
             };
-            e = e.bind(at.clone(), pos);
-        }
-        e
-    }
-}
-
-impl<'s, 'a> Stream<Env> for OwnedScan<'s, 'a> {
-    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        if self.items.len() == 0 || max == 0 {
-            return Ok(());
-        }
-        if self.strict_bag_at {
-            if self.items.next().is_none() {
-                return Ok(());
-            }
-            if let Some(st) = &self.ev.stats {
-                st.add_rows_scanned(1);
-            }
-            return Err(EvalError::Type(
-                "AT position variable over an unordered bag".to_string(),
-            ));
-        }
-        let take = self.items.len().min(max);
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(take as u64);
-        }
-        out.reserve(take);
-        for _ in 0..take {
-            let item = self.items.next().expect("length checked");
-            let i = self.next_idx;
-            self.next_idx += 1;
-            out.push(self.bind_row(item, i));
+            out.push(self.bind_row(pos));
         }
         Ok(())
     }
@@ -3461,13 +3309,18 @@ enum ProbeSide<'s, 'a, R = BindingStream<'s>> {
 }
 
 impl<'s> ProbeSide<'s, '_> {
-    /// The left rows as bindings, none of them read yet.
-    fn into_bindings(self, ev: &'s Evaluator<'_>) -> BindingStream<'s> {
+    /// The left rows as bindings, none of them read yet. The spine's
+    /// probe filter and keys are dropped: the nested loop checks them
+    /// per pair.
+    fn into_bindings(self) -> BindingStream<'s> {
         match self {
             ProbeSide::Rows(rows) => rows,
-            ProbeSide::Spine(spine) => {
-                ev.source_stream(spine.source, spine.as_var.into(), None, spine.env)
-            }
+            ProbeSide::Spine(spine) => Box::new(FusedScan {
+                preds: Vec::new(),
+                outs: Vec::new(),
+                join_keys: false,
+                ..spine
+            }),
         }
     }
 }

@@ -154,8 +154,10 @@ echo "== spine differential gate (seeded) =="
 # paper-literal plan: pushdown below UNNEST (a correlate's left filter)
 # and late materialization (top-k, the inner hash join's probe side),
 # under optimize on/off x batch 1/2/1024 x both typing modes — equal
-# answers or the identical error. 20000 cases per property take about
-# 20 s on two cores. A divergence is persisted as a regression seed under
+# answers or the identical error — plus the FROM-source policy axis
+# (every kind of source, with and without AT, stats on and off, checked
+# against a transcription of the policy). 20000 cases per property take
+# about 20 s on two cores. A divergence is persisted as a regression seed under
 # tests/regression-seeds/, replayed first on every run.
 SQLPP_PROP_PERSIST_DIR=tests/regression-seeds SQLPP_PROP_CASES=20000 \
   cargo test -q --release --test pushdown --test spine_consumers
@@ -231,11 +233,13 @@ echo "front door OK"
 echo "== one way to yield a collection gate =="
 # Value operators are streams, the fused spine is one stream built in one
 # place, and COLL_* always streams its subquery: the knob and the second
-# paths it selected must not come back.
-if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined' crates tests examples; then
-  echo "a deleted materializing path is referenced again" >&2
+# paths it selected must not come back. Every FROM scan is the one
+# positional scan, which alone decides the source policy: the shared and
+# owned binding scans it replaced must not come back either.
+if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined|SharedScan|OwnedScan|scan_value_stream|source_stream' crates tests examples; then
+  echo "a deleted materializing path or second scan is referenced again" >&2
   exit 1
 fi
-echo "one collection path OK"
+echo "one collection path and one scan OK"
 
 echo "== ci green =="

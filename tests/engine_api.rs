@@ -3,6 +3,7 @@
 //! relational views, error reporting, and session sharing.
 
 use sqlpp::{Engine, Error, ExecOutcome, SessionConfig, TypingMode};
+use sqlpp_eval::{EvalConfig, Evaluator};
 use sqlpp_value::{Tuple, Value};
 
 #[test]
@@ -923,6 +924,87 @@ fn a_hash_join_fallback_opens_its_left_side_once() {
     // Two left rows and their three tags.
     assert_eq!(literal.stats().unwrap().rows_scanned, 2 + 3);
     assert_eq!(hashed.stats().unwrap().rows_scanned, 2 + 3);
+}
+
+/// Runs `q` on a stats-collecting evaluator at `batch_size` and returns
+/// its canonical answer or error with the rows it scanned — which a
+/// session drops along with a failed query's stats.
+fn scanned(
+    engine: &Engine,
+    q: &str,
+    typing: TypingMode,
+    batch_size: usize,
+) -> (Result<Value, String>, u64) {
+    let prepared = engine.prepare(q).unwrap();
+    let evaluator = Evaluator::new(
+        engine.catalog(),
+        EvalConfig {
+            typing,
+            collect_stats: true,
+            batch_size,
+            ..EvalConfig::default()
+        },
+    );
+    let answer = evaluator
+        .run(prepared.plan())
+        .map(|v| sqlpp_value::canonicalize(&v))
+        .map_err(|e| e.to_string());
+    (answer, evaluator.stats_snapshot().unwrap().rows_scanned)
+}
+
+/// The edges of the one FROM-source policy, at batch 1 and 1024: strict
+/// AT over a bag raises at the first pull, once it has counted that
+/// row, stored or computed; over an empty bag there is no pull to raise
+/// at; a permissive scalar with AT binds once, its position MISSING.
+#[test]
+fn the_from_source_policy_holds_at_its_edges() {
+    let engine = Engine::new();
+    engine.load_pnotation("b", "{{ 1, 2, 3 }}").unwrap();
+    engine.load_pnotation("none", "{{ }}").unwrap();
+    engine.register("sc", Value::Int(7));
+    for batch_size in [1, 1024] {
+        for q in [
+            "SELECT VALUE x FROM b AS x AT i",
+            "SELECT VALUE x FROM <<1, 2, 3>> AS x AT i",
+        ] {
+            let (answer, rows) = scanned(&engine, q, TypingMode::StrictError, batch_size);
+            let err = answer.unwrap_err();
+            assert!(
+                err.contains("AT position variable over an unordered bag"),
+                "{err}"
+            );
+            assert_eq!(rows, 1, "{q} at batch {batch_size}");
+        }
+        let (answer, rows) = scanned(
+            &engine,
+            "SELECT VALUE x FROM none AS x AT i",
+            TypingMode::StrictError,
+            batch_size,
+        );
+        assert_eq!(answer.unwrap().to_string(), "{{}}");
+        assert_eq!(rows, 0);
+        let (answer, rows) = scanned(
+            &engine,
+            "SELECT VALUE [x, i IS MISSING] FROM sc AS x AT i",
+            TypingMode::Permissive,
+            batch_size,
+        );
+        assert_eq!(answer.unwrap().to_string(), "{{[7, true]}}");
+        assert_eq!(rows, 1);
+    }
+}
+
+/// `LIMIT 3` over a computed source — one the scan owns, not a stored
+/// collection — stops the scan at the third row at every batch size.
+#[test]
+fn a_limit_over_a_computed_source_scans_only_the_rows_it_keeps() {
+    let engine = Engine::new();
+    let q = "SELECT VALUE x FROM [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] AS x LIMIT 3";
+    for batch_size in [1, 1024] {
+        let (answer, rows) = scanned(&engine, q, TypingMode::Permissive, batch_size);
+        assert_eq!(answer.unwrap().to_string(), "{{1, 2, 3}}");
+        assert_eq!(rows, 3, "batch {batch_size}");
+    }
 }
 
 /// Ten employees `{deptno: i % 4, projects}` with `i % 3` projects each.

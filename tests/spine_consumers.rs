@@ -14,6 +14,15 @@
 //!   attributes are ints, strings, floats, NULL, MISSING or absent, with
 //!   duplicate sort keys; optimize on and off, batch 1/2/1024, both
 //!   typing modes: the identical answer or error at every batch size;
+//! * a source-policy axis in the same generator: projections, UNNESTs,
+//!   filters, GROUP BYs and LIMITs over every kind of FROM source §III
+//!   tells apart — a stored bag, array, scalar, tuple and NULL, a
+//!   literal array and bag, an absent path (MISSING) and `e.p` as a
+//!   correlate's right side (an array, a bag, a scalar, NULL or absent)
+//!   — with and without `AT i`, checked against a transcription of the
+//!   policy where the shape has one, and run with stats on and off at
+//!   every batch size: stats on gives the same answer or error, and the
+//!   same `rows_scanned` wherever no LIMIT or join can stop the scan;
 //! * pinned cases where a naive late materialization changes an answer
 //!   or an error: an empty build side, a probe filter that rejects every
 //!   left row, an empty left side, the `UnknownName` fallback, LIMIT 0,
@@ -60,8 +69,25 @@ fn attr(src: &mut Source) -> Option<Value> {
     )
 }
 
-/// 0–`max` rows `{id, k, f, t}`: `k` and `f` from [`attr`], `t` a 0/1
-/// flag for build filters.
+/// A row's nested `p`, scanned as a correlate's right side: an array, a
+/// bag, a scalar, NULL, or `None` (absent).
+fn nested(src: &mut Source) -> Option<Value> {
+    let ints = |src: &mut Source| -> Vec<Value> {
+        (0..src.draw_len(0, 3))
+            .map(|_| Value::Int(src.draw_range_i64(0, 3)))
+            .collect()
+    };
+    match src.draw_below(5) {
+        0 => Some(Value::Array(ints(src))),
+        1 => Some(Value::Bag(ints(src))),
+        2 => Some(Value::Int(5)),
+        3 => Some(Value::Null),
+        _ => None,
+    }
+}
+
+/// 0–`max` rows `{id, k, f, t, p}`: `k` and `f` from [`attr`], `t` a 0/1
+/// flag for build filters, `p` from [`nested`].
 fn table(src: &mut Source, max: usize) -> Value {
     let n = src.draw_len(0, max);
     let mut out = Vec::with_capacity(n);
@@ -74,6 +100,9 @@ fn table(src: &mut Source, max: usize) -> Value {
             }
         }
         t.insert("t", Value::Int(src.draw_range_i64(0, 1)));
+        if let Some(p) = nested(src) {
+            t.insert("p", p);
+        }
         out.push(Value::Tuple(t));
     }
     Value::Bag(out)
@@ -120,6 +149,168 @@ const RESIDUAL: &[&str] = &["e.id <> d.id", "e.f < d.f", "e.id + d.id > 3", "d.f
 struct Query {
     text: String,
     params: Vec<Value>,
+    /// Set on a source-policy shape, which takes no parameters.
+    policy: Option<Policy>,
+}
+
+/// What the source-policy axis checks of a shape.
+#[derive(Debug, Clone)]
+struct Policy {
+    /// No LIMIT or join can stop the scan, so with stats on every batch
+    /// size scans the same rows.
+    counted: bool,
+    /// The shape's answer under [`bindings`], where it has one.
+    model: Option<Model>,
+}
+
+/// A shape whose answer [`modelled`] derives from the data.
+#[derive(Debug, Clone)]
+enum Model {
+    /// `SELECT VALUE [x(, i)] FROM source AS x (AT i)`.
+    Scan { source: &'static str, at: bool },
+    /// `SELECT VALUE [e.id, x(, i)] FROM u AS e, e.p AS x (AT i)`.
+    Unnest { at: bool },
+}
+
+/// Every kind of FROM source §III tells apart: stored bag, array,
+/// scalar, tuple and NULL, a literal array and bag, and an absent path.
+const SOURCES: &[&str] = &[
+    "u",
+    "arr",
+    "sc",
+    "tup",
+    "nul",
+    "[1, 2, 3]",
+    "<<1, 2>>",
+    "tup.nope",
+];
+
+/// The value a [`SOURCES`] entry evaluates to (see [`engine`]).
+fn source_value(source: &str, u: &Value) -> Value {
+    match source {
+        "u" => u.clone(),
+        "arr" => Value::Array(u.as_elements().unwrap_or_default().to_vec()),
+        "sc" => Value::Int(7),
+        "tup" => tuple(vec![("id", Value::Int(0)), ("k", Value::Int(2))]),
+        "nul" => Value::Null,
+        "[1, 2, 3]" => Value::Array((1..=3).map(Value::Int).collect()),
+        "<<1, 2>>" => Value::Bag((1..=2).map(Value::Int).collect()),
+        _ => Value::Missing,
+    }
+}
+
+/// §III, transcribed: the `(element, position)` bindings a FROM source
+/// yields, or the error it raises. An array iterates with its indexes,
+/// a bag with MISSING positions — which strict typing refuses to bind
+/// to AT — MISSING yields nothing, and any other value binds once
+/// (permissive) or raises (strict).
+fn bindings(source: &Value, at: bool, strict: bool) -> Result<Vec<(Value, Value)>, &'static str> {
+    Ok(match source {
+        Value::Array(items) => (0..)
+            .map(Value::Int)
+            .zip(items)
+            .map(|(i, v)| (v.clone(), i))
+            .collect(),
+        Value::Bag(items) if at && strict && !items.is_empty() => {
+            return Err("AT position variable over an unordered bag");
+        }
+        Value::Bag(items) => items.iter().map(|v| (v.clone(), Value::Missing)).collect(),
+        Value::Missing => Vec::new(),
+        _ if strict => return Err("FROM source must be a collection"),
+        single => vec![(single.clone(), Value::Missing)],
+    })
+}
+
+/// The answer of a [`Model`] shape over the probe table `u`, or the
+/// error it raises.
+fn modelled(model: &Model, u: &Value, strict: bool) -> Result<Value, &'static str> {
+    // `[…, x, i]`: the array constructor drops a MISSING position.
+    let row = |mut prefix: Vec<Value>, at: bool, (x, i): (Value, Value)| {
+        prefix.push(x);
+        if at && !i.is_missing() {
+            prefix.push(i);
+        }
+        Value::Array(prefix)
+    };
+    let mut out = Vec::new();
+    match *model {
+        Model::Scan { source, at } => {
+            for b in bindings(&source_value(source, u), at, strict)? {
+                out.push(row(Vec::new(), at, b));
+            }
+        }
+        Model::Unnest { at } => {
+            for e in u.as_elements().unwrap_or_default() {
+                let Value::Tuple(t) = e else {
+                    unreachable!("`u` holds tuples")
+                };
+                let p = t.get("p").cloned().unwrap_or(Value::Missing);
+                for b in bindings(&p, at, strict)? {
+                    out.push(row(vec![t.get("id").cloned().unwrap()], at, b));
+                }
+            }
+        }
+    }
+    Ok(Value::Bag(out))
+}
+
+/// A source-policy shape over one of [`SOURCES`] or `e.p`, with `AT i`
+/// half of the time.
+fn policy_query(src: &mut Source) -> Query {
+    let at = src.draw_below(2) == 0;
+    let (at_clause, i) = if at { (" AT i", ", i") } else { ("", "") };
+    let source = pick(src, SOURCES);
+    let (text, counted, model) = match src.draw_below(6) {
+        0 => (
+            format!("SELECT VALUE [x{i}] FROM {source} AS x{at_clause}"),
+            true,
+            Some(Model::Scan { source, at }),
+        ),
+        1 => (
+            format!("SELECT VALUE [e.id, x{i}] FROM u AS e, e.p AS x{at_clause}"),
+            true,
+            Some(Model::Unnest { at }),
+        ),
+        2 => (
+            format!(
+                "SELECT VALUE [x{i}] FROM {source} AS x{at_clause} WHERE {}",
+                pick(src, &["x.id >= 1", "x.k = 2", "x > 1"])
+            ),
+            true,
+            None,
+        ),
+        // A left-only conjunct filters the left rows below the UNNEST.
+        3 => (
+            format!(
+                "SELECT VALUE [e.id, x{i}] FROM u AS e, e.p AS x{at_clause} WHERE {}",
+                pick(src, &["e.t = 1", "e.t = 1 AND x > 1", "x > 1"])
+            ),
+            true,
+            None,
+        ),
+        4 => (
+            format!("SELECT x.k AS k, COUNT(*) AS n FROM {source} AS x{at_clause} GROUP BY x.k"),
+            true,
+            None,
+        ),
+        _ => {
+            let from = match src.draw_below(2) {
+                0 => format!("{source} AS x{at_clause}"),
+                _ => format!("u AS e, e.p AS x{at_clause}"),
+            };
+            let limit = src.draw_range_i64(0, 3);
+            (
+                format!("SELECT VALUE [x{i}] FROM {from} LIMIT {limit}"),
+                false,
+                None,
+            )
+        }
+    };
+    Query {
+        text,
+        params: Vec::new(),
+        policy: Some(Policy { counted, model }),
+    }
 }
 
 /// ` WHERE c` for one filter, half of the time.
@@ -167,6 +358,9 @@ fn join_condition(src: &mut Source) -> String {
 
 fn queries() -> Gen<Query> {
     Gen::new(|src| {
+        if src.draw_below(3) == 0 {
+            return policy_query(src);
+        }
         let text = match src.draw_below(10) {
             0 | 1 => format!(
                 "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{}{}",
@@ -228,7 +422,11 @@ fn queries() -> Gen<Query> {
                 })
                 .collect()
         };
-        Query { text, params }
+        Query {
+            text,
+            params,
+            policy: None,
+        }
     })
 }
 
@@ -236,6 +434,13 @@ fn engine(u: &Value, w: &Value) -> Engine {
     let engine = Engine::new();
     engine.register("u", u.clone());
     engine.register("w", w.clone());
+    engine.register(
+        "arr",
+        Value::Array(u.as_elements().unwrap_or_default().to_vec()),
+    );
+    for name in ["sc", "tup", "nul"] {
+        engine.register(name, source_value(name, u));
+    }
     engine.register(
         "outer_rows",
         Value::Bag(
@@ -312,6 +517,66 @@ fn arms(
     Ok((on, off))
 }
 
+/// The source-policy axis of a [`Policy`] shape, given its batch-1
+/// outcomes `(on, off)` from [`arms`]: a modelled shape gives
+/// [`modelled`]'s answer, or an error that carries its message, under
+/// either plan; and with stats on, every batch size gives the stats-off
+/// batch-1 outcome — a counted shape with one `rows_scanned` throughout.
+fn policy_arms(
+    engine: &Engine,
+    base: &SessionConfig,
+    q: &str,
+    policy: &Policy,
+    u: &Value,
+    (on, off): (Outcome, Outcome),
+) -> Result<(), String> {
+    if let Some(model) = &policy.model {
+        let want = modelled(model, u, base.typing == TypingMode::StrictError);
+        for got in [&on, &off] {
+            let agrees = match (got, &want) {
+                (Ok(got), Ok(want)) => *got == sqlpp_value::canonicalize(want),
+                (Err(got), Err(want)) => got.contains(want),
+                _ => false,
+            };
+            if !agrees {
+                return Err(format!(
+                    "{:?}: {q}: got {got:?}, the source policy gives {want:?}",
+                    base.typing
+                ));
+            }
+        }
+    }
+    for (optimize, reference) in [(true, on), (false, off)] {
+        let mut scanned = Vec::new();
+        for batch_size in [1, 2, 1024] {
+            let session = engine.with_config(SessionConfig {
+                optimize,
+                batch_size,
+                ..base.clone()
+            });
+            let run = session.query_with_stats(q);
+            if let Ok(r) = &run {
+                scanned.push(r.stats().expect("stats were on").rows_scanned);
+            }
+            let got = outcome(run);
+            if got != reference {
+                return Err(format!(
+                    "{:?}, optimize {optimize}, batch {batch_size}, stats on: {q}: \
+                     got {got:?}, batch 1 gave {reference:?}",
+                    base.typing
+                ));
+            }
+        }
+        if policy.counted && scanned.windows(2).any(|w| w[0] != w[1]) {
+            return Err(format!(
+                "{:?}, optimize {optimize}: {q}: rows_scanned {scanned:?} at batch 1, 2, 1024",
+                base.typing
+            ));
+        }
+    }
+    Ok(())
+}
+
 // The CI spine differential gate scales the sweep through
 // `SQLPP_PROP_CASES`.
 sqlpp_prop! {
@@ -320,7 +585,12 @@ sqlpp_prop! {
     fn spine_consumers_match_the_binding_stream_and_the_literal_plan(d in data(), q in queries()) {
         let engine = engine(&d.u, &d.w);
         for base in both_typings() {
-            let checked = arms(&engine, &base, &q.text, &q.params);
+            let checked = arms(&engine, &base, &q.text, &q.params).and_then(|outcomes| {
+                match &q.policy {
+                    Some(policy) => policy_arms(&engine, &base, &q.text, policy, &d.u, outcomes),
+                    None => Ok(()),
+                }
+            });
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
