@@ -37,7 +37,7 @@
 
 use sqlpp_plan::{AggFunc, Coercion, CoreExpr, CoreOp, CoreQuery};
 use sqlpp_syntax::ast::{BinOp, IsTest, UnOp};
-use sqlpp_value::Value;
+use sqlpp_value::{AttrName, Value};
 
 use crate::cast::CastTarget;
 
@@ -51,6 +51,11 @@ pub(crate) struct Program<'p> {
     /// materializing an `Env`. `Global`/`Dynamic` lookups (they inspect
     /// the full set of visible bindings) and call instructions clear it.
     pub(crate) root_safe: bool,
+    /// The attribute names of every tuple constructor whose names are
+    /// string constants, interned once at compile time so building a row
+    /// copies names instead of allocating them (see
+    /// [`Instr::NamedTupleCtor`]).
+    pub(crate) names: Vec<AttrName>,
 }
 
 /// One VM instruction. Jump targets are absolute instruction indices.
@@ -166,6 +171,14 @@ pub(crate) enum Instr<'p> {
     BadCast(&'p str),
     /// Build a tuple from the top `2n` values (name/value pairs).
     TupleCtor(usize),
+    /// Build a tuple from the top `n` values under the constant names
+    /// `Program::names[first..first + n]`.
+    NamedTupleCtor {
+        /// Index of the first name in [`Program::names`].
+        first: usize,
+        /// Attribute count.
+        n: usize,
+    },
     /// Build an array from the top `n` values (MISSING dropped).
     ArrayCtor(usize),
     /// Build a bag from the top `n` values (MISSING dropped).
@@ -217,6 +230,7 @@ impl<'p> Program<'p> {
         Program {
             instrs,
             root_safe: self.root_safe,
+            names: self.names.clone(),
         }
     }
 }
@@ -226,11 +240,13 @@ pub(crate) fn compile(e: &CoreExpr) -> Program<'_> {
     let mut c = Compiler {
         instrs: Vec::new(),
         root_safe: true,
+        names: Vec::new(),
     };
     c.emit(e);
     Program {
         instrs: c.instrs,
         root_safe: c.root_safe,
+        names: c.names,
     }
 }
 
@@ -249,6 +265,7 @@ pub(crate) fn produces_elements(op: &CoreOp) -> bool {
 struct Compiler<'p> {
     instrs: Vec<Instr<'p>>,
     root_safe: bool,
+    names: Vec<AttrName>,
 }
 
 impl<'p> Compiler<'p> {
@@ -433,11 +450,33 @@ impl<'p> Compiler<'p> {
             }),
             CoreExpr::Exists(q) => self.call(Instr::Exists(q)),
             CoreExpr::TupleCtor(pairs) => {
-                for (name, value) in pairs {
-                    self.emit(name);
-                    self.emit(value);
+                let constant_names: Option<Vec<AttrName>> = pairs
+                    .iter()
+                    .map(|(name, _)| match name {
+                        CoreExpr::Const(Value::Str(s)) => Some(AttrName::new(s)),
+                        _ => None,
+                    })
+                    .collect();
+                match constant_names {
+                    Some(names) => {
+                        let first = self.names.len();
+                        self.names.extend(names);
+                        for (_, value) in pairs {
+                            self.emit(value);
+                        }
+                        self.instrs.push(Instr::NamedTupleCtor {
+                            first,
+                            n: pairs.len(),
+                        });
+                    }
+                    None => {
+                        for (name, value) in pairs {
+                            self.emit(name);
+                            self.emit(value);
+                        }
+                        self.instrs.push(Instr::TupleCtor(pairs.len()));
+                    }
                 }
-                self.instrs.push(Instr::TupleCtor(pairs.len()));
             }
             CoreExpr::ArrayCtor(items) => {
                 self.emit_all(items);
@@ -548,6 +587,28 @@ mod tests {
             .filter(|i| matches!(i, Instr::Var("x")))
             .count();
         assert_eq!(subjects, 1);
+    }
+
+    #[test]
+    fn constant_tuple_names_are_made_at_compile_time() {
+        let name = |n: &str| CoreExpr::Const(Value::Str(n.into()));
+        let constant = CoreExpr::TupleCtor(vec![(name("a"), var("x")), (name("b"), var("y"))]);
+        let p = compile(&constant);
+        // Only the values are pushed; the names wait in the program.
+        assert!(matches!(
+            p.instrs[..],
+            [
+                Instr::Var("x"),
+                Instr::Var("y"),
+                Instr::NamedTupleCtor { first: 0, n: 2 }
+            ]
+        ));
+        assert_eq!(p.names, [AttrName::new("a"), AttrName::new("b")]);
+        // One computed name keeps the whole constructor dynamic.
+        let dynamic = CoreExpr::TupleCtor(vec![(name("a"), var("x")), (var("k"), var("y"))]);
+        let p = compile(&dynamic);
+        assert!(matches!(p.instrs.last(), Some(Instr::TupleCtor(2))));
+        assert!(p.names.is_empty());
     }
 
     #[test]

@@ -508,8 +508,8 @@ fn dispatch(name: &str, args: &[Value], compat: bool) -> FuncResult {
                 if let Some(var_name) = marker.strip_prefix('*') {
                     match value {
                         Value::Tuple(inner) => {
-                            for (n, v) in inner.iter() {
-                                t.insert(n, v.clone());
+                            for (n, v) in inner.pairs() {
+                                t.insert(n.clone(), v.clone());
                             }
                         }
                         Value::Missing => {}

@@ -21,7 +21,7 @@ use sqlpp_plan::{
 use sqlpp_syntax::ast::{BinOp, IsTest, UnOp};
 use sqlpp_value::cmp::{deep_eq, sql_compare, sql_eq};
 use sqlpp_value::hash::{hash_value, GroupKey};
-use sqlpp_value::{Tuple, Value};
+use sqlpp_value::{AttrName, Tuple, Value};
 
 use crate::agg;
 use crate::arith::{num_binop, num_neg, NumError, NumOp};
@@ -762,6 +762,17 @@ impl<'a> Evaluator<'a> {
                 self.build_groups(whole, folds, &mut source)?
             }
             None => {
+                // Each GROUP AS member's attribute names, made once here
+                // rather than once per captured row.
+                let member_names: Vec<Vec<AttrName>> = folds
+                    .iter()
+                    .map(|(_, fold)| match fold {
+                        GroupFold::Members { captured } => {
+                            captured.iter().map(|var| AttrName::new(var)).collect()
+                        }
+                        GroupFold::Agg { .. } => Vec::new(),
+                    })
+                    .collect();
                 let mut rows = Cursor::new(self.binding_stream(input, env), self.batch_size());
                 let mut source = || {
                     let Some(b) = rows.next()? else {
@@ -772,14 +783,14 @@ impl<'a> Evaluator<'a> {
                         key_vals.push(self.expr(ke, &b)?);
                     }
                     let mut states = Vec::with_capacity(folds.len());
-                    for (_, fold) in folds {
+                    for ((_, fold), names) in folds.iter().zip(&member_names) {
                         states.push(match fold {
                             GroupFold::Members { captured } => {
                                 // Listing 14's {e: …, p: …} element shape.
                                 let mut elem = Tuple::with_capacity(captured.len());
-                                for var in captured {
+                                for (var, name) in captured.iter().zip(names) {
                                     if let Some(v) = b.get(var) {
-                                        elem.insert(var.clone(), v.clone());
+                                        elem.insert(name.clone(), v.clone());
                                     }
                                 }
                                 FoldState::Members(vec![Value::Tuple(elem)])
@@ -1453,7 +1464,7 @@ impl<'a> Evaluator<'a> {
             }
             Ok(env
                 .bind(value_var.clone(), value)
-                .bind(name_var.clone(), Value::Str(name)))
+                .bind(name_var.clone(), Value::Str(name.into_string())))
         }))
     }
 
@@ -1905,15 +1916,16 @@ impl<'a> Evaluator<'a> {
                     continue;
                 }
                 Instr::Call { name, argc } => {
-                    let vals = stack.split_off(stack.len() - argc);
+                    let base = stack.len() - argc;
                     let v = match functions::call(
                         name,
-                        &vals,
+                        &stack[base..],
                         self.config.compat == CompatMode::SqlCompat,
                     )? {
                         Ok(v) => v,
                         Err(msg) => self.type_err(|| msg)?,
                     };
+                    stack.truncate(base);
                     stack.push(v);
                 }
                 Instr::Cast { target, ty } => {
@@ -1930,9 +1942,9 @@ impl<'a> Evaluator<'a> {
                     return Err(EvalError::Type(format!("unknown CAST target type {ty}")));
                 }
                 Instr::TupleCtor(n) => {
-                    let vals = stack.split_off(stack.len() - 2 * n);
+                    let base = stack.len() - 2 * n;
                     let mut t = Tuple::with_capacity(n);
-                    let mut it = vals.into_iter();
+                    let mut it = stack.drain(base..);
                     while let (Some(name), Some(value)) = (it.next(), it.next()) {
                         match name {
                             Value::Str(s) => t.insert(s, value),
@@ -1955,19 +1967,28 @@ impl<'a> Evaluator<'a> {
                             }
                         }
                     }
+                    drop(it);
+                    stack.push(Value::Tuple(t));
+                }
+                Instr::NamedTupleCtor { first, n } => {
+                    let base = stack.len() - n;
+                    let mut t = Tuple::with_capacity(n);
+                    for (name, value) in
+                        prog.names[first..first + n].iter().zip(stack.drain(base..))
+                    {
+                        t.insert(name.clone(), value);
+                    }
                     stack.push(Value::Tuple(t));
                 }
                 Instr::ArrayCtor(n) => {
-                    let vals = stack.split_off(stack.len() - n);
-                    stack.push(Value::Array(
-                        vals.into_iter().filter(|v| !v.is_missing()).collect(),
-                    ));
+                    let base = stack.len() - n;
+                    let items = stack.drain(base..).filter(|v| !v.is_missing()).collect();
+                    stack.push(Value::Array(items));
                 }
                 Instr::BagCtor(n) => {
-                    let vals = stack.split_off(stack.len() - n);
-                    stack.push(Value::Bag(
-                        vals.into_iter().filter(|v| !v.is_missing()).collect(),
-                    ));
+                    let base = stack.len() - n;
+                    let items = stack.drain(base..).filter(|v| !v.is_missing()).collect();
+                    stack.push(Value::Bag(items));
                 }
                 Instr::Subquery { plan, coercion } => {
                     stack.push(self.subquery(plan, coercion, env)?)

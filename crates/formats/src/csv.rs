@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use sqlpp_value::{Decimal, Tuple, Value};
+use sqlpp_value::{AttrName, Decimal, Tuple, Value};
 
 use crate::error::FormatError;
 
@@ -41,9 +41,10 @@ impl Default for CsvOptions {
 pub fn from_csv(text: &str, options: &CsvOptions) -> Result<Value, FormatError> {
     let records = parse_records(text, options.delimiter)?;
     let mut iter = records.into_iter();
-    let header: Vec<String> = if options.header {
+    // Column names are made once, not once per row.
+    let header: Vec<AttrName> = if options.header {
         match iter.next() {
-            Some(h) => h.into_iter().map(|f| f.text).collect(),
+            Some(h) => h.into_iter().map(|f| AttrName::from(f.text)).collect(),
             None => return Ok(Value::empty_bag()),
         }
     } else {
@@ -53,13 +54,9 @@ pub fn from_csv(text: &str, options: &CsvOptions) -> Result<Value, FormatError> 
     for record in iter.by_ref() {
         let mut t = Tuple::with_capacity(record.len());
         for (i, field) in record.into_iter().enumerate() {
-            let name = if options.header {
-                header
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| format!("_{}", i + 1))
-            } else {
-                format!("_{}", i + 1)
+            let name = match header.get(i) {
+                Some(name) => name.clone(),
+                None => AttrName::from(format!("_{}", i + 1)),
             };
             t.insert(name, field.into_value(options.type_sniffing));
         }

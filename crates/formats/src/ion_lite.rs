@@ -25,6 +25,7 @@
 //! tuple   : varint count, (string value)…
 //! ```
 
+use sqlpp_value::attr::NameMemo;
 use sqlpp_value::{Decimal, Tuple, Value};
 
 use crate::error::FormatError;
@@ -77,7 +78,7 @@ pub fn put_field_name(buf: &mut Vec<u8>, name: &str) {
 
 /// Decodes one ion-lite value; the whole buffer must be consumed.
 pub fn from_ion_lite(mut data: &[u8]) -> Result<Value, FormatError> {
-    let v = decode(&mut data, 0)?;
+    let v = decode(&mut data, 0, &mut NameMemo::default())?;
     if !data.is_empty() {
         return Err(FormatError::parse("ion-lite", "trailing bytes", 0));
     }
@@ -91,7 +92,7 @@ pub fn from_ion_lite(mut data: &[u8]) -> Result<Value, FormatError> {
 /// deciding whether a nonzero remainder is legitimate.
 pub fn from_ion_lite_prefix(data: &[u8]) -> Result<(Value, usize), FormatError> {
     let mut cursor = data;
-    let v = decode(&mut cursor, 0)?;
+    let v = decode(&mut cursor, 0, &mut NameMemo::default())?;
     Ok((v, data.len() - cursor.len()))
 }
 
@@ -214,7 +215,7 @@ fn encode(v: &Value, buf: &mut Vec<u8>) {
 /// blow the stack.
 const MAX_DEPTH: usize = 256;
 
-fn decode(data: &mut &[u8], depth: usize) -> Result<Value, FormatError> {
+fn decode(data: &mut &[u8], depth: usize, names: &mut NameMemo) -> Result<Value, FormatError> {
     if depth > MAX_DEPTH {
         return Err(FormatError::parse("ion-lite", "nesting too deep", 0));
     }
@@ -263,7 +264,7 @@ fn decode(data: &mut &[u8], depth: usize) -> Result<Value, FormatError> {
             let count = get_len(data)?;
             let mut items = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
-                items.push(decode(data, depth + 1)?);
+                items.push(decode(data, depth + 1, names)?);
             }
             if tag == TAG_ARRAY {
                 Value::Array(items)
@@ -275,8 +276,10 @@ fn decode(data: &mut &[u8], depth: usize) -> Result<Value, FormatError> {
             let count = get_len(data)?;
             let mut t = Tuple::with_capacity(count.min(1 << 16));
             for _ in 0..count {
-                let name = get_string(data)?;
-                let value = decode(data, depth + 1)?;
+                let name = names
+                    .name(get_slice(data)?)
+                    .map_err(|_| FormatError::parse("ion-lite", "invalid UTF-8", 0))?;
+                let value = decode(data, depth + 1, names)?;
                 // Preserve MISSING-freedom: a conforming encoder never
                 // writes MISSING attribute values; tolerate and drop them.
                 t.insert(name, value);
@@ -299,16 +302,21 @@ fn get_len(data: &mut &[u8]) -> Result<usize, FormatError> {
     Ok(len)
 }
 
-fn get_string(data: &mut &[u8]) -> Result<String, FormatError> {
+/// Pops one length-prefixed byte string off the input cursor.
+fn get_slice<'a>(data: &mut &'a [u8]) -> Result<&'a [u8], FormatError> {
     let len = get_len(data)?;
     if data.len() < len {
         return Err(FormatError::parse("ion-lite", "truncated string", 0));
     }
-    let s = std::str::from_utf8(&data[..len])
-        .map_err(|_| FormatError::parse("ion-lite", "invalid UTF-8", 0))?
-        .to_string();
-    advance(data, len);
-    Ok(s)
+    let (head, rest) = data.split_at(len);
+    *data = rest;
+    Ok(head)
+}
+
+fn get_string(data: &mut &[u8]) -> Result<String, FormatError> {
+    let s = std::str::from_utf8(get_slice(data)?)
+        .map_err(|_| FormatError::parse("ion-lite", "invalid UTF-8", 0))?;
+    Ok(s.to_string())
 }
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 //! One frame per message, in both directions:
 //!
 //! ```text
-//! frame    := len:u32le payload              (len = payload byte count)
+//! frame    := len:u32le payload                (len = payload byte count)
 //! request  := 0x01 qlen:varint query:utf8 nparams:varint param…
-//! param    := plen:varint ion_lite-value     (one encoded value each)
-//! response := 0x81 ion_lite-value            rows (the result value)
+//! param    := plen:varint ion_lite-value       (one encoded value each)
+//! response := 0x81 vlen:varint ion_lite-value  rows (the result value)
 //!           | 0x82 str(code) str(message) ndiags:varint diag…
-//!           | 0x83 str(message)              overloaded (shed / budget)
+//!           | 0x83 str(message)                overloaded (shed / budget)
 //! diag     := str(code) str(message) start:varint end:varint
 //! str(x)   := len:varint utf8-bytes
 //! ```
@@ -27,7 +27,7 @@ use std::io::{self, Read, Write};
 use sqlpp_value::Value;
 
 use crate::error::FormatError;
-use crate::ion_lite::{from_ion_lite, to_ion_lite};
+use crate::ion_lite::{encode_into, from_ion_lite};
 
 /// Hard upper bound on one frame's payload (64 MiB): large enough for
 /// any sane result set, small enough that a corrupt or hostile length
@@ -154,10 +154,22 @@ fn get_tag(data: &mut &[u8]) -> Result<u8, FormatError> {
     Ok(tag)
 }
 
+/// Bytes reserved for a value's length before it is encoded: the
+/// varint width of any length under 2 MiB, so a large response is
+/// encoded in place and never moved.
+const VLEN_RESERVE: usize = 3;
+
+/// Appends `vlen:varint ion_lite-value`, encoding the value straight
+/// into `buf`. Its length is only known afterwards, so the value goes
+/// after a [`VLEN_RESERVE`]-byte gap that the length then replaces;
+/// a length of another width shifts the value once.
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    let bytes = to_ion_lite(v);
-    put_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(&bytes);
+    let start = buf.len();
+    buf.extend_from_slice(&[0; VLEN_RESERVE]);
+    encode_into(v, buf);
+    let mut vlen = Vec::with_capacity(10);
+    put_varint(&mut vlen, (buf.len() - start - VLEN_RESERVE) as u64);
+    buf.splice(start..start + VLEN_RESERVE, vlen);
 }
 
 fn get_value(data: &mut &[u8]) -> Result<Value, FormatError> {
@@ -364,6 +376,39 @@ mod tests {
             message: "admission queue full".to_string(),
         };
         assert_eq!(decode_response(&encode_response(&shed)).unwrap(), shed);
+    }
+
+    #[test]
+    fn values_encode_like_a_separate_buffer_then_a_copy() {
+        use crate::ion_lite::to_ion_lite;
+        // What `put_value` wrote before it encoded in place: the value in
+        // its own buffer, then its length and a copy of it.
+        fn copied(v: &Value) -> Vec<u8> {
+            let bytes = to_ion_lite(v);
+            let mut buf = vec![TAG_ROWS];
+            put_varint(&mut buf, bytes.len() as u64);
+            buf.extend_from_slice(&bytes);
+            buf
+        }
+        let row = |i: i64| {
+            Value::Tuple(tuple! {
+                "id" => i,
+                "name" => format!("employee {i}"),
+                "tags" => bag!["a", "b"],
+            })
+        };
+        // Rows enough for lengths of every varint width from one to four
+        // bytes, the last past the reserved gap.
+        for rows in [0, 1, 8, 400, 60_000] {
+            let v = Value::Bag((0..rows).map(row).collect());
+            let encoded = encode_response(&Response::Rows(v.clone()));
+            assert_eq!(encoded, copied(&v), "{rows} rows");
+        }
+        let req = Request {
+            query: "SELECT 1".to_string(),
+            params: vec![Value::Bag((0..400).map(row).collect()), Value::Null],
+        };
+        assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
     }
 
     #[test]

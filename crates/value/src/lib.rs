@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod attr;
 pub mod cmp;
 pub mod decimal;
 pub mod delta;
@@ -43,6 +44,7 @@ mod macros;
 mod tuple;
 mod value;
 
+pub use attr::AttrName;
 pub use decimal::{Decimal, DecimalError};
 pub use delta::Delta;
 pub use display::to_pretty;
@@ -64,8 +66,8 @@ pub fn canonicalize(v: &Value) -> Value {
         Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
         Value::Tuple(t) => {
             let mut out = Tuple::with_capacity(t.len());
-            for (name, value) in t.iter() {
-                out.insert(name, canonicalize(value));
+            for (name, value) in t.pairs() {
+                out.insert(name.clone(), canonicalize(value));
             }
             Value::Tuple(out)
         }

@@ -12,15 +12,18 @@
 //! MISSING is **not stored** — [`Tuple::insert`] silently drops it, so
 //! `MISSING` can never be observed as a stored attribute value.
 
+use crate::attr::AttrName;
 use crate::value::Value;
 
 /// An unordered multi-map of attribute names to values.
 ///
 /// Internally pairs are kept in insertion order; all equality and hashing
 /// operations treat the pairs as an unordered multiset (see [`crate::cmp`]).
+/// Names are [`AttrName`]s, so rows built from the same names share one
+/// copy of each; every accessor still speaks `&str`.
 #[derive(Clone, Default, PartialEq)]
 pub struct Tuple {
-    pairs: Vec<(String, Value)>,
+    pairs: Vec<(AttrName, Value)>,
 }
 
 impl Tuple {
@@ -40,7 +43,7 @@ impl Tuple {
     pub fn from_pairs<I, K>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (K, Value)>,
-        K: Into<String>,
+        K: Into<AttrName>,
     {
         let mut t = Tuple::new();
         for (k, v) in pairs {
@@ -52,7 +55,7 @@ impl Tuple {
     /// Inserts an attribute. Per §IV-B, a MISSING value is dropped: "the
     /// output tuple will not have a title attribute". Duplicate names are
     /// allowed and appended.
-    pub fn insert(&mut self, name: impl Into<String>, value: Value) {
+    pub fn insert(&mut self, name: impl Into<AttrName>, value: Value) {
         if value.is_missing() {
             return;
         }
@@ -62,7 +65,7 @@ impl Tuple {
     /// Inserts or replaces the first attribute with this name (used by
     /// updaters and the pivot operator, where a later binding of the same
     /// name overwrites).
-    pub fn upsert(&mut self, name: impl Into<String>, value: Value) {
+    pub fn upsert(&mut self, name: impl Into<AttrName>, value: Value) {
         if value.is_missing() {
             return;
         }
@@ -124,14 +127,15 @@ impl Tuple {
         self.pairs.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Iterates pairs in insertion order with their [`AttrName`]s, for
+    /// callers that copy names into another tuple without re-interning.
+    pub fn pairs(&self) -> impl Iterator<Item = (&AttrName, &Value)> {
+        self.pairs.iter().map(|(k, v)| (k, v))
+    }
+
     /// Attribute names in insertion order (duplicates included).
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.pairs.iter().map(|(k, _)| k.as_str())
-    }
-
-    /// Consumes the tuple into its pairs.
-    pub fn into_pairs(self) -> Vec<(String, Value)> {
-        self.pairs
     }
 
     /// Concatenates another tuple's pairs onto this one (tuple merge, used
@@ -148,15 +152,15 @@ impl std::fmt::Debug for Tuple {
     }
 }
 
-impl FromIterator<(String, Value)> for Tuple {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+impl<K: Into<AttrName>> FromIterator<(K, Value)> for Tuple {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
         Tuple::from_pairs(iter)
     }
 }
 
 impl IntoIterator for Tuple {
-    type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type Item = (AttrName, Value);
+    type IntoIter = std::vec::IntoIter<(AttrName, Value)>;
     fn into_iter(self) -> Self::IntoIter {
         self.pairs.into_iter()
     }

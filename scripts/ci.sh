@@ -149,6 +149,14 @@ SQLPP_PROP_PERSIST_DIR=tests/regression-seeds SQLPP_PROP_CASES=500 \
   cargo test -q --release --test fuzz_frontend
 echo "frontend fuzz OK"
 
+echo "== binary decoder fuzz (seeded, release) =="
+# ion_lite and wire-frame decoders under byte soup, bit flips,
+# truncations and an attribute-name flood past the intern table's cap —
+# built with release overflow behaviour, which the debug tier-1 run
+# does not exercise.
+cargo test -q --release -p sqlpp-formats --test ion_fuzz
+echo "binary decoder fuzz OK"
+
 echo "== spine differential gate (seeded) =="
 # The fused spine's consumers against the binding stream and the
 # paper-literal plan: pushdown below UNNEST (a correlate's left filter)
