@@ -139,9 +139,9 @@ pub fn run(h: &mut Harness) {
                 }
             }
             // An instrumented run proves the workload really exercises
-            // the batch protocol and the compiler (stats collection
-            // itself disables the fused spine, so these counters
-            // measure the batched drain loops, not the fusion).
+            // the batch protocol and the compiler (stats collection runs
+            // the fused spine too, which credits the batches of the
+            // operators it stands in for).
             let run = vec_session.query_with_stats(query).unwrap();
             let stats = run.stats().expect("stats collection was on");
             let batches = counter(stats, "batches_produced");

@@ -156,7 +156,7 @@ impl Engine {
             }
             InsertSource::Query(q) => {
                 let (_, result, stats) = self.plan_and_run(q, 0, collect)?;
-                let items = match result {
+                let items = match result? {
                     Value::Bag(items) | Value::Array(items) => items,
                     single => vec![single],
                 };

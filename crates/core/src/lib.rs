@@ -303,12 +303,13 @@ impl Engine {
         let (outcome, stats) = match stmt {
             Statement::Query(q) => {
                 let (_, value, stats) = self.plan_and_run(q, parse_ns, collect)?;
-                return Ok((ExecOutcome::Rows(QueryResult::new(value)), stats));
+                return Ok((ExecOutcome::Rows(QueryResult::new(value?)), stats));
             }
             Statement::Explain { analyze, query } => {
                 let text = if *analyze {
-                    let (core, _, stats) = self.plan_and_run(query, parse_ns, true)?;
-                    render_analysis(&core, &stats.expect("collect_stats is on"))
+                    let (planned, value, stats) = self.plan_and_run(query, parse_ns, true)?;
+                    let stats = stats.expect("collect_stats is on");
+                    render_analysis(&planned.core, &stats, value.err().as_ref())
                 } else {
                     self.plan(query)?.core.explain()
                 };
@@ -353,7 +354,13 @@ impl Engine {
     /// `Prepared` never executes against a schema snapshot older than the
     /// data it reads.
     pub fn prepare(&self, src: &str) -> Result<Prepared> {
-        self.prepare_parsed(sqlpp_syntax::parse_query(src)?)
+        let t = Instant::now();
+        let ast = sqlpp_syntax::parse_query(src)?;
+        let parse_ns = t.elapsed().as_nanos() as u64;
+        Ok(Prepared {
+            parse_ns,
+            ..self.prepare_parsed(ast)?
+        })
     }
 
     /// [`Engine::prepare`] for an already-parsed query (the server's
@@ -364,8 +371,8 @@ impl Engine {
             ast,
             compat: self.config.compat,
             optimize: self.config.optimize,
-            epoch: planned.epoch,
-            core: Arc::new(planned.core),
+            parse_ns: 0,
+            planned: Arc::new(planned),
             refreshed: Arc::new(RwLock::new(None)),
         })
     }
@@ -377,75 +384,72 @@ impl Engine {
 
     /// Evaluates a plan — the one place an [`Evaluator`] runs a query,
     /// whoever planned it (statements, prepared execution, DML sources).
-    /// With `collect` on, the returned stats carry the operator counters
-    /// and the eval phase time; the plain path carries no collector.
+    /// With `collect` on, the stats carry the operator counters, the
+    /// phase times that made the plan (`parse_ns` is the caller's) and
+    /// the eval phase time — whichever way the run ended, so a failed
+    /// run reports how far it got; the plain path carries no collector.
     fn run(
         &self,
-        core: &CoreQuery,
+        planned: &Planned,
+        parse_ns: u64,
         params: Vec<Value>,
         collect: bool,
-    ) -> Result<(Value, Option<ExecStats>)> {
+    ) -> (Result<Value>, Option<ExecStats>) {
         let evaluator =
             Evaluator::new(&self.catalog, self.eval_config(collect)).with_params(params);
         // Per-operator stats are keyed by the plan's pre-order index
         // (assigned by `Evaluator::run`), so the plan can move freely
         // between evaluation and annotation.
         let t = Instant::now();
-        let value = evaluator.run(core)?;
-        let stats = evaluator.stats_snapshot().map(|mut st| {
-            st.eval_ns = t.elapsed().as_nanos() as u64;
-            st
+        let value = evaluator.run(&planned.core).map_err(Error::from);
+        let stats = evaluator.stats_snapshot().map(|st| ExecStats {
+            parse_ns,
+            lower_ns: planned.lower_ns,
+            optimize_ns: planned.optimize_ns,
+            eval_ns: t.elapsed().as_nanos() as u64,
+            ..st
         });
-        Ok((value, stats))
+        (value, stats)
     }
 
-    /// Plans a parsed query and runs it, folding the phase times into
-    /// the collected stats. Hands the plan back for `EXPLAIN ANALYZE`.
+    /// Plans a parsed query and runs it. Hands back the plan for
+    /// `EXPLAIN ANALYZE`, with the run's outcome and stats; only a
+    /// planning error is this function's own.
     pub(crate) fn plan_and_run(
         &self,
         ast: &Query,
         parse_ns: u64,
         collect: bool,
-    ) -> Result<(CoreQuery, Value, Option<ExecStats>)> {
+    ) -> Result<(Planned, Result<Value>, Option<ExecStats>)> {
         let planned = self.plan(ast)?;
-        let (value, mut stats) = self.run(&planned.core, Vec::new(), collect)?;
-        if let Some(st) = &mut stats {
-            st.parse_ns = parse_ns;
-            st.lower_ns = planned.lower_ns;
-            st.optimize_ns = planned.optimize_ns;
-        }
-        Ok((planned.core, value, stats))
+        let (value, stats) = self.run(&planned, parse_ns, Vec::new(), collect);
+        Ok((planned, value, stats))
     }
 
     /// The lowered (Core) plan as text — SQL's EXPLAIN, and the mechanism
     /// by which the listing gallery shows the §V-C rewritings.
     pub fn explain(&self, src: &str) -> Result<String> {
-        Ok(self.prepare(src)?.core.explain())
+        Ok(self.prepare(src)?.plan().explain())
     }
 
     /// Runs a query with statistics collection on and returns its result
     /// with [`ExecStats`] attached (per-phase wall times plus operator
     /// counters). The ordinary [`Engine::query`] path carries no
-    /// collector and pays nothing.
+    /// collector and pays nothing. [`Prepared::execute_with_stats`] takes
+    /// `?` parameters and keeps the stats of a run that fails.
     pub fn query_with_stats(&self, src: &str) -> Result<QueryResult> {
-        let (_, value, stats) = self.analyze(src)?;
-        Ok(QueryResult::with_stats(value, stats))
+        let (_, value, stats) = self.prepare(src)?.analyze(self, Vec::new())?;
+        Ok(QueryResult::with_stats(value?, stats))
     }
 
     /// `EXPLAIN ANALYZE`: executes the query with statistics collection
     /// on and renders the Core operator tree with each operator's
-    /// calls/rows/time, followed by the phase-times and counters summary.
+    /// calls/rows/time, followed by the phase-times and counters summary
+    /// — and, when the run failed, an `error: …` line under the counts
+    /// it reached.
     pub fn explain_analyze(&self, src: &str) -> Result<String> {
-        let (core, _, stats) = self.analyze(src)?;
-        Ok(render_analysis(&core, &stats))
-    }
-
-    /// The text entry to a stats-collecting query run (timed parse).
-    fn analyze(&self, src: &str) -> Result<(CoreQuery, Value, ExecStats)> {
-        let t = Instant::now();
-        let ast = sqlpp_syntax::parse_query(src)?;
-        let (core, value, stats) = self.plan_and_run(&ast, t.elapsed().as_nanos() as u64, true)?;
-        Ok((core, value, stats.expect("collect_stats is on")))
+        let (planned, value, stats) = self.prepare(src)?.analyze(self, Vec::new())?;
+        Ok(render_analysis(&planned.core, &stats, value.err().as_ref()))
     }
 
     /// Statically analyzes a statement without evaluating it, returning
@@ -521,7 +525,7 @@ impl Engine {
     ) -> Result<(Value, Option<ExecStats>)> {
         let (_, bag, stats) = self.plan_and_run(&Query::select_value(expr), 0, collect)?;
         // A FROM-less SELECT VALUE produces a singleton bag; unwrap it.
-        let value = match bag {
+        let value = match bag? {
             Value::Bag(mut items) if items.len() == 1 => items.pop().expect("len checked"),
             other => other,
         };
@@ -557,6 +561,7 @@ impl Engine {
 }
 
 /// A lowered (and, when the session asks, optimized) query.
+#[derive(Debug)]
 struct Planned {
     core: CoreQuery,
     /// The catalog schema epoch `core` was lowered against.
@@ -596,10 +601,12 @@ fn plan(
 
 /// Renders an `EXPLAIN ANALYZE` report: the operator tree with per-node
 /// `[streaming|materializing calls=… rows=… time=…]` annotations, then
-/// the phase/counter summary. Operators that buffered rows also show
-/// their high-water mark as `mat=…`; operators that streamed show how
-/// many batches they emitted as `batches=…`.
-fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
+/// the phase/counter summary, then the run's error if it failed.
+/// Operators that ran on the fused scan spine are labelled `fused`;
+/// operators that buffered rows also show their high-water mark as
+/// `mat=…`; operators that streamed show how many batches they emitted
+/// as `batches=…`.
+fn render_analysis(core: &CoreQuery, stats: &ExecStats, error: Option<&Error>) -> String {
     // Stats are keyed by pre-order plan index; recover each rendered
     // node's index by walking the same pre-order.
     let index_of: std::collections::HashMap<*const CoreOp, u32> = core
@@ -633,8 +640,9 @@ fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
             String::new()
         };
         Some(format!(
-            " [{} calls={} rows={}{}{} time={}]",
+            " [{}{} calls={} rows={}{}{} time={}]",
             op.pipeline_class(),
+            if s.fused { " fused" } else { "" },
             s.calls,
             s.rows_out,
             mat,
@@ -643,6 +651,9 @@ fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
         ))
     });
     text.push_str(&stats.render_summary());
+    if let Some(e) = error {
+        text.push_str(&format!("error: {e}\n"));
+    }
     text
 }
 
@@ -697,49 +708,46 @@ pub struct Prepared {
     /// Prepare-time planner inputs, reused verbatim on re-lowering.
     compat: CompatMode,
     optimize: bool,
-    /// Catalog schema epoch the plan below was lowered against.
-    epoch: u64,
-    /// The plan lowered at prepare time (valid while the epoch matches).
-    core: Arc<CoreQuery>,
+    /// The wall time of the text parse, when [`Engine::prepare`] made it.
+    parse_ns: u64,
+    /// The plan made at prepare time (valid while its epoch matches).
+    planned: Arc<Planned>,
     /// Re-lowered plan for a later epoch, filled lazily on first execute
     /// after a schema change (interior-mutable so `&self` stays cheap).
-    refreshed: Arc<RwLock<Option<(u64, Arc<CoreQuery>)>>>,
+    refreshed: Arc<RwLock<Option<Arc<Planned>>>>,
 }
 
 impl Prepared {
     /// The Core plan as lowered at prepare time.
     pub fn plan(&self) -> &CoreQuery {
-        &self.core
+        &self.planned.core
     }
 
     /// The catalog schema epoch this plan was lowered against.
     pub fn schema_epoch(&self) -> u64 {
-        self.epoch
+        self.planned.epoch
     }
 
     /// The plan currently valid for `engine`'s catalog: the prepare-time
     /// plan when the schema epoch still matches, otherwise a plan
     /// re-lowered against the current schemas (computed at most once per
     /// epoch and cached).
-    fn current_plan(&self, engine: &Engine) -> Result<Arc<CoreQuery>> {
+    fn current_plan(&self, engine: &Engine) -> Result<Arc<Planned>> {
         let now = engine.catalog.schema_epoch();
-        if now == self.epoch {
-            return Ok(Arc::clone(&self.core));
+        if now == self.planned.epoch {
+            return Ok(Arc::clone(&self.planned));
         }
         {
             let cached = self.refreshed.read().unwrap_or_else(|e| e.into_inner());
-            if let Some((e, plan)) = cached.as_ref() {
-                if *e == now {
-                    return Ok(Arc::clone(plan));
-                }
+            if let Some(planned) = cached.as_ref().filter(|p| p.epoch == now) {
+                return Ok(Arc::clone(planned));
             }
         }
         // Stale: re-plan against a consistent (epoch, snapshot) pair
         // with the prepare-time planner configuration.
         let planned = plan(&engine.catalog, self.compat, self.optimize, &self.ast)?;
-        let fresh = Arc::new(planned.core);
-        *self.refreshed.write().unwrap_or_else(|e| e.into_inner()) =
-            Some((planned.epoch, Arc::clone(&fresh)));
+        let fresh = Arc::new(planned);
+        *self.refreshed.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -751,8 +759,37 @@ impl Prepared {
 
     /// Executes with positional parameters.
     pub fn execute_with_params(&self, engine: &Engine, params: Vec<Value>) -> Result<QueryResult> {
-        let core = self.current_plan(engine)?;
-        Ok(QueryResult::new(engine.run(&core, params, false)?.0))
+        let planned = self.current_plan(engine)?;
+        Ok(QueryResult::new(engine.run(&planned, 0, params, false).0?))
+    }
+
+    /// Executes with positional parameters and statistics collection on,
+    /// returning the result beside the stats — which a failed run keeps
+    /// too, counted as far as it got. The phase times are those that
+    /// made the plan: a repeated execution re-times only its eval phase.
+    /// `None` stats mean the stale plan could not be re-lowered, so
+    /// nothing ran.
+    pub fn execute_with_stats(
+        &self,
+        engine: &Engine,
+        params: Vec<Value>,
+    ) -> (Result<QueryResult>, Option<ExecStats>) {
+        match self.analyze(engine, params) {
+            Ok((_, value, stats)) => (value.map(QueryResult::new), Some(stats)),
+            Err(e) => (Err(e), None),
+        }
+    }
+
+    /// The one stats-collecting run: the plan that ran, its outcome and
+    /// its stats. `Err` only when re-lowering failed.
+    fn analyze(
+        &self,
+        engine: &Engine,
+        params: Vec<Value>,
+    ) -> Result<(Arc<Planned>, Result<Value>, ExecStats)> {
+        let planned = self.current_plan(engine)?;
+        let (value, stats) = engine.run(&planned, self.parse_ns, params, true);
+        Ok((planned, value, stats.expect("collect_stats is on")))
     }
 }
 

@@ -393,11 +393,14 @@ impl<'a> Evaluator<'a> {
                 input,
                 expr,
                 distinct: false,
-            } => Some(self.fused_scan(input, &[expr], 1, env).unwrap_or_else(|| {
-                Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
-                    self.expr(expr, &b).map(Some)
-                }))
-            })),
+            } => Some(
+                self.fused_scan(op, input, &[expr], 1, env)
+                    .unwrap_or_else(|| {
+                        Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
+                            self.expr(expr, &b).map(Some)
+                        }))
+                    }),
+            ),
             CoreOp::LimitOffset {
                 input,
                 limit,
@@ -660,7 +663,7 @@ impl<'a> Evaluator<'a> {
     /// budget admits and refuses exactly where the binding stream does.
     fn topk_bindings(
         &self,
-        whole: &CoreOp,
+        whole: &'a CoreOp,
         input: &'a CoreOp,
         keys: &'a [CoreSortKey],
         limit: &'a CoreExpr,
@@ -668,7 +671,7 @@ impl<'a> Evaluator<'a> {
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
         let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
-        let Some(parts) = self.spine_input(input, &key_exprs) else {
+        let Some(parts) = self.spine_input(whole, input, &key_exprs) else {
             let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
                 return Ok(Vec::new());
             };
@@ -733,14 +736,14 @@ impl<'a> Evaluator<'a> {
     /// producer) never promised.
     fn group(
         &self,
-        whole: &CoreOp,
+        whole: &'a CoreOp,
         input: &'a CoreOp,
         keys: &'a [(String, CoreExpr)],
         folds: &'a [(String, GroupFold)],
         emit_empty_group: bool,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let mut groups = match self.fused_group_input(input, keys, folds, env) {
+        let mut groups = match self.fused_group_input(whole, input, keys, folds, env) {
             Some(values) => {
                 let width = keys.len() + folds.len();
                 let mut values = Cursor::new(values, self.batch_size());
@@ -1117,8 +1120,8 @@ impl<'a> Evaluator<'a> {
                 // plan it was derived from answers `{{}}`. On the spine
                 // that is a look at the source; no left predicate or key
                 // runs before the build.
-                let probe: ProbeSide = match self.spine_probe(*kind, left, keys, left_pred.as_ref())
-                {
+                let spine = self.spine_probe(whole, *kind, left, keys, left_pred.as_ref());
+                let probe: ProbeSide = match spine {
                     Some(parts) => match self.spine(parts, env) {
                         Ok(spine) if spine.source.items().is_empty() => return empty(),
                         Ok(spine) => ProbeSide::Spine(FusedScan {
@@ -1202,7 +1205,7 @@ impl<'a> Evaluator<'a> {
         let Some(pred) = left_pred.filter(|_| self.config.typing == TypingMode::Permissive) else {
             return self.from_stream(left, whole, env);
         };
-        if let Some(rows) = self.fused_left(left, pred, env) {
+        if let Some(rows) = self.fused_left(whole, left, pred, env) {
             return rows;
         }
         Box::new(MapRows::new(self.from_stream(left, whole, env), move |l| {
@@ -1424,6 +1427,7 @@ impl<'a> Evaluator<'a> {
             park_from: usize::MAX,
             join_keys: false,
             env: env.clone(),
+            observed: None,
         })
     }
 
@@ -1486,15 +1490,17 @@ impl<'a> Evaluator<'a> {
     /// aggregate bodies for a folded GROUP BY. A data error in an output
     /// from index `park_from` on is handed on as that output's item
     /// (see [`FusedOut`]) instead of failing the scan. `None` means
-    /// ineligible (see [`Self::spine_on`]).
+    /// ineligible (see [`Self::spine_parts`]). `consumer` is the
+    /// operator the rows feed.
     fn fused_scan<'s, T: FusedOut + 's>(
         &'s self,
+        consumer: &'a CoreOp,
         input: &'a CoreOp,
         outs: &[&'a CoreExpr],
         park_from: usize,
         env: &Env,
     ) -> Option<Box<dyn Stream<T> + 's>> {
-        let parts = self.spine_input(input, outs)?;
+        let parts = self.spine_input(consumer, input, outs)?;
         Some(match self.spine(parts, env) {
             Ok(spine) => Box::new(FusedScan { park_from, ..spine }),
             Err(e) => failed(e),
@@ -1502,11 +1508,14 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The spine's parts for a `Filter* → Scan` input with `outs` as its
-    /// outputs, or `None` when ineligible.
-    fn spine_input(&self, input: &'a CoreOp, outs: &[&'a CoreExpr]) -> Option<SpineParts<'a>> {
-        if !self.spine_on() {
-            return None;
-        }
+    /// outputs, or `None` when ineligible. The `From` and the `Filter`s
+    /// are the operators the spine stands in for.
+    fn spine_input(
+        &self,
+        consumer: &'a CoreOp,
+        input: &'a CoreOp,
+        outs: &[&'a CoreExpr],
+    ) -> Option<SpineParts<'a>> {
         // Peel WHERE filters down to a plain scan.
         let mut preds: Vec<&'a CoreExpr> = Vec::new();
         let mut op = input;
@@ -1522,23 +1531,33 @@ impl<'a> Evaluator<'a> {
         };
         // Peeled outermost-first; they must run scan-side-first.
         preds.reverse();
-        self.spine_parts(item, &preds, outs)
+        Some(SpineParts {
+            input: Some(input),
+            ..self.spine_parts(consumer, item, &preds, outs)?
+        })
     }
 
     /// The spine's parts over the bare scan `item`, or `None` when
-    /// ineligible.
+    /// ineligible: at batch 1, the binding stream's reference
+    /// configuration, or when a program is not root-safe.
     fn spine_parts(
         &self,
+        consumer: &'a CoreOp,
         item: &'a CoreFrom,
         preds: &[&'a CoreExpr],
         outs: &[&'a CoreExpr],
     ) -> Option<SpineParts<'a>> {
+        if self.config.batch_size <= 1 {
+            return None;
+        }
         let (scan, as_var) = spine_scan(item)?;
         Some(SpineParts {
             scan,
             as_var,
             preds: self.rooted(preds, as_var)?,
             outs: self.rooted(outs, as_var)?,
+            consumer,
+            input: None,
         })
     }
 
@@ -1547,14 +1566,12 @@ impl<'a> Evaluator<'a> {
     /// rejected one is never cloned. `None` when ineligible.
     fn fused_left<'s>(
         &'s self,
+        whole: &'a CoreOp,
         left: &'a CoreFrom,
         left_pred: &'a CoreExpr,
         env: &Env,
     ) -> Option<BindingStream<'s>> {
-        if !self.spine_on() {
-            return None;
-        }
-        let parts = self.spine_parts(left, &[left_pred], &[])?;
+        let parts = self.spine_parts(whole, left, &[left_pred], &[])?;
         Some(match self.spine(parts, env) {
             Ok(spine) => Box::new(FusedScan {
                 left_filter: true,
@@ -1571,26 +1588,17 @@ impl<'a> Evaluator<'a> {
     /// pads every rejected row, so it needs each row's binding anyway.
     fn spine_probe(
         &self,
+        whole: &'a CoreOp,
         kind: CoreJoinKind,
         left: &'a CoreFrom,
         keys: &'a [(CoreExpr, CoreExpr)],
         left_pred: Option<&'a CoreExpr>,
     ) -> Option<SpineParts<'a>> {
-        if kind != CoreJoinKind::Inner || !self.spine_on() {
+        if kind != CoreJoinKind::Inner {
             return None;
         }
         let left_keys: Vec<&'a CoreExpr> = keys.iter().map(|(lk, _)| lk).collect();
-        self.spine_parts(left, left_pred.as_slice(), &left_keys)
-    }
-
-    /// Whether the fused spine may run: batching is on, stats are off
-    /// (`EXPLAIN ANALYZE` wants real per-operator adapters) and no faults
-    /// are injected (the per-expression fault site lives in
-    /// [`Self::expr`]). Results are identical to the adapter pipeline
-    /// because both bottom out in the same compiled programs and
-    /// scan-source semantics.
-    fn spine_on(&self) -> bool {
-        self.config.batch_size > 1 && self.stats.is_none() && !self.govern.injects_faults()
+        self.spine_parts(whole, left, left_pred.as_slice(), &left_keys)
     }
 
     /// Each expression's program specialized for the spine's root
@@ -1609,15 +1617,20 @@ impl<'a> Evaluator<'a> {
 
     /// Opens the spine over `parts` (see [`FusedScan`]): every predicate
     /// must be TRUE, and every output's error fails the scan. Callers
-    /// adjust the policy fields.
+    /// adjust the policy fields. Under stats collection its operators
+    /// are labelled fused, and the ones it stands in for are credited
+    /// from here on — also when the open fails, like the binding
+    /// stream's instrumented failed stream.
     fn spine<'s>(
         &'s self,
         parts: SpineParts<'a>,
         env: &Env,
     ) -> Result<FusedScan<'s, 'a>, EvalError> {
+        let observed = (self.stats.as_ref()).and_then(|st| SpineStats::new(st, &parts));
         Ok(FusedScan {
             preds: parts.preds,
             outs: parts.outs,
+            observed,
             ..self.open_scan(parts.scan, parts.as_var, None, env)?
         })
     }
@@ -1630,6 +1643,7 @@ impl<'a> Evaluator<'a> {
     /// the row's bindings, or when the spine is ineligible.
     fn fused_group_input<'s>(
         &'s self,
+        whole: &'a CoreOp,
         input: &'a CoreOp,
         keys: &'a [(String, CoreExpr)],
         folds: &'a [(String, GroupFold)],
@@ -1645,7 +1659,7 @@ impl<'a> Evaluator<'a> {
         if outs.is_empty() {
             return None;
         }
-        self.fused_scan(input, &outs, keys.len(), env)
+        self.fused_scan(whole, input, &outs, keys.len(), env)
     }
 
     // =================================================================
@@ -1701,6 +1715,17 @@ impl<'a> Evaluator<'a> {
         stack.clear();
         self.vm_stack.set(stack);
         result
+    }
+
+    /// The operator fault site, visited once per program the fused
+    /// spine runs when faults are injected (`ON`), as [`Self::expr`]
+    /// visits it once per evaluation.
+    #[inline(always)]
+    fn fault_site<const ON: bool>(&self) -> Result<(), EvalError> {
+        match ON {
+            true => self.govern.fault_at(FaultSite::OperatorEval),
+            false => Ok(()),
+        }
     }
 
     /// The expression dispatcher: the only place Core expression
@@ -2633,13 +2658,73 @@ impl ScanSource {
     }
 }
 
-/// What a [`FusedScan`] runs: its scan, its row variable, and its
-/// root-specialized predicates and outputs.
+/// What a [`FusedScan`] runs: its scan, its row variable, its
+/// root-specialized predicates and outputs, and the plan operators it
+/// runs for.
 struct SpineParts<'a> {
     scan: &'a CoreExpr,
     as_var: &'a str,
     preds: Vec<Program<'a>>,
     outs: Vec<Program<'a>>,
+    /// The operator the rows feed.
+    consumer: &'a CoreOp,
+    /// The `Filter* → From` input the spine stands in for, one `Filter`
+    /// per predicate. `None` for a FROM item's bare scan inside the
+    /// consumer `From` (a correlate's left, a join's probe side), which
+    /// stands in for no operator: the consumer's own stream counts it.
+    input: Option<&'a CoreOp>,
+}
+
+/// A spine's per-operator stats: the `From` and `Filter`s it stands in
+/// for are credited what their instrumented streams would have counted —
+/// the rows each lets through, per pull, with the pull's time inclusive —
+/// and record one call each when the scan is dropped. Counting happens
+/// per pull and on a predicate's reject branch, never per program run.
+struct SpineStats<'s> {
+    /// The `From`, then each `Filter`, scan-side first.
+    ops: Vec<Instrumented<'s, ()>>,
+    /// Rows each predicate rejected (or failed on) in the current pull.
+    rejected: Vec<u64>,
+}
+
+impl<'s> SpineStats<'s> {
+    /// Labels the consumer of `parts` and the operators it stands in
+    /// for fused, and makes the stats of the latter — `None` when it
+    /// stands in for none.
+    fn new(st: &'s StatsCollector, parts: &SpineParts<'_>) -> Option<Self> {
+        st.record_op_fused(st.key_for(parts.consumer));
+        let mut ops = Vec::new();
+        let mut op = parts.input?;
+        loop {
+            st.record_op_fused(st.key_for(op));
+            // The `From`'s rows are bindings, bound or borrowed.
+            let is_from = matches!(op, CoreOp::From { .. });
+            ops.push(Instrumented::new((), st, op, is_from, Instant::now()));
+            match op {
+                CoreOp::Filter { input, .. } => op = input,
+                _ => break,
+            }
+        }
+        // Peeled outermost-first; the `From` leads.
+        ops.reverse();
+        Some(SpineStats {
+            ops,
+            rejected: vec![0; parts.preds.len()],
+        })
+    }
+
+    /// Credits one pull that scanned `scanned` rows in `ns`: the `From`
+    /// lets through every scanned row, each `Filter` what its input let
+    /// through less what its predicate rejected.
+    fn pulled(&mut self, scanned: u64, ns: u64) {
+        let mut passed = scanned;
+        for (i, op) in self.ops.iter_mut().enumerate() {
+            if let Some(pred) = i.checked_sub(1) {
+                passed -= std::mem::take(&mut self.rejected[pred]);
+            }
+            op.credit(passed, ns);
+        }
+    }
 }
 
 /// The one FROM scan (opened only by [`Evaluator::open_scan`]): each
@@ -2681,6 +2766,8 @@ struct FusedScan<'s, 'a> {
     /// after it are not evaluated, exactly as [`Evaluator::join_key`].
     join_keys: bool,
     env: Env,
+    /// The spine's per-operator stats, under stats collection.
+    observed: Option<SpineStats<'s>>,
 }
 
 /// A correlate's left-filter verdict on one left row
@@ -2755,19 +2842,29 @@ impl FusedScan<'_, '_> {
     /// never depends on this reuse, only speed does.
     fn pull<T: FusedOut>(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, EvalError> {
         let start = self.idx;
+        let timer = self.observed.is_some().then(Instant::now);
         let mut stack = self.ev.vm_stack.take();
         stack.clear();
-        let result = self.fill(out, max, &mut stack);
+        let result = match self.ev.govern.injects_faults() {
+            false => self.fill::<T, false>(out, max, &mut stack),
+            true => self.fill::<T, true>(out, max, &mut stack),
+        };
         stack.clear();
         self.ev.vm_stack.set(stack);
+        let scanned = (self.idx - start) as u64;
         if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned((self.idx - start) as u64);
+            st.add_rows_scanned(scanned);
+        }
+        if let (Some(observed), Some(t)) = (&mut self.observed, timer) {
+            observed.pulled(scanned, t.elapsed().as_nanos() as u64);
         }
         result
     }
 
-    /// The scan loop: the number of rows that passed.
-    fn fill<T: FusedOut>(
+    /// The scan loop: the number of rows that passed. With `FAULTS`,
+    /// every program run is an operator fault site, as every
+    /// [`Evaluator::expr`] call is on the binding stream.
+    fn fill<T: FusedOut, const FAULTS: bool>(
         &mut self,
         out: &mut Vec<T>,
         max: usize,
@@ -2790,13 +2887,20 @@ impl FusedScan<'_, '_> {
             }
             self.idx += 1;
             let root = Some(item);
-            for p in &self.preds {
-                let r = match self.ev.exec_program(p, root, &self.env, stack) {
+            for (k, p) in self.preds.iter().enumerate() {
+                let run = self.ev.fault_site::<FAULTS>();
+                let r = match run.and_then(|()| self.ev.exec_program(p, root, &self.env, stack)) {
                     Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
                     Err(e) => {
                         // Programs run on an empty stack, so the failed
-                        // one's operands go with a clear.
+                        // one's operands go with a clear. The failure
+                        // rejects the row in the counts: only a left
+                        // filter parks it, and that stands in for no
+                        // operator.
                         stack.clear();
+                        if let Some(observed) = &mut self.observed {
+                            observed.rejected[k] += 1;
+                        }
                         Err(e)
                     }
                 };
@@ -2806,13 +2910,17 @@ impl FusedScan<'_, '_> {
                     matches!(r?, Value::Bool(true))
                 };
                 if !passes {
+                    if let Some(observed) = &mut self.observed {
+                        observed.rejected[k] += 1;
+                    }
                     continue 'rows;
                 }
             }
             let row_start = out.len();
             for (i, p) in self.outs.iter().enumerate() {
                 let base = stack.len();
-                let r = match self.ev.exec_program(p, root, &self.env, stack) {
+                let run = self.ev.fault_site::<FAULTS>();
+                let r = match run.and_then(|()| self.ev.exec_program(p, root, &self.env, stack)) {
                     Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
                     Err(e) => {
                         // A parked error must not leave the failed

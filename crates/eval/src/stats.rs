@@ -43,6 +43,10 @@ pub struct OpStats {
     /// disk (always `false` for streaming operators and for breakers that
     /// stayed within budget).
     pub spilled: bool,
+    /// Whether the operator ran on the fused scan spine: a `From` and
+    /// the `Filter`s the spine evaluates on borrowed rows, and the
+    /// operator that consumes them.
+    pub fused: bool,
 }
 
 /// A finished statistics snapshot: phase wall times plus counters.
@@ -295,6 +299,13 @@ impl StatsCollector {
         let mut ops = self.ops.borrow_mut();
         let e = ops.entry(key).or_default();
         e.spilled = true;
+    }
+
+    /// Marks an operator as run on the fused scan spine (sticky for the
+    /// run).
+    pub fn record_op_fused(&self, key: u32) {
+        let mut ops = self.ops.borrow_mut();
+        ops.entry(key).or_default().fused = true;
     }
 
     /// Raises an operator's materialization high-water mark to at least

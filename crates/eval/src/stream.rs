@@ -380,6 +380,17 @@ impl<'s, I> Instrumented<'s, I> {
             count_bindings,
         }
     }
+
+    /// Counts one pull that emitted `rows` in `ns` — also for a stream
+    /// the operator stands for but does not wrap (the fused spine's).
+    pub(crate) fn credit(&mut self, rows: u64, ns: u64) {
+        self.ns += ns;
+        self.rows += rows;
+        if rows > 0 {
+            self.batches += 1;
+            self.stats.add_batches_produced(1);
+        }
+    }
 }
 
 impl<'s, I, T> Stream<T> for Instrumented<'s, I>
@@ -390,13 +401,7 @@ where
         let start = out.len();
         let t = Instant::now();
         let r = self.inner.next_batch(out, max);
-        self.ns += t.elapsed().as_nanos() as u64;
-        let got = (out.len() - start) as u64;
-        self.rows += got;
-        if got > 0 {
-            self.batches += 1;
-            self.stats.add_batches_produced(1);
-        }
+        self.credit((out.len() - start) as u64, t.elapsed().as_nanos() as u64);
         r
     }
 }

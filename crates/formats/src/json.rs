@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use sqlpp_value::{Decimal, Tuple, Value};
+use sqlpp_value::{AttrName, Decimal, Tuple, Value};
 
 use crate::error::FormatError;
 
@@ -19,6 +19,7 @@ pub fn from_json(text: &str) -> Result<Value, FormatError> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        key: String::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -36,6 +37,7 @@ pub fn from_json_lines(text: &str) -> Result<Value, FormatError> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        key: String::new(),
     };
     let mut items = Vec::new();
     loop {
@@ -143,6 +145,9 @@ struct JsonParser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Scratch for object keys: each is unescaped here and interned, so
+    /// a key makes no heap string of its own.
+    key: String,
 }
 
 impl<'a> JsonParser<'a> {
@@ -208,7 +213,13 @@ impl<'a> JsonParser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let mut buf = std::mem::take(&mut self.key);
+            buf.clear();
+            self.string_into(&mut buf)?;
+            // Named before the value is parsed: a nested object reuses
+            // the buffer.
+            let key = AttrName::from(buf.as_str());
+            self.key = buf;
             self.skip_ws();
             self.expect(b':')?;
             let value = self.value()?;
@@ -242,11 +253,17 @@ impl<'a> JsonParser<'a> {
     }
 
     fn string(&mut self) -> Result<String, FormatError> {
-        self.expect(b'"')?;
         let mut s = String::new();
+        self.string_into(&mut s)?;
+        Ok(s)
+    }
+
+    /// Appends the unescaped contents of the string at the cursor to `s`.
+    fn string_into(&mut self, s: &mut String) -> Result<(), FormatError> {
+        self.expect(b'"')?;
         loop {
             match self.bump() {
-                Some(b'"') => return Ok(s),
+                Some(b'"') => return Ok(()),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => s.push('"'),
                     Some(b'\\') => s.push('\\'),

@@ -2,8 +2,8 @@
 //! SQL-aggregate query and an UNNEST whose WHERE filters its left side
 //! first, with statistics collection, and verify the rendered plans carry
 //! non-zero row and timing counters — with each GROUP BY breaker's time
-//! covering its child's. `scripts/ci.sh` runs
-//! this on every build.
+//! covering its child's, and the fused scan spine's operators labelled
+//! `fused`. `scripts/ci.sh` runs this on every build.
 //!
 //! ```text
 //! cargo run --example explain_analyze
@@ -50,6 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         text.contains("group by e.title AS title folding [$agg0 = COUNT(*), $agg1 = SUM(e.id)]"),
         "no folded group:\n{text}"
     );
+    // Its input runs on the fused spine, which stats collection watches.
+    assert!(
+        text.contains("[materializing fused calls=") && text.contains("from [streaming fused"),
+        "the folded group's spine is not labelled fused:\n{text}"
+    );
 
     // A leading conjunct over the left side filters the employees before
     // their projects are unnested.
@@ -92,11 +97,11 @@ fn analyze(engine: &Engine, query: &str) -> Result<String, Box<dyn std::error::E
     // rows, and time, plus the phase/counter summary with non-zero scan
     // and binding counts.
     assert!(
-        text.contains("[streaming calls="),
+        text.contains("[streaming calls=") || text.contains("[streaming fused calls="),
         "no streaming-operator annotations:\n{text}"
     );
     assert!(
-        text.contains("[materializing calls="),
+        text.contains("[materializing calls=") || text.contains("[materializing fused calls="),
         "no materializing-operator annotations:\n{text}"
     );
     assert!(text.contains("group by"), "no group operator:\n{text}");

@@ -243,8 +243,10 @@ echo "== one way to yield a collection gate =="
 # place, and COLL_* always streams its subquery: the knob and the second
 # paths it selected must not come back. Every FROM scan is the one
 # positional scan, which alone decides the source policy: the shared and
-# owned binding scans it replaced must not come back either.
-if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined|SharedScan|OwnedScan|scan_value_stream|source_stream' crates tests examples; then
+# owned binding scans it replaced must not come back either. Observers
+# (stats, EXPLAIN ANALYZE, fault injection) watch the spine production
+# runs: the switch that turned it off under them must not come back.
+if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined|SharedScan|OwnedScan|scan_value_stream|source_stream|spine_on' crates tests examples; then
   echo "a deleted materializing path or second scan is referenced again" >&2
   exit 1
 fi

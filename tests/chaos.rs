@@ -222,9 +222,9 @@ fn chaos_fault_inside_a_correlated_subquery_call_unwinds_cleanly() {
 }
 
 /// An UNNEST whose WHERE leads with a conjunct over the left side: the
-/// correlate filters each employee before its skills are unnested. Fault
-/// injection turns the fused spine off, so the filter runs on the binding
-/// stream; the employee without a `dept` passes it (an unknown verdict is
+/// correlate filters each employee before its skills are unnested — on
+/// the fused spine, whose every program run is an operator fault site;
+/// the employee without a `dept` passes it (an unknown verdict is
 /// no rejection) and is unnested, for the WHERE to drop. Sweeping the
 /// failing ordinal over every visit fails the left filter, the UNNEST and
 /// the WHERE each in turn: the injected error is a resource error, which
@@ -283,6 +283,66 @@ fn chaos_fault_in_a_pushed_left_filter_unwinds_cleanly() {
         );
         let again = session.query(UNNEST).unwrap();
         assert_eq!(again.len(), 2, "k {k}: retry after the fault lost rows");
+    }
+}
+
+/// The fused spine under fault injection: every program it runs on a
+/// borrowed row — a predicate, a projection, a grouping key, an
+/// aggregate body — is an operator fault site, as each expression
+/// evaluation is on the binding stream, so a spine shape visits the site
+/// as often at batch 1024 as at batch 1, where the spine never runs.
+/// Sweeping the failing ordinal over every visit of a scan → filter →
+/// project shape and a folded GROUP BY fails each of them once: the
+/// injected error surfaces every time, no panic crosses the API, and the
+/// session answers afterwards.
+#[test]
+fn chaos_fault_on_the_fused_spine_unwinds_cleanly() {
+    const SHAPES: &[(&str, usize)] = &[
+        ("SELECT VALUE e.sal + 1 FROM emp AS e WHERE e.sal > 10", 5),
+        (
+            "SELECT e.dept AS dept, COUNT(*) AS n, SUM(e.sal) AS s \
+             FROM emp AS e WHERE e.sal > 30 GROUP BY e.dept",
+            3,
+        ),
+    ];
+    let session = |plan: &Arc<FaultPlan>, batch_size: usize| {
+        let session = chaos_session(&fixture(), plan);
+        session.with_config(SessionConfig {
+            batch_size,
+            ..session.config().clone()
+        })
+    };
+    for &(shape, rows) in SHAPES {
+        let visits = |batch_size| {
+            let plan = Arc::new(FaultPlan::fail_kth("operator", 0));
+            let run = session(&plan, batch_size).query_with_stats(shape).unwrap();
+            assert_eq!(run.len(), rows, "{shape}");
+            let fused = run.stats().unwrap().ops.values().any(|op| op.fused);
+            assert_eq!(fused, batch_size > 1, "batch {batch_size}: {shape}");
+            plan.hits("operator")
+        };
+        let total = visits(1024);
+        assert_eq!(
+            total,
+            visits(1),
+            "{shape}: operator visits at batch 1024 and 1"
+        );
+        assert!(total > 2 * rows as u64, "{shape}: only {total} visits");
+        for k in 1..=total {
+            let plan = Arc::new(FaultPlan::fail_kth("operator", k));
+            let session = session(&plan, 1024);
+            let outcome = catch_unwind(AssertUnwindSafe(|| session.query(shape)));
+            let err = outcome
+                .unwrap_or_else(|_| panic!("k {k}: panic crossed the API boundary on {shape}"))
+                .expect_err("every ordinal up to the visit count must fire");
+            assert!(plan.fired(), "k {k}: spurious failure: {err}");
+            assert!(
+                err.to_string().contains("injected fault"),
+                "k {k}: wrong error surfaced on {shape}: {err}"
+            );
+            assert_engine_usable(&session, k);
+            assert_eq!(session.query(shape).unwrap().len(), rows, "k {k}: {shape}");
+        }
     }
 }
 

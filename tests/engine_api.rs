@@ -3,7 +3,6 @@
 //! relational views, error reporting, and session sharing.
 
 use sqlpp::{Engine, Error, ExecOutcome, SessionConfig, TypingMode};
-use sqlpp_eval::{EvalConfig, Evaluator};
 use sqlpp_value::{Tuple, Value};
 
 #[test]
@@ -440,6 +439,86 @@ fn run_str_handles_both_queries_and_expressions() {
     // Garbage reports the *query* parse error (more useful than the
     // expression one).
     assert!(engine.run_str("SELECT $$$$").is_err());
+}
+
+/// A stats-collecting run keeps its stats whichever way it ends:
+/// `Prepared::execute_with_stats` takes `?` parameters and hands back a
+/// failed run's stats beside its error, counted as far as the run got,
+/// and `EXPLAIN ANALYZE` of a failing query renders those counts, then an
+/// `error: …` line. Strict typing raises on the second row's `'x'`.
+#[test]
+fn a_failed_run_keeps_the_stats_it_reached() {
+    for batch_size in [1, 1024] {
+        let engine = Engine::new().with_config(SessionConfig {
+            typing: TypingMode::StrictError,
+            batch_size,
+            ..SessionConfig::default()
+        });
+        engine
+            .load_pnotation(
+                "t",
+                "{{ {'id': 1, 'v': 10}, {'id': 2, 'v': 'x'}, {'id': 3, 'v': 30} }}",
+            )
+            .unwrap();
+        let prepared = engine
+            .prepare("SELECT VALUE x.v + ? FROM t AS x WHERE x.id >= ?")
+            .unwrap();
+        let (answer, stats) =
+            prepared.execute_with_stats(&engine, vec![Value::Int(1), Value::Int(3)]);
+        assert_eq!(
+            answer.unwrap().canonical(),
+            Value::Bag(vec![Value::Int(31)])
+        );
+        assert_eq!(stats.unwrap().rows_scanned, 3, "batch {batch_size}");
+        let (failed, stats) =
+            prepared.execute_with_stats(&engine, vec![Value::Int(1), Value::Int(1)]);
+        assert!(failed
+            .unwrap_err()
+            .to_string()
+            .contains("expected a number"));
+        let stats = stats.unwrap();
+        assert_eq!(
+            (stats.rows_scanned, stats.bindings_produced),
+            (2, 2),
+            "batch {batch_size}"
+        );
+        // A projection that fails on the second row, which the filter
+        // let through; a predicate that fails on it, which lets none.
+        for (failing, filter_rows, error) in [
+            (
+                "SELECT VALUE x.v + 1 FROM t AS x WHERE x.id >= 1",
+                2,
+                "error: type error: expected a number, found string",
+            ),
+            (
+                "SELECT VALUE x.id FROM t AS x WHERE x.v > 15",
+                0,
+                "error: type error: cannot compare string with integer",
+            ),
+        ] {
+            let statement = match engine
+                .execute(&format!("EXPLAIN ANALYZE {failing}"))
+                .unwrap()
+            {
+                ExecOutcome::Explained { text } => text,
+                other => panic!("{other:?}"),
+            };
+            for report in [engine.explain_analyze(failing).unwrap(), statement] {
+                let lines: Vec<&str> = report.lines().collect();
+                let filter = format!(" rows={filter_rows} ");
+                assert!(
+                    lines[1].starts_with("  filter") && lines[1].contains(&filter),
+                    "{report}"
+                );
+                assert!(
+                    lines[2].starts_with("    from") && lines[2].contains(" rows=2 "),
+                    "{report}"
+                );
+                assert!(report.contains("rows_scanned=2 "), "{report}");
+                assert_eq!(lines.last(), Some(&error), "{report}");
+            }
+        }
+    }
 }
 
 /// `execute` and `execute_with_stats` are one dispatcher: for one
@@ -926,30 +1005,25 @@ fn a_hash_join_fallback_opens_its_left_side_once() {
     assert_eq!(hashed.stats().unwrap().rows_scanned, 2 + 3);
 }
 
-/// Runs `q` on a stats-collecting evaluator at `batch_size` and returns
-/// its canonical answer or error with the rows it scanned — which a
-/// session drops along with a failed query's stats.
+/// Runs `q` with stats on at `batch_size` and returns its canonical
+/// answer or error with the rows it scanned — which a failed run keeps.
 fn scanned(
     engine: &Engine,
     q: &str,
     typing: TypingMode,
     batch_size: usize,
 ) -> (Result<Value, String>, u64) {
-    let prepared = engine.prepare(q).unwrap();
-    let evaluator = Evaluator::new(
-        engine.catalog(),
-        EvalConfig {
-            typing,
-            collect_stats: true,
-            batch_size,
-            ..EvalConfig::default()
-        },
-    );
-    let answer = evaluator
-        .run(prepared.plan())
-        .map(|v| sqlpp_value::canonicalize(&v))
-        .map_err(|e| e.to_string());
-    (answer, evaluator.stats_snapshot().unwrap().rows_scanned)
+    let session = engine.with_config(SessionConfig {
+        typing,
+        batch_size,
+        ..SessionConfig::default()
+    });
+    let (answer, stats) = session
+        .prepare(q)
+        .unwrap()
+        .execute_with_stats(&session, Vec::new());
+    let answer = answer.map(|r| r.canonical()).map_err(|e| e.to_string());
+    (answer, stats.unwrap().rows_scanned)
 }
 
 /// The edges of the one FROM-source policy, at batch 1 and 1024: strict

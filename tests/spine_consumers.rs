@@ -20,9 +20,13 @@
 //!   literal array and bag, an absent path (MISSING) and `e.p` as a
 //!   correlate's right side (an array, a bag, a scalar, NULL or absent)
 //!   — with and without `AT i`, checked against a transcription of the
-//!   policy where the shape has one, and run with stats on and off at
-//!   every batch size: stats on gives the same answer or error, and the
-//!   same `rows_scanned` wherever no LIMIT or join can stop the scan;
+//!   policy where the shape has one;
+//! * a stats axis over every generated shape, `?` ones included
+//!   (`Prepared::execute_with_stats`), at every batch size: stats on
+//!   gives the same answer or error; the spine's operators are labelled
+//!   `fused` at batch 1024 and none is at batch 1; and wherever no LIMIT
+//!   or join can stop the scan, `rows_scanned` and every plan operator's
+//!   `rows` are the same at every batch size;
 //! * pinned cases where a naive late materialization changes an answer
 //!   or an error: an empty build side, a probe filter that rejects every
 //!   left row, an empty left side, the `UnknownName` fallback, LIMIT 0,
@@ -30,6 +34,8 @@
 //!
 //! `tests/chaos.rs` checks that a deadline or cancel token stops both
 //! consumers mid-scan.
+
+use std::collections::BTreeMap;
 
 use sqlpp::{Engine, Limits, SessionConfig, SpillConfig, TypingMode};
 use sqlpp_testkit::prop::{self, Gen, Source};
@@ -149,19 +155,19 @@ const RESIDUAL: &[&str] = &["e.id <> d.id", "e.f < d.f", "e.id + d.id > 3", "d.f
 struct Query {
     text: String,
     params: Vec<Value>,
-    /// Set on a source-policy shape, which takes no parameters.
-    policy: Option<Policy>,
-}
-
-/// What the source-policy axis checks of a shape.
-#[derive(Debug, Clone)]
-struct Policy {
     /// No LIMIT or join can stop the scan, so with stats on every batch
-    /// size scans the same rows.
+    /// size scans the same rows, and every plan operator emits the same
+    /// number of rows.
     counted: bool,
-    /// The shape's answer under [`bindings`], where it has one.
+    /// The typing modes under which the optimized plan runs on the fused
+    /// spine at batch 1024 whenever it answers.
+    spine: &'static [TypingMode],
+    /// A source-policy shape's answer under [`bindings`], where it has
+    /// one.
     model: Option<Model>,
 }
+
+const BOTH: &[TypingMode] = &[TypingMode::Permissive, TypingMode::StrictError];
 
 /// A shape whose answer [`modelled`] derives from the data.
 #[derive(Debug, Clone)]
@@ -260,15 +266,19 @@ fn policy_query(src: &mut Source) -> Query {
     let at = src.draw_below(2) == 0;
     let (at_clause, i) = if at { (" AT i", ", i") } else { ("", "") };
     let source = pick(src, SOURCES);
-    let (text, counted, model) = match src.draw_below(6) {
+    // A scan with an AT variable keeps the binding stream.
+    let scan_spine = if at { &[][..] } else { BOTH };
+    let (text, counted, spine, model) = match src.draw_below(6) {
         0 => (
             format!("SELECT VALUE [x{i}] FROM {source} AS x{at_clause}"),
             true,
+            scan_spine,
             Some(Model::Scan { source, at }),
         ),
         1 => (
             format!("SELECT VALUE [e.id, x{i}] FROM u AS e, e.p AS x{at_clause}"),
             true,
+            &[][..],
             Some(Model::Unnest { at }),
         ),
         2 => (
@@ -277,20 +287,29 @@ fn policy_query(src: &mut Source) -> Query {
                 pick(src, &["x.id >= 1", "x.k = 2", "x > 1"])
             ),
             true,
+            scan_spine,
             None,
         ),
-        // A left-only conjunct filters the left rows below the UNNEST.
-        3 => (
-            format!(
-                "SELECT VALUE [e.id, x{i}] FROM u AS e, e.p AS x{at_clause} WHERE {}",
-                pick(src, &["e.t = 1", "e.t = 1 AND x > 1", "x > 1"])
-            ),
-            true,
-            None,
-        ),
+        // A left-only conjunct filters the left rows below the UNNEST,
+        // on the spine under permissive typing.
+        3 => {
+            let filter = pick(src, &["e.t = 1", "e.t = 1 AND x > 1", "x > 1"]);
+            (
+                format!(
+                    "SELECT VALUE [e.id, x{i}] FROM u AS e, e.p AS x{at_clause} WHERE {filter}"
+                ),
+                true,
+                match filter.starts_with("e.t") {
+                    true => &[TypingMode::Permissive][..],
+                    false => &[][..],
+                },
+                None,
+            )
+        }
         4 => (
             format!("SELECT x.k AS k, COUNT(*) AS n FROM {source} AS x{at_clause} GROUP BY x.k"),
             true,
+            scan_spine,
             None,
         ),
         _ => {
@@ -302,6 +321,7 @@ fn policy_query(src: &mut Source) -> Query {
             (
                 format!("SELECT VALUE [x{i}] FROM {from} LIMIT {limit}"),
                 false,
+                &[][..],
                 None,
             )
         }
@@ -309,7 +329,9 @@ fn policy_query(src: &mut Source) -> Query {
     Query {
         text,
         params: Vec::new(),
-        policy: Some(Policy { counted, model }),
+        counted,
+        spine,
+        model,
     }
 }
 
@@ -361,7 +383,8 @@ fn queries() -> Gen<Query> {
         if src.draw_below(3) == 0 {
             return policy_query(src);
         }
-        let text = match src.draw_below(10) {
+        let shape = src.draw_below(10);
+        let text = match shape {
             0 | 1 => format!(
                 "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{}{}",
                 filter(src),
@@ -422,10 +445,22 @@ fn queries() -> Gen<Query> {
                 })
                 .collect()
         };
+        // A top-k opens no scan for LIMIT 0, and a `?` limit plans a
+        // sort; the subquery's ORDER BY and a LEFT join keep the binding
+        // stream.
+        let spine = match shape {
+            0..=2 if text.contains("LIMIT 0") || text.contains("LIMIT ?") => &[][..],
+            3 | 9 => &[][..],
+            _ => BOTH,
+        };
+        // An inner join's probe side on the spine stops at an empty
+        // build, where the binding stream reads every left row.
         Query {
+            counted: !(4..=8).contains(&shape),
+            spine,
             text,
             params,
-            policy: None,
+            model: None,
         }
     })
 }
@@ -517,20 +552,24 @@ fn arms(
     Ok((on, off))
 }
 
-/// The source-policy axis of a [`Policy`] shape, given its batch-1
+/// The source-policy and stats axes of a shape, given its batch-1
 /// outcomes `(on, off)` from [`arms`]: a modelled shape gives
 /// [`modelled`]'s answer, or an error that carries its message, under
-/// either plan; and with stats on, every batch size gives the stats-off
-/// batch-1 outcome — a counted shape with one `rows_scanned` throughout.
+/// either plan; and with stats on — through
+/// `Prepared::execute_with_stats`, so `?` shapes run too — every batch
+/// size gives the stats-off batch-1 outcome. Of the runs that answer:
+/// no operator is labelled `fused` at batch 1, and a spine shape labels
+/// some at batch 1024 with the optimizer on; a counted shape has one
+/// `rows_scanned` and one `rows` per plan operator throughout.
 fn policy_arms(
     engine: &Engine,
     base: &SessionConfig,
-    q: &str,
-    policy: &Policy,
+    q: &Query,
     u: &Value,
     (on, off): (Outcome, Outcome),
 ) -> Result<(), String> {
-    if let Some(model) = &policy.model {
+    let text = &q.text;
+    if let Some(model) = &q.model {
         let want = modelled(model, u, base.typing == TypingMode::StrictError);
         for got in [&on, &off] {
             let agrees = match (got, &want) {
@@ -540,37 +579,57 @@ fn policy_arms(
             };
             if !agrees {
                 return Err(format!(
-                    "{:?}: {q}: got {got:?}, the source policy gives {want:?}",
+                    "{:?}: {text}: got {got:?}, the source policy gives {want:?}",
                     base.typing
                 ));
             }
         }
     }
     for (optimize, reference) in [(true, on), (false, off)] {
-        let mut scanned = Vec::new();
+        let mut counts = Vec::new();
         for batch_size in [1, 2, 1024] {
             let session = engine.with_config(SessionConfig {
                 optimize,
                 batch_size,
                 ..base.clone()
             });
-            let run = session.query_with_stats(q);
-            if let Ok(r) = &run {
-                scanned.push(r.stats().expect("stats were on").rows_scanned);
-            }
+            let (run, stats) = match session.prepare(text) {
+                Ok(prepared) => prepared.execute_with_stats(&session, q.params.clone()),
+                Err(e) => (Err(e), None),
+            };
             let got = outcome(run);
             if got != reference {
                 return Err(format!(
-                    "{:?}, optimize {optimize}, batch {batch_size}, stats on: {q}: \
+                    "{:?}, optimize {optimize}, batch {batch_size}, stats on: {text} {:?}: \
                      got {got:?}, batch 1 gave {reference:?}",
-                    base.typing
+                    base.typing, q.params
                 ));
             }
+            let (Ok(_), Some(stats)) = (&got, stats) else {
+                continue;
+            };
+            let fused = stats.ops.values().any(|op| op.fused);
+            let must_fuse = optimize && batch_size == 1024 && q.spine.contains(&base.typing);
+            if (batch_size == 1 && fused) || (must_fuse && !fused) {
+                return Err(format!(
+                    "{:?}, optimize {optimize}, batch {batch_size}: {text}: \
+                     fused labels {:?}",
+                    base.typing, stats.ops
+                ));
+            }
+            let rows: BTreeMap<u32, u64> =
+                stats.ops.iter().map(|(&k, op)| (k, op.rows_out)).collect();
+            counts.push((batch_size, stats.rows_scanned, rows));
         }
-        if policy.counted && scanned.windows(2).any(|w| w[0] != w[1]) {
+        if q.counted
+            && counts
+                .windows(2)
+                .any(|w| (w[0].1, &w[0].2) != (w[1].1, &w[1].2))
+        {
             return Err(format!(
-                "{:?}, optimize {optimize}: {q}: rows_scanned {scanned:?} at batch 1, 2, 1024",
-                base.typing
+                "{:?}, optimize {optimize}: {text} {:?}: \
+                 (batch, rows_scanned, rows per operator) {counts:?}",
+                base.typing, q.params
             ));
         }
     }
@@ -585,12 +644,8 @@ sqlpp_prop! {
     fn spine_consumers_match_the_binding_stream_and_the_literal_plan(d in data(), q in queries()) {
         let engine = engine(&d.u, &d.w);
         for base in both_typings() {
-            let checked = arms(&engine, &base, &q.text, &q.params).and_then(|outcomes| {
-                match &q.policy {
-                    Some(policy) => policy_arms(&engine, &base, &q.text, policy, &d.u, outcomes),
-                    None => Ok(()),
-                }
-            });
+            let checked = arms(&engine, &base, &q.text, &q.params)
+                .and_then(|outcomes| policy_arms(&engine, &base, &q, &d.u, outcomes));
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
