@@ -1130,16 +1130,11 @@ impl<'a> Evaluator<'a> {
                         }),
                         Err(e) => return failed(e),
                     },
-                    None => {
-                        let mut left_rows = self.from_stream(left, whole, env);
-                        let first = match next_one(&mut left_rows) {
-                            Ok(Some(first)) => first,
-                            Ok(None) => return empty(),
-                            Err(e) => return failed(e),
-                        };
-                        let mut parts = [from_vec(vec![first]), left_rows].into_iter();
-                        ProbeSide::Rows(Box::new(Concat::new(move || parts.next())))
-                    }
+                    None => match self.probe_side(left, whole, env) {
+                        Ok(Some(probe)) => probe,
+                        Ok(None) => return empty(),
+                        Err(e) => return failed(e),
+                    },
                 };
                 let mut left_rows = Some(probe);
                 let joined = self.hash_join(
@@ -1186,6 +1181,44 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
+    }
+
+    /// A hash join's probe side off the spine, or `None` when it holds
+    /// no row. A bare scan tells by looking at its source, as the spine
+    /// does, and no row of it raises once it is open (a strict AT over a
+    /// bag raises at its first pull, taken here), so an inner join over
+    /// an empty build reads none of them. Any other side pulls its first
+    /// row here and, over an empty build, every other one later: its rows
+    /// may raise, as they do in the nested loop the join came from.
+    fn probe_side<'s>(
+        &'s self,
+        left: &'a CoreFrom,
+        whole: &'a CoreOp,
+        env: &Env,
+    ) -> Result<Option<ProbeSide<'s, 'a>>, EvalError> {
+        if let CoreFrom::Scan {
+            expr,
+            as_var,
+            at_var,
+        } = left
+        {
+            let mut scan = self.open_scan(expr, as_var, at_var.as_deref(), env)?;
+            if scan.bag_at_error {
+                next_one::<Env>(&mut scan)?;
+            }
+            if scan.source.items().is_empty() {
+                return Ok(None);
+            }
+            return Ok(Some(ProbeSide::Scan(Box::new(scan))));
+        }
+        let mut rows = self.from_stream(left, whole, env);
+        let Some(first) = next_one(&mut rows)? else {
+            return Ok(None);
+        };
+        let mut parts = [from_vec(vec![first]), rows].into_iter();
+        Ok(Some(ProbeSide::Rows(Box::new(Concat::new(move || {
+            parts.next()
+        })))))
     }
 
     /// A correlate's left rows. Under permissive typing its left filter
@@ -1270,6 +1303,7 @@ impl<'a> Evaluator<'a> {
             let lefts = lefts.get_or_insert_with(|| {
                 match left_rows.take().expect("the probe side is read once") {
                     ProbeSide::Rows(rows) => ProbeSide::Rows(Cursor::new(rows, self.batch_size())),
+                    ProbeSide::Scan(rows) => ProbeSide::Scan(Cursor::new(rows, self.batch_size())),
                     ProbeSide::Spine(spine) => ProbeSide::Spine(spine),
                 }
             });
@@ -1280,7 +1314,7 @@ impl<'a> Evaluator<'a> {
                         .next_at(&mut kv)?
                         .map(|pos| (kv, encode_env(&spine.bind(pos), None))));
                 }
-                ProbeSide::Rows(rows) => rows,
+                ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => rows,
             };
             while let Some(l) = rows.next()? {
                 tick()?;
@@ -3430,6 +3464,8 @@ impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
 enum ProbeSide<'s, 'a, R = BindingStream<'s>> {
     /// The left rows as bindings.
     Rows(R),
+    /// A bare scan's rows as bindings (see [`Evaluator::probe_side`]).
+    Scan(R),
     /// An inner join's bare-scan left side on the fused spine (see
     /// [`Evaluator::spine_probe`]): the left keys of each row that can
     /// match, with its position, so a row is cloned and bound only once
@@ -3443,7 +3479,7 @@ impl<'s> ProbeSide<'s, '_> {
     /// per pair.
     fn into_bindings(self) -> BindingStream<'s> {
         match self {
-            ProbeSide::Rows(rows) => rows,
+            ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => rows,
             ProbeSide::Spine(spine) => Box::new(FusedScan {
                 preds: Vec::new(),
                 outs: Vec::new(),
@@ -3477,9 +3513,13 @@ struct HashProbe<'s, 'a> {
 impl<'s, 'a> HashProbe<'s, 'a> {
     /// Pulls one left row and queues what it produces: its matches, or
     /// its NULL padding for an unmatched LEFT row. An empty build side
-    /// matches nothing — and, like the nested loop over an empty right
-    /// side, evaluates no left predicate or key at all.
+    /// matches nothing, and — like the nested loop over an empty right
+    /// side — evaluates no left predicate or key at all; an inner join
+    /// whose rows cannot raise (the spine, a bare scan) stops at once.
     fn step(&mut self) -> Result<(), EvalError> {
+        let stop = self.build.rows.is_empty()
+            && self.kind == CoreJoinKind::Inner
+            && matches!(self.left, ProbeSide::Scan(_));
         let (build, names, pending) = (&self.build, &self.names, &mut self.pending);
         let mut emit = |row| pending.push_back(row);
         match &mut self.left {
@@ -3504,8 +3544,8 @@ impl<'s, 'a> HashProbe<'s, 'a> {
                     &mut emit,
                 )?;
             }
-            ProbeSide::Rows(rows) => {
-                let Some(l) = next_one(rows)? else {
+            ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => {
+                let Some(l) = (if stop { None } else { next_one(rows)? }) else {
                     self.done = true;
                     return Ok(());
                 };

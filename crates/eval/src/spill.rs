@@ -16,8 +16,8 @@
 //! * **GROUP BY / hash-join builds** run through the one [`keyed_build`]
 //!   routine: records accumulate in memory until admission is refused,
 //!   then scatter Grace-style through [`GracePartitioner`] — routed to one
-//!   of `partitions` files by a *seeded* structural hash of their key —
-//!   and each partition is rebuilt by the same routine one level deeper
+//!   of `SpillConfig::PARTITIONS` files by a *seeded* structural hash of
+//!   their key — and each partition is rebuilt by the same routine one level deeper
 //!   (new seed per depth), so a skewed partition that alone exceeds the
 //!   budget re-partitions recursively.
 //!
@@ -45,35 +45,26 @@ use crate::error::EvalError;
 use crate::govern::{FaultSite, ResourceGovernor, MEMORY_BUDGET};
 use crate::stream::MatGauge;
 
-/// Session-level spill policy: where temp files go and how aggressively
-/// breakers partition. Spilling is opt-in — without a `SpillConfig` on the
-/// session, a budget overrun stays a hard [`EvalError::ResourceExhausted`]
-/// refusal (the PR 5 contract).
-#[derive(Debug, Clone)]
+/// Session-level spill policy: where temp files go. Spilling is opt-in —
+/// without a `SpillConfig` on the session, a budget overrun stays a hard
+/// [`EvalError::ResourceExhausted`] refusal (the PR 5 contract).
+#[derive(Debug, Clone, Default)]
 pub struct SpillConfig {
     /// Directory for spill temp files. `None` = the system temp dir.
     pub dir: Option<PathBuf>,
+}
+
+impl SpillConfig {
     /// Grace fan-out: how many partition files a spilling hash build or
     /// GROUP BY scatters into per level.
-    pub partitions: usize,
+    pub const PARTITIONS: usize = 8;
     /// External-sort merge fan-in: how many sorted runs one k-way merge
     /// pass consumes.
-    pub sort_fanin: usize,
+    pub const SORT_FANIN: usize = 8;
     /// Maximum Grace re-partitioning depth. A partition that still
     /// exceeds the budget after this many splits (pathological key skew —
     /// e.g. every row sharing one key) surfaces the original refusal.
-    pub max_recursion: u32,
-}
-
-impl Default for SpillConfig {
-    fn default() -> Self {
-        SpillConfig {
-            dir: None,
-            partitions: 8,
-            sort_fanin: 8,
-            max_recursion: 4,
-        }
-    }
+    pub const MAX_RECURSION: u32 = 4;
 }
 
 /// Everything a spill site needs: the session policy plus the governor
@@ -433,7 +424,7 @@ impl<'s, 'k, C: SpillCodec> ExternalSorter<'s, 'k, C> {
         let keys = self.keys;
         let mut runs = std::mem::take(&mut self.runs);
         drop(self.gauge);
-        let fanin = ctx.config.sort_fanin.max(2);
+        let fanin = SpillConfig::SORT_FANIN;
         while runs.len() > fanin {
             let batch: Vec<SpillRun> = runs.drain(..fanin).collect();
             let mut out = SpillWriter::create(&ctx)?;
@@ -520,8 +511,8 @@ impl<'k> KWayMerge<'k> {
 
 // ---------------- Grace partitioning ----------------
 
-/// Scatters keyed records across `partitions` spill files by seeded
-/// structural key hash — the Grace building block under [`keyed_build`]. Each level of recursive re-partitioning uses a new seed,
+/// Scatters keyed records across `SpillConfig::PARTITIONS` spill files by
+/// seeded structural key hash — the Grace building block under [`keyed_build`]. Each level of recursive re-partitioning uses a new seed,
 /// so a partition that was one hash bucket at depth *d* spreads across
 /// all files at depth *d+1*.
 pub(crate) struct GracePartitioner {
@@ -531,7 +522,7 @@ pub(crate) struct GracePartitioner {
 
 impl GracePartitioner {
     pub(crate) fn new(ctx: &SpillCtx<'_>, seed: u64) -> Result<Self, EvalError> {
-        let n = ctx.config.partitions.max(2);
+        let n = SpillConfig::PARTITIONS;
         let mut writers = Vec::with_capacity(n);
         for _ in 0..n {
             writers.push(SpillWriter::create(ctx)?);
@@ -613,8 +604,8 @@ fn run_source<'x, R>(
 /// each one newly holds is admitted through one gauge. If the source
 /// drains without a refusal the table (and the gauge holding it live) is
 /// returned to the caller. On a memory-budget refusal — with spilling
-/// enabled and `depth` within `max_recursion`; any other error, and the
-/// refusal itself otherwise, propagates — everything held (the refused
+/// enabled and `depth` within `SpillConfig::MAX_RECURSION`; any other
+/// error, and the refusal itself otherwise, propagates — everything held (the refused
 /// record included) *and the rest of the same source* is
 /// scattered to a [`GracePartitioner`] seeded by `depth`, the `probe`
 /// source (a join's other side) is scattered under the same seed so both
@@ -622,7 +613,7 @@ fn run_source<'x, R>(
 /// same routine one level deeper. A run that fits is handed to `fit`
 /// together with its probe run; `Ok(None)` then tells the caller that
 /// every partition went through `fit`. Identical-key skew cannot be split
-/// by any seed, so past `max_recursion` the refusal surfaces.
+/// by any seed, so past `SpillConfig::MAX_RECURSION` the refusal surfaces.
 pub(crate) fn keyed_build<'s, T, C>(
     spill: Option<&SpillCtx<'s>>,
     new_gauge: &dyn Fn() -> MatGauge<'s>,
@@ -648,7 +639,7 @@ where
         }
         match (gauge.add(rows, bytes), spill) {
             (Ok(()), _) => {}
-            (Err(e), Some(ctx)) if is_memory_refusal(&e) && depth <= ctx.config.max_recursion => {
+            (Err(e), Some(ctx)) if is_memory_refusal(&e) && depth <= SpillConfig::MAX_RECURSION => {
                 break ctx;
             }
             (Err(e), _) => return Err(e),
@@ -770,19 +761,16 @@ mod tests {
 
     #[test]
     fn external_sort_under_tiny_budget_matches_in_memory_sort() {
-        let config = SpillConfig {
-            sort_fanin: 2,
-            ..SpillConfig::default()
-        };
-        // 100 rows (36 estimated bytes each) through a 7-row budget: many
-        // runs, multiple merge passes at fan-in 2.
+        let config = SpillConfig::default();
+        // 300 rows (36 estimated bytes each) through a 7-row budget:
+        // dozens of runs, so several merge passes at the fan-in.
         let govern = ResourceGovernor::new(&Limits::none().with_memory_bytes(7 * 36), None);
         let ctx = ctx_parts(&config, &govern);
         let keys = asc_key();
         let gauge = MatGauge::new(None, govern.as_memory_guard(), None);
         let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge);
         let mut expected: Vec<i64> = Vec::new();
-        for i in 0..100i64 {
+        for i in 0..300i64 {
             let v = (i * 37) % 50; // duplicates exercise stability
             expected.push(v);
             sorter
@@ -823,7 +811,7 @@ mod tests {
             }
             last = Some((*k, *seq));
         }
-        assert!(govern.merge_passes() > 1, "fan-in 2 must need extra passes");
+        assert!(govern.merge_passes() > 1, "the runs must need extra passes");
         assert_eq!(govern.live_buffer_bytes(), 0, "everything released");
         assert!(
             govern.peak_buffer_bytes() <= 7 * 36,
@@ -881,10 +869,7 @@ mod tests {
 
     #[test]
     fn grace_partitioner_routes_consistently_and_covers_all_records() {
-        let config = SpillConfig {
-            partitions: 4,
-            ..SpillConfig::default()
-        };
+        let config = SpillConfig::default();
         let govern = ResourceGovernor::new(&Limits::none(), None);
         let ctx = ctx_parts(&config, &govern);
         let mut p = GracePartitioner::new(&ctx, 0).unwrap();
@@ -895,7 +880,8 @@ mod tests {
         // Same key always routes to the same partition.
         assert_eq!(p.route(&[Value::Int(3)]), p.route(&[Value::Int(3)]));
         let runs = p.finish().unwrap();
-        assert_eq!(runs.len(), 4);
+        assert_eq!(runs.len(), SpillConfig::PARTITIONS);
+        assert!(runs.iter().filter(|r| r.records() > 0).count() > 1);
         let total: u64 = runs.iter().map(SpillRun::records).sum();
         assert_eq!(total, 40);
     }

@@ -593,15 +593,341 @@ impl CoreExpr {
     /// Whether a nested plan (`Subquery` or `EXISTS`) appears anywhere in
     /// this expression.
     pub fn holds_plan(&self) -> bool {
-        let mut plans = Vec::new();
-        collect_expr_plans(self, &mut plans);
-        !plans.is_empty()
+        let mut held = self.plan().is_some();
+        self.for_each_child(&mut |c| held = held || c.holds_plan());
+        held
     }
 }
 
 // ---------------------------------------------------------------------
-// Plan walking
+// Children: the one enumeration every pass recurses through
 // ---------------------------------------------------------------------
+//
+// Each enumeration is written once, in a macro, and expanded into a `&`
+// walker and its `&mut` twin, so the two cannot disagree: the patterns
+// bind by reference either way, and `for x in field` iterates a `&Vec` or
+// `&Option` as well as its `&mut`. The walkers take a callback and
+// allocate nothing. Nested plans are not expression children: a pass
+// reaches them through [`CoreExpr::plan`].
+
+/// The direct sub-expressions of a [`CoreExpr`], in field order.
+macro_rules! expr_children {
+    ($e:expr, $f:ident) => {
+        match $e {
+            CoreExpr::Const(_)
+            | CoreExpr::Var(_)
+            | CoreExpr::Param(_)
+            | CoreExpr::Global(_)
+            | CoreExpr::Dynamic(_)
+            | CoreExpr::Subquery { .. }
+            | CoreExpr::Exists(_) => {}
+            CoreExpr::Path(e, _)
+            | CoreExpr::Un(_, e)
+            | CoreExpr::Is { expr: e, .. }
+            | CoreExpr::Cast { expr: e, .. }
+            | CoreExpr::CollAgg { input: e, .. } => $f(e),
+            CoreExpr::Index(a, b) | CoreExpr::Bin(_, a, b) => {
+                $f(a);
+                $f(b);
+            }
+            CoreExpr::Like {
+                expr,
+                pattern,
+                escape,
+                ..
+            } => {
+                $f(expr);
+                $f(pattern);
+                if let Some(e) = escape {
+                    $f(e);
+                }
+            }
+            CoreExpr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            CoreExpr::In {
+                expr, collection, ..
+            } => {
+                $f(expr);
+                $f(collection);
+            }
+            CoreExpr::Case { arms, else_expr } => {
+                for (w, t) in arms {
+                    $f(w);
+                    $f(t);
+                }
+                $f(else_expr);
+            }
+            CoreExpr::Call { args, .. } | CoreExpr::ArrayCtor(args) | CoreExpr::BagCtor(args) => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            CoreExpr::TupleCtor(pairs) => {
+                for (n, v) in pairs {
+                    $f(n);
+                    $f(v);
+                }
+            }
+        }
+    };
+}
+
+/// Every expression a [`CoreFrom`] tree holds: each side's, then the
+/// node's own (a correlate's left filter; a join's ON; a hash join's keys,
+/// then its probe filter, build filter and residual). Each is tagged with
+/// whether it is a leaf's source (a scan's, UNPIVOT's or LET's
+/// expression).
+macro_rules! from_exprs {
+    ($item:expr, $f:ident, $rec:ident) => {
+        match $item {
+            CoreFrom::Scan { expr, .. }
+            | CoreFrom::Unpivot { expr, .. }
+            | CoreFrom::Let { expr, .. } => $f(expr, true),
+            CoreFrom::Correlate {
+                left,
+                right,
+                left_pred,
+            } => {
+                left.$rec($f);
+                right.$rec($f);
+                if let Some(p) = left_pred {
+                    $f(p, false);
+                }
+            }
+            CoreFrom::Join {
+                left, right, on, ..
+            } => {
+                left.$rec($f);
+                right.$rec($f);
+                $f(on, false);
+            }
+            CoreFrom::HashJoin {
+                left,
+                right,
+                keys,
+                left_pred,
+                right_pred,
+                residual,
+                ..
+            } => {
+                left.$rec($f);
+                right.$rec($f);
+                for (l, r) in keys {
+                    $f(l, false);
+                    $f(r, false);
+                }
+                for p in [left_pred, right_pred, residual].into_iter().flatten() {
+                    $f(p, false);
+                }
+            }
+        }
+    };
+}
+
+/// Every expression a [`CoreOp`] itself holds, each tagged with whether
+/// it is evaluated over the operator's input bindings — rather than in
+/// the enclosing scope, as FROM sources, LIMIT/OFFSET operands and
+/// value-level sort keys are.
+macro_rules! op_exprs {
+    ($op:expr, $f:ident, $from:ident) => {
+        match $op {
+            CoreOp::Single | CoreOp::Append { .. } | CoreOp::SetOp { .. } | CoreOp::With { .. } => {
+            }
+            CoreOp::From { item } => item.$from(&mut |e, _| $f(e, false)),
+            CoreOp::Filter { pred, .. } => $f(pred, true),
+            CoreOp::Group { keys, folds, .. } => {
+                for (_, k) in keys {
+                    $f(k, true);
+                }
+                for (_, fold) in folds {
+                    if let GroupFold::Agg { body, .. } = fold {
+                        $f(body, true);
+                    }
+                }
+            }
+            CoreOp::Sort { keys, .. } => {
+                for CoreSortKey { expr, .. } in keys {
+                    $f(expr, true);
+                }
+            }
+            CoreOp::SortValues { keys, .. } => {
+                for CoreSortKey { expr, .. } in keys {
+                    $f(expr, false);
+                }
+            }
+            CoreOp::LimitOffset { limit, offset, .. } => {
+                for e in [limit, offset].into_iter().flatten() {
+                    $f(e, false);
+                }
+            }
+            CoreOp::TopK {
+                keys,
+                limit,
+                offset,
+                on_values,
+                ..
+            } => {
+                let over_input = !*on_values;
+                for CoreSortKey { expr, .. } in keys {
+                    $f(expr, over_input);
+                }
+                $f(limit, false);
+                if let Some(e) = offset {
+                    $f(e, false);
+                }
+            }
+            CoreOp::Project { expr, .. } => $f(expr, true),
+            CoreOp::Pivot { value, name, .. } => {
+                $f(value, true);
+                $f(name, true);
+            }
+            CoreOp::Window { defs, .. } => {
+                for WindowDef {
+                    args,
+                    partition,
+                    order,
+                    ..
+                } in defs
+                {
+                    for e in args.into_iter().chain(partition) {
+                        $f(e, true);
+                    }
+                    for CoreSortKey { expr, .. } in order {
+                        $f(expr, true);
+                    }
+                }
+            }
+        }
+    };
+}
+
+/// The single input of a unary [`CoreOp`].
+macro_rules! unary_input {
+    ($op:expr) => {
+        match $op {
+            CoreOp::Filter { input, .. }
+            | CoreOp::Group { input, .. }
+            | CoreOp::Sort { input, .. }
+            | CoreOp::SortValues { input, .. }
+            | CoreOp::LimitOffset { input, .. }
+            | CoreOp::TopK { input, .. }
+            | CoreOp::Project { input, .. }
+            | CoreOp::Pivot { input, .. }
+            | CoreOp::Window { input, .. } => Some(input),
+            _ => None,
+        }
+    };
+}
+
+/// Every operator child of a [`CoreOp`]: the union's or append's inputs,
+/// the WITH bindings then the body, or the unary input.
+macro_rules! op_children {
+    ($op:expr, $f:ident) => {
+        match $op {
+            CoreOp::Append { inputs } => {
+                for i in inputs {
+                    $f(i);
+                }
+            }
+            CoreOp::SetOp { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            CoreOp::With { bindings, body } => {
+                for (_, CoreQuery { op }) in bindings {
+                    $f(op);
+                }
+                $f(body);
+            }
+            other => {
+                if let Some(input) = unary_input!(other) {
+                    $f(input);
+                }
+            }
+        }
+    };
+}
+
+impl CoreExpr {
+    /// Calls `f` on each direct sub-expression, in field order.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a CoreExpr)) {
+        expr_children!(self, f)
+    }
+
+    /// [`CoreExpr::for_each_child`], mutably.
+    pub(crate) fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut CoreExpr)) {
+        expr_children!(self, f)
+    }
+
+    /// The plan nested in a `Subquery` or `EXISTS`.
+    pub(crate) fn plan(&self) -> Option<&CoreQuery> {
+        match self {
+            CoreExpr::Subquery { plan, .. } | CoreExpr::Exists(plan) => Some(plan),
+            _ => None,
+        }
+    }
+
+    /// [`CoreExpr::plan`], mutably.
+    pub(crate) fn plan_mut(&mut self) -> Option<&mut CoreQuery> {
+        match self {
+            CoreExpr::Subquery { plan, .. } | CoreExpr::Exists(plan) => Some(plan),
+            _ => None,
+        }
+    }
+}
+
+impl CoreFrom {
+    /// Calls `f` on every expression in this FROM tree — each side's,
+    /// then the node's own — with whether it is a leaf's source.
+    pub(crate) fn for_each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a CoreExpr, bool)) {
+        from_exprs!(self, f, for_each_expr)
+    }
+
+    /// [`CoreFrom::for_each_expr`], mutably.
+    pub(crate) fn for_each_expr_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut CoreExpr, bool)) {
+        from_exprs!(self, f, for_each_expr_mut)
+    }
+}
+
+impl CoreOp {
+    /// Calls `f` on every expression this operator itself holds (its FROM
+    /// tree's included, nested plans and operator children not), with
+    /// whether the expression is evaluated over the operator's input
+    /// bindings.
+    pub(crate) fn for_each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a CoreExpr, bool)) {
+        op_exprs!(self, f, for_each_expr)
+    }
+
+    /// [`CoreOp::for_each_expr`], mutably.
+    pub(crate) fn for_each_expr_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut CoreExpr, bool)) {
+        op_exprs!(self, f, for_each_expr_mut)
+    }
+
+    /// Calls `f` on every operator child, in plan order.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a CoreOp)) {
+        op_children!(self, f)
+    }
+
+    /// [`CoreOp::for_each_child`], mutably.
+    pub(crate) fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut CoreOp)) {
+        op_children!(self, f)
+    }
+
+    /// The single input of a unary operator.
+    pub(crate) fn input(&self) -> Option<&CoreOp> {
+        unary_input!(self).map(|i| &**i)
+    }
+
+    /// [`CoreOp::input`], mutably.
+    pub(crate) fn input_mut(&mut self) -> Option<&mut CoreOp> {
+        unary_input!(self).map(|i| &mut **i)
+    }
+}
 
 impl CoreQuery {
     /// Every operator in this plan, in pre-order — the node itself, then
@@ -610,8 +936,19 @@ impl CoreQuery {
     /// *plan index*: execution statistics are keyed by it (it survives
     /// plan clones and optimizer rewrites, unlike node addresses).
     pub fn preorder_ops(&self) -> Vec<&CoreOp> {
+        fn op<'p>(o: &'p CoreOp, out: &mut Vec<&'p CoreOp>) {
+            out.push(o);
+            o.for_each_expr(&mut |e, _| expr(e, out));
+            o.for_each_child(&mut |c| op(c, out));
+        }
+        fn expr<'p>(e: &'p CoreExpr, out: &mut Vec<&'p CoreOp>) {
+            if let Some(q) = e.plan() {
+                op(&q.op, out);
+            }
+            e.for_each_child(&mut |c| expr(c, out));
+        }
         let mut out = Vec::new();
-        collect_ops(&self.op, &mut out);
+        op(&self.op, &mut out);
         out
     }
 }
@@ -649,214 +986,6 @@ fn from_materializes(item: &CoreFrom) -> bool {
             from_materializes(left) || from_materializes(right)
         }
         CoreFrom::Scan { .. } | CoreFrom::Unpivot { .. } | CoreFrom::Let { .. } => false,
-    }
-}
-
-fn collect_ops<'p>(op: &'p CoreOp, out: &mut Vec<&'p CoreOp>) {
-    out.push(op);
-    match op {
-        CoreOp::Single => {}
-        CoreOp::From { item } => collect_from_plans(item, out),
-        CoreOp::Filter { input, pred } => {
-            collect_expr_plans(pred, out);
-            collect_ops(input, out);
-        }
-        CoreOp::Group {
-            input, keys, folds, ..
-        } => {
-            for (_, k) in keys {
-                collect_expr_plans(k, out);
-            }
-            for (_, fold) in folds {
-                if let GroupFold::Agg { body, .. } = fold {
-                    collect_expr_plans(body, out);
-                }
-            }
-            collect_ops(input, out);
-        }
-        CoreOp::Append { inputs } => {
-            for i in inputs {
-                collect_ops(i, out);
-            }
-        }
-        CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {
-            for k in keys {
-                collect_expr_plans(&k.expr, out);
-            }
-            collect_ops(input, out);
-        }
-        CoreOp::LimitOffset {
-            input,
-            limit,
-            offset,
-        } => {
-            for e in [limit, offset].into_iter().flatten() {
-                collect_expr_plans(e, out);
-            }
-            collect_ops(input, out);
-        }
-        CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            ..
-        } => {
-            for k in keys {
-                collect_expr_plans(&k.expr, out);
-            }
-            collect_expr_plans(limit, out);
-            if let Some(e) = offset {
-                collect_expr_plans(e, out);
-            }
-            collect_ops(input, out);
-        }
-        CoreOp::Project { input, expr, .. } => {
-            collect_expr_plans(expr, out);
-            collect_ops(input, out);
-        }
-        CoreOp::Pivot { input, value, name } => {
-            collect_expr_plans(value, out);
-            collect_expr_plans(name, out);
-            collect_ops(input, out);
-        }
-        CoreOp::SetOp { left, right, .. } => {
-            collect_ops(left, out);
-            collect_ops(right, out);
-        }
-        CoreOp::Window { input, defs } => {
-            for d in defs {
-                for e in d.args.iter().chain(d.partition.iter()) {
-                    collect_expr_plans(e, out);
-                }
-                for k in &d.order {
-                    collect_expr_plans(&k.expr, out);
-                }
-            }
-            collect_ops(input, out);
-        }
-        CoreOp::With { bindings, body } => {
-            for (_, q) in bindings {
-                collect_ops(&q.op, out);
-            }
-            collect_ops(body, out);
-        }
-    }
-}
-
-fn collect_from_plans<'p>(item: &'p CoreFrom, out: &mut Vec<&'p CoreOp>) {
-    match item {
-        CoreFrom::Scan { expr, .. }
-        | CoreFrom::Unpivot { expr, .. }
-        | CoreFrom::Let { expr, .. } => collect_expr_plans(expr, out),
-        CoreFrom::Correlate {
-            left,
-            right,
-            left_pred,
-        } => {
-            collect_from_plans(left, out);
-            collect_from_plans(right, out);
-            if let Some(p) = left_pred {
-                collect_expr_plans(p, out);
-            }
-        }
-        CoreFrom::Join {
-            left, right, on, ..
-        } => {
-            collect_from_plans(left, out);
-            collect_from_plans(right, out);
-            collect_expr_plans(on, out);
-        }
-        CoreFrom::HashJoin {
-            left,
-            right,
-            keys,
-            left_pred,
-            right_pred,
-            residual,
-            ..
-        } => {
-            collect_from_plans(left, out);
-            collect_from_plans(right, out);
-            for (l, r) in keys {
-                collect_expr_plans(l, out);
-                collect_expr_plans(r, out);
-            }
-            for e in [left_pred, right_pred, residual].into_iter().flatten() {
-                collect_expr_plans(e, out);
-            }
-        }
-    }
-}
-
-fn collect_expr_plans<'p>(e: &'p CoreExpr, out: &mut Vec<&'p CoreOp>) {
-    match e {
-        CoreExpr::Const(_)
-        | CoreExpr::Var(_)
-        | CoreExpr::Param(_)
-        | CoreExpr::Global(_)
-        | CoreExpr::Dynamic(_) => {}
-        CoreExpr::Path(base, _) | CoreExpr::Un(_, base) => collect_expr_plans(base, out),
-        CoreExpr::Index(base, idx) => {
-            collect_expr_plans(base, out);
-            collect_expr_plans(idx, out);
-        }
-        CoreExpr::Bin(_, l, r) => {
-            collect_expr_plans(l, out);
-            collect_expr_plans(r, out);
-        }
-        CoreExpr::Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            collect_expr_plans(expr, out);
-            collect_expr_plans(pattern, out);
-            if let Some(esc) = escape {
-                collect_expr_plans(esc, out);
-            }
-        }
-        CoreExpr::Between {
-            expr, low, high, ..
-        } => {
-            collect_expr_plans(expr, out);
-            collect_expr_plans(low, out);
-            collect_expr_plans(high, out);
-        }
-        CoreExpr::In {
-            expr, collection, ..
-        } => {
-            collect_expr_plans(expr, out);
-            collect_expr_plans(collection, out);
-        }
-        CoreExpr::Is { expr, .. } | CoreExpr::Cast { expr, .. } => collect_expr_plans(expr, out),
-        CoreExpr::Case { arms, else_expr } => {
-            for (w, t) in arms {
-                collect_expr_plans(w, out);
-                collect_expr_plans(t, out);
-            }
-            collect_expr_plans(else_expr, out);
-        }
-        CoreExpr::Call { args, .. } => {
-            for a in args {
-                collect_expr_plans(a, out);
-            }
-        }
-        CoreExpr::CollAgg { input, .. } => collect_expr_plans(input, out),
-        CoreExpr::Subquery { plan, .. } => collect_ops(&plan.op, out),
-        CoreExpr::Exists(q) => collect_ops(&q.op, out),
-        CoreExpr::TupleCtor(pairs) => {
-            for (n, v) in pairs {
-                collect_expr_plans(n, out);
-                collect_expr_plans(v, out);
-            }
-        }
-        CoreExpr::ArrayCtor(items) | CoreExpr::BagCtor(items) => {
-            for v in items {
-                collect_expr_plans(v, out);
-            }
-        }
     }
 }
 

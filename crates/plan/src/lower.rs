@@ -15,6 +15,13 @@
 //! Toggling [`CompatMode`] literally toggles which rewritings apply — "a
 //! SQL compatibility flag in SQL++ whose setting can be toggled between
 //! prioritizing composability or prioritizing SQL compatibility" (§I).
+//!
+//! The AST rewrites that run before an expression is lowered (finding SQL
+//! aggregates, extracting window functions, the grouped rewrite and the
+//! rebasing of an aggregate's argument onto the group's members) recurse
+//! through [`Expr::for_each_child`] and its `_mut` twin, so they reach
+//! path indexes, IN lists and window keys alike; only the lowering of
+//! each variant itself (`Planner::expr`) matches them one by one.
 
 use sqlpp_syntax::ast::{
     self, Expr, FromItem, GroupBy, JoinKind, OrderItem, Query, SelectClause, SelectItem, SetExpr,
@@ -233,8 +240,8 @@ impl Planner<'_> {
             // An implicit group forms when SQL aggregates appear with no
             // GROUP BY (Listing 15 → 16).
             let has_sql_agg = select_has_sql_aggregate(&block.select)
-                || block.having.as_ref().is_some_and(expr_has_sql_aggregate)
-                || order_by.iter().any(|o| expr_has_sql_aggregate(&o.expr));
+                || block.having.as_ref().is_some_and(has_sql_aggregate)
+                || order_by.iter().any(|o| has_sql_aggregate(&o.expr));
             let group_ctx = if let Some(gb) = &block.group_by {
                 Some(self.lower_group(gb, scope, &from_vars, &mut op)?)
             } else if has_sql_agg {
@@ -250,10 +257,11 @@ impl Planner<'_> {
 
             // A rewriting context for post-group clauses.
             let rewrite = |e: &Expr| -> Result<Expr, PlanError> {
-                match &group_ctx {
-                    Some(g) => rewrite_grouped(e, g),
-                    None => Ok(e.clone()),
+                let mut e = e.clone();
+                if let Some(g) = &group_ctx {
+                    rewrite_grouped(&mut e, g)?;
                 }
+                Ok(e)
             };
 
             // ---- HAVING -----------------------------------------------
@@ -275,16 +283,19 @@ impl Planner<'_> {
             // compatible" with SQL++). AST-level rewriting happens first
             // (grouping + alias substitution), then extraction.
             let mut window_asts: Vec<(String, Expr)> = Vec::new();
+            let mut prepare = |e: &Expr| -> Result<Expr, PlanError> {
+                let mut e = rewrite(e)?;
+                extract_windows(&mut e, &mut window_asts);
+                Ok(e)
+            };
 
             let block_order: Vec<OrderItem> =
                 block.order_by.iter().chain(order_by).cloned().collect();
             let aliases = select_aliases(&block.select);
             let mut order_key_asts: Vec<(Expr, bool, bool)> = Vec::new();
             for item in &block_order {
-                let substituted = substitute_alias(&item.expr, &aliases);
-                let rewritten = rewrite(&substituted)?;
-                let extracted = extract_windows(&rewritten, &mut window_asts);
-                order_key_asts.push((extracted, item.desc, item.nulls_first.unwrap_or(!item.desc)));
+                let key = prepare(substitute_alias(&item.expr, &aliases))?;
+                order_key_asts.push((key, item.desc, item.nulls_first.unwrap_or(!item.desc)));
             }
 
             enum PreparedSelect {
@@ -303,7 +314,7 @@ impl Planner<'_> {
             }
             let prepared = match &block.select {
                 SelectClause::SelectValue { quantifier, expr } => PreparedSelect::Value {
-                    expr: extract_windows(&rewrite(expr)?, &mut window_asts),
+                    expr: prepare(expr)?,
                     distinct: *quantifier == SetQuantifier::Distinct,
                 },
                 SelectClause::Select { quantifier, items } => {
@@ -311,7 +322,7 @@ impl Planner<'_> {
                     for item in items {
                         prepared_items.push(match item {
                             SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                                expr: extract_windows(&rewrite(expr)?, &mut window_asts),
+                                expr: prepare(expr)?,
                                 alias: alias
                                     .clone()
                                     .or_else(|| expr.derived_alias().map(str::to_string)),
@@ -325,8 +336,8 @@ impl Planner<'_> {
                     }
                 }
                 SelectClause::Pivot { value, name } => PreparedSelect::Pivot {
-                    value: extract_windows(&rewrite(value)?, &mut window_asts),
-                    name: extract_windows(&rewrite(name)?, &mut window_asts),
+                    value: prepare(value)?,
+                    name: prepare(name)?,
                 },
             };
 
@@ -359,7 +370,6 @@ impl Planner<'_> {
             }
 
             // ---- SELECT -----------------------------------------------
-            let identity = |e: &Expr| -> Result<Expr, PlanError> { Ok(e.clone()) };
             op = match prepared {
                 PreparedSelect::Value { expr, distinct } => {
                     let core = self.expr(&expr, scope, Ctx::Scalar)?;
@@ -370,7 +380,7 @@ impl Planner<'_> {
                     }
                 }
                 PreparedSelect::List { items, distinct } => {
-                    let expr = self.lower_select_list(&items, &from_vars, &identity, scope)?;
+                    let expr = self.lower_select_list(&items, &from_vars, scope)?;
                     CoreOp::Project {
                         input: Box::new(op),
                         expr,
@@ -404,7 +414,6 @@ impl Planner<'_> {
         &self,
         items: &[SelectItem],
         from_vars: &[String],
-        rewrite: &dyn Fn(&Expr) -> Result<Expr, PlanError>,
         scope: &mut Scope,
     ) -> Result<CoreExpr, PlanError> {
         let has_wildcard = items
@@ -421,7 +430,7 @@ impl Planner<'_> {
                     .clone()
                     .or_else(|| expr.derived_alias().map(str::to_string))
                     .unwrap_or_else(|| format!("_{}", i + 1));
-                let value = self.expr(&rewrite(expr)?, scope, Ctx::Scalar)?;
+                let value = self.expr(expr, scope, Ctx::Scalar)?;
                 pairs.push((CoreExpr::Const(Value::Str(name)), value));
             }
             return Ok(CoreExpr::TupleCtor(pairs));
@@ -448,7 +457,7 @@ impl Planner<'_> {
                         .or_else(|| expr.derived_alias().map(str::to_string))
                         .unwrap_or_else(|| format!("_{}", i + 1));
                     args.push(CoreExpr::Const(Value::Str(name)));
-                    args.push(self.expr(&rewrite(expr)?, scope, Ctx::Scalar)?);
+                    args.push(self.expr(expr, scope, Ctx::Scalar)?);
                 }
             }
         }
@@ -1089,209 +1098,59 @@ fn query_is_sugar_select(q: &Query) -> bool {
 fn select_has_sql_aggregate(select: &SelectClause) -> bool {
     match select {
         SelectClause::Select { items, .. } => items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr_has_sql_aggregate(expr),
+            SelectItem::Expr { expr, .. } => has_sql_aggregate(expr),
             _ => false,
         }),
-        SelectClause::SelectValue { expr, .. } => expr_has_sql_aggregate(expr),
-        SelectClause::Pivot { value, name } => {
-            expr_has_sql_aggregate(value) || expr_has_sql_aggregate(name)
-        }
+        SelectClause::SelectValue { expr, .. } => has_sql_aggregate(expr),
+        SelectClause::Pivot { value, name } => has_sql_aggregate(value) || has_sql_aggregate(name),
     }
 }
 
 /// Does this expression contain a SQL-style aggregate call (not COLL_*) at
-/// a depth not shielded by a subquery?
-fn expr_has_sql_aggregate(e: &Expr) -> bool {
-    use Expr::*;
-    match e {
-        Call {
-            name, args, star, ..
-        } => {
-            if *star {
-                return true; // COUNT(*)
-            }
-            if matches!(AggFunc::parse(name), Some((_, false))) {
-                return true;
-            }
-            args.iter().any(expr_has_sql_aggregate)
+/// a depth not shielded by a subquery? A window call is not itself a
+/// grouping aggregate, but its inputs may hold one (`SUM(SUM(x)) OVER …`).
+fn has_sql_aggregate(e: &Expr) -> bool {
+    if let Expr::Call { name, star, .. } = e {
+        // COUNT(*), or a SQL (not COLL_) aggregate name.
+        if *star || matches!(AggFunc::parse(name), Some((_, false))) {
+            return true;
         }
-        Bin { left, right, .. } => expr_has_sql_aggregate(left) || expr_has_sql_aggregate(right),
-        Un { expr, .. } => expr_has_sql_aggregate(expr),
-        Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            expr_has_sql_aggregate(expr)
-                || expr_has_sql_aggregate(pattern)
-                || escape.as_deref().is_some_and(expr_has_sql_aggregate)
-        }
-        Between {
-            expr, low, high, ..
-        } => {
-            expr_has_sql_aggregate(expr)
-                || expr_has_sql_aggregate(low)
-                || expr_has_sql_aggregate(high)
-        }
-        In { expr, rhs, .. } => {
-            expr_has_sql_aggregate(expr)
-                || match rhs.as_ref() {
-                    ast::InRhs::List(items) => items.iter().any(expr_has_sql_aggregate),
-                    ast::InRhs::Expr(e) => expr_has_sql_aggregate(e),
-                }
-        }
-        Is { expr, .. } => expr_has_sql_aggregate(expr),
-        Case {
-            operand,
-            arms,
-            else_expr,
-        } => {
-            operand.as_deref().is_some_and(expr_has_sql_aggregate)
-                || arms
-                    .iter()
-                    .any(|(w, t)| expr_has_sql_aggregate(w) || expr_has_sql_aggregate(t))
-                || else_expr.as_deref().is_some_and(expr_has_sql_aggregate)
-        }
-        Cast { expr, .. } => expr_has_sql_aggregate(expr),
-        TupleCtor(pairs) => pairs
-            .iter()
-            .any(|(n, v)| expr_has_sql_aggregate(n) || expr_has_sql_aggregate(v)),
-        ArrayCtor(items) | BagCtor(items) => items.iter().any(expr_has_sql_aggregate),
-        // A window call is NOT itself a grouping aggregate, but its
-        // inputs may contain one (SUM(SUM(x)) OVER …).
-        Window {
-            args,
-            partition_by,
-            order_by,
-            ..
-        } => {
-            args.iter().any(expr_has_sql_aggregate)
-                || partition_by.iter().any(expr_has_sql_aggregate)
-                || order_by.iter().any(|o| expr_has_sql_aggregate(&o.expr))
-        }
-        // Subqueries form their own aggregation scope.
-        Subquery(_) | Exists(_) => false,
-        Lit(_) | Path { .. } | Param(_) => false,
     }
+    let mut found = false;
+    e.for_each_child(&mut |c| found = found || has_sql_aggregate(c));
+    found
 }
 
 /// Replaces every window expression with a fresh `$winN` variable
 /// reference, collecting the definitions (deduplicated structurally).
 /// Subqueries are opaque — their windows belong to their own blocks.
-fn extract_windows(e: &Expr, defs: &mut Vec<(String, Expr)>) -> Expr {
-    use Expr::*;
-    match e {
-        Window { .. } => {
-            if let Some((var, _)) = defs.iter().find(|(_, w)| w == e) {
-                return Expr::var(var.clone());
-            }
+fn extract_windows(e: &mut Expr, defs: &mut Vec<(String, Expr)>) {
+    if !matches!(e, Expr::Window { .. }) {
+        e.for_each_child_mut(&mut |c| extract_windows(c, defs));
+        return;
+    }
+    let var = match defs.iter().find(|(_, w)| w == e) {
+        Some((var, _)) => var.clone(),
+        None => {
             let var = format!("$win{}", defs.len());
             defs.push((var.clone(), e.clone()));
-            Expr::var(var)
+            var
         }
-        Bin { op, left, right } => Bin {
-            op: *op,
-            left: Box::new(extract_windows(left, defs)),
-            right: Box::new(extract_windows(right, defs)),
-        },
-        Un { op, expr } => Un {
-            op: *op,
-            expr: Box::new(extract_windows(expr, defs)),
-        },
-        Like {
-            expr,
-            pattern,
-            escape,
-            negated,
-        } => Like {
-            expr: Box::new(extract_windows(expr, defs)),
-            pattern: Box::new(extract_windows(pattern, defs)),
-            escape: escape.as_ref().map(|x| Box::new(extract_windows(x, defs))),
-            negated: *negated,
-        },
-        Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Between {
-            expr: Box::new(extract_windows(expr, defs)),
-            low: Box::new(extract_windows(low, defs)),
-            high: Box::new(extract_windows(high, defs)),
-            negated: *negated,
-        },
-        In { expr, rhs, negated } => In {
-            expr: Box::new(extract_windows(expr, defs)),
-            rhs: Box::new(match rhs.as_ref() {
-                ast::InRhs::List(items) => {
-                    ast::InRhs::List(items.iter().map(|i| extract_windows(i, defs)).collect())
-                }
-                ast::InRhs::Expr(x) => ast::InRhs::Expr(extract_windows(x, defs)),
-            }),
-            negated: *negated,
-        },
-        Is {
-            expr,
-            test,
-            negated,
-        } => Is {
-            expr: Box::new(extract_windows(expr, defs)),
-            test: test.clone(),
-            negated: *negated,
-        },
-        Case {
-            operand,
-            arms,
-            else_expr,
-        } => Case {
-            operand: operand.as_ref().map(|o| Box::new(extract_windows(o, defs))),
-            arms: arms
-                .iter()
-                .map(|(w, t)| (extract_windows(w, defs), extract_windows(t, defs)))
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| Box::new(extract_windows(x, defs))),
-        },
-        Cast { expr, ty } => Cast {
-            expr: Box::new(extract_windows(expr, defs)),
-            ty: ty.clone(),
-        },
-        Call {
-            name,
-            args,
-            distinct,
-            star,
-        } => Call {
-            name: name.clone(),
-            args: args.iter().map(|a| extract_windows(a, defs)).collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-        TupleCtor(pairs) => TupleCtor(
-            pairs
-                .iter()
-                .map(|(n, v)| (extract_windows(n, defs), extract_windows(v, defs)))
-                .collect(),
-        ),
-        ArrayCtor(items) => ArrayCtor(items.iter().map(|i| extract_windows(i, defs)).collect()),
-        BagCtor(items) => BagCtor(items.iter().map(|i| extract_windows(i, defs)).collect()),
-        Subquery(_) | Exists(_) | Lit(_) | Path { .. } | Param(_) => e.clone(),
-    }
+    };
+    *e = Expr::var(var);
 }
 
 /// Substitutes a SELECT alias referenced by ORDER BY with its defining
 /// expression (`SELECT a+b AS s … ORDER BY s`).
-fn substitute_alias(e: &Expr, aliases: &[(String, Expr)]) -> Expr {
+fn substitute_alias<'e>(e: &'e Expr, aliases: &'e [(String, Expr)]) -> &'e Expr {
     if let Expr::Path { head, steps } = e {
         if let Some((_, def)) = aliases.iter().find(|(a, _)| a == head) {
             if steps.is_empty() {
-                return def.clone();
+                return def;
             }
         }
     }
-    e.clone()
+    e
 }
 
 fn select_aliases(select: &SelectClause) -> Vec<(String, Expr)> {
@@ -1318,16 +1177,14 @@ fn select_aliases(select: &SelectClause) -> Vec<(String, Expr)> {
 /// * `COUNT(*)` becomes `COLL_COUNT(g)`;
 /// * remaining references to pre-group variables are rejected, exactly as
 ///   SQL rejects non-grouped column references.
-fn rewrite_grouped(e: &Expr, g: &GroupCtx) -> Result<Expr, PlanError> {
+fn rewrite_grouped(e: &mut Expr, g: &GroupCtx) -> Result<(), PlanError> {
     // Key-expression occurrence?
-    for (alias, key) in &g.keys {
-        if e == key {
-            return Ok(Expr::var(alias.clone()));
-        }
+    if let Some((alias, _)) = g.keys.iter().find(|(_, key)| e == key) {
+        *e = Expr::var(alias.clone());
+        return Ok(());
     }
-    use Expr::*;
-    Ok(match e {
-        Call {
+    match e {
+        Expr::Call {
             name,
             args,
             distinct,
@@ -1335,350 +1192,78 @@ fn rewrite_grouped(e: &Expr, g: &GroupCtx) -> Result<Expr, PlanError> {
         } => {
             // GROUPING(key): 1 when the key is aggregated away by the
             // current grouping set, else 0.
-            if name == "GROUPING" && args.len() == 1 {
+            if *name == "GROUPING" && args.len() == 1 {
                 let Some((alias, _)) = g.keys.iter().find(|(_, k)| *k == args[0]) else {
                     return Err(PlanError::new("GROUPING() argument must be a grouping key"));
                 };
-                return Ok(if g.multi {
+                *e = if g.multi {
                     Expr::var(format!("$grouping${alias}"))
                 } else {
-                    Expr::Lit(ast::Lit::Int(0))
-                });
+                    Expr::int(0)
+                };
+                return Ok(());
             }
             if *star && AggFunc::parse(name).is_some() {
                 // COUNT(*) ⇒ COLL_COUNT(g)
-                return Ok(Call {
+                *e = Expr::Call {
                     name: "COLL_COUNT".to_string(),
                     args: vec![Expr::var(g.group_var.clone())],
                     distinct: false,
                     star: false,
-                });
+                };
+                return Ok(());
             }
             if let Some((func, false)) = AggFunc::parse(name) {
                 if args.len() != 1 {
                     return Err(PlanError::new(format!("{name} takes exactly one argument")));
                 }
                 // AGG(x) ⇒ COLL_AGG(FROM g AS $gi SELECT VALUE x[$gi.v/v])
-                let body = substitute_captured(&args[0], &g.captured);
+                let mut body = args.pop().expect("one argument");
+                to_member_refs(&mut body, &g.captured);
                 let sub = make_group_scan_query(&g.group_var, body);
-                return Ok(Call {
+                *e = Expr::Call {
                     name: func.coll_name().to_string(),
-                    args: vec![Subquery(Box::new(sub))],
+                    args: vec![Expr::Subquery(Box::new(sub))],
                     distinct: *distinct,
                     star: false,
-                });
-            }
-            Call {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| rewrite_grouped(a, g))
-                    .collect::<Result<_, _>>()?,
-                distinct: *distinct,
-                star: *star,
+                };
+                return Ok(());
             }
         }
-        Path { head, .. } => {
+        Expr::Path { head, .. } => {
             let shadowed = g.keys.iter().any(|(a, _)| a == head) || *head == g.group_var;
-            if !shadowed && g.captured.iter().any(|c| c == head) {
+            if !shadowed && g.captured.contains(head) {
                 return Err(PlanError::new(format!(
                     "variable {head} must appear in the GROUP BY clause or \
                      be used in an aggregate function"
                 ))
-                .with_name(head));
+                .with_name(head.as_str()));
             }
-            e.clone()
         }
-        Bin { op, left, right } => Bin {
-            op: *op,
-            left: Box::new(rewrite_grouped(left, g)?),
-            right: Box::new(rewrite_grouped(right, g)?),
-        },
-        Un { op, expr } => Un {
-            op: *op,
-            expr: Box::new(rewrite_grouped(expr, g)?),
-        },
-        Like {
-            expr,
-            pattern,
-            escape,
-            negated,
-        } => Like {
-            expr: Box::new(rewrite_grouped(expr, g)?),
-            pattern: Box::new(rewrite_grouped(pattern, g)?),
-            escape: match escape {
-                Some(esc) => Some(Box::new(rewrite_grouped(esc, g)?)),
-                None => None,
-            },
-            negated: *negated,
-        },
-        Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Between {
-            expr: Box::new(rewrite_grouped(expr, g)?),
-            low: Box::new(rewrite_grouped(low, g)?),
-            high: Box::new(rewrite_grouped(high, g)?),
-            negated: *negated,
-        },
-        In { expr, rhs, negated } => In {
-            expr: Box::new(rewrite_grouped(expr, g)?),
-            rhs: Box::new(match rhs.as_ref() {
-                ast::InRhs::List(items) => ast::InRhs::List(
-                    items
-                        .iter()
-                        .map(|i| rewrite_grouped(i, g))
-                        .collect::<Result<_, _>>()?,
-                ),
-                ast::InRhs::Expr(e) => ast::InRhs::Expr(rewrite_grouped(e, g)?),
-            }),
-            negated: *negated,
-        },
-        Is {
-            expr,
-            test,
-            negated,
-        } => Is {
-            expr: Box::new(rewrite_grouped(expr, g)?),
-            test: test.clone(),
-            negated: *negated,
-        },
-        Case {
-            operand,
-            arms,
-            else_expr,
-        } => Case {
-            operand: match operand {
-                Some(op) => Some(Box::new(rewrite_grouped(op, g)?)),
-                None => None,
-            },
-            arms: arms
-                .iter()
-                .map(|(w, t)| Ok((rewrite_grouped(w, g)?, rewrite_grouped(t, g)?)))
-                .collect::<Result<_, PlanError>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(rewrite_grouped(e, g)?)),
-                None => None,
-            },
-        },
-        Cast { expr, ty } => Cast {
-            expr: Box::new(rewrite_grouped(expr, g)?),
-            ty: ty.clone(),
-        },
-        TupleCtor(pairs) => TupleCtor(
-            pairs
-                .iter()
-                .map(|(n, v)| Ok((rewrite_grouped(n, g)?, rewrite_grouped(v, g)?)))
-                .collect::<Result<_, PlanError>>()?,
-        ),
-        ArrayCtor(items) => ArrayCtor(
-            items
-                .iter()
-                .map(|i| rewrite_grouped(i, g))
-                .collect::<Result<_, _>>()?,
-        ),
-        BagCtor(items) => BagCtor(
-            items
-                .iter()
-                .map(|i| rewrite_grouped(i, g))
-                .collect::<Result<_, _>>()?,
-        ),
-        Window {
-            func,
-            args,
-            star,
-            partition_by,
-            order_by,
-        } => Window {
-            func: func.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_grouped(a, g))
-                .collect::<Result<_, _>>()?,
-            star: *star,
-            partition_by: partition_by
-                .iter()
-                .map(|p| rewrite_grouped(p, g))
-                .collect::<Result<_, _>>()?,
-            order_by: order_by
-                .iter()
-                .map(|o| {
-                    Ok(ast::OrderItem {
-                        expr: rewrite_grouped(&o.expr, g)?,
-                        desc: o.desc,
-                        nulls_first: o.nulls_first,
-                    })
-                })
-                .collect::<Result<_, PlanError>>()?,
-        },
-        // Subqueries are their own scope; they may legitimately reference
-        // the group variable and key aliases (Listing 12), which resolve
-        // through the normal scope mechanism.
-        Subquery(_) | Exists(_) | Lit(_) | Param(_) => e.clone(),
-    })
+        // Subqueries are their own scope (leaves of the walk); they may
+        // legitimately reference the group variable and key aliases
+        // (Listing 12), which resolve through the normal scope mechanism.
+        _ => {}
+    }
+    let mut result = Ok(());
+    e.for_each_child_mut(&mut |c| {
+        if result.is_ok() {
+            result = rewrite_grouped(c, g);
+        }
+    });
+    result
 }
 
 /// Replaces references to captured pre-group variables `v` with `$gi.v`.
-fn substitute_captured(e: &Expr, captured: &[String]) -> Expr {
-    use Expr::*;
-    match e {
-        Path { head, steps } if captured.iter().any(|c| c == head) => {
-            let mut new_steps = vec![ast::PathStep::Attr(head.clone())];
-            new_steps.extend(steps.iter().cloned());
-            Path {
-                head: SYNTH_GROUP_ITEM.to_string(),
-                steps: new_steps,
-            }
+/// Subqueries are left untouched: correlated subqueries inside aggregate
+/// arguments are out of SQL's (and this implementation's) scope.
+fn to_member_refs(e: &mut Expr, captured: &[String]) {
+    e.for_each_child_mut(&mut |c| to_member_refs(c, captured));
+    if let Expr::Path { head, steps } = e {
+        if captured.contains(head) {
+            let var = std::mem::replace(head, SYNTH_GROUP_ITEM.to_string());
+            steps.insert(0, ast::PathStep::Attr(var));
         }
-        Path { .. } | Lit(_) | Param(_) => e.clone(),
-        Bin { op, left, right } => Bin {
-            op: *op,
-            left: Box::new(substitute_captured(left, captured)),
-            right: Box::new(substitute_captured(right, captured)),
-        },
-        Un { op, expr } => Un {
-            op: *op,
-            expr: Box::new(substitute_captured(expr, captured)),
-        },
-        Like {
-            expr,
-            pattern,
-            escape,
-            negated,
-        } => Like {
-            expr: Box::new(substitute_captured(expr, captured)),
-            pattern: Box::new(substitute_captured(pattern, captured)),
-            escape: escape
-                .as_ref()
-                .map(|e| Box::new(substitute_captured(e, captured))),
-            negated: *negated,
-        },
-        Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Between {
-            expr: Box::new(substitute_captured(expr, captured)),
-            low: Box::new(substitute_captured(low, captured)),
-            high: Box::new(substitute_captured(high, captured)),
-            negated: *negated,
-        },
-        In { expr, rhs, negated } => In {
-            expr: Box::new(substitute_captured(expr, captured)),
-            rhs: Box::new(match rhs.as_ref() {
-                ast::InRhs::List(items) => ast::InRhs::List(
-                    items
-                        .iter()
-                        .map(|i| substitute_captured(i, captured))
-                        .collect(),
-                ),
-                ast::InRhs::Expr(e) => ast::InRhs::Expr(substitute_captured(e, captured)),
-            }),
-            negated: *negated,
-        },
-        Is {
-            expr,
-            test,
-            negated,
-        } => Is {
-            expr: Box::new(substitute_captured(expr, captured)),
-            test: test.clone(),
-            negated: *negated,
-        },
-        Case {
-            operand,
-            arms,
-            else_expr,
-        } => Case {
-            operand: operand
-                .as_ref()
-                .map(|o| Box::new(substitute_captured(o, captured))),
-            arms: arms
-                .iter()
-                .map(|(w, t)| {
-                    (
-                        substitute_captured(w, captured),
-                        substitute_captured(t, captured),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(substitute_captured(e, captured))),
-        },
-        Cast { expr, ty } => Cast {
-            expr: Box::new(substitute_captured(expr, captured)),
-            ty: ty.clone(),
-        },
-        Call {
-            name,
-            args,
-            distinct,
-            star,
-        } => Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_captured(a, captured))
-                .collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-        TupleCtor(pairs) => TupleCtor(
-            pairs
-                .iter()
-                .map(|(n, v)| {
-                    (
-                        substitute_captured(n, captured),
-                        substitute_captured(v, captured),
-                    )
-                })
-                .collect(),
-        ),
-        ArrayCtor(items) => ArrayCtor(
-            items
-                .iter()
-                .map(|i| substitute_captured(i, captured))
-                .collect(),
-        ),
-        BagCtor(items) => BagCtor(
-            items
-                .iter()
-                .map(|i| substitute_captured(i, captured))
-                .collect(),
-        ),
-        Window {
-            func,
-            args,
-            star,
-            partition_by,
-            order_by,
-        } => Window {
-            func: func.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_captured(a, captured))
-                .collect(),
-            star: *star,
-            partition_by: partition_by
-                .iter()
-                .map(|p| substitute_captured(p, captured))
-                .collect(),
-            order_by: order_by
-                .iter()
-                .map(|o| ast::OrderItem {
-                    expr: substitute_captured(&o.expr, captured),
-                    desc: o.desc,
-                    nulls_first: o.nulls_first,
-                })
-                .collect(),
-        },
-        // Correlated subqueries inside aggregate arguments are out of
-        // SQL's (and this implementation's) scope; left untouched.
-        Subquery(_) | Exists(_) => e.clone(),
     }
 }
 

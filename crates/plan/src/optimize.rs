@@ -10,10 +10,16 @@
 //! aggregate ([`GroupFold`]). The other passes handle the classical
 //! trivia: constant folding, ORDER BY + LIMIT fusion, hash equi-joins,
 //! and selection pushdown below UNNEST (a correlate's left filter).
+//!
+//! Every pass recurses through the Core's one child enumeration
+//! ([`CoreOp::for_each_expr_mut`], [`CoreOp::for_each_child_mut`],
+//! [`CoreExpr::for_each_child_mut`], [`CoreExpr::plan_mut`]) and keeps
+//! only its own rules, so each reaches every expression, sort key and
+//! nested plan, WITH bindings included.
 
 use std::collections::HashSet;
 
-use sqlpp_syntax::ast::BinOp;
+use sqlpp_syntax::ast::{BinOp, UnOp};
 use sqlpp_value::Value;
 
 use crate::core::{
@@ -23,154 +29,57 @@ use crate::core::{
 /// Applies all passes: the rewriting passes until a fixpoint (bounded),
 /// then aggregate folding once over the whole tree, so its fold
 /// variables are numbered uniquely per plan.
-pub fn optimize(q: CoreQuery) -> CoreQuery {
-    let mut op = simplify(q.op);
-    fold_aggregates(&mut op, &mut 0);
-    CoreQuery { op }
+pub fn optimize(mut q: CoreQuery) -> CoreQuery {
+    simplify(&mut q.op);
+    fold_aggregates(&mut q.op, &mut 0);
+    q
 }
 
 /// The rewriting passes until a fixpoint (bounded). Fixpoint detection
 /// is structural (`PartialEq` on the plan tree), not textual.
-fn simplify(mut op: CoreOp) -> CoreOp {
+fn simplify(op: &mut CoreOp) {
     for _ in 0..4 {
         let before = op.clone();
-        op = extract_joins_op(fold_op(op));
-        if op == before {
+        fold_op(op);
+        extract_joins_op(op);
+        if *op == before {
             break;
         }
     }
-    op
 }
 
-fn fold_op(op: CoreOp) -> CoreOp {
-    match op {
-        CoreOp::Filter { input, pred } => {
-            let input = Box::new(fold_op(*input));
-            let pred = fold_expr(pred);
-            match pred {
-                // WHERE TRUE: drop the filter.
-                CoreExpr::Const(Value::Bool(true)) => *input,
-                // Merge stacked filters into one AND.
-                pred => match *input {
-                    CoreOp::Filter {
-                        input: inner,
-                        pred: inner_pred,
-                    } => CoreOp::Filter {
-                        input: inner,
-                        pred: CoreExpr::Bin(BinOp::And, Box::new(inner_pred), Box::new(pred)),
-                    },
-                    other => CoreOp::Filter {
-                        input: Box::new(other),
-                        pred,
-                    },
-                },
+/// Constant folding, filter merging and ORDER BY + LIMIT fusion, bottom
+/// up through every operator, expression and nested plan.
+fn fold_op(op: &mut CoreOp) {
+    op.for_each_expr_mut(&mut |e, _| fold_expr(e));
+    op.for_each_child_mut(&mut fold_op);
+    *op = match std::mem::replace(op, CoreOp::Single) {
+        // WHERE TRUE: drop the filter.
+        CoreOp::Filter {
+            input,
+            pred: CoreExpr::Const(Value::Bool(true)),
+        } => *input,
+        // Merge stacked filters into one AND.
+        CoreOp::Filter { input, pred } if matches!(*input, CoreOp::Filter { .. }) => {
+            let CoreOp::Filter {
+                input: inner,
+                pred: inner_pred,
+            } = *input
+            else {
+                unreachable!("matched above")
+            };
+            CoreOp::Filter {
+                input: inner,
+                pred: CoreExpr::Bin(BinOp::And, Box::new(inner_pred), Box::new(pred)),
             }
         }
-        CoreOp::Project {
-            input,
-            expr,
-            distinct,
-        } => CoreOp::Project {
-            input: Box::new(fold_op(*input)),
-            expr: fold_expr(expr),
-            distinct,
-        },
-        CoreOp::Group {
-            input,
-            keys,
-            folds,
-            emit_empty_group,
-        } => CoreOp::Group {
-            input: Box::new(fold_op(*input)),
-            keys: keys.into_iter().map(|(a, e)| (a, fold_expr(e))).collect(),
-            folds: map_fold_bodies(folds, fold_expr),
-            emit_empty_group,
-        },
-        CoreOp::Append { inputs } => CoreOp::Append {
-            inputs: inputs.into_iter().map(fold_op).collect(),
-        },
-        CoreOp::Sort { input, keys } => CoreOp::Sort {
-            input: Box::new(fold_op(*input)),
-            keys,
-        },
-        CoreOp::SortValues { input, keys } => CoreOp::SortValues {
-            input: Box::new(fold_op(*input)),
-            keys,
-        },
         CoreOp::LimitOffset {
             input,
             limit,
             offset,
-        } => fuse_topk(fold_op(*input), limit.map(fold_expr), offset.map(fold_expr)),
-        CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            on_values,
-        } => CoreOp::TopK {
-            input: Box::new(fold_op(*input)),
-            keys,
-            limit: fold_expr(limit),
-            offset: offset.map(fold_expr),
-            on_values,
-        },
-        CoreOp::Pivot { input, value, name } => CoreOp::Pivot {
-            input: Box::new(fold_op(*input)),
-            value: fold_expr(value),
-            name: fold_expr(name),
-        },
-        CoreOp::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => CoreOp::SetOp {
-            op,
-            all,
-            left: Box::new(fold_op(*left)),
-            right: Box::new(fold_op(*right)),
-        },
-        CoreOp::Window { input, defs } => CoreOp::Window {
-            input: Box::new(fold_op(*input)),
-            defs: defs
-                .into_iter()
-                .map(|mut d| {
-                    d.args = d.args.into_iter().map(fold_expr).collect();
-                    d.partition = d.partition.into_iter().map(fold_expr).collect();
-                    d
-                })
-                .collect(),
-        },
-        CoreOp::With { bindings, body } => CoreOp::With {
-            bindings: bindings
-                .into_iter()
-                .map(|(n, q)| (n, CoreQuery { op: simplify(q.op) }))
-                .collect(),
-            body: Box::new(fold_op(*body)),
-        },
-        other @ (CoreOp::Single | CoreOp::From { .. }) => other,
-    }
-}
-
-/// Applies `f` to every [`GroupFold::Agg`] body.
-fn map_fold_bodies(
-    folds: Vec<(String, GroupFold)>,
-    f: impl Fn(CoreExpr) -> CoreExpr,
-) -> Vec<(String, GroupFold)> {
-    folds
-        .into_iter()
-        .map(|(var, fold)| {
-            let fold = match fold {
-                GroupFold::Agg { func, body } => GroupFold::Agg {
-                    func,
-                    body: f(body),
-                },
-                members => members,
-            };
-            (var, fold)
-        })
-        .collect()
+        } => fuse_topk(*input, limit, offset),
+        other => other,
+    };
 }
 
 /// ORDER BY + LIMIT fusion. A LIMIT directly over a sort only ever
@@ -268,17 +177,20 @@ fn const_nonneg(e: &CoreExpr) -> Option<i64> {
 /// arithmetic without overflow, boolean AND/OR/NOT over constants, and
 /// boolean short-circuits with one constant side (sound under three-valued
 /// logic only in the directions applied here).
-fn fold_expr(e: CoreExpr) -> CoreExpr {
+fn fold_expr(e: &mut CoreExpr) {
     use CoreExpr::*;
-    match e {
-        Bin(op, l, r) => {
-            let l = fold_expr(*l);
-            let r = fold_expr(*r);
-            if let (Const(Value::Int(a)), Const(Value::Int(b))) = (&l, &r) {
-                let folded = match op {
-                    BinOp::Add => a.checked_add(*b).map(Value::Int),
-                    BinOp::Sub => a.checked_sub(*b).map(Value::Int),
-                    BinOp::Mul => a.checked_mul(*b).map(Value::Int),
+    if let Some(q) = e.plan_mut() {
+        fold_op(&mut q.op);
+    }
+    e.for_each_child_mut(&mut fold_expr);
+    let folded = match e {
+        Bin(op, l, r) => match (*op, &mut **l, &mut **r) {
+            (op, Const(Value::Int(a)), Const(Value::Int(b))) => {
+                let (a, b) = (*a, *b);
+                match op {
+                    BinOp::Add => a.checked_add(b).map(Value::Int),
+                    BinOp::Sub => a.checked_sub(b).map(Value::Int),
+                    BinOp::Mul => a.checked_mul(b).map(Value::Int),
                     BinOp::Eq => Some(Value::Bool(a == b)),
                     BinOp::NotEq => Some(Value::Bool(a != b)),
                     BinOp::Lt => Some(Value::Bool(a < b)),
@@ -286,56 +198,33 @@ fn fold_expr(e: CoreExpr) -> CoreExpr {
                     BinOp::Gt => Some(Value::Bool(a > b)),
                     BinOp::GtEq => Some(Value::Bool(a >= b)),
                     _ => None,
-                };
-                if let Some(v) = folded {
-                    return Const(v);
                 }
+                .map(Const)
             }
-            match (op, &l, &r) {
-                // TRUE AND x ⇒ x; x AND TRUE ⇒ x (sound in 3VL).
-                (BinOp::And, Const(Value::Bool(true)), _) => r,
-                (BinOp::And, _, Const(Value::Bool(true))) => l,
-                // FALSE AND x ⇒ FALSE (sound: FALSE dominates NULL/MISSING).
-                (BinOp::And, Const(Value::Bool(false)), _)
-                | (BinOp::And, _, Const(Value::Bool(false))) => Const(Value::Bool(false)),
-                // FALSE OR x ⇒ x; TRUE OR x ⇒ TRUE.
-                (BinOp::Or, Const(Value::Bool(false)), _) => r,
-                (BinOp::Or, _, Const(Value::Bool(false))) => l,
-                (BinOp::Or, Const(Value::Bool(true)), _)
-                | (BinOp::Or, _, Const(Value::Bool(true))) => Const(Value::Bool(true)),
-                _ => Bin(op, Box::new(l), Box::new(r)),
+            // TRUE AND x ⇒ x; FALSE OR x ⇒ x (sound in 3VL).
+            (BinOp::And, Const(Value::Bool(true)), x)
+            | (BinOp::And, x, Const(Value::Bool(true)))
+            | (BinOp::Or, Const(Value::Bool(false)), x)
+            | (BinOp::Or, x, Const(Value::Bool(false))) => {
+                Some(std::mem::replace(x, Const(Value::Null)))
             }
-        }
-        Un(op, inner) => {
-            let inner = fold_expr(*inner);
-            if let (sqlpp_syntax::ast::UnOp::Not, Const(Value::Bool(b))) = (op, &inner) {
-                return Const(Value::Bool(!b));
+            // FALSE AND x ⇒ FALSE (sound: FALSE dominates NULL/MISSING);
+            // TRUE OR x ⇒ TRUE.
+            (BinOp::And, Const(Value::Bool(false)), _)
+            | (BinOp::And, _, Const(Value::Bool(false))) => Some(CoreExpr::bool(false)),
+            (BinOp::Or, Const(Value::Bool(true)), _) | (BinOp::Or, _, Const(Value::Bool(true))) => {
+                Some(CoreExpr::bool(true))
             }
-            Un(op, Box::new(inner))
-        }
-        Case { arms, else_expr } => Case {
-            arms: arms
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_expr: Box::new(fold_expr(*else_expr)),
+            _ => None,
         },
-        Path(base, attr) => Path(Box::new(fold_expr(*base)), attr),
-        Index(base, idx) => Index(Box::new(fold_expr(*base)), Box::new(fold_expr(*idx))),
-        Call { name, args } => Call {
-            name,
-            args: args.into_iter().map(fold_expr).collect(),
+        Un(UnOp::Not, inner) => match **inner {
+            Const(Value::Bool(b)) => Some(CoreExpr::bool(!b)),
+            _ => None,
         },
-        CollAgg {
-            func,
-            distinct,
-            input,
-        } => CollAgg {
-            func,
-            distinct,
-            input: Box::new(fold_expr(*input)),
-        },
-        other => other,
+        _ => None,
+    };
+    if let Some(folded) = folded {
+        *e = folded;
     }
 }
 
@@ -384,72 +273,51 @@ fn fold_expr(e: CoreExpr) -> CoreExpr {
 // budget counts; its extra evaluations only shift injected-fault
 // ordinals.
 
-fn extract_joins_op(op: CoreOp) -> CoreOp {
-    match op {
-        CoreOp::Filter { input, pred } => {
-            let input = extract_joins_op(*input);
-            let pred = extract_joins_expr(pred);
-            match input {
-                CoreOp::From { item } => {
-                    let mut conjuncts = Vec::new();
-                    split_conjuncts(pred, &mut conjuncts);
-                    let (mut item, leftover) =
-                        extract_from(item, conjuncts.into_iter().enumerate().collect());
-                    // What no join consumed stays a WHERE, in its original
-                    // order.
-                    let leftover = in_order(leftover);
-                    push_left_filters(&mut item, &leftover);
-                    let from = CoreOp::From { item };
-                    match and_all(leftover) {
-                        None => from,
-                        Some(pred) => CoreOp::Filter {
-                            input: Box::new(from),
-                            pred,
-                        },
-                    }
-                }
-                other => CoreOp::Filter {
-                    input: Box::new(other),
-                    pred,
-                },
-            }
+fn extract_joins_op(op: &mut CoreOp) {
+    op.for_each_expr_mut(&mut |e, _| extract_joins_in(e));
+    op.for_each_child_mut(&mut extract_joins_op);
+    *op = match std::mem::replace(op, CoreOp::Single) {
+        CoreOp::From { item } => extract_where(item, None),
+        CoreOp::Filter { input, pred } if matches!(*input, CoreOp::From { .. }) => {
+            let CoreOp::From { item } = *input else {
+                unreachable!("matched above")
+            };
+            extract_where(item, Some(pred))
         }
-        CoreOp::From { item } => {
-            let (item, leftover) = extract_from(item, Vec::new());
-            debug_assert!(leftover.is_empty());
-            CoreOp::From { item }
-        }
-        // WITH bindings were optimized on their own (`simplify`).
-        CoreOp::With { bindings, body } => CoreOp::With {
-            bindings,
-            body: Box::new(extract_joins_op(*body)),
-        },
-        mut other => {
-            for (e, _) in op_exprs_mut(&mut other) {
-                extract_joins_in(e);
-            }
-            for child in op_children_mut(&mut other) {
-                *child = extract_joins_op(std::mem::replace(child, CoreOp::Single));
-            }
-            other
-        }
-    }
+        other => other,
+    };
 }
 
 /// Recurses the join-extraction pass into nested plans (subqueries,
 /// EXISTS) so equi-joins inside them are hashed too.
-fn extract_joins_expr(mut e: CoreExpr) -> CoreExpr {
-    extract_joins_in(&mut e);
-    e
+fn extract_joins_in(e: &mut CoreExpr) {
+    if let Some(q) = e.plan_mut() {
+        extract_joins_op(&mut q.op);
+    }
+    e.for_each_child_mut(&mut extract_joins_in);
 }
 
-fn extract_joins_in(e: &mut CoreExpr) {
-    let (exprs, plans) = expr_children_mut(e);
-    for e in exprs {
-        extract_joins_in(e);
+/// A FROM and the WHERE over it, if any: the WHERE's conjuncts become
+/// join keys and side filters where they can, and what no join consumes
+/// stays a WHERE, in its original order, whose leading left-only run
+/// filters the correlates below it.
+fn extract_where(item: CoreFrom, pred: Option<CoreExpr>) -> CoreOp {
+    let mut conjuncts = Vec::new();
+    if let Some(pred) = pred {
+        split_conjuncts(pred, &mut conjuncts);
     }
-    for op in plans {
-        *op = extract_joins_op(std::mem::replace(op, CoreOp::Single));
+    let (mut item, leftover) = extract_from(item, conjuncts.into_iter().enumerate().collect());
+    let leftover = in_order(leftover);
+    if !leftover.is_empty() {
+        push_left_filters(&mut item, &leftover);
+    }
+    let from = CoreOp::From { item };
+    match and_all(leftover) {
+        None => from,
+        Some(pred) => CoreOp::Filter {
+            input: Box::new(from),
+            pred,
+        },
     }
 }
 
@@ -543,7 +411,6 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
             on,
             right_vars,
         } => {
-            let on = extract_joins_expr(on);
             let (left, _) = extract_from(*left, Vec::new());
             let (right, _) = extract_from(*right, Vec::new());
             let left_set = introduced_set(&left);
@@ -612,41 +479,8 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
                 )
             }
         }
-        // Leaves consume nothing; their source expressions may hold
-        // nested plans worth extracting in.
-        CoreFrom::Scan {
-            expr,
-            as_var,
-            at_var,
-        } => (
-            CoreFrom::Scan {
-                expr: extract_joins_expr(expr),
-                as_var,
-                at_var,
-            },
-            conjuncts,
-        ),
-        CoreFrom::Unpivot {
-            expr,
-            value_var,
-            name_var,
-        } => (
-            CoreFrom::Unpivot {
-                expr: extract_joins_expr(expr),
-                value_var,
-                name_var,
-            },
-            conjuncts,
-        ),
-        CoreFrom::Let { expr, var } => (
-            CoreFrom::Let {
-                expr: extract_joins_expr(expr),
-                var,
-            },
-            conjuncts,
-        ),
-        // Already annotated: nothing further to extract.
-        other @ CoreFrom::HashJoin { .. } => (other, conjuncts),
+        // Leaves consume nothing, and an annotated join nothing more.
+        other => (other, conjuncts),
     }
 }
 
@@ -837,46 +671,22 @@ fn collect_introduced(item: &CoreFrom, out: &mut Vec<String>) {
 /// table reference is the normal case and resolves against the catalog).
 fn uncorrelated(item: &CoreFrom, outer: &HashSet<String>) -> bool {
     let mut refs = HashSet::new();
-    from_refs(item, &mut refs) && refs.is_disjoint(outer)
+    item_refs(item, &mut refs) && refs.is_disjoint(outer)
 }
 
-fn from_refs(item: &CoreFrom, out: &mut HashSet<String>) -> bool {
-    match item {
-        CoreFrom::Scan { expr, .. }
-        | CoreFrom::Unpivot { expr, .. }
-        | CoreFrom::Let { expr, .. } => source_expr_refs(expr, out),
-        CoreFrom::Correlate {
-            left,
-            right,
-            left_pred,
-        } => {
-            from_refs(left, out)
-                && from_refs(right, out)
-                && left_pred.as_ref().is_none_or(|p| expr_refs(p, out))
-        }
-        CoreFrom::Join {
-            left, right, on, ..
-        } => from_refs(left, out) && from_refs(right, out) && expr_refs(on, out),
-        CoreFrom::HashJoin {
-            left,
-            right,
-            keys,
-            left_pred,
-            right_pred,
-            residual,
-            ..
-        } => {
-            from_refs(left, out)
-                && from_refs(right, out)
-                && keys
-                    .iter()
-                    .all(|(l, r)| expr_refs(l, out) && expr_refs(r, out))
-                && [left_pred, right_pred, residual]
-                    .into_iter()
-                    .flatten()
-                    .all(|e| expr_refs(e, out))
-        }
-    }
+/// [`expr_refs`] over every expression of a FROM tree, with
+/// [`source_expr_refs`] for its leaves' sources.
+fn item_refs(item: &CoreFrom, out: &mut HashSet<String>) -> bool {
+    let mut known = true;
+    item.for_each_expr(&mut |e, source| {
+        known = known
+            && if source {
+                source_expr_refs(e, out)
+            } else {
+                expr_refs(e, out)
+            }
+    });
+    known
 }
 
 /// Like [`expr_refs`], but tolerates a bare `Global` *head*: FROM sources
@@ -899,109 +709,30 @@ fn source_expr_refs(e: &CoreExpr, out: &mut HashSet<String>) -> bool {
 /// expressions must not be moved to a different evaluation environment.
 fn expr_refs(e: &CoreExpr, out: &mut HashSet<String>) -> bool {
     match e {
-        CoreExpr::Const(_) | CoreExpr::Param(_) => true,
         CoreExpr::Var(v) => {
             out.insert(v.clone());
-            true
+            return true;
         }
-        CoreExpr::Global(_) | CoreExpr::Dynamic(_) => false,
-        CoreExpr::Path(base, _) => expr_refs(base, out),
-        CoreExpr::Index(base, idx) => expr_refs(base, out) && expr_refs(idx, out),
-        CoreExpr::Bin(_, l, r) => expr_refs(l, out) && expr_refs(r, out),
-        CoreExpr::Un(_, inner) => expr_refs(inner, out),
-        CoreExpr::Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            expr_refs(expr, out)
-                && expr_refs(pattern, out)
-                && escape.as_deref().is_none_or(|e| expr_refs(e, out))
-        }
-        CoreExpr::Between {
-            expr, low, high, ..
-        } => expr_refs(expr, out) && expr_refs(low, out) && expr_refs(high, out),
-        CoreExpr::In {
-            expr, collection, ..
-        } => expr_refs(expr, out) && expr_refs(collection, out),
-        CoreExpr::Is { expr, .. } => expr_refs(expr, out),
-        CoreExpr::Case { arms, else_expr } => {
-            arms.iter()
-                .all(|(w, t)| expr_refs(w, out) && expr_refs(t, out))
-                && expr_refs(else_expr, out)
-        }
-        CoreExpr::Call { args, .. } => args.iter().all(|a| expr_refs(a, out)),
-        CoreExpr::CollAgg { input, .. } => expr_refs(input, out),
-        CoreExpr::Subquery { plan, .. } => op_refs(&plan.op, out),
-        CoreExpr::Exists(q) => op_refs(&q.op, out),
-        CoreExpr::TupleCtor(pairs) => pairs
-            .iter()
-            .all(|(n, v)| expr_refs(n, out) && expr_refs(v, out)),
-        CoreExpr::ArrayCtor(items) | CoreExpr::BagCtor(items) => {
-            items.iter().all(|i| expr_refs(i, out))
-        }
-        CoreExpr::Cast { expr, .. } => expr_refs(expr, out),
+        CoreExpr::Global(_) | CoreExpr::Dynamic(_) => return false,
+        _ => {}
     }
+    let mut known = e.plan().is_none_or(|q| plan_refs(&q.op, out));
+    e.for_each_child(&mut |c| known = known && expr_refs(c, out));
+    known
 }
 
-fn op_refs(op: &CoreOp, out: &mut HashSet<String>) -> bool {
-    match op {
-        CoreOp::Single => true,
-        CoreOp::From { item } => from_refs(item, out),
-        CoreOp::Filter { input, pred } => op_refs(input, out) && expr_refs(pred, out),
-        CoreOp::Group {
-            input, keys, folds, ..
-        } => {
-            op_refs(input, out)
-                && keys.iter().all(|(_, e)| expr_refs(e, out))
-                && folds.iter().all(|(_, f)| match f {
-                    GroupFold::Agg { body, .. } => expr_refs(body, out),
-                    GroupFold::Members { .. } => true,
-                })
+/// [`expr_refs`] over a whole nested plan, FROM trees by [`item_refs`].
+fn plan_refs(op: &CoreOp, out: &mut HashSet<String>) -> bool {
+    let mut known = match op {
+        CoreOp::From { item } => item_refs(item, out),
+        _ => {
+            let mut known = true;
+            op.for_each_expr(&mut |e, _| known = known && expr_refs(e, out));
+            known
         }
-        CoreOp::Append { inputs } => inputs.iter().all(|i| op_refs(i, out)),
-        CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {
-            op_refs(input, out) && keys.iter().all(|k| expr_refs(&k.expr, out))
-        }
-        CoreOp::LimitOffset {
-            input,
-            limit,
-            offset,
-        } => {
-            op_refs(input, out)
-                && limit.as_ref().is_none_or(|e| expr_refs(e, out))
-                && offset.as_ref().is_none_or(|e| expr_refs(e, out))
-        }
-        CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            ..
-        } => {
-            op_refs(input, out)
-                && keys.iter().all(|k| expr_refs(&k.expr, out))
-                && expr_refs(limit, out)
-                && offset.as_ref().is_none_or(|e| expr_refs(e, out))
-        }
-        CoreOp::Project { input, expr, .. } => op_refs(input, out) && expr_refs(expr, out),
-        CoreOp::Pivot { input, value, name } => {
-            op_refs(input, out) && expr_refs(value, out) && expr_refs(name, out)
-        }
-        CoreOp::SetOp { left, right, .. } => op_refs(left, out) && op_refs(right, out),
-        CoreOp::Window { input, defs } => {
-            op_refs(input, out)
-                && defs.iter().all(|d| {
-                    d.args.iter().all(|a| expr_refs(a, out))
-                        && d.partition.iter().all(|p| expr_refs(p, out))
-                        && d.order.iter().all(|k| expr_refs(&k.expr, out))
-                })
-        }
-        CoreOp::With { bindings, body } => {
-            bindings.iter().all(|(_, q)| op_refs(&q.op, out)) && op_refs(body, out)
-        }
-    }
+    };
+    op.for_each_child(&mut |c| known = known && plan_refs(c, out));
+    known
 }
 
 // ---------------------------------------------------------------------
@@ -1034,12 +765,8 @@ fn op_refs(op: &CoreOp, out: &mut HashSet<String>) -> bool {
 /// `next` (`$agg0`, `$agg1`, …, unique across the plan).
 fn fold_aggregates(op: &mut CoreOp, next: &mut usize) {
     let Some(depth) = group_depth(op) else {
-        for (e, _) in op_exprs_mut(op) {
-            fold_aggregates_in(e, next);
-        }
-        for child in op_children_mut(op) {
-            fold_aggregates(child, next);
-        }
+        op.for_each_expr_mut(&mut |e, _| fold_aggregates_in(e, next));
+        op.for_each_child_mut(&mut |c| fold_aggregates(c, next));
         return;
     };
     fold_block(op, depth, next);
@@ -1047,23 +774,18 @@ fn fold_aggregates(op: &mut CoreOp, next: &mut usize) {
     // group's input remain.
     let mut cur = op;
     for _ in 0..depth {
-        for (e, _) in op_exprs_mut(cur) {
-            fold_aggregates_in(e, next);
-        }
-        cur = unary_input_mut(cur).expect("depth counts block operators");
+        cur.for_each_expr_mut(&mut |e, _| fold_aggregates_in(e, next));
+        cur = cur.input_mut().expect("depth counts block operators");
     }
     // The group: its keys and bodies, then its input.
     fold_aggregates(cur, next);
 }
 
 fn fold_aggregates_in(e: &mut CoreExpr, next: &mut usize) {
-    let (exprs, plans) = expr_children_mut(e);
-    for e in exprs {
-        fold_aggregates_in(e, next);
+    if let Some(q) = e.plan_mut() {
+        fold_aggregates(&mut q.op, next);
     }
-    for op in plans {
-        fold_aggregates(op, next);
-    }
+    e.for_each_child_mut(&mut |c| fold_aggregates_in(c, next));
 }
 
 /// When `op` is a block's projection (`Project`/`Pivot`) over a chain of
@@ -1113,7 +835,7 @@ struct FoldScope {
 fn fold_block(top: &mut CoreOp, depth: usize, next: &mut usize) {
     let mut group = &*top;
     for _ in 0..depth {
-        group = unary_input(group).expect("depth counts block operators");
+        group = group.input().expect("depth counts block operators");
     }
     let CoreOp::Group {
         input, keys, folds, ..
@@ -1142,13 +864,15 @@ fn fold_block(top: &mut CoreOp, depth: usize, next: &mut usize) {
     let mut trial = top.clone();
     let mut cur = &mut trial;
     for _ in 0..depth {
-        for (e, over_input) in op_exprs_mut(cur) {
-            if over_input && !rewrite_uses(e, &mut scope, next) {
-                *next = first;
-                return;
-            }
+        let mut foldable = true;
+        cur.for_each_expr_mut(&mut |e, over_input| {
+            foldable = foldable && (!over_input || rewrite_uses(e, &mut scope, next));
+        });
+        if !foldable {
+            *next = first;
+            return;
         }
-        cur = unary_input_mut(cur).expect("depth counts block operators");
+        cur = cur.input_mut().expect("depth counts block operators");
     }
     let CoreOp::Group { folds, .. } = cur else {
         unreachable!("group_depth ends at a Group")
@@ -1188,16 +912,18 @@ fn rewrite_uses(e: &mut CoreExpr, scope: &mut FoldScope, next: &mut usize) -> bo
         *e = CoreExpr::Var(var);
         return true;
     }
+    if let Some(q) = e.plan_mut() {
+        return rewrite_uses_in_plan(&mut q.op, scope, next);
+    }
     match e {
         CoreExpr::Var(v) if *v == scope.group_var => false,
         // Runtime name resolution consults the whole environment, which
         // folding changes.
         CoreExpr::Dynamic(_) => false,
-        CoreExpr::Subquery { plan, .. } => rewrite_uses_in_plan(&mut plan.op, scope, next),
-        CoreExpr::Exists(q) => rewrite_uses_in_plan(&mut q.op, scope, next),
         _ => {
-            let (exprs, _) = expr_children_mut(e);
-            exprs.into_iter().all(|e| rewrite_uses(e, scope, next))
+            let mut foldable = true;
+            e.for_each_child_mut(&mut |c| foldable = foldable && rewrite_uses(c, scope, next));
+            foldable
         }
     }
 }
@@ -1210,18 +936,16 @@ fn rewrite_uses_in_plan(op: &mut CoreOp, scope: &mut FoldScope, next: &mut usize
             // Where inside the FROM tree the name is rebound is not worth
             // tracking: refuse if it is mentioned there at all.
             let mut refs = HashSet::new();
-            return from_refs(item, &mut refs) && !refs.contains(&scope.group_var);
+            return item_refs(item, &mut refs) && !refs.contains(&scope.group_var);
         }
     }
-    let shadowed = unary_input(op).is_some_and(|i| stream_vars(i).contains(&scope.group_var));
-    for (e, over_input) in op_exprs_mut(op) {
-        if (!over_input || !shadowed) && !rewrite_uses(e, scope, next) {
-            return false;
-        }
-    }
-    op_children_mut(op)
-        .into_iter()
-        .all(|child| rewrite_uses_in_plan(child, scope, next))
+    let shadowed = (op.input()).is_some_and(|i| stream_vars(i).contains(&scope.group_var));
+    let mut foldable = true;
+    op.for_each_expr_mut(&mut |e, over_input| {
+        foldable = foldable && ((over_input && shadowed) || rewrite_uses(e, scope, next));
+    });
+    op.for_each_child_mut(&mut |c| foldable = foldable && rewrite_uses_in_plan(c, scope, next));
+    foldable
 }
 
 /// The body of `SELECT VALUE body FROM g AS $gi` (the lowering of a SQL
@@ -1282,10 +1006,9 @@ fn rebase_member_refs(e: &mut CoreExpr, item: &str, scope: &FoldScope) -> bool {
         | CoreExpr::Subquery { .. }
         | CoreExpr::Exists(_) => false,
         _ => {
-            let (exprs, _) = expr_children_mut(e);
-            exprs
-                .into_iter()
-                .all(|e| rebase_member_refs(e, item, scope))
+            let mut movable = true;
+            e.for_each_child_mut(&mut |c| movable = movable && rebase_member_refs(c, item, scope));
+            movable
         }
     }
 }
@@ -1317,196 +1040,6 @@ fn stream_vars(op: &CoreOp) -> Vec<String> {
         | CoreOp::SortValues { .. }
         | CoreOp::SetOp { .. } => Vec::new(),
     }
-}
-
-/// The single input of a unary operator.
-fn unary_input(op: &CoreOp) -> Option<&CoreOp> {
-    match op {
-        CoreOp::Filter { input, .. }
-        | CoreOp::Group { input, .. }
-        | CoreOp::Sort { input, .. }
-        | CoreOp::SortValues { input, .. }
-        | CoreOp::LimitOffset { input, .. }
-        | CoreOp::TopK { input, .. }
-        | CoreOp::Project { input, .. }
-        | CoreOp::Pivot { input, .. }
-        | CoreOp::Window { input, .. } => Some(input),
-        _ => None,
-    }
-}
-
-fn unary_input_mut(op: &mut CoreOp) -> Option<&mut CoreOp> {
-    match op {
-        CoreOp::Filter { input, .. }
-        | CoreOp::Group { input, .. }
-        | CoreOp::Sort { input, .. }
-        | CoreOp::SortValues { input, .. }
-        | CoreOp::LimitOffset { input, .. }
-        | CoreOp::TopK { input, .. }
-        | CoreOp::Project { input, .. }
-        | CoreOp::Pivot { input, .. }
-        | CoreOp::Window { input, .. } => Some(input),
-        _ => None,
-    }
-}
-
-/// Every operator child of `op` (nested plans inside its expressions
-/// are reached through [`expr_children_mut`]).
-fn op_children_mut(op: &mut CoreOp) -> Vec<&mut CoreOp> {
-    match op {
-        CoreOp::Append { inputs } => inputs.iter_mut().collect(),
-        CoreOp::SetOp { left, right, .. } => vec![left, right],
-        CoreOp::With { bindings, body } => bindings
-            .iter_mut()
-            .map(|(_, q)| &mut q.op)
-            .chain([&mut **body])
-            .collect(),
-        other => unary_input_mut(other).into_iter().collect(),
-    }
-}
-
-/// Every expression `op` itself holds, each tagged with whether it is
-/// evaluated over the operator's input bindings (rather than in the
-/// enclosing scope, as FROM sources, LIMIT/OFFSET operands and
-/// value-level sort keys are).
-fn op_exprs_mut(op: &mut CoreOp) -> Vec<(&mut CoreExpr, bool)> {
-    let mut out: Vec<(&mut CoreExpr, bool)> = Vec::new();
-    match op {
-        CoreOp::Single | CoreOp::Append { .. } | CoreOp::SetOp { .. } | CoreOp::With { .. } => {}
-        CoreOp::From { item } => {
-            let mut exprs = Vec::new();
-            from_exprs_mut(item, &mut exprs);
-            out.extend(exprs.into_iter().map(|e| (e, false)));
-        }
-        CoreOp::Filter { pred, .. } => out.push((pred, true)),
-        CoreOp::Group { keys, folds, .. } => {
-            out.extend(keys.iter_mut().map(|(_, e)| (e, true)));
-            for (_, fold) in folds {
-                if let GroupFold::Agg { body, .. } = fold {
-                    out.push((body, true));
-                }
-            }
-        }
-        CoreOp::Sort { keys, .. } => out.extend(keys.iter_mut().map(|k| (&mut k.expr, true))),
-        CoreOp::SortValues { keys, .. } => {
-            out.extend(keys.iter_mut().map(|k| (&mut k.expr, false)))
-        }
-        CoreOp::LimitOffset { limit, offset, .. } => out.extend(
-            limit
-                .iter_mut()
-                .chain(offset.iter_mut())
-                .map(|e| (e, false)),
-        ),
-        CoreOp::TopK {
-            keys,
-            limit,
-            offset,
-            on_values,
-            ..
-        } => {
-            let over_input = !*on_values;
-            out.extend(keys.iter_mut().map(|k| (&mut k.expr, over_input)));
-            out.push((limit, false));
-            out.extend(offset.iter_mut().map(|e| (e, false)));
-        }
-        CoreOp::Project { expr, .. } => out.push((expr, true)),
-        CoreOp::Pivot { value, name, .. } => {
-            out.push((value, true));
-            out.push((name, true));
-        }
-        CoreOp::Window { defs, .. } => {
-            for d in defs {
-                out.extend(d.args.iter_mut().map(|e| (e, true)));
-                out.extend(d.partition.iter_mut().map(|e| (e, true)));
-                out.extend(d.order.iter_mut().map(|k| (&mut k.expr, true)));
-            }
-        }
-    }
-    out
-}
-
-fn from_exprs_mut<'o>(item: &'o mut CoreFrom, out: &mut Vec<&'o mut CoreExpr>) {
-    match item {
-        CoreFrom::Scan { expr, .. }
-        | CoreFrom::Unpivot { expr, .. }
-        | CoreFrom::Let { expr, .. } => out.push(expr),
-        CoreFrom::Correlate {
-            left,
-            right,
-            left_pred,
-        } => {
-            from_exprs_mut(left, out);
-            from_exprs_mut(right, out);
-            out.extend(left_pred.as_mut());
-        }
-        CoreFrom::Join {
-            left, right, on, ..
-        } => {
-            from_exprs_mut(left, out);
-            from_exprs_mut(right, out);
-            out.push(on);
-        }
-        CoreFrom::HashJoin {
-            left,
-            right,
-            keys,
-            left_pred,
-            right_pred,
-            residual,
-            ..
-        } => {
-            from_exprs_mut(left, out);
-            from_exprs_mut(right, out);
-            for (l, r) in keys {
-                out.push(l);
-                out.push(r);
-            }
-            out.extend(
-                [left_pred, right_pred, residual]
-                    .into_iter()
-                    .filter_map(Option::as_mut),
-            );
-        }
-    }
-}
-
-/// The direct sub-expressions of `e`, and the roots of the plans nested
-/// in it.
-fn expr_children_mut(e: &mut CoreExpr) -> (Vec<&mut CoreExpr>, Vec<&mut CoreOp>) {
-    use CoreExpr::*;
-    let exprs: Vec<&mut CoreExpr> = match e {
-        Const(_) | Var(_) | Param(_) | Global(_) | Dynamic(_) => Vec::new(),
-        Subquery { plan, .. } => return (Vec::new(), vec![&mut plan.op]),
-        Exists(q) => return (Vec::new(), vec![&mut q.op]),
-        Path(base, _) | Un(_, base) => vec![base],
-        Is { expr, .. } | Cast { expr, .. } => vec![expr],
-        CollAgg { input, .. } => vec![input],
-        Index(a, b) | Bin(_, a, b) => vec![a, b],
-        Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            let mut v: Vec<&mut CoreExpr> = vec![expr, pattern];
-            v.extend(escape.iter_mut().map(|e| &mut **e));
-            v
-        }
-        Between {
-            expr, low, high, ..
-        } => vec![expr, low, high],
-        In {
-            expr, collection, ..
-        } => vec![expr, collection],
-        Case { arms, else_expr } => arms
-            .iter_mut()
-            .flat_map(|(w, t)| [w, t])
-            .chain([&mut **else_expr])
-            .collect(),
-        Call { args, .. } | ArrayCtor(args) | BagCtor(args) => args.iter_mut().collect(),
-        TupleCtor(pairs) => pairs.iter_mut().flat_map(|(n, v)| [n, v]).collect(),
-    };
-    (exprs, Vec::new())
 }
 
 #[cfg(test)]
@@ -1696,6 +1229,25 @@ mod tests {
         let text = opt("SELECT x.a FROM t AS x ORDER BY x.a LIMIT ?");
         assert!(!text.contains("top-k"), "{text}");
         assert!(text.contains("sort"), "{text}");
+    }
+
+    #[test]
+    fn order_by_limit_fuses_inside_a_select_list_subquery() {
+        let text = opt(
+            "SELECT o.f AS f, (SELECT VALUE e.id FROM u AS e WHERE e.k <> o.f \
+             ORDER BY e.k LIMIT 1) AS s FROM outer_rows AS o",
+        );
+        assert!(text.contains("top-k e.k limit 1"), "{text}");
+        assert!(!text.contains("sort e.k"), "{text}");
+    }
+
+    #[test]
+    fn constants_fold_in_every_expression_kind() {
+        let text = opt("SELECT VALUE {'a': 1 + 2} FROM t AS x \
+             WHERE x.b BETWEEN 1 + 1 AND 3 ORDER BY x.k + (1 + 1) LIMIT 2");
+        assert!(text.contains("{'a': 3}"), "{text}");
+        assert!(text.contains("(x.b BETWEEN 2 AND 3)"), "{text}");
+        assert!(text.contains("top-k (x.k + 2) limit 2"), "{text}");
     }
 
     #[test]

@@ -630,6 +630,99 @@ pub enum IsTest {
     Type(String),
 }
 
+/// The direct sub-expressions of an [`Expr`], written once for the `&`
+/// walker and its `&mut` twin: the patterns bind by reference either way,
+/// and `for x in field` iterates a `&Vec` as well as its `&mut`.
+macro_rules! expr_children {
+    ($e:expr, $f:ident $(, $m:tt)?) => {
+        match $e {
+            Expr::Lit(_) | Expr::Param(_) | Expr::Exists(_) | Expr::Subquery(_) => {}
+            Expr::Path { steps, .. } => {
+                for step in steps {
+                    if let PathStep::Index(i) = step {
+                        $f(i);
+                    }
+                }
+            }
+            Expr::Un { expr, .. } | Expr::Is { expr, .. } | Expr::Cast { expr, .. } => $f(expr),
+            Expr::Bin { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            Expr::Like {
+                expr,
+                pattern,
+                escape,
+                ..
+            } => {
+                $f(expr);
+                $f(pattern);
+                if let Some(e) = escape {
+                    $f(e);
+                }
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            Expr::In { expr, rhs, .. } => {
+                $f(expr);
+                match &$($m)? **rhs {
+                    InRhs::List(items) => {
+                        for i in items {
+                            $f(i);
+                        }
+                    }
+                    InRhs::Expr(e) => $f(e),
+                }
+            }
+            Expr::Case {
+                operand,
+                arms,
+                else_expr,
+            } => {
+                if let Some(o) = operand {
+                    $f(o);
+                }
+                for (w, t) in arms {
+                    $f(w);
+                    $f(t);
+                }
+                if let Some(e) = else_expr {
+                    $f(e);
+                }
+            }
+            Expr::Call { args, .. } | Expr::ArrayCtor(args) | Expr::BagCtor(args) => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Expr::Window {
+                args,
+                partition_by,
+                order_by,
+                ..
+            } => {
+                for a in args.into_iter().chain(partition_by) {
+                    $f(a);
+                }
+                for OrderItem { expr, .. } in order_by {
+                    $f(expr);
+                }
+            }
+            Expr::TupleCtor(pairs) => {
+                for (n, v) in pairs {
+                    $f(n);
+                    $f(v);
+                }
+            }
+        }
+    };
+}
+
 impl Expr {
     /// A bare variable/identifier reference.
     pub fn var(name: impl Into<String>) -> Expr {
@@ -680,6 +773,19 @@ impl Expr {
             },
             _ => None,
         }
+    }
+
+    /// Calls `f` on each direct sub-expression, in source order: path
+    /// indexes, operands, IN-list items, the CASE operand, arms and ELSE,
+    /// call and window arguments, window partition and order keys.
+    /// Subqueries are leaves — they are their own scope.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        expr_children!(self, f)
+    }
+
+    /// [`Expr::for_each_child`], mutably.
+    pub fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Expr)) {
+        expr_children!(self, f, mut)
     }
 }
 

@@ -252,4 +252,15 @@ if grep -rnE 'pipeline_aggregates|try_fused_project|coll_agg_pipelined|SharedSca
 fi
 echo "one collection path and one scan OK"
 
+echo "== one child walker per tree gate =="
+# Lowering and every optimizer pass recurse through one child enumeration
+# per tree (`Expr::for_each_child*` in the AST, the `CoreOp`/`CoreFrom`/
+# `CoreExpr` walkers in `plan::core`). The hand-written full-tree walks
+# they replaced, which disagreed on what they reached, must not come back.
+if grep -rnE 'collect_expr_plans|collect_from_plans|expr_has_sql_aggregate|substitute_captured|op_refs|from_refs' crates tests examples; then
+  echo "a deleted hand-written tree walk is referenced again" >&2
+  exit 1
+fi
+echo "one walker per tree OK"
+
 echo "== ci green =="

@@ -527,7 +527,6 @@ fn chaos_spill_sites_fail_cleanly_and_leak_no_temp_files() {
             limits: sqlpp::Limits::none().with_memory_bytes(1_000),
             spill: Some(sqlpp::SpillConfig {
                 dir: Some(dir.clone()),
-                ..sqlpp::SpillConfig::default()
             }),
             fault: Some(FaultInjector::new(move |site| {
                 hook.should_fail(site.name())

@@ -1152,3 +1152,29 @@ fn explain_shows_the_left_filter_and_the_literal_plan_is_unchanged() {
          correlate\n        scan @emp as e\n        scan e.projects as p\n"
     );
 }
+
+/// An inner hash join over an empty build reads no row of a bare-scan
+/// probe side, on the binding stream (batch 1) as on the spine (batch
+/// 1024) — with an AT variable, which keeps the scan off the spine, too.
+#[test]
+fn an_empty_build_reads_no_probe_row_at_any_batch_size() {
+    let engine = Engine::new();
+    engine
+        .load_pnotation(
+            "u",
+            "[{'k': 1}, {'k': 2}, {'k': 3}, {'k': 4}, {'k': 5}, {'k': 6}, {'k': 7}, {'k': 8}]",
+        )
+        .unwrap();
+    engine.load_pnotation("w", "{{}}").unwrap();
+    for q in [
+        "SELECT VALUE [e.k, d.k] FROM u AS e, w AS d WHERE e.k = d.k",
+        "SELECT VALUE [e.k, d.k] FROM u AS e JOIN w AS d ON e.k = d.k",
+        "SELECT VALUE [e.k, d.k, i] FROM u AS e AT i, w AS d WHERE e.k = d.k",
+    ] {
+        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+            let at_one = scanned(&engine, q, typing, 1);
+            assert_eq!(at_one, (Ok(Value::Bag(Vec::new())), 0), "{typing:?}: {q}");
+            assert_eq!(scanned(&engine, q, typing, 1024), at_one, "{typing:?}: {q}");
+        }
+    }
+}

@@ -153,3 +153,27 @@ fn pure_sql_agrees_across_all_four_mode_combinations() {
     }
     assert!(results.windows(2).all(|w| w[0] == w[1]));
 }
+
+#[test]
+fn an_aggregate_argument_reads_captured_variables_inside_an_index() {
+    // `e.i` sits in a path's `[index]`: the aggregate's rewrite onto the
+    // group's members must reach it as well as `e.arr`.
+    for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+        let engine = Engine::new().with_config(SessionConfig {
+            typing,
+            ..SessionConfig::default()
+        });
+        let r = engine
+            .query(
+                "SELECT k, SUM(e.arr[e.i]) AS s \
+                 FROM [{'k': 1, 'arr': [10, 20], 'i': 1}, {'k': 1, 'arr': [5, 6], 'i': 0}] AS e \
+                 GROUP BY e.k AS k",
+            )
+            .unwrap_or_else(|e| panic!("{typing:?}: {e}"));
+        assert_eq!(
+            r.canonical().to_string(),
+            "{{{'k': 1, 's': 25}}}",
+            "{typing:?}"
+        );
+    }
+}

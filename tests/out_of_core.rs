@@ -15,8 +15,9 @@
 //!   padding, as the row engine and batched — keeps the answer identical
 //!   while peak tracked bytes stay within budget;
 //! * a spilled join evaluates each side exactly once;
-//! * one hot key bigger than the budget is refused after `max_recursion`
-//!   re-partitioning levels, for GROUP BY and the join build alike;
+//! * one hot key bigger than the budget is refused after
+//!   `SpillConfig::MAX_RECURSION` re-partitioning levels, for GROUP BY and
+//!   the join build alike;
 //! * successful spills reclaim every temp file;
 //! * a folded GROUP BY (SQL aggregates only) holds one state per group:
 //!   its peak tracked bytes stay flat from 1 000 to 100 000 input rows,
@@ -309,11 +310,11 @@ fn budget_sweep_straddles_partition_boundaries() {
 /// bigger than the whole budget is irreducible — hashing the same key
 /// again never separates its rows. That must surface as the honest
 /// budget refusal, not a hang or a silent overshoot: after exactly
-/// `max_recursion` re-partitioning levels, for GROUP BY and the join build
-/// alike, with every temp file reclaimed and the evaluator reusable. The
-/// GROUP BY shapes read their GROUP AS bag, so every group materializes;
-/// the same keys under `COUNT(*)` fold to one small state per group and
-/// answer within the same budget.
+/// `SpillConfig::MAX_RECURSION` re-partitioning levels, for GROUP BY and
+/// the join build alike, with every temp file reclaimed and the evaluator
+/// reusable. The GROUP BY shapes read their GROUP AS bag, so every group
+/// materializes; the same keys under `COUNT(*)` fold to one small state
+/// per group and answer within the same budget.
 #[test]
 fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
     let engine = fixture(400);
@@ -344,9 +345,8 @@ fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
     std::fs::create_dir_all(&dir).unwrap();
     let spill = SpillConfig {
         dir: Some(dir.clone()),
-        ..SpillConfig::default()
     };
-    let levels = u64::from(spill.max_recursion) + 1;
+    let levels = u64::from(SpillConfig::MAX_RECURSION) + 1;
     let next = engine
         .prepare("SELECT VALUE b.id FROM big AS b WHERE b.id < 3")
         .unwrap();
@@ -357,12 +357,12 @@ fn a_single_key_larger_than_the_budget_is_an_honest_refusal() {
         (
             "SELECT z AS z, (SELECT VALUE x.b.id FROM grp AS x) AS ids \
              FROM big AS b GROUP BY b.id - b.id AS z GROUP AS grp",
-            spill.partitions as u64,
+            SpillConfig::PARTITIONS as u64,
         ),
         (
             "SELECT a.id AS l, b.id AS r FROM big AS a JOIN big AS b \
              ON a.id - a.id = b.id - b.id",
-            2 * spill.partitions as u64,
+            2 * SpillConfig::PARTITIONS as u64,
         ),
     ] {
         let skewed = engine.prepare(q).unwrap();
@@ -400,7 +400,6 @@ fn successful_spills_leave_no_temp_files() {
         limits: Limits::none().with_memory_bytes(2_000),
         spill: Some(SpillConfig {
             dir: Some(dir.clone()),
-            ..SpillConfig::default()
         }),
         ..SessionConfig::default()
     });
