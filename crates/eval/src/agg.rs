@@ -10,7 +10,7 @@
 //! are Int/Decimal and widen to float only when a float appears.
 
 use sqlpp_plan::AggFunc;
-use sqlpp_value::cmp::{deep_eq, total_cmp};
+use sqlpp_value::cmp::total_cmp;
 use sqlpp_value::{Decimal, Value, ValueKind};
 
 use crate::arith::{num_binop, NumOp};
@@ -30,18 +30,6 @@ pub enum AggError {
     Arithmetic(String),
     /// Computing an element raised an error (see [`Accumulator::raise`]).
     Raised(EvalError),
-}
-
-/// Removes structural duplicates (for `DISTINCT` aggregates), preserving
-/// first occurrences.
-pub fn distinct_elements(items: &[Value]) -> Vec<Value> {
-    let mut out: Vec<Value> = Vec::with_capacity(items.len());
-    for item in items {
-        if !out.iter().any(|seen| deep_eq(seen, item)) {
-            out.push(item.clone());
-        }
-    }
-    out
 }
 
 /// Applies a composable aggregate to the elements of a collection.
@@ -513,13 +501,6 @@ mod tests {
             apply(AggFunc::Some, &[f.clone(), f]),
             Ok(Value::Bool(false))
         );
-    }
-
-    #[test]
-    fn distinct_elements_dedupe_structurally() {
-        let items = vec![Value::Int(1), Value::Float(1.0), Value::Int(2)];
-        // 1 and 1.0 are structurally equal numbers.
-        assert_eq!(distinct_elements(&items).len(), 2);
     }
 
     #[test]

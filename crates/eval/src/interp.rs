@@ -174,7 +174,7 @@ impl<'a> Evaluator<'a> {
         match self.config.typing {
             TypingMode::Permissive => {
                 if let Some(st) = &self.stats {
-                    st.add_missing_propagation();
+                    st.count(|s| s.missing_propagations += 1);
                 }
                 Ok(Value::Missing)
             }
@@ -213,13 +213,17 @@ impl<'a> Evaluator<'a> {
         };
         let start = Instant::now();
         let result = self.value_op_inner(op, env);
-        let elapsed = start.elapsed();
+        let ns = start.elapsed().as_nanos() as u64;
         let rows = match &result {
             Ok(Value::Bag(items)) | Ok(Value::Array(items)) => items.len() as u64,
             Ok(_) => 1,
             Err(_) => 0,
         };
-        st.record_op(st.key_for(op), rows, elapsed);
+        st.op(st.key_for(op), |o| {
+            o.calls += 1;
+            o.rows_out += rows;
+            o.ns += ns;
+        });
         result
     }
 
@@ -349,7 +353,7 @@ impl<'a> Evaluator<'a> {
     /// `EXPLAIN ANALYZE` `spilled` tag).
     fn mark_spilled(&self, whole: &CoreOp) {
         if let Some(st) = &self.stats {
-            st.record_op_spilled(st.key_for(whole));
+            st.op(st.key_for(whole), |o| o.spilled = true);
         }
     }
 
@@ -826,7 +830,7 @@ impl<'a> Evaluator<'a> {
             groups.push((key_vals, states));
         }
         if let Some(st) = &self.stats {
-            st.add_groups_built(groups.len() as u64);
+            st.count(|s| s.groups_built += groups.len() as u64);
         }
         let mut out = Vec::with_capacity(groups.len());
         for (key_vals, states) in groups {
@@ -910,7 +914,7 @@ impl<'a> Evaluator<'a> {
         }
         if let Some(st) = &self.stats {
             // Window partitions are groups in the §V-B sense.
-            st.add_groups_built(partitions.len() as u64);
+            st.count(|s| s.groups_built += partitions.len() as u64);
         }
         let mut computed: Vec<Value> = vec![Value::Null; rows.len()];
         for partition in &partitions {
@@ -1331,7 +1335,7 @@ impl<'a> Evaluator<'a> {
             |table: JoinTable, _held, probes: Option<&mut KeyedSource<'_, Value>>| {
                 let probes = probes.expect("a join partition has its probe run");
                 if let Some(st) = &self.stats {
-                    st.add_join_build_rows(table.rows.len() as u64);
+                    st.count(|s| s.join_build_rows += table.rows.len() as u64);
                 }
                 while let Some((kv, payload)) = probes()? {
                     let l = decode_env(payload, env)?;
@@ -1363,7 +1367,7 @@ impl<'a> Evaluator<'a> {
             return Ok(from_vec(pads));
         };
         if let Some(st) = &self.stats {
-            st.add_join_build_rows(table.rows.len() as u64);
+            st.count(|s| s.join_build_rows += table.rows.len() as u64);
         }
         Ok(Box::new(HashProbe {
             ev: self,
@@ -1498,7 +1502,7 @@ impl<'a> Evaluator<'a> {
         let env = env.clone();
         boxed(tuple.into_iter().map(move |(name, value)| {
             if let Some(st) = &self.stats {
-                st.add_rows_scanned(1);
+                st.count(|s| s.rows_scanned += 1);
             }
             Ok(env
                 .bind(value_var.clone(), value)
@@ -1726,7 +1730,7 @@ impl<'a> Evaluator<'a> {
         }
         let p = Rc::new(bytecode::compile(e));
         if let Some(st) = &self.stats {
-            st.add_expr_compiled();
+            st.count(|s| s.exprs_compiled += 1);
         }
         self.programs.borrow_mut().insert(key, Rc::clone(&p));
         p
@@ -2059,7 +2063,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Instr::CollAgg { func, distinct } => {
                     let v = stack.pop().expect("stack");
-                    stack.push(self.coll_agg(func, distinct, &v)?);
+                    stack.push(self.coll_agg(func, distinct, v)?);
                 }
                 Instr::CollAggStream { func, plan } => {
                     let mut acc = agg::Accumulator::new(func);
@@ -2108,7 +2112,7 @@ impl<'a> Evaluator<'a> {
     /// (correlated subqueries).
     fn run_in(&self, q: &'a CoreQuery, env: &Env) -> Result<Value, EvalError> {
         if let Some(st) = &self.stats {
-            st.add_subquery_invocation();
+            st.count(|s| s.subquery_invocations += 1);
         }
         self.value_op(&q.op, env)
     }
@@ -2117,7 +2121,7 @@ impl<'a> Evaluator<'a> {
     /// the entry `EXISTS`, `IN`, the scalar probe and `COLL_*` share.
     fn subquery_stream<'s>(&'s self, q: &'a CoreQuery, env: &Env) -> ValueStream<'s> {
         if let Some(st) = &self.stats {
-            st.add_subquery_invocation();
+            st.count(|s| s.subquery_invocations += 1);
         }
         self.element_stream(&q.op, env)
     }
@@ -2417,29 +2421,29 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// `COLL_*` over an evaluated collection value.
-    fn coll_agg(&self, func: AggFunc, distinct: bool, v: &Value) -> Result<Value, EvalError> {
-        if v.is_null() {
-            return Ok(Value::Null);
-        }
-        if v.is_missing() {
-            return Ok(Value::Missing);
-        }
-        let Some(items) = v.as_elements() else {
-            return self.type_err(|| {
-                format!(
-                    "{} requires a collection, found {}",
-                    func.coll_name(),
-                    v.kind().name()
-                )
-            });
+    /// `COLL_*` over an evaluated collection value. `DISTINCT` goes
+    /// through the DISTINCT table ([`dedupe`]), which keeps first
+    /// occurrences, so MIN/MAX ties resolve as without it.
+    fn coll_agg(&self, func: AggFunc, distinct: bool, v: Value) -> Result<Value, EvalError> {
+        let items = match v {
+            Value::Null | Value::Missing => return Ok(v),
+            Value::Bag(items) | Value::Array(items) => items,
+            other => {
+                return self.type_err(|| {
+                    format!(
+                        "{} requires a collection, found {}",
+                        func.coll_name(),
+                        other.kind().name()
+                    )
+                })
+            }
         };
-        let applied = if distinct {
-            agg::apply(func, &agg::distinct_elements(items))
+        let items = if distinct {
+            dedupe(items, self.stats.as_ref())
         } else {
-            agg::apply(func, items)
+            items
         };
-        applied.or_else(|e| self.agg_err(e))
+        agg::apply(func, &items).or_else(|e| self.agg_err(e))
     }
 
     fn agg_err(&self, e: agg::AggError) -> Result<Value, EvalError> {
@@ -2605,7 +2609,7 @@ fn dedupe(items: Vec<Value>, stats: Option<&StatsCollector>) -> Vec<Value> {
         let mut dup = false;
         for &i in bucket.iter() {
             if let Some(st) = stats {
-                st.add_dedupe_probes(1);
+                st.count(|s| s.dedupe_probes += 1);
             }
             if deep_eq(&out[i], &item) {
                 dup = true;
@@ -2726,11 +2730,11 @@ impl<'s> SpineStats<'s> {
     /// for fused, and makes the stats of the latter — `None` when it
     /// stands in for none.
     fn new(st: &'s StatsCollector, parts: &SpineParts<'_>) -> Option<Self> {
-        st.record_op_fused(st.key_for(parts.consumer));
+        st.op(st.key_for(parts.consumer), |o| o.fused = true);
         let mut ops = Vec::new();
         let mut op = parts.input?;
         loop {
-            st.record_op_fused(st.key_for(op));
+            st.op(st.key_for(op), |o| o.fused = true);
             // The `From`'s rows are bindings, bound or borrowed.
             let is_from = matches!(op, CoreOp::From { .. });
             ops.push(Instrumented::new((), st, op, is_from, Instant::now()));
@@ -2887,7 +2891,7 @@ impl FusedScan<'_, '_> {
         self.ev.vm_stack.set(stack);
         let scanned = (self.idx - start) as u64;
         if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(scanned);
+            st.count(|s| s.rows_scanned += scanned);
         }
         if let (Some(observed), Some(t)) = (&mut self.observed, timer) {
             observed.pulled(scanned, t.elapsed().as_nanos() as u64);
@@ -3005,7 +3009,7 @@ impl Stream<Env> for FusedScan<'_, '_> {
         if self.bag_at_error && max > 0 && self.idx < len {
             self.idx = len;
             if let Some(st) = &self.ev.stats {
-                st.add_rows_scanned(1);
+                st.count(|s| s.rows_scanned += 1);
             }
             return Err(EvalError::Type(
                 "AT position variable over an unordered bag".to_string(),
@@ -3288,7 +3292,7 @@ impl JoinTable {
                 g.tick()?;
             }
             if let Some(st) = &ev.stats {
-                st.add_join_probes(1);
+                st.count(|s| s.join_probes += 1);
             }
             let (renv, rkv) = &self.rows[i];
             if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
@@ -3416,7 +3420,7 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
                     Some(l) => {
                         if std::mem::replace(&mut self.scanned, true) {
                             if let Some(st) = &self.ev.stats {
-                                st.add_right_rescans(1);
+                                st.count(|s| s.right_rescans += 1);
                             }
                         }
                         let rights = self.ev.from_stream(self.right, self.whole, &l);
@@ -3439,7 +3443,7 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
             }
             for r in self.buf.drain(..) {
                 if let Some(st) = &self.ev.stats {
-                    st.add_join_probes(1);
+                    st.count(|s| s.join_probes += 1);
                 }
                 if self.test.passes(self.ev, &r)? {
                     *matched = true;
@@ -3860,7 +3864,7 @@ impl<'s> RightMultiset<'s> {
             let i = bucket[pos];
             let candidate = self.pool[i].as_ref().expect("taken slots leave the bucket");
             if let Some(st) = self.stats {
-                st.add_setop_probes(1);
+                st.count(|s| s.setop_probes += 1);
             }
             if deep_eq(candidate, v) {
                 self.pool[i] = None;
@@ -3989,6 +3993,13 @@ mod tests {
             probes <= 2 * n as u64,
             "expected O(n) probes, got {probes} for n = {n}"
         );
+    }
+
+    #[test]
+    fn dedupe_keeps_first_occurrences_structurally() {
+        // 1 and 1.0 are structurally equal numbers; the first one stays.
+        let items = vec![Value::Int(1), Value::Float(1.0), Value::Int(2)];
+        assert_eq!(dedupe(items, None), vec![Value::Int(1), Value::Int(2)]);
     }
 
     #[test]
@@ -4138,6 +4149,18 @@ mod tests {
         // DISTINCT materialized all three projected rows.
         assert_eq!(project.peak_rows, 3);
         assert_eq!(stats.peak_live_bindings, 3);
+        // COUNT(DISTINCT …) dedupes through the same table.
+        let count = CoreExpr::CollAgg {
+            func: AggFunc::Count,
+            distinct: true,
+            input: Box::new(CoreExpr::Const(Value::Bag(vec![
+                Value::Int(2),
+                Value::Int(2),
+                Value::Int(3),
+            ]))),
+        };
+        assert_eq!(ev.expr(&count, &Env::new()), Ok(Value::Int(2)));
+        assert_eq!(ev.stats_snapshot().unwrap().dedupe_probes, 2);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use govern::{CancelToken, FaultInjector, FaultSite, Limits, ResourceGovernor
 pub use interp::{EvalConfig, Evaluator};
 pub use like::like_match;
 pub use spill::SpillConfig;
-pub use stats::{ExecStats, OpStats, StatsCollector};
+pub use stats::{ExecStats, OpStats};
 pub use stream::DEFAULT_BATCH_SIZE;

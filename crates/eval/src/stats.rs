@@ -8,18 +8,21 @@
 //!
 //! Collection is gated by [`crate::EvalConfig::collect_stats`] and costs
 //! nothing when off: the evaluator holds an `Option<StatsCollector>` and
-//! every counter update sits behind that single discriminant check.
+//! every counter update sits behind that single discriminant check. The
+//! collector counts straight into the `ExecStats` it hands back — one
+//! updater for the engine-wide counters (`count`), one for an operator's
+//! [`OpStats`] (`op`) — so a counter is an `ExecStats` field, its
+//! [`ExecStats::counters`] entry and its call sites, and nothing more.
 //! Per-operator entries are keyed by the operator's *pre-order plan index*
 //! (its position in [`sqlpp_plan::CoreQuery::preorder_ops`]), which is
 //! stable across plan clones and optimizer rewrites — unlike node
 //! addresses, which alias after drops. The evaluator registers the plan it
-//! is about to run ([`StatsCollector::register_plan`]); any operator
-//! evaluated outside a registered plan (direct `value_op` calls in tests)
-//! gets a fresh index past the registered range.
+//! is about to run; any operator evaluated outside a registered plan
+//! (direct `value_op` calls in tests) gets a fresh index past the
+//! registered range.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::time::Duration;
 
 use sqlpp_plan::{CoreOp, CoreQuery};
 
@@ -68,7 +71,8 @@ pub struct ExecStats {
     pub bindings_produced: u64,
     /// Groups materialized by GROUP BY (and window partitions).
     pub groups_built: u64,
-    /// `deep_eq` confirmations performed by DISTINCT/UNION dedup.
+    /// `deep_eq` confirmations performed by dedup: DISTINCT, UNION and
+    /// DISTINCT aggregates (`COUNT(DISTINCT …)`, `COLL_*` with DISTINCT).
     pub dedupe_probes: u64,
     /// `deep_eq` confirmations performed by INTERSECT/EXCEPT matching.
     pub setop_probes: u64,
@@ -217,25 +221,20 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The evaluator-side accumulator. Interior-mutable (`Cell`/`RefCell`)
-/// because the interpreter threads `&self`; single-threaded by
-/// construction (the evaluator is not `Sync`).
+/// The evaluator-side accumulator: the run's [`ExecStats`], counted in
+/// place, beside the working state only the collector needs (the live
+/// row gauge and the operator index). Interior-mutable because the interpreter threads
+/// `&self`; single-threaded by construction (the evaluator is not
+/// `Sync`).
 #[derive(Debug, Default)]
-pub struct StatsCollector {
-    rows_scanned: Cell<u64>,
-    bindings_produced: Cell<u64>,
-    groups_built: Cell<u64>,
-    dedupe_probes: Cell<u64>,
-    setop_probes: Cell<u64>,
-    missing_propagations: Cell<u64>,
-    subquery_invocations: Cell<u64>,
-    join_probes: Cell<u64>,
-    join_build_rows: Cell<u64>,
-    right_rescans: Cell<u64>,
-    /// Rows currently held live across all tracked buffers.
+pub(crate) struct StatsCollector {
+    /// The counters [`StatsCollector::snapshot`] hands back. Phase times
+    /// stay zero (the engine fills them), and so do the governor's
+    /// counters (the evaluator merges them in).
+    stats: RefCell<ExecStats>,
+    /// Rows currently held live across all tracked buffers, whose
+    /// high-water mark is `peak_live_bindings`.
     live_bindings: Cell<u64>,
-    /// High-water mark of `live_bindings`.
-    peak_live_bindings: Cell<u64>,
     /// Node address → pre-order plan index, filled by [`register_plan`]
     /// (plus overflow entries for unregistered nodes). The address is
     /// only ever used as a lookup handle while the plan is alive; the
@@ -243,10 +242,6 @@ pub struct StatsCollector {
     ///
     /// [`register_plan`]: StatsCollector::register_plan
     op_index: RefCell<HashMap<usize, u32>>,
-    next_op_index: Cell<u32>,
-    ops: RefCell<HashMap<u32, OpStats>>,
-    batches_produced: Cell<u64>,
-    exprs_compiled: Cell<u64>,
 }
 
 impl StatsCollector {
@@ -254,171 +249,47 @@ impl StatsCollector {
     /// the evaluator once per top-level run, before any operator
     /// executes, so recorded keys match what
     /// [`CoreQuery::preorder_ops`] enumerates.
-    pub fn register_plan(&self, plan: &CoreQuery) {
-        let mut map = self.op_index.borrow_mut();
+    pub(crate) fn register_plan(&self, plan: &CoreQuery) {
         for op in plan.preorder_ops() {
-            let next = map.len() as u32;
-            map.entry(std::ptr::from_ref(op) as usize).or_insert(next);
+            self.key_for(op);
         }
-        self.next_op_index.set(map.len() as u32);
     }
 
     /// The stats key for an operator node: its registered pre-order
     /// index, or a fresh index past the registered range when the node
     /// was never registered (operators run outside a `CoreQuery`).
-    pub fn key_for(&self, op: &CoreOp) -> u32 {
-        let ptr = std::ptr::from_ref(op) as usize;
-        if let Some(&i) = self.op_index.borrow().get(&ptr) {
-            return i;
-        }
-        let i = self.next_op_index.get();
-        self.next_op_index.set(i + 1);
-        self.op_index.borrow_mut().insert(ptr, i);
-        i
+    pub(crate) fn key_for(&self, op: &CoreOp) -> u32 {
+        let mut map = self.op_index.borrow_mut();
+        let next = map.len() as u32;
+        *map.entry(std::ptr::from_ref(op) as usize).or_insert(next)
     }
 
-    /// Records one operator evaluation: `rows` emitted over `elapsed`.
-    pub fn record_op(&self, key: u32, rows: u64, elapsed: Duration) {
-        let mut ops = self.ops.borrow_mut();
-        let e = ops.entry(key).or_default();
-        e.calls += 1;
-        e.rows_out += rows;
-        e.ns += elapsed.as_nanos() as u64;
+    /// Updates the engine-wide counters.
+    pub(crate) fn count(&self, update: impl FnOnce(&mut ExecStats)) {
+        update(&mut self.stats.borrow_mut());
     }
 
-    /// Counts `batches` non-empty batched pulls emitted by an operator.
-    pub fn record_op_batches(&self, key: u32, batches: u64) {
-        let mut ops = self.ops.borrow_mut();
-        let e = ops.entry(key).or_default();
-        e.batches += batches;
-    }
-
-    /// Marks an operator as having spilled part of its working set to
-    /// disk (sticky for the run).
-    pub fn record_op_spilled(&self, key: u32) {
-        let mut ops = self.ops.borrow_mut();
-        let e = ops.entry(key).or_default();
-        e.spilled = true;
-    }
-
-    /// Marks an operator as run on the fused scan spine (sticky for the
-    /// run).
-    pub fn record_op_fused(&self, key: u32) {
-        let mut ops = self.ops.borrow_mut();
-        ops.entry(key).or_default().fused = true;
-    }
-
-    /// Raises an operator's materialization high-water mark to at least
-    /// `rows`.
-    pub fn record_peak_rows(&self, key: u32, rows: u64) {
-        let mut ops = self.ops.borrow_mut();
-        let e = ops.entry(key).or_default();
-        e.peak_rows = e.peak_rows.max(rows);
+    /// Updates the counters of the operator keyed `key`.
+    pub(crate) fn op(&self, key: u32, update: impl FnOnce(&mut OpStats)) {
+        update(self.stats.borrow_mut().ops.entry(key).or_default());
     }
 
     /// Counts `n` rows entering a tracked materialization buffer.
-    pub fn buffer_grow(&self, n: u64) {
+    pub(crate) fn buffer_grow(&self, n: u64) {
         let live = self.live_bindings.get() + n;
         self.live_bindings.set(live);
-        if live > self.peak_live_bindings.get() {
-            self.peak_live_bindings.set(live);
-        }
+        self.count(|s| s.peak_live_bindings = s.peak_live_bindings.max(live));
     }
 
     /// Counts `n` rows leaving a tracked materialization buffer.
-    pub fn buffer_shrink(&self, n: u64) {
+    pub(crate) fn buffer_shrink(&self, n: u64) {
         self.live_bindings
             .set(self.live_bindings.get().saturating_sub(n));
     }
 
-    /// Counts elements iterated by a FROM scan.
-    pub fn add_rows_scanned(&self, n: u64) {
-        self.rows_scanned.set(self.rows_scanned.get() + n);
-    }
-
-    /// Counts bindings emitted by FROM operators.
-    pub fn add_bindings_produced(&self, n: u64) {
-        self.bindings_produced.set(self.bindings_produced.get() + n);
-    }
-
-    /// Counts groups (or window partitions) materialized.
-    pub fn add_groups_built(&self, n: u64) {
-        self.groups_built.set(self.groups_built.get() + n);
-    }
-
-    /// Counts one dedup `deep_eq` confirmation.
-    pub fn add_dedupe_probes(&self, n: u64) {
-        self.dedupe_probes.set(self.dedupe_probes.get() + n);
-    }
-
-    /// Counts one set-op `deep_eq` confirmation.
-    pub fn add_setop_probes(&self, n: u64) {
-        self.setop_probes.set(self.setop_probes.get() + n);
-    }
-
-    /// Counts a type error absorbed as MISSING (permissive mode).
-    pub fn add_missing_propagation(&self) {
-        self.missing_propagations
-            .set(self.missing_propagations.get() + 1);
-    }
-
-    /// Counts a nested-plan execution.
-    pub fn add_subquery_invocation(&self) {
-        self.subquery_invocations
-            .set(self.subquery_invocations.get() + 1);
-    }
-
-    /// Counts join probe work (ON evaluations / hash candidate checks).
-    pub fn add_join_probes(&self, n: u64) {
-        self.join_probes.set(self.join_probes.get() + n);
-    }
-
-    /// Counts rows inserted into a hash-join build table.
-    pub fn add_join_build_rows(&self, n: u64) {
-        self.join_build_rows.set(self.join_build_rows.get() + n);
-    }
-
-    /// Counts a re-evaluation of a join's right side.
-    pub fn add_right_rescans(&self, n: u64) {
-        self.right_rescans.set(self.right_rescans.get() + n);
-    }
-
-    /// Counts non-empty batches emitted through the batch pull protocol.
-    pub fn add_batches_produced(&self, n: u64) {
-        self.batches_produced.set(self.batches_produced.get() + n);
-    }
-
-    /// Counts an expression compiled to bytecode.
-    pub fn add_expr_compiled(&self) {
-        self.exprs_compiled.set(self.exprs_compiled.get() + 1);
-    }
-
-    /// Snapshots the counters into an [`ExecStats`] (phase times zeroed —
-    /// the engine fills those).
-    pub fn snapshot(&self) -> ExecStats {
-        ExecStats {
-            parse_ns: 0,
-            lower_ns: 0,
-            optimize_ns: 0,
-            eval_ns: 0,
-            rows_scanned: self.rows_scanned.get(),
-            bindings_produced: self.bindings_produced.get(),
-            groups_built: self.groups_built.get(),
-            dedupe_probes: self.dedupe_probes.get(),
-            setop_probes: self.setop_probes.get(),
-            missing_propagations: self.missing_propagations.get(),
-            subquery_invocations: self.subquery_invocations.get(),
-            join_probes: self.join_probes.get(),
-            join_build_rows: self.join_build_rows.get(),
-            right_rescans: self.right_rescans.get(),
-            peak_live_bindings: self.peak_live_bindings.get(),
-            batches_produced: self.batches_produced.get(),
-            exprs_compiled: self.exprs_compiled.get(),
-            ops: self.ops.borrow().clone(),
-            // Governor counters are filled by the evaluator (the governor
-            // owns them so budgets work with stats collection off).
-            ..ExecStats::default()
-        }
+    /// The counters so far.
+    pub(crate) fn snapshot(&self) -> ExecStats {
+        self.stats.borrow().clone()
     }
 }
 
@@ -429,12 +300,17 @@ mod tests {
     #[test]
     fn collector_accumulates_and_snapshots() {
         let c = StatsCollector::default();
-        c.add_rows_scanned(10);
-        c.add_rows_scanned(5);
-        c.add_dedupe_probes(3);
-        c.add_missing_propagation();
-        c.record_op(42, 7, Duration::from_nanos(100));
-        c.record_op(42, 7, Duration::from_nanos(50));
+        c.count(|s| s.rows_scanned += 10);
+        c.count(|s| s.rows_scanned += 5);
+        c.count(|s| s.dedupe_probes += 3);
+        c.count(|s| s.missing_propagations += 1);
+        for ns in [100, 50] {
+            c.op(42, |o| {
+                o.calls += 1;
+                o.rows_out += 7;
+                o.ns += ns;
+            });
+        }
         let s = c.snapshot();
         assert_eq!(s.rows_scanned, 15);
         assert_eq!(s.dedupe_probes, 3);
@@ -446,7 +322,7 @@ mod tests {
     #[test]
     fn summary_lists_every_counter() {
         let c = StatsCollector::default();
-        c.add_setop_probes(9);
+        c.count(|s| s.setop_probes += 9);
         let s = c.snapshot();
         let text = s.render_summary();
         assert!(text.contains("setop_probes=9"));
@@ -458,7 +334,7 @@ mod tests {
 
     #[test]
     fn budget_line_renders_only_when_limits_are_set() {
-        let mut s = StatsCollector::default().snapshot();
+        let mut s = ExecStats::default();
         assert!(!s.render_summary().contains("budget:"));
         s.mem_bytes_budget = Some(1000);
         s.peak_budget_bytes = 400;
@@ -476,7 +352,7 @@ mod tests {
 
     #[test]
     fn spill_line_renders_only_when_spilling_happened() {
-        let mut s = StatsCollector::default().snapshot();
+        let mut s = ExecStats::default();
         assert!(!s.render_summary().contains("spill:"));
         s.spill_partitions = 4;
         s.spill_bytes_written = 2048;
@@ -496,11 +372,16 @@ mod tests {
         c.buffer_grow(4);
         c.buffer_grow(3);
         c.buffer_shrink(7);
-        let s = c.snapshot();
-        assert_eq!(s.peak_live_bindings, 10);
-        c.record_peak_rows(0, 4);
-        c.record_peak_rows(0, 2); // lower water never shrinks the peak
-        assert_eq!(c.snapshot().op_at(0).unwrap().peak_rows, 4);
+        assert_eq!(c.snapshot().peak_live_bindings, 10);
+        // An operator's peak is a high-water mark too: rows released and
+        // fewer admitted again never lower it.
+        let op = CoreOp::Single;
+        let mut gauge = crate::stream::MatGauge::new(Some(&c), None, Some(&op));
+        gauge.add(4, 0).unwrap();
+        gauge.remove(2, 0);
+        gauge.add(1, 0).unwrap();
+        drop(gauge);
+        assert_eq!(c.snapshot().op_at(c.key_for(&op)).unwrap().peak_rows, 4);
     }
 
     #[test]

@@ -388,7 +388,7 @@ impl<'s, I> Instrumented<'s, I> {
         self.rows += rows;
         if rows > 0 {
             self.batches += 1;
-            self.stats.add_batches_produced(1);
+            self.stats.count(|s| s.batches_produced += 1);
         }
     }
 }
@@ -408,16 +408,14 @@ where
 
 impl<'s, I> Drop for Instrumented<'s, I> {
     fn drop(&mut self) {
-        self.stats.record_op(
-            self.key,
-            self.rows,
-            std::time::Duration::from_nanos(self.ns),
-        );
-        if self.batches > 0 {
-            self.stats.record_op_batches(self.key, self.batches);
-        }
+        self.stats.op(self.key, |o| {
+            o.calls += 1;
+            o.rows_out += self.rows;
+            o.ns += self.ns;
+            o.batches += self.batches;
+        });
         if self.count_bindings {
-            self.stats.add_bindings_produced(self.rows);
+            self.stats.count(|s| s.bindings_produced += self.rows);
         }
     }
 }
@@ -479,7 +477,7 @@ impl<'s> MatGauge<'s> {
             self.rows += rows;
             st.buffer_grow(rows);
             if let Some(k) = self.key {
-                st.record_peak_rows(k, self.rows);
+                st.op(k, |o| o.peak_rows = o.peak_rows.max(self.rows));
             }
         }
         Ok(())

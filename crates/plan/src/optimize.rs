@@ -26,26 +26,18 @@ use crate::core::{
     AggFunc, Coercion, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, GroupFold,
 };
 
-/// Applies all passes: the rewriting passes until a fixpoint (bounded),
-/// then aggregate folding once over the whole tree, so its fold
-/// variables are numbered uniquely per plan.
+/// Applies every pass once, in order: constant folding, filter merging
+/// and top-k fusion (`fold_op`); join extraction and pushdown
+/// (`extract_joins_op`); then aggregate folding over the whole tree, so
+/// its fold variables are numbered uniquely per plan. No pass leaves work
+/// for an earlier one, so a second round would change nothing
+/// (`tests/paper_listings.rs` and `tests/pushdown.rs` check that
+/// optimizing an optimized plan is the identity).
 pub fn optimize(mut q: CoreQuery) -> CoreQuery {
-    simplify(&mut q.op);
+    fold_op(&mut q.op);
+    extract_joins_op(&mut q.op);
     fold_aggregates(&mut q.op, &mut 0);
     q
-}
-
-/// The rewriting passes until a fixpoint (bounded). Fixpoint detection
-/// is structural (`PartialEq` on the plan tree), not textual.
-fn simplify(op: &mut CoreOp) {
-    for _ in 0..4 {
-        let before = op.clone();
-        fold_op(op);
-        extract_joins_op(op);
-        if *op == before {
-            break;
-        }
-    }
 }
 
 /// Constant folding, filter merging and ORDER BY + LIMIT fusion, bottom

@@ -263,4 +263,16 @@ if grep -rnE 'collect_expr_plans|collect_from_plans|expr_has_sql_aggregate|subst
 fi
 echo "one walker per tree OK"
 
+echo "== one counter record gate =="
+# The evaluator counts straight into `ExecStats`, so a counter is an
+# `ExecStats` field, its `counters()` entry and its call sites. The
+# collector's per-counter mirror (a method per counter and per operator
+# field) and the quadratic DISTINCT-aggregate scan beside the DISTINCT
+# table must not come back.
+if grep -rnE 'distinct_elements|next_op_index|record_op_batches|record_peak_rows|add_rows_scanned|add_dedupe_probes' crates tests examples; then
+  echo "a deleted stats mirror or DISTINCT scan is referenced again" >&2
+  exit 1
+fi
+echo "one counter record OK"
+
 echo "== ci green =="

@@ -2,7 +2,7 @@
 //! corpus, run in both modes, must pass completely. (The kit is also a
 //! library; this test locks the workspace build to a green kit.)
 
-use sqlpp::{CompatMode, TypingMode};
+use sqlpp::{CompatMode, SessionConfig, TypingMode};
 use sqlpp_compat_kit::{corpus, fixture_engine, run_all, Check};
 
 #[test]
@@ -67,6 +67,39 @@ fn every_corpus_query_runs_without_expression_fallback() {
             };
             let stats = run.stats().expect("stats collection was on");
             assert_eq!(stats.exprs_fallback, 0, "case {} [{mode:?}]", case.id);
+            checked += 1;
+        }
+    }
+    assert!(checked >= 60, "only {checked} corpus queries were checked");
+}
+
+/// The optimizer runs each pass once: optimizing an optimized plan must
+/// change nothing. Plans compare by their Debug text, which (unlike
+/// `PartialEq`) sees a NaN constant as equal to itself.
+#[test]
+fn optimizing_a_corpus_plan_twice_changes_nothing() {
+    let mut checked = 0;
+    for mode in [CompatMode::SqlCompat, CompatMode::Composable] {
+        let engine = fixture_engine(mode, TypingMode::Permissive).with_config(SessionConfig {
+            compat: mode,
+            optimize: false,
+            ..SessionConfig::default()
+        });
+        for case in corpus() {
+            for (name, text) in case.setup {
+                engine.load_pnotation(name, text).unwrap();
+            }
+            let Ok(prepared) = engine.prepare(case.query) else {
+                continue;
+            };
+            let once = sqlpp_plan::optimize(prepared.plan().clone());
+            let twice = sqlpp_plan::optimize(once.clone());
+            assert_eq!(
+                format!("{twice:?}"),
+                format!("{once:?}"),
+                "case {} [{mode:?}]",
+                case.id
+            );
             checked += 1;
         }
     }

@@ -13,7 +13,9 @@
 //! * pinned cases a naive pushdown breaks: a parameter that is never
 //!   supplied, a strict-mode scan of a non-collection on a row the WHERE
 //!   rejects, and a subquery whose unqualified name is ambiguous only
-//!   once the right side is bound.
+//!   once the right side is bound;
+//! * optimizing a generated query's optimized plan again changes
+//!   nothing: the optimizer runs each pass once.
 //!
 //! `tests/engine_api.rs` pins the pushdown's scan counter and its EXPLAIN.
 
@@ -279,6 +281,19 @@ sqlpp_prop! {
                 }
             }
         }
+    }
+}
+
+sqlpp_prop! {
+    #![config(cases = prop::cases(600))]
+
+    /// The optimizer runs each pass once: optimizing an optimized plan
+    /// changes nothing (Debug text compares NaN constants as equal).
+    fn optimizing_a_generated_plan_twice_changes_nothing(q in queries()) {
+        let literal = session(&Value::Bag(Vec::new()), TypingMode::Permissive, false, 1024);
+        let once = sqlpp_plan::optimize(literal.prepare(&q.text).unwrap().plan().clone());
+        let twice = sqlpp_plan::optimize(once.clone());
+        prop_assert_eq!(format!("{twice:?}"), format!("{once:?}"), "{}", q.text);
     }
 }
 
