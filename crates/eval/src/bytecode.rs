@@ -42,6 +42,7 @@ use sqlpp_value::{AttrName, Value};
 use crate::cast::CastTarget;
 
 /// A compiled expression, borrowing the plan it was compiled from.
+#[derive(Clone)]
 pub(crate) struct Program<'p> {
     /// The flat instruction sequence; execution runs `0..len` with jumps.
     pub(crate) instrs: Vec<Instr<'p>>,

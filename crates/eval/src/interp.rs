@@ -38,9 +38,9 @@ use crate::spill::{
 };
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
-    boxed, collect, empty, failed, from_vec, next_one, BindingStream, Concat, Cursor, Governed,
-    Instrumented, Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
-    DEFAULT_BATCH_SIZE,
+    boxed, collect, drain_batched, empty, failed, from_vec, next_one, BindingStream, Concat,
+    Governed, Instrumented, Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream,
+    BATCH_TICK_ROWS, DEFAULT_BATCH_SIZE,
 };
 
 /// Evaluator configuration.
@@ -397,14 +397,10 @@ impl<'a> Evaluator<'a> {
                 input,
                 expr,
                 distinct: false,
-            } => Some(
-                self.fused_scan(op, input, &[expr], 1, env)
-                    .unwrap_or_else(|| {
-                        Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
-                            self.expr(expr, &b).map(Some)
-                        }))
-                    }),
-            ),
+            } => Some(match self.input_rows(op, input, &[expr], env) {
+                Ok(rows) => Box::new(rows),
+                Err(e) => failed(e),
+            }),
             CoreOp::LimitOffset {
                 input,
                 limit,
@@ -660,11 +656,11 @@ impl<'a> Evaluator<'a> {
         }))
     }
 
-    /// TopK in binding form. A `Filter* → Scan` input runs on the fused
-    /// spine: the keys are evaluated on each borrowed element, the heap
-    /// holds its position, and only the survivors are cloned and bound.
-    /// Each row is charged what its binding would weigh, so a memory
-    /// budget admits and refuses exactly where the binding stream does.
+    /// TopK in binding form: the keys are evaluated on each row, the heap
+    /// holds the row — on the slice, its position, so only the survivors
+    /// are cloned and bound. Each row is charged what its binding weighs,
+    /// so a memory budget admits and refuses at the same row on either
+    /// source.
     fn topk_bindings(
         &self,
         whole: &'a CoreOp,
@@ -674,32 +670,20 @@ impl<'a> Evaluator<'a> {
         offset: &'a Option<CoreExpr>,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
-        let Some(parts) = self.spine_input(whole, input, &key_exprs) else {
-            let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
-                return Ok(Vec::new());
-            };
-            let mut kv = Vec::with_capacity(keys.len());
-            drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                for k in &key_exprs {
-                    kv.push(self.expr(k, &b)?);
-                }
-                top.offer(&mut kv, b, env_bytes)
-            })?;
-            return Ok(top.into_rows());
-        };
         let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
             return Ok(Vec::new());
         };
-        let mut spine = self.spine(parts, env)?;
+        let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
+        let scan = self.input_rows(whole, input, &key_exprs, env)?;
+        let mut rows = FusedRows::new(scan, self.batch_size());
         let mut kv = Vec::with_capacity(keys.len());
-        while let Some(pos) = spine.next_at(&mut kv)? {
-            top.offer(&mut kv, pos, |&pos| spine.bound_bytes(pos))?;
+        while let Some((row, _)) = rows.next_at(&mut kv)? {
+            top.offer(&mut kv, row, |row| rows.scan.bound_bytes(row))?;
         }
         Ok(top
             .into_rows()
             .into_iter()
-            .map(|pos| spine.bind(pos))
+            .map(|row| rows.scan.bind(&row))
             .collect())
     }
 
@@ -747,72 +731,64 @@ impl<'a> Evaluator<'a> {
         emit_empty_group: bool,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let mut groups = match self.fused_group_input(whole, input, keys, folds, env) {
-            Some(values) => {
-                let width = keys.len() + folds.len();
-                let mut values = Cursor::new(values, self.batch_size());
-                let mut source = || {
-                    let mut key_vals = Vec::with_capacity(keys.len());
-                    let mut states = Vec::with_capacity(folds.len());
-                    for i in 0..width {
-                        let Some(v) = values.next()? else {
-                            return Ok(None);
-                        };
-                        match i.checked_sub(keys.len()) {
-                            // Key errors are never parked.
-                            None => key_vals.push(v?),
-                            Some(f) => states.push(FoldState::of(&folds[f].1, v)),
-                        }
-                    }
-                    Ok(Some((group_key(key_vals), states)))
-                };
-                self.build_groups(whole, folds, &mut source)?
-            }
-            None => {
-                // Each GROUP AS member's attribute names, made once here
-                // rather than once per captured row.
-                let member_names: Vec<Vec<AttrName>> = folds
-                    .iter()
-                    .map(|(_, fold)| match fold {
-                        GroupFold::Members { captured } => {
-                            captured.iter().map(|var| AttrName::new(var)).collect()
-                        }
-                        GroupFold::Agg { .. } => Vec::new(),
-                    })
-                    .collect();
-                let mut rows = Cursor::new(self.binding_stream(input, env), self.batch_size());
-                let mut source = || {
-                    let Some(b) = rows.next()? else {
-                        return Ok(None);
-                    };
-                    let mut key_vals = Vec::with_capacity(keys.len());
-                    for (_, ke) in keys {
-                        key_vals.push(self.expr(ke, &b)?);
-                    }
-                    let mut states = Vec::with_capacity(folds.len());
-                    for ((_, fold), names) in folds.iter().zip(&member_names) {
-                        states.push(match fold {
-                            GroupFold::Members { captured } => {
-                                // Listing 14's {e: …, p: …} element shape.
-                                let mut elem = Tuple::with_capacity(captured.len());
-                                for (var, name) in captured.iter().zip(names) {
-                                    if let Some(v) = b.get(var) {
-                                        elem.insert(name.clone(), v.clone());
-                                    }
-                                }
-                                FoldState::Members(vec![Value::Tuple(elem)])
-                            }
-                            GroupFold::Agg { body, .. } => match self.expr(body, &b) {
-                                Err(e) if !e.is_data_error() => return Err(e),
-                                v => FoldState::of(fold, v),
-                            },
-                        });
-                    }
-                    Ok(Some((group_key(key_vals), states)))
-                };
-                self.build_groups(whole, folds, &mut source)?
-            }
+        // The row loop yields the keys, then each aggregate body: a body's
+        // data error waits in its state, a key's fails the loop. A GROUP
+        // AS member is the row's bindings: it keeps the binding stream.
+        let outs: Vec<&'a CoreExpr> = (keys.iter().map(|(_, e)| e))
+            .chain(folds.iter().filter_map(|(_, fold)| match fold {
+                GroupFold::Agg { body, .. } => Some(body),
+                GroupFold::Members { .. } => None,
+            }))
+            .collect();
+        let scan = match folds
+            .iter()
+            .any(|(_, f)| matches!(f, GroupFold::Members { .. }))
+        {
+            true => self.bound_rows(self.binding_stream(input, env), &[], &outs),
+            false => self.input_rows(whole, input, &outs, env)?,
         };
+        let park_from = keys.len();
+        let mut rows = FusedRows::new(FusedScan { park_from, ..scan }, self.batch_size());
+        // Each GROUP AS member's attribute names, made once here rather
+        // than once per captured row.
+        let member_names: Vec<Vec<AttrName>> = folds
+            .iter()
+            .map(|(_, fold)| match fold {
+                GroupFold::Members { captured } => {
+                    captured.iter().map(|var| AttrName::new(var)).collect()
+                }
+                GroupFold::Agg { .. } => Vec::new(),
+            })
+            .collect();
+        let mut items = Vec::with_capacity(outs.len());
+        let mut source = || {
+            let Some((row, _)) = rows.next_at(&mut items)? else {
+                return Ok(None);
+            };
+            let mut items = items.drain(..);
+            let key_vals = items.by_ref().take(park_from).collect::<Result<_, _>>()?;
+            let mut states = Vec::with_capacity(folds.len());
+            for ((_, fold), names) in folds.iter().zip(&member_names) {
+                states.push(match fold {
+                    GroupFold::Members { captured } => {
+                        // Listing 14's {e: …, p: …} element shape.
+                        let b = rows.scan.bind(&row);
+                        let mut elem = Tuple::with_capacity(captured.len());
+                        for (var, name) in captured.iter().zip(names) {
+                            if let Some(v) = b.get(var) {
+                                elem.insert(name.clone(), v.clone());
+                            }
+                        }
+                        FoldState::Members(vec![Value::Tuple(elem)])
+                    }
+                    GroupFold::Agg { .. } => {
+                        FoldState::of(fold, items.next().expect("an item per aggregate"))
+                    }
+                });
+            }
+            Ok(Some((group_key(key_vals), states)))
+        };
+        let mut groups = self.build_groups(whole, folds, &mut source)?;
         // Ungrouped aggregation and the grand-total grouping set yield
         // exactly one group even over empty input (SQL).
         if emit_empty_group && groups.is_empty() {
@@ -1121,33 +1097,21 @@ impl<'a> Evaluator<'a> {
                 // Like the nested loop, which never opens its right side
                 // without a left row: with no probe row at all, build
                 // nothing — a right-side error must not surface where the
-                // plan it was derived from answers `{{}}`. On the spine
-                // that is a look at the source; no left predicate or key
-                // runs before the build.
-                let spine = self.spine_probe(whole, *kind, left, keys, left_pred.as_ref());
-                let probe: ProbeSide = match spine {
-                    Some(parts) => match self.spine(parts, env) {
-                        Ok(spine) if spine.source.items().is_empty() => return empty(),
-                        Ok(spine) => ProbeSide::Spine(FusedScan {
-                            join_keys: true,
-                            ..spine
-                        }),
-                        Err(e) => return failed(e),
-                    },
-                    None => match self.probe_side(left, whole, env) {
-                        Ok(Some(probe)) => probe,
-                        Ok(None) => return empty(),
-                        Err(e) => return failed(e),
-                    },
+                // plan it was derived from answers `{{}}`. No left
+                // predicate or key runs before the build.
+                let probe = self.probe_rows(whole, *kind, left, keys, left_pred.as_ref(), env);
+                let mut left_rows = match probe {
+                    Ok(Some(probe)) => Some(probe),
+                    Ok(None) => return empty(),
+                    Err(e) => return failed(e),
                 };
-                let mut left_rows = Some(probe);
                 let joined = self.hash_join(
                     *kind,
                     &mut left_rows,
+                    matches!(**left, CoreFrom::Scan { .. }),
                     right,
                     whole,
                     keys,
-                    left_pred.as_ref(),
                     right_pred.as_ref(),
                     residual.as_ref(),
                     &names,
@@ -1170,7 +1134,7 @@ impl<'a> Evaluator<'a> {
                     (Err(EvalError::UnknownName(_)), Some(left_rows)) => Box::new(NestedLoop::new(
                         self,
                         *kind,
-                        left_rows.into_bindings(),
+                        Box::new(left_rows.unjudged()),
                         right,
                         whole,
                         names,
@@ -1187,48 +1151,73 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// A hash join's probe side off the spine, or `None` when it holds
-    /// no row. A bare scan tells by looking at its source, as the spine
-    /// does, and no row of it raises once it is open (a strict AT over a
-    /// bag raises at its first pull, taken here), so an inner join over
-    /// an empty build reads none of them. Any other side pulls its first
-    /// row here and, over an empty build, every other one later: its rows
-    /// may raise, as they do in the nested loop the join came from.
-    fn probe_side<'s>(
+    /// A hash join's probe side: the one row loop over `left`, with the
+    /// probe filter as its predicates and the left keys as its outputs,
+    /// or `None` when it holds no row. An inner join's bare scan runs on
+    /// the slice where eligible (see [`Self::spine_parts`]); any other
+    /// left side on its binding stream. A LEFT join's rows the filter or
+    /// an absent key rejects come back flagged, to be padded. A bare scan
+    /// tells whether it holds a row by looking at its source, and no row
+    /// of it raises once it is open (a strict AT over a bag raises at its
+    /// first pull, taken here), so an inner join over an empty build
+    /// reads none of them. Any other side pulls its first row here and,
+    /// over an empty build, every other one later: its rows may raise, as
+    /// they do in the nested loop the join came from.
+    fn probe_rows<'s>(
         &'s self,
-        left: &'a CoreFrom,
         whole: &'a CoreOp,
+        kind: CoreJoinKind,
+        left: &'a CoreFrom,
+        keys: &'a [(CoreExpr, CoreExpr)],
+        left_pred: Option<&'a CoreExpr>,
         env: &Env,
-    ) -> Result<Option<ProbeSide<'s, 'a>>, EvalError> {
-        if let CoreFrom::Scan {
-            expr,
-            as_var,
-            at_var,
-        } = left
-        {
-            let mut scan = self.open_scan(expr, as_var, at_var.as_deref(), env)?;
-            if scan.bag_at_error {
-                next_one::<Env>(&mut scan)?;
+    ) -> Result<Option<FusedScan<'s, 'a>>, EvalError> {
+        let preds = left_pred.as_slice();
+        let outs: Vec<&'a CoreExpr> = keys.iter().map(|(lk, _)| lk).collect();
+        let scan = match left {
+            CoreFrom::Scan {
+                expr,
+                as_var,
+                at_var,
+            } => {
+                let parts = (self.spine_parts(whole, left, preds, &outs))
+                    .filter(|_| kind == CoreJoinKind::Inner);
+                let on_slice = parts.is_some();
+                let mut scan = match parts {
+                    Some(parts) => self.spine(parts, env)?,
+                    None => self.open_scan(expr, as_var, at_var.as_deref(), env)?,
+                };
+                if scan.bag_at_error {
+                    next_one::<Env>(&mut scan)?;
+                }
+                if scan.source.items().is_empty() {
+                    return Ok(None);
+                }
+                match on_slice {
+                    true => scan,
+                    false => self.bound_rows(Box::new(scan), preds, &outs),
+                }
             }
-            if scan.source.items().is_empty() {
-                return Ok(None);
+            _ => {
+                let mut rows = self.from_stream(left, whole, env);
+                let Some(first) = next_one(&mut rows)? else {
+                    return Ok(None);
+                };
+                let mut parts = [from_vec(vec![first]), rows].into_iter();
+                self.bound_rows(Box::new(Concat::new(move || parts.next())), preds, &outs)
             }
-            return Ok(Some(ProbeSide::Scan(Box::new(scan))));
-        }
-        let mut rows = self.from_stream(left, whole, env);
-        let Some(first) = next_one(&mut rows)? else {
-            return Ok(None);
         };
-        let mut parts = [from_vec(vec![first]), rows].into_iter();
-        Ok(Some(ProbeSide::Rows(Box::new(Concat::new(move || {
-            parts.next()
-        })))))
+        Ok(Some(FusedScan {
+            join_keys: true,
+            pads: kind == CoreJoinKind::Left,
+            ..scan
+        }))
     }
 
     /// A correlate's left rows. Under permissive typing its left filter
     /// (see [`CoreFrom::Correlate`]) drops each row it evaluates to FALSE
-    /// before that row's right side opens — off the fused spine when the
-    /// left is a bare scan, so a dropped row costs one predicate on a
+    /// before that row's right side opens — on the slice when the left is
+    /// an eligible bare scan, so a dropped row costs one predicate on a
     /// borrowed element. Strict typing opens every row's right side:
     /// navigating a non-tuple or scanning a non-collection raises there,
     /// and a row the filter rejects must not skip that error.
@@ -1242,12 +1231,17 @@ impl<'a> Evaluator<'a> {
         let Some(pred) = left_pred.filter(|_| self.config.typing == TypingMode::Permissive) else {
             return self.from_stream(left, whole, env);
         };
-        if let Some(rows) = self.fused_left(whole, left, pred, env) {
-            return rows;
+        let scan = match self.spine_parts(whole, left, &[pred], &[]) {
+            Some(parts) => self.spine(parts, env),
+            None => Ok(self.bound_rows(self.from_stream(left, whole, env), &[pred], &[])),
+        };
+        match scan {
+            Ok(scan) => Box::new(FusedScan {
+                left_filter: true,
+                ..scan
+            }),
+            Err(e) => failed(e),
         }
-        Box::new(MapRows::new(self.from_stream(left, whole, env), move |l| {
-            Ok(left_verdict(self.expr(pred, &l))?.then_some(l))
-        }))
     }
 
     /// A hash join. The right side is the join's pipeline breaker: it is
@@ -1256,6 +1250,7 @@ impl<'a> Evaluator<'a> {
     /// FROM operator. Rows failing a side's filter — or with any
     /// NULL/MISSING key, which can never compare equal (3VL) — never enter
     /// the table (build side) or resolve without probing (probe side).
+    /// Both sides' filters and keys run in their row loops.
     ///
     /// A build that fits yields the streaming [`HashProbe`]. One that
     /// exceeds the memory budget with spilling enabled runs Grace-style
@@ -1267,17 +1262,19 @@ impl<'a> Evaluator<'a> {
     /// different order than the streaming probe, which a join (a bag
     /// producer) never promised.
     ///
-    /// `left_rows` is the probe side, holding at least one row. It stays
-    /// in place, unread, until the build has drained the right side.
+    /// `left_rows` is the probe side (see [`Self::probe_rows`]), holding
+    /// at least one row. It stays in place, unread, until the build has
+    /// drained the right side. `quiet` says its rows cannot raise (a bare
+    /// scan's): an inner join over an empty build then reads none.
     #[allow(clippy::too_many_arguments)]
     fn hash_join<'s>(
         &'s self,
         kind: CoreJoinKind,
-        left_rows: &mut Option<ProbeSide<'s, 'a>>,
+        left_rows: &mut Option<FusedScan<'s, 'a>>,
+        quiet: bool,
         right: &'a CoreFrom,
         whole: &'a CoreOp,
         keys: &'a [(CoreExpr, CoreExpr)],
-        left_pred: Option<&'a CoreExpr>,
         right_pred: Option<&'a CoreExpr>,
         residual: Option<&'a CoreExpr>,
         names: &[Rc<str>],
@@ -1288,15 +1285,21 @@ impl<'a> Evaluator<'a> {
         // still per row: build and scatter rows do real per-row work.
         let watcher = self.govern.as_watcher();
         let tick = || watcher.map_or(Ok(()), ResourceGovernor::tick);
-        let mut rights = Cursor::new(self.from_stream(right, whole, env), self.batch_size());
+        let right_keys: Vec<&'a CoreExpr> = keys.iter().map(|(_, rk)| rk).collect();
+        let rights = self.from_stream(right, whole, env);
+        let rights = self.bound_rows(rights, right_pred.as_slice(), &right_keys);
+        let rights = FusedScan {
+            join_keys: true,
+            ..rights
+        };
+        let mut rights = FusedRows::new(rights, self.batch_size());
         let mut build_rows = || {
-            while let Some(r) = rights.next()? {
-                tick()?;
-                if let Some(kv) = self.join_key(keys.iter().map(|(_, rk)| rk), right_pred, &r)? {
-                    return Ok(Some((kv, r)));
-                }
-            }
-            Ok(None)
+            let mut kv = Vec::with_capacity(keys.len());
+            let Some((row, _)) = rights.next_at(&mut kv)? else {
+                return Ok(None);
+            };
+            tick()?;
+            Ok(Some((kv, rights.scan.bind(&row))))
         };
         // The probe side as spillable records — read only if the build
         // overflows. Rows that can never match resolve here: dropped, or
@@ -1305,28 +1308,17 @@ impl<'a> Evaluator<'a> {
         let mut pads = Vec::new();
         let mut probe_rows = || {
             let lefts = lefts.get_or_insert_with(|| {
-                match left_rows.take().expect("the probe side is read once") {
-                    ProbeSide::Rows(rows) => ProbeSide::Rows(Cursor::new(rows, self.batch_size())),
-                    ProbeSide::Scan(rows) => ProbeSide::Scan(Cursor::new(rows, self.batch_size())),
-                    ProbeSide::Spine(spine) => ProbeSide::Spine(spine),
-                }
+                let rows = left_rows.take().expect("the probe side is read once");
+                FusedRows::new(rows, self.batch_size())
             });
-            let rows = match lefts {
-                ProbeSide::Spine(spine) => {
-                    let mut kv = Vec::with_capacity(keys.len());
-                    return Ok(spine
-                        .next_at(&mut kv)?
-                        .map(|pos| (kv, encode_env(&spine.bind(pos), None))));
-                }
-                ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => rows,
-            };
-            while let Some(l) = rows.next()? {
+            let mut kv = Vec::with_capacity(keys.len());
+            while let Some((row, passed)) = lefts.next_at(&mut kv)? {
                 tick()?;
-                match self.join_key(keys.iter().map(|(lk, _)| lk), left_pred, &l)? {
-                    Some(kv) => return Ok(Some((kv, encode_env(&l, None)))),
-                    None if kind == CoreJoinKind::Left => pads.push(pad_left(&l, names)),
-                    None => {}
+                let l = lefts.scan.bind(&row);
+                if passed {
+                    return Ok(Some((kv, encode_env(&l, None))));
                 }
+                pads.push(pad_left(&l, names));
             }
             Ok(None)
         };
@@ -1369,46 +1361,27 @@ impl<'a> Evaluator<'a> {
         if let Some(st) = &self.stats {
             st.count(|s| s.join_build_rows += table.rows.len() as u64);
         }
+        let mut left = (left_rows.take()).expect("an in-memory build leaves the probe side unread");
+        if table.rows.is_empty() {
+            // An empty build matches nothing and, like the nested loop
+            // over an empty right side, runs no left predicate or key: an
+            // inner join whose left rows cannot raise reads none of them.
+            if quiet && kind == CoreJoinKind::Inner {
+                return Ok(empty());
+            }
+            left = left.unjudged();
+        }
         Ok(Box::new(HashProbe {
             ev: self,
             kind,
-            keys,
-            left_pred,
             residual,
             names: names.to_vec(),
             build: table,
             _held: held,
-            left: left_rows
-                .take()
-                .expect("an in-memory build leaves the probe side unread"),
+            left: FusedRows::new(left, 1),
             pending: VecDeque::new(),
             done: false,
         }))
-    }
-
-    /// One side's key values for a join row, or `None` when the row can
-    /// never match (the side's filter is false, or any key is absent —
-    /// 3VL equality).
-    fn join_key(
-        &self,
-        keys: impl Iterator<Item = &'a CoreExpr>,
-        pred: Option<&'a CoreExpr>,
-        row: &Env,
-    ) -> Result<Option<Vec<Value>>, EvalError> {
-        if let Some(p) = pred {
-            if !matches!(self.expr(p, row)?, Value::Bool(true)) {
-                return Ok(None);
-            }
-        }
-        let mut kv = Vec::with_capacity(keys.size_hint().0);
-        for k in keys {
-            let v = self.expr(k, row)?;
-            if v.is_absent() {
-                return Ok(None);
-            }
-            kv.push(v);
-        }
-        Ok(Some(kv))
     }
 
     /// Opens a FROM scan — the one place the §III source policy lives.
@@ -1437,14 +1410,14 @@ impl<'a> Evaluator<'a> {
             _ => None,
         };
         let mut source = match stored {
-            Some((value, _)) => ScanSource::Shared(value),
-            None => ScanSource::Owned(self.expr(expr, env)?),
+            Some((value, _)) => RowSource::Shared(value),
+            None => RowSource::Owned(self.expr(expr, env)?),
         };
         let strict = self.config.typing == TypingMode::StrictError;
         match source.value() {
-            Value::Bag(_) | Value::Array(_) => {}
-            Value::Missing => source = ScanSource::Owned(Value::Bag(Vec::new())),
-            other if strict => {
+            Some(Value::Bag(_) | Value::Array(_)) | None => {}
+            Some(Value::Missing) => source = RowSource::Owned(Value::Bag(Vec::new())),
+            Some(other) if strict => {
                 return Err(EvalError::Type(format!(
                     "FROM source must be a collection, found {}",
                     other.kind().name()
@@ -1453,19 +1426,11 @@ impl<'a> Evaluator<'a> {
             _ => {}
         }
         Ok(FusedScan {
-            ev: self,
-            bag_at_error: strict && at_var.is_some() && matches!(source.value(), Value::Bag(_)),
-            source,
-            idx: 0,
-            as_var: as_var.into(),
             at_var: at_var.map(Into::into),
-            preds: Vec::new(),
-            left_filter: false,
-            outs: Vec::new(),
-            park_from: usize::MAX,
-            join_keys: false,
-            env: env.clone(),
-            observed: None,
+            bag_at_error: strict
+                && at_var.is_some()
+                && matches!(source.value(), Some(Value::Bag(_))),
+            ..FusedScan::new(self, source, as_var.into(), env.clone())
         })
     }
 
@@ -1511,7 +1476,7 @@ impl<'a> Evaluator<'a> {
     }
 
     // =================================================================
-    // Fused scan spine
+    // The row loop
     // =================================================================
 
     /// The effective batch size (configured, floored at one row).
@@ -1519,35 +1484,51 @@ impl<'a> Evaluator<'a> {
         self.config.batch_size.max(1)
     }
 
-    /// The fused scan spine — when `input` is a bare `Scan → Filter*`
-    /// chain (no AT variable) and every predicate plus every output
-    /// expression is root-safe bytecode, a [`FusedScan`] that evaluates
-    /// each source element *borrowed* — no per-row `Env` allocation, no
-    /// per-row adapter dispatch — and yields the `outs` values of each
-    /// row that passes, in order: one for a projection, the keys and
-    /// aggregate bodies for a folded GROUP BY. A data error in an output
-    /// from index `park_from` on is handed on as that output's item
-    /// (see [`FusedOut`]) instead of failing the scan. `None` means
-    /// ineligible (see [`Self::spine_parts`]). `consumer` is the
-    /// operator the rows feed.
-    fn fused_scan<'s, T: FusedOut + 's>(
+    /// The one row loop (see [`FusedScan`]) over `input`, the operator
+    /// feeding `consumer`, with `outs` as its outputs: on the slice when
+    /// `input` is an eligible `Filter* → Scan` chain (see
+    /// [`Self::spine_input`]), else over `input`'s binding stream.
+    fn input_rows<'s>(
         &'s self,
         consumer: &'a CoreOp,
         input: &'a CoreOp,
         outs: &[&'a CoreExpr],
-        park_from: usize,
         env: &Env,
-    ) -> Option<Box<dyn Stream<T> + 's>> {
-        let parts = self.spine_input(consumer, input, outs)?;
-        Some(match self.spine(parts, env) {
-            Ok(spine) => Box::new(FusedScan { park_from, ..spine }),
-            Err(e) => failed(e),
-        })
+    ) -> Result<FusedScan<'s, 'a>, EvalError> {
+        match self.spine_input(consumer, input, outs) {
+            Some(parts) => self.spine(parts, env),
+            None => Ok(self.bound_rows(self.binding_stream(input, env), &[], outs)),
+        }
     }
 
-    /// The spine's parts for a `Filter* → Scan` input with `outs` as its
+    /// The row loop over any binding stream: each row runs `preds` and
+    /// `outs`, unspecialized, against its own environment. Every
+    /// predicate must be TRUE, and every output's error fails the loop;
+    /// callers adjust the policy fields.
+    fn bound_rows<'s>(
+        &'s self,
+        input: BindingStream<'s>,
+        preds: &[&'a CoreExpr],
+        outs: &[&'a CoreExpr],
+    ) -> FusedScan<'s, 'a> {
+        let programs =
+            |exprs: &[&'a CoreExpr]| exprs.iter().map(|e| (*self.program(e)).clone()).collect();
+        let (buf, pulled) = (Vec::new(), Ok(()));
+        FusedScan {
+            preds: programs(preds),
+            outs: programs(outs),
+            ..FusedScan::new(
+                self,
+                RowSource::Bound { input, buf, pulled },
+                "".into(),
+                Env::new(),
+            )
+        }
+    }
+
+    /// The slice's parts for a `Filter* → Scan` input with `outs` as its
     /// outputs, or `None` when ineligible. The `From` and the `Filter`s
-    /// are the operators the spine stands in for.
+    /// are the operators the slice stands in for.
     fn spine_input(
         &self,
         consumer: &'a CoreOp,
@@ -1575,9 +1556,10 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// The spine's parts over the bare scan `item`, or `None` when
-    /// ineligible: at batch 1, the binding stream's reference
-    /// configuration, or when a program is not root-safe.
+    /// The slice's parts over `item`, or `None` when ineligible: at batch
+    /// 1, the binding stream's reference configuration, when `item` is not
+    /// a bare scan with no AT variable, or when a program is not
+    /// root-safe.
     fn spine_parts(
         &self,
         consumer: &'a CoreOp,
@@ -1588,9 +1570,16 @@ impl<'a> Evaluator<'a> {
         if self.config.batch_size <= 1 {
             return None;
         }
-        let (scan, as_var) = spine_scan(item)?;
+        let CoreFrom::Scan {
+            expr,
+            as_var,
+            at_var: None,
+        } = item
+        else {
+            return None;
+        };
         Some(SpineParts {
-            scan,
+            scan: expr,
             as_var,
             preds: self.rooted(preds, as_var)?,
             outs: self.rooted(outs, as_var)?,
@@ -1599,47 +1588,7 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// A correlate's left rows, bare scan and left filter, on the fused
-    /// spine: each element the filter does not reject is bound, so a
-    /// rejected one is never cloned. `None` when ineligible.
-    fn fused_left<'s>(
-        &'s self,
-        whole: &'a CoreOp,
-        left: &'a CoreFrom,
-        left_pred: &'a CoreExpr,
-        env: &Env,
-    ) -> Option<BindingStream<'s>> {
-        let parts = self.spine_parts(whole, left, &[left_pred], &[])?;
-        Some(match self.spine(parts, env) {
-            Ok(spine) => Box::new(FusedScan {
-                left_filter: true,
-                ..spine
-            }),
-            Err(e) => failed(e),
-        })
-    }
-
-    /// An inner hash join's bare-scan left side on the fused spine: each
-    /// row that passes the probe filter yields its left keys, and a row
-    /// with an absent key is rejected on the spine (see
-    /// [`FusedScan::join_keys`]). `None` when ineligible: a LEFT join
-    /// pads every rejected row, so it needs each row's binding anyway.
-    fn spine_probe(
-        &self,
-        whole: &'a CoreOp,
-        kind: CoreJoinKind,
-        left: &'a CoreFrom,
-        keys: &'a [(CoreExpr, CoreExpr)],
-        left_pred: Option<&'a CoreExpr>,
-    ) -> Option<SpineParts<'a>> {
-        if kind != CoreJoinKind::Inner {
-            return None;
-        }
-        let left_keys: Vec<&'a CoreExpr> = keys.iter().map(|(lk, _)| lk).collect();
-        self.spine_parts(whole, left, left_pred.as_slice(), &left_keys)
-    }
-
-    /// Each expression's program specialized for the spine's root
+    /// Each expression's program specialized for the slice's root
     /// variable — root references become direct RootVar/RootField
     /// instructions, so the hot loop never compares variable names — or
     /// `None` unless every one is safe to run against a borrowed root.
@@ -1653,12 +1602,12 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Opens the spine over `parts` (see [`FusedScan`]): every predicate
-    /// must be TRUE, and every output's error fails the scan. Callers
-    /// adjust the policy fields. Under stats collection its operators
-    /// are labelled fused, and the ones it stands in for are credited
-    /// from here on — also when the open fails, like the binding
-    /// stream's instrumented failed stream.
+    /// Opens the row loop on the slice of `parts`: every predicate must
+    /// be TRUE, and every output's error fails the loop. Callers adjust
+    /// the policy fields. Under stats collection its operators are
+    /// labelled fused, and the ones it stands in for are credited from
+    /// here on — also when the open fails, like the binding stream's
+    /// instrumented failed stream.
     fn spine<'s>(
         &'s self,
         parts: SpineParts<'a>,
@@ -1671,33 +1620,6 @@ impl<'a> Evaluator<'a> {
             observed,
             ..self.open_scan(parts.scan, parts.as_var, None, env)?
         })
-    }
-
-    /// A folded GROUP BY's input on the fused scan spine: the key values
-    /// then the aggregate bodies of each row, flattened (see
-    /// [`Self::fused_scan`]). A body's data error is its item, to wait
-    /// in the aggregate's state as it does on the binding stream; a key's
-    /// fails the scan. `None` when a fold is a member bag, which needs
-    /// the row's bindings, or when the spine is ineligible.
-    fn fused_group_input<'s>(
-        &'s self,
-        whole: &'a CoreOp,
-        input: &'a CoreOp,
-        keys: &'a [(String, CoreExpr)],
-        folds: &'a [(String, GroupFold)],
-        env: &Env,
-    ) -> Option<Box<dyn Stream<Result<Value, EvalError>> + 's>> {
-        let mut outs: Vec<&'a CoreExpr> = keys.iter().map(|(_, e)| e).collect();
-        for (_, fold) in folds {
-            match fold {
-                GroupFold::Agg { body, .. } => outs.push(body),
-                GroupFold::Members { .. } => return None,
-            }
-        }
-        if outs.is_empty() {
-            return None;
-        }
-        self.fused_scan(whole, input, &outs, keys.len(), env)
     }
 
     // =================================================================
@@ -2645,59 +2567,8 @@ fn joint_hash(keys: &[Value]) -> u64 {
     h.finish()
 }
 
-/// The scan a fused spine reads: a bare FROM `Scan` with no AT variable.
-fn spine_scan(item: &CoreFrom) -> Option<(&CoreExpr, &str)> {
-    match item {
-        CoreFrom::Scan {
-            expr,
-            as_var,
-            at_var: None,
-        } => Some((expr, as_var)),
-        _ => None,
-    }
-}
-
-/// Where a scan's rows come from (see [`Evaluator::open_scan`]).
-enum ScanSource {
-    /// A stored catalog collection, borrowed via its `Arc` snapshot.
-    Shared(Arc<Value>),
-    /// A computed value owned by this scan.
-    Owned(Value),
-}
-
-impl ScanSource {
-    fn value(&self) -> &Value {
-        match self {
-            ScanSource::Shared(arc) => arc,
-            ScanSource::Owned(v) => v,
-        }
-    }
-
-    /// The elements a scan of it reads. A non-collection source is a
-    /// (permissive) singleton.
-    fn items(&self) -> &[Value] {
-        match self.value() {
-            Value::Bag(items) | Value::Array(items) => items,
-            single => std::slice::from_ref(single),
-        }
-    }
-
-    /// The element at `pos`, cloned from a shared source and moved out
-    /// of an owned one — the binding form, its one reader, binds each
-    /// position once.
-    fn take(&mut self, pos: usize) -> Value {
-        match self {
-            ScanSource::Shared(_) => self.items()[pos].clone(),
-            ScanSource::Owned(Value::Bag(items) | Value::Array(items)) => {
-                std::mem::take(&mut items[pos])
-            }
-            ScanSource::Owned(single) => std::mem::take(single),
-        }
-    }
-}
-
-/// What a [`FusedScan`] runs: its scan, its row variable, its
-/// root-specialized predicates and outputs, and the plan operators it
+/// What a [`FusedScan`] on the slice runs: its scan, its row variable,
+/// its root-specialized predicates and outputs, and the plan operators it
 /// runs for.
 struct SpineParts<'a> {
     scan: &'a CoreExpr,
@@ -2765,28 +2636,37 @@ impl<'s> SpineStats<'s> {
     }
 }
 
-/// The one FROM scan (opened only by [`Evaluator::open_scan`]): each
-/// pull resumes at `idx` over the borrowed source elements, runs the
-/// root-specialized predicates and output programs on each, and stops
-/// once `max` rows are out — so a LIMIT, EXISTS or IN above it stops the
-/// scan exactly like the adapter pipeline does. A row that passes yields
-/// one item per output program.
+/// The one row loop, under every consumer — a projection, a top-k, a
+/// GROUP BY, a correlate's left filter, a hash join's probe and build
+/// sides — and the one FROM scan ([`Evaluator::open_scan`]). Each pull
+/// runs the predicates, then the output programs, on one row after
+/// another, and stops once `max` rows are out, so a LIMIT, EXISTS or IN
+/// above it stops its input. A row that passes yields one item per
+/// output program.
 ///
-/// As a `Stream<T>` of items it hands on only those items — the fused
-/// spine. [`FusedScan::next_at`] hands on a row's position in the source
-/// as well, so a consumer can decide on the borrowed element whether it
-/// needs the row before it clones and binds it ([`FusedScan::bind`]):
-/// late materialization. As a `Stream<Env>` it binds every row that
-/// passes — the binding stream's scan, where an owned source's elements
-/// are moved into their bindings, not cloned.
+/// Rows come from one of two sources ([`RowSource`]). On the *slice* — a
+/// bare `Filter* → Scan` input with no AT variable and root-safe
+/// programs, at a batch size above 1 — each element is read borrowed by
+/// root-specialized programs: no per-row `Env` or adapter dispatch. Any
+/// other input is read off its *binding stream*, the programs running
+/// unspecialized against each row's environment, never asking the
+/// stream for more rows than the loop's caller asked for. Batch 1 reads
+/// every input off the binding stream: the reference configuration.
+///
+/// As a `Stream<T>` it hands on the items. Through [`FusedRows`] a
+/// consumer gets each row ([`Row`]) too and decides on its items whether
+/// to bind it ([`FusedScan::bind`]) — late materialization on the slice.
+/// As a `Stream<Env>` it binds every row that passes; an owned source's
+/// elements are moved into their bindings, not cloned.
 struct FusedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
-    source: ScanSource,
-    /// The next source element to scan.
+    source: RowSource<'s>,
+    /// The next slice element to scan.
     idx: usize,
+    /// The slice's row variable.
     as_var: Rc<str>,
     /// Bound to each row's position — an array index, else MISSING — by
-    /// the binding form. The spine's consumers never have one.
+    /// the binding form. The slice's consumers never have one.
     at_var: Option<Rc<str>>,
     /// Strict typing with an AT variable over a bag: the first pull of a
     /// row raises.
@@ -2794,18 +2674,85 @@ struct FusedScan<'s, 'a> {
     preds: Vec<Program<'a>>,
     /// The predicates are a correlate's left filter, judged by
     /// [`left_verdict`]. Otherwise a row passes only when every predicate
-    /// is TRUE, and a predicate's error fails the scan.
+    /// is TRUE, and a predicate's error fails the loop.
     left_filter: bool,
     outs: Vec<Program<'a>>,
     /// The first output whose data errors are parked, not raised.
     park_from: usize,
-    /// The outputs are a hash join's left keys: an absent one rejects
-    /// the row — NULL and MISSING never compare equal — and the keys
-    /// after it are not evaluated, exactly as [`Evaluator::join_key`].
+    /// The outputs are a hash join's keys: an absent one rejects the row
+    /// — NULL and MISSING never compare equal — and the keys after it
+    /// are not evaluated.
     join_keys: bool,
+    /// A row the predicates or join keys reject is handed on too,
+    /// flagged, with no items: a LEFT join pads it.
+    pads: bool,
+    /// The slice's environment: each element is bound into it.
     env: Env,
-    /// The spine's per-operator stats, under stats collection.
+    /// The slice's per-operator stats, under stats collection.
     observed: Option<SpineStats<'s>>,
+    /// The rows the last pull handed on, in order, each with whether it
+    /// passed.
+    kept: Vec<(Row, bool)>,
+}
+
+/// Where a [`FusedScan`]'s rows come from: the slice of a scan (see
+/// [`Evaluator::open_scan`]), its elements read borrowed by position, or
+/// a binding stream.
+enum RowSource<'s> {
+    /// A stored catalog collection, borrowed via its `Arc` snapshot.
+    Shared(Arc<Value>),
+    /// A computed value owned by this scan.
+    Owned(Value),
+    /// Any other input's bindings. `buf` holds the rows of the last pull
+    /// not yet judged, the next one last; `pulled` is that pull's
+    /// outcome, surfaced once the rows before it are handed on.
+    Bound {
+        input: BindingStream<'s>,
+        buf: Vec<Env>,
+        pulled: Result<(), EvalError>,
+    },
+}
+
+impl RowSource<'_> {
+    /// The scanned value; `None` for a binding stream.
+    fn value(&self) -> Option<&Value> {
+        match self {
+            RowSource::Shared(arc) => Some(arc),
+            RowSource::Owned(v) => Some(v),
+            RowSource::Bound { .. } => None,
+        }
+    }
+
+    /// The slice's elements: a non-collection value is a (permissive)
+    /// singleton, and a binding stream has none.
+    fn items(&self) -> &[Value] {
+        match self.value() {
+            Some(Value::Bag(items) | Value::Array(items)) => items,
+            Some(single) => std::slice::from_ref(single),
+            None => &[],
+        }
+    }
+
+    /// The element at `pos`, cloned from a shared source and moved out
+    /// of an owned one — the binding form, its one reader, binds each
+    /// position once.
+    fn take(&mut self, pos: usize) -> Value {
+        match self {
+            RowSource::Owned(Value::Bag(items) | Value::Array(items)) => {
+                std::mem::take(&mut items[pos])
+            }
+            RowSource::Owned(single) => std::mem::take(single),
+            _ => self.items()[pos].clone(),
+        }
+    }
+}
+
+/// One row a [`FusedScan`] handed on.
+enum Row {
+    /// A slice element, by its position.
+    At(usize),
+    /// A binding-stream row.
+    Bound(Env),
 }
 
 /// A correlate's left-filter verdict on one left row
@@ -2844,16 +2791,42 @@ impl FusedOut for Result<Value, EvalError> {
     }
 }
 
-impl FusedScan<'_, '_> {
-    /// The row at source position `pos`, cloned and bound — the one
-    /// place a positional consumer pays for a row.
-    fn bind(&self, pos: usize) -> Env {
-        self.env
-            .bind(self.as_var.clone(), self.source.items()[pos].clone())
+impl<'s, 'a> FusedScan<'s, 'a> {
+    /// A loop over `source` that runs no program: every row passes.
+    fn new(ev: &'s Evaluator<'a>, source: RowSource<'s>, as_var: Rc<str>, env: Env) -> Self {
+        FusedScan {
+            ev,
+            source,
+            idx: 0,
+            as_var,
+            at_var: None,
+            bag_at_error: false,
+            preds: Vec::new(),
+            left_filter: false,
+            outs: Vec::new(),
+            park_from: usize::MAX,
+            join_keys: false,
+            pads: false,
+            env,
+            observed: None,
+            kept: Vec::new(),
+        }
     }
 
-    /// [`env_bytes`] of [`Self::bind`]`(pos)`, without binding it.
-    fn bound_bytes(&self, pos: usize) -> u64 {
+    /// `row` bound — on the slice, the element cloned and bound: the one
+    /// place a positional consumer pays for a row.
+    fn bind(&self, row: &Row) -> Env {
+        match row {
+            Row::At(pos) => (self.env).bind(self.as_var.clone(), self.source.items()[*pos].clone()),
+            Row::Bound(env) => env.clone(),
+        }
+    }
+
+    /// [`env_bytes`] of [`Self::bind`]`(row)`, without binding it.
+    fn bound_bytes(&self, row: &Row) -> u64 {
+        let Row::At(pos) = row else {
+            return env_bytes(&self.bind(row));
+        };
         let shadowed: u64 = self
             .env
             .visible_bindings()
@@ -2861,31 +2834,35 @@ impl FusedScan<'_, '_> {
             .filter(|(n, _)| *n == &*self.as_var)
             .map(|(n, v)| binding_bytes(n, v))
             .sum();
-        env_bytes(&self.env) - shadowed + binding_bytes(&self.as_var, &self.source.items()[pos])
+        env_bytes(&self.env) - shadowed + binding_bytes(&self.as_var, &self.source.items()[*pos])
     }
 
-    /// Pulls the next row that passes: its outputs are appended to `out`
-    /// and its source position is returned. `None` once the scan is
-    /// exhausted. One row per call, so a consumer that stops early — a
-    /// LIMIT above a join probe — never reads ahead.
-    fn next_at<T: FusedOut>(&mut self, out: &mut Vec<T>) -> Result<Option<usize>, EvalError> {
-        let rows = self.pull(out, 1)?;
-        Ok((rows > 0).then(|| self.idx - 1))
+    /// The same rows with no program to run: every row passes, unjudged.
+    fn unjudged(self) -> Self {
+        FusedScan {
+            preds: Vec::new(),
+            outs: Vec::new(),
+            ..self
+        }
     }
 
-    /// Fills `out` with up to `max` rows on the evaluator's value stack
-    /// and counts the scanned rows. Root-safe programs never re-enter the
-    /// VM (call instructions clear `root_safe`), and a consumer that runs
-    /// the VM between pulls takes its own from the `Cell` — correctness
-    /// never depends on this reuse, only speed does.
-    fn pull<T: FusedOut>(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, EvalError> {
+    /// Fills `out` with the items of up to `max` rows and, with `KEEP`,
+    /// `kept` with the rows, on the evaluator's value stack (a program
+    /// that re-enters the VM takes a fresh one from the `Cell`), and
+    /// counts the slice rows scanned.
+    fn pull<T: FusedOut, const KEEP: bool>(
+        &mut self,
+        out: &mut Vec<T>,
+        max: usize,
+    ) -> Result<usize, EvalError> {
+        self.kept.clear();
         let start = self.idx;
         let timer = self.observed.is_some().then(Instant::now);
         let mut stack = self.ev.vm_stack.take();
         stack.clear();
         let result = match self.ev.govern.injects_faults() {
-            false => self.fill::<T, false>(out, max, &mut stack),
-            true => self.fill::<T, true>(out, max, &mut stack),
+            false => self.fill::<T, false, KEEP>(out, max, &mut stack),
+            true => self.fill::<T, true, KEEP>(out, max, &mut stack),
         };
         stack.clear();
         self.ev.vm_stack.set(stack);
@@ -2899,107 +2876,159 @@ impl FusedScan<'_, '_> {
         result
     }
 
-    /// The scan loop: the number of rows that passed. With `FAULTS`,
-    /// every program run is an operator fault site, as every
-    /// [`Evaluator::expr`] call is on the binding stream.
-    fn fill<T: FusedOut, const FAULTS: bool>(
+    /// The row loop: the number of rows handed on (with `KEEP`, each is
+    /// kept too). With `FAULTS`, every program run is an operator fault
+    /// site, as every [`Evaluator::expr`] call is.
+    fn fill<T: FusedOut, const FAULTS: bool, const KEEP: bool>(
         &mut self,
         out: &mut Vec<T>,
         max: usize,
         stack: &mut Vec<Value>,
     ) -> Result<usize, EvalError> {
-        let items = self.source.items();
         let watcher = self.ev.govern.as_watcher();
+        let (items, mut bound) = match &mut self.source {
+            RowSource::Bound { input, buf, pulled } => (&[][..], Some((input, buf, pulled))),
+            source => (RowSource::items(source), None),
+        };
+        if KEEP {
+            // Grow each buffer once: a pull keeps at most `max` rows, and a
+            // slice at most the rows it has left.
+            let n = max.min(bound.as_ref().map_or(items.len() - self.idx, |_| max));
+            self.kept.reserve(n);
+            out.reserve(n * self.outs.len());
+        }
         let mut rows = 0;
-        'rows: while rows < max {
-            let Some(item) = items.get(self.idx) else {
-                break;
-            };
-            // At least once per batch-worth of *scanned* rows, starting
-            // immediately: a huge source — or a filter that rejects most
-            // of it — cannot outrun the deadline.
-            if let Some(g) = watcher {
-                if self.idx % BATCH_TICK_ROWS == 0 {
-                    g.tick()?;
+        while rows < max {
+            let (row, root) = match &mut bound {
+                Some((input, buf, pulled)) => match buf.pop() {
+                    Some(b) => (Row::Bound(b), None),
+                    None => {
+                        std::mem::replace(*pulled, Ok(()))?;
+                        // One pull of the input per call, unless no row
+                        // of it has passed yet.
+                        if rows > 0 {
+                            break;
+                        }
+                        // The input runs its own programs meanwhile.
+                        self.ev.vm_stack.set(std::mem::take(stack));
+                        **pulled = input.next_batch(buf, max);
+                        *stack = self.ev.vm_stack.take();
+                        if buf.is_empty() {
+                            std::mem::replace(*pulled, Ok(()))?;
+                            break;
+                        }
+                        buf.reverse();
+                        continue;
+                    }
+                },
+                None => {
+                    let Some(item) = items.get(self.idx) else {
+                        break;
+                    };
+                    // At least once per batch-worth of *scanned* rows,
+                    // starting immediately: a huge source — or a filter
+                    // that rejects most of it — cannot outrun the
+                    // deadline.
+                    if let Some(g) = watcher {
+                        if self.idx.is_multiple_of(BATCH_TICK_ROWS) {
+                            g.tick()?;
+                        }
+                    }
+                    self.idx += 1;
+                    (Row::At(self.idx - 1), Some(item))
                 }
-            }
-            self.idx += 1;
-            let root = Some(item);
-            for (k, p) in self.preds.iter().enumerate() {
-                let run = self.ev.fault_site::<FAULTS>();
-                let r = match run.and_then(|()| self.ev.exec_program(p, root, &self.env, stack)) {
-                    Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
-                    Err(e) => {
-                        // Programs run on an empty stack, so the failed
-                        // one's operands go with a clear. The failure
-                        // rejects the row in the counts: only a left
-                        // filter parks it, and that stands in for no
-                        // operator.
-                        stack.clear();
+            };
+            let env = match &row {
+                Row::At(_) => &self.env,
+                Row::Bound(b) => b,
+            };
+            let row_start = out.len();
+            let passed = 'judge: {
+                for (k, p) in self.preds.iter().enumerate() {
+                    let run = self.ev.fault_site::<FAULTS>();
+                    let r = match run.and_then(|()| self.ev.exec_program(p, root, env, stack)) {
+                        Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
+                        Err(e) => {
+                            // Programs run on an empty stack, so the failed
+                            // one's operands go with a clear. The failure
+                            // rejects the row in the counts: only a left
+                            // filter parks it, and that stands in for no
+                            // operator.
+                            stack.clear();
+                            if let Some(observed) = &mut self.observed {
+                                observed.rejected[k] += 1;
+                            }
+                            Err(e)
+                        }
+                    };
+                    let passes = if self.left_filter {
+                        left_verdict(r)?
+                    } else {
+                        matches!(r?, Value::Bool(true))
+                    };
+                    if !passes {
                         if let Some(observed) = &mut self.observed {
                             observed.rejected[k] += 1;
                         }
-                        Err(e)
+                        break 'judge false;
                     }
-                };
-                let passes = if self.left_filter {
-                    left_verdict(r)?
-                } else {
-                    matches!(r?, Value::Bool(true))
-                };
-                if !passes {
-                    if let Some(observed) = &mut self.observed {
-                        observed.rejected[k] += 1;
-                    }
-                    continue 'rows;
                 }
-            }
-            let row_start = out.len();
-            for (i, p) in self.outs.iter().enumerate() {
-                let base = stack.len();
-                let run = self.ev.fault_site::<FAULTS>();
-                let r = match run.and_then(|()| self.ev.exec_program(p, root, &self.env, stack)) {
-                    Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
-                    Err(e) => {
-                        // A parked error must not leave the failed
-                        // program's operands behind for the next one.
-                        stack.truncate(base);
-                        Err(e)
-                    }
-                };
-                if self.join_keys && matches!(&r, Ok(v) if v.is_absent()) {
-                    out.truncate(row_start);
-                    continue 'rows;
-                }
-                match T::lift(r, i >= self.park_from) {
-                    Ok(item) => out.push(item),
-                    Err(e) => {
+                for (i, p) in self.outs.iter().enumerate() {
+                    let base = stack.len();
+                    let run = self.ev.fault_site::<FAULTS>();
+                    let r = match run.and_then(|()| self.ev.exec_program(p, root, env, stack)) {
+                        Ok(()) => Ok(stack.pop().expect("bytecode program left no result")),
+                        Err(e) => {
+                            // A parked error must not leave the failed
+                            // program's operands behind for the next one.
+                            stack.truncate(base);
+                            Err(e)
+                        }
+                    };
+                    if self.join_keys && matches!(&r, Ok(v) if v.is_absent()) {
                         out.truncate(row_start);
-                        return Err(e);
+                        break 'judge false;
+                    }
+                    match T::lift(r, i >= self.park_from) {
+                        Ok(item) => out.push(item),
+                        Err(e) => {
+                            out.truncate(row_start);
+                            return Err(e);
+                        }
                     }
                 }
+                true
+            };
+            if passed || self.pads {
+                if KEEP {
+                    self.kept.push((row, passed));
+                }
+                rows += 1;
             }
-            rows += 1;
         }
         Ok(rows)
     }
 
-    /// The binding form's row at `pos`, which it binds once: the element
-    /// (see [`ScanSource::take`]) and, with an AT variable, its position.
-    fn bind_row(&mut self, pos: usize) -> Env {
-        let ordered = matches!(self.source.value(), Value::Array(_));
-        let row = self.env.bind(self.as_var.clone(), self.source.take(pos));
+    /// The binding form of `row`, which it binds once: on the slice, the
+    /// element (see [`RowSource::take`]) and, with an AT variable, its
+    /// position.
+    fn bind_row(&mut self, row: Row) -> Env {
+        let Row::At(pos) = row else {
+            return self.bind(&row);
+        };
+        let ordered = matches!(self.source.value(), Some(Value::Array(_)));
+        let bound = self.env.bind(self.as_var.clone(), self.source.take(pos));
         match &self.at_var {
-            Some(at) if ordered => row.bind(at.clone(), Value::Int(pos as i64)),
-            Some(at) => row.bind(at.clone(), Value::Missing),
-            None => row,
+            Some(at) if ordered => bound.bind(at.clone(), Value::Int(pos as i64)),
+            Some(at) => bound.bind(at.clone(), Value::Missing),
+            None => bound,
         }
     }
 }
 
 impl<T: FusedOut> Stream<T> for FusedScan<'_, '_> {
     fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
-        self.pull(out, max).map(drop)
+        self.pull::<T, false>(out, max).map(drop)
     }
 }
 
@@ -3015,29 +3044,64 @@ impl Stream<Env> for FusedScan<'_, '_> {
                 "AT position variable over an unordered bag".to_string(),
             ));
         }
-        for _ in 0..max {
-            let Some(pos) = self.next_at::<Value>(&mut Vec::new())? else {
-                break;
-            };
-            out.push(self.bind_row(pos));
-        }
-        Ok(())
+        let pulled = self.pull::<Value, true>(&mut Vec::new(), max);
+        let mut kept = std::mem::take(&mut self.kept);
+        out.extend(kept.drain(..).map(|(row, _)| self.bind_row(row)));
+        self.kept = kept;
+        pulled.map(drop)
     }
 }
 
-/// Fully drains a stream, calling `f` per row. Rows that arrived before a
-/// mid-batch error are processed first, so the order of effects is pull
-/// order at every batch size.
-fn drain_batched<T>(
-    stream: Box<dyn Stream<T> + '_>,
-    batch_size: usize,
-    mut f: impl FnMut(T) -> Result<(), EvalError>,
-) -> Result<(), EvalError> {
-    let mut rows = Cursor::new(stream, batch_size);
-    while let Some(row) = rows.next()? {
-        f(row)?;
+/// A [`FusedScan`] read one row at a time: the handle of a consumer that
+/// needs each row — to hold, bind ([`FusedScan::bind`]) or size
+/// ([`FusedScan::bound_bytes`]) — with its items. It pulls `batch` rows
+/// at a time; a pull's error surfaces after the rows before it.
+struct FusedRows<'s, 'a, T> {
+    scan: FusedScan<'s, 'a>,
+    batch: usize,
+    /// The next of the last pull's rows (`scan.kept`) to hand on.
+    next: usize,
+    /// The last pull's items not yet handed on, the next one last.
+    items: Vec<T>,
+    pulled: Result<(), EvalError>,
+    done: bool,
+}
+
+impl<'s, 'a, T: FusedOut> FusedRows<'s, 'a, T> {
+    fn new(scan: FusedScan<'s, 'a>, batch: usize) -> Self {
+        FusedRows {
+            scan,
+            batch,
+            next: 0,
+            items: Vec::new(),
+            pulled: Ok(()),
+            done: false,
+        }
     }
-    Ok(())
+
+    /// The next row handed on, with whether it passed; a row that passed
+    /// appends its items to `out`. `None` once the loop is exhausted.
+    fn next_at(&mut self, out: &mut Vec<T>) -> Result<Option<(Row, bool)>, EvalError> {
+        loop {
+            if let Some(kept) = self.scan.kept.get_mut(self.next) {
+                self.next += 1;
+                let (row, passed) = std::mem::replace(kept, (Row::At(0), false));
+                if passed {
+                    let first = self.items.len() - self.scan.outs.len();
+                    out.extend(self.items.drain(first..).rev());
+                }
+                return Ok(Some((row, passed)));
+            }
+            std::mem::replace(&mut self.pulled, Ok(()))?;
+            if self.done {
+                return Ok(None);
+            }
+            self.pulled = (self.scan.pull::<T, true>(&mut self.items, self.batch)).map(drop);
+            self.items.reverse();
+            self.next = 0;
+            self.done = self.scan.kept.is_empty() || self.pulled.is_err();
+        }
+    }
 }
 
 /// One group: its key values and one state per fold.
@@ -3464,111 +3528,46 @@ impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
     }
 }
 
-/// A hash join's probe side.
-enum ProbeSide<'s, 'a, R = BindingStream<'s>> {
-    /// The left rows as bindings.
-    Rows(R),
-    /// A bare scan's rows as bindings (see [`Evaluator::probe_side`]).
-    Scan(R),
-    /// An inner join's bare-scan left side on the fused spine (see
-    /// [`Evaluator::spine_probe`]): the left keys of each row that can
-    /// match, with its position, so a row is cloned and bound only once
-    /// a build row's keys equal its own.
-    Spine(FusedScan<'s, 'a>),
-}
-
-impl<'s> ProbeSide<'s, '_> {
-    /// The left rows as bindings, none of them read yet. The spine's
-    /// probe filter and keys are dropped: the nested loop checks them
-    /// per pair.
-    fn into_bindings(self) -> BindingStream<'s> {
-        match self {
-            ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => rows,
-            ProbeSide::Spine(spine) => Box::new(FusedScan {
-                preds: Vec::new(),
-                outs: Vec::new(),
-                join_keys: false,
-                ..spine
-            }),
-        }
-    }
-}
-
 /// Streaming hash-join probe: the build side is already materialized
 /// (tracked live by its gauge); left rows are pulled one at a time and
 /// probed, so a LIMIT above the join stops the left scan early.
 struct HashProbe<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
-    keys: &'a [(CoreExpr, CoreExpr)],
-    left_pred: Option<&'a CoreExpr>,
     residual: Option<&'a CoreExpr>,
     names: Vec<Rc<str>>,
     build: JoinTable,
     /// Keeps the build rows counted as live until the probe finishes.
     _held: MatGauge<'s>,
-    left: ProbeSide<'s, 'a>,
+    /// The probe side's row loop: the left keys of each row.
+    left: FusedRows<'s, 'a, Value>,
     /// Rows produced by the current left row, drained before pulling the
     /// next one.
     pending: VecDeque<Env>,
     done: bool,
 }
 
-impl<'s, 'a> HashProbe<'s, 'a> {
+impl HashProbe<'_, '_> {
     /// Pulls one left row and queues what it produces: its matches, or
-    /// its NULL padding for an unmatched LEFT row. An empty build side
-    /// matches nothing, and — like the nested loop over an empty right
-    /// side — evaluates no left predicate or key at all; an inner join
-    /// whose rows cannot raise (the spine, a bare scan) stops at once.
+    /// its NULL padding for an unmatched LEFT row.
     fn step(&mut self) -> Result<(), EvalError> {
-        let stop = self.build.rows.is_empty()
-            && self.kind == CoreJoinKind::Inner
-            && matches!(self.left, ProbeSide::Scan(_));
-        let (build, names, pending) = (&self.build, &self.names, &mut self.pending);
-        let mut emit = |row| pending.push_back(row);
-        match &mut self.left {
-            ProbeSide::Spine(spine) => {
-                let mut kv = Vec::with_capacity(self.keys.len());
-                let pos = if build.rows.is_empty() {
-                    None
-                } else {
-                    spine.next_at(&mut kv)?
-                };
-                let Some(pos) = pos else {
-                    self.done = true;
-                    return Ok(());
-                };
-                let spine = &*spine;
-                build.probe(
-                    self.ev,
-                    &kv,
-                    &|| spine.bind(pos),
-                    names,
-                    self.residual,
-                    &mut emit,
-                )?;
-            }
-            ProbeSide::Rows(rows) | ProbeSide::Scan(rows) => {
-                let Some(l) = (if stop { None } else { next_one(rows)? }) else {
-                    self.done = true;
-                    return Ok(());
-                };
-                let left_keys = self.keys.iter().map(|(lk, _)| lk);
-                let kv = if build.rows.is_empty() {
-                    None
-                } else {
-                    self.ev.join_key(left_keys, self.left_pred, &l)?
-                };
-                let matched = match kv {
-                    Some(kv) => {
-                        build.probe(self.ev, &kv, &|| l.clone(), names, self.residual, &mut emit)?
-                    }
-                    None => false,
-                };
-                if !matched && self.kind == CoreJoinKind::Left {
-                    pending.push_back(pad_left(&l, names));
-                }
-            }
+        let mut kv = Vec::new();
+        let Some((row, passed)) = self.left.next_at(&mut kv)? else {
+            self.done = true;
+            return Ok(());
+        };
+        let (left, names, pending) = (&self.left, &self.names, &mut self.pending);
+        let matched = passed
+            && self.build.probe(
+                self.ev,
+                &kv,
+                &|| left.scan.bind(&row),
+                names,
+                self.residual,
+                &mut |r| pending.push_back(r),
+            )?;
+        if !matched && self.kind == CoreJoinKind::Left {
+            pending.push_back(pad_left(&left.scan.bind(&row), names));
         }
         Ok(())
     }

@@ -4,9 +4,8 @@
 //! binding environments; this module gives the interpreter that shape at
 //! runtime, with exactly one pull protocol: [`Stream::next_batch`] appends
 //! up to `max` rows into a caller-owned buffer in one virtual call.
-//! Full-consumption operators (sort fill, aggregation, DISTINCT) iterate
-//! their input through a [`Cursor`], which pulls
-//! ~[`DEFAULT_BATCH_SIZE`] rows at a time underneath and so amortizes
+//! Full-consumption operators (sort fill, aggregation, DISTINCT) pull
+//! their input ~[`DEFAULT_BATCH_SIZE`] rows at a time and so amortize
 //! dynamic dispatch, governor ticks, and stat increments; a session with
 //! `batch_size: 1` is the row-at-a-time engine — through this same code,
 //! not a second path.
@@ -90,46 +89,22 @@ pub(crate) fn collect<T>(
     }
 }
 
-/// A row-at-a-time cursor over batched pulls — the `for` loop over a
-/// stream, for consumers that must be able to stop between rows and
-/// resume later (a keyed build that overflows mid-stream). Rows that
-/// arrived before a mid-batch error are yielded first, so the order of
-/// effects is pull order at every batch size.
-pub(crate) struct Cursor<'s, T> {
-    stream: Box<dyn Stream<T> + 's>,
+/// Fully drains a stream, calling `f` per row. Rows that arrived before a
+/// mid-batch error are processed first, so the order of effects is pull
+/// order at every batch size.
+pub(crate) fn drain_batched<T>(
+    mut stream: Box<dyn Stream<T> + '_>,
     batch_size: usize,
-    /// The current batch, reversed so `pop` yields pull order.
-    batch: Vec<T>,
-    /// The pull's outcome, surfaced once the batch is consumed.
-    pulled: Result<(), EvalError>,
-    done: bool,
-}
-
-impl<'s, T> Cursor<'s, T> {
-    pub(crate) fn new(stream: Box<dyn Stream<T> + 's>, batch_size: usize) -> Self {
-        Cursor {
-            stream,
-            batch_size,
-            batch: Vec::new(),
-            pulled: Ok(()),
-            done: false,
+    mut f: impl FnMut(T) -> Result<(), EvalError>,
+) -> Result<(), EvalError> {
+    let mut batch = Vec::new();
+    loop {
+        let pulled = stream.next_batch(&mut batch, batch_size);
+        if batch.is_empty() {
+            return pulled;
         }
-    }
-
-    /// The next row, or `None` once the stream is exhausted.
-    pub(crate) fn next(&mut self) -> Result<Option<T>, EvalError> {
-        loop {
-            if let Some(row) = self.batch.pop() {
-                return Ok(Some(row));
-            }
-            std::mem::replace(&mut self.pulled, Ok(()))?;
-            if self.done {
-                return Ok(None);
-            }
-            self.pulled = self.stream.next_batch(&mut self.batch, self.batch_size);
-            self.done = self.batch.is_empty() || self.pulled.is_err();
-            self.batch.reverse();
-        }
+        batch.drain(..).try_for_each(&mut f)?;
+        pulled?;
     }
 }
 

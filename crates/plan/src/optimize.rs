@@ -89,8 +89,8 @@ fn fold_op(op: &mut CoreOp) {
 ///   LIMIT n` lowering. The projection must still see the rows an
 ///   OFFSET later skips (strict-mode errors in them are observable),
 ///   so the outer LIMIT/OFFSET stays and only the sort underneath is
-///   bounded to `limit + offset` rows. To keep that bound a plain
-///   constant this shape fuses only for literal limits.
+///   bounded to `limit + offset` rows (see [`heap_bound`]). This shape
+///   fuses when each operand is a literal or a `?` parameter.
 fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -> CoreOp {
     let Some(limit) = limit else {
         // OFFSET without LIMIT still needs every row: no fusion.
@@ -120,24 +120,18 @@ fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -
             expr,
             distinct: false,
         } if matches!(*sort, CoreOp::Sort { .. })
-            && const_nonneg(&limit).is_some()
-            && offset.as_ref().is_none_or(|o| const_nonneg(o).is_some())
-            && const_nonneg(&limit)
-                .unwrap()
-                .checked_add(offset.as_ref().map_or(Some(0), const_nonneg).unwrap())
-                .is_some() =>
+            && heap_bound(&limit, offset.as_ref()).is_some() =>
         {
             let CoreOp::Sort { input, keys } = *sort else {
                 unreachable!()
             };
-            let bound = const_nonneg(&limit).unwrap()
-                + offset.as_ref().map_or(Some(0), const_nonneg).unwrap();
+            let bound = heap_bound(&limit, offset.as_ref()).expect("checked above");
             CoreOp::LimitOffset {
                 input: Box::new(CoreOp::Project {
                     input: Box::new(CoreOp::TopK {
                         input,
                         keys,
-                        limit: CoreExpr::Const(Value::Int(bound)),
+                        limit: bound,
                         offset: None,
                         on_values: false,
                     }),
@@ -154,6 +148,36 @@ fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -
             offset,
         },
     }
+}
+
+/// The heap bound `limit + offset` of a top-k under a projection, when
+/// each operand is a non-negative literal or a `?` parameter: a literal
+/// when both are literals, else an expression the top-k evaluates when it
+/// opens. The LIMIT/OFFSET above it has evaluated the same operands by
+/// then and refused anything but a non-negative integer, so the
+/// expression only ever sees those; it saturates at `i64::MAX` where the
+/// sum would overflow.
+fn heap_bound(limit: &CoreExpr, offset: Option<&CoreExpr>) -> Option<CoreExpr> {
+    let operand = |e: &CoreExpr| const_nonneg(e).is_some() || matches!(e, CoreExpr::Param(_));
+    if !operand(limit) || !offset.is_none_or(operand) {
+        return None;
+    }
+    let Some(offset) = offset else {
+        return Some(limit.clone());
+    };
+    if let (Some(l), Some(o)) = (const_nonneg(limit), const_nonneg(offset)) {
+        return Some(CoreExpr::Const(Value::Int(l.saturating_add(o))));
+    }
+    // CASE WHEN limit > MAX - offset THEN MAX ELSE limit + offset END
+    let max = || CoreExpr::Const(Value::Int(i64::MAX));
+    let bin = |op, l, r| CoreExpr::Bin(op, Box::new(l), Box::new(r));
+    let room = bin(BinOp::Sub, max(), offset.clone());
+    let mut bound = CoreExpr::Case {
+        arms: vec![(bin(BinOp::Gt, limit.clone(), room), max())],
+        else_expr: Box::new(bin(BinOp::Add, limit.clone(), offset.clone())),
+    };
+    fold_expr(&mut bound);
+    Some(bound)
 }
 
 /// The integer value of a non-negative literal LIMIT/OFFSET operand,
@@ -267,7 +291,14 @@ fn fold_expr(e: &mut CoreExpr) {
 
 fn extract_joins_op(op: &mut CoreOp) {
     op.for_each_expr_mut(&mut |e, _| extract_joins_in(e));
-    op.for_each_child_mut(&mut extract_joins_op);
+    match op {
+        // A FROM under a WHERE is extracted once, with the WHERE, below;
+        // only its expressions' nested plans are reached here.
+        CoreOp::Filter { input, .. } if matches!(**input, CoreOp::From { .. }) => {
+            input.for_each_expr_mut(&mut |e, _| extract_joins_in(e));
+        }
+        _ => op.for_each_child_mut(&mut extract_joins_op),
+    }
     *op = match std::mem::replace(op, CoreOp::Single) {
         CoreOp::From { item } => extract_where(item, None),
         CoreOp::Filter { input, pred } if matches!(*input, CoreOp::From { .. }) => {
@@ -1215,10 +1246,22 @@ mod tests {
     }
 
     #[test]
-    fn parameter_limit_over_projection_is_not_fused() {
-        // The heap bound must be a literal when the projection sits in
-        // between; a parameter LIMIT keeps the full sort.
+    fn parameter_limit_over_projection_fuses_to_topk() {
+        // The heap bound is the parameter itself; the outer LIMIT, which
+        // checks it first, stays.
         let text = opt("SELECT x.a FROM t AS x ORDER BY x.a LIMIT ?");
+        assert!(text.contains("top-k x.a limit $0"), "{text}");
+        assert!(text.contains("limit/offset limit $0"), "{text}");
+        assert!(!text.contains("sort"), "{text}");
+        // With an OFFSET the bound is their sum, saturating.
+        let text = opt("SELECT x.a FROM t AS x ORDER BY x.a LIMIT ? OFFSET 3");
+        assert!(
+            text.contains("top-k x.a limit CASE WHEN ($0 > 9223372036854775804)"),
+            "{text}"
+        );
+        assert!(!text.contains("sort"), "{text}");
+        // Any other operand keeps the full sort.
+        let text = opt("SELECT x.a FROM t AS x ORDER BY x.a LIMIT ? + 1");
         assert!(!text.contains("top-k"), "{text}");
         assert!(text.contains("sort"), "{text}");
     }

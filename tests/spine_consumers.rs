@@ -1,9 +1,11 @@
-//! Late materialization on the fused spine: a top-k in binding form over
-//! `Filter* → Scan`, and an inner hash join whose probe side is a bare
-//! scan, evaluate their keys and filters on borrowed rows and clone only
-//! the rows they keep. Both must answer exactly like the binding stream
-//! (batch 1, where the spine never runs), and like the paper-literal plan
-//! (`optimize: false`) wherever both answer.
+//! The consumers of the one row loop: a projection, a top-k, a GROUP BY,
+//! a correlate's left filter and a hash join's two sides each read their
+//! input through it — off the slice when the input is a bare
+//! `Filter* → Scan` (late materialization: keys and filters run on
+//! borrowed rows, and only the rows kept are cloned), off the binding
+//! stream otherwise. Every consumer must answer exactly like batch 1,
+//! where every input is read off the binding stream, and like the
+//! paper-literal plan (`optimize: false`) wherever both answer.
 //!
 //! * a seeded differential property over ORDER BY … LIMIT/OFFSET and
 //!   INNER comma/JOIN equi-joins — probe filters, build filters,
@@ -14,6 +16,12 @@
 //!   attributes are ints, strings, floats, NULL, MISSING or absent, with
 //!   duplicate sort keys; optimize on and off, batch 1/2/1024, both
 //!   typing modes: the identical answer or error at every batch size;
+//! * an input axis in the same generator: each consumer — projection,
+//!   top-k, folded GROUP BY, GROUP AS, the pushed left filter, an INNER
+//!   and a LEFT hash join's probe side and a hash join's build side —
+//!   over a non-bare input (a scan with `AT i`, an UNNEST correlate, a
+//!   hash join, a LET), so the loop reads the binding stream at batch 2
+//!   and 1024 as well;
 //! * a source-policy axis in the same generator: projections, UNNESTs,
 //!   filters, GROUP BYs and LIMITs over every kind of FROM source §III
 //!   tells apart — a stored bag, array, scalar, tuple and NULL, a
@@ -378,10 +386,100 @@ fn join_condition(src: &mut Source) -> String {
     out.join(" AND ")
 }
 
+/// A non-bare input binding `e`, a row of `u` or `arr`: its FROM items,
+/// its LET clause, and an expression over its other variable — a scan
+/// with `AT i`, an UNNEST correlate, a hash join and a LET.
+const INPUTS: &[(&str, &str, &str)] = &[
+    ("arr AS e AT i", "", "i"),
+    ("u AS e, e.p AS x", "", "x"),
+    ("u AS e JOIN w AS d ON e.k = d.k", "", "d.id"),
+    ("u AS e", " LET z = e.f + 1", "z"),
+];
+
+/// Every consumer of the row loop over a non-bare input (see [`INPUTS`]),
+/// so the loop reads the input's binding stream at batch 2 and 1024 too:
+/// a projection, a top-k, a folded GROUP BY, a GROUP AS, a correlate's
+/// pushed left filter, and a hash join's probe side (INNER, and LEFT,
+/// whose rejected rows are padded) and build side.
+fn input_query(src: &mut Source) -> Query {
+    let (from, lets, other) = pick(src, INPUTS);
+    let text = match src.draw_below(8) {
+        0 => format!(
+            "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{}",
+            filter(src)
+        ),
+        1 => format!(
+            "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{}{}",
+            filter(src),
+            order_limit(src)
+        ),
+        2 => format!(
+            "SELECT e.t AS t, COUNT(*) AS n, SUM(e.id) AS s, MAX({other}) AS m \
+             FROM {from}{lets}{} GROUP BY e.t",
+            filter(src)
+        ),
+        3 => format!(
+            "SELECT t, (SELECT VALUE [g.e.id, g.e.k] FROM grp AS g) AS rows \
+             FROM {from}{lets}{} GROUP BY e.t AS t GROUP AS grp",
+            filter(src)
+        ),
+        // A left-only conjunct over the input's other variable filters
+        // the input's rows below the UNNEST of `e.p`.
+        4 => format!(
+            "SELECT VALUE [e.id, y] FROM {from}, e.p AS y{lets} WHERE {other} > 1{}",
+            pick(src, &["", " AND y > 1"])
+        ),
+        5 => format!(
+            "SELECT VALUE [e.id, c.id] FROM {from}, w AS c{lets} WHERE {}",
+            join_condition(src).replace("d.", "c.")
+        ),
+        // The input's rows feed a LEFT join's probe side where the JOIN
+        // syntax reaches them.
+        6 if !from.contains(',') => format!(
+            "SELECT VALUE [e.id, c.id] FROM {from} LEFT JOIN w AS c ON {}{lets}",
+            join_condition(src).replace("d.", "c.")
+        ),
+        // The input is the build side where it is uncorrelated.
+        _ => format!(
+            "SELECT VALUE [c.id, e.id] FROM w AS c, {from}{lets} WHERE c.k = e.k{}",
+            pick(src, &["", " AND e.f > 0.5", " AND c.t = 1"])
+        ),
+    };
+    Query {
+        params: params(src, &text),
+        text,
+        counted: true,
+        spine: &[],
+        model: None,
+    }
+}
+
+/// Values for the `?`s in `text`; now and then they are never supplied.
+fn params(src: &mut Source, text: &str) -> Vec<Value> {
+    if src.draw_below(4) == 0 {
+        return Vec::new();
+    }
+    (0..text.matches('?').count())
+        .map(|_| {
+            pick(
+                src,
+                &[
+                    Value::Int(1),
+                    Value::Int(2),
+                    Value::Str("a".into()),
+                    Value::Float(0.5),
+                ],
+            )
+        })
+        .collect()
+}
+
 fn queries() -> Gen<Query> {
     Gen::new(|src| {
-        if src.draw_below(3) == 0 {
-            return policy_query(src);
+        match src.draw_below(6) {
+            0 | 1 => return policy_query(src),
+            2 => return input_query(src),
+            _ => {}
         }
         let shape = src.draw_below(10);
         let text = match shape {
@@ -427,28 +525,11 @@ fn queries() -> Gen<Query> {
                 join_condition(src)
             ),
         };
-        // Now and then a `?` is never supplied.
-        let params = if src.draw_below(4) == 0 {
-            Vec::new()
-        } else {
-            (0..text.matches('?').count())
-                .map(|_| {
-                    pick(
-                        src,
-                        &[
-                            Value::Int(1),
-                            Value::Int(2),
-                            Value::Str("a".into()),
-                            Value::Float(0.5),
-                        ],
-                    )
-                })
-                .collect()
-        };
-        // A top-k opens no scan for LIMIT 0, and a `?` limit plans a
-        // sort; a LEFT join keeps the binding stream.
+        let params = params(src, &text);
+        // A top-k opens no scan for LIMIT 0; a LEFT join keeps the
+        // binding stream.
         let spine = match shape {
-            0..=3 if text.contains("LIMIT 0") || text.contains("LIMIT ?") => &[][..],
+            0..=3 if text.contains("LIMIT 0") => &[][..],
             9 => &[][..],
             _ => BOTH,
         };
@@ -740,6 +821,66 @@ fn the_unknown_name_fallback_answers_from_the_spine_source() {
     for base in both_typings() {
         let got = every_arm(&engine, &base, q, &[]).unwrap();
         assert_eq!(got.as_elements().map(<[Value]>::len), Some(8), "{got}");
+    }
+}
+
+/// A `?` LIMIT over a projection plans a top-k whose heap bound is the
+/// parameter plus the OFFSET, under the LIMIT/OFFSET that checks both
+/// first. Every value — a good one, zero, a non-integer, a negative, an
+/// unsupplied one and `i64::MAX`, whose sum with an OFFSET saturates —
+/// gives the literal plan's answer or its identical error.
+#[test]
+fn a_parameter_limit_over_a_projection_runs_a_top_k_for_every_value() {
+    let u = rows(30, |i| {
+        vec![
+            ("id", Value::Int(i)),
+            ("k", Value::Int(i % 7)),
+            (
+                "f",
+                if i == 4 {
+                    Value::Str("s".into())
+                } else {
+                    Value::Int(i)
+                },
+            ),
+        ]
+    });
+    let engine = engine(&u, &Value::Bag(Vec::new()));
+    let values = [
+        Some(Value::Int(3)),
+        Some(Value::Int(0)),
+        Some(Value::Float(1.5)),
+        Some(Value::Str("a".into())),
+        Some(Value::Int(-1)),
+        Some(Value::Int(i64::MAX)),
+        None,
+    ];
+    for q in [
+        "SELECT e.id AS id, e.f + 1 AS g FROM u AS e ORDER BY e.k DESC, e.id LIMIT ?",
+        "SELECT e.id AS id, e.f + 1 AS g FROM u AS e ORDER BY e.k, e.id LIMIT ? OFFSET ?",
+        "SELECT e.id AS id, e.f + 1 AS g FROM u AS e ORDER BY e.k, e.id LIMIT ? OFFSET 2",
+    ] {
+        let plan = engine.with_config(config(TypingMode::Permissive, true, 1024));
+        let text = plan.explain(q).unwrap();
+        assert!(text.contains("top-k") && !text.contains("sort"), "{text}");
+        let slots = q.matches('?').count();
+        for limit in &values {
+            for offset in [Some(Value::Int(1)), Some(Value::Int(i64::MAX)), None] {
+                // An unsupplied value leaves every later one unsupplied.
+                let params: Vec<Value> = [limit.clone(), offset]
+                    .into_iter()
+                    .take(slots)
+                    .map_while(|v| v)
+                    .collect();
+                for base in both_typings() {
+                    let (on, off) = match arms(&engine, &base, q, &params) {
+                        Ok(outcomes) => outcomes,
+                        Err(e) => panic!("{e}"),
+                    };
+                    assert_eq!(on, off, "{:?}: {q} {params:?}", base.typing);
+                }
+            }
+        }
     }
 }
 
