@@ -39,7 +39,7 @@ fn rows(n: usize) -> Value {
             let mut t = Tuple::with_capacity(3);
             t.insert("id", Value::Int(i));
             t.insert("v", Value::Int((i * 31) % 1_000));
-            t.insert("pad", Value::Str(format!("payload-{}", i % 97).into()));
+            t.insert("pad", Value::Str(format!("payload-{}", i % 97)));
             Value::Tuple(t)
         })
         .collect();

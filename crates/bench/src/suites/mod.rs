@@ -28,8 +28,11 @@ pub mod set_ops;
 pub mod unnest_vs_flat_join;
 pub mod vectorized;
 
-/// All suites, in a stable order, as `(name, runner)` pairs.
-pub fn all() -> Vec<(&'static str, fn(&mut Harness))> {
+/// A suite's name and runner.
+pub type Suite = (&'static str, fn(&mut Harness));
+
+/// All suites, in a stable order.
+pub fn all() -> Vec<Suite> {
     vec![
         (
             "group_as_vs_subquery",

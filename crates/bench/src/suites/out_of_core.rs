@@ -33,7 +33,7 @@ fn rows(n: usize) -> Value {
             let mut t = Tuple::with_capacity(3);
             t.insert("id", Value::Int(i));
             t.insert("k", Value::Int((i * 67) % (n as i64 / 4)));
-            t.insert("pad", Value::Str(format!("payload-{}", i % 97).into()));
+            t.insert("pad", Value::Str(format!("payload-{}", i % 97)));
             Value::Tuple(t)
         })
         .collect();

@@ -195,9 +195,7 @@ pub fn run(h: &mut Harness) {
                         3 => client
                             .query_with_params(ECHO, vec![Value::Int(id as i64)])
                             .expect("echo"),
-                        k => client
-                            .query(SHAPES[k as usize % SHAPES.len()])
-                            .expect("read"),
+                        k => client.query(SHAPES[k % SHAPES.len()]).expect("read"),
                     };
                     mine.push(t0.elapsed().as_nanos() as u64);
                     match (i % 8, resp) {

@@ -427,9 +427,23 @@ impl Engine {
     }
 
     /// The lowered (Core) plan as text — SQL's EXPLAIN, and the mechanism
-    /// by which the listing gallery shows the §V-C rewritings.
+    /// by which the listing gallery shows the §V-C rewritings. A bare
+    /// expression explains as the plan `run_str` runs for it.
     pub fn explain(&self, src: &str) -> Result<String> {
-        Ok(self.prepare(src)?.plan().explain())
+        Ok(self.prepare_query_or_expr(src)?.plan().explain())
+    }
+
+    /// [`Engine::prepare`], or — when `src` is no query but parses as a
+    /// bare expression, as in [`Engine::run_str`] — the FROM-less
+    /// `SELECT VALUE expr`. If neither parses, the query's syntax error.
+    fn prepare_query_or_expr(&self, src: &str) -> Result<Prepared> {
+        match self.prepare(src) {
+            Err(Error::Syntax(first)) => match sqlpp_syntax::parse_expr(src) {
+                Ok(expr) => self.prepare_parsed(Query::select_value(expr)),
+                Err(_) => Err(Error::Syntax(first)),
+            },
+            prepared => prepared,
+        }
     }
 
     /// Runs a query with statistics collection on and returns its result
@@ -448,7 +462,7 @@ impl Engine {
     /// — and, when the run failed, an `error: …` line under the counts
     /// it reached.
     pub fn explain_analyze(&self, src: &str) -> Result<String> {
-        let (planned, value, stats) = self.prepare(src)?.analyze(self, Vec::new())?;
+        let (planned, value, stats) = self.prepare_query_or_expr(src)?.analyze(self, Vec::new())?;
         Ok(render_analysis(&planned.core, &stats, value.err().as_ref()))
     }
 

@@ -300,7 +300,7 @@ impl DurableStore {
         // Newest valid snapshot wins; older ones only exist if a crash
         // interrupted the post-checkpoint prune.
         let mut snaps = snapshot_files(&dir)?;
-        snaps.sort_by(|a, b| b.0.cmp(&a.0));
+        snaps.sort_by_key(|s| std::cmp::Reverse(s.0));
         let mut snapshot: Option<Snapshot> = None;
         let mut first_bad: Option<DurabilityError> = None;
         for (_lsn, path) in &snaps {
@@ -516,9 +516,7 @@ impl DurableStore {
             w.next_lsn += 1;
             w.records_since_checkpoint += 1;
             w.appends += 1;
-            if let Err(e) = synced {
-                return Err(e);
-            }
+            synced?;
             w.syncs += 1;
         } else {
             w.len += frame.len() as u64;

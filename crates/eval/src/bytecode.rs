@@ -16,13 +16,22 @@
 //! stack and the operator pops them. Control flow (AND/OR short-circuit,
 //! CASE arms, the IN missing-needle rule) uses absolute-target jumps that
 //! the compiler back-patches. A program borrows its plan (`'p`): names,
-//! constants and nested plans are references, never clones, and the
-//! borrow is what makes the evaluator's address-keyed program cache sound
-//! — a cached expression cannot be freed while its program is alive.
+//! constants and nested plans are references, and the borrow is what
+//! makes the evaluator's address-keyed program cache sound — a cached
+//! expression cannot be freed while its program is alive.
 //!
-//! `Field { var, attr }` fuses `Path(Var(v), a)` so the common `t.x`
-//! navigation borrows the bound tuple and clones only the leaf value,
-//! instead of cloning the whole tuple out of the environment first.
+//! ## Leaf operands
+//!
+//! A constant, a parameter, a variable or static attribute steps off one
+//! (`t.x`, `t.addr.city`) is a *leaf* ([`Operand`]). The comparison,
+//! arithmetic and test instructions (`Bin`, `Is`, `Between`, `Like`,
+//! `InCollection`) take each operand either off the stack or as a leaf
+//! that the VM reads in place (`Evaluator::operand`): a reference into
+//! the row, the environment, the parameters or the plan, never a clone.
+//! The compiler reads a leaf in place only when every operand after it is
+//! a leaf too, so stacked operands come first and operands are still read
+//! left to right. [`Instr::Push`] is the one place a leaf is cloned, for
+//! values the program hands on (outputs, constructors, call arguments).
 //!
 //! ## Call instructions
 //!
@@ -59,39 +68,53 @@ pub(crate) struct Program<'p> {
     pub(crate) names: Vec<AttrName>,
 }
 
+/// A leaf operand: a value the VM reads in place (`Evaluator::operand`)
+/// as a reference into the row, the environment, the parameters or the
+/// plan, instead of evaluating it onto the stack.
+#[derive(Clone, Copy)]
+pub(crate) enum Operand<'p> {
+    /// A literal.
+    Const(&'p Value),
+    /// A positional parameter (error: not supplied).
+    Param(usize),
+    /// A variable (error: unknown name), or static attribute steps off
+    /// one: the plan's own `Var`, or its chain of `Path`s down to one.
+    Var(&'p CoreExpr),
+    /// The same path off the fused spine's borrowed root binding — no
+    /// name compare, no environment probe (emitted only by
+    /// [`Program::specialize_for_root`], never by the compiler).
+    Root(&'p CoreExpr),
+}
+
+/// Where an instruction takes an operand from: `None` pops it off the
+/// stack, `Some` reads a leaf in place. Stacked operands always come
+/// first — a leaf is read in place only when every operand after it is
+/// one too — so operands are still read left to right.
+pub(crate) type Arg<'p> = Option<Operand<'p>>;
+
 /// One VM instruction. Jump targets are absolute instruction indices.
 #[derive(Clone, Copy)]
 pub(crate) enum Instr<'p> {
-    /// Push a literal.
-    Const(&'p Value),
-    /// Push a variable's value (error: unknown name).
-    Var(&'p str),
-    /// Push the fused spine's borrowed root binding (emitted only by
-    /// [`Program::specialize_for_root`], never by the compiler).
-    RootVar,
-    /// Fused `root.attr`: navigate the root binding directly — no name
-    /// compare, no environment probe (specialization-only, like
-    /// [`Instr::RootVar`]).
-    RootField(&'p str),
-    /// Push a positional parameter.
-    Param(usize),
+    /// Push a clone of a leaf: the one place a leaf is copied, for values
+    /// the program hands on (outputs, constructors, call arguments).
+    Push(Operand<'p>),
     /// Resolve a catalog reference (`resolve_global`).
     Global(&'p [String]),
     /// Resolve a late-bound name (env → catalog → unique attribute).
     Dynamic(&'p String),
-    /// Fused `var.attr`: navigate without cloning the base value.
-    Field {
-        /// The variable holding the base value.
-        var: &'p str,
-        /// The attribute to navigate to.
-        attr: &'p str,
-    },
     /// Navigate `.attr` on the popped value.
     Path(&'p str),
     /// `base[index]` on the two popped values.
     Index,
     /// Any binary operator except AND/OR (those need control flow).
-    Bin(BinOp),
+    Bin {
+        /// The operator.
+        op: BinOp,
+        /// Left operand.
+        l: Arg<'p>,
+        /// Right operand.
+        r: Arg<'p>,
+    },
     /// Join the two popped operands of AND/OR under 3VL (the
     /// non-short-circuit half).
     Logic(BinOp),
@@ -106,33 +129,50 @@ pub(crate) enum Instr<'p> {
     },
     /// Unary operator on the popped value.
     Un(UnOp),
-    /// `IS [NOT] NULL/MISSING/<type>` on the popped value.
+    /// `IS [NOT] NULL/MISSING/<type>`.
     Is {
         /// The test.
         test: &'p IsTest,
         /// `IS NOT`?
         negated: bool,
+        /// The tested value.
+        x: Arg<'p>,
     },
-    /// Pops `[escape,] pattern, text` and runs LIKE.
+    /// `text LIKE pattern [ESCAPE escape]`.
     Like {
-        /// Whether an escape operand was pushed.
-        has_escape: bool,
         /// NOT LIKE?
         negated: bool,
+        /// The matched text.
+        text: Arg<'p>,
+        /// The pattern.
+        pat: Arg<'p>,
+        /// The escape operand, if written.
+        esc: Option<Arg<'p>>,
     },
-    /// Pops `high, low, subject`: `low <= subject AND subject <= high`
-    /// under 3VL. The subject is evaluated exactly once.
+    /// `low <= x AND x <= high` under 3VL. The subject is evaluated
+    /// exactly once.
     Between {
         /// NOT BETWEEN?
         negated: bool,
+        /// The subject.
+        x: Arg<'p>,
+        /// Lower bound.
+        low: Arg<'p>,
+        /// Upper bound.
+        high: Arg<'p>,
     },
     /// Peek: if the top of stack is MISSING jump to the target, leaving
     /// MISSING as the result (IN's missing-needle rule).
     JumpIfMissing(usize),
-    /// Pops `collection, needle` and runs the IN membership scan.
+    /// The IN membership scan: MISSING when the needle is (the
+    /// collection is then not read), else the scan of the collection.
     InCollection {
         /// NOT IN?
         negated: bool,
+        /// The needle.
+        needle: Arg<'p>,
+        /// The collection.
+        hay: Arg<'p>,
     },
     /// Call: pops the needle and streams the subquery's rows against it,
     /// stopping at the first TRUE.
@@ -213,41 +253,70 @@ pub(crate) enum Instr<'p> {
 }
 
 impl<'p> Program<'p> {
-    /// Rewrites every lookup that can only resolve to the fused spine's
-    /// root binding (`Var`/`Field` on the scan variable — root-first
+    /// Rewrites every path operand that can only resolve to the fused
+    /// spine's root binding (one on the scan variable — root-first
     /// shadowing means the root always wins) into a direct root read,
     /// eliminating the per-row name comparison from the hot loop. Only
     /// meaningful for `root_safe` programs run with a root binding.
     pub(crate) fn specialize_for_root(&self, root: &str) -> Program<'p> {
-        let instrs = self
-            .instrs
-            .iter()
-            .map(|i| match *i {
-                Instr::Var(name) if name == root => Instr::RootVar,
-                Instr::Field { var, attr } if var == root => Instr::RootField(attr),
-                other => other,
-            })
-            .collect();
-        Program {
-            instrs,
-            root_safe: self.root_safe,
-            names: self.names.clone(),
+        let mut p = self.clone();
+        for i in &mut p.instrs {
+            i.for_each_leaf(|o| match *o {
+                Operand::Var(path) if path_var(path) == Some(root) => *o = Operand::Root(path),
+                _ => {}
+            });
+        }
+        p
+    }
+}
+
+impl<'p> Instr<'p> {
+    /// Visits every operand this instruction reads in place.
+    fn for_each_leaf(&mut self, f: impl FnMut(&mut Operand<'p>)) {
+        match self {
+            Instr::Push(o) => std::iter::once(o).for_each(f),
+            Instr::Bin { l, r, .. } => [l, r].into_iter().flatten().for_each(f),
+            Instr::Is { x, .. } => x.iter_mut().for_each(f),
+            Instr::Like { text, pat, esc, .. } => {
+                [text, pat].into_iter().chain(esc).flatten().for_each(f)
+            }
+            Instr::Between { x, low, high, .. } => [x, low, high].into_iter().flatten().for_each(f),
+            Instr::InCollection { needle, hay, .. } => {
+                [needle, hay].into_iter().flatten().for_each(f)
+            }
+            _ => {}
         }
     }
 }
 
 /// Compiles `e`.
 pub(crate) fn compile(e: &CoreExpr) -> Program<'_> {
-    let mut c = Compiler {
+    let mut p = Program {
         instrs: Vec::new(),
         root_safe: true,
         names: Vec::new(),
     };
-    c.emit(e);
-    Program {
-        instrs: c.instrs,
-        root_safe: c.root_safe,
-        names: c.names,
+    p.emit(e);
+    p
+}
+
+/// `e` as a leaf operand, when it is one: a constant, a parameter, or a
+/// variable followed by static attribute steps.
+fn leaf(e: &CoreExpr) -> Option<Operand<'_>> {
+    match e {
+        CoreExpr::Const(v) => Some(Operand::Const(v)),
+        CoreExpr::Param(i) => Some(Operand::Param(*i)),
+        _ => path_var(e).map(|_| Operand::Var(e)),
+    }
+}
+
+/// The variable `e` navigates from, when `e` is a variable or a chain of
+/// static attribute steps off one.
+fn path_var(e: &CoreExpr) -> Option<&str> {
+    match e {
+        CoreExpr::Var(name) => Some(name),
+        CoreExpr::Path(base, _) => path_var(base),
+        _ => None,
     }
 }
 
@@ -263,13 +332,8 @@ pub(crate) fn produces_elements(op: &CoreOp) -> bool {
     }
 }
 
-struct Compiler<'p> {
-    instrs: Vec<Instr<'p>>,
-    root_safe: bool,
-    names: Vec<AttrName>,
-}
-
-impl<'p> Compiler<'p> {
+/// Compilation: the program grows as the expression is walked.
+impl<'p> Program<'p> {
     /// Emits a call instruction: nested plans need a real environment.
     fn call(&mut self, i: Instr<'p>) {
         self.root_safe = false;
@@ -288,11 +352,31 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// Compiles an instruction's operands: every one up to the last
+    /// non-leaf is emitted onto the stack, left to right, and the trailing
+    /// leaves are returned to be read in place, after them.
+    fn args<const N: usize>(&mut self, items: [&'p CoreExpr; N]) -> [Arg<'p>; N] {
+        let stacked = (items.iter().rposition(|e| leaf(e).is_none())).map_or(0, |k| k + 1);
+        let mut args = [None; N];
+        for (i, e) in items.into_iter().enumerate() {
+            if i < stacked {
+                self.emit(e);
+            } else {
+                args[i] = leaf(e);
+            }
+        }
+        args
+    }
+
     fn emit(&mut self, e: &'p CoreExpr) {
+        if let Some(leaf) = leaf(e) {
+            self.instrs.push(Instr::Push(leaf));
+            return;
+        }
         match e {
-            CoreExpr::Const(v) => self.instrs.push(Instr::Const(v)),
-            CoreExpr::Var(name) => self.instrs.push(Instr::Var(name)),
-            CoreExpr::Param(i) => self.instrs.push(Instr::Param(*i)),
+            CoreExpr::Const(_) | CoreExpr::Param(_) | CoreExpr::Var(_) => {
+                unreachable!("leaves are pushed above")
+            }
             CoreExpr::Global(segments) => {
                 self.root_safe = false;
                 self.instrs.push(Instr::Global(segments));
@@ -302,12 +386,8 @@ impl<'p> Compiler<'p> {
                 self.instrs.push(Instr::Dynamic(name));
             }
             CoreExpr::Path(base, attr) => {
-                if let CoreExpr::Var(var) = &**base {
-                    self.instrs.push(Instr::Field { var, attr });
-                } else {
-                    self.emit(base);
-                    self.instrs.push(Instr::Path(attr));
-                }
+                self.emit(base);
+                self.instrs.push(Instr::Path(attr));
             }
             CoreExpr::Index(base, idx) => {
                 self.emit(base);
@@ -325,9 +405,8 @@ impl<'p> Compiler<'p> {
                 };
             }
             CoreExpr::Bin(op, l, r) => {
-                self.emit(l);
-                self.emit(r);
-                self.instrs.push(Instr::Bin(*op));
+                let [l, r] = self.args([l, r]);
+                self.instrs.push(Instr::Bin { op: *op, l, r });
             }
             CoreExpr::Un(op, x) => {
                 self.emit(x);
@@ -339,14 +418,21 @@ impl<'p> Compiler<'p> {
                 escape,
                 negated,
             } => {
-                self.emit(expr);
-                self.emit(pattern);
-                if let Some(esc) = escape {
-                    self.emit(esc);
-                }
+                let (text, pat, esc) = match escape {
+                    Some(esc) => {
+                        let [text, pat, esc] = self.args([expr, pattern, esc]);
+                        (text, pat, Some(esc))
+                    }
+                    None => {
+                        let [text, pat] = self.args([expr, pattern]);
+                        (text, pat, None)
+                    }
+                };
                 self.instrs.push(Instr::Like {
-                    has_escape: escape.is_some(),
                     negated: *negated,
+                    text,
+                    pat,
+                    esc,
                 });
             }
             CoreExpr::Between {
@@ -355,16 +441,30 @@ impl<'p> Compiler<'p> {
                 high,
                 negated,
             } => {
-                self.emit(expr);
-                self.emit(low);
-                self.emit(high);
-                self.instrs.push(Instr::Between { negated: *negated });
+                let [x, low, high] = self.args([expr, low, high]);
+                self.instrs.push(Instr::Between {
+                    negated: *negated,
+                    x,
+                    low,
+                    high,
+                });
             }
             CoreExpr::In {
                 expr,
                 collection,
                 negated,
             } => {
+                // A leaf collection is read only after the needle is known
+                // not to be MISSING; anything else sits behind the jump.
+                if leaf(collection).is_some() {
+                    let [needle, hay] = self.args([expr, collection]);
+                    self.instrs.push(Instr::InCollection {
+                        negated: *negated,
+                        needle,
+                        hay,
+                    });
+                    return;
+                }
                 self.emit(expr);
                 let j = self.hole();
                 match &**collection {
@@ -377,7 +477,11 @@ impl<'p> Compiler<'p> {
                     }),
                     other => {
                         self.emit(other);
-                        self.instrs.push(Instr::InCollection { negated: *negated });
+                        self.instrs.push(Instr::InCollection {
+                            negated: *negated,
+                            needle: None,
+                            hay: None,
+                        });
                     }
                 }
                 self.instrs[j] = Instr::JumpIfMissing(self.instrs.len());
@@ -387,10 +491,11 @@ impl<'p> Compiler<'p> {
                 test,
                 negated,
             } => {
-                self.emit(expr);
+                let [x] = self.args([expr]);
                 self.instrs.push(Instr::Is {
                     test,
                     negated: *negated,
+                    x,
                 });
             }
             CoreExpr::Case { arms, else_expr } => {
@@ -511,13 +616,9 @@ mod tests {
         let e = CoreExpr::Path(Box::new(var("t")), "x".into());
         let p = compile(&e);
         assert_eq!(p.instrs.len(), 1);
-        assert!(matches!(
-            p.instrs[0],
-            Instr::Field {
-                var: "t",
-                attr: "x"
-            }
-        ));
+        assert!(
+            matches!(p.instrs[..], [Instr::Push(Operand::Var(path))] if std::ptr::eq(path, &e))
+        );
         assert!(p.root_safe);
     }
 
@@ -560,17 +661,18 @@ mod tests {
         assert!(matches!(
             p.instrs[..],
             [
-                Instr::Var("x"),
+                Instr::Push(Operand::Var(CoreExpr::Var(x))),
                 Instr::JumpIfMissing(3),
                 Instr::InSubquery { .. }
-            ]
+            ] if x == "x"
         ));
     }
 
     #[test]
     fn between_emits_its_subject_once_and_nests_linearly() {
-        // 64-deep `((x BETWEEN 0 AND 1) BETWEEN 0 AND 1) …`: three
-        // instructions per level, not the former doubling.
+        // 64-deep `((x BETWEEN 0 AND 1) BETWEEN 0 AND 1) …`: one
+        // instruction per level (the bounds are read in place), not the
+        // former doubling.
         let mut e = var("x");
         for _ in 0..64 {
             e = CoreExpr::Between {
@@ -581,11 +683,9 @@ mod tests {
             };
         }
         let p = compile(&e);
-        assert_eq!(p.instrs.len(), 1 + 64 * 3);
-        let subjects = p
-            .instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Var("x")))
+        assert_eq!(p.instrs.len(), 64);
+        let subjects = (p.instrs.iter())
+            .filter(|i| matches!(i, Instr::Between { x: Some(_), .. }))
             .count();
         assert_eq!(subjects, 1);
     }
@@ -599,10 +699,10 @@ mod tests {
         assert!(matches!(
             p.instrs[..],
             [
-                Instr::Var("x"),
-                Instr::Var("y"),
+                Instr::Push(Operand::Var(CoreExpr::Var(x))),
+                Instr::Push(Operand::Var(CoreExpr::Var(y))),
                 Instr::NamedTupleCtor { first: 0, n: 2 }
-            ]
+            ] if x == "x" && y == "y"
         ));
         assert_eq!(p.names, [AttrName::new("a"), AttrName::new("b")]);
         // One computed name keeps the whole constructor dynamic.
@@ -626,7 +726,7 @@ mod tests {
             Box::new(var("x")),
         );
         let p = compile(&e);
-        // [Const(false), ShortCircuit{end:4}, Var(x), Logic(And)]
+        // [Push(false), ShortCircuit{end:4}, Push(x), Logic(And)]
         assert_eq!(p.instrs.len(), 4);
         assert!(matches!(
             p.instrs[1],

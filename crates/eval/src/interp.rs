@@ -25,7 +25,7 @@ use sqlpp_value::{AttrName, Tuple, Value};
 
 use crate::agg;
 use crate::arith::{num_binop, num_neg, NumError, NumOp};
-use crate::bytecode::{self, produces_elements, Instr, Program};
+use crate::bytecode::{self, produces_elements, Arg, Instr, Operand, Program};
 use crate::cast::cast;
 use crate::env::Env;
 use crate::error::{EvalError, TypingMode};
@@ -1589,8 +1589,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Each expression's program specialized for the slice's root
-    /// variable — root references become direct RootVar/RootField
-    /// instructions, so the hot loop never compares variable names — or
+    /// variable — paths off the root variable become direct root reads,
+    /// so the hot loop never compares variable names — or
     /// `None` unless every one is safe to run against a borrowed root.
     fn rooted(&self, exprs: &[&'a CoreExpr], as_var: &str) -> Option<Vec<Program<'a>>> {
         exprs
@@ -1690,11 +1690,12 @@ impl<'a> Evaluator<'a> {
 
     /// The expression dispatcher: the only place Core expression
     /// semantics are decided. `root` is the fused scan spine's borrowed
-    /// row, read by the `RootVar`/`RootField` instructions that
-    /// [`Program::specialize_for_root`] put in place of every lookup of
+    /// row, read by the `Root` operands that
+    /// [`Program::specialize_for_root`] put in place of every path on
     /// the row variable, so no other lookup ever compares against its
-    /// name. The NULL/MISSING tables live in the value-level helpers the
-    /// arms call.
+    /// name. Leaf operands are read in place through [`Self::operand`].
+    /// The NULL/MISSING tables live in the value-level helpers the arms
+    /// call.
     fn exec_program(
         &self,
         prog: &Program<'a>,
@@ -1706,44 +1707,18 @@ impl<'a> Evaluator<'a> {
         let mut pc = 0usize;
         while pc < instrs.len() {
             match instrs[pc] {
-                Instr::Const(v) => stack.push(v.clone()),
-                Instr::Var(name) => match env.get(name) {
-                    Some(v) => stack.push(v.clone()),
-                    None => return Err(self.unbound(name, env)),
-                },
-                Instr::Param(i) => match self.params.get(i) {
-                    Some(v) => stack.push(v.clone()),
-                    None => return Err(EvalError::MissingParam(i)),
-                },
+                Instr::Push(leaf) => {
+                    let v = self.operand(leaf, root, env)?.clone();
+                    stack.push(v);
+                }
                 Instr::Global(segments) => stack.push(self.resolve_global(segments, env)?),
                 Instr::Dynamic(name) => {
                     stack.push(self.resolve_global(std::slice::from_ref(name), env)?)
                 }
-                Instr::Field { var, attr } => {
-                    let Some(base) = env.get(var) else {
-                        return Err(self.unbound(var, env));
-                    };
-                    self.navigate(base, attr, stack)?;
-                }
-                Instr::RootVar => {
-                    let Some(val) = root else {
-                        return Err(EvalError::Type(
-                            "root instruction outside the fused spine".into(),
-                        ));
-                    };
-                    stack.push(val.clone());
-                }
-                Instr::RootField(attr) => {
-                    let Some(base) = root else {
-                        return Err(EvalError::Type(
-                            "root instruction outside the fused spine".into(),
-                        ));
-                    };
-                    self.navigate(base, attr, stack)?;
-                }
                 Instr::Path(attr) => {
                     let base = stack.pop().expect("stack");
-                    self.navigate(&base, attr, stack)?;
+                    let v = self.step(&base, attr)?.clone();
+                    stack.push(v);
                 }
                 Instr::Index => {
                     let idx = stack.pop().expect("stack");
@@ -1766,19 +1741,19 @@ impl<'a> Evaluator<'a> {
                     };
                     stack.push(v);
                 }
-                Instr::Bin(op) => {
-                    let rv = stack.pop().expect("stack");
-                    let lv = stack.pop().expect("stack");
+                Instr::Bin { op, l, r } => {
+                    let (base, [lv, rv]) = self.args([l, r], stack, root, env)?;
                     // Int×Int fast path. Overflow (and every non-int
                     // pair) falls through to the general path, so
                     // promotion and error semantics are untouched.
-                    let v = match (&lv, &rv) {
+                    let v = match (lv, rv) {
                         (Value::Int(a), Value::Int(b)) => match int_fast_binop(op, *a, *b) {
                             Some(v) => v,
-                            None => self.binop_values(op, &lv, &rv)?,
+                            None => self.binop_values(op, lv, rv)?,
                         },
-                        _ => self.binop_values(op, &lv, &rv)?,
+                        _ => self.binop_values(op, lv, rv)?,
                     };
+                    stack.truncate(base);
                     stack.push(v);
                 }
                 Instr::ShortCircuit { op, end } => {
@@ -1832,33 +1807,49 @@ impl<'a> Evaluator<'a> {
                     };
                     stack.push(out);
                 }
-                Instr::Is { test, negated } => {
-                    let v = stack.pop().expect("stack");
+                Instr::Is { test, negated, x } => {
+                    let (base, [v]) = self.args([x], stack, root, env)?;
                     let result = match test {
                         // SQL compatibility: IS NULL is true for both absent
                         // values (a schemaful client cannot tell them apart).
                         IsTest::Null => v.is_absent(),
                         IsTest::Missing => v.is_missing(),
-                        IsTest::Type(name) => type_test(&v, name),
+                        IsTest::Type(name) => type_test(v, name),
                     };
+                    stack.truncate(base);
                     stack.push(Value::Bool(result != negated));
                 }
                 Instr::Like {
-                    has_escape,
                     negated,
+                    text,
+                    pat,
+                    esc,
                 } => {
-                    let esc = has_escape.then(|| stack.pop().expect("stack"));
-                    let pat = stack.pop().expect("stack");
-                    let text = stack.pop().expect("stack");
-                    stack.push(self.like_values(&text, &pat, esc.as_ref(), negated)?);
+                    let (base, v) = match esc {
+                        None => {
+                            let (base, [t, p]) = self.args([text, pat], stack, root, env)?;
+                            (base, self.like_values(t, p, None, negated)?)
+                        }
+                        Some(esc) => {
+                            let (base, [t, p, e]) =
+                                self.args([text, pat, esc], stack, root, env)?;
+                            (base, self.like_values(t, p, Some(e), negated)?)
+                        }
+                    };
+                    stack.truncate(base);
+                    stack.push(v);
                 }
-                Instr::Between { negated } => {
+                Instr::Between {
+                    negated,
+                    x,
+                    low,
+                    high,
+                } => {
                     // x BETWEEN a AND b ≡ a <= x AND x <= b under 3VL.
-                    let high = stack.pop().expect("stack");
-                    let low = stack.pop().expect("stack");
-                    let x = stack.pop().expect("stack");
-                    let ge = self.compare_values(BinOp::GtEq, &x, &low)?;
-                    let le = self.compare_values(BinOp::LtEq, &x, &high)?;
+                    let (base, [x, low, high]) = self.args([x, low, high], stack, root, env)?;
+                    let ge = self.compare_values(BinOp::GtEq, x, low)?;
+                    let le = self.compare_values(BinOp::LtEq, x, high)?;
+                    stack.truncate(base);
                     stack.push(negate_if(negated, logical_and(&ge, &le)));
                 }
                 Instr::JumpIfMissing(end) => {
@@ -1867,10 +1858,23 @@ impl<'a> Evaluator<'a> {
                         continue;
                     }
                 }
-                Instr::InCollection { negated } => {
-                    let hay = stack.pop().expect("stack");
-                    let needle = stack.pop().expect("stack");
-                    stack.push(negate_if(negated, self.in_values(&needle, &hay)?));
+                Instr::InCollection {
+                    negated,
+                    needle,
+                    hay,
+                } => {
+                    // The needle first, from below a stacked collection: a
+                    // MISSING one decides before the collection is read.
+                    let hay_at = stack.len() - usize::from(hay.is_none());
+                    let (base, [nv]) = self.args([needle], &stack[..hay_at], root, env)?;
+                    let v = if nv.is_missing() {
+                        Value::Missing
+                    } else {
+                        let (_, [hv]) = self.args([hay], stack, root, env)?;
+                        negate_if(negated, self.in_values(nv, hv)?)
+                    };
+                    stack.truncate(base);
+                    stack.push(v);
                 }
                 Instr::InSubquery { plan, negated } => {
                     let needle = stack.pop().expect("stack");
@@ -2013,21 +2017,85 @@ impl<'a> Evaluator<'a> {
             .unwrap_or_else(|| EvalError::UnknownName(name.to_string()))
     }
 
-    /// Pushes `base.attr` (§IV-B case 1: absent attributes and absent
-    /// bases yield MISSING/NULL; any other base is a type error). Pushes
-    /// in place rather than returning the value: on the fused spine's hot
-    /// loop the extra `Result<Value>` move measurably costs (B17).
-    fn navigate(&self, base: &Value, attr: &str, stack: &mut Vec<Value>) -> Result<(), EvalError> {
-        stack.push(match base {
-            Value::Tuple(_) | Value::Null | Value::Missing => base.path(attr),
-            other => self.type_err(|| {
-                format!(
-                    "cannot navigate attribute {attr:?} of a {}",
-                    other.kind().name()
-                )
-            })?,
-        });
-        Ok(())
+    /// Reads a leaf operand in place: a reference into the row (`root`),
+    /// the environment, the parameters or the plan, never a clone. Its
+    /// errors are the ones evaluating it onto the stack raises: an unbound
+    /// name, an unsupplied parameter, a strict navigation error.
+    fn operand<'r>(
+        &'r self,
+        leaf: Operand<'a>,
+        root: Option<&'r Value>,
+        env: &'r Env,
+    ) -> Result<&'r Value, EvalError> {
+        match leaf {
+            Operand::Const(v) => Ok(v),
+            Operand::Param(i) => self.params.get(i).ok_or(EvalError::MissingParam(i)),
+            Operand::Var(path) => self.path(path, None, env),
+            Operand::Root(path) => match root {
+                Some(row) => self.path(path, Some(row), env),
+                None => Err(EvalError::Type(
+                    "root operand outside the fused spine".into(),
+                )),
+            },
+        }
+    }
+
+    /// A path operand read in place: its variable's binding in `env` — or
+    /// `root`, when given — then each attribute step, in order.
+    fn path<'r>(
+        &'r self,
+        path: &'a CoreExpr,
+        root: Option<&'r Value>,
+        env: &'r Env,
+    ) -> Result<&'r Value, EvalError> {
+        match (path, root) {
+            (CoreExpr::Path(base, attr), _) => self.step(self.path(base, root, env)?, attr),
+            (CoreExpr::Var(_), Some(row)) => Ok(row),
+            (CoreExpr::Var(name), None) => env.get(name).ok_or_else(|| self.unbound(name, env)),
+            _ => unreachable!("not a path operand"),
+        }
+    }
+
+    /// An instruction's operands and the stack depth its stacked ones
+    /// start at: those by reference into the top of `stack`, in order,
+    /// then the leaves read in place, left to right. The arm truncates
+    /// the stack to that depth before it pushes its result.
+    #[inline(always)]
+    fn args<'r, const N: usize>(
+        &'r self,
+        args: [Arg<'a>; N],
+        stack: &'r [Value],
+        root: Option<&'r Value>,
+        env: &'r Env,
+    ) -> Result<(usize, [&'r Value; N]), EvalError> {
+        let base = stack.len() - args.iter().filter(|a| a.is_none()).count();
+        let mut stacked = stack[base..].iter();
+        let mut out = [MISSING; N];
+        for (slot, arg) in out.iter_mut().zip(args) {
+            *slot = match arg {
+                None => stacked.next().expect("stack"),
+                Some(leaf) => self.operand(leaf, root, env)?,
+            };
+        }
+        Ok((base, out))
+    }
+
+    /// `base.attr` by reference (§IV-B case 1: absent attributes and
+    /// absent bases yield MISSING/NULL; any other base is a type error).
+    fn step<'r>(&self, base: &'r Value, attr: &str) -> Result<&'r Value, EvalError> {
+        match base {
+            Value::Tuple(t) => Ok(t.get(attr).unwrap_or(MISSING)),
+            Value::Null => Ok(NULL),
+            Value::Missing => Ok(MISSING),
+            other => self
+                .type_err(|| {
+                    format!(
+                        "cannot navigate attribute {attr:?} of a {}",
+                        other.kind().name()
+                    )
+                })
+                .map(|_| MISSING),
+        }
     }
 
     /// Runs a nested plan with the current environment as its outer scope
@@ -2425,6 +2493,11 @@ impl<'a> Evaluator<'a> {
 // =====================================================================
 // Helpers
 // =====================================================================
+
+/// The absent values a read in place can yield without a source to
+/// borrow from.
+const MISSING: &Value = &Value::Missing;
+const NULL: &Value = &Value::Null;
 
 /// 3VL with two absent values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

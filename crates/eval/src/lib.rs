@@ -29,6 +29,8 @@ mod functions;
 pub mod govern;
 mod interp;
 mod like;
+#[cfg(test)]
+mod operand_tests;
 pub mod reference;
 pub mod spill;
 pub mod stats;

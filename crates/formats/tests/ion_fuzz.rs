@@ -120,7 +120,7 @@ fn oversized_varint_chunks_are_rejected_consistently() {
     // 18 continuation bytes of 0x80 put the final chunk at shift 126;
     // any final byte > 0x03 overflows u128.
     let mut bytes = vec![3u8]; // TAG_INT
-    bytes.extend(std::iter::repeat(0x80).take(18));
+    bytes.extend([0x80; 18]);
     bytes.push(0x04); // bit 128 — out of range
     assert!(
         from_ion_lite(&bytes).is_err(),
@@ -130,7 +130,7 @@ fn oversized_varint_chunks_are_rejected_consistently() {
     // The maximal in-range final chunk still decodes (or fails for a
     // structured reason other than a panic).
     let mut max = vec![3u8];
-    max.extend(std::iter::repeat(0xFF).take(18));
+    max.extend([0xFF; 18]);
     max.push(0x03);
     let _ = decode_no_panic(&max);
 }

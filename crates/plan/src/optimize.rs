@@ -190,9 +190,10 @@ fn const_nonneg(e: &CoreExpr) -> Option<i64> {
 }
 
 /// Constant folding limited to total, absent-value-free cases: integer
-/// arithmetic without overflow, boolean AND/OR/NOT over constants, and
+/// arithmetic without overflow, boolean AND/OR/NOT over constants,
 /// boolean short-circuits with one constant side (sound under three-valued
-/// logic only in the directions applied here).
+/// logic only in the directions applied here), and an IN list of
+/// constants (built once, not once per row).
 fn fold_expr(e: &mut CoreExpr) {
     use CoreExpr::*;
     if let Some(q) = e.plan_mut() {
@@ -237,6 +238,19 @@ fn fold_expr(e: &mut CoreExpr) {
             Const(Value::Bool(b)) => Some(CoreExpr::bool(!b)),
             _ => None,
         },
+        In { collection, .. } => {
+            if let ArrayCtor(items) = &mut **collection {
+                if items.iter().all(|i| matches!(i, Const(_))) {
+                    // MISSING items drop, as the constructor drops them.
+                    let items = items.drain(..).filter_map(|i| match i {
+                        Const(v) if !v.is_missing() => Some(v),
+                        _ => None,
+                    });
+                    **collection = Const(Value::Array(items.collect()));
+                }
+            }
+            None
+        }
         _ => None,
     };
     if let Some(folded) = folded {

@@ -560,6 +560,23 @@ macro_rules! prop_assert_eq {
     }};
 }
 
+/// Asserts inequality inside a property.
+#[macro_export]
+macro_rules! prop_assert_ne {
+    ($left:expr, $right:expr $(,)?) => {{
+        let (l, r) = (&$left, &$right);
+        $crate::prop_assert!(
+            l != r,
+            "assertion failed: {} != {}\n  both: {:?}",
+            stringify!($left), stringify!($right), l
+        );
+    }};
+    ($left:expr, $right:expr, $($fmt:tt)+) => {{
+        let (l, r) = (&$left, &$right);
+        $crate::prop_assert!(l != r, $($fmt)+);
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,21 +613,4 @@ mod tests {
         let (minimal, _) = shrink(&f, vec![7, 7, 7, 7], "always".to_string(), 4096);
         assert!(minimal.is_empty(), "expected full shrink, got {minimal:?}");
     }
-}
-
-/// Asserts inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            l != r,
-            "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($left), stringify!($right), l
-        );
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)+) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(l != r, $($fmt)+);
-    }};
 }

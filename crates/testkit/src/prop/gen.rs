@@ -282,7 +282,7 @@ mod tests {
         let mut non_ascii = false;
         for seed in 0..40 {
             let s = sample(&g, seed);
-            non_ascii |= s.chars().any(|c| !c.is_ascii());
+            non_ascii |= !s.is_ascii();
             assert!(s.chars().count() <= 40);
         }
         assert!(non_ascii, "40 unicode strings with no non-ASCII char");

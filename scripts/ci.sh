@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== fmt check =="
 cargo fmt --all --check
 
+echo "== clippy (all targets, warnings are errors) =="
+cargo clippy --all-targets --offline -- -D warnings
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -286,5 +289,16 @@ if grep -rnE '\bjoin_key\b|ProbeSide|into_bindings|\bprobe_side\b|\bspine_probe\
   exit 1
 fi
 echo "one consumer loop OK"
+
+echo "== one leaf reader gate =="
+# A leaf operand — a constant, a parameter, a variable or a static path
+# off one — is read in place by `Evaluator::operand`, and `Push` is the one
+# instruction that copies it onto the stack. The six push instructions it
+# replaced must not come back.
+if grep -rnE 'Instr::(Const|Var|Param|Field|RootVar|RootField)\b' crates tests examples; then
+  echo "a deleted push instruction is referenced again" >&2
+  exit 1
+fi
+echo "one leaf reader OK"
 
 echo "== ci green =="

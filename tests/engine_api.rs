@@ -150,6 +150,37 @@ fn explain_shows_the_lowered_pipeline() {
 }
 
 #[test]
+fn explain_accepts_the_bare_expressions_run_str_answers() {
+    // Paper listing L16 and kit case K-agg-null are top-level expressions:
+    // both EXPLAINs show the FROM-less `SELECT VALUE` plan `run_str` runs.
+    let cases = sqlpp_compat_kit::corpus();
+    let cases: Vec<_> = cases
+        .iter()
+        .filter(|c| matches!(c.id, "L16" | "K-agg-null"))
+        .collect();
+    assert_eq!(cases.len(), 2);
+    for case in cases {
+        let engine = sqlpp_compat_kit::fixture_engine(
+            SessionConfig::default().compat,
+            TypingMode::Permissive,
+        );
+        for (name, text) in case.setup {
+            engine.load_pnotation(name, text).unwrap();
+        }
+        let plan = engine.explain(case.query).unwrap();
+        assert!(plan.contains("select value"), "{}: {plan}", case.id);
+        assert!(plan.contains("COLL_"), "{}: {plan}", case.id);
+        let analyzed = engine.explain_analyze(case.query).unwrap();
+        assert!(analyzed.contains("select value"), "{}: {analyzed}", case.id);
+        assert!(!analyzed.contains("error:"), "{}: {analyzed}", case.id);
+        engine.run_str(case.query).unwrap();
+    }
+    // Neither a query nor an expression: the query's syntax error stands.
+    let err = Engine::new().explain("SELECT FROM WHERE").unwrap_err();
+    assert!(matches!(err, Error::Syntax(_)), "{err}");
+}
+
+#[test]
 fn explain_renders_folded_and_materializing_groups() {
     let engine = Engine::new();
     let plan = engine
