@@ -137,10 +137,10 @@ fn sum(present: &[&Value], func: AggFunc) -> Result<Value, AggError> {
 /// aggregate per group.
 ///
 /// States merge ([`Accumulator::merge`]): merging a one-element state
-/// into a state is exactly pushing that element, so a group folds from
-/// per-row singleton states — and resumes from a partial state that
-/// spilled to disk ([`Accumulator::to_value`]) — with the same result as
-/// one in-order pass.
+/// into a state is exactly pushing that element, so a group that pushes
+/// each row's element into its state in place — and resumes from a
+/// partial state that spilled to disk ([`Accumulator::to_value`]) —
+/// gets the same result as one in-order pass.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,

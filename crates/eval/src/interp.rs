@@ -614,10 +614,7 @@ impl<'a> Evaluator<'a> {
         keys: &'a [CoreSortKey],
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let codec = EnvCodec {
-            base: env.clone(),
-            names: None,
-        };
+        let codec = EnvCodec { base: env.clone() };
         let mut sorter = ExternalSorter::new(self.spill_ctx(), keys, codec, self.gauge(whole));
         drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
             let mut ks = Vec::with_capacity(keys.len());
@@ -712,6 +709,11 @@ impl<'a> Evaluator<'a> {
     /// an [`agg::Accumulator`] per folded aggregate — then emits one
     /// binding per group with the key aliases and each fold's value.
     ///
+    /// Each row's keys and fold items are made into two buffers the build
+    /// reuses: a row that joins a group it finds by its borrowed keys
+    /// pushes each item into that group's state and allocates nothing for
+    /// an aggregate; only a row that makes its group hands its keys over.
+    ///
     /// Grouping is a pipeline breaker: the groups are live until they
     /// are emitted, tracked by the build's gauge, which charges a group
     /// when it is created and a member bag or aggregate state as it
@@ -760,16 +762,19 @@ impl<'a> Evaluator<'a> {
                 GroupFold::Agg { .. } => Vec::new(),
             })
             .collect();
-        let mut items = Vec::with_capacity(outs.len());
-        let mut source = || {
-            let Some((row, _)) = rows.next_at(&mut items)? else {
-                return Ok(None);
+        let mut outputs = Vec::with_capacity(outs.len());
+        let mut source = |kv: &mut Vec<Value>, items: &mut Vec<FoldItem>| {
+            let Some((row, _)) = rows.next_at(&mut outputs)? else {
+                return Ok(false);
             };
-            let mut items = items.drain(..);
-            let key_vals = items.by_ref().take(park_from).collect::<Result<_, _>>()?;
-            let mut states = Vec::with_capacity(folds.len());
+            let mut outputs = outputs.drain(..);
+            kv.clear();
+            for v in outputs.by_ref().take(park_from) {
+                kv.push(group_key(v?));
+            }
+            items.clear();
             for ((_, fold), names) in folds.iter().zip(&member_names) {
-                states.push(match fold {
+                items.push(match fold {
                     GroupFold::Members { captured } => {
                         // Listing 14's {e: …, p: …} element shape.
                         let b = rows.scan.bind(&row);
@@ -779,85 +784,106 @@ impl<'a> Evaluator<'a> {
                                 elem.insert(name.clone(), v.clone());
                             }
                         }
-                        FoldState::Members(vec![Value::Tuple(elem)])
+                        FoldItem::Member(Value::Tuple(elem))
                     }
                     GroupFold::Agg { .. } => {
-                        FoldState::of(fold, items.next().expect("an item per aggregate"))
+                        FoldItem::Input(outputs.next().expect("an item per aggregate"))
                     }
                 });
             }
-            Ok(Some((group_key(key_vals), states)))
+            Ok(true)
         };
-        let mut groups = self.build_groups(whole, folds, &mut source)?;
+        let codec = GroupCodec { folds };
+        let mut tables = self.build_groups(whole, &codec, &mut source)?;
         // Ungrouped aggregation and the grand-total grouping set yield
         // exactly one group even over empty input (SQL).
-        if emit_empty_group && groups.is_empty() {
+        if emit_empty_group && tables.iter().all(|t| t.chains.len() == 0) {
             // The group's key values: whatever the (constant) key
             // expressions evaluate to with no rows — NULL placeholders
             // and GROUPING flags.
-            let mut key_vals = Vec::with_capacity(keys.len());
-            for (_, ke) in keys {
-                key_vals.push(match ke {
+            let mut kv = (keys.iter())
+                .map(|(_, ke)| match ke {
                     CoreExpr::Const(v) => v.clone(),
                     _ => Value::Null,
-                });
-            }
-            let states = folds.iter().map(|(_, f)| FoldState::empty(f)).collect();
-            groups.push((key_vals, states));
+                })
+                .collect();
+            let mut states = (folds.iter())
+                .map(|(_, fold)| FoldItem::State(FoldState::empty(fold)))
+                .collect();
+            let mut table = GroupTable::default();
+            table.insert(
+                &mut kv,
+                &mut states,
+                &codec,
+                &MatGauge::new(None, None, None),
+            );
+            tables = vec![table];
         }
+        let groups: usize = tables.iter().map(|t| t.chains.len()).sum();
         if let Some(st) = &self.stats {
-            st.count(|s| s.groups_built += groups.len() as u64);
+            st.count(|s| s.groups_built += groups as u64);
         }
-        let mut out = Vec::with_capacity(groups.len());
-        for (key_vals, states) in groups {
-            let mut genv = env.clone();
-            for ((alias, _), v) in keys.iter().zip(key_vals) {
-                genv = genv.bind(alias.clone(), v);
+        // The names every group binds, made once.
+        let key_names: Vec<Rc<str>> = keys
+            .iter()
+            .map(|(alias, _)| alias.as_str().into())
+            .collect();
+        let fold_names: Vec<Rc<str>> = folds.iter().map(|(var, _)| var.as_str().into()).collect();
+        let mut out = Vec::with_capacity(groups);
+        for table in tables {
+            let count = table.chains.len();
+            let (mut key_vals, mut states) = (table.keys.into_iter(), table.states.into_iter());
+            for _ in 0..count {
+                let mut genv = env.clone();
+                for (alias, v) in key_names.iter().zip(key_vals.by_ref()) {
+                    genv = genv.bind(alias.clone(), v);
+                }
+                for (var, state) in fold_names.iter().zip(states.by_ref()) {
+                    let value = match state {
+                        FoldState::Members(elems) => Ok(Value::Bag(elems)),
+                        FoldState::Agg(acc) => acc.finish().or_else(|e| self.agg_err(e)),
+                    };
+                    genv = match value {
+                        Ok(v) => genv.bind(var.clone(), v),
+                        // Raised only if the plan reads the aggregate — when
+                        // the paper-literal plan would have computed it.
+                        Err(e) => genv.bind(parked_error_var(var), e.to_value()),
+                    };
+                }
+                out.push(genv);
             }
-            for ((var, _), state) in folds.iter().zip(states) {
-                let value = match state {
-                    FoldState::Members(elems) => Ok(Value::Bag(elems)),
-                    FoldState::Agg(acc) => acc.finish().or_else(|e| self.agg_err(e)),
-                };
-                genv = match value {
-                    Ok(v) => genv.bind(var.clone(), v),
-                    // Raised only if the plan reads the aggregate — when
-                    // the paper-literal plan would have computed it.
-                    Err(e) => genv.bind(parked_error_var(var), e.to_value()),
-                };
-            }
-            out.push(genv);
         }
         Ok(out)
     }
 
-    /// The one grouping keyed build: drains the `(key values, singleton
-    /// fold states)` records `source` makes into a [`GroupTable`],
-    /// spilling per [`keyed_build`], and hands back every group.
+    /// The one grouping keyed build: drains the `(key values, fold
+    /// items)` records `source` makes into a [`GroupTable`], spilling per
+    /// [`keyed_build`], and hands back every group: the one table, or
+    /// each spilled partition's in turn.
     fn build_groups(
         &self,
         whole: &CoreOp,
-        folds: &'a [(String, GroupFold)],
-        source: &mut KeyedSource<'_, Vec<FoldState>>,
-    ) -> Result<Vec<GroupRow>, EvalError> {
-        let mut groups: Vec<GroupRow> = Vec::new();
+        codec: &GroupCodec<'_>,
+        source: &mut KeyedSource<'_, Vec<FoldItem>>,
+    ) -> Result<Vec<GroupTable>, EvalError> {
+        let mut tables = Vec::new();
         let built = keyed_build(
             self.spill_ctx().as_ref(),
             &|| self.gauge(whole),
-            &GroupCodec { folds },
+            codec,
             source,
             None,
             0,
-            &mut |mut part: GroupTable, _held, _| {
-                groups.append(&mut part.groups);
+            &mut |part: GroupTable, _held, _| {
+                tables.push(part);
                 Ok(())
             },
         )?;
         match built {
-            Some((table, _held)) => groups = table.groups,
+            Some((table, _held)) => tables = vec![table],
             None => self.mark_spilled(whole),
         }
-        Ok(groups)
+        Ok(tables)
     }
 
     /// Evaluates one window definition over the binding stream, returning
@@ -1250,7 +1276,11 @@ impl<'a> Evaluator<'a> {
     /// FROM operator. Rows failing a side's filter — or with any
     /// NULL/MISSING key, which can never compare equal (3VL) — never enter
     /// the table (build side) or resolve without probing (probe side).
-    /// Both sides' filters and keys run in their row loops.
+    /// Both sides' filters and keys run in their row loops. A build that
+    /// is an eligible bare scan (see [`Self::spine_parts`]) runs on the
+    /// slice; over a stored collection it keeps its rows by position: a
+    /// build row is bound only when a probe row matches it
+    /// ([`BuildRows`]), and is charged what its binding would weigh.
     ///
     /// A build that fits yields the streaming [`HashProbe`]. One that
     /// exceeds the memory budget with spilling enabled runs Grace-style
@@ -1286,41 +1316,63 @@ impl<'a> Evaluator<'a> {
         let watcher = self.govern.as_watcher();
         let tick = || watcher.map_or(Ok(()), ResourceGovernor::tick);
         let right_keys: Vec<&'a CoreExpr> = keys.iter().map(|(_, rk)| rk).collect();
-        let rights = self.from_stream(right, whole, env);
-        let rights = self.bound_rows(rights, right_pred.as_slice(), &right_keys);
+        let preds = right_pred.as_slice();
+        let rights = match self.spine_parts(whole, right, preds, &right_keys) {
+            Some(parts) => self.spine(parts, env)?,
+            None => self.bound_rows(self.from_stream(right, whole, env), preds, &right_keys),
+        };
+        let rows = BuildRows {
+            slice: match &rights.source {
+                RowSource::Shared(slice) => Some(slice.clone()),
+                _ => None,
+            },
+            as_var: rights.as_var.clone(),
+            env: rights.env.clone(),
+            names: names.to_vec(),
+            due: Cell::new(0),
+        };
         let rights = FusedScan {
             join_keys: true,
             ..rights
         };
         let mut rights = FusedRows::new(rights, self.batch_size());
-        let mut build_rows = || {
-            let mut kv = Vec::with_capacity(keys.len());
-            let Some((row, _)) = rights.next_at(&mut kv)? else {
-                return Ok(None);
+        let mut build_rows = |kv: &mut Vec<Value>, row: &mut Row| {
+            kv.clear();
+            let Some((at, _)) = rights.next_at(kv)? else {
+                return Ok(false);
             };
+            rows.due.set(rights.pending() + 1);
             tick()?;
-            Ok(Some((kv, rights.scan.bind(&row))))
+            // Only a stored collection's snapshot outlives the build: a
+            // computed source's rows are moved out and kept bound, and
+            // the rest go with the scan.
+            *row = match at {
+                Row::At(_) if rows.slice.is_none() => Row::Bound(rights.scan.bind_row(at)),
+                at => at,
+            };
+            Ok(true)
         };
         // The probe side as spillable records — read only if the build
         // overflows. Rows that can never match resolve here: dropped, or
         // padded for LEFT joins.
         let mut lefts = None;
         let mut pads = Vec::new();
-        let mut probe_rows = || {
+        let mut probe_rows = |kv: &mut Vec<Value>, payload: &mut Value| {
             let lefts = lefts.get_or_insert_with(|| {
                 let rows = left_rows.take().expect("the probe side is read once");
                 FusedRows::new(rows, self.batch_size())
             });
-            let mut kv = Vec::with_capacity(keys.len());
-            while let Some((row, passed)) = lefts.next_at(&mut kv)? {
+            kv.clear();
+            while let Some((row, passed)) = lefts.next_at(kv)? {
                 tick()?;
                 let l = lefts.scan.bind(&row);
                 if passed {
-                    return Ok(Some((kv, encode_env(&l, None))));
+                    *payload = encode_env(&l);
+                    return Ok(true);
                 }
                 pads.push(pad_left(&l, names));
             }
-            Ok(None)
+            Ok(false)
         };
         let mut out = Vec::new();
         let mut probe_partition =
@@ -1329,10 +1381,11 @@ impl<'a> Evaluator<'a> {
                 if let Some(st) = &self.stats {
                     st.count(|s| s.join_build_rows += table.rows.len() as u64);
                 }
-                while let Some((kv, payload)) = probes()? {
-                    let l = decode_env(payload, env)?;
+                let (mut kv, mut payload) = (Vec::new(), Value::Missing);
+                while probes(&mut kv, &mut payload)? {
+                    let l = decode_env(std::mem::take(&mut payload), env)?;
                     let matched =
-                        table.probe(self, &kv, &|| l.clone(), names, residual, &mut |row| {
+                        table.probe(self, &kv, &|| l.clone(), &rows, residual, &mut |row| {
                             out.push(row)
                         })?;
                     if !matched && kind == CoreJoinKind::Left {
@@ -1344,10 +1397,7 @@ impl<'a> Evaluator<'a> {
         let built = keyed_build(
             self.spill_ctx().as_ref(),
             &|| self.gauge(whole),
-            &EnvCodec {
-                base: Env::new(),
-                names: Some(names),
-            },
+            &rows,
             &mut build_rows,
             Some(&mut probe_rows),
             0,
@@ -1375,10 +1425,11 @@ impl<'a> Evaluator<'a> {
             ev: self,
             kind,
             residual,
-            names: names.to_vec(),
+            rows,
             build: table,
             _held: held,
             left: FusedRows::new(left, 1),
+            kv: Vec::new(),
             pending: VecDeque::new(),
             done: false,
         }))
@@ -2796,14 +2847,10 @@ impl RowSource<'_> {
         }
     }
 
-    /// The slice's elements: a non-collection value is a (permissive)
-    /// singleton, and a binding stream has none.
+    /// The slice's elements (see [`elements`]); a binding stream has
+    /// none.
     fn items(&self) -> &[Value] {
-        match self.value() {
-            Some(Value::Bag(items) | Value::Array(items)) => items,
-            Some(single) => std::slice::from_ref(single),
-            None => &[],
-        }
+        self.value().map_or(&[], elements)
     }
 
     /// The element at `pos`, cloned from a shared source and moved out
@@ -2820,12 +2867,38 @@ impl RowSource<'_> {
     }
 }
 
+/// A scanned value's elements: a non-collection value is a (permissive)
+/// singleton.
+fn elements(v: &Value) -> &[Value] {
+    match v {
+        Value::Bag(items) | Value::Array(items) => items,
+        single => std::slice::from_ref(single),
+    }
+}
+
+/// [`env_bytes`] of `env` with `as_var` bound to `item`, without binding
+/// it.
+fn slice_row_bytes(env: &Env, as_var: &str, item: &Value) -> u64 {
+    let shadowed: u64 = (env.visible_bindings().iter())
+        .filter(|(n, _)| *n == as_var)
+        .map(|(n, v)| binding_bytes(n, v))
+        .sum();
+    env_bytes(env) - shadowed + binding_bytes(as_var, item)
+}
+
 /// One row a [`FusedScan`] handed on.
 enum Row {
     /// A slice element, by its position.
     At(usize),
     /// A binding-stream row.
     Bound(Env),
+}
+
+/// The empty binding: what a row buffer holds before it is filled.
+impl Default for Row {
+    fn default() -> Self {
+        Row::Bound(Env::new())
+    }
 }
 
 /// A correlate's left-filter verdict on one left row
@@ -2886,8 +2959,10 @@ impl<'s, 'a> FusedScan<'s, 'a> {
         }
     }
 
-    /// `row` bound — on the slice, the element cloned and bound: the one
-    /// place a positional consumer pays for a row.
+    /// `row` bound — on the slice, the element cloned and bound: where a
+    /// positional consumer pays for a row it keeps (a hash join's build
+    /// rows are read back through [`BuildRows`] instead, once the scan is
+    /// gone).
     fn bind(&self, row: &Row) -> Env {
         match row {
             Row::At(pos) => (self.env).bind(self.as_var.clone(), self.source.items()[*pos].clone()),
@@ -2897,17 +2972,10 @@ impl<'s, 'a> FusedScan<'s, 'a> {
 
     /// [`env_bytes`] of [`Self::bind`]`(row)`, without binding it.
     fn bound_bytes(&self, row: &Row) -> u64 {
-        let Row::At(pos) = row else {
-            return env_bytes(&self.bind(row));
-        };
-        let shadowed: u64 = self
-            .env
-            .visible_bindings()
-            .iter()
-            .filter(|(n, _)| *n == &*self.as_var)
-            .map(|(n, v)| binding_bytes(n, v))
-            .sum();
-        env_bytes(&self.env) - shadowed + binding_bytes(&self.as_var, &self.source.items()[*pos])
+        match row {
+            Row::At(pos) => slice_row_bytes(&self.env, &self.as_var, &self.source.items()[*pos]),
+            Row::Bound(env) => env_bytes(env),
+        }
     }
 
     /// The same rows with no program to run: every row passes, unjudged.
@@ -3175,18 +3243,40 @@ impl<'s, 'a, T: FusedOut> FusedRows<'s, 'a, T> {
             self.done = self.scan.kept.is_empty() || self.pulled.is_err();
         }
     }
+
+    /// The rows of the last pull not yet handed on.
+    fn pending(&self) -> usize {
+        self.scan.kept.len() - self.next
+    }
 }
 
-/// One group: its key values and one state per fold.
-type GroupRow = (Vec<Value>, Vec<FoldState>);
-
-/// A group's running state for one [`GroupFold`]. An input row makes a
-/// singleton state per fold; [`GroupTable`] merges it into its group.
+/// A group's running state for one [`GroupFold`]. Each record's
+/// [`FoldItem`] folds into its group's state in place.
 enum FoldState {
     /// The GROUP AS member bag, in input order.
     Members(Vec<Value>),
     /// A folded aggregate.
     Agg(agg::Accumulator),
+}
+
+/// What one record adds to one fold's state: a row's GROUP AS member or
+/// aggregate input — a data error parked in it — or a spilled
+/// partition's partial state.
+enum FoldItem {
+    Member(Value),
+    Input(Result<Value, EvalError>),
+    State(FoldState),
+}
+
+impl FoldItem {
+    /// The GROUP AS members the item appends.
+    fn members(&self) -> &[Value] {
+        match self {
+            FoldItem::Member(v) => std::slice::from_ref(v),
+            FoldItem::State(FoldState::Members(elems)) => elems,
+            _ => &[],
+        }
+    }
 }
 
 /// Estimated bytes of one aggregate state's fixed part; the values it
@@ -3202,18 +3292,17 @@ impl FoldState {
         }
     }
 
-    /// The singleton state of an aggregate fold whose body evaluated to
-    /// `v` on one row; a data error waits in the state (see
-    /// [`agg::Accumulator::raise`]).
-    fn of(fold: &GroupFold, v: Result<Value, EvalError>) -> FoldState {
-        let mut state = FoldState::empty(fold);
-        if let FoldState::Agg(acc) = &mut state {
-            match v {
-                Ok(v) => acc.push(&v),
-                Err(e) => acc.raise(e),
+    /// The state of a group `item` starts: a spilled state as it is,
+    /// else the empty state with `item` folded in.
+    fn start(fold: &GroupFold, item: FoldItem) -> FoldState {
+        match item {
+            FoldItem::State(state) => state,
+            item => {
+                let mut state = FoldState::empty(fold);
+                state.fold(item);
+                state
             }
         }
-        state
     }
 
     /// The live rows the state holds (members; an aggregate holds none).
@@ -3234,26 +3323,32 @@ impl FoldState {
         }
     }
 
-    /// Folds in `later`, the same fold's state over later rows.
-    fn merge(&mut self, later: FoldState) {
-        match (self, later) {
-            (FoldState::Members(elems), FoldState::Members(mut more)) => elems.append(&mut more),
-            (FoldState::Agg(acc), FoldState::Agg(more)) => acc.merge(more),
-            _ => unreachable!("states of one fold"),
+    /// Folds in `item`, which comes after every row the state holds: a
+    /// member appends, an input is pushed (a data error raised) — exactly
+    /// what merging its one-row state would do (see
+    /// [`agg::Accumulator::merge`]) — and a partial state merges.
+    fn fold(&mut self, item: FoldItem) {
+        match (self, item) {
+            (FoldState::Members(elems), FoldItem::Member(v)) => elems.push(v),
+            (FoldState::Agg(acc), FoldItem::Input(Ok(v))) => acc.push(&v),
+            (FoldState::Agg(acc), FoldItem::Input(Err(e))) => acc.raise(e),
+            (FoldState::Members(elems), FoldItem::State(FoldState::Members(mut more))) => {
+                elems.append(&mut more)
+            }
+            (FoldState::Agg(acc), FoldItem::State(FoldState::Agg(more))) => acc.merge(more),
+            _ => unreachable!("an item of the state's fold"),
         }
     }
 }
 
-/// A grouping key: the key values, MISSING surfacing as NULL — grouping
-/// treats the two absent values alike (PartiQL's `eqg`), which also
-/// realizes the §IV-B compatibility guarantee for GROUP BY queries.
-fn group_key(mut key_vals: Vec<Value>) -> Vec<Value> {
-    for v in &mut key_vals {
-        if v.is_missing() {
-            *v = Value::Null;
-        }
+/// A grouping key value, MISSING surfacing as NULL — grouping treats the
+/// two absent values alike (PartiQL's `eqg`), which also realizes the
+/// §IV-B compatibility guarantee for GROUP BY queries.
+fn group_key(v: Value) -> Value {
+    match v {
+        Value::Missing => Value::Null,
+        v => v,
     }
-    key_vals
 }
 
 /// Where a group binding parks the error of a fold variable whose
@@ -3262,92 +3357,163 @@ fn parked_error_var(var: &str) -> String {
     format!("{var}#error")
 }
 
-/// GROUP BY's keyed table: insertion-ordered groups — a map for lookup,
-/// a `Vec` of `(key values, fold states)` for order.
+/// The last entry of a [`Chains`] chain.
+const CHAIN_END: usize = usize::MAX;
+
+/// A keyed table's hash index: its entries, numbered in insertion order,
+/// chained by [`joint_hash`] — per hash its first and last entry, per
+/// entry the next one with that hash. The entries' key values lie beside
+/// it, flat, so a lookup borrows the probing keys and a chain yields its
+/// candidates in insertion order.
 #[derive(Default)]
-struct GroupTable {
-    index: HashMap<GroupKey, usize>,
-    groups: Vec<GroupRow>,
+struct Chains {
+    ends: HashMap<u64, (usize, usize)>,
+    next: Vec<usize>,
 }
 
-impl KeyedTable for GroupTable {
-    type Row = Vec<FoldState>;
+impl Chains {
+    /// The number of entries.
+    fn len(&self) -> usize {
+        self.next.len()
+    }
 
-    fn insert(
-        &mut self,
-        kv: Vec<Value>,
-        states: Vec<FoldState>,
-        gauge: &MatGauge<'_>,
-    ) -> (u64, u64) {
-        match self.index.entry(GroupKey(kv)) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                let held = &mut self.groups[*o.get()].1;
-                let rows = states.iter().map(FoldState::rows).sum();
-                // Members grow by what they append; an aggregate state by
-                // what it holds after the merge beyond what it held before
-                // (a MIN/MAX keeping a bigger value). A state that shrinks
-                // is not refunded until the table is released, so the
-                // charge stays an upper bound.
-                let agg_bytes = |held: &[FoldState]| {
-                    held.iter()
-                        .filter(|s| matches!(s, FoldState::Agg(_)))
-                        .map(FoldState::bytes)
-                        .sum::<u64>()
-                };
-                let appended = gauge.size(|| {
-                    states
-                        .iter()
-                        .filter(|s| matches!(s, FoldState::Members(_)))
-                        .map(FoldState::bytes)
-                        .sum()
-                });
-                let before = gauge.size(|| agg_bytes(held));
-                for (held, state) in held.iter_mut().zip(states) {
-                    held.merge(state);
-                }
-                let grown = gauge.size(|| agg_bytes(held)).saturating_sub(before);
-                (rows, appended + grown)
+    /// Makes room for `n` more entries.
+    fn reserve(&mut self, n: usize) {
+        self.ends.reserve(n);
+        self.next.reserve(n);
+    }
+
+    /// Appends an entry hashed `hash`.
+    fn push(&mut self, hash: u64) {
+        let entry = self.next.len();
+        self.next.push(CHAIN_END);
+        match self.ends.entry(hash) {
+            std::collections::hash_map::Entry::Occupied(mut o) => {
+                let (_, tail) = o.get_mut();
+                self.next[*tail] = entry;
+                *tail = entry;
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                let kv = v.key().0.clone();
-                v.insert(self.groups.len());
-                let rows = states.iter().map(FoldState::rows).sum::<u64>().max(1);
-                let bytes = gauge
-                    .size(|| keys_bytes(&kv) + states.iter().map(FoldState::bytes).sum::<u64>());
-                self.groups.push((kv, states));
-                (rows, bytes)
+                v.insert((entry, entry));
             }
         }
     }
 
-    fn drain(self, sink: &mut KeyedSink<'_, Vec<FoldState>>) -> Result<(), EvalError> {
-        for (kv, states) in self.groups {
-            sink(&kv, states)?;
+    /// The entries hashed `hash`, in insertion order.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.ends.get(&hash).map_or(CHAIN_END, |&(head, _)| head);
+        std::iter::from_fn(move || {
+            let entry = (at != CHAIN_END).then_some(at)?;
+            at = self.next[entry];
+            Some(entry)
+        })
+    }
+}
+
+/// Entry `i`'s key values in a flat store of `width` values per entry.
+fn entry_keys(keys: &[Value], width: usize, i: usize) -> &[Value] {
+    &keys[i * width..(i + 1) * width]
+}
+
+/// Whether two key tuples are equal — `deep_eq` key by key, which
+/// [`joint_hash`] is consistent with.
+fn keys_eq(a: &[Value], b: &[Value]) -> bool {
+    a.iter().zip(b).all(|(a, b)| deep_eq(a, b))
+}
+
+/// GROUP BY's keyed table: its groups in the order they were made, each
+/// with its key values and one state per fold, stored flat.
+#[derive(Default)]
+struct GroupTable {
+    chains: Chains,
+    keys: Vec<Value>,
+    states: Vec<FoldState>,
+}
+
+impl KeyedTable<GroupCodec<'_>> for GroupTable {
+    fn insert(
+        &mut self,
+        kv: &mut Vec<Value>,
+        items: &mut Vec<FoldItem>,
+        codec: &GroupCodec<'_>,
+        gauge: &MatGauge<'_>,
+    ) -> (u64, u64) {
+        let (width, folds) = (kv.len(), codec.folds.len());
+        let hash = joint_hash(kv);
+        let found =
+            (self.chains.chain(hash)).find(|&g| keys_eq(entry_keys(&self.keys, width, g), kv));
+        let Some(group) = found else {
+            self.chains.push(hash);
+            let first = self.states.len();
+            let started = codec.folds.iter().zip(items.drain(..));
+            (self.states).extend(started.map(|((_, fold), item)| FoldState::start(fold, item)));
+            let states = &self.states[first..];
+            let rows = states.iter().map(FoldState::rows).sum::<u64>().max(1);
+            let bytes =
+                gauge.size(|| keys_bytes(kv) + states.iter().map(FoldState::bytes).sum::<u64>());
+            self.keys.append(kv);
+            return (rows, bytes);
+        };
+        let held = &mut self.states[group * folds..(group + 1) * folds];
+        // Members grow by what they append; an aggregate state by what it
+        // holds after the fold beyond what it held before (a MIN/MAX
+        // keeping a bigger value). A state that shrinks is not refunded
+        // until the table is released, so the charge stays an upper bound.
+        let agg_bytes = |held: &[FoldState]| {
+            held.iter()
+                .filter(|s| matches!(s, FoldState::Agg(_)))
+                .map(FoldState::bytes)
+                .sum::<u64>()
+        };
+        let rows = items.iter().map(|item| item.members().len() as u64).sum();
+        let appended = gauge.size(|| {
+            (items.iter())
+                .flat_map(FoldItem::members)
+                .map(approx_value_bytes)
+                .sum()
+        });
+        let before = gauge.size(|| agg_bytes(held));
+        for (held, item) in held.iter_mut().zip(items.drain(..)) {
+            held.fold(item);
+        }
+        let grown = gauge.size(|| agg_bytes(held)).saturating_sub(before);
+        (rows, appended + grown)
+    }
+
+    fn drain(self, sink: &mut KeyedSink<'_, Vec<FoldItem>>) -> Result<(), EvalError> {
+        let groups = self.chains.len();
+        let width = self.keys.len().checked_div(groups).unwrap_or(0);
+        let folds = self.states.len().checked_div(groups).unwrap_or(0);
+        let mut states = self.states.into_iter();
+        for g in 0..groups {
+            let items = states.by_ref().take(folds).map(FoldItem::State).collect();
+            sink(entry_keys(&self.keys, width, g), items)?;
         }
         Ok(())
     }
 }
 
-/// Spill codec for a group's fold states: an array with one value per
-/// fold — the member bag, or [`agg::Accumulator::to_value`].
+/// Spill codec for a group's fold items: an array with one value per
+/// fold — the member bag, or [`agg::Accumulator::to_value`] — of the
+/// state the items start. A spilled record decodes to partial states.
 struct GroupCodec<'p> {
     folds: &'p [(String, GroupFold)],
 }
 
 impl SpillCodec for GroupCodec<'_> {
-    type Row = Vec<FoldState>;
-    fn encode(&self, states: Vec<FoldState>) -> Value {
+    type Row = Vec<FoldItem>;
+    fn encode(&self, items: Vec<FoldItem>) -> Value {
+        let states = self.folds.iter().zip(items);
         Value::Array(
             states
-                .into_iter()
-                .map(|state| match state {
+                .map(|((_, fold), item)| match FoldState::start(fold, item) {
                     FoldState::Members(elems) => Value::Bag(elems),
                     FoldState::Agg(acc) => acc.to_value(),
                 })
                 .collect(),
         )
     }
-    fn decode(&self, v: Value) -> Result<Vec<FoldState>, EvalError> {
+    fn decode(&self, v: Value) -> Result<Vec<FoldItem>, EvalError> {
         let corrupt = || EvalError::Resource("spill read failed: malformed group state".into());
         let Value::Array(values) = v else {
             return Err(corrupt());
@@ -3365,77 +3531,149 @@ impl SpillCodec for GroupCodec<'_> {
                     .ok_or_else(corrupt),
                 _ => Err(corrupt()),
             })
+            .map(|state| state.map(FoldItem::State))
             .collect()
     }
-    fn size(&self, states: &Vec<FoldState>) -> u64 {
-        states.iter().map(FoldState::bytes).sum()
+    /// The items' own bytes ([`GroupTable`] charges the states it holds
+    /// itself).
+    fn size(&self, items: &Vec<FoldItem>) -> u64 {
+        let item_bytes = |item: &FoldItem| match item {
+            FoldItem::State(state) => state.bytes(),
+            FoldItem::Member(v) | FoldItem::Input(Ok(v)) => approx_value_bytes(v),
+            FoldItem::Input(Err(_)) => 0,
+        };
+        items.iter().map(item_bytes).sum()
     }
 }
 
-/// A hash join's keyed table: the build side's surviving rows with their
-/// key tuples, bucketed by [`joint_hash`].
-#[derive(Default)]
-struct JoinTable {
-    rows: Vec<(Env, Vec<Value>)>,
-    buckets: HashMap<u64, Vec<usize>>,
+/// A hash join's build rows as bindings. A row the build read on a
+/// stored collection's slice is kept by position ([`Row::At`]) and read
+/// back from the collection — `slice`, the catalog snapshot, whose rows
+/// are `as_var` bound over `env` — only when a probe row matches it or it
+/// spills; any other is kept bound.
+/// Spilled, a row is its right-side variables (`names`), all a match
+/// reads back.
+struct BuildRows {
+    slice: Option<Arc<Value>>,
+    as_var: Rc<str>,
+    env: Env,
+    names: Vec<Rc<str>>,
+    /// The build's rows pulled and not yet in the table, the next one
+    /// included: what the table makes room for — one batch's kept rows
+    /// at most, never the scanned collection's.
+    due: Cell<usize>,
 }
 
-impl KeyedTable for JoinTable {
-    type Row = Env;
+impl BuildRows {
+    /// The value `name` has in `row`'s bindings, without binding it.
+    fn get<'r>(&'r self, row: &'r Row, name: &str) -> Option<&'r Value> {
+        match row {
+            Row::Bound(env) => env.get(name),
+            Row::At(pos) if name == &*self.as_var => {
+                let slice = self.slice.as_deref().expect("a position row has its slice");
+                Some(&elements(slice)[*pos])
+            }
+            Row::At(_) => self.env.get(name),
+        }
+    }
+}
 
-    fn insert(&mut self, kv: Vec<Value>, row: Env, gauge: &MatGauge<'_>) -> (u64, u64) {
-        let bytes = gauge.size(|| keys_bytes(&kv) + env_bytes(&row));
-        self.buckets
-            .entry(joint_hash(&kv))
-            .or_default()
-            .push(self.rows.len());
-        self.rows.push((row, kv));
+impl SpillCodec for BuildRows {
+    type Row = Row;
+    fn encode(&self, row: Row) -> Value {
+        encode_bindings(
+            self.names
+                .iter()
+                .filter_map(|n| Some((&**n, self.get(&row, n)?))),
+        )
+    }
+    fn decode(&self, v: Value) -> Result<Row, EvalError> {
+        decode_env(v, &Env::new()).map(Row::Bound)
+    }
+    fn size(&self, row: &Row) -> u64 {
+        match row {
+            Row::Bound(env) => env_bytes(env),
+            Row::At(pos) => {
+                let slice = self.slice.as_deref().expect("a position row has its slice");
+                slice_row_bytes(&self.env, &self.as_var, &elements(slice)[*pos])
+            }
+        }
+    }
+}
+
+/// A hash join's keyed table: the build side's surviving rows in build
+/// order, with their key values stored flat — `width` per row — and
+/// chained by hash.
+#[derive(Default)]
+struct JoinTable {
+    rows: Vec<Row>,
+    keys: Vec<Value>,
+    width: usize,
+    chains: Chains,
+}
+
+impl KeyedTable<BuildRows> for JoinTable {
+    fn insert(
+        &mut self,
+        kv: &mut Vec<Value>,
+        row: &mut Row,
+        codec: &BuildRows,
+        gauge: &MatGauge<'_>,
+    ) -> (u64, u64) {
+        let row = std::mem::take(row);
+        let due = codec.due.take();
+        self.rows.reserve(due);
+        self.keys.reserve(due * kv.len());
+        self.chains.reserve(due);
+        let bytes = gauge.size(|| keys_bytes(kv) + codec.size(&row));
+        self.chains.push(joint_hash(kv));
+        self.width = kv.len();
+        self.keys.append(kv);
+        self.rows.push(row);
         (1, bytes)
     }
 
-    fn drain(self, sink: &mut KeyedSink<'_, Env>) -> Result<(), EvalError> {
-        self.rows
-            .into_iter()
-            .try_for_each(|(row, kv)| sink(&kv, row))
+    fn drain(self, sink: &mut KeyedSink<'_, Row>) -> Result<(), EvalError> {
+        for (i, row) in self.rows.into_iter().enumerate() {
+            sink(entry_keys(&self.keys, self.width, i), row)?;
+        }
+        Ok(())
     }
 }
 
 impl JoinTable {
     /// Probes the table with one left row's key — the engine's only
-    /// bucket-probe loop — emitting each match and reporting whether
-    /// there was one. Bucket candidates are confirmed key-by-key with
+    /// chain-probe loop — emitting each match and reporting whether
+    /// there was one. Chain candidates are confirmed key-by-key with
     /// `deep_eq` (hash_value is deep_eq-consistent), which is exactly when
     /// `l.x = r.y` evaluates to TRUE for non-absent keys; the residual is
     /// then re-checked in the combined environment. The left row's binding
-    /// is made by `left`, once, at its first key match.
+    /// is made by `left`, once, at its first key match; a build row's
+    /// values are read through `rows` only then.
     fn probe<'a>(
         &self,
         ev: &Evaluator<'a>,
         kv: &[Value],
         left: &dyn Fn() -> Env,
-        names: &[Rc<str>],
+        rows: &BuildRows,
         residual: Option<&'a CoreExpr>,
         emit: &mut dyn FnMut(Env),
     ) -> Result<bool, EvalError> {
-        let Some(bucket) = self.buckets.get(&joint_hash(kv)) else {
-            return Ok(false);
-        };
         let mut matched = false;
         let mut l = None;
-        for &i in bucket {
-            // A skewed bucket can hold many candidates per left row;
-            // tick the deadline per candidate like the nested loop does.
+        for i in self.chains.chain(joint_hash(kv)) {
+            // A skewed chain can hold many candidates per left row; tick
+            // the deadline per candidate like the nested loop does.
             if let Some(g) = ev.govern.as_watcher() {
                 g.tick()?;
             }
             if let Some(st) = &ev.stats {
                 st.count(|s| s.join_probes += 1);
             }
-            let (renv, rkv) = &self.rows[i];
-            if !kv.iter().zip(rkv).all(|(a, b)| deep_eq(a, b)) {
+            if !keys_eq(kv, entry_keys(&self.keys, self.width, i)) {
                 continue;
             }
-            let combined = combine_envs(l.get_or_insert_with(left), renv, names);
+            let combined = combine_envs(l.get_or_insert_with(left), rows, &self.rows[i]);
             if let Some(p) = residual {
                 if !matches!(ev.expr(p, &combined)?, Value::Bool(true)) {
                     continue;
@@ -3608,12 +3846,15 @@ struct HashProbe<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
     residual: Option<&'a CoreExpr>,
-    names: Vec<Rc<str>>,
+    /// What the build rows bind, and the right-side variables.
+    rows: BuildRows,
     build: JoinTable,
     /// Keeps the build rows counted as live until the probe finishes.
     _held: MatGauge<'s>,
     /// The probe side's row loop: the left keys of each row.
     left: FusedRows<'s, 'a, Value>,
+    /// The current left row's keys (reused).
+    kv: Vec<Value>,
     /// Rows produced by the current left row, drained before pulling the
     /// next one.
     pending: VecDeque<Env>,
@@ -3624,23 +3865,23 @@ impl HashProbe<'_, '_> {
     /// Pulls one left row and queues what it produces: its matches, or
     /// its NULL padding for an unmatched LEFT row.
     fn step(&mut self) -> Result<(), EvalError> {
-        let mut kv = Vec::new();
-        let Some((row, passed)) = self.left.next_at(&mut kv)? else {
+        self.kv.clear();
+        let Some((row, passed)) = self.left.next_at(&mut self.kv)? else {
             self.done = true;
             return Ok(());
         };
-        let (left, names, pending) = (&self.left, &self.names, &mut self.pending);
+        let (left, rows, pending) = (&self.left, &self.rows, &mut self.pending);
         let matched = passed
             && self.build.probe(
                 self.ev,
-                &kv,
+                &self.kv,
                 &|| left.scan.bind(&row),
-                names,
+                rows,
                 self.residual,
                 &mut |r| pending.push_back(r),
             )?;
         if !matched && self.kind == CoreJoinKind::Left {
-            pending.push_back(pad_left(&left.scan.bind(&row), names));
+            pending.push_back(pad_left(&left.scan.bind(&row), &rows.names));
         }
         Ok(())
     }
@@ -3677,12 +3918,12 @@ fn pad_left(l: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
 }
 
 /// Extends a left-row environment with the right side's variables from a
-/// matched build row — the same bindings, in the same order, that
-/// evaluating the right side under `l` would have produced.
-fn combine_envs(l: &Env, r: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
+/// matched build row `r` of `rows` — the same bindings, in the same
+/// order, that evaluating the right side under `l` would have produced.
+fn combine_envs(l: &Env, rows: &BuildRows, r: &Row) -> Env {
     let mut out = l.clone();
-    for name in right_vars {
-        if let Some(v) = r.get(name) {
+    for name in &rows.names {
+        if let Some(v) = rows.get(r, name) {
             out = out.bind(name.clone(), v.clone());
         }
     }
@@ -3715,26 +3956,16 @@ fn binding_bytes(name: &str, v: &Value) -> u64 {
     9 + name.len() as u64 + approx_value_bytes(v)
 }
 
-/// Serializes an environment for a spill file: the visible bindings
-/// (innermost first), optionally restricted to `names` — a hash-join build
-/// row only needs the right side's variables. Each binding becomes a
-/// `[name, value]` pair.
-fn encode_env(e: &Env, names: Option<&[Rc<str>]>) -> Value {
-    let pairs: Vec<Value> = match names {
-        Some(names) => names
-            .iter()
-            .filter_map(|n| {
-                e.get(n)
-                    .map(|v| Value::Array(vec![Value::Str(n.to_string()), v.clone()]))
-            })
-            .collect(),
-        None => e
-            .visible_bindings()
-            .into_iter()
-            .map(|(n, v)| Value::Array(vec![Value::Str(n.to_string()), v.clone()]))
-            .collect(),
-    };
-    Value::Array(pairs)
+/// Serializes an environment for a spill file: its visible bindings,
+/// innermost first (see [`encode_bindings`]).
+fn encode_env(e: &Env) -> Value {
+    encode_bindings(e.visible_bindings().into_iter())
+}
+
+/// Serializes bindings for a spill file, each a `[name, value]` pair.
+fn encode_bindings<'v>(bindings: impl Iterator<Item = (&'v str, &'v Value)>) -> Value {
+    let pair = |(n, v): (&str, &Value)| Value::Array(vec![Value::Str(n.to_string()), v.clone()]);
+    Value::Array(bindings.map(pair).collect())
 }
 
 /// Inverse of [`encode_env`]: rebinds the pairs (outermost first, so
@@ -3769,19 +4000,16 @@ fn decode_env(v: Value, base: &Env) -> Result<Env, EvalError> {
     Ok(env)
 }
 
-/// Spill codec for binding rows (ORDER BY over bindings, hash-join build
-/// rows): an [`Env`] round-trips as its visible bindings — or only
-/// `names`, when the consumer reads nothing else back — rebuilt over
-/// `base`.
-struct EnvCodec<'n> {
+/// Spill codec for ORDER BY's binding rows: an [`Env`] round-trips as
+/// its visible bindings, rebuilt over `base`.
+struct EnvCodec {
     base: Env,
-    names: Option<&'n [Rc<str>]>,
 }
 
-impl SpillCodec for EnvCodec<'_> {
+impl SpillCodec for EnvCodec {
     type Row = Env;
     fn encode(&self, row: Env) -> Value {
-        encode_env(&row, self.names)
+        encode_env(&row)
     }
     fn decode(&self, v: Value) -> Result<Env, EvalError> {
         decode_env(v, &self.base)

@@ -2,9 +2,11 @@
 //! single character, and an optional ESCAPE character quotes either.
 //! Implemented with the classic two-pointer backtracking algorithm —
 //! linear in practice, and immune to the exponential blowup a naive
-//! recursive matcher suffers on patterns like `%a%a%a%…`.
+//! recursive matcher suffers on patterns like `%a%a%a%…`. It reads the
+//! pattern and the text in place, one character at a time, and
+//! allocates nothing.
 
-/// One parsed pattern element.
+/// One pattern element.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Pat {
     /// Match exactly this character.
@@ -24,74 +26,73 @@ pub enum LikeError {
     DanglingEscape,
 }
 
-/// Compiles and matches in one call. `escape` is the ESCAPE character, if
-/// any.
+/// Whether `text` matches `pattern`; `escape` is the ESCAPE character, if
+/// any. The whole pattern is checked first, so an ill-formed one fails
+/// whatever the text.
 pub fn like_match(text: &str, pattern: &str, escape: Option<char>) -> Result<bool, LikeError> {
-    let pat = compile(pattern, escape)?;
-    Ok(matches(text, &pat))
-}
-
-fn compile(pattern: &str, escape: Option<char>) -> Result<Vec<Pat>, LikeError> {
-    let mut out = Vec::with_capacity(pattern.len());
     let mut chars = pattern.chars();
     while let Some(c) = chars.next() {
-        if Some(c) == escape {
-            match chars.next() {
-                Some(next) => out.push(Pat::Lit(next)),
-                None => return Err(LikeError::DanglingEscape),
-            }
-        } else if c == '%' {
-            // Collapse runs of % (they are equivalent and the collapse
-            // keeps backtracking cheap).
-            if out.last() != Some(&Pat::Any) {
-                out.push(Pat::Any);
-            }
-        } else if c == '_' {
-            out.push(Pat::One);
-        } else {
-            out.push(Pat::Lit(c));
+        if Some(c) == escape && chars.next().is_none() {
+            return Err(LikeError::DanglingEscape);
         }
     }
-    Ok(out)
+    Ok(matches(text, pattern, escape))
 }
 
-fn matches(text: &str, pat: &[Pat]) -> bool {
-    let chars: Vec<char> = text.chars().collect();
-    let (mut t, mut p) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pat index after %, text index)
-    while t < chars.len() {
-        if p < pat.len() {
-            match pat[p] {
-                Pat::Lit(c) if chars[t] == c => {
-                    t += 1;
-                    p += 1;
-                    continue;
-                }
-                Pat::One => {
-                    t += 1;
-                    p += 1;
-                    continue;
-                }
-                Pat::Any => {
-                    star = Some((p + 1, t));
-                    p += 1;
-                    continue;
-                }
-                Pat::Lit(_) => {}
+/// The first element of a checked `pattern` and the pattern after it. A
+/// run of `%` is one element (the runs are equivalent, and the collapse
+/// keeps backtracking cheap).
+fn next_pat(pattern: &str, escape: Option<char>) -> Option<(Pat, &str)> {
+    let mut chars = pattern.chars();
+    let c = chars.next()?;
+    let pat = if Some(c) == escape {
+        Pat::Lit(chars.next().expect("the pattern has no dangling escape"))
+    } else if c == '%' {
+        // `%` is not the escape here, so every `%` after it is one too.
+        return Some((Pat::Any, chars.as_str().trim_start_matches('%')));
+    } else if c == '_' {
+        Pat::One
+    } else {
+        Pat::Lit(c)
+    };
+    Some((pat, chars.as_str()))
+}
+
+fn matches(mut text: &str, mut pat: &str, escape: Option<char>) -> bool {
+    // The pattern after the last %, and the text it is tried against.
+    let mut star: Option<(&str, &str)> = None;
+    while let Some(t) = text.chars().next() {
+        match next_pat(pat, escape) {
+            Some((Pat::Any, rest)) => {
+                star = Some((rest, text));
+                pat = rest;
+                continue;
             }
+            Some((Pat::One, rest)) => {
+                text = &text[t.len_utf8()..];
+                pat = rest;
+                continue;
+            }
+            Some((Pat::Lit(c), rest)) if c == t => {
+                text = &text[t.len_utf8()..];
+                pat = rest;
+                continue;
+            }
+            _ => {}
         }
         // Mismatch: backtrack to the last %, consuming one more char.
         match star {
             Some((sp, st)) => {
-                p = sp;
-                t = st + 1;
-                star = Some((sp, st + 1));
+                let st = &st[st.chars().next().map_or(0, char::len_utf8)..];
+                pat = sp;
+                text = st;
+                star = Some((sp, st));
             }
             None => return false,
         }
     }
     // Remaining pattern must be all %.
-    pat[p..].iter().all(|x| *x == Pat::Any)
+    matches!(next_pat(pat, escape), None | Some((Pat::Any, "")))
 }
 
 #[cfg(test)]
@@ -153,6 +154,14 @@ mod tests {
         let pattern = "%a".repeat(40) + "b";
         // Must return (false) fast rather than exploding exponentially.
         assert!(!m(&text, &pattern));
+    }
+
+    #[test]
+    fn backtracking_over_four_kib_stays_linear() {
+        let text = "a".repeat(4096);
+        assert!(!m(&text, &("%a".repeat(64) + "b")));
+        assert!(m(&text, &("%a".repeat(64) + "%")));
+        assert!(m(&(text.clone() + "b"), &("%a".repeat(64) + "%b")));
     }
 
     #[test]

@@ -555,25 +555,34 @@ impl GracePartitioner {
 
 // ---------------- the one spillable keyed build ----------------
 
-/// A pull source of keyed records `(key values, row)`: the live input
-/// stream at depth 0, a spilled partition at depth ≥ 1. `None` = exhausted.
-pub(crate) type KeyedSource<'x, R> = dyn FnMut() -> Result<Option<(Vec<Value>, R)>, EvalError> + 'x;
+/// A pull source of keyed records: each call fills the caller's buffers
+/// with the next record's key values and row, and says whether there was
+/// one. The live input at depth 0, a spilled partition at depth ≥ 1.
+pub(crate) type KeyedSource<'x, R> =
+    dyn FnMut(&mut Vec<Value>, &mut R) -> Result<bool, EvalError> + 'x;
 
 /// Receives the records a [`KeyedTable`] hands back.
 pub(crate) type KeyedSink<'x, R> = dyn FnMut(&[Value], R) -> Result<(), EvalError> + 'x;
 
 /// What a keyed breaker accumulates into while its input fits in memory —
-/// GROUP BY's insertion-ordered groups, a hash join's bucket table.
-pub(crate) trait KeyedTable: Default {
-    /// The in-memory row type held per record.
-    type Row;
-    /// Adds one record and reports what it newly holds live — `(rows,
-    /// bytes)`, the bytes sized through `gauge` (so an unmetered build
-    /// never sizes a row). `(0, 0)` means the record only folded into
-    /// state already held, and is not admitted at all.
-    fn insert(&mut self, kv: Vec<Value>, row: Self::Row, gauge: &MatGauge<'_>) -> (u64, u64);
+/// GROUP BY's insertion-ordered groups, a hash join's build rows — with
+/// `C` the codec its records cross the spill boundary by, which the
+/// table reads too (a GROUP BY's folds, a build's slice).
+pub(crate) trait KeyedTable<C: SpillCodec>: Default {
+    /// Takes in the record in `kv` and `row`, which it may leave emptied,
+    /// and reports what it newly holds live — `(rows, bytes)`, the bytes
+    /// sized through `gauge` (so an unmetered build never sizes a row).
+    /// `(0, 0)` means the record only folded into state already held,
+    /// and is not admitted at all.
+    fn insert(
+        &mut self,
+        kv: &mut Vec<Value>,
+        row: &mut C::Row,
+        codec: &C,
+        gauge: &MatGauge<'_>,
+    ) -> (u64, u64);
     /// Hands every held record back, for the scatter on overflow.
-    fn drain(self, sink: &mut KeyedSink<'_, Self::Row>) -> Result<(), EvalError>;
+    fn drain(self, sink: &mut KeyedSink<'_, C::Row>) -> Result<(), EvalError>;
 }
 
 /// What a keyed breaker does with a spilled partition that fit: the built
@@ -587,27 +596,30 @@ fn run_source<'x, R>(
     ctx: &'x SpillCtx<'_>,
     reader: &'x mut SpillReader,
     decode: impl Fn(Value) -> Result<R, EvalError> + 'x,
-) -> impl FnMut() -> Result<Option<(Vec<Value>, R)>, EvalError> + 'x {
-    move || {
+) -> impl FnMut(&mut Vec<Value>, &mut R) -> Result<bool, EvalError> + 'x {
+    move |kv, row| {
         let Some(rec) = reader.next(ctx)? else {
-            return Ok(None);
+            return Ok(false);
         };
-        let (kv, payload) = decode_keyed_record(rec)?;
-        Ok(Some((kv, decode(payload)?)))
+        let (keys, payload) = decode_keyed_record(rec)?;
+        *kv = keys;
+        *row = decode(payload)?;
+        Ok(true)
     }
 }
 
 /// The budgeted keyed build behind GROUP BY and the hash-join build — the
 /// only accumulate → refuse → scatter → recurse loop in the engine.
 ///
-/// Records pulled from `source` are inserted into a `T`, and whatever
+/// Records `source` fills into one pair of buffers are inserted into a
+/// `T`, and whatever
 /// each one newly holds is admitted through one gauge. If the source
 /// drains without a refusal the table (and the gauge holding it live) is
 /// returned to the caller. On a memory-budget refusal — with spilling
 /// enabled and `depth` within `SpillConfig::MAX_RECURSION`; any other
 /// error, and the refusal itself otherwise, propagates — everything held (the refused
 /// record included) *and the rest of the same source* is
-/// scattered to a [`GracePartitioner`] seeded by `depth`, the `probe`
+/// scattered, encoded by `codec`, to a [`GracePartitioner`] seeded by `depth`, the `probe`
 /// source (a join's other side) is scattered under the same seed so both
 /// sides stay pairwise aligned, and each build run is rebuilt by this
 /// same routine one level deeper. A run that fits is handed to `fit`
@@ -624,16 +636,17 @@ pub(crate) fn keyed_build<'s, T, C>(
     fit: &mut OnFit<'_, 's, T>,
 ) -> Result<Option<(T, MatGauge<'s>)>, EvalError>
 where
-    C: SpillCodec,
-    T: KeyedTable<Row = C::Row>,
+    T: KeyedTable<C>,
+    C: SpillCodec<Row: Default>,
 {
     let mut gauge = new_gauge();
     let mut table = T::default();
+    let (mut kv, mut row) = (Vec::new(), C::Row::default());
     let ctx = loop {
-        let Some((kv, row)) = source()? else {
+        if !source(&mut kv, &mut row)? {
             return Ok(Some((table, gauge)));
-        };
-        let (rows, bytes) = table.insert(kv, row, &gauge);
+        }
+        let (rows, bytes) = table.insert(&mut kv, &mut row, codec, &gauge);
         if rows == 0 && bytes == 0 {
             continue;
         }
@@ -649,15 +662,16 @@ where
     let mut builds = GracePartitioner::new(ctx, seed)?;
     table.drain(&mut |kv, row| builds.write(ctx, kv, codec.encode(row)))?;
     drop(gauge);
-    while let Some((kv, row)) = source()? {
-        builds.write(ctx, &kv, codec.encode(row))?;
+    while source(&mut kv, &mut row)? {
+        builds.write(ctx, &kv, codec.encode(std::mem::take(&mut row)))?;
     }
     let mut probes = match probe {
         None => None,
         Some(probe) => {
             let mut p = GracePartitioner::new(ctx, seed)?;
-            while let Some((kv, payload)) = probe()? {
-                p.write(ctx, &kv, payload)?;
+            let mut payload = Value::Missing;
+            while probe(&mut kv, &mut payload)? {
+                p.write(ctx, &kv, std::mem::take(&mut payload))?;
             }
             Some(p.finish()?.into_iter())
         }

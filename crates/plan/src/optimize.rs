@@ -380,65 +380,34 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
             let left_set = introduced_set(&left);
             let right_list = introduced_vars(&right);
             let right_set: HashSet<String> = right_list.iter().cloned().collect();
-
-            // Classify each conjunct by which sides it references. A
-            // conjunct whose references cannot be determined statically
-            // (Global/Dynamic) is never moved.
-            let mut left_conj = Vec::new();
-            let mut right_conj = Vec::new();
-            let mut keys = Vec::new();
-            let mut residual = Vec::new();
-            let mut leftover = Vec::new();
             let rewritable = uncorrelated(&right, &left_set);
-            for (pos, c) in conjuncts {
-                let mut refs = HashSet::new();
-                if !expr_refs(&c, &mut refs) {
-                    leftover.push((pos, c));
-                    continue;
-                }
-                match side_of(&refs, &left_set, &right_set) {
-                    Side::Left => left_conj.push((pos, c)),
-                    Side::Right if rewritable => right_conj.push((pos, c)),
-                    Side::Right => leftover.push((pos, c)),
-                    Side::Neither => leftover.push((pos, c)),
-                    Side::Both if rewritable => match as_equi_key(c, &left_set, &right_set) {
-                        Ok(pair) => keys.push(pair),
-                        Err(c) => residual.push((pos, c)),
-                    },
-                    Side::Both => leftover.push((pos, c)),
-                }
-            }
-
-            let (left, mut back) = extract_from(*left, left_conj);
+            let mut sides = classify(conjuncts, &left_set, &right_set, rewritable);
+            let (left, back) = extract_from(*left, std::mem::take(&mut sides.left));
             let (right, _) = extract_from(*right, Vec::new());
-            if keys.is_empty() {
+            match sides.join(back, Sides::default()) {
                 // No hash key: keep the correlate; left-only conjuncts the
                 // left subtree could not consume bubble back up.
-                leftover.append(&mut back);
-                leftover.extend(right_conj);
-                leftover.extend(residual);
-                (
+                Err(leftover) => (
                     CoreFrom::Correlate {
                         left: Box::new(left),
                         right: Box::new(right),
                         left_pred: None,
                     },
                     leftover,
-                )
-            } else {
-                (
+                ),
+                Ok((join, leftover)) => (
                     CoreFrom::HashJoin {
                         kind: CoreJoinKind::Inner,
                         left: Box::new(left),
                         right: Box::new(right),
-                        keys,
-                        left_pred: and_all(in_order(back)),
-                        right_pred: and_all(in_order(right_conj)),
-                        residual: and_all(in_order(residual)),
+                        keys: join.keys,
+                        left_pred: join.left_pred,
+                        right_pred: join.right_pred,
+                        residual: join.residual,
                         right_vars: right_list,
                     },
                     leftover,
-                )
+                ),
             }
         }
         CoreFrom::Join {
@@ -448,11 +417,11 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
             on,
             right_vars,
         } => {
-            let (left, _) = extract_from(*left, Vec::new());
-            let (right, _) = extract_from(*right, Vec::new());
             let left_set = introduced_set(&left);
             let right_set: HashSet<String> = right_vars.iter().cloned().collect();
             if !uncorrelated(&right, &left_set) {
+                let (left, _) = extract_from(*left, Vec::new());
+                let (right, _) = extract_from(*right, Vec::new());
                 return (
                     CoreFrom::Join {
                         kind,
@@ -466,31 +435,49 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
             }
             let mut on_conj = Vec::new();
             split_conjuncts(on.clone(), &mut on_conj);
-            let mut left_conj = Vec::new();
-            let mut right_conj = Vec::new();
-            let mut keys = Vec::new();
-            let mut residual = Vec::new();
-            for c in on_conj {
+            let mut on_sides = Sides::default();
+            for (pos, c) in on_conj.into_iter().enumerate() {
                 let mut refs = HashSet::new();
                 if !expr_refs(&c, &mut refs) {
                     // Environment-sensitive reference: evaluate per
                     // matched pair, like the original ON did.
-                    residual.push(c);
+                    on_sides.residual.push((pos, c));
                     continue;
                 }
                 match side_of(&refs, &left_set, &right_set) {
                     // ON conjuncts over only-left or only-outer variables
                     // gate matching per left row in both join kinds.
-                    Side::Left | Side::Neither => left_conj.push(c),
-                    Side::Right => right_conj.push(c),
+                    Side::Left | Side::Neither => on_sides.left.push((pos, c)),
+                    Side::Right => on_sides.right.push((pos, c)),
                     Side::Both => match as_equi_key(c, &left_set, &right_set) {
-                        Ok(pair) => keys.push(pair),
-                        Err(c) => residual.push(c),
+                        Ok(pair) => on_sides.keys.push(pair),
+                        Err(c) => on_sides.residual.push((pos, c)),
                     },
                 }
             }
-            if keys.is_empty() {
-                (
+            // An inner join whose ON is equi-keys alone is the comma join
+            // of its keys and WHERE, so the WHERE's conjuncts split the
+            // way a comma join's do. Any other ON conjunct keeps the WHERE
+            // above the join: a pushed filter would drop a row before that
+            // conjunct runs on it, turning a strict-typing error of the
+            // literal plan into an answer. A LEFT join's WHERE also sees
+            // the padded rows: it stays above the join.
+            let keys_only = on_sides.left.is_empty()
+                && on_sides.right.is_empty()
+                && on_sides.residual.is_empty();
+            let mut sides = match kind {
+                CoreJoinKind::Inner if keys_only => {
+                    classify(conjuncts, &left_set, &right_set, true)
+                }
+                _ => Sides {
+                    leftover: conjuncts,
+                    ..Sides::default()
+                },
+            };
+            let (left, back) = extract_from(*left, std::mem::take(&mut sides.left));
+            let (right, _) = extract_from(*right, Vec::new());
+            match sides.join(back, on_sides) {
+                Err(leftover) => (
                     CoreFrom::Join {
                         kind,
                         left: Box::new(left),
@@ -498,26 +485,111 @@ fn extract_from(item: CoreFrom, conjuncts: Vec<Conjunct>) -> (CoreFrom, Vec<Conj
                         on,
                         right_vars,
                     },
-                    conjuncts,
-                )
-            } else {
-                (
+                    leftover,
+                ),
+                Ok((join, leftover)) => (
                     CoreFrom::HashJoin {
                         kind,
                         left: Box::new(left),
                         right: Box::new(right),
-                        keys,
-                        left_pred: and_all(left_conj),
-                        right_pred: and_all(right_conj),
-                        residual: and_all(residual),
+                        keys: join.keys,
+                        left_pred: join.left_pred,
+                        right_pred: join.right_pred,
+                        residual: join.residual,
                         right_vars,
                     },
-                    conjuncts,
-                )
+                    leftover,
+                ),
             }
         }
         // Leaves consume nothing, and an annotated join nothing more.
         other => (other, conjuncts),
+    }
+}
+
+/// Conjuncts over a join sorted by the sides they read.
+#[derive(Default)]
+struct Sides {
+    /// Left-only: filter the left rows.
+    left: Vec<Conjunct>,
+    /// Right-only: filter the right rows.
+    right: Vec<Conjunct>,
+    /// Cross-side equalities: the hash keys.
+    keys: Vec<(CoreExpr, CoreExpr)>,
+    /// Other cross-side conjuncts: checked per matched pair.
+    residual: Vec<Conjunct>,
+    /// What no join consumes: stays in the WHERE.
+    leftover: Vec<Conjunct>,
+}
+
+/// A hash join's keys and predicates.
+struct JoinParts {
+    keys: Vec<(CoreExpr, CoreExpr)>,
+    left_pred: Option<CoreExpr>,
+    right_pred: Option<CoreExpr>,
+    residual: Option<CoreExpr>,
+}
+
+/// Sorts WHERE conjuncts over a join of variables `left_set` and
+/// `right_set` by the sides they read. A conjunct whose references cannot
+/// be determined statically (Global/Dynamic), or that reads neither side,
+/// is never moved; nor is one that reads the right side unless the right
+/// side is uncorrelated with the left (`rewritable`).
+fn classify(
+    conjuncts: Vec<Conjunct>,
+    left_set: &HashSet<String>,
+    right_set: &HashSet<String>,
+    rewritable: bool,
+) -> Sides {
+    let mut sides = Sides::default();
+    for (pos, c) in conjuncts {
+        let mut refs = HashSet::new();
+        if !expr_refs(&c, &mut refs) {
+            sides.leftover.push((pos, c));
+            continue;
+        }
+        match side_of(&refs, left_set, right_set) {
+            Side::Left => sides.left.push((pos, c)),
+            Side::Right if rewritable => sides.right.push((pos, c)),
+            Side::Both if rewritable => match as_equi_key(c, left_set, right_set) {
+                Ok(pair) => sides.keys.push(pair),
+                Err(c) => sides.residual.push((pos, c)),
+            },
+            Side::Right | Side::Both | Side::Neither => sides.leftover.push((pos, c)),
+        }
+    }
+    sides
+}
+
+impl Sides {
+    /// The hash join of the WHERE's sides — with `back`, the left-only
+    /// conjuncts the left subtree did not consume — after an ON's sides
+    /// `on`, and what stays in the WHERE; or, with no key to hash on,
+    /// every WHERE conjunct the join did not consume.
+    fn join(
+        mut self,
+        back: Vec<Conjunct>,
+        on: Sides,
+    ) -> Result<(JoinParts, Vec<Conjunct>), Vec<Conjunct>> {
+        if self.keys.is_empty() && on.keys.is_empty() {
+            self.leftover.extend(back);
+            self.leftover.extend(self.right);
+            self.leftover.extend(self.residual);
+            return Err(self.leftover);
+        }
+        // The ON's conjuncts, then the WHERE's, each in its AND-chain order.
+        let pred = |on: Vec<Conjunct>, this: Vec<Conjunct>| {
+            and_all(in_order(on).into_iter().chain(in_order(this)).collect())
+        };
+        let mut keys = on.keys;
+        keys.append(&mut self.keys);
+        let parts = JoinParts {
+            keys,
+            left_pred: pred(on.left, back),
+            right_pred: pred(on.right, self.right),
+            residual: pred(on.residual, self.residual),
+        };
+        Ok((parts, self.leftover))
     }
 }
 

@@ -174,6 +174,14 @@ SQLPP_PROP_PERSIST_DIR=tests/regression-seeds SQLPP_PROP_CASES=20000 \
   cargo test -q --release --test pushdown --test spine_consumers
 echo "spine differential OK"
 
+echo "== allocation ledger gate =="
+# Predicate scans, a hash-join build and a folded GROUP BY over 64 and
+# 256 rows must make the same number of heap allocations: none per row
+# they read but do not keep. Counted in the release build, the one the
+# benchmark measures.
+cargo test -q --release --test allocs
+echo "allocation ledger OK"
+
 echo "== diagnostics golden gate =="
 # Caret-underlined multi-error reports are pinned byte-for-byte under
 # tests/golden/diagnostics/; regenerate intentionally with

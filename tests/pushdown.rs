@@ -5,15 +5,20 @@
 //! * a seeded differential property over comma, UNNEST and UNPIVOT
 //!   queries with left-only, right-only, mixed, outer-correlated, `?` and
 //!   schemaless-subquery conjuncts — 3-item FROMs, a correlate under a hash join, a correlate
-//!   inside a subquery, LIMIT and EXISTS consumers — over rows whose
+//!   inside a subquery, `JOIN … ON … WHERE` in both join kinds, LIMIT and
+//!   EXISTS consumers — over rows whose
 //!   unnested attribute is absent, MISSING, NULL, empty, a scalar, an
 //!   array or a bag, and whose filtered attribute is an int, a string,
 //!   NULL or MISSING; optimize on and off, batch 1/2/1024, both typing
-//!   modes: equal answers or the identical error;
+//!   modes: equal answers or the identical error — for a keys-only
+//!   INNER `JOIN … ON`, whose hash join reorders the WHERE's conjuncts,
+//!   the identical answer or error at every batch size, and the same
+//!   answer from both plans wherever both answer;
 //! * pinned cases a naive pushdown breaks: a parameter that is never
 //!   supplied, a strict-mode scan of a non-collection on a row the WHERE
-//!   rejects, and a subquery whose unqualified name is ambiguous only
-//!   once the right side is bound;
+//!   rejects, a subquery whose unqualified name is ambiguous only once
+//!   the right side is bound, and a strict-mode ON residual that a
+//!   pushed WHERE filter would overtake;
 //! * optimizing a generated query's optimized plan again changes
 //!   nothing: the optimizer runs each pass once.
 //!
@@ -129,12 +134,24 @@ const MIXED: &[&str] = &["p.j = e.k", "p.j < e.k"];
 const UNPIVOT_RIGHT: &[&str] = &["v = 1", "n = 'a'", "v > 0", "v = e.k"];
 const THIRD: &[&str] = &["q.j = 2", "q.j >= p.j", "q.j = e.k"];
 const OUTER: &[&str] = &["e.k = o.f", "o.f > 1"];
+const JOINED: &[&str] = &["d.t = 1", "d.t = e.k", "d.t < e.k", "d.id = e.k", "d.t = ?"];
+const ON: &[&str] = &[
+    "e.id = d.id",
+    "e.k < 3",
+    "d.t = 1",
+    "e.id = d.id AND d.t <= e.k",
+];
 
 /// A generated query and the parameters it runs with.
 #[derive(Debug, Clone)]
 struct Query {
     text: String,
     params: Vec<Value>,
+    /// A `JOIN … ON` query whose WHERE moves into its hash join, as a
+    /// comma join's does: the join runs the WHERE's conjuncts in another
+    /// order than the literal plan, so where one plan raises the other
+    /// may not, and across the two plans only answers compare.
+    reordered: bool,
 }
 
 /// 1–3 conjuncts drawn from `pools`, in random order.
@@ -157,7 +174,7 @@ fn conjuncts(src: &mut Source, pools: &[&[&str]]) -> String {
 fn queries() -> Gen<Query> {
     Gen::new(|src| {
         let base: &[&[&str]] = &[LEFT, RIGHT, MIXED];
-        let text = match src.draw_below(11) {
+        let text = match src.draw_below(13) {
             0 | 1 => format!(
                 "SELECT VALUE [e.id, p] FROM u AS e, e.xs AS p WHERE {}",
                 conjuncts(src, base)
@@ -176,6 +193,20 @@ fn queries() -> Gen<Query> {
                 "SELECT VALUE [e.id, p, d.t] FROM u AS e, e.xs AS p, w AS d \
                  WHERE e.id = d.id AND {}",
                 conjuncts(src, base)
+            ),
+            // The same join spelled with JOIN … ON: an inner join's WHERE
+            // splits into its sides as the comma form's does.
+            11 => format!(
+                "SELECT VALUE [e.id, d.t] FROM u AS e JOIN w AS d ON e.id = d.id WHERE {}",
+                conjuncts(src, &[LEFT, JOINED])
+            ),
+            // Keys from the ON, the WHERE or neither; a LEFT join's WHERE
+            // stays above it.
+            12 => format!(
+                "SELECT VALUE [e.id, d] FROM u AS e {}JOIN w AS d ON {} WHERE {}",
+                pick(src, &["", "LEFT "]),
+                pick(src, ON),
+                conjuncts(src, &[LEFT, JOINED])
             ),
             5 => format!(
                 "SELECT o.f AS f, (SELECT VALUE [e.id, p] FROM u AS e, e.xs AS p WHERE {}) AS s \
@@ -215,7 +246,14 @@ fn queries() -> Gen<Query> {
                 .map(|_| pick(src, &[Value::Int(1), Value::Int(2), Value::Str("a".into())]))
                 .collect()
         };
-        Query { text, params }
+        // An INNER join whose ON is keys alone: its WHERE moves into the
+        // hash join.
+        let reordered = text.contains("u AS e JOIN w AS d ON e.id = d.id WHERE");
+        Query {
+            text,
+            params,
+            reordered,
+        }
     })
 }
 
@@ -255,13 +293,22 @@ sqlpp_prop! {
                     .query_with_params(&q.text, q.params.clone())
             };
             let reference = run(false, 1024);
+            let optimized = run(true, 1024);
+            if let (true, Ok(want), Ok(got)) = (q.reordered, &reference, &optimized) {
+                let (want, got) = (want.canonical(), got.canonical());
+                prop_assert_eq!(got, want, "{} {:?}: got {}, want {}", q.text, q.params, got, want)
+            }
             for batch_size in [1, 2, 1024] {
                 for optimize in [true, false] {
                     let arm = format!(
                         "{typing:?}, batch {batch_size}, optimize {optimize}: {} {:?}",
                         q.text, q.params
                     );
-                    match (&reference, run(optimize, batch_size)) {
+                    let reference = match q.reordered && optimize {
+                        true => &optimized,
+                        false => &reference,
+                    };
+                    match (reference, run(optimize, batch_size)) {
                         (Ok(want), Ok(got)) => {
                             let (want, got) = (want.canonical(), got.canonical());
                             prop_assert_eq!(got, want, "{}: got {}, want {}", arm, got, want)
@@ -431,6 +478,40 @@ fn a_subquery_conjunct_stays_in_the_where() {
     for typing in [TypingMode::Permissive, TypingMode::StrictError] {
         for r in every_arm(&u, q, typing) {
             assert!(r.is_err(), "{typing:?}: {r:?}");
+        }
+    }
+}
+
+/// A WHERE moves into an INNER `JOIN … ON` only when the ON is keys
+/// alone. With `d.t <= e.k` beside the key, strict typing raises on the
+/// string-`k` row in both plans' ON, although the WHERE's `e.k = 1`
+/// rejects that row: pushed as a probe filter, it would drop the row
+/// before the residual runs, and the optimized plan would answer.
+#[test]
+fn an_on_conjunct_beside_the_keys_keeps_the_where_above_the_join() {
+    let u = Value::Bag(vec![
+        tuple(vec![("id", Value::Int(0)), ("k", Value::Str("a".into()))]),
+        tuple(vec![("id", Value::Int(1)), ("k", Value::Int(1))]),
+    ]);
+    let explain = |q| {
+        session(&u, TypingMode::Permissive, true, 1024)
+            .explain(q)
+            .unwrap()
+    };
+    let q = "SELECT VALUE [e.id, d.t] FROM u AS e JOIN w AS d \
+             ON e.id = d.id AND d.t <= e.k WHERE e.k = 1";
+    let plan = explain(q);
+    assert!(plan.contains("filter (e.k = 1)"), "{plan}");
+    assert!(!plan.contains("probe-filter"), "{plan}");
+    for r in every_arm(&u, q, TypingMode::StrictError) {
+        let err = r.expect_err("strict comparison of an integer with a string");
+        assert!(err.contains("cannot compare integer with string"), "{err}");
+    }
+    let q = "SELECT VALUE [e.id, d.t] FROM u AS e JOIN w AS d ON e.id = d.id WHERE e.k = 1";
+    assert!(explain(q).contains("probe-filter (e.k = 1)"));
+    for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+        for r in every_arm(&u, q, typing) {
+            assert_eq!(r.unwrap().to_string(), "{{[1, 1]}}", "{typing:?}");
         }
     }
 }
