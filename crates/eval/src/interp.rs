@@ -39,8 +39,8 @@ use crate::spill::{
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
     boxed, collect, drain_batched, empty, failed, from_vec, next_one, BindingStream, Concat,
-    Governed, Instrumented, Limited, MapRows, MatGauge, Stream, TrackedBuffer, ValueStream,
-    BATCH_TICK_ROWS, DEFAULT_BATCH_SIZE,
+    Governed, Instrumented, Limited, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS,
+    DEFAULT_BATCH_SIZE,
 };
 
 /// Evaluator configuration.
@@ -248,17 +248,17 @@ impl<'a> Evaluator<'a> {
                 // DISTINCT is a pipeline breaker: the projected rows
                 // materialize through a tracked buffer, then dedupe.
                 let mut buf = TrackedBuffer::new(self.gauge(op), approx_value_bytes);
-                drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                    buf.push(self.expr(expr, &b)?)
-                })?;
+                let rows = self.input_rows(op, input, &[expr], env)?;
+                drain_batched(Box::new(rows), self.batch_size(), |v| buf.push(v))?;
                 Ok(Value::Bag(dedupe(buf.into_vec(), self.stats.as_ref())))
             }
             CoreOp::Pivot { input, value, name } => {
-                let mut t = Tuple::new();
-                drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                    let n = self.expr(name, &b)?;
-                    let v = self.expr(value, &b)?;
-                    match n {
+                let scan = self.input_rows(op, input, &[name, value], env)?;
+                let mut rows = FusedRows::new(scan, self.batch_size());
+                let (mut t, mut pair) = (Tuple::new(), Vec::with_capacity(2));
+                while rows.next_at(&mut pair)?.is_some() {
+                    let v = pair.pop().expect("a PIVOT row yields its value");
+                    match pair.pop().expect("and its name") {
                         Value::Str(s) => t.insert(s, v),
                         Value::Missing | Value::Null => {}
                         other => {
@@ -271,23 +271,14 @@ impl<'a> Evaluator<'a> {
                             })?;
                         }
                     }
-                    Ok(())
-                })?;
+                }
                 Ok(Value::Tuple(t))
             }
             CoreOp::SortValues { input, keys } => {
-                let out_var: Rc<str> = "$out".into();
                 let mut sorter =
                     ExternalSorter::new(self.spill_ctx(), keys, ValueCodec, self.gauge(op));
-                drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
-                    // The output element is visible as `$out`; if it is a
-                    // tuple its attributes resolve dynamically.
-                    let row_env = env.bind(out_var.clone(), v.clone());
-                    let mut ks = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        ks.push(self.expr(&k.expr, &row_env)?);
-                    }
-                    sorter.push(ks, v)
+                self.each_keyed_value(input, keys, env, |kv, v| {
+                    sorter.push(std::mem::take(kv), v, approx_value_bytes)
                 })?;
                 if sorter.spilled() {
                     self.mark_spilled(op);
@@ -304,14 +295,8 @@ impl<'a> Evaluator<'a> {
                 let Some(mut top) = self.topk(op, keys, limit, offset, env)? else {
                     return Ok(Value::Bag(Vec::new()));
                 };
-                let out_var: Rc<str> = "$out".into();
-                let mut kv = Vec::with_capacity(keys.len());
-                drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
-                    let row_env = env.bind(out_var.clone(), v.clone());
-                    for k in keys {
-                        kv.push(self.expr(&k.expr, &row_env)?);
-                    }
-                    top.offer(&mut kv, v, approx_value_bytes)
+                self.each_keyed_value(input, keys, env, |kv, v| {
+                    top.offer(kv, v, approx_value_bytes)
                 })?;
                 Ok(Value::Bag(top.into_rows()))
             }
@@ -484,12 +469,13 @@ impl<'a> Evaluator<'a> {
                 {
                     return failed(e);
                 }
-                let mut pool = RightMultiset::new(rvals, self.stats.as_ref());
-                let keep_matched = set_op == CoreSetOp::Intersect;
-                let probe = Box::new(MapRows::new(self.element_stream(left, env), move |v| {
-                    let _hold = &gauge; // build rows stay live while probing
-                    Ok((pool.take(&v) == keep_matched).then_some(v))
-                }));
+                let probe = Box::new(SetOpProbe {
+                    left: self.element_stream(left, env),
+                    pool: RightMultiset::new(rvals, self.stats.as_ref()),
+                    keep_matched: set_op == CoreSetOp::Intersect,
+                    _held: gauge,
+                    buf: Vec::new(),
+                });
                 if all {
                     probe
                 } else {
@@ -530,9 +516,7 @@ impl<'a> Evaluator<'a> {
             CoreOp::Single => boxed(std::iter::once(Ok(env.clone()))),
             CoreOp::From { item } => self.from_stream(item, op, env),
             CoreOp::Filter { input, pred } => {
-                Box::new(MapRows::new(self.binding_stream(input, env), move |b| {
-                    Ok(matches!(self.expr(pred, &b)?, Value::Bool(true)).then_some(b))
-                }))
+                Box::new(self.bound_rows(self.binding_stream(input, env), &[pred], &[]))
             }
             CoreOp::Group {
                 input,
@@ -602,27 +586,28 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// ORDER BY over bindings: a pipeline breaker — annotates each row
-    /// with its key values through a gauge-tracked [`ExternalSorter`].
-    /// Without spilling (or when the budget is never hit) this is the old
-    /// buffer-and-stable-sort; under budget pressure with spilling enabled
-    /// it becomes an external merge-sort over sorted runs.
+    /// ORDER BY over bindings: a pipeline breaker — the row loop yields
+    /// each row's key values, and the row, bound, joins them in a
+    /// gauge-tracked [`ExternalSorter`]. Without spilling (or when the
+    /// budget is never hit) this is a buffer and a stable sort; under
+    /// budget pressure with spilling enabled it becomes an external
+    /// merge-sort over sorted runs.
     fn sort_bindings(
         &self,
-        whole: &CoreOp,
+        whole: &'a CoreOp,
         input: &'a CoreOp,
         keys: &'a [CoreSortKey],
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
+        let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
+        let scan = self.input_rows(whole, input, &key_exprs, env)?;
+        let mut rows = FusedRows::new(scan, self.batch_size());
         let codec = EnvCodec { base: env.clone() };
         let mut sorter = ExternalSorter::new(self.spill_ctx(), keys, codec, self.gauge(whole));
-        drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-            let mut ks = Vec::with_capacity(keys.len());
-            for k in keys {
-                ks.push(self.expr(&k.expr, &b)?);
-            }
-            sorter.push(ks, b)
-        })?;
+        let mut kv = Vec::with_capacity(keys.len());
+        while let Some((row, _)) = rows.next_at(&mut kv)? {
+            sorter.push(std::mem::take(&mut kv), rows.scan.bind_row(row), env_bytes)?;
+        }
         if sorter.spilled() {
             self.mark_spilled(whole);
         }
@@ -682,6 +667,28 @@ impl<'a> Evaluator<'a> {
             .into_iter()
             .map(|row| rows.scan.bind(&row))
             .collect())
+    }
+
+    /// Feeds `f` each element of `input` with its sort keys in `kv`, run
+    /// against the element bound as `$out` — a tuple's attributes resolve
+    /// dynamically — by programs fetched once, here.
+    fn each_keyed_value(
+        &self,
+        input: &'a CoreOp,
+        keys: &'a [CoreSortKey],
+        env: &Env,
+        mut f: impl FnMut(&mut Vec<Value>, Value) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let progs = self.programs(keys.iter().map(|k| &k.expr));
+        let out_var: Rc<str> = "$out".into();
+        let mut kv = Vec::with_capacity(keys.len());
+        drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
+            let row_env = env.bind(out_var.clone(), v.clone());
+            for p in &progs {
+                kv.push(self.run_program(p, &row_env)?);
+            }
+            f(&mut kv, v)
+        })
     }
 
     fn limit_offset(
@@ -892,13 +899,16 @@ impl<'a> Evaluator<'a> {
     /// BY; RANGE UNBOUNDED PRECEDING..CURRENT ROW (peers included) with
     /// it.
     fn window(&self, rows: Vec<Env>, def: &'a WindowDef) -> Result<Vec<Env>, EvalError> {
+        let partition = self.programs(&def.partition);
+        let order = self.programs(def.order.iter().map(|k| &k.expr));
+        let args = self.programs(&def.args);
         // Partition: insertion-ordered buckets of row indices.
         let mut index: HashMap<GroupKey, usize> = HashMap::new();
         let mut partitions: Vec<Vec<usize>> = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(def.partition.len());
-            for p in &def.partition {
-                let mut v = self.expr(p, row)?;
+            let mut key = Vec::with_capacity(partition.len());
+            for p in &partition {
+                let mut v = self.run_program(p, row)?;
                 if v.is_missing() {
                     v = Value::Null; // absent keys partition together
                 }
@@ -923,9 +933,9 @@ impl<'a> Evaluator<'a> {
             // Order within the partition.
             let mut ordered: Vec<(Vec<Value>, usize)> = Vec::with_capacity(partition.len());
             for &i in partition {
-                let mut ks = Vec::with_capacity(def.order.len());
-                for k in &def.order {
-                    ks.push(self.expr(&k.expr, &rows[i])?);
+                let mut ks = Vec::with_capacity(order.len());
+                for k in &order {
+                    ks.push(self.run_program(k, &rows[i])?);
                 }
                 ordered.push((ks, i));
             }
@@ -957,9 +967,9 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 WindowFunc::Lag | WindowFunc::Lead => {
-                    let offset = match def.args.get(1) {
+                    let offset = match args.get(1) {
                         None => 1i64,
-                        Some(e) => match self.expr(e, &rows[ordered[0].1])? {
+                        Some(p) => match self.run_program(p, &rows[ordered[0].1])? {
                             Value::Int(o) if o >= 0 => o,
                             other => {
                                 return Err(EvalError::Type(format!(
@@ -976,9 +986,9 @@ impl<'a> Evaluator<'a> {
                         };
                         computed[*i] = if neighbor >= 0 && (neighbor as usize) < ordered.len() {
                             let j = ordered[neighbor as usize].1;
-                            self.expr(&def.args[0], &rows[j])?
-                        } else if let Some(default) = def.args.get(2) {
-                            self.expr(default, &rows[*i])?
+                            self.run_program(&args[0], &rows[j])?
+                        } else if let Some(default) = args.get(2) {
+                            self.run_program(default, &rows[*i])?
                         } else {
                             Value::Null
                         };
@@ -989,7 +999,7 @@ impl<'a> Evaluator<'a> {
                         // Whole-partition aggregate, computed once.
                         let mut acc = agg::Accumulator::new(func);
                         for (_, i) in &ordered {
-                            acc.push(&self.window_agg_input(def, *i, &rows)?);
+                            acc.push(&self.window_agg_input(&args, &rows[*i])?);
                         }
                         let value = match acc.finish() {
                             Ok(v) => v,
@@ -1011,7 +1021,7 @@ impl<'a> Evaluator<'a> {
                                 end += 1;
                             }
                             for (_, i) in &ordered[pos..end] {
-                                acc.push(&self.window_agg_input(def, *i, &rows)?);
+                                acc.push(&self.window_agg_input(&args, &rows[*i])?);
                             }
                             let value = match acc.clone().finish() {
                                 Ok(v) => v,
@@ -1034,16 +1044,12 @@ impl<'a> Evaluator<'a> {
             .collect())
     }
 
-    /// The per-row input of a windowed aggregate: the argument expression,
-    /// or — for `COUNT(*) OVER (…)` — a constant that counts every row.
-    fn window_agg_input(
-        &self,
-        def: &'a WindowDef,
-        row: usize,
-        rows: &[Env],
-    ) -> Result<Value, EvalError> {
-        match def.args.first() {
-            Some(arg) => self.expr(arg, &rows[row]),
+    /// The per-row input of a windowed aggregate: its argument program
+    /// run on `row`, or — for `COUNT(*) OVER (…)` — a constant that counts
+    /// every row.
+    fn window_agg_input(&self, args: &[Rc<Program<'a>>], row: &Env) -> Result<Value, EvalError> {
+        match args.first() {
+            Some(arg) => self.run_program(arg, row),
             None => Ok(Value::Int(1)),
         }
     }
@@ -1107,7 +1113,7 @@ impl<'a> Evaluator<'a> {
                 right,
                 whole,
                 right_vars.iter().map(|v| v.as_str().into()).collect(),
-                RowTest::On(on),
+                vec![(self.program(on), None)],
             )),
             CoreFrom::HashJoin {
                 kind,
@@ -1156,21 +1162,26 @@ impl<'a> Evaluator<'a> {
                     // probe side is read, and any other build error (a
                     // governed budget refusal, a deadline, an injected
                     // fault, a strict-mode error) must surface, not
-                    // trigger a silent retry.
-                    (Err(EvalError::UnknownName(_)), Some(left_rows)) => Box::new(NestedLoop::new(
-                        self,
-                        *kind,
-                        Box::new(left_rows.unjudged()),
-                        right,
-                        whole,
-                        names,
-                        RowTest::Split {
-                            keys,
-                            left_pred: left_pred.as_ref(),
-                            right_pred: right_pred.as_ref(),
-                            residual: residual.as_ref(),
-                        },
-                    )),
+                    // trigger a silent retry. The original ON is exactly
+                    // `left_pred ∧ right_pred ∧ keys ∧ residual`, re-checked
+                    // per (left, right) pair in that order.
+                    (Err(EvalError::UnknownName(_)), Some(left_rows)) => {
+                        let holds = |p| (self.program(p), None);
+                        let equal = |(l, r): &'a _| (self.program(l), Some(self.program(r)));
+                        let tests = ([left_pred, right_pred].into_iter().flatten().map(holds))
+                            .chain(keys.iter().map(equal))
+                            .chain(residual.iter().map(holds))
+                            .collect();
+                        Box::new(NestedLoop::new(
+                            self,
+                            *kind,
+                            Box::new(left_rows.unjudged()),
+                            right,
+                            whole,
+                            names,
+                            tests,
+                        ))
+                    }
                     (Err(e), _) => failed(e),
                 }
             }
@@ -1310,6 +1321,7 @@ impl<'a> Evaluator<'a> {
         names: &[Rc<str>],
         env: &Env,
     ) -> Result<BindingStream<'s>, EvalError> {
+        let residual = residual.map(|p| self.program(p));
         // Both sides are consumed at stream *construction* (before the
         // first wrapped pull), so they tick the deadline themselves —
         // still per row: build and scatter rows do real per-row work.
@@ -1384,10 +1396,14 @@ impl<'a> Evaluator<'a> {
                 let (mut kv, mut payload) = (Vec::new(), Value::Missing);
                 while probes(&mut kv, &mut payload)? {
                     let l = decode_env(std::mem::take(&mut payload), env)?;
-                    let matched =
-                        table.probe(self, &kv, &|| l.clone(), &rows, residual, &mut |row| {
-                            out.push(row)
-                        })?;
+                    let matched = table.probe(
+                        self,
+                        &kv,
+                        &|| l.clone(),
+                        &rows,
+                        residual.as_deref(),
+                        &mut |row| out.push(row),
+                    )?;
                     if !matched && kind == CoreJoinKind::Left {
                         out.push(pad_left(&l, names));
                     }
@@ -1677,21 +1693,22 @@ impl<'a> Evaluator<'a> {
     // Expressions
     // =================================================================
 
-    /// Evaluates a Core expression in an environment: the one public
-    /// entry point, for plan operators, DML row predicates and the
-    /// reference oracle alike. The expression compiles to bytecode the
-    /// first time it is seen and the program is reused for every later
-    /// row.
+    /// Evaluates a Core expression in an environment: the public entry
+    /// point, for DML row predicates and the reference oracle, and inside
+    /// the interpreter for an expression evaluated once per open of its
+    /// operator — a LIMIT/OFFSET operand, a LET, a scan source and an
+    /// UNPIVOT source. The expression compiles to bytecode
+    /// the first time it is seen. An operator that evaluates per row
+    /// fetches its programs once, when it opens, and runs them through
+    /// the row loop ([`FusedScan`]) or [`Self::run_program`] instead.
     pub fn expr(&self, e: &'a CoreExpr, env: &Env) -> Result<Value, EvalError> {
-        // Scalar evaluation is the finest-grained fault site: per-row
-        // stream closures and DML row predicates run through here, so
-        // chaos plans can fail mid-stream, not just at operator setup.
-        // Gated on hook presence — zero-cost in production.
-        if self.govern.injects_faults() {
-            self.govern.fault_at(FaultSite::OperatorEval)?;
-        }
-        let prog = self.program(e);
-        self.run_program(&prog, env)
+        self.run_program(&self.program(e), env)
+    }
+
+    /// The programs of `exprs`, fetched once by an operator that runs
+    /// them per row or per match.
+    fn programs(&self, exprs: impl IntoIterator<Item = &'a CoreExpr>) -> Vec<Rc<Program<'a>>> {
+        exprs.into_iter().map(|e| self.program(e)).collect()
     }
 
     /// The expression's compiled program, compiling and caching it on
@@ -1716,8 +1733,14 @@ impl<'a> Evaluator<'a> {
     /// Runs a compiled expression program on the evaluator's reusable
     /// value stack. The stack is taken for the duration and put back on
     /// every exit — including an error raised inside a call instruction —
-    /// so the next evaluation on this evaluator starts clean.
+    /// so the next evaluation on this evaluator starts clean. Each run is
+    /// an operator fault site, so chaos plans can fail mid-stream, not
+    /// just at operator setup; gated on hook presence, zero-cost in
+    /// production.
     fn run_program(&self, prog: &Program<'a>, env: &Env) -> Result<Value, EvalError> {
+        if self.govern.injects_faults() {
+            self.govern.fault_at(FaultSite::OperatorEval)?;
+        }
         let mut stack = self.vm_stack.take();
         stack.clear();
         let result = self
@@ -1729,8 +1752,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The operator fault site, visited once per program the fused
-    /// spine runs when faults are injected (`ON`), as [`Self::expr`]
-    /// visits it once per evaluation.
+    /// spine runs when faults are injected (`ON`), as
+    /// [`Self::run_program`] visits it once per run.
     #[inline(always)]
     fn fault_site<const ON: bool>(&self) -> Result<(), EvalError> {
         match ON {
@@ -2760,9 +2783,10 @@ impl<'s> SpineStats<'s> {
     }
 }
 
-/// The one row loop, under every consumer — a projection, a top-k, a
-/// GROUP BY, a correlate's left filter, a hash join's probe and build
-/// sides — and the one FROM scan ([`Evaluator::open_scan`]). Each pull
+/// The one row loop, under every consumer — a projection, a DISTINCT, a
+/// PIVOT, a sort and a top-k in binding form, a GROUP BY, a standalone
+/// WHERE, a correlate's left filter, a hash join's probe and build sides
+/// — and the one FROM scan ([`Evaluator::open_scan`]). Each pull
 /// runs the predicates, then the output programs, on one row after
 /// another, and stops once `max` rows are out, so a LIMIT, EXISTS or IN
 /// above it stops its input. A row that passes yields one item per
@@ -3032,9 +3056,10 @@ impl<'s, 'a> FusedScan<'s, 'a> {
             source => (RowSource::items(source), None),
         };
         if KEEP {
-            // Grow each buffer once: a pull keeps at most `max` rows, and a
-            // slice at most the rows it has left.
-            let n = max.min(bound.as_ref().map_or(items.len() - self.idx, |_| max));
+            // Grow each buffer once: a pull keeps at most `max` rows, a
+            // slice at most the rows it has left, and a binding stream at
+            // most the rows its input pull brings (reserved there).
+            let n = max.min(items.len() - self.idx);
             self.kept.reserve(n);
             out.reserve(n * self.outs.len());
         }
@@ -3057,6 +3082,10 @@ impl<'s, 'a> FusedScan<'s, 'a> {
                         if buf.is_empty() {
                             std::mem::replace(*pulled, Ok(()))?;
                             break;
+                        }
+                        if KEEP {
+                            self.kept.reserve(buf.len());
+                            out.reserve(buf.len() * self.outs.len());
                         }
                         buf.reverse();
                         continue;
@@ -3154,8 +3183,9 @@ impl<'s, 'a> FusedScan<'s, 'a> {
     /// element (see [`RowSource::take`]) and, with an AT variable, its
     /// position.
     fn bind_row(&mut self, row: Row) -> Env {
-        let Row::At(pos) = row else {
-            return self.bind(&row);
+        let pos = match row {
+            Row::At(pos) => pos,
+            Row::Bound(env) => return env,
         };
         let ordered = matches!(self.source.value(), Some(Value::Array(_)));
         let bound = self.env.bind(self.as_var.clone(), self.source.take(pos));
@@ -3534,16 +3564,6 @@ impl SpillCodec for GroupCodec<'_> {
             .map(|state| state.map(FoldItem::State))
             .collect()
     }
-    /// The items' own bytes ([`GroupTable`] charges the states it holds
-    /// itself).
-    fn size(&self, items: &Vec<FoldItem>) -> u64 {
-        let item_bytes = |item: &FoldItem| match item {
-            FoldItem::State(state) => state.bytes(),
-            FoldItem::Member(v) | FoldItem::Input(Ok(v)) => approx_value_bytes(v),
-            FoldItem::Input(Err(_)) => 0,
-        };
-        items.iter().map(item_bytes).sum()
-    }
 }
 
 /// A hash join's build rows as bindings. A row the build read on a
@@ -3576,6 +3596,18 @@ impl BuildRows {
             Row::At(_) => self.env.get(name),
         }
     }
+
+    /// [`env_bytes`] of `row` bound, without binding it: what the build
+    /// charges for holding it.
+    fn bytes(&self, row: &Row) -> u64 {
+        match row {
+            Row::Bound(env) => env_bytes(env),
+            Row::At(pos) => {
+                let slice = self.slice.as_deref().expect("a position row has its slice");
+                slice_row_bytes(&self.env, &self.as_var, &elements(slice)[*pos])
+            }
+        }
+    }
 }
 
 impl SpillCodec for BuildRows {
@@ -3589,15 +3621,6 @@ impl SpillCodec for BuildRows {
     }
     fn decode(&self, v: Value) -> Result<Row, EvalError> {
         decode_env(v, &Env::new()).map(Row::Bound)
-    }
-    fn size(&self, row: &Row) -> u64 {
-        match row {
-            Row::Bound(env) => env_bytes(env),
-            Row::At(pos) => {
-                let slice = self.slice.as_deref().expect("a position row has its slice");
-                slice_row_bytes(&self.env, &self.as_var, &elements(slice)[*pos])
-            }
-        }
     }
 }
 
@@ -3625,7 +3648,7 @@ impl KeyedTable<BuildRows> for JoinTable {
         self.rows.reserve(due);
         self.keys.reserve(due * kv.len());
         self.chains.reserve(due);
-        let bytes = gauge.size(|| keys_bytes(kv) + codec.size(&row));
+        let bytes = gauge.size(|| keys_bytes(kv) + codec.bytes(&row));
         self.chains.push(joint_hash(kv));
         self.width = kv.len();
         self.keys.append(kv);
@@ -3656,7 +3679,7 @@ impl JoinTable {
         kv: &[Value],
         left: &dyn Fn() -> Env,
         rows: &BuildRows,
-        residual: Option<&'a CoreExpr>,
+        residual: Option<&Program<'a>>,
         emit: &mut dyn FnMut(Env),
     ) -> Result<bool, EvalError> {
         let mut matched = false;
@@ -3675,7 +3698,7 @@ impl JoinTable {
             }
             let combined = combine_envs(l.get_or_insert_with(left), rows, &self.rows[i]);
             if let Some(p) = residual {
-                if !matches!(ev.expr(p, &combined)?, Value::Bool(true)) {
+                if !matches!(ev.run_program(p, &combined)?, Value::Bool(true)) {
                     continue;
                 }
             }
@@ -3686,49 +3709,9 @@ impl JoinTable {
     }
 }
 
-/// Which per-right-row test a [`NestedLoop`] applies.
-enum RowTest<'a> {
-    /// The plan's ON condition.
-    On(&'a CoreExpr),
-    /// A hash join running in nested-loop fallback: the original ON is
-    /// exactly `left_pred ∧ right_pred ∧ keys ∧ residual`, re-checked per
-    /// (left, right) pair.
-    Split {
-        keys: &'a [(CoreExpr, CoreExpr)],
-        left_pred: Option<&'a CoreExpr>,
-        right_pred: Option<&'a CoreExpr>,
-        residual: Option<&'a CoreExpr>,
-    },
-}
-
-impl<'a> RowTest<'a> {
-    fn passes(&self, ev: &Evaluator<'a>, r: &Env) -> Result<bool, EvalError> {
-        let holds = |p: &'a CoreExpr| Ok(matches!(ev.expr(p, r)?, Value::Bool(true)));
-        match *self {
-            RowTest::On(on) => holds(on),
-            RowTest::Split {
-                keys,
-                left_pred,
-                right_pred,
-                residual,
-            } => {
-                for p in [left_pred, right_pred].into_iter().flatten() {
-                    if !holds(p)? {
-                        return Ok(false);
-                    }
-                }
-                for (lk, rk) in keys {
-                    let a = ev.expr(lk, r)?;
-                    let b = ev.expr(rk, r)?;
-                    if !matches!(sql_eq(&a, &b), Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                residual.map_or(Ok(true), holds)
-            }
-        }
-    }
-}
+/// One test of a [`NestedLoop`]: the program's value must be TRUE or,
+/// with a second program, equal to that one's under `sql_eq`.
+type NestedTest<'a> = (Rc<Program<'a>>, Option<Rc<Program<'a>>>);
 
 /// Streaming nested-loop join: pulls left rows one at a time, re-opens
 /// the right stream per left row, and emits matches as they are found —
@@ -3744,7 +3727,9 @@ struct NestedLoop<'s, 'a> {
     right: &'a CoreFrom,
     whole: &'a CoreOp,
     names: Vec<Rc<str>>,
-    test: RowTest<'a>,
+    /// What a right row must pass, in order: the plan's ON, or a hash
+    /// join's conjuncts in its `UnknownName` fallback.
+    tests: Vec<NestedTest<'a>>,
     /// The left row currently probing: its env, its right stream, and
     /// whether it has matched yet.
     cur: Option<(Env, BindingStream<'s>, bool)>,
@@ -3762,7 +3747,7 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
         right: &'a CoreFrom,
         whole: &'a CoreOp,
         names: Vec<Rc<str>>,
-        test: RowTest<'a>,
+        tests: Vec<NestedTest<'a>>,
     ) -> Self {
         NestedLoop {
             ev,
@@ -3771,12 +3756,27 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
             right,
             whole,
             names,
-            test,
+            tests,
             cur: None,
             buf: Vec::new(),
             scanned: false,
             done: false,
         }
+    }
+
+    /// Whether the joined row `r` passes every one of `tests`.
+    fn passes(ev: &Evaluator<'a>, tests: &[NestedTest<'a>], r: &Env) -> Result<bool, EvalError> {
+        for (p, equal_to) in tests {
+            let v = ev.run_program(p, r)?;
+            let holds = match equal_to {
+                None => v,
+                Some(q) => sql_eq(&v, &ev.run_program(q, r)?),
+            };
+            if !matches!(holds, Value::Bool(true)) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     fn fill(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
@@ -3820,7 +3820,7 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
                 if let Some(st) = &self.ev.stats {
                     st.count(|s| s.join_probes += 1);
                 }
-                if self.test.passes(self.ev, &r)? {
+                if Self::passes(self.ev, &self.tests, &r)? {
                     *matched = true;
                     out.push(r);
                 }
@@ -3845,7 +3845,7 @@ impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
 struct HashProbe<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
-    residual: Option<&'a CoreExpr>,
+    residual: Option<Rc<Program<'a>>>,
     /// What the build rows bind, and the right-side variables.
     rows: BuildRows,
     build: JoinTable,
@@ -3877,7 +3877,7 @@ impl HashProbe<'_, '_> {
                 &self.kv,
                 &|| left.scan.bind(&row),
                 rows,
-                self.residual,
+                self.residual.as_deref(),
                 &mut |r| pending.push_back(r),
             )?;
         if !matched && self.kind == CoreJoinKind::Left {
@@ -4014,9 +4014,6 @@ impl SpillCodec for EnvCodec {
     fn decode(&self, v: Value) -> Result<Env, EvalError> {
         decode_env(v, &self.base)
     }
-    fn size(&self, row: &Env) -> u64 {
-        env_bytes(row)
-    }
 }
 
 /// Spill codec for output elements (ORDER BY over values): the element is
@@ -4030,9 +4027,6 @@ impl SpillCodec for ValueCodec {
     }
     fn decode(&self, v: Value) -> Result<Value, EvalError> {
         Ok(v)
-    }
-    fn size(&self, row: &Value) -> u64 {
-        approx_value_bytes(row)
     }
 }
 
@@ -4173,6 +4167,36 @@ impl<'s> RightMultiset<'s> {
             }
         }
         false
+    }
+}
+
+/// INTERSECT/EXCEPT's probe side: the left elements that consume a right
+/// occurrence (INTERSECT) or do not (EXCEPT). Each call filters one
+/// pulled batch, re-pulling until an element survives or the left side
+/// is exhausted, and never asks the left side for more than `max`; the
+/// elements pulled before a left error are judged first.
+struct SetOpProbe<'s> {
+    left: ValueStream<'s>,
+    pool: RightMultiset<'s>,
+    keep_matched: bool,
+    /// Keeps the right elements counted as live until the probe finishes.
+    _held: MatGauge<'s>,
+    buf: Vec<Value>,
+}
+
+impl Stream<Value> for SetOpProbe<'_> {
+    fn next_batch(&mut self, out: &mut Vec<Value>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        while out.len() == start {
+            let pulled = self.left.next_batch(&mut self.buf, max);
+            if self.buf.is_empty() {
+                return pulled;
+            }
+            let (pool, keep) = (&mut self.pool, self.keep_matched);
+            out.extend(self.buf.drain(..).filter(|v| pool.take(v) == keep));
+            pulled?;
+        }
+        Ok(())
     }
 }
 

@@ -298,7 +298,8 @@ impl SpillReader {
 
 /// How a breaker's payload row moves across the spill boundary. The
 /// encode/decode pair must round-trip through `ion_lite`'s documented
-/// value subset; `size` feeds the memory budget.
+/// value subset. What a row weighs in the memory budget is its breaker's
+/// to say.
 pub(crate) trait SpillCodec {
     /// The in-memory row type (a binding `Env`, or an output element).
     type Row;
@@ -306,8 +307,6 @@ pub(crate) trait SpillCodec {
     fn encode(&self, row: Self::Row) -> Value;
     /// Rebuilds a row from its spilled form.
     fn decode(&self, v: Value) -> Result<Self::Row, EvalError>;
-    /// Estimated in-memory bytes of a row (budget unit).
-    fn size(&self, row: &Self::Row) -> u64;
 }
 
 /// Frames a keyed record as `[keys-array, payload]` for one spill write —
@@ -371,10 +370,16 @@ impl<'s, 'k, C: SpillCodec> ExternalSorter<'s, 'k, C> {
         !self.runs.is_empty()
     }
 
-    /// Admits one row; on a memory-budget refusal with spilling enabled,
-    /// spills the current chunk as a sorted run and retries once.
-    pub(crate) fn push(&mut self, kv: Vec<Value>, row: C::Row) -> Result<(), EvalError> {
-        let bytes = self.gauge.size(|| keys_bytes(&kv) + self.codec.size(&row));
+    /// Admits one row, charged its keys plus `size_of(&row)` bytes; on a
+    /// memory-budget refusal with spilling enabled, spills the current
+    /// chunk as a sorted run and retries once.
+    pub(crate) fn push(
+        &mut self,
+        kv: Vec<Value>,
+        row: C::Row,
+        size_of: impl FnOnce(&C::Row) -> u64,
+    ) -> Result<(), EvalError> {
+        let bytes = self.gauge.size(|| keys_bytes(&kv) + size_of(&row));
         if let Err(e) = self.gauge.add(1, bytes) {
             if self.ctx.is_none() || !is_memory_refusal(&e) || self.chunk.is_empty() {
                 return Err(e);
@@ -723,9 +728,6 @@ mod tests {
         fn decode(&self, v: Value) -> Result<Value, EvalError> {
             Ok(v)
         }
-        fn size(&self, row: &Value) -> u64 {
-            approx_value_bytes(row)
-        }
     }
 
     fn asc_key() -> Vec<CoreSortKey> {
@@ -791,6 +793,7 @@ mod tests {
                 .push(
                     vec![Value::Int(v)],
                     Value::Array(vec![Value::Int(v), Value::Int(i)]),
+                    approx_value_bytes,
                 )
                 .unwrap();
         }
@@ -840,9 +843,15 @@ mod tests {
         let govern = ResourceGovernor::new(&Limits::none().with_memory_bytes(40), None);
         let gauge = MatGauge::new(None, govern.as_memory_guard(), None);
         let mut sorter = ExternalSorter::new(None, &keys, IdCodec, gauge);
-        sorter.push(vec![Value::Int(1)], Value::Int(1)).unwrap();
-        sorter.push(vec![Value::Int(2)], Value::Int(2)).unwrap();
-        let err = sorter.push(vec![Value::Int(3)], Value::Int(3)).unwrap_err();
+        sorter
+            .push(vec![Value::Int(1)], Value::Int(1), approx_value_bytes)
+            .unwrap();
+        sorter
+            .push(vec![Value::Int(2)], Value::Int(2), approx_value_bytes)
+            .unwrap();
+        let err = sorter
+            .push(vec![Value::Int(3)], Value::Int(3), approx_value_bytes)
+            .unwrap_err();
         assert!(is_memory_refusal(&err), "wrong error: {err:?}");
     }
 
@@ -860,7 +869,8 @@ mod tests {
             let mut sorter = ExternalSorter::new(Some(ctx), &keys, IdCodec, gauge);
             let mut failed = false;
             for i in 0..10i64 {
-                if let Err(e) = sorter.push(vec![Value::Int(i)], Value::Int(i)) {
+                if let Err(e) = sorter.push(vec![Value::Int(i)], Value::Int(i), approx_value_bytes)
+                {
                     assert!(
                         format!("{e}").contains("injected fault"),
                         "wrong error: {e:?}"

@@ -26,6 +26,10 @@
 //! consumers must not pull again — streams make no promise about what a
 //! further call returns.
 //!
+//! **No per-row adapter.** The adapters here move rows without running
+//! an expression; a WHERE, projection, sort key or join side runs in the
+//! interpreter's one row loop (`FusedScan`), over a slice or any stream.
+//!
 //! True pipeline breakers (ORDER BY, GROUP BY, window, DISTINCT, hash-join
 //! and set-op build sides) still buffer, but only ever through
 //! [`TrackedBuffer`]/[`MatGauge`], which feed the `peak_live_bindings`
@@ -168,53 +172,6 @@ pub(crate) fn from_vec<'s, T: 's>(items: Vec<T>) -> Box<dyn Stream<T> + 's> {
     Box::new(VecStream {
         items: items.into_iter(),
     })
-}
-
-/// Per-row transform-or-drop over an inner stream — the batch protocol's
-/// `filter_map`. Projection, WHERE, and set-op probes are this adapter
-/// with different closures. Each call maps one pulled batch, re-pulling
-/// until something survives or the input is exhausted (so callers see the
-/// "empty append means exhausted" invariant); `max` passes through, so a
-/// LIMIT above still bounds how much of the input is pulled.
-pub(crate) struct MapRows<'s, A, F> {
-    inner: Box<dyn Stream<A> + 's>,
-    f: F,
-    buf: Vec<A>,
-}
-
-impl<'s, A, F> MapRows<'s, A, F> {
-    pub(crate) fn new(inner: Box<dyn Stream<A> + 's>, f: F) -> Self {
-        MapRows {
-            inner,
-            f,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl<'s, A, B, F> Stream<B> for MapRows<'s, A, F>
-where
-    F: FnMut(A) -> Result<Option<B>, EvalError>,
-{
-    fn next_batch(&mut self, out: &mut Vec<B>, max: usize) -> Result<(), EvalError> {
-        let start = out.len();
-        while out.len() == start {
-            self.buf.clear();
-            // Rows pulled before an inner error are mapped first, in pull
-            // order, exactly as a row-at-a-time pipeline would see them.
-            let pulled = self.inner.next_batch(&mut self.buf, max);
-            if self.buf.is_empty() {
-                return pulled;
-            }
-            for a in self.buf.drain(..) {
-                if let Some(b) = (self.f)(a)? {
-                    out.push(b);
-                }
-            }
-            pulled?;
-        }
-        Ok(())
-    }
 }
 
 /// Concatenation of lazily opened parts — the batch protocol's

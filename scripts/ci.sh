@@ -287,12 +287,14 @@ fi
 echo "one counter record OK"
 
 echo "== one consumer loop gate =="
-# Every consumer — projection, top-k, GROUP BY, a correlate's left
-# filter, a hash join's probe and build sides — reads its input through
-# the one row loop (`FusedScan`), off the slice or off any binding
-# stream. The binding-stream twins it replaced, the probe-side variants
-# and the per-row join-key evaluator must not come back.
-if grep -rnE '\bjoin_key\b|ProbeSide|into_bindings|\bprobe_side\b|\bspine_probe\b|\bfused_left\b|\bfused_scan\b|fused_group_input|ScanSource|\bspine_scan\b' crates tests examples; then
+# Every consumer — projection, DISTINCT, PIVOT, sort, top-k, GROUP BY, a
+# standalone WHERE, a correlate's left filter, a hash join's probe and
+# build sides — reads its input through the one row loop (`FusedScan`),
+# off the slice or off any binding stream. The binding-stream twins it
+# replaced, the probe-side variants, the per-row join-key evaluator, the
+# generic filter-map adapter and the nested loop's per-row test must not
+# come back.
+if grep -rnE '\bjoin_key\b|ProbeSide|into_bindings|\bprobe_side\b|\bspine_probe\b|\bfused_left\b|\bfused_scan\b|fused_group_input|ScanSource|\bspine_scan\b|\bMapRows\b|\bRowTest\b' crates tests examples; then
   echo "a deleted consumer twin or probe-side variant is referenced again" >&2
   exit 1
 fi

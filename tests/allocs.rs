@@ -1,7 +1,8 @@
 //! Allocation ledger for predicate scans and keyed breakers: a predicate
 //! that only reads attribute paths, parameters and constants must
 //! allocate nothing per row; nor must a hash-join build row no probe row
-//! matches, nor a GROUP BY row that folds into a group it finds. Each
+//! matches, nor a GROUP BY row that folds into a group it finds, nor a row
+//! the WHERE under a sort, a DISTINCT or a PIVOT rejects. Each
 //! query runs over 64 and over 256 rows and must make the same number of
 //! heap allocations at both sizes — every allocation it makes belongs to
 //! the query (plan, programs, tables, result), none to a row.
@@ -200,6 +201,26 @@ fn a_group_by_row_that_joins_its_group_allocates_nothing() {
         keys_and_minima(&large_result)
     );
     assert_eq!(at_64, at_256, "allocations at 64 rows vs at 256 rows");
+}
+
+/// A sort, a DISTINCT and a PIVOT over a bare scan read it through the
+/// row loop on the slice: a row their WHERE rejects is never bound, so
+/// the 192 more rows at 256 cost nothing.
+#[test]
+fn sort_distinct_and_pivot_allocate_nothing_per_rejected_row() {
+    let (small, large) = (engine(64), engine(256));
+    for q in [
+        "SELECT VALUE x.n FROM t.rows AS x WHERE x.m < 3 ORDER BY x.g, x.n",
+        "SELECT DISTINCT VALUE x.g FROM t.rows AS x WHERE x.m < 3",
+        "PIVOT x.n AT x.s FROM t.rows AS x WHERE x.m < 3",
+    ] {
+        let [(at_64, small_result), (at_256, large_result)] = [&small, &large].map(|engine| {
+            let plan = engine.prepare(q).unwrap();
+            allocs_per_run(engine, &plan, &[])
+        });
+        assert_eq!(small_result, large_result, "{q}: the answers differ");
+        assert_eq!(at_64, at_256, "{q}: allocations at 64 rows vs at 256 rows");
+    }
 }
 
 /// GROUP AS and a spilled hash join over the same rows give the answers

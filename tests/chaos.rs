@@ -29,14 +29,40 @@ use sqlpp_testkit::fault::FaultPlan;
 const SITES: &[&str] = &["buffer", "catalog", "operator"];
 
 /// Query shapes chosen to exercise every governed choke point: pipeline
-/// breakers (ORDER BY, GROUP BY, DISTINCT, join build), catalog scans,
-/// and plain per-row operator evaluation.
+/// breakers (ORDER BY, GROUP BY, DISTINCT, PIVOT, a window, join build),
+/// catalog scans, and per-row operator evaluation — in the row loop (a
+/// filtered projection, sort or DISTINCT, a standalone WHERE over an
+/// UNNEST) and in the programs an operator fetches when it opens (a
+/// window, a non-equi nested-loop join).
 const SELECT_SHAPES: &[&str] = &[
     "SELECT VALUE e.name FROM emp AS e ORDER BY e.sal DESC",
     "SELECT e.dept AS dept, COUNT(*) AS n FROM emp AS e GROUP BY e.dept",
     "SELECT DISTINCT VALUE e.dept FROM emp AS e",
     "SELECT e.name AS name, d.loc AS loc FROM emp AS e JOIN dept AS d ON e.dept = d.dept",
     "SELECT VALUE e.sal + 1 FROM emp AS e WHERE e.sal > 10",
+    "SELECT VALUE e.name FROM emp AS e WHERE e.sal > 30 ORDER BY e.sal DESC",
+    "SELECT DISTINCT VALUE e.dept FROM emp AS e WHERE e.sal > 30",
+    "PIVOT e.sal AT e.name FROM emp AS e",
+    "SELECT VALUE [e.name, ROW_NUMBER() OVER (PARTITION BY e.dept ORDER BY e.sal)] FROM emp AS e",
+    "SELECT VALUE [e.name, x] FROM emp AS e, [e.id, e.sal] AS x WHERE x > e.id + 10",
+    "SELECT e.name AS name, d.loc AS loc FROM emp AS e JOIN dept AS d ON e.dept < d.dept",
+];
+
+/// How often each [`SELECT_SHAPES`] entry visits the buffer, catalog and
+/// operator sites when no fault fires. A seeded plan fails the k-th
+/// visit to one site, so these counts decide which plans fire.
+const SELECT_VISITS: &[[u64; 3]] = &[
+    [5, 1, 11],
+    [3, 1, 14],
+    [5, 1, 6],
+    [3, 2, 14],
+    [0, 1, 11],
+    [4, 1, 14],
+    [4, 1, 10],
+    [0, 1, 11],
+    [5, 1, 16],
+    [0, 1, 21],
+    [0, 6, 21],
 ];
 
 const DML_SHAPES: &[&str] = &[
@@ -571,6 +597,24 @@ fn chaos_spill_sites_fail_cleanly_and_leak_no_temp_files() {
         std::fs::remove_dir_all(&dir).ok();
     }
     assert!(fired >= 24, "only {fired}/96 spill plans fired");
+}
+
+#[test]
+fn select_shapes_visit_each_site_as_often_as_pinned() {
+    let visits: Vec<[u64; 3]> = SELECT_SHAPES
+        .iter()
+        .map(|shape| {
+            let plan = Arc::new(FaultPlan::fail_kth("buffer", 0));
+            chaos_session(&fixture(), &plan)
+                .query(shape)
+                .unwrap_or_else(|e| panic!("no-fault plan broke {shape:?}: {e}"));
+            [0, 1, 2].map(|i| plan.hits(SITES[i]))
+        })
+        .collect();
+    assert_eq!(
+        visits, SELECT_VISITS,
+        "(buffer, catalog, operator) visits per shape"
+    );
 }
 
 #[test]

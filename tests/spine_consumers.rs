@@ -1,14 +1,16 @@
-//! The consumers of the one row loop: a projection, a top-k, a GROUP BY,
-//! a correlate's left filter and a hash join's two sides each read their
-//! input through it — off the slice when the input is a bare
-//! `Filter* → Scan` (late materialization: keys and filters run on
-//! borrowed rows, and only the rows kept are cloned), off the binding
-//! stream otherwise. Every consumer must answer exactly like batch 1,
-//! where every input is read off the binding stream, and like the
+//! The consumers of the one row loop: a projection, a DISTINCT, a PIVOT,
+//! a sort, a top-k, a GROUP BY, a correlate's left filter and a hash
+//! join's two sides each read their input through it — off the slice when
+//! the input is a bare `Filter* → Scan` (late materialization: keys and
+//! filters run on borrowed rows, and only the rows kept are cloned), off
+//! the binding stream otherwise; a standalone WHERE is the loop over its
+//! input's binding stream. Every consumer must answer exactly like batch
+//! 1, where every input is read off the binding stream, and like the
 //! paper-literal plan (`optimize: false`) wherever both answer.
 //!
-//! * a seeded differential property over ORDER BY … LIMIT/OFFSET and
-//!   INNER comma/JOIN equi-joins — probe filters, build filters,
+//! * a seeded differential property over ORDER BY … LIMIT/OFFSET, a
+//!   filtered DISTINCT, PIVOT and ORDER BY without LIMIT, and INNER
+//!   comma/JOIN equi-joins — probe filters, build filters,
 //!   residuals, two-key joins whose second key can raise, `?`
 //!   parameters (sometimes never supplied), LIMIT above a join, a
 //!   folded GROUP BY over a join, outer-correlated subqueries, and a
@@ -17,11 +19,13 @@
 //!   duplicate sort keys; optimize on and off, batch 1/2/1024, both
 //!   typing modes: the identical answer or error at every batch size;
 //! * an input axis in the same generator: each consumer — projection,
-//!   top-k, folded GROUP BY, GROUP AS, the pushed left filter, an INNER
-//!   and a LEFT hash join's probe side and a hash join's build side —
-//!   over a non-bare input (a scan with `AT i`, an UNNEST correlate, a
-//!   hash join, a LET), so the loop reads the binding stream at batch 2
-//!   and 1024 as well;
+//!   DISTINCT, PIVOT, sort, top-k, folded GROUP BY, GROUP AS, the pushed
+//!   left filter, an INNER and a LEFT hash join's probe side and a hash
+//!   join's build side — and the operators that run fetched programs per
+//!   row (a window, an INNER and a LEFT non-equi nested-loop join) over a
+//!   non-bare input (a scan with `AT i`, an UNNEST correlate, a hash
+//!   join, a LET), so the loop reads the binding stream at batch 2 and
+//!   1024 as well;
 //! * a source-policy axis in the same generator: projections, UNNESTs,
 //!   filters, GROUP BYs and LIMITs over every kind of FROM source §III
 //!   tells apart — a stored bag, array, scalar, tuple and NULL, a
@@ -351,20 +355,22 @@ fn filter(src: &mut Source) -> String {
     }
 }
 
-/// `ORDER BY` 1–2 keys `LIMIT n`, with an OFFSET now and then.
-fn order_limit(src: &mut Source) -> String {
+/// 1–2 sort keys.
+fn sort_keys(src: &mut Source) -> String {
     let keys: Vec<&str> = (0..src.draw_len(1, 2))
         .map(|_| pick(src, SORT_KEYS))
         .collect();
+    keys.join(", ")
+}
+
+/// `ORDER BY` 1–2 keys `LIMIT n`, with an OFFSET now and then.
+fn order_limit(src: &mut Source) -> String {
+    let keys = sort_keys(src);
     let offset = match src.draw_below(3) {
         0 => format!(" OFFSET {}", src.draw_range_i64(0, 3)),
         _ => String::new(),
     };
-    format!(
-        " ORDER BY {} LIMIT {}{offset}",
-        keys.join(", "),
-        pick(src, LIMITS)
-    )
+    format!(" ORDER BY {keys} LIMIT {}{offset}", pick(src, LIMITS))
 }
 
 /// The equi-key, then any of a probe filter, a build filter and a
@@ -398,12 +404,14 @@ const INPUTS: &[(&str, &str, &str)] = &[
 
 /// Every consumer of the row loop over a non-bare input (see [`INPUTS`]),
 /// so the loop reads the input's binding stream at batch 2 and 1024 too:
-/// a projection, a top-k, a folded GROUP BY, a GROUP AS, a correlate's
-/// pushed left filter, and a hash join's probe side (INNER, and LEFT,
-/// whose rejected rows are padded) and build side.
+/// a projection, a DISTINCT, a PIVOT, a sort, a top-k, a folded GROUP BY,
+/// a GROUP AS, a correlate's pushed left filter, and a hash join's probe
+/// side (INNER, and LEFT, whose rejected rows are padded) and build side;
+/// and the operators that run programs fetched at open per row: a window
+/// and a non-equi nested-loop join, INNER and LEFT.
 fn input_query(src: &mut Source) -> Query {
     let (from, lets, other) = pick(src, INPUTS);
-    let text = match src.draw_below(8) {
+    let text = match src.draw_below(13) {
         0 => format!(
             "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{}",
             filter(src)
@@ -438,6 +446,27 @@ fn input_query(src: &mut Source) -> Query {
         6 if !from.contains(',') => format!(
             "SELECT VALUE [e.id, c.id] FROM {from} LEFT JOIN w AS c ON {}{lets}",
             join_condition(src).replace("d.", "c.")
+        ),
+        8 => format!(
+            "SELECT DISTINCT VALUE [e.k, {other}] FROM {from}{lets}{}",
+            filter(src)
+        ),
+        9 => format!("PIVOT {other} AT e.k FROM {from}{lets}{}", filter(src)),
+        10 => format!(
+            "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{} ORDER BY {}",
+            filter(src),
+            sort_keys(src)
+        ),
+        // Rows that tie on the window's ORDER BY also agree on what the
+        // answer shows of them, so its multiset is the same under every
+        // plan.
+        11 => format!(
+            "SELECT VALUE [e.id, e.t, ROW_NUMBER() OVER (PARTITION BY e.t ORDER BY e.id)]              FROM {from}{lets}{}",
+            filter(src)
+        ),
+        12 => format!(
+            "SELECT VALUE [e.id, c.id] FROM {from} {} w AS c ON e.k < c.k{lets}",
+            pick(src, &["JOIN", "LEFT JOIN"])
         ),
         // The input is the build side where it is uncorrelated.
         _ => format!(
@@ -481,7 +510,7 @@ fn queries() -> Gen<Query> {
             2 => return input_query(src),
             _ => {}
         }
-        let shape = src.draw_below(10);
+        let shape = src.draw_below(13);
         let text = match shape {
             0 | 1 => format!(
                 "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{}{}",
@@ -520,9 +549,19 @@ fn queries() -> Gen<Query> {
                 join_condition(src)
             ),
             // The control: a LEFT join keeps the binding stream.
-            _ => format!(
+            9 => format!(
                 "SELECT VALUE [e.id, d.id] FROM u AS e LEFT JOIN w AS d ON {}",
                 join_condition(src)
+            ),
+            10 => format!(
+                "SELECT DISTINCT VALUE [e.k, e.t] FROM u AS e{}",
+                filter(src)
+            ),
+            11 => format!("PIVOT e.id AT e.k FROM u AS e{}", filter(src)),
+            _ => format!(
+                "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{} ORDER BY {}",
+                filter(src),
+                sort_keys(src)
             ),
         };
         let params = params(src, &text);
