@@ -16,7 +16,7 @@ use std::time::Instant;
 use sqlpp_catalog::Catalog;
 use sqlpp_plan::{
     AggFunc, Coercion, CompatMode, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, CoreSetOp,
-    CoreSortKey, GroupFold, WindowDef, WindowFunc,
+    CoreSortKey, GroupFold, WindowDef, WindowFunc, SET_OP_ELEMENT,
 };
 use sqlpp_syntax::ast::{BinOp, IsTest, UnOp};
 use sqlpp_value::cmp::{deep_eq, sql_compare, sql_eq};
@@ -229,7 +229,7 @@ impl<'a> Evaluator<'a> {
 
     /// Every operator with a streaming shape is built once, as its element
     /// stream, and collected here; only the operators that must
-    /// materialize (DISTINCT, PIVOT, sorts) have arms of their own.
+    /// materialize (DISTINCT, PIVOT) have arms of their own.
     fn value_op_inner(&self, op: &'a CoreOp, env: &Env) -> Result<Value, EvalError> {
         if let Some(stream) = self.try_value_stream_inner(op, env) {
             let mut items = collect(stream, self.batch_size())?;
@@ -273,32 +273,6 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 Ok(Value::Tuple(t))
-            }
-            CoreOp::SortValues { input, keys } => {
-                let mut sorter =
-                    ExternalSorter::new(self.spill_ctx(), keys, ValueCodec, self.gauge(op));
-                self.each_keyed_value(input, keys, env, |kv, v| {
-                    sorter.push(std::mem::take(kv), v, approx_value_bytes)
-                })?;
-                if sorter.spilled() {
-                    self.mark_spilled(op);
-                }
-                Ok(Value::Bag(sorter.finish()?))
-            }
-            CoreOp::TopK {
-                input,
-                keys,
-                limit,
-                offset,
-                on_values: true,
-            } => {
-                let Some(mut top) = self.topk(op, keys, limit, offset, env)? else {
-                    return Ok(Value::Bag(Vec::new()));
-                };
-                self.each_keyed_value(input, keys, env, |kv, v| {
-                    top.offer(kv, v, approx_value_bytes)
-                })?;
-                Ok(Value::Bag(top.into_rows()))
             }
             // A binding-producing operator in value position only happens
             // for degenerate plans; expose the bindings as tuples.
@@ -543,7 +517,6 @@ impl<'a> Evaluator<'a> {
                 keys,
                 limit,
                 offset,
-                on_values: false,
             } => {
                 let rows = self.topk_bindings(op, input, keys, limit, offset, env);
                 match rows {
@@ -564,11 +537,10 @@ impl<'a> Evaluator<'a> {
                 // Window functions see whole partitions: materialize the
                 // input, then rewrite rows def by def.
                 let mut buf = TrackedBuffer::new(self.gauge(op), env_bytes);
-                if let Err(e) =
-                    drain_batched(self.binding_stream(input, env), self.batch_size(), |b| {
-                        buf.push(b)
-                    })
-                {
+                let drained = self.input_rows(op, input, &[], env).and_then(|rows| {
+                    drain_batched(Box::new(rows), self.batch_size(), |b| buf.push(b))
+                });
+                if let Err(e) = drained {
                     return failed(e);
                 }
                 let mut rows = buf.into_vec();
@@ -614,35 +586,13 @@ impl<'a> Evaluator<'a> {
         sorter.finish()
     }
 
-    /// A bounded top-k heap for `ORDER BY keys LIMIT limit OFFSET offset`
-    /// (see [`TopK`]), or `None` for LIMIT 0 — the caller then pulls
-    /// nothing, like [`CoreOp::LimitOffset`]: not one key is evaluated.
-    fn topk<'k, T>(
-        &self,
-        whole: &CoreOp,
-        keys: &'k [CoreSortKey],
-        limit: &'a CoreExpr,
-        offset: &'a Option<CoreExpr>,
-        env: &Env,
-    ) -> Result<Option<TopK<'k, '_, T>>, EvalError> {
-        let (lim, off) = self.limit_offset(Some(limit), offset.as_ref(), env)?;
-        let lim = lim.expect("top-k always carries a LIMIT");
-        let n = lim.saturating_add(off);
-        Ok((n > 0).then(|| TopK {
-            keys,
-            n,
-            off,
-            gauge: self.gauge(whole),
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-        }))
-    }
-
-    /// TopK in binding form: the keys are evaluated on each row, the heap
-    /// holds the row — on the slice, its position, so only the survivors
-    /// are cloned and bound. Each row is charged what its binding weighs,
-    /// so a memory budget admits and refuses at the same row on either
-    /// source.
+    /// ORDER BY + LIMIT over bindings: a bounded top-k heap (see
+    /// [`TopK`]). The keys are evaluated on each row, the heap holds the
+    /// row — on the slice, its position, so only the survivors are cloned
+    /// and bound. Each row is charged what its binding weighs, so a
+    /// memory budget admits and refuses at the same row on either source.
+    /// LIMIT 0 pulls nothing, like [`CoreOp::LimitOffset`]: not one key is
+    /// evaluated.
     fn topk_bindings(
         &self,
         whole: &'a CoreOp,
@@ -652,8 +602,20 @@ impl<'a> Evaluator<'a> {
         offset: &'a Option<CoreExpr>,
         env: &Env,
     ) -> Result<Vec<Env>, EvalError> {
-        let Some(mut top) = self.topk(whole, keys, limit, offset, env)? else {
+        let (lim, off) = self.limit_offset(Some(limit), offset.as_ref(), env)?;
+        let n = lim
+            .expect("top-k always carries a LIMIT")
+            .saturating_add(off);
+        if n == 0 {
             return Ok(Vec::new());
+        }
+        let mut top = TopK {
+            keys,
+            n,
+            off,
+            gauge: self.gauge(whole),
+            heap: std::collections::BinaryHeap::new(),
+            seq: 0,
         };
         let key_exprs: Vec<&'a CoreExpr> = keys.iter().map(|k| &k.expr).collect();
         let scan = self.input_rows(whole, input, &key_exprs, env)?;
@@ -667,28 +629,6 @@ impl<'a> Evaluator<'a> {
             .into_iter()
             .map(|row| rows.scan.bind(&row))
             .collect())
-    }
-
-    /// Feeds `f` each element of `input` with its sort keys in `kv`, run
-    /// against the element bound as `$out` — a tuple's attributes resolve
-    /// dynamically — by programs fetched once, here.
-    fn each_keyed_value(
-        &self,
-        input: &'a CoreOp,
-        keys: &'a [CoreSortKey],
-        env: &Env,
-        mut f: impl FnMut(&mut Vec<Value>, Value) -> Result<(), EvalError>,
-    ) -> Result<(), EvalError> {
-        let progs = self.programs(keys.iter().map(|k| &k.expr));
-        let out_var: Rc<str> = "$out".into();
-        let mut kv = Vec::with_capacity(keys.len());
-        drain_batched(self.element_stream(input, env), self.batch_size(), |v| {
-            let row_env = env.bind(out_var.clone(), v.clone());
-            for p in &progs {
-                kv.push(self.run_program(p, &row_env)?);
-            }
-            f(&mut kv, v)
-        })
     }
 
     fn limit_offset(
@@ -742,20 +682,14 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Vec<Env>, EvalError> {
         // The row loop yields the keys, then each aggregate body: a body's
         // data error waits in its state, a key's fails the loop. A GROUP
-        // AS member is the row's bindings: it keeps the binding stream.
+        // AS member is taken from the row, bound, once the keys are in.
         let outs: Vec<&'a CoreExpr> = (keys.iter().map(|(_, e)| e))
             .chain(folds.iter().filter_map(|(_, fold)| match fold {
                 GroupFold::Agg { body, .. } => Some(body),
                 GroupFold::Members { .. } => None,
             }))
             .collect();
-        let scan = match folds
-            .iter()
-            .any(|(_, f)| matches!(f, GroupFold::Members { .. }))
-        {
-            true => self.bound_rows(self.binding_stream(input, env), &[], &outs),
-            false => self.input_rows(whole, input, &outs, env)?,
-        };
+        let scan = self.input_rows(whole, input, &outs, env)?;
         let park_from = keys.len();
         let mut rows = FusedRows::new(FusedScan { park_from, ..scan }, self.batch_size());
         // Each GROUP AS member's attribute names, made once here rather
@@ -1069,6 +1003,19 @@ impl<'a> Evaluator<'a> {
         env: &Env,
     ) -> BindingStream<'s> {
         match item {
+            // A set operation's elements reach its ORDER BY as it yields
+            // them: the sort's tracked buffer holds them, not a value
+            // collected first, and each one's keys run before the next.
+            CoreFrom::Scan {
+                expr: CoreExpr::Subquery { plan, .. },
+                as_var,
+                ..
+            } if as_var == SET_OP_ELEMENT => Box::new(ElementRows {
+                elements: self.element_stream(&plan.op, env),
+                var: as_var.as_str().into(),
+                env: env.clone(),
+                buf: Vec::new(),
+            }),
             CoreFrom::Scan {
                 expr,
                 as_var,
@@ -1625,8 +1572,8 @@ impl<'a> Evaluator<'a> {
 
     /// The slice's parts over `item`, or `None` when ineligible: at batch
     /// 1, the binding stream's reference configuration, when `item` is not
-    /// a bare scan with no AT variable, or when a program is not
-    /// root-safe.
+    /// a bare scan with no AT variable, when it scans a set operation's
+    /// streamed elements, or when a program is not root-safe.
     fn spine_parts(
         &self,
         consumer: &'a CoreOp,
@@ -1645,6 +1592,9 @@ impl<'a> Evaluator<'a> {
         else {
             return None;
         };
+        if as_var == SET_OP_ELEMENT {
+            return None;
+        }
         Some(SpineParts {
             scan: expr,
             as_var,
@@ -2260,8 +2210,8 @@ impl<'a> Evaluator<'a> {
         }
         // CTE/variable names that look dotted never reach here (the
         // planner resolved in-scope heads); but a head can still be bound
-        // dynamically (SortValues' attribute scope) or be an attribute of
-        // exactly one visible tuple.
+        // dynamically or be an attribute of exactly one visible tuple —
+        // a set operation's element under its ORDER BY among them.
         if let Some(v) = env.get(&segments[0]) {
             let mut v = v.clone();
             for attr in &segments[1..] {
@@ -2272,7 +2222,7 @@ impl<'a> Evaluator<'a> {
         let head = &segments[0];
         let mut candidates = Vec::new();
         for (name, value) in env.visible_bindings() {
-            if name.starts_with('$') && name != "$out" {
+            if name.starts_with('$') && name != SET_OP_ELEMENT {
                 continue;
             }
             if let Value::Tuple(t) = value {
@@ -2888,6 +2838,23 @@ impl RowSource<'_> {
             RowSource::Owned(single) => std::mem::take(single),
             _ => self.items()[pos].clone(),
         }
+    }
+}
+
+/// The elements of a set operation under its ORDER BY, each bound to
+/// `var` in `env`.
+struct ElementRows<'s> {
+    elements: ValueStream<'s>,
+    var: Rc<str>,
+    env: Env,
+    buf: Vec<Value>,
+}
+
+impl Stream<Env> for ElementRows<'_> {
+    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
+        let pulled = self.elements.next_batch(&mut self.buf, max);
+        out.extend((self.buf.drain(..)).map(|v| self.env.bind(self.var.clone(), v)));
+        pulled
     }
 }
 
@@ -4016,43 +3983,30 @@ impl SpillCodec for EnvCodec {
     }
 }
 
-/// Spill codec for output elements (ORDER BY over values): the element is
-/// its own spilled form.
-struct ValueCodec;
-
-impl SpillCodec for ValueCodec {
-    type Row = Value;
-    fn encode(&self, row: Value) -> Value {
-        row
-    }
-    fn decode(&self, v: Value) -> Result<Value, EvalError> {
-        Ok(v)
-    }
-}
-
-/// A bounded top-k heap over any row type: keeps the `n = limit + offset`
-/// least rows offered (per the shared sort comparator, ties by arrival
-/// order — the stable-sort outcome), so peak tracked memory is O(k) and
-/// the input is never materialized. Built by [`Evaluator::topk`].
-struct TopK<'k, 'g, T> {
+/// A bounded top-k heap over the row loop's rows: keeps the `n = limit +
+/// offset` least rows offered (per the shared sort comparator, ties by
+/// arrival order — the stable-sort outcome), so peak tracked memory is
+/// O(k) and the input is never materialized. Built by
+/// [`Evaluator::topk_bindings`].
+struct TopK<'k, 'g> {
     keys: &'k [CoreSortKey],
     n: usize,
     off: usize,
     gauge: MatGauge<'g>,
-    heap: std::collections::BinaryHeap<HeapEntry<'k, T>>,
+    heap: std::collections::BinaryHeap<HeapEntry<'k>>,
     /// The arrival number of the next row offered.
     seq: u64,
 }
 
-impl<T> TopK<'_, '_, T> {
+impl TopK<'_, '_> {
     /// Offers one row with its key values, taken from `kv` (left empty)
     /// if the row enters the heap. It is charged its keys plus
     /// `size_of(&row)` bytes for as long as it stays there.
     fn offer(
         &mut self,
         kv: &mut Vec<Value>,
-        row: T,
-        size_of: impl FnOnce(&T) -> u64,
+        row: Row,
+        size_of: impl FnOnce(&Row) -> u64,
     ) -> Result<(), EvalError> {
         let seq = self.seq;
         self.seq += 1;
@@ -4084,7 +4038,7 @@ impl<T> TopK<'_, '_, T> {
     }
 
     /// The survivors in sort order, past the offset.
-    fn into_rows(self) -> Vec<T> {
+    fn into_rows(self) -> Vec<Row> {
         let entries = self.heap.into_sorted_vec();
         drop(self.gauge);
         entries.into_iter().skip(self.off).map(|e| e.row).collect()
@@ -4096,29 +4050,29 @@ impl<T> TopK<'_, '_, T> {
 /// order as the tie-break — so the row evicted is always the *greatest*,
 /// and among equal keys the latest arrival, which reproduces the stable
 /// sort's survivors exactly.
-struct HeapEntry<'k, T> {
+struct HeapEntry<'k> {
     keys: &'k [CoreSortKey],
     kv: Vec<Value>,
     seq: u64,
     bytes: u64,
-    row: T,
+    row: Row,
 }
 
-impl<T> PartialEq for HeapEntry<'_, T> {
+impl PartialEq for HeapEntry<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl<T> Eq for HeapEntry<'_, T> {}
+impl Eq for HeapEntry<'_> {}
 
-impl<T> PartialOrd for HeapEntry<'_, T> {
+impl PartialOrd for HeapEntry<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for HeapEntry<'_, T> {
+impl Ord for HeapEntry<'_> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         cmp_sort_keys(self.keys, &self.kv, &other.kv).then(self.seq.cmp(&other.seq))
     }

@@ -14,6 +14,13 @@ use std::fmt;
 
 use sqlpp_value::Value;
 
+/// The element variable of an ORDER BY above a set operation, which
+/// lowers to `SELECT VALUE $out FROM (set-op) AS $out ORDER BY …`: a name
+/// its keys leave free resolves at run time against the element, and its
+/// scan streams the elements into the sort as the set operation yields
+/// them.
+pub const SET_OP_ELEMENT: &str = "$out";
+
 /// A complete Core query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreQuery {
@@ -63,20 +70,12 @@ pub enum CoreOp {
         /// The streams, in order.
         inputs: Vec<CoreOp>,
     },
-    /// ORDER BY over bindings (pre-projection sort keys).
+    /// ORDER BY over bindings (pre-projection sort keys); above a set
+    /// operation, those of the block over its elements ([`SET_OP_ELEMENT`]).
     Sort {
         /// Upstream operator.
         input: Box<CoreOp>,
         /// Sort keys, major first.
-        keys: Vec<CoreSortKey>,
-    },
-    /// ORDER BY over output *values* (used above set operations, where the
-    /// only scope is the output element itself).
-    SortValues {
-        /// Upstream operator (value stream).
-        input: Box<CoreOp>,
-        /// Sort keys; expressions see the element as `$out` and, when the
-        /// element is a tuple, its attributes as variables.
         keys: Vec<CoreSortKey>,
     },
     /// LIMIT/OFFSET over any stream.
@@ -88,23 +87,20 @@ pub enum CoreOp {
         /// Rows to skip.
         offset: Option<CoreExpr>,
     },
-    /// ORDER BY + LIMIT fused into a bounded-heap top-k (optimizer-
-    /// produced — lowering never emits it). Yields the first `limit` rows
-    /// of the stable sort order after skipping `offset`, while holding at
-    /// most `limit + offset` rows at once — so it never needs to spill.
+    /// A binding [`CoreOp::Sort`] + LIMIT fused into a bounded-heap top-k
+    /// (optimizer-produced — lowering never emits it). Yields the first
+    /// `limit` bindings of the stable sort order after skipping `offset`,
+    /// while holding at most `limit + offset` rows at once — so it never
+    /// needs to spill.
     TopK {
         /// Upstream operator.
         input: Box<CoreOp>,
-        /// Sort keys, major first (same scoping as the `Sort`/`SortValues`
-        /// this node was rewritten from — see `on_values`).
+        /// Sort keys, major first.
         keys: Vec<CoreSortKey>,
         /// Maximum rows (evaluated once; non-negative integer).
         limit: CoreExpr,
         /// Rows of the sorted prefix to skip.
         offset: Option<CoreExpr>,
-        /// Sorts output *values* (rewritten from `SortValues`, keys see
-        /// `$out`) rather than bindings (rewritten from `Sort`).
-        on_values: bool,
     },
     /// `SELECT [DISTINCT] VALUE expr` — Core's only projection (§V-A).
     Project {
@@ -755,11 +751,6 @@ macro_rules! op_exprs {
                     $f(expr, true);
                 }
             }
-            CoreOp::SortValues { keys, .. } => {
-                for CoreSortKey { expr, .. } in keys {
-                    $f(expr, false);
-                }
-            }
             CoreOp::LimitOffset { limit, offset, .. } => {
                 for e in [limit, offset].into_iter().flatten() {
                     $f(e, false);
@@ -769,12 +760,10 @@ macro_rules! op_exprs {
                 keys,
                 limit,
                 offset,
-                on_values,
                 ..
             } => {
-                let over_input = !*on_values;
                 for CoreSortKey { expr, .. } in keys {
-                    $f(expr, over_input);
+                    $f(expr, true);
                 }
                 $f(limit, false);
                 if let Some(e) = offset {
@@ -813,7 +802,6 @@ macro_rules! unary_input {
             CoreOp::Filter { input, .. }
             | CoreOp::Group { input, .. }
             | CoreOp::Sort { input, .. }
-            | CoreOp::SortValues { input, .. }
             | CoreOp::LimitOffset { input, .. }
             | CoreOp::TopK { input, .. }
             | CoreOp::Project { input, .. }
@@ -962,7 +950,6 @@ impl CoreOp {
     pub fn pipeline_class(&self) -> &'static str {
         let materializes = match self {
             CoreOp::Sort { .. }
-            | CoreOp::SortValues { .. }
             | CoreOp::TopK { .. }
             | CoreOp::Group { .. }
             | CoreOp::Window { .. } => true,
@@ -1076,12 +1063,8 @@ fn explain_op(
             out.push('\n');
             explain_op(input, indent + 1, out, annotate);
         }
-        CoreOp::Sort { input, keys } | CoreOp::SortValues { input, keys } => {
-            out.push_str(if matches!(op, CoreOp::Sort { .. }) {
-                "sort"
-            } else {
-                "sort-values"
-            });
+        CoreOp::Sort { input, keys } => {
+            out.push_str("sort");
             for k in keys {
                 out.push_str(&format!(" {}{}", k.expr, if k.desc { " desc" } else { "" }));
             }
@@ -1108,9 +1091,8 @@ fn explain_op(
             keys,
             limit,
             offset,
-            on_values,
         } => {
-            out.push_str(if *on_values { "top-k-values" } else { "top-k" });
+            out.push_str("top-k");
             for k in keys {
                 out.push_str(&format!(" {}{}", k.expr, if k.desc { " desc" } else { "" }));
             }

@@ -27,7 +27,7 @@ pub mod typecheck;
 
 pub use crate::core::{
     AggFunc, Coercion, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, CoreSetOp, CoreSortKey,
-    GroupFold, WindowDef, WindowFunc,
+    GroupFold, WindowDef, WindowFunc, SET_OP_ELEMENT,
 };
 pub use error::PlanError;
 pub use lower::{lower_expr, lower_query, CompatMode, PlanConfig};

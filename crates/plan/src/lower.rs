@@ -31,7 +31,7 @@ use sqlpp_value::Value;
 
 use crate::core::{
     AggFunc, Coercion, CoreExpr, CoreFrom, CoreJoinKind, CoreOp, CoreQuery, CoreSetOp, CoreSortKey,
-    GroupFold, WindowDef, WindowFunc,
+    GroupFold, WindowDef, WindowFunc, SET_OP_ELEMENT,
 };
 use crate::error::PlanError;
 use crate::scope::{Disambiguation, Scope};
@@ -115,11 +115,7 @@ impl Planner<'_> {
                 se @ SetExpr::SetOp { .. } => {
                     let mut op = self.set_expr(se, scope)?;
                     if !q.order_by.is_empty() {
-                        let keys = self.value_sort_keys(&q.order_by, scope)?;
-                        op = CoreOp::SortValues {
-                            input: Box::new(op),
-                            keys,
-                        };
+                        op = self.order_elements(op, &q.order_by, scope)?;
                     }
                     self.wrap_limit(op, &q.limit, &q.offset, scope)?
                 }
@@ -930,16 +926,7 @@ impl Planner<'_> {
                 .iter()
                 .map(|p| self.expr(p, scope, Ctx::Scalar))
                 .collect::<Result<_, _>>()?,
-            order: order_by
-                .iter()
-                .map(|item| {
-                    Ok(CoreSortKey {
-                        expr: self.expr(&item.expr, scope, Ctx::Scalar)?,
-                        desc: item.desc,
-                        nulls_first: item.nulls_first.unwrap_or(!item.desc),
-                    })
-                })
-                .collect::<Result<_, PlanError>>()?,
+            order: self.sort_keys(order_by, scope)?,
         })
     }
 
@@ -1032,13 +1019,38 @@ impl Planner<'_> {
         })
     }
 
-    fn value_sort_keys(
+    /// ORDER BY above a set operation: the block over its elements (see
+    /// [`SET_OP_ELEMENT`]), its keys lowered with `$out` out of scope.
+    fn order_elements(
+        &self,
+        elements: CoreOp,
+        items: &[OrderItem],
+        scope: &mut Scope,
+    ) -> Result<CoreOp, PlanError> {
+        let scan = CoreFrom::Scan {
+            expr: CoreExpr::Subquery {
+                plan: Box::new(CoreQuery { op: elements }),
+                coercion: Coercion::Bag,
+            },
+            as_var: SET_OP_ELEMENT.into(),
+            at_var: None,
+        };
+        Ok(CoreOp::Project {
+            input: Box::new(CoreOp::Sort {
+                input: Box::new(CoreOp::From { item: scan }),
+                keys: self.sort_keys(items, scope)?,
+            }),
+            expr: CoreExpr::Var(SET_OP_ELEMENT.into()),
+            distinct: false,
+        })
+    }
+
+    /// ORDER BY items as sort keys.
+    fn sort_keys(
         &self,
         items: &[OrderItem],
         scope: &mut Scope,
     ) -> Result<Vec<CoreSortKey>, PlanError> {
-        // Above a set operation the only scope is the output element: its
-        // attributes become dynamic lookups at runtime.
         items
             .iter()
             .map(|item| {

@@ -80,17 +80,18 @@ fn fold_op(op: &mut CoreOp) {
 /// spills — its whole input) is replaced by [`CoreOp::TopK`], a
 /// bounded heap that holds at most that many rows and never spills.
 ///
-/// Three shapes fuse:
+/// Two shapes fuse:
 /// * `limit(sort(..))` — binding-level sort, e.g. inside a lowered
 ///   subquery; TopK applies the offset skip itself.
-/// * `limit(sort-values(..))` — value-level sort after a set-op;
-///   likewise.
 /// * `limit(project(sort(..)))` — the common `SELECT … ORDER BY …
-///   LIMIT n` lowering. The projection must still see the rows an
-///   OFFSET later skips (strict-mode errors in them are observable),
-///   so the outer LIMIT/OFFSET stays and only the sort underneath is
-///   bounded to `limit + offset` rows (see [`heap_bound`]). This shape
-///   fuses when each operand is a literal or a `?` parameter.
+///   LIMIT n` lowering, and that of an ORDER BY … LIMIT n above a set
+///   operation (`SELECT VALUE $out FROM (set-op) AS $out`). The
+///   projection must still see the rows an OFFSET later skips
+///   (strict-mode errors in them are observable), so the outer
+///   LIMIT/OFFSET stays and only the sort underneath is bounded to
+///   `limit + offset` rows (see [`heap_bound`]). This shape fuses when
+///   each operand is a literal or a `?` parameter; a computed one sorts
+///   every row.
 fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -> CoreOp {
     let Some(limit) = limit else {
         // OFFSET without LIMIT still needs every row: no fusion.
@@ -106,14 +107,6 @@ fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -
             keys,
             limit,
             offset,
-            on_values: false,
-        },
-        CoreOp::SortValues { input, keys } => CoreOp::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-            on_values: true,
         },
         CoreOp::Project {
             input: sort,
@@ -133,7 +126,6 @@ fn fuse_topk(input: CoreOp, limit: Option<CoreExpr>, offset: Option<CoreExpr>) -
                         keys,
                         limit: bound,
                         offset: None,
-                        on_values: false,
                     }),
                     expr,
                     distinct: false,
@@ -912,11 +904,7 @@ fn group_depth(op: &CoreOp) -> Option<usize> {
             | CoreOp::Pivot { input, .. }
             | CoreOp::Filter { input, .. }
             | CoreOp::Sort { input, .. }
-            | CoreOp::TopK {
-                input,
-                on_values: false,
-                ..
-            }
+            | CoreOp::TopK { input, .. }
             | CoreOp::LimitOffset { input, .. }
             | CoreOp::Window { input, .. } => input,
             _ => return None,
@@ -1143,11 +1131,9 @@ fn stream_vars(op: &CoreOp) -> Vec<String> {
             .collect(),
         CoreOp::Append { inputs } => inputs.iter().flat_map(stream_vars).collect(),
         CoreOp::With { body, .. } => stream_vars(body),
-        CoreOp::Single
-        | CoreOp::Project { .. }
-        | CoreOp::Pivot { .. }
-        | CoreOp::SortValues { .. }
-        | CoreOp::SetOp { .. } => Vec::new(),
+        CoreOp::Single | CoreOp::Project { .. } | CoreOp::Pivot { .. } | CoreOp::SetOp { .. } => {
+            Vec::new()
+        }
     }
 }
 
@@ -1303,9 +1289,14 @@ mod tests {
             "(SELECT VALUE x.a FROM t AS x) UNION ALL (SELECT VALUE y.a FROM u AS y) \
              ORDER BY 1 LIMIT 3",
         );
-        assert!(text.contains("top-k-values"), "{text}");
-        assert!(text.contains("limit 3"), "{text}");
-        assert!(!text.contains("sort-values"), "{text}");
+        // The block over the set operation's elements: its sort fuses
+        // under the projection like any block's.
+        assert!(
+            text.contains("select value $out\n    top-k 1 limit 3\n"),
+            "{text}"
+        );
+        assert!(text.contains("limit/offset limit 3"), "{text}");
+        assert!(!text.contains("sort"), "{text}");
     }
 
     #[test]

@@ -122,13 +122,6 @@ impl Checker<'_> {
                 }
                 env
             }
-            CoreOp::SortValues { input, keys } => {
-                let env = self.op(input, env);
-                for k in keys {
-                    self.expr(&k.expr, &env);
-                }
-                env
-            }
             CoreOp::LimitOffset {
                 input,
                 limit,

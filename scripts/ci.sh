@@ -311,4 +311,15 @@ if grep -rnE 'Instr::(Const|Var|Param|Field|RootVar|RootField)\b' crates tests e
 fi
 echo "one leaf reader OK"
 
+echo "== one ORDER BY gate =="
+# An ORDER BY above a set operation is the block over its elements
+# (`SELECT VALUE $out FROM (set-op) AS $out ORDER BY …`), sorted by the one
+# binding sort or top-k. The value sort, the value top-k, their key loop
+# and their spill codec must not come back.
+if grep -rnE 'SortValues|on_values|each_keyed_value|ValueCodec|sort-values|top-k-values' crates tests examples; then
+  echo "a deleted value sort or value top-k is referenced again" >&2
+  exit 1
+fi
+echo "one ORDER BY OK"
+
 echo "== ci green =="

@@ -2,10 +2,15 @@
 //! that only reads attribute paths, parameters and constants must
 //! allocate nothing per row; nor must a hash-join build row no probe row
 //! matches, nor a GROUP BY row that folds into a group it finds, nor a row
-//! the WHERE under a sort, a DISTINCT or a PIVOT rejects. Each
+//! the WHERE under a sort, a DISTINCT, a PIVOT, a GROUP AS or a window
+//! rejects. Each
 //! query runs over 64 and over 256 rows and must make the same number of
 //! heap allocations at both sizes — every allocation it makes belongs to
 //! the query (plan, programs, tables, result), none to a row.
+//!
+//! A set operation under an ORDER BY … LIMIT must hold no more of its
+//! elements at once at 256 rows than at 64: its peak heap bytes stay
+//! within a few bytes.
 //!
 //! The counting allocator keeps its counters per thread, so tests running
 //! in parallel do not see each other's allocations.
@@ -21,6 +26,10 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread holds (allocated minus freed), and their
+    /// high-water mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
@@ -29,20 +38,31 @@ fn count(bytes: usize) {
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -203,9 +223,9 @@ fn a_group_by_row_that_joins_its_group_allocates_nothing() {
     assert_eq!(at_64, at_256, "allocations at 64 rows vs at 256 rows");
 }
 
-/// A sort, a DISTINCT and a PIVOT over a bare scan read it through the
-/// row loop on the slice: a row their WHERE rejects is never bound, so
-/// the 192 more rows at 256 cost nothing.
+/// A sort, a DISTINCT, a PIVOT, a GROUP AS and a window over a bare scan
+/// read it through the row loop on the slice: a row their WHERE rejects
+/// is never bound, so the 192 more rows at 256 cost nothing.
 #[test]
 fn sort_distinct_and_pivot_allocate_nothing_per_rejected_row() {
     let (small, large) = (engine(64), engine(256));
@@ -213,6 +233,9 @@ fn sort_distinct_and_pivot_allocate_nothing_per_rejected_row() {
         "SELECT VALUE x.n FROM t.rows AS x WHERE x.m < 3 ORDER BY x.g, x.n",
         "SELECT DISTINCT VALUE x.g FROM t.rows AS x WHERE x.m < 3",
         "PIVOT x.n AT x.s FROM t.rows AS x WHERE x.m < 3",
+        "SELECT VALUE [g, grp] FROM t.rows AS x WHERE x.m < 3 GROUP BY x.g AS g GROUP AS grp",
+        "SELECT VALUE [x.n, ROW_NUMBER() OVER (PARTITION BY x.g ORDER BY x.n)] \
+         FROM t.rows AS x WHERE x.m < 3",
     ] {
         let [(at_64, small_result), (at_256, large_result)] = [&small, &large].map(|engine| {
             let plan = engine.prepare(q).unwrap();
@@ -256,5 +279,40 @@ fn group_as_and_a_spilled_join_keep_their_answers() {
             "batch {batch_size}: no spill"
         );
         assert_eq!(run.canonical().to_string(), in_memory, "batch {batch_size}");
+    }
+}
+
+/// A set operation's elements stream into the top-k of its ORDER BY …
+/// LIMIT: the heap holds 3 rows and the row loop a batch of elements, so
+/// the most heap one execution holds at once is about the same over 64
+/// rows and over 256 — at batch 1 and at batch 16.
+#[test]
+fn a_set_op_top_k_holds_no_more_elements_over_more_rows() {
+    let q = "SELECT VALUE {'n': x.n} FROM t.rows AS x \
+             UNION ALL SELECT VALUE {'n': y.n} FROM t.rows AS y \
+             ORDER BY n DESC LIMIT 3";
+    let (small, large) = (engine(64), engine(256));
+    for batch_size in [1, 16] {
+        let [(at_64, small_result), (at_256, large_result)] = [&small, &large].map(|engine| {
+            let engine = engine.with_config(SessionConfig {
+                batch_size,
+                ..SessionConfig::default()
+            });
+            assert!(engine.explain(q).unwrap().contains("top-k"), "{q}");
+            let plan = engine.prepare(q).unwrap();
+            allocs_per_run(&engine, &plan, &[]);
+            let start = LIVE.with(Cell::get);
+            PEAK.with(|peak| peak.set(start));
+            let result = plan.execute(&engine).unwrap().into_value();
+            (PEAK.with(Cell::get) - start, result)
+        });
+        assert_eq!(small_result.as_elements().unwrap().len(), 3);
+        assert_ne!(small_result, large_result, "the top rows are the last ones");
+        // Holding the 384 more elements of the larger input would add
+        // tens of kilobytes; the measured peaks differ by a few bytes.
+        assert!(
+            at_256 < at_64 + 256,
+            "batch {batch_size}: peak heap bytes {at_64} at 64 rows vs {at_256} at 256 rows"
+        );
     }
 }

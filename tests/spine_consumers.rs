@@ -9,7 +9,9 @@
 //! paper-literal plan (`optimize: false`) wherever both answer.
 //!
 //! * a seeded differential property over ORDER BY … LIMIT/OFFSET, a
-//!   filtered DISTINCT, PIVOT and ORDER BY without LIMIT, and INNER
+//!   filtered DISTINCT, PIVOT and ORDER BY without LIMIT, an ORDER BY
+//!   (with or without LIMIT/OFFSET) above a UNION ALL, UNION, INTERSECT
+//!   ALL or EXCEPT of filtered scans, and INNER
 //!   comma/JOIN equi-joins — probe filters, build filters,
 //!   residuals, two-key joins whose second key can raise, `?`
 //!   parameters (sometimes never supplied), LIMIT above a join, a
@@ -17,7 +19,9 @@
 //!   LEFT join as the control — over rows whose key and filter
 //!   attributes are ints, strings, floats, NULL, MISSING or absent, with
 //!   duplicate sort keys; optimize on and off, batch 1/2/1024, both
-//!   typing modes: the identical answer or error at every batch size;
+//!   typing modes: the identical answer or error at every batch size,
+//!   and for an ORDER BY the same sequence of sort-key values (see
+//!   `Order`);
 //! * an input axis in the same generator: each consumer — projection,
 //!   DISTINCT, PIVOT, sort, top-k, folded GROUP BY, GROUP AS, the pushed
 //!   left filter, an INNER and a LEFT hash join's probe side and a hash
@@ -177,6 +181,26 @@ struct Query {
     /// A source-policy shape's answer under [`bindings`], where it has
     /// one.
     model: Option<Model>,
+    /// What the shape's ORDER BY determines of its answer's order.
+    order: Order,
+}
+
+/// What a shape's ORDER BY determines of its answer's order, compared
+/// beside the canonical answer: the sequence of its rows' sort-key values
+/// ([`key_value`]) — over a scan of `u`, a key `e.id` makes it the
+/// sequence of the rows themselves. Rows that tie on every key may come
+/// in any order.
+#[derive(Debug, Clone, Default)]
+enum Order {
+    /// Nothing: the answer compares as a bag.
+    #[default]
+    Bag,
+    /// Each row's keys, drawn from [`SORT_KEYS`], are read off the row of
+    /// `u` its `e.id` names: a row's first element, or its `id`.
+    Source(Vec<&'static str>),
+    /// Each row is a set operation's element, `{id, k, f}`: its keys,
+    /// drawn from [`SORT_KEYS`] with `e.` dropped, are read off it.
+    Element(Vec<&'static str>),
 }
 
 const BOTH: &[TypingMode] = &[TypingMode::Permissive, TypingMode::StrictError];
@@ -272,6 +296,56 @@ fn modelled(model: &Model, u: &Value, strict: bool) -> Result<Value, &'static st
     Ok(Value::Bag(out))
 }
 
+/// The value a [`SORT_KEYS`] entry gives a row, as the sort compares it:
+/// ints as floats, so `2` and `2.0` tie; an absent attribute is MISSING,
+/// and `+ 1` keeps NULL and MISSING and makes a string MISSING
+/// (permissive typing; strict typing raises instead).
+fn key_value(key: &str, row: &Tuple) -> Value {
+    let attr = key.trim_start_matches("e.");
+    let attr = &attr[..attr.find(' ').unwrap_or(attr.len())];
+    let v = row.get(attr).cloned().unwrap_or(Value::Missing);
+    let plus = if key.contains("+ 1") { 1.0 } else { 0.0 };
+    match v {
+        Value::Int(i) => Value::Float(i as f64 + plus),
+        Value::Float(f) => Value::Float(f + plus),
+        Value::Str(_) if plus > 0.0 => Value::Missing,
+        other => other,
+    }
+}
+
+/// The sequence of sort-key values of `answer`'s rows under `order`
+/// (see [`Order`]); `u` is the table [`Order::Source`] reads.
+fn key_sequence(order: &Order, answer: &Value, u: &Value) -> Vec<Value> {
+    let (keys, from_source) = match order {
+        Order::Bag => return Vec::new(),
+        Order::Source(keys) => (keys, true),
+        Order::Element(keys) => (keys, false),
+    };
+    let source = u.as_elements().unwrap_or_default();
+    let tuple = |v: &Value| match v {
+        Value::Tuple(t) => t.clone(),
+        other => panic!("a sorted row of tuples, found {other}"),
+    };
+    (answer.as_elements().unwrap_or_default().iter())
+        .map(|row| {
+            let row = match (from_source, row) {
+                (false, row) => tuple(row),
+                (true, Value::Array(items)) => tuple(&source[id_of(&items[0])]),
+                (true, Value::Tuple(t)) => tuple(&source[id_of(t.get("id").unwrap())]),
+                (true, other) => panic!("a sorted row naming its `e.id`, found {other}"),
+            };
+            Value::Array(keys.iter().map(|k| key_value(k, &row)).collect())
+        })
+        .collect()
+}
+
+fn id_of(v: &Value) -> usize {
+    match v {
+        Value::Int(id) => *id as usize,
+        other => panic!("an `e.id`, found {other}"),
+    }
+}
+
 /// A source-policy shape over one of [`SOURCES`] or `e.p`, with `AT i`
 /// half of the time.
 fn policy_query(src: &mut Source) -> Query {
@@ -344,6 +418,7 @@ fn policy_query(src: &mut Source) -> Query {
         counted,
         spine,
         model,
+        order: Order::Bag,
     }
 }
 
@@ -356,21 +431,26 @@ fn filter(src: &mut Source) -> String {
 }
 
 /// 1–2 sort keys.
-fn sort_keys(src: &mut Source) -> String {
-    let keys: Vec<&str> = (0..src.draw_len(1, 2))
+fn sort_keys(src: &mut Source) -> Vec<&'static str> {
+    (0..src.draw_len(1, 2))
         .map(|_| pick(src, SORT_KEYS))
-        .collect();
-    keys.join(", ")
+        .collect()
 }
 
-/// `ORDER BY` 1–2 keys `LIMIT n`, with an OFFSET now and then.
-fn order_limit(src: &mut Source) -> String {
-    let keys = sort_keys(src);
+/// ` LIMIT n`, with an OFFSET now and then.
+fn limit(src: &mut Source) -> String {
     let offset = match src.draw_below(3) {
         0 => format!(" OFFSET {}", src.draw_range_i64(0, 3)),
         _ => String::new(),
     };
-    format!(" ORDER BY {keys} LIMIT {}{offset}", pick(src, LIMITS))
+    format!(" LIMIT {}{offset}", pick(src, LIMITS))
+}
+
+/// `ORDER BY` 1–2 keys `LIMIT n`, with an OFFSET now and then, and the
+/// keys.
+fn order_limit(src: &mut Source) -> (String, Vec<&'static str>) {
+    let keys = sort_keys(src);
+    (format!(" ORDER BY {}{}", keys.join(", "), limit(src)), keys)
 }
 
 /// The equi-key, then any of a probe filter, a build filter and a
@@ -411,16 +491,18 @@ const INPUTS: &[(&str, &str, &str)] = &[
 /// and a non-equi nested-loop join, INNER and LEFT.
 fn input_query(src: &mut Source) -> Query {
     let (from, lets, other) = pick(src, INPUTS);
+    let mut order = Order::Bag;
     let text = match src.draw_below(13) {
         0 => format!(
             "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{}",
             filter(src)
         ),
-        1 => format!(
-            "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{}{}",
-            filter(src),
-            order_limit(src)
-        ),
+        1 => {
+            let filter = filter(src);
+            let (order_limit, keys) = order_limit(src);
+            order = Order::Source(keys);
+            format!("SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{filter}{order_limit}")
+        }
         2 => format!(
             "SELECT e.t AS t, COUNT(*) AS n, SUM(e.id) AS s, MAX({other}) AS m \
              FROM {from}{lets}{} GROUP BY e.t",
@@ -452,11 +534,16 @@ fn input_query(src: &mut Source) -> Query {
             filter(src)
         ),
         9 => format!("PIVOT {other} AT e.k FROM {from}{lets}{}", filter(src)),
-        10 => format!(
-            "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{} ORDER BY {}",
-            filter(src),
-            sort_keys(src)
-        ),
+        10 => {
+            let filter = filter(src);
+            let keys = sort_keys(src);
+            let text = format!(
+                "SELECT VALUE [e.id, e.k, {other}] FROM {from}{lets}{filter} ORDER BY {}",
+                keys.join(", ")
+            );
+            order = Order::Source(keys);
+            text
+        }
         // Rows that tie on the window's ORDER BY also agree on what the
         // answer shows of them, so its multiset is the same under every
         // plan.
@@ -480,6 +567,7 @@ fn input_query(src: &mut Source) -> Query {
         counted: true,
         spine: &[],
         model: None,
+        order,
     }
 }
 
@@ -510,23 +598,24 @@ fn queries() -> Gen<Query> {
             2 => return input_query(src),
             _ => {}
         }
-        let shape = src.draw_below(13);
+        let shape = src.draw_below(15);
+        let mut order = Order::Bag;
         let text = match shape {
-            0 | 1 => format!(
-                "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{}{}",
-                filter(src),
-                order_limit(src)
-            ),
-            2 => format!(
-                "SELECT e.id AS id, e.k AS k FROM u AS e{}{}",
-                filter(src),
-                order_limit(src)
-            ),
-            // The spine reads the outer `o` from its environment.
+            0..=2 => {
+                let filter = filter(src);
+                let (order_limit, keys) = order_limit(src);
+                order = Order::Source(keys);
+                match shape {
+                    2 => format!("SELECT e.id AS id, e.k AS k FROM u AS e{filter}{order_limit}"),
+                    _ => format!("SELECT VALUE [e.id, e.k, e.f] FROM u AS e{filter}{order_limit}"),
+                }
+            }
+            // The spine reads the outer `o` from its environment. Each
+            // subquery's order is not compared: the answer is a bag.
             3 => format!(
                 "SELECT o.f AS f, (SELECT VALUE e.id FROM u AS e WHERE e.k <> o.f{}) AS s \
                  FROM outer_rows AS o",
-                order_limit(src)
+                order_limit(src).0
             ),
             4 | 5 => format!(
                 "SELECT VALUE [e.id, d.id] FROM u AS e, w AS d WHERE {}",
@@ -558,17 +647,52 @@ fn queries() -> Gen<Query> {
                 filter(src)
             ),
             11 => format!("PIVOT e.id AT e.k FROM u AS e{}", filter(src)),
-            _ => format!(
-                "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{} ORDER BY {}",
-                filter(src),
-                sort_keys(src)
-            ),
+            12 => {
+                let filter = filter(src);
+                let keys = sort_keys(src);
+                let text = format!(
+                    "SELECT VALUE [e.id, e.k, e.f] FROM u AS e{filter} ORDER BY {}",
+                    keys.join(", ")
+                );
+                order = Order::Source(keys);
+                text
+            }
+            // An ORDER BY above a set operation sorts the block over its
+            // elements; a key names an element's attribute, which an
+            // element that lacks it fails to resolve.
+            _ => {
+                let element = |src: &mut Source, table| {
+                    let filter = match src.draw_below(3) {
+                        0 => String::new(),
+                        1 => " WHERE e.k IS NOT MISSING AND e.f IS NOT MISSING".to_string(),
+                        _ => format!(" WHERE {}", pick(src, FILTERS)),
+                    };
+                    format!(
+                        "SELECT VALUE {{'id': e.id, 'k': e.k, 'f': e.f}} FROM {table} AS e{filter}"
+                    )
+                };
+                let left = element(src, "u");
+                let set_op = pick(src, &["UNION ALL", "UNION", "INTERSECT ALL", "EXCEPT"]);
+                let right = element(src, "w");
+                let keys = sort_keys(src);
+                let limit = match src.draw_below(3) {
+                    0 => String::new(),
+                    1 => format!(" OFFSET {}", src.draw_range_i64(0, 3)),
+                    _ => limit(src),
+                };
+                let text = format!(
+                    "{left} {set_op} {right} ORDER BY {}{limit}",
+                    keys.join(", ").replace("e.", "")
+                );
+                order = Order::Element(keys);
+                text
+            }
         };
         let params = params(src, &text);
-        // A top-k opens no scan for LIMIT 0; a LEFT join keeps the
-        // binding stream.
+        // A top-k, and a set operation below one, opens no scan for
+        // LIMIT 0; a LEFT join keeps the binding stream.
         let spine = match shape {
-            0..=3 if text.contains("LIMIT 0") => &[][..],
+            0..=3 | 13.. if text.contains("LIMIT 0") => &[][..],
             9 => &[][..],
             _ => BOTH,
         };
@@ -580,6 +704,7 @@ fn queries() -> Gen<Query> {
             text,
             params,
             model: None,
+            order,
         }
     })
 }
@@ -615,17 +740,20 @@ fn config(typing: TypingMode, optimize: bool, batch_size: usize) -> SessionConfi
     }
 }
 
-/// The outcome of one run, as compared: the canonical answer or the
-/// error string.
-type Outcome = Result<Value, String>;
+/// The outcome of one run, as compared: the canonical answer with the
+/// sequence of its rows' sort-key values (see [`Order`]), or the error
+/// string.
+type Outcome = Result<(Value, Vec<Value>), String>;
 
-fn outcome(r: sqlpp::Result<sqlpp::QueryResult>) -> Outcome {
-    r.map(|r| r.canonical()).map_err(|e| e.to_string())
+fn outcome(r: sqlpp::Result<sqlpp::QueryResult>, order: &Order, u: &Value) -> Outcome {
+    r.map(|r| (r.canonical(), key_sequence(order, r.value(), u)))
+        .map_err(|e| e.to_string())
 }
 
 /// Runs `q` under `base` in every arm — batch 1, 2 and 1024 with optimize
 /// on and off — and returns each setting's batch-1 outcome, `(on, off)`,
-/// once every other arm has been checked against them. Batch 1 is the
+/// once every other arm has been checked against them, in the order
+/// `order` determines over `u`. Batch 1 is the
 /// binding stream, where the spine never runs; batch 2 and 1024 run the
 /// spine, and must give the identical answer or error. Across settings
 /// only answers are compared: a hash join evaluates its conjuncts in
@@ -636,6 +764,7 @@ fn arms(
     base: &SessionConfig,
     q: &str,
     params: &[Value],
+    (order, u): (&Order, &Value),
 ) -> Result<(Outcome, Outcome), String> {
     let run = |optimize, batch_size| {
         let session = engine.with_config(SessionConfig {
@@ -643,7 +772,7 @@ fn arms(
             batch_size,
             ..base.clone()
         });
-        outcome(session.query_with_params(q, params.to_vec()))
+        outcome(session.query_with_params(q, params.to_vec()), order, u)
     };
     let batch_one = |optimize| {
         let reference = run(optimize, 1);
@@ -663,7 +792,7 @@ fn arms(
     if let (Ok(a), Ok(b)) = (&on, &off) {
         if a != b {
             return Err(format!(
-                "{:?}: {q} {params:?}: optimize on gave {a}, the literal plan {b}",
+                "{:?}: {q} {params:?}: optimize on gave {a:?}, the literal plan {b:?}",
                 base.typing
             ));
         }
@@ -692,7 +821,7 @@ fn policy_arms(
         let want = modelled(model, u, base.typing == TypingMode::StrictError);
         for got in [&on, &off] {
             let agrees = match (got, &want) {
-                (Ok(got), Ok(want)) => *got == sqlpp_value::canonicalize(want),
+                (Ok((got, _)), Ok(want)) => *got == sqlpp_value::canonicalize(want),
                 (Err(got), Err(want)) => got.contains(want),
                 _ => false,
             };
@@ -716,7 +845,7 @@ fn policy_arms(
                 Ok(prepared) => prepared.execute_with_stats(&session, q.params.clone()),
                 Err(e) => (Err(e), None),
             };
-            let got = outcome(run);
+            let got = outcome(run, &q.order, u);
             if got != reference {
                 return Err(format!(
                     "{:?}, optimize {optimize}, batch {batch_size}, stats on: {text} {:?}: \
@@ -763,18 +892,23 @@ sqlpp_prop! {
     fn spine_consumers_match_the_binding_stream_and_the_literal_plan(d in data(), q in queries()) {
         let engine = engine(&d.u, &d.w);
         for base in both_typings() {
-            let checked = arms(&engine, &base, &q.text, &q.params)
+            let checked = arms(&engine, &base, &q.text, &q.params, (&q.order, &d.u))
                 .and_then(|outcomes| policy_arms(&engine, &base, &q, &d.u, outcomes));
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
 }
 
-/// [`arms`], panicking on a disagreement; returns the optimized plan's
-/// outcome.
-fn every_arm(engine: &Engine, base: &SessionConfig, q: &str, params: &[Value]) -> Outcome {
-    match arms(engine, base, q, params) {
-        Ok((on, _)) => on,
+/// [`arms`] over a bag, panicking on a disagreement; returns the
+/// optimized plan's canonical answer or error.
+fn every_arm(
+    engine: &Engine,
+    base: &SessionConfig,
+    q: &str,
+    params: &[Value],
+) -> Result<Value, String> {
+    match arms(engine, base, q, params, (&Order::Bag, &Value::Missing)) {
+        Ok((on, _)) => on.map(|(answer, _)| answer),
         Err(e) => panic!("{e}"),
     }
 }
@@ -912,7 +1046,7 @@ fn a_parameter_limit_over_a_projection_runs_a_top_k_for_every_value() {
                     .map_while(|v| v)
                     .collect();
                 for base in both_typings() {
-                    let (on, off) = match arms(&engine, &base, q, &params) {
+                    let (on, off) = match arms(&engine, &base, q, &params, (&Order::Bag, &u)) {
                         Ok(outcomes) => outcomes,
                         Err(e) => panic!("{e}"),
                     };
