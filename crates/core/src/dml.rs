@@ -9,6 +9,13 @@
 //! *not* affected), and collections with an attached schema re-validate on
 //! every mutation — the optional-schema tenet extended to writes.
 //!
+//! **One row loop.** DELETE and UPDATE read the statement's snapshot
+//! through the query engine's row loop ([`Evaluator::for_each_match`]):
+//! the WHERE is its predicate, UPDATE's SET right-hand sides its outputs
+//! (run against the old element). A row is cloned only when UPDATE
+//! rewrites it, and deadlines, cancellation, faults and stats reach DML
+//! through the loop, as they reach a query.
+//!
 //! **Atomicity.** Every statement is snapshot-or-rollback: it reads an
 //! `Arc` snapshot of the target, computes a [`Delta`] against the
 //! snapshot's elements (evaluating predicates, sources, and assignments
@@ -36,7 +43,7 @@
 //! `tests/serving.rs` and the B16 mixed workload (8 sessions, 1-in-8
 //! DML, exact-count assertion) pin this under real contention.
 
-use sqlpp_eval::{Env, Evaluator, ExecStats};
+use sqlpp_eval::{Evaluator, ExecStats};
 use sqlpp_plan::{lower_expr, CoreExpr, PlanConfig, Scope};
 use sqlpp_schema::SqlppType;
 use sqlpp_syntax::ast::{Delete, Expr, Insert, InsertSource, PathStep, Update};
@@ -106,8 +113,8 @@ impl Engine {
     }
 
     /// The skeleton every DML statement runs: take the catalog's
-    /// `dml_guard`, read the target's `Arc` snapshot, let `rewrite`
-    /// compute a delta against the snapshot's elements, and commit it
+    /// `dml_guard`, read the target's `Arc` snapshot (an empty bag for an
+    /// unbound name), let `rewrite` compute a delta against it, and commit it
     /// through [`Engine::commit_collection`]. The guard is held from
     /// the snapshot read through the commit — the delta's positions
     /// index that snapshot, so a concurrent writer must wait. `rewrite`
@@ -120,7 +127,7 @@ impl Engine {
         stmt: &str,
         name: &str,
         create_if_unbound: bool,
-        rewrite: impl FnOnce(&[Value], Option<&SqlppType>) -> Result<(Delta, T)>,
+        rewrite: impl FnOnce(Arc<Value>, Option<&SqlppType>) -> Result<(Delta, T)>,
     ) -> Result<T> {
         let _writers = self.catalog().dml_guard();
         let base = match self.catalog().get_str(name) {
@@ -128,9 +135,9 @@ impl Engine {
             Err(_) if create_if_unbound => None,
             Err(e) => return Err(e.into()),
         };
-        let items = match base.as_deref() {
-            None => &[][..],
-            Some(Value::Bag(items) | Value::Array(items)) => items.as_slice(),
+        let snapshot = match &base {
+            None => Arc::new(Value::Bag(Vec::new())),
+            Some(base) if base.as_elements().is_some() => Arc::clone(base),
             Some(other) => {
                 return Err(Error::Usage(format!(
                     "{stmt} target {name} is a {}, not a collection",
@@ -139,7 +146,7 @@ impl Engine {
             }
         };
         let schema = self.catalog().schema(&crate::Name::parse(name));
-        let (delta, report) = rewrite(items, schema.as_deref())?;
+        let (delta, report) = rewrite(snapshot, schema.as_deref())?;
         self.commit_collection(name, base, delta)?;
         Ok(report)
     }
@@ -186,17 +193,16 @@ impl Engine {
     pub(crate) fn exec_delete(&self, del: &Delete, collect: bool) -> Result<Executed> {
         let name = del.target.join(".");
         let alias = row_alias(&del.alias, &del.target);
-        self.rewrite_collection("DELETE", &name, false, |items, _| {
-            let matcher = (del.where_clause.as_ref())
+        self.rewrite_collection("DELETE", &name, false, |target, _| {
+            let pred = (del.where_clause.as_ref())
                 .map(self.row_expr_lowerer(&alias))
                 .transpose()?;
             let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
             let mut doomed = Vec::new();
-            for (at, item) in items.iter().enumerate() {
-                if row_matches(&evaluator, &matcher, &alias, item)? {
-                    doomed.push(at);
-                }
-            }
+            evaluator.for_each_match(target, &alias, pred.as_ref(), &[], |at, _, _| {
+                doomed.push(at);
+                Ok::<_, Error>(())
+            })?;
             let outcome = ExecOutcome::Deleted {
                 count: doomed.len(),
             };
@@ -207,29 +213,23 @@ impl Engine {
     pub(crate) fn exec_update(&self, up: &Update, collect: bool) -> Result<Executed> {
         let name = up.target.join(".");
         let alias = row_alias(&up.alias, &up.target);
-        self.rewrite_collection("UPDATE", &name, false, |items, schema| {
+        self.rewrite_collection("UPDATE", &name, false, |target, schema| {
             let mut lower = self.row_expr_lowerer(&alias);
-            let matcher = up.where_clause.as_ref().map(&mut lower).transpose()?;
-            // Each assignment: an attribute path (rooted at the element) and a
-            // compiled RHS evaluated against the OLD element, SQL-style.
-            let mut compiled: Vec<(Vec<String>, CoreExpr)> = Vec::new();
+            let pred = up.where_clause.as_ref().map(&mut lower).transpose()?;
+            // Each assignment: an attribute path (rooted at the element) and
+            // its right-hand side, evaluated against the OLD element,
+            // SQL-style: the loop runs every one before the row is rewritten.
+            let (mut paths, mut rhs) = (Vec::new(), Vec::new());
             for (path, value) in &up.assignments {
-                compiled.push((assignment_path(path, &alias)?, lower(value)?));
+                paths.push(assignment_path(path, &alias)?);
+                rhs.push(lower(value)?);
             }
+            let sets: Vec<&CoreExpr> = rhs.iter().collect();
             let evaluator = Evaluator::new(self.catalog(), self.eval_config(collect));
             let mut updated = Vec::new();
-            for (at, item) in items.iter().enumerate() {
-                if !row_matches(&evaluator, &matcher, &alias, item)? {
-                    continue;
-                }
-                let env = Env::new().bind(alias.clone(), item.clone());
-                // Evaluate every RHS against the old element first.
-                let mut new_values = Vec::with_capacity(compiled.len());
-                for (_, rhs) in &compiled {
-                    new_values.push(evaluator.expr(rhs, &env)?);
-                }
-                let mut element = item.clone();
-                for ((attrs, _), value) in compiled.iter().zip(new_values) {
+            evaluator.for_each_match(target, &alias, pred.as_ref(), &sets, |at, old, values| {
+                let mut element = old.clone();
+                for (attrs, value) in paths.iter().zip(values) {
                     element = set_path(element, attrs, value)?;
                 }
                 if let Some(schema) = schema.filter(|s| !s.admits(&element)) {
@@ -239,7 +239,8 @@ impl Engine {
                     )));
                 }
                 updated.push((at, element));
-            }
+                Ok(())
+            })?;
             let outcome = ExecOutcome::Updated {
                 count: updated.len(),
             };
@@ -263,21 +264,6 @@ impl Engine {
         scope.add(alias.to_string());
         move |expr| Ok(lower_expr(expr, &config, &mut scope)?)
     }
-}
-
-/// Three-valued match: only a TRUE predicate affects the row. Takes the
-/// statement's evaluator so its stats accumulate across all rows.
-fn row_matches<'a>(
-    evaluator: &Evaluator<'a>,
-    matcher: &'a Option<CoreExpr>,
-    alias: &str,
-    item: &Value,
-) -> Result<bool> {
-    let Some(pred) = matcher else {
-        return Ok(true);
-    };
-    let env = Env::new().bind(alias.to_string(), item.clone());
-    Ok(matches!(evaluator.expr(pred, &env)?, Value::Bool(true)))
 }
 
 /// Normalizes a SET path to the attribute chain below the element:

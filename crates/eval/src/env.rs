@@ -56,11 +56,6 @@ impl Env {
         None
     }
 
-    /// True when `name` is bound.
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
     /// Iterates over the *visible* bindings, innermost first, skipping
     /// shadowed ones. Used by the dynamic-disambiguation fallback.
     pub fn visible_bindings(&self) -> Vec<(&str, &Value)> {

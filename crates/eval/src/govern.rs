@@ -88,16 +88,6 @@ impl Limits {
         Limits::default()
     }
 
-    /// True when nothing is limited and no token is attached (the
-    /// governor's fast paths collapse to single branches).
-    pub fn is_unlimited(&self) -> bool {
-        self.time.is_none()
-            && self.cancel.is_none()
-            && self.eval_depth.is_none()
-            && self.memory_bytes.is_none()
-            && self.spill_bytes.is_none()
-    }
-
     /// Sets the per-query wall-clock deadline.
     pub fn with_time(mut self, deadline: Duration) -> Self {
         self.time = Some(deadline);

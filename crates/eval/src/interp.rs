@@ -104,10 +104,10 @@ pub struct Evaluator<'a> {
     govern: ResourceGovernor,
     /// Bytecode programs keyed by expression identity (the `&'a CoreExpr`
     /// address — the key cannot dangle or alias because each program
-    /// borrows its expression for `'a`). Filled on first evaluation, so
-    /// an expression compiles once per evaluator however many rows it
-    /// sees.
-    programs: RefCell<HashMap<usize, Rc<Program<'a>>>>,
+    /// borrows its expression for `'a`) and the slice row variable it is
+    /// specialized for (`""`: none). Filled on first sight, so an
+    /// expression compiles once per evaluator however often it runs.
+    programs: RefCell<HashMap<(usize, &'a str), Rc<Program<'a>>>>,
     /// The VM's value stack, reused across expression evaluations (taken
     /// and restored around each run, so a call instruction that re-enters
     /// the VM gets a fresh stack rather than a poisoned borrow — and an
@@ -179,6 +179,15 @@ impl<'a> Evaluator<'a> {
                 Ok(Value::Missing)
             }
             TypingMode::StrictError => Err(EvalError::Type(msg())),
+        }
+    }
+
+    /// MISSING under permissive typing, `err()` under strict typing: a
+    /// failure that is not a type error, so no `missing_propagations`.
+    fn missing_or(&self, err: impl FnOnce() -> EvalError) -> Result<Value, EvalError> {
+        match self.config.typing {
+            TypingMode::Permissive => Ok(Value::Missing),
+            TypingMode::StrictError => Err(err()),
         }
     }
 
@@ -1444,7 +1453,8 @@ impl<'a> Evaluator<'a> {
             bag_at_error: strict
                 && at_var.is_some()
                 && matches!(source.value(), Some(Value::Bag(_))),
-            ..FusedScan::new(self, source, as_var.into(), env.clone())
+            as_var: Some(as_var.into()),
+            ..FusedScan::new(self, source, env.clone())
         })
     }
 
@@ -1462,19 +1472,15 @@ impl<'a> Evaluator<'a> {
             Err(e) => return failed(e),
             Ok(Value::Tuple(t)) => t,
             Ok(Value::Missing) => return empty(),
-            Ok(other) => match self.config.typing {
-                TypingMode::Permissive => {
-                    let mut t = Tuple::new();
-                    t.insert("_1", other);
-                    t
-                }
-                TypingMode::StrictError => {
-                    return failed(EvalError::Type(format!(
-                        "UNPIVOT source must be a tuple, found {}",
-                        other.kind().name()
-                    )));
-                }
-            },
+            Ok(other) if self.config.typing == TypingMode::Permissive => {
+                Tuple::from_pairs([("_1", other)])
+            }
+            Ok(other) => {
+                return failed(EvalError::Type(format!(
+                    "UNPIVOT source must be a tuple, found {}",
+                    other.kind().name()
+                )))
+            }
         };
         let value_var: Rc<str> = value_var.into();
         let name_var: Rc<str> = name_var.into();
@@ -1525,18 +1531,11 @@ impl<'a> Evaluator<'a> {
         preds: &[&'a CoreExpr],
         outs: &[&'a CoreExpr],
     ) -> FusedScan<'s, 'a> {
-        let programs =
-            |exprs: &[&'a CoreExpr]| exprs.iter().map(|e| (*self.program(e)).clone()).collect();
         let (buf, pulled) = (Vec::new(), Ok(()));
         FusedScan {
-            preds: programs(preds),
-            outs: programs(outs),
-            ..FusedScan::new(
-                self,
-                RowSource::Bound { input, buf, pulled },
-                "".into(),
-                Env::new(),
-            )
+            preds: self.programs(preds.iter().copied()),
+            outs: self.programs(outs.iter().copied()),
+            ..FusedScan::new(self, RowSource::Bound { input, buf, pulled }, Env::new())
         }
     }
 
@@ -1581,9 +1580,6 @@ impl<'a> Evaluator<'a> {
         preds: &[&'a CoreExpr],
         outs: &[&'a CoreExpr],
     ) -> Option<SpineParts<'a>> {
-        if self.config.batch_size <= 1 {
-            return None;
-        }
         let CoreFrom::Scan {
             expr,
             as_var,
@@ -1607,16 +1603,11 @@ impl<'a> Evaluator<'a> {
 
     /// Each expression's program specialized for the slice's root
     /// variable — paths off the root variable become direct root reads,
-    /// so the hot loop never compares variable names — or
-    /// `None` unless every one is safe to run against a borrowed root.
-    fn rooted(&self, exprs: &[&'a CoreExpr], as_var: &str) -> Option<Vec<Program<'a>>> {
-        exprs
-            .iter()
-            .map(|e| {
-                let p = self.program(e);
-                p.root_safe.then(|| p.specialize_for_root(as_var))
-            })
-            .collect()
+    /// so the hot loop never compares variable names — or `None` at batch
+    /// 1 or unless every one is safe to run against a borrowed root.
+    fn rooted(&self, exprs: &[&'a CoreExpr], root: &'a str) -> Option<Vec<Rc<Program<'a>>>> {
+        let one = |e| self.program(e).root_safe.then(|| self.program_for(e, root));
+        (self.config.batch_size > 1).then(|| exprs.iter().map(|e| one(*e)).collect())?
     }
 
     /// Opens the row loop on the slice of `parts`: every predicate must
@@ -1639,19 +1630,56 @@ impl<'a> Evaluator<'a> {
         })
     }
 
+    /// The row loop of a DELETE or UPDATE: `each` gets, in order, the
+    /// position of every element of `target` (the statement's snapshot)
+    /// `pred` holds TRUE on under `var` — all, without a `pred` — the
+    /// element, and the values of `outs` on it, until it fails. The loop
+    /// hands on every row, a rejected one flagged, so an ordinal is a
+    /// position.
+    pub fn for_each_match<E: From<EvalError>>(
+        &self,
+        target: Arc<Value>,
+        var: &'a str,
+        pred: Option<&'a CoreExpr>,
+        outs: &[&'a CoreExpr],
+        mut each: impl FnMut(usize, &Value, std::vec::Drain<'_, Value>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (preds, items) = (pred.as_slice(), Arc::clone(&target));
+        let scan = FusedScan {
+            as_var: Some(var.into()),
+            ..FusedScan::new(self, RowSource::Shared(target), Env::new())
+        };
+        let scan = match (self.rooted(preds, var), self.rooted(outs, var)) {
+            (Some(preds), Some(outs)) => FusedScan {
+                preds,
+                outs,
+                ..scan
+            },
+            _ => self.bound_rows(Box::new(scan), preds, outs),
+        };
+        let mut rows = FusedRows::new(FusedScan { pads: true, ..scan }, self.batch_size());
+        let mut values = Vec::with_capacity(outs.len());
+        for at in 0.. {
+            match rows.next_at(&mut values)? {
+                Some((_, true)) => each(at, &elements(&items)[at], values.drain(..))?,
+                Some(_) => {}
+                None => break,
+            }
+        }
+        Ok(())
+    }
+
     // =================================================================
     // Expressions
     // =================================================================
 
-    /// Evaluates a Core expression in an environment: the public entry
-    /// point, for DML row predicates and the reference oracle, and inside
-    /// the interpreter for an expression evaluated once per open of its
-    /// operator — a LIMIT/OFFSET operand, a LET, a scan source and an
-    /// UNPIVOT source. The expression compiles to bytecode
-    /// the first time it is seen. An operator that evaluates per row
-    /// fetches its programs once, when it opens, and runs them through
-    /// the row loop ([`FusedScan`]) or [`Self::run_program`] instead.
-    pub fn expr(&self, e: &'a CoreExpr, env: &Env) -> Result<Value, EvalError> {
+    /// Evaluates a Core expression in an environment, compiling it on
+    /// first sight: for the reference oracle, and for what runs once per
+    /// open of an operator — a LIMIT/OFFSET operand, a LET, a scan or
+    /// UNPIVOT source. Whatever runs per row, DML included, fetches its
+    /// programs once and runs them through the row loop ([`FusedScan`])
+    /// or [`Self::run_program`].
+    pub(crate) fn expr(&self, e: &'a CoreExpr, env: &Env) -> Result<Value, EvalError> {
         self.run_program(&self.program(e), env)
     }
 
@@ -1664,12 +1692,21 @@ impl<'a> Evaluator<'a> {
     /// The expression's compiled program, compiling and caching it on
     /// first sight.
     fn program(&self, e: &'a CoreExpr) -> Rc<Program<'a>> {
-        let key = std::ptr::from_ref(e) as usize;
+        self.program_for(e, "")
+    }
+
+    /// [`Self::program`] specialized for the slice's row variable `root`
+    /// (none for `""`), made and cached on first sight.
+    fn program_for(&self, e: &'a CoreExpr, root: &'a str) -> Rc<Program<'a>> {
+        let key = (std::ptr::from_ref(e) as usize, root);
         if let Some(p) = self.programs.borrow().get(&key) {
             return Rc::clone(p);
         }
-        let p = Rc::new(bytecode::compile(e));
-        if let Some(st) = &self.stats {
+        let p = Rc::new(match root {
+            "" => bytecode::compile(e),
+            root => self.program(e).specialize_for_root(root),
+        });
+        if let (Some(st), "") = (&self.stats, root) {
             st.count(|s| s.exprs_compiled += 1);
         }
         self.programs.borrow_mut().insert(key, Rc::clone(&p));
@@ -1962,14 +1999,11 @@ impl<'a> Evaluator<'a> {
                         match name {
                             Value::Str(s) => t.insert(s, value),
                             // Absent names skip the pair in permissive mode.
-                            Value::Missing | Value::Null => match self.config.typing {
-                                TypingMode::Permissive => {}
-                                TypingMode::StrictError => {
-                                    return Err(EvalError::Type(
-                                        "tuple attribute name is absent".to_string(),
-                                    ));
-                                }
-                            },
+                            Value::Missing | Value::Null => {
+                                self.missing_or(|| {
+                                    EvalError::Type("tuple attribute name is absent".to_string())
+                                })?;
+                            }
                             other => {
                                 self.type_err(|| {
                                     format!(
@@ -2159,12 +2193,9 @@ impl<'a> Evaluator<'a> {
         };
         match next_one(&mut stream)? {
             None => self.single_attr(&first),
-            Some(_) => match self.config.typing {
-                TypingMode::Permissive => Ok(Value::Missing),
-                TypingMode::StrictError => Err(EvalError::Cardinality(
-                    "scalar subquery produced more than one row".to_string(),
-                )),
-            },
+            Some(_) => self.missing_or(|| {
+                EvalError::Cardinality("scalar subquery produced more than one row".to_string())
+            }),
         }
     }
 
@@ -2247,18 +2278,12 @@ impl<'a> Evaluator<'a> {
             Err(NumError::NotANumber(kind)) => {
                 self.type_err(|| format!("expected a number, found {kind}"))
             }
-            Err(NumError::Overflow) => match self.config.typing {
-                TypingMode::Permissive => Ok(Value::Missing),
-                TypingMode::StrictError => {
-                    Err(EvalError::Arithmetic("numeric overflow".to_string()))
-                }
-            },
-            Err(NumError::DivisionByZero) => match self.config.typing {
-                TypingMode::Permissive => Ok(Value::Missing),
-                TypingMode::StrictError => {
-                    Err(EvalError::Arithmetic("division by zero".to_string()))
-                }
-            },
+            Err(NumError::Overflow) => {
+                self.missing_or(|| EvalError::Arithmetic("numeric overflow".to_string()))
+            }
+            Err(NumError::DivisionByZero) => {
+                self.missing_or(|| EvalError::Arithmetic("division by zero".to_string()))
+            }
         }
     }
 
@@ -2469,10 +2494,7 @@ impl<'a> Evaluator<'a> {
                     kind
                 )
             }),
-            agg::AggError::Arithmetic(m) => match self.config.typing {
-                TypingMode::Permissive => Ok(Value::Missing),
-                TypingMode::StrictError => Err(EvalError::Arithmetic(m)),
-            },
+            agg::AggError::Arithmetic(m) => self.missing_or(|| EvalError::Arithmetic(m)),
             agg::AggError::Raised(e) => Err(e),
         }
     }
@@ -2504,12 +2526,11 @@ impl<'a> Evaluator<'a> {
     fn single_attr(&self, row: &Value) -> Result<Value, EvalError> {
         match row {
             Value::Tuple(t) if t.len() == 1 => Ok(t.iter().next().expect("len 1").1.clone()),
-            other => match self.config.typing {
-                TypingMode::Permissive => Ok(Value::Missing),
-                TypingMode::StrictError => Err(EvalError::Cardinality(format!(
+            other => self.missing_or(|| {
+                EvalError::Cardinality(format!(
                     "SQL subquery row must have exactly one attribute, found {other}"
-                ))),
-            },
+                ))
+            }),
         }
     }
 }
@@ -2670,8 +2691,8 @@ fn joint_hash(keys: &[Value]) -> u64 {
 struct SpineParts<'a> {
     scan: &'a CoreExpr,
     as_var: &'a str,
-    preds: Vec<Program<'a>>,
-    outs: Vec<Program<'a>>,
+    preds: Vec<Rc<Program<'a>>>,
+    outs: Vec<Rc<Program<'a>>>,
     /// The operator the rows feed.
     consumer: &'a CoreOp,
     /// The `Filter* → From` input the spine stands in for, one `Filter`
@@ -2735,8 +2756,9 @@ impl<'s> SpineStats<'s> {
 
 /// The one row loop, under every consumer — a projection, a DISTINCT, a
 /// PIVOT, a sort and a top-k in binding form, a GROUP BY, a standalone
-/// WHERE, a correlate's left filter, a hash join's probe and build sides
-/// — and the one FROM scan ([`Evaluator::open_scan`]). Each pull
+/// WHERE, a correlate's left filter, a hash join's probe and build sides,
+/// a DELETE or UPDATE ([`Evaluator::for_each_match`]) — and the one FROM
+/// scan ([`Evaluator::open_scan`]). Each pull
 /// runs the predicates, then the output programs, on one row after
 /// another, and stops once `max` rows are out, so a LIMIT, EXISTS or IN
 /// above it stops its input. A row that passes yields one item per
@@ -2761,20 +2783,20 @@ struct FusedScan<'s, 'a> {
     source: RowSource<'s>,
     /// The next slice element to scan.
     idx: usize,
-    /// The slice's row variable.
-    as_var: Rc<str>,
+    /// The slice's row variable; a binding stream's rows have none.
+    as_var: Option<Rc<str>>,
     /// Bound to each row's position — an array index, else MISSING — by
     /// the binding form. The slice's consumers never have one.
     at_var: Option<Rc<str>>,
     /// Strict typing with an AT variable over a bag: the first pull of a
     /// row raises.
     bag_at_error: bool,
-    preds: Vec<Program<'a>>,
+    preds: Vec<Rc<Program<'a>>>,
     /// The predicates are a correlate's left filter, judged by
     /// [`left_verdict`]. Otherwise a row passes only when every predicate
     /// is TRUE, and a predicate's error fails the loop.
     left_filter: bool,
-    outs: Vec<Program<'a>>,
+    outs: Vec<Rc<Program<'a>>>,
     /// The first output whose data errors are parked, not raised.
     park_from: usize,
     /// The outputs are a hash join's keys: an absent one rejects the row
@@ -2782,7 +2804,8 @@ struct FusedScan<'s, 'a> {
     /// are not evaluated.
     join_keys: bool,
     /// A row the predicates or join keys reject is handed on too,
-    /// flagged, with no items: a LEFT join pads it.
+    /// flagged, with no items: a LEFT join pads it, and a DML statement
+    /// counts it.
     pads: bool,
     /// The slice's environment: each element is bound into it.
     env: Env,
@@ -2930,12 +2953,12 @@ impl FusedOut for Result<Value, EvalError> {
 
 impl<'s, 'a> FusedScan<'s, 'a> {
     /// A loop over `source` that runs no program: every row passes.
-    fn new(ev: &'s Evaluator<'a>, source: RowSource<'s>, as_var: Rc<str>, env: Env) -> Self {
+    fn new(ev: &'s Evaluator<'a>, source: RowSource<'s>, env: Env) -> Self {
         FusedScan {
             ev,
             source,
             idx: 0,
-            as_var,
+            as_var: None,
             at_var: None,
             bag_at_error: false,
             preds: Vec::new(),
@@ -2956,7 +2979,7 @@ impl<'s, 'a> FusedScan<'s, 'a> {
     /// gone).
     fn bind(&self, row: &Row) -> Env {
         match row {
-            Row::At(pos) => (self.env).bind(self.as_var.clone(), self.source.items()[*pos].clone()),
+            Row::At(pos) => (self.env).bind(self.row_var(), self.source.items()[*pos].clone()),
             Row::Bound(env) => env.clone(),
         }
     }
@@ -2964,9 +2987,14 @@ impl<'s, 'a> FusedScan<'s, 'a> {
     /// [`env_bytes`] of [`Self::bind`]`(row)`, without binding it.
     fn bound_bytes(&self, row: &Row) -> u64 {
         match row {
-            Row::At(pos) => slice_row_bytes(&self.env, &self.as_var, &self.source.items()[*pos]),
+            Row::At(pos) => slice_row_bytes(&self.env, &self.row_var(), &self.source.items()[*pos]),
             Row::Bound(env) => env_bytes(env),
         }
+    }
+
+    /// The slice's row variable, which a position row is bound to.
+    fn row_var(&self) -> Rc<str> {
+        self.as_var.clone().expect("a slice has its row variable")
     }
 
     /// The same rows with no program to run: every row passes, unjudged.
@@ -3155,7 +3183,7 @@ impl<'s, 'a> FusedScan<'s, 'a> {
             Row::Bound(env) => return env,
         };
         let ordered = matches!(self.source.value(), Some(Value::Array(_)));
-        let bound = self.env.bind(self.as_var.clone(), self.source.take(pos));
+        let bound = self.env.bind(self.row_var(), self.source.take(pos));
         match &self.at_var {
             Some(at) if ordered => bound.bind(at.clone(), Value::Int(pos as i64)),
             Some(at) => bound.bind(at.clone(), Value::Missing),
@@ -3542,7 +3570,7 @@ impl SpillCodec for GroupCodec<'_> {
 /// reads back.
 struct BuildRows {
     slice: Option<Arc<Value>>,
-    as_var: Rc<str>,
+    as_var: Option<Rc<str>>,
     env: Env,
     names: Vec<Rc<str>>,
     /// The build's rows pulled and not yet in the table, the next one
@@ -3556,7 +3584,7 @@ impl BuildRows {
     fn get<'r>(&'r self, row: &'r Row, name: &str) -> Option<&'r Value> {
         match row {
             Row::Bound(env) => env.get(name),
-            Row::At(pos) if name == &*self.as_var => {
+            Row::At(pos) if self.as_var.as_deref() == Some(name) => {
                 let slice = self.slice.as_deref().expect("a position row has its slice");
                 Some(&elements(slice)[*pos])
             }
@@ -3571,7 +3599,8 @@ impl BuildRows {
             Row::Bound(env) => env_bytes(env),
             Row::At(pos) => {
                 let slice = self.slice.as_deref().expect("a position row has its slice");
-                slice_row_bytes(&self.env, &self.as_var, &elements(slice)[*pos])
+                let as_var = self.as_var.as_deref().expect("and its row variable");
+                slice_row_bytes(&self.env, as_var, &elements(slice)[*pos])
             }
         }
     }

@@ -289,13 +289,18 @@ echo "one counter record OK"
 echo "== one consumer loop gate =="
 # Every consumer — projection, DISTINCT, PIVOT, sort, top-k, GROUP BY, a
 # standalone WHERE, a correlate's left filter, a hash join's probe and
-# build sides — reads its input through the one row loop (`FusedScan`),
-# off the slice or off any binding stream. The binding-stream twins it
-# replaced, the probe-side variants, the per-row join-key evaluator, the
-# generic filter-map adapter and the nested loop's per-row test must not
-# come back.
-if grep -rnE '\bjoin_key\b|ProbeSide|into_bindings|\bprobe_side\b|\bspine_probe\b|\bfused_left\b|\bfused_scan\b|fused_group_input|ScanSource|\bspine_scan\b|\bMapRows\b|\bRowTest\b' crates tests examples; then
+# build sides, a DELETE or UPDATE — reads its input through the one row
+# loop (`FusedScan`), off the slice or off any binding stream. The
+# binding-stream twins it replaced, the probe-side variants, the per-row
+# join-key evaluator, the generic filter-map adapter, the nested loop's
+# per-row test and DML's own row loop (`row_matches`, binding an `Env`
+# per row) must not come back.
+if grep -rnE '\bjoin_key\b|ProbeSide|into_bindings|\bprobe_side\b|\bspine_probe\b|\bfused_left\b|\bfused_scan\b|fused_group_input|ScanSource|\bspine_scan\b|\bMapRows\b|\bRowTest\b|\brow_matches\b' crates tests examples; then
   echo "a deleted consumer twin or probe-side variant is referenced again" >&2
+  exit 1
+fi
+if grep -nE '\bEnv\b' crates/core/src/dml.rs; then
+  echo "DML binds its rows itself again instead of reading them through the row loop" >&2
   exit 1
 fi
 echo "one consumer loop OK"

@@ -1,12 +1,15 @@
-//! Allocation ledger for predicate scans and keyed breakers: a predicate
-//! that only reads attribute paths, parameters and constants must
-//! allocate nothing per row; nor must a hash-join build row no probe row
-//! matches, nor a GROUP BY row that folds into a group it finds, nor a row
-//! the WHERE under a sort, a DISTINCT, a PIVOT, a GROUP AS or a window
-//! rejects. Each
-//! query runs over 64 and over 256 rows and must make the same number of
-//! heap allocations at both sizes — every allocation it makes belongs to
-//! the query (plan, programs, tables, result), none to a row.
+//! Allocation ledger for predicate scans, keyed breakers and DML: a
+//! predicate that only reads attribute paths, parameters and constants
+//! must allocate nothing per row; nor must a hash-join build row no probe
+//! row matches, nor a GROUP BY row that folds into a group it finds, nor a
+//! row the WHERE under a sort, a DISTINCT, a PIVOT, a GROUP AS, a window,
+//! a DELETE or an UPDATE rejects. Each statement runs over 64 and over 256
+//! rows and must make the same number of heap allocations at both sizes —
+//! every allocation it makes belongs to the statement (plan, programs,
+//! tables, result), none to a row.
+//!
+//! A loop re-opened per outer row — a WHERE over an UNNEST in a correlated
+//! subquery — clones none of its programs.
 //!
 //! A set operation under an ORDER BY … LIMIT must hold no more of its
 //! elements at once at 256 rows than at 64: its peak heap bytes stay
@@ -315,4 +318,51 @@ fn a_set_op_top_k_holds_no_more_elements_over_more_rows() {
             "batch {batch_size}: peak heap bytes {at_64} at 64 rows vs {at_256} at 256 rows"
         );
     }
+}
+
+/// DELETE and UPDATE find their rows through the row loop on the slice
+/// of the statement's snapshot: a row their WHERE rejects is neither
+/// cloned nor bound, so the 192 more rows at 256 cost nothing. (The
+/// former per-row DML loop bound a clone of every row: 7 allocations per
+/// rejected row.)
+#[test]
+fn dml_allocates_nothing_per_rejected_row() {
+    for stmt in [
+        "DELETE FROM t.rows AS x WHERE x.n = 1000000",
+        "DELETE FROM t.rows AS x WHERE x.s = 'nope'",
+        "UPDATE t.rows AS x SET x.m = 9 WHERE x.n = 5",
+    ] {
+        let [(at_64, small), (at_256, large)] = [engine(64), engine(256)].map(|engine| {
+            for _ in 0..3 {
+                engine.execute(stmt).unwrap();
+            }
+            let before = ALLOCS.with(Cell::get);
+            let outcome = engine.execute(stmt).unwrap();
+            (ALLOCS.with(Cell::get) - before, format!("{outcome:?}"))
+        });
+        assert_eq!(small, large, "{stmt}: the outcomes differ");
+        assert_eq!(
+            at_64, at_256,
+            "{stmt}: allocations at 64 rows vs at 256 rows"
+        );
+    }
+}
+
+/// A loop over a binding stream runs its programs as the evaluator
+/// compiled them: re-opening it clones none. The WHERE over an UNNEST in
+/// this EXISTS, and the projection above it, open such a loop once per
+/// outer row; when each open cloned its program, an outer row cost 33
+/// allocations, two of them those clones.
+#[test]
+fn a_loop_reopened_per_outer_row_clones_no_program() {
+    let q = "SELECT VALUE x.n FROM t.rows AS x \
+             WHERE EXISTS (SELECT VALUE b FROM [x.t] AS a, [a.u] AS b WHERE b = 'c')";
+    let (small, large) = (engine(64), engine(256));
+    let [(at_64, small_result), (at_256, large_result)] = [&small, &large].map(|engine| {
+        let plan = engine.prepare(q).unwrap();
+        allocs_per_run(engine, &plan, &[])
+    });
+    assert_eq!(small_result, large_result, "the kept rows differ");
+    let per_row = (at_256 - at_64) / 192;
+    assert!(per_row <= 33 - 2, "{per_row} allocations per outer row");
 }

@@ -1,8 +1,11 @@
 //! INSERT / DELETE / UPDATE over named collections, including schema
-//! enforcement on writes and SQL++ three-valued predicate semantics.
+//! enforcement on writes and SQL++ three-valued predicate semantics, and a
+//! generated differential of DELETE and UPDATE against the query engine.
 
-use sqlpp::{Engine, ExecOutcome};
-use sqlpp_value::Value;
+use sqlpp::{Engine, ExecOutcome, SessionConfig, TypingMode};
+use sqlpp_testkit::prop::{self, Gen, Source};
+use sqlpp_testkit::{prop_assert_eq, sqlpp_prop};
+use sqlpp_value::{Tuple, Value};
 
 fn engine() -> Engine {
     let engine = Engine::new();
@@ -391,6 +394,205 @@ fn failed_dml_is_atomic_under_injected_faults() {
                         "{stmt} k={k}: {e}"
                     );
                     assert_eq!(stored(&engine, "emp"), before, "{stmt} k={k}: leaked");
+                }
+            }
+        }
+    }
+}
+
+// ======================================================================
+// Generated differential: DELETE and UPDATE read their target through the
+// query engine's row loop, so each must act on exactly the rows
+// `SELECT VALUE x FROM t AS x WHERE p` keeps, in order — at batch 1 (the
+// binding stream), 2 and 1024 (the borrowed slice, for root-safe
+// programs), under both typing modes, with the same error wherever one
+// is raised.
+// ======================================================================
+
+fn pick<T: Clone>(src: &mut Source, choices: &[T]) -> T {
+    choices[src.draw_below(choices.len() as u64) as usize].clone()
+}
+
+/// 0–`max` rows `{id, k, f, t}`: a unique `id`; `k` and `f` an int, a
+/// float, a string, NULL, MISSING or absent, from the spine generator's
+/// small domain; `t` a 0/1 flag.
+fn table(src: &mut Source, max: usize) -> Value {
+    let attrs = [
+        Some(Value::Int(1)),
+        Some(Value::Int(2)),
+        Some(Value::Int(3)),
+        Some(Value::Float(0.5)),
+        Some(Value::Float(2.0)),
+        Some(Value::Str("a".into())),
+        Some(Value::Null),
+        Some(Value::Missing),
+        None,
+    ];
+    let rows = (0..src.draw_len(0, max)).map(|id| {
+        let mut t = Tuple::new();
+        t.insert("id", Value::Int(id as i64));
+        for name in ["k", "f"] {
+            if let Some(v) = pick(src, &attrs) {
+                t.insert(name, v);
+            }
+        }
+        t.insert("t", Value::Int(src.draw_range_i64(0, 1)));
+        Value::Tuple(t)
+    });
+    Value::Bag(rows.collect())
+}
+
+/// The target `u` and the subqueries' table `w`.
+#[derive(Debug, Clone)]
+struct Data {
+    u: Value,
+    w: Value,
+}
+
+fn data() -> Gen<Data> {
+    Gen::new(|src| Data {
+        u: table(src, 10),
+        w: table(src, 4),
+    })
+}
+
+/// Leaf predicates — the spine generator's filters, less its `?`
+/// parameters — and predicates through an `IN (SELECT …)` or `EXISTS`
+/// subquery. `None` is a statement without a WHERE.
+const PREDICATES: &[Option<&str>] = &[
+    None,
+    Some("x.f > 0.5"),
+    Some("x.k <> 'a'"),
+    Some("x.k IS NOT NULL"),
+    Some("x.k < 3"),
+    Some("x.id < 4"),
+    Some("x.t = 1 AND x.f <= 2"),
+    Some("x.k = 2 OR x.f IS MISSING"),
+    Some("NOT (x.k = 1)"),
+    Some("x.k IN [1, 'a', NULL]"),
+    Some("x.k IN (SELECT VALUE d.k FROM w AS d)"),
+    Some("EXISTS (SELECT VALUE d FROM w AS d WHERE d.k = x.k)"),
+    Some("NOT EXISTS (SELECT VALUE d FROM w AS d WHERE d.f = x.f AND d.t = 1)"),
+    Some("x.id IN (SELECT VALUE d.id FROM w AS d WHERE d.t = x.t)"),
+];
+
+/// SET right-hand sides, each reading the old row.
+const SETS: &[&str] = &[
+    "x.k + 1",
+    "x.f * 2",
+    "x.id",
+    "[x.k, x.f]",
+    "x.k || 'z'",
+    "COALESCE(x.f, x.k)",
+    "x.nope",
+    "(SELECT VALUE d.id FROM w AS d WHERE d.k = x.k)",
+];
+
+/// A generated statement pair: `DELETE FROM u AS x <where>` and
+/// `UPDATE u AS x SET x.k = <set> <where>`.
+#[derive(Debug, Clone)]
+struct Stmt {
+    pred: Option<&'static str>,
+    set: &'static str,
+}
+
+fn stmts() -> Gen<Stmt> {
+    Gen::new(|src| Stmt {
+        pred: pick(src, PREDICATES),
+        set: pick(src, SETS),
+    })
+}
+
+/// A fresh engine holding `d`, and a session over it.
+fn arm(d: &Data, typing: TypingMode, batch_size: usize) -> (Engine, Engine) {
+    let engine = Engine::new();
+    engine.register("u", d.u.clone());
+    engine.register("w", d.w.clone());
+    let session = engine.with_config(SessionConfig {
+        typing,
+        batch_size,
+        ..SessionConfig::default()
+    });
+    (engine, session)
+}
+
+/// What a statement leaves: its outcome and the stored target, in
+/// stored order, or its error — after which the target must be as it
+/// was.
+fn run_dml(d: &Data, typing: TypingMode, batch_size: usize, stmt: &str) -> Result<String, String> {
+    let (engine, session) = arm(d, typing, batch_size);
+    match session.execute(stmt) {
+        Ok(outcome) => Ok(format!("{outcome:?} {}", stored(&engine, "u"))),
+        Err(e) => {
+            assert_eq!(stored(&engine, "u"), d.u.to_string(), "{stmt}: leaked");
+            Err(e.to_string())
+        }
+    }
+}
+
+/// The rows of `u` the query `SELECT VALUE <proj> FROM u AS x <where>`
+/// keeps, in order.
+fn kept(d: &Data, typing: TypingMode, proj: &str, filter: &str) -> Result<Vec<Value>, String> {
+    let (_, session) = arm(d, typing, 1024);
+    let q = format!("SELECT VALUE {proj} FROM u AS x{filter}");
+    let rows = session.query(&q).map_err(|e| e.to_string())?;
+    Ok(rows.into_value().as_elements().unwrap().to_vec())
+}
+
+/// The DELETE and the UPDATE of `s` as the query engine answers them: the
+/// outcome and stored target each must leave, or the error each must
+/// raise.
+fn expected(d: &Data, typing: TypingMode, s: &Stmt, filter: &str) -> [Result<String, String>; 2] {
+    let rows = d.u.as_elements().unwrap();
+    let id = |row: &Value| row.path("id");
+    let deleted = kept(d, typing, "x.id", filter).map(|ids| {
+        let left: Vec<Value> = (rows.iter())
+            .filter(|r| !ids.contains(&id(r)))
+            .cloned()
+            .collect();
+        let outcome = ExecOutcome::Deleted { count: ids.len() };
+        format!("{outcome:?} {}", Value::Bag(left))
+    });
+    let updated = kept(
+        d,
+        typing,
+        &format!("{{'id': x.id, 'v': {}}}", s.set),
+        filter,
+    )
+    .map(|new| {
+        let rewritten = rows.iter().map(|row| {
+            let Some(new) = new.iter().find(|n| n.path("id") == id(row)) else {
+                return row.clone();
+            };
+            let mut t = row.as_tuple().unwrap().clone();
+            match new.path("v") {
+                Value::Missing => drop(t.remove("k")),
+                v => t.upsert("k", v),
+            }
+            Value::Tuple(t)
+        });
+        let outcome = ExecOutcome::Updated { count: new.len() };
+        format!("{outcome:?} {}", Value::Bag(rewritten.collect()))
+    });
+    [deleted, updated]
+}
+
+// The row loop reads the slice at batch 2 and 1024 where every program is
+// root-safe (leaf predicates and SET right-hand sides) and the binding
+// stream otherwise (the subqueries) and at batch 1.
+sqlpp_prop! {
+    #![config(cases = prop::cases(150))]
+
+    fn dml_acts_on_exactly_the_rows_its_where_keeps(d in data(), s in stmts()) {
+        let filter = s.pred.map_or(String::new(), |p| format!(" WHERE {p}"));
+        let delete = format!("DELETE FROM u AS x{filter}");
+        let update = format!("UPDATE u AS x SET x.k = {}{filter}", s.set);
+        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+            let want = expected(&d, typing, &s, &filter);
+            for batch_size in [1, 2, 1024] {
+                for (stmt, want) in [&delete, &update].into_iter().zip(&want) {
+                    let got = run_dml(&d, typing, batch_size, stmt);
+                    prop_assert_eq!(&got, want, "{:?}, batch {}: {}", typing, batch_size, stmt);
                 }
             }
         }

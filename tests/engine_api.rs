@@ -606,6 +606,32 @@ fn execute_and_execute_with_stats_agree_for_every_statement_kind() {
     assert_eq!(tree(plain.execute(stmt).unwrap()), tree(b));
 }
 
+/// DELETE and UPDATE scan their target through the row loop, which
+/// counts what it reads: `rows_scanned` is the target's length, on the
+/// slice (batch 1024) and on the binding stream (batch 1) alike.
+#[test]
+fn dml_stats_count_the_rows_scanned() {
+    let rows: Vec<String> = (0..100).map(|i| format!("{{'id': {i}}}")).collect();
+    for batch_size in [1, 1024] {
+        let engine = Engine::new().with_config(SessionConfig {
+            batch_size,
+            ..SessionConfig::default()
+        });
+        engine
+            .load_pnotation("t", &format!("{{{{ {} }}}}", rows.join(", ")))
+            .unwrap();
+        for (stmt, len) in [
+            ("UPDATE t AS x SET x.v = x.id WHERE x.id % 2 = 0", 100),
+            ("DELETE FROM t AS x WHERE x.v IS NOT MISSING", 100),
+            ("DELETE FROM t AS x WHERE x.id < 10", 50),
+        ] {
+            let (_, stats) = engine.execute_with_stats(stmt).unwrap();
+            let stats = stats.unwrap();
+            assert_eq!(stats.rows_scanned, len, "batch {batch_size}: {stmt}");
+        }
+    }
+}
+
 /// The REPL's statement-or-expression decision (`examples/repl.rs`,
 /// compiled into this suite): the bare-expression fallback is for input
 /// that is *not a statement* — a statement that parsed and then failed
@@ -675,7 +701,7 @@ fn deeply_nested_construction_round_trips() {
 mod governance {
     use std::time::Duration;
 
-    use sqlpp::{CancelToken, Engine, Limits, SessionConfig};
+    use sqlpp::{CancelToken, Engine, Error, EvalError, Limits, SessionConfig};
 
     fn fixture() -> Engine {
         let engine = Engine::new();
@@ -848,6 +874,46 @@ mod governance {
                 .len(),
             100
         );
+    }
+
+    /// DELETE and UPDATE read their target through the row loop, so a
+    /// cancelled token or an expired deadline stops them with the
+    /// structured error before their commit, at every batch size: the
+    /// catalog is left byte-identical and the engine answers the next
+    /// statement.
+    #[test]
+    fn cancelled_or_expired_dml_commits_nothing() {
+        let engine = fixture();
+        let token = CancelToken::new();
+        token.cancel();
+        for limits in [
+            Limits::none().with_cancel(token),
+            Limits::none().with_time(Duration::ZERO),
+        ] {
+            for batch_size in [1, 1024] {
+                let session = engine.with_config(SessionConfig {
+                    limits: limits.clone(),
+                    batch_size,
+                    ..SessionConfig::default()
+                });
+                for stmt in [
+                    "DELETE FROM nums AS n WHERE n.id < 50",
+                    "UPDATE nums AS n SET n.grp = n.grp + 1 WHERE n.id < 50",
+                ] {
+                    let arm = format!("batch {batch_size}, {limits:?}: {stmt}");
+                    let before = engine.catalog().get_str("nums").unwrap().to_string();
+                    let err = session.execute(stmt).unwrap_err();
+                    assert!(
+                        matches!(err, Error::Eval(EvalError::Cancelled { .. })),
+                        "{arm}: {err}"
+                    );
+                    let after = engine.catalog().get_str("nums").unwrap().to_string();
+                    assert_eq!(after, before, "{arm}");
+                    let next = engine.query("SELECT VALUE n.id FROM nums AS n").unwrap();
+                    assert_eq!(next.len(), 100, "{arm}");
+                }
+            }
+        }
     }
 
     #[test]
