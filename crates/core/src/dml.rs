@@ -39,9 +39,9 @@
 //! read through its commit, serializing writers per catalog. Readers
 //! never take that lock — queries keep their lock-free `Arc` snapshots
 //! — and INSERT evaluates its source *before* acquiring it, so only
-//! the read-modify-write window is serialized. The threaded storm in
-//! `tests/serving.rs` and the B16 mixed workload (8 sessions, 1-in-8
-//! DML, exact-count assertion) pin this under real contention.
+//! the read-modify-write window is serialized. The threaded storm and
+//! the eight-session mixed workload in `tests/serving.rs` (1-in-8 DML,
+//! exact-count assertion) pin this under real contention.
 
 use sqlpp_eval::{Evaluator, ExecStats};
 use sqlpp_plan::{lower_expr, CoreExpr, PlanConfig, Scope};
@@ -319,10 +319,23 @@ fn set_path(element: Value, attrs: &[String], value: Value) -> Result<Value> {
         }
         return Ok(Value::Tuple(t));
     }
-    let inner = t
-        .remove(first)
-        .unwrap_or_else(|| Value::Tuple(Tuple::new()));
-    let updated = set_path(inner, rest, value)?;
-    t.upsert(first.clone(), updated);
-    Ok(Value::Tuple(t))
+    // The first attribute named `first` is rewritten in its own position,
+    // as a flat SET's `upsert` does; an absent one is appended.
+    let mut pending = Some(value);
+    let mut out = Tuple::with_capacity(t.len() + 1);
+    for (name, inner) in t {
+        let inner = match pending.take() {
+            Some(value) if name == **first => set_path(inner, rest, value)?,
+            other => {
+                pending = other;
+                inner
+            }
+        };
+        out.insert(name, inner);
+    }
+    if let Some(value) = pending {
+        let inner = set_path(Value::Tuple(Tuple::new()), rest, value)?;
+        out.insert(first.clone(), inner);
+    }
+    Ok(Value::Tuple(out))
 }

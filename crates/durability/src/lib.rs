@@ -212,7 +212,7 @@ pub struct Recovered {
     pub torn_tail: Option<String>,
 }
 
-/// Point-in-time counters for `.wal status` and the B18 bench.
+/// Point-in-time counters for `.wal status` and the end-to-end benchmark.
 #[derive(Debug, Clone)]
 pub struct WalStatus {
     /// The durability directory.

@@ -27,7 +27,7 @@
 //! Accounting invariant: rows admitted through a gauge are released
 //! ([`MatGauge::release_all`]) the moment they are written out, so *peak
 //! tracked memory stays at or below the budget* even on 10×-budget inputs
-//! (the B15 gate).
+//! (`tests/out_of_core.rs` pins it).
 
 use std::cmp::Ordering;
 use std::fs::{self, File};

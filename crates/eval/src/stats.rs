@@ -139,7 +139,7 @@ impl ExecStats {
     }
 
     /// The engine-wide counters as stable `(name, value)` pairs — the
-    /// export format benches attach to their JSON reports.
+    /// export format tests and reports read.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("rows_scanned", self.rows_scanned),

@@ -12,11 +12,11 @@
 //!
 //! **Bounded pulls.** A stream never pulls more than `max` rows per call
 //! from its input, so a quota-aware consumer (`LIMIT k`) that passes a
-//! small `max` stops the scan underneath it (B12). Consumers that decide
-//! on one row — `EXISTS`, the scalar-subquery 0/1/many probe, `IN`'s
-//! stop-at-first-TRUE, and the left side of a correlated FROM or a join,
-//! which must not read ahead of a LIMIT above it — pull through
-//! [`next_one`], which is `next_batch(_, 1)`.
+//! small `max` stops the scan underneath it (`tests/streaming.rs` pins
+//! it). Consumers that decide on one row — `EXISTS`, the scalar-subquery
+//! 0/1/many probe, `IN`'s stop-at-first-TRUE, and the left side of a
+//! correlated FROM or a join, which must not read ahead of a LIMIT
+//! above it — pull through [`next_one`], which is `next_batch(_, 1)`.
 //!
 //! **Exhaustion.** A call that appends zero rows and returns `Ok` means
 //! the stream is exhausted; appending fewer than `max` rows does not.

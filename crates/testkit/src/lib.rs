@@ -2,15 +2,14 @@
 //!
 //! This workspace builds with **zero external dependencies** (see
 //! README.md, "Hermetic builds"); the price is that the testing stack —
-//! previously `rand`, `proptest` and `criterion` — must live in-tree.
-//! This crate is that stack, cut down to exactly what a deterministic,
-//! reproducible verification of the paper's claims needs:
+//! previously `rand` and `proptest` — must live in-tree. This crate is
+//! that stack, cut down to exactly what a deterministic, reproducible
+//! verification of the paper's claims needs:
 //!
 //! | module | replaces | provides |
 //! |---|---|---|
 //! | [`rng`] | `rand` | SplitMix64 + xoshiro256\*\* with `gen_range` / `shuffle` / `choose` |
 //! | [`prop`] | `proptest` | composable [`prop::Gen`] combinators, fixed-seed case iteration, choice-stream shrinking, persisted regression seeds, the [`sqlpp_prop!`] macro |
-//! | [`bench`] | `criterion` | warmup + calibrated iteration timing, median/MAD/p95, `BENCH_<name>.json` reports |
 //! | [`fault`] | (chaos harness) | seeded, deterministic [`fault::FaultPlan`]s — "fail the k-th visit to site S" — for the engine's fault-injection hooks |
 //!
 //! The paper's methodology leans on exactly these tools: differential
@@ -22,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod fault;
 pub mod prop;
 pub mod rng;

@@ -7,7 +7,8 @@
 //! ```
 
 use sqlpp::Engine;
-use sqlpp_bench::gen_emp_nested;
+use sqlpp_testkit::rng::Rng;
+use sqlpp_value::{Tuple, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::new();
@@ -68,4 +69,51 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{title:>9}: {}", n.value());
     }
     Ok(())
+}
+
+const TITLES: &[&str] = &["Engineer", "Manager", "Analyst", "Director"];
+const PROJECT_POOL: &[&str] = &[
+    "Serverless Query",
+    "OLAP Security",
+    "OLTP Security",
+    "Storage Engine",
+    "Query Optimizer",
+    "Replication",
+    "Cost Model",
+    "Vector Search",
+];
+
+/// A nested employee collection in the shape of Listing 1: `n`
+/// employees, each with up to `fanout` nested project tuples, drawn from
+/// a PRNG seeded with `seed`.
+fn gen_emp_nested(n: usize, fanout: usize, seed: u64) -> Value {
+    let mut r = Rng::new(seed);
+    let mut out = Vec::with_capacity(n);
+    for id in 0..n {
+        let k = if fanout == 0 {
+            0
+        } else {
+            r.gen_range(0..=fanout)
+        };
+        let projects: Vec<Value> = (0..k)
+            .map(|_| {
+                let p = PROJECT_POOL[r.gen_range(0..PROJECT_POOL.len())];
+                let mut t = Tuple::new();
+                t.insert("name", Value::Str(p.to_string()));
+                Value::Tuple(t)
+            })
+            .collect();
+        let mut t = Tuple::with_capacity(6);
+        t.insert("id", Value::Int(id as i64));
+        t.insert("name", Value::Str(format!("Employee {id}")));
+        t.insert(
+            "title",
+            Value::Str(TITLES[r.gen_range(0..TITLES.len())].to_string()),
+        );
+        t.insert("salary", Value::Int(50_000 + r.gen_range(0..100_000)));
+        t.insert("deptno", Value::Int(r.gen_range(0..32)));
+        t.insert("projects", Value::Array(projects));
+        out.push(Value::Tuple(t));
+    }
+    Value::Bag(out)
 }

@@ -6,7 +6,8 @@
 //! ```
 
 use sqlpp::Engine;
-use sqlpp_bench::gen_wide_prices;
+use sqlpp_testkit::rng::Rng;
+use sqlpp_value::{Tuple, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::new();
@@ -92,4 +93,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         start.elapsed()
     );
     Ok(())
+}
+
+/// `rows` wide tuples (`width` price attributes plus a date), the
+/// Listing 19 shape scaled up, drawn from a PRNG seeded with `seed`.
+fn gen_wide_prices(rows: usize, width: usize, seed: u64) -> Value {
+    let mut r = Rng::new(seed);
+    let mut out = Vec::with_capacity(rows);
+    for day in 0..rows {
+        let mut t = Tuple::with_capacity(width + 1);
+        t.insert("date", Value::Str(format!("2019-04-{:02}", day + 1)));
+        for s in 0..width {
+            t.insert(format!("sym{s}"), Value::Int(r.gen_range(100..5000)));
+        }
+        out.push(Value::Tuple(t));
+    }
+    Value::Bag(out)
 }

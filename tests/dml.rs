@@ -203,6 +203,31 @@ fn update_nested_path_creates_intermediate_tuples() {
     assert_eq!(r.canonical().to_string(), "{{'Oslo'}}");
 }
 
+/// A SET rewrites its attribute where it stands, nested or flat; only an
+/// absent attribute is appended. Compared as printed text, which keeps the
+/// stored pair order.
+#[test]
+fn update_keeps_each_attribute_in_its_position() {
+    let engine = Engine::new();
+    engine
+        .load_pnotation("t", "{{ {'a': {'b': 1, 'c': 2}, 'z': 3} }}")
+        .unwrap();
+    for (set, stored) in [
+        ("x.a.b = 5", "{'a': {'b': 5, 'c': 2}, 'z': 3}"),
+        ("x.a = 7", "{'a': 7, 'z': 3}"),
+        ("x.m.n = 1", "{'a': 7, 'z': 3, 'm': {'n': 1}}"),
+        ("x.m.p = 2", "{'a': 7, 'z': 3, 'm': {'n': 1, 'p': 2}}"),
+    ] {
+        engine.execute(&format!("UPDATE t AS x SET {set}")).unwrap();
+        let r = engine.query("SELECT VALUE x FROM t AS x").unwrap();
+        assert_eq!(
+            r.into_value().to_string(),
+            format!("{{{{{stored}}}}}"),
+            "{set}"
+        );
+    }
+}
+
 #[test]
 fn schema_is_enforced_on_writes() {
     let engine = Engine::new();

@@ -807,6 +807,55 @@ mod governance {
         }
     }
 
+    /// A budgeted ORDER BY over 5 000 rows dies at its first over-budget
+    /// admission, with the structured refusal naming the memory budget,
+    /// and the governor's peak never passed the budget: a row is admitted
+    /// before it is stored.
+    #[test]
+    fn a_budgeted_sort_fails_at_its_first_over_budget_admission() {
+        use sqlpp::value::{Tuple, Value};
+        use sqlpp_eval::govern::MEMORY_BUDGET;
+        use sqlpp_eval::{EvalConfig, Evaluator};
+        const BUDGET: u64 = 18_000;
+        let engine = Engine::new();
+        let rows = (0..5_000).map(|i| {
+            let mut t = Tuple::with_capacity(3);
+            t.insert("k", Value::Int(i));
+            t.insert("v", Value::Int(7 * i));
+            t.insert("grp", Value::Int(i % 64));
+            Value::Tuple(t)
+        });
+        engine.register("g.data", Value::Bag(rows.collect()));
+        let plan = engine
+            .prepare("SELECT VALUE g.v FROM g.data AS g ORDER BY g.v DESC")
+            .unwrap();
+        let ev = Evaluator::new(
+            engine.catalog(),
+            EvalConfig {
+                limits: Limits::none().with_memory_bytes(BUDGET),
+                ..EvalConfig::default()
+            },
+        );
+        match ev.run(plan.plan()).unwrap_err() {
+            EvalError::ResourceExhausted {
+                resource,
+                limit,
+                used,
+            } => {
+                assert_eq!(resource, MEMORY_BUDGET);
+                assert_eq!(limit, BUDGET);
+                assert!(
+                    used > limit,
+                    "{used} is not the first admission past {limit}"
+                );
+            }
+            other => panic!("budgeted ORDER BY failed with the wrong error: {other}"),
+        }
+        let g = ev.governor();
+        assert!(g.peak_buffer_bytes() <= BUDGET, "{}", g.peak_buffer_bytes());
+        assert_eq!(g.budget_denials(), 1, "one refusal, then unwind");
+    }
+
     #[test]
     fn governor_counters_reset_between_queries() {
         let engine = fixture();
@@ -1272,6 +1321,67 @@ fn an_empty_build_reads_no_probe_row_at_any_batch_size() {
             let at_one = scanned(&engine, q, typing, 1);
             assert_eq!(at_one, (Ok(Value::Bag(Vec::new())), 0), "{typing:?}: {q}");
             assert_eq!(scanned(&engine, q, typing, 1024), at_one, "{typing:?}: {q}");
+        }
+    }
+}
+
+/// `n` tuples `{k: i, v: 7i, ns: [7i, -1]}`: unique keys, so an equi-join
+/// of two of them is 1:1 and the correlated unnest of `ns` matches once.
+fn key_rows(n: i64) -> Value {
+    let rows = (0..n).map(|i| {
+        let mut t = Tuple::with_capacity(3);
+        t.insert("k", Value::Int(i));
+        t.insert("v", Value::Int(7 * i));
+        t.insert("ns", Value::Array(vec![Value::Int(7 * i), Value::Int(-1)]));
+        Value::Tuple(t)
+    });
+    Value::Bag(rows.collect())
+}
+
+/// An uncorrelated equi-join plans a hash join (the optimizer off keeps
+/// the nested loop) that answers like the nested loop, builds its right
+/// side once, never rescans it and probes once per left row. A correlated
+/// join keeps the nested loop and re-evaluates its right side; a LEFT
+/// equi-join hashes too and pads the left rows it cannot match.
+#[test]
+fn equi_joins_hash_and_correlated_joins_keep_the_nested_loop() {
+    const EQUI: &str = "SELECT VALUE [x.v, y.v] FROM s.l AS x JOIN s.r AS y ON x.k = y.k";
+    const CORRELATED: &str = "SELECT VALUE [x.k, y] FROM s.l AS x JOIN x.ns AS y ON x.v = y";
+    const LEFT: &str = "SELECT VALUE [x.k, y.v] FROM s.l AS x LEFT JOIN s.half AS y ON x.k = y.k";
+    for n in [100, 1_000] {
+        let engine = Engine::new();
+        engine.register("s.l", key_rows(n));
+        engine.register("s.r", key_rows(n));
+        engine.register("s.half", key_rows(n / 2));
+        let raw = engine.with_config(SessionConfig {
+            optimize: false,
+            ..SessionConfig::default()
+        });
+        let plan = engine.explain(EQUI).unwrap();
+        assert!(plan.contains("hash join"), "{plan}");
+        let plan = raw.explain(EQUI).unwrap();
+        assert!(!plan.contains("hash join"), "{plan}");
+
+        let run = engine.query_with_stats(EQUI).unwrap();
+        assert_eq!(run.len(), n as usize);
+        assert_eq!(run.canonical(), raw.query(EQUI).unwrap().canonical());
+        let stats = run.stats().unwrap();
+        assert!(stats.join_probes <= 2 * n as u64, "{}", stats.join_probes);
+        assert_eq!(stats.right_rescans, 0);
+        assert_eq!(stats.join_build_rows, n as u64);
+
+        if n == 100 {
+            let plan = engine.explain(CORRELATED).unwrap();
+            assert!(!plan.contains("hash join"), "{plan}");
+            let run = engine.query_with_stats(CORRELATED).unwrap();
+            assert_eq!(run.len(), n as usize);
+            assert!(run.stats().unwrap().right_rescans > 0);
+
+            let plan = engine.explain(LEFT).unwrap();
+            assert!(plan.contains("left hash join"), "{plan}");
+            let padded = engine.query(LEFT).unwrap();
+            assert_eq!(padded.len(), n as usize);
+            assert_eq!(padded.canonical(), raw.query(LEFT).unwrap().canonical());
         }
     }
 }

@@ -136,22 +136,36 @@ fn scalar_coercion_cardinality_by_typing_mode() {
 
 #[test]
 fn pure_sql_agrees_across_all_four_mode_combinations() {
-    let q = "SELECT e.g AS g, COUNT(*) AS n FROM t AS e GROUP BY e.g";
-    let mut results = Vec::new();
-    for compat in [CompatMode::SqlCompat, CompatMode::Composable] {
-        for typing in [TypingMode::Permissive, TypingMode::StrictError] {
-            let engine = Engine::new().with_config(SessionConfig {
-                compat,
-                typing,
-                ..SessionConfig::default()
-            });
-            engine
-                .load_pnotation("t", "{{ {'g': 1}, {'g': 1}, {'g': 2} }}")
-                .unwrap();
-            results.push(engine.query(q).unwrap().canonical());
+    for (q, rows) in [
+        ("SELECT e.g AS g, COUNT(*) AS n FROM t AS e GROUP BY e.g", 3),
+        (
+            "SELECT e.g, COUNT(*) AS n, AVG(e.s) AS avg_s FROM t AS e WHERE e.s > 10 \
+             GROUP BY e.g HAVING COUNT(*) > 1 ORDER BY avg_s DESC LIMIT 10",
+            2,
+        ),
+    ] {
+        let mut results = Vec::new();
+        for compat in [CompatMode::SqlCompat, CompatMode::Composable] {
+            for typing in [TypingMode::Permissive, TypingMode::StrictError] {
+                let engine = Engine::new().with_config(SessionConfig {
+                    compat,
+                    typing,
+                    ..SessionConfig::default()
+                });
+                engine
+                    .load_pnotation(
+                        "t",
+                        "{{ {'g': 1, 's': 20}, {'g': 1, 's': 30}, {'g': 2, 's': 5}, \
+                            {'g': 2, 's': 40}, {'g': 2, 's': 50}, {'g': 3, 's': 60} }}",
+                    )
+                    .unwrap();
+                let r = engine.query(q).unwrap();
+                assert_eq!(r.len(), rows, "{compat:?} {typing:?}: {q}");
+                results.push(r.canonical());
+            }
         }
+        assert!(results.windows(2).all(|w| w[0] == w[1]), "{q}");
     }
-    assert!(results.windows(2).all(|w| w[0] == w[1]));
 }
 
 #[test]

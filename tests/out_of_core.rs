@@ -237,6 +237,11 @@ fn spilled_group_by_and_join_match_in_memory_as_multisets() {
                 stats.spill_partitions > 0,
                 "3 KB budget did not force a spill: {q}"
             );
+            assert!(
+                stats.peak_budget_bytes <= 3_000,
+                "batch_size {batch_size}: peak {} overshot: {q}",
+                stats.peak_budget_bytes
+            );
             if let Some(scans) = scans {
                 assert_eq!(
                     stats.rows_scanned, scans,

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use sqlpp::{Engine, ExecOutcome, Limits, SessionConfig, SpillConfig};
 use sqlpp_server::{wire::Response, Client, Server, ServerConfig};
-use sqlpp_value::Value;
+use sqlpp_value::{tuple, Tuple, Value};
 
 fn fixture() -> Engine {
     let engine = Engine::new();
@@ -355,6 +355,94 @@ fn spill_budget_trips_shed_like_memory_budgets() {
     );
     assert_eq!(v.to_string(), "{{1}}");
     assert_eq!(server.stats().errors, 0, "a spill cap trip is shedding");
+    server.shutdown();
+}
+
+/// Eight persistent sessions, 20 requests each: reads over four cached
+/// shapes, and in every eight requests one INSERT and one echo of the
+/// session's own id through a parameter. Every request is answered with
+/// rows, every echo carries its own session's id (no result bleeds across
+/// sessions), the shared plan cache hits, and every INSERT lands once.
+#[test]
+fn mixed_sessions_each_see_only_their_own_results() {
+    const CLIENTS: i64 = 8;
+    const PER_CLIENT: i64 = 20;
+    const SHAPES: [&str; 4] = [
+        "SELECT d.dname AS dname, r.rno AS rno, COUNT(*) AS n, \
+         SUM(e.sal) AS payroll, AVG(e.sal) AS avg_sal \
+         FROM s.emp AS e, s.dept AS d, s.region AS r \
+         WHERE e.dept = d.dno AND d.dno = r.dno AND e.sal >= 0 \
+         GROUP BY d.dname, r.rno ORDER BY payroll DESC, dname",
+        "SELECT VALUE e.sal FROM s.emp AS e WHERE e.dept = 3 ORDER BY e.sal DESC",
+        "SELECT e.dept AS dept, COUNT(*) AS n FROM s.emp AS e GROUP BY e.dept",
+        "SELECT VALUE d.dname FROM s.dept AS d WHERE d.dno < 4",
+    ];
+    let bag =
+        |n: i64, row: fn(i64) -> Tuple| Value::Bag((0..n).map(|i| Value::Tuple(row(i))).collect());
+    let engine = Engine::new();
+    engine.register(
+        "s.emp",
+        bag(
+            200,
+            |i| tuple! { "id" => i, "dept" => i % 8, "sal" => 1000 + 7 * i },
+        ),
+    );
+    engine.register(
+        "s.dept",
+        bag(8, |i| tuple! { "dno" => i, "dname" => format!("d{i}") }),
+    );
+    engine.register(
+        "s.region",
+        bag(4, |i| tuple! { "rno" => i, "dno" => 2 * i }),
+    );
+    engine.register("s.events", Value::Bag(Vec::new()));
+    engine.register("s.one", Value::Bag(vec![Value::Int(0)]));
+    let server = Server::start(
+        engine.clone(),
+        ServerConfig {
+            workers: CLIENTS as usize,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|id| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..PER_CLIENT {
+                    let resp = match i % 8 {
+                        7 => client.query(&format!(
+                            "INSERT INTO s.events VALUE {{'c': {id}, 'i': {i}}}"
+                        )),
+                        3 => client.query_with_params(
+                            "SELECT VALUE ? + x FROM s.one AS x",
+                            vec![Value::Int(id)],
+                        ),
+                        k => client.query(SHAPES[k as usize % SHAPES.len()]),
+                    };
+                    let v = rows(resp.unwrap());
+                    if i % 8 == 3 {
+                        assert_eq!(v.to_string(), format!("{{{{{id}}}}}"), "client {id}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("a client failed");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.served, (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!((stats.errors, stats.panics), (0, 0));
+    assert!(server.cache_stats().hits > 0, "the shared cache never hit");
+    let events = engine
+        .query("SELECT VALUE COUNT(*) FROM s.events AS e")
+        .unwrap();
+    assert_eq!(
+        events.canonical().to_string(),
+        format!("{{{{{}}}}}", CLIENTS * (PER_CLIENT / 8))
+    );
     server.shutdown();
 }
 

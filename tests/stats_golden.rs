@@ -4,10 +4,11 @@
 //! size 1 and at 1024. Times are left out, so the file is byte-stable.
 //!
 //! The set covers each place the evaluator counts: the fused scan spine
-//! (scan → filter → project), inner and LEFT hash joins, a nested-loop
-//! join, a folded GROUP BY and a GROUP AS, DISTINCT, the set operators, a
-//! window, a correlated subquery, a permissive type error, an ORDER BY
-//! spilled at a tiny byte budget and a top-k. A counting change that
+//! (scan → filter → project, scan → project, and a `COLL_*` over it),
+//! inner and LEFT hash joins, a nested-loop join, a folded GROUP BY and a
+//! GROUP AS, DISTINCT, the set operators, a window, a correlated
+//! subquery, a permissive type error, an ORDER BY spilled at a tiny byte
+//! budget and a top-k. A counting change that
 //! moves any value shows up as a diff of `tests/golden/stats/counters.txt`.
 //!
 //! Regenerate after an intentional counting change with
@@ -29,6 +30,14 @@ const QUERIES: &[(&str, &str)] = &[
     (
         "spine_scan_filter_project",
         "SELECT e.name AS name FROM emps AS e WHERE e.salary > 100",
+    ),
+    (
+        "spine_scan_project",
+        "SELECT VALUE e.id * 7 + e.id FROM emps AS e",
+    ),
+    (
+        "coll_sum_over_spine",
+        "SELECT VALUE COLL_SUM(SELECT VALUE e.id FROM emps AS e)",
     ),
     (
         "inner_hash_join",

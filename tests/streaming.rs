@@ -65,6 +65,71 @@ fn offset_past_end_yields_empty_after_full_scan() {
     assert_eq!(stats.rows_scanned, 10, "offset skip must consume the scan");
 }
 
+/// `n` tuples `{k: i, v: 7i, even: i % 2 = 0}` with unique keys.
+fn keyed(n: i64) -> Value {
+    let rows = (0..n).map(|i| {
+        let mut t = Tuple::with_capacity(3);
+        t.insert("k", Value::Int(i));
+        t.insert("v", Value::Int(7 * i));
+        t.insert("even", Value::Bool(i % 2 == 0));
+        Value::Tuple(t)
+    });
+    Value::Bag(rows.collect())
+}
+
+/// Over a 5 000-row scan, with `K` = 10 and one row of look-ahead slack:
+/// OFFSET and a WHERE stop the scan once their quota is met; a hash join
+/// under LIMIT builds its whole 1 000-row right side but probes only O(k)
+/// left rows; a bare ORDER BY consumes and holds every row, while the
+/// top-k it fuses into with LIMIT consumes every row but holds O(k).
+#[test]
+fn limits_pull_o_k_rows_and_only_breakers_hold_them() {
+    const K: u64 = 10;
+    const SLACK: u64 = 2;
+    let (n, m) = (5_000, 1_000);
+    let engine = engine_with("s.big", keyed(n));
+    engine.register("s.l", keyed(m));
+    engine.register("s.r", keyed(m));
+    let stats = |q: &str| engine.query_with_stats(q).unwrap().stats().unwrap().clone();
+
+    let s = stats("SELECT VALUE x.v FROM s.big AS x LIMIT 10 OFFSET 100");
+    assert!(s.rows_scanned <= 100 + K + SLACK, "{}", s.rows_scanned);
+    assert!(
+        s.peak_live_bindings <= K + SLACK,
+        "{}",
+        s.peak_live_bindings
+    );
+
+    // Every other row passes, so about 2k pulls.
+    let s = stats("SELECT VALUE x.v FROM s.big AS x WHERE x.even LIMIT 10");
+    assert!(s.rows_scanned <= 2 * K + SLACK, "{}", s.rows_scanned);
+    assert!(
+        s.peak_live_bindings <= K + SLACK,
+        "{}",
+        s.peak_live_bindings
+    );
+
+    let join = "SELECT VALUE [x.v, y.v] FROM s.l AS x JOIN s.r AS y ON x.k = y.k LIMIT 10";
+    let plan = engine.explain(join).unwrap();
+    assert!(plan.contains("hash join"), "{plan}");
+    let s = stats(join);
+    assert_eq!(s.join_build_rows, m as u64, "the build side sees every row");
+    assert!(s.join_probes <= K + SLACK, "{}", s.join_probes);
+    assert!(s.rows_scanned <= m as u64 + K + SLACK, "{}", s.rows_scanned);
+
+    let s = stats("SELECT VALUE x.v FROM s.big AS x ORDER BY x.v DESC");
+    assert_eq!(s.rows_scanned, n as u64);
+    assert!(s.peak_live_bindings >= n as u64, "{}", s.peak_live_bindings);
+
+    let s = stats("SELECT VALUE x.v FROM s.big AS x ORDER BY x.v DESC LIMIT 10");
+    assert_eq!(s.rows_scanned, n as u64);
+    assert!(
+        s.peak_live_bindings <= 2 * K + SLACK,
+        "{}",
+        s.peak_live_bindings
+    );
+}
+
 /// EXISTS pulls exactly one row from its subquery, however big the input
 /// and whatever the unit of pull.
 #[test]
